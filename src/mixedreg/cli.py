@@ -178,8 +178,8 @@ def _run_gradient_check(args, out_dir: Path, rng) -> tuple:
     u = FEField(mesh, "domain", 0.5 * rng.standard_normal(n))
     v = FEField(mesh, "boundary", 0.5 * rng.standard_normal(nb))
     gu, gv = kkt.reduced_gradient(spec, u, v)
-    M = fem.assemble_mass(mesh)
-    Mb = fem.assemble_boundary_mass(mesh)
+    M = fem.p1(mesh).mass
+    Mb = fem.p1(mesh).boundary_mass
     steps = (1e-3, 1e-4, 1e-5, 1e-6)
 
     rows = []
@@ -438,7 +438,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--out", default="out", help="output directory (MIXEDREG_OUT overrides)")
     parser.add_argument("--seed", type=int, default=42, help="seed for all sampling")
-    parser.add_argument("--threads", type=int, default=1, help="worker cap (this build is serial)")
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     def add_config(p):

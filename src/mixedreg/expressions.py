@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Expr", "EvalError", "ParseError", "parse_expr", "evaluate"]
+__all__ = ["Expr", "EvalError", "ParseError", "parse_expr"]
 
 
 class EvalError(ValueError):
@@ -47,11 +47,6 @@ class Expr:
     def __call__(self, x1, x2, val):
         return self.ev(np.asarray(x1, dtype=float), np.asarray(x2, dtype=float),
                        np.asarray(val, dtype=float))
-
-
-def evaluate(expr: Expr, x1, x2, val) -> np.ndarray:
-    """Evaluate ``expr`` with numpy broadcasting over the arguments."""
-    return expr(x1, x2, val)
 
 
 @dataclass(frozen=True)

@@ -5,11 +5,18 @@ integrals two-point Gauss per edge (degree 3).  Composed nonlinear
 integrands are always evaluated at quadrature points from interpolated
 nodal values; nothing is mass-lumped.  All assembly is vectorized and
 deterministic for fixed inputs.
+
+The :class:`P1` record of a mesh (``p1(mesh)``) is the single owner of
+everything assembled once per mesh: both quadratures, the mass matrices
+M and M_b, the boundary trace matrix T and the elliptic operator of the
+last problem spec.  Other modules read these through it, and load
+vectors are always M f + T^T (M_b g).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -20,6 +27,7 @@ from .geometry import Mesh
 
 __all__ = [
     "FEField",
+    "P1",
     "SparseOperator",
     "FieldError",
     "AssemblyError",
@@ -27,11 +35,11 @@ __all__ = [
     "domain_field",
     "boundary_field",
     "trace",
+    "p1",
     "lp_norm",
+    "integrate_basis",
     "assemble_operator",
-    "assemble_mass",
     "assemble_weighted_mass",
-    "assemble_boundary_mass",
     "assemble_boundary_weighted_mass",
     "solve_linear",
     "interior_quadrature",
@@ -117,15 +125,23 @@ def trace(field: FEField) -> FEField:
     return FEField(field.mesh, "boundary", field.values[field.mesh.boundary_loop])
 
 
-def _cache(mesh: Mesh) -> dict:
-    return mesh.__dict__.setdefault("_fem_cache", {})
+class P1:
+    """P1 discretization of one mesh, shared by every solve on it.
 
+    Each part is built on first use, so boundary-only work never touches
+    the interior.  ``operator`` keeps the matrix of the last spec it was
+    asked for and reassembles when a different spec object comes.
+    """
 
-def _tri_geometry(mesh: Mesh):
-    """Per-triangle P1 gradients, areas, and quadrature data (cached)."""
-    cache = _cache(mesh)
-    if "tri" not in cache:
-        p = mesh.vertices[mesh.triangles]  # (T, 3, 2)
+    def __init__(self, mesh: Mesh):
+        self.mesh = mesh
+        self._spec = None
+        self._operator = None
+
+    @cached_property
+    def interior(self):
+        """Per-triangle P1 gradients and interior quadrature points and weights."""
+        p = self.mesh.vertices[self.mesh.triangles]  # (T, 3, 2)
         d1 = p[:, 1] - p[:, 0]
         d2 = p[:, 2] - p[:, 0]
         area = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
@@ -137,31 +153,66 @@ def _tri_geometry(mesh: Mesh):
         grads = perp / (2.0 * area[:, None, None])
         qpts = np.einsum("qi,tic->tqc", _TRI_BASIS, p)  # (T, 3, 2)
         qw = np.repeat(area[:, None] / 3.0, 3, axis=1)  # (T, 3)
-        cache["tri"] = (grads, area, qpts, qw)
-    return cache["tri"]
+        return grads, qpts, qw
 
-
-def _edge_geometry(mesh: Mesh):
-    """Boundary edge Gauss points and weights (cached)."""
-    cache = _cache(mesh)
-    if "edge" not in cache:
+    @cached_property
+    def boundary(self):
+        """Boundary edge Gauss points and weights."""
+        mesh = self.mesh
         a = mesh.vertices[mesh.boundary_edges[:, 0]]
         b = mesh.vertices[mesh.boundary_edges[:, 1]]
         qpts = a[:, None, :] + _GAUSS_S[None, :, None] * (b - a)[:, None, :]  # (B, 2, 2)
         qw = np.repeat(mesh.boundary_edge_lengths[:, None] / 2.0, 2, axis=1)  # (B, 2)
-        cache["edge"] = (qpts, qw)
-    return cache["edge"]
+        return qpts, qw
+
+    @cached_property
+    def mass(self) -> SparseOperator:
+        """Interior mass matrix M."""
+        return assemble_weighted_mass(self.mesh, np.ones_like(self.interior[2]))
+
+    @cached_property
+    def boundary_mass(self) -> SparseOperator:
+        """Boundary mass matrix M_b in boundary-loop order."""
+        return assemble_boundary_weighted_mass(self.mesh, np.ones_like(self.boundary[1]))
+
+    @cached_property
+    def trace_matrix(self) -> sp.csr_matrix:
+        """Trace matrix T (nb, n): a single 1.0 per row, at the loop vertex."""
+        nb, n = self.mesh.n_boundary, self.mesh.n_vertices
+        return sp.csr_matrix((np.ones(nb), (np.arange(nb), self.mesh.boundary_loop)), shape=(nb, n))
+
+    def operator(self, spec: ProblemSpec) -> SparseOperator:
+        """Galerkin matrix of the elliptic operator of ``spec``."""
+        if self._spec is not spec:
+            self._operator = assemble_operator(self.mesh, spec)
+            self._spec = spec
+        return self._operator
+
+    def load(self, f: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """M f + T^T (M_b g) for nodal densities f in the domain and g on the boundary.
+
+        T has one 1.0 per row, so the boundary part lands on the loop
+        vertices without rounding.
+        """
+        return self.mass.matvec(f) + self.trace_matrix.T @ self.boundary_mass.matvec(g)
+
+
+def p1(mesh: Mesh) -> P1:
+    """The P1 record of ``mesh``, created on first use and kept on the mesh."""
+    if mesh.discretization is None:
+        mesh.discretization = P1(mesh)
+    return mesh.discretization
 
 
 def interior_quadrature(mesh: Mesh):
     """Flattened interior quadrature points and weights."""
-    _, _, qpts, qw = _tri_geometry(mesh)
+    _, qpts, qw = p1(mesh).interior
     return qpts.reshape(-1, 2), qw.reshape(-1)
 
 
 def boundary_quadrature(mesh: Mesh):
     """Flattened boundary quadrature points and weights."""
-    qpts, qw = _edge_geometry(mesh)
+    qpts, qw = p1(mesh).boundary
     return qpts.reshape(-1, 2), qw.reshape(-1)
 
 
@@ -207,10 +258,6 @@ class SparseOperator:
     def diagonal(self) -> np.ndarray:
         return self.matrix.diagonal()
 
-    def symmetry_defect(self) -> float:
-        d = self.matrix - self.matrix.T
-        return float(np.max(np.abs(d.data))) if d.nnz else 0.0
-
     def __add__(self, other: "SparseOperator") -> "SparseOperator":
         return SparseOperator(self.matrix + other.matrix)
 
@@ -234,7 +281,7 @@ def assemble_operator(
     :class:`AssemblyError` with the first offending location).  The flags
     allow mass-only or stiffness-only test assemblies.
     """
-    grads, area, qpts, qw = _tri_geometry(mesh)
+    grads, qpts, qw = p1(mesh).interior
     x1, x2 = qpts[..., 0], qpts[..., 1]
     n = mesh.n_vertices
     local = np.zeros((mesh.triangles.shape[0], 3, 3))
@@ -270,17 +317,9 @@ def assemble_operator(
 
 def assemble_weighted_mass(mesh: Mesh, weight_at_quad: np.ndarray) -> SparseOperator:
     """Mass matrix with a weight given at the interior quadrature points (T, 3)."""
-    _, _, _, qw = _tri_geometry(mesh)
+    _, _, qw = p1(mesh).interior
     local = np.einsum("tq,qi,qj->tij", qw * weight_at_quad, _TRI_BASIS, _TRI_BASIS)
     return SparseOperator(_scatter(mesh, local))
-
-
-def assemble_mass(mesh: Mesh) -> SparseOperator:
-    cache = _cache(mesh)
-    if "mass" not in cache:
-        _, _, _, qw = _tri_geometry(mesh)
-        cache["mass"] = assemble_weighted_mass(mesh, np.ones_like(qw))
-    return cache["mass"]
 
 
 def assemble_boundary_weighted_mass(mesh: Mesh, weight_at_quad: np.ndarray) -> SparseOperator:
@@ -288,7 +327,7 @@ def assemble_boundary_weighted_mass(mesh: Mesh, weight_at_quad: np.ndarray) -> S
 
     Indexed in boundary-loop order; tridiagonal up to the loop wraparound.
     """
-    _, qw = _edge_geometry(mesh)
+    _, qw = p1(mesh).boundary
     nb = mesh.n_boundary
     local = np.einsum("eq,qi,qj->eij", qw * weight_at_quad, _EDGE_BASIS, _EDGE_BASIS)
     idx = np.stack([np.arange(nb), (np.arange(nb) + 1) % nb], axis=1)
@@ -299,31 +338,16 @@ def assemble_boundary_weighted_mass(mesh: Mesh, weight_at_quad: np.ndarray) -> S
     )
 
 
-def assemble_boundary_mass(mesh: Mesh) -> SparseOperator:
-    cache = _cache(mesh)
-    if "bmass" not in cache:
-        _, qw = _edge_geometry(mesh)
-        cache["bmass"] = assemble_boundary_weighted_mass(mesh, np.ones_like(qw))
-    return cache["bmass"]
-
-
-def lift_boundary(mesh: Mesh, boundary_vec: np.ndarray) -> np.ndarray:
-    """Scatter a boundary-indexed vector into a zero-padded domain vector."""
-    out = np.zeros(mesh.n_vertices)
-    out[mesh.boundary_loop] = boundary_vec
-    return out
-
-
 def lp_norm(field: FEField, p: float) -> float:
     """Integral p-norm of a P1 field, |.|^p interpolated at quadrature points."""
     if p < 1.0:
         raise FieldError(f"p-norm requires p >= 1, got {p}")
     if field.role == "domain":
         vals = interp_interior(field)
-        _, _, _, qw = _tri_geometry(field.mesh)
+        _, _, qw = p1(field.mesh).interior
     else:
         vals = interp_boundary(field)
-        _, qw = _edge_geometry(field.mesh)
+        _, qw = p1(field.mesh).boundary
     return float(np.sum(qw * np.abs(vals) ** p) ** (1.0 / p))
 
 
@@ -331,8 +355,16 @@ def gradient_per_triangle(field: FEField) -> np.ndarray:
     """Constant P1 gradient on each triangle, shape (T, 2)."""
     if field.role != "domain":
         raise FieldError("gradients are defined for domain fields")
-    grads, _, _, _ = _tri_geometry(field.mesh)
+    grads, _, _ = p1(field.mesh).interior
     return np.einsum("ti,tic->tc", field.values[field.mesh.triangles], grads)
+
+
+def integrate_basis(mesh: Mesh, values_at_quad: np.ndarray) -> np.ndarray:
+    """Load vector (g, phi_i) of a function g given at the interior quadrature points (T, 3)."""
+    _, _, qw = p1(mesh).interior
+    contrib = (qw * values_at_quad)[:, :, None] * _TRI_BASIS  # (T, q, i)
+    rows = np.broadcast_to(mesh.triangles[:, None, :], contrib.shape)
+    return np.bincount(rows.reshape(-1), weights=contrib.reshape(-1), minlength=mesh.n_vertices)
 
 
 def solve_linear(op: SparseOperator, rhs: np.ndarray, rtol: float = CG_RTOL) -> np.ndarray:

@@ -41,6 +41,31 @@ def _curve_point(preset: str, theta: np.ndarray) -> np.ndarray:
     raise MeshError(f"unknown boundary preset {preset!r}")
 
 
+def _pair_keys(pairs: np.ndarray, n: int) -> np.ndarray:
+    """One integer per undirected pair of vertex indices below n."""
+    lo = np.minimum(pairs[:, 0], pairs[:, 1])
+    hi = np.maximum(pairs[:, 0], pairs[:, 1])
+    return lo * n + hi
+
+
+def _edge_table(triangles: np.ndarray, n: int):
+    """Undirected edges of a triangulation with n vertices.
+
+    Sides are read triangle by triangle as (a, b), (b, c), (c, a).  Returns
+    the edges numbered by first appearance, each as its first side
+    traverses it, shape (E, 2); the edge number of every side, shape
+    (T, 3); and the number of sides on each edge, shape (E,).
+    """
+    sides = triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+    _, first, inverse, counts = np.unique(
+        _pair_keys(sides, n), return_index=True, return_inverse=True, return_counts=True
+    )
+    order = np.argsort(first)
+    number = np.empty_like(order)
+    number[order] = np.arange(order.size)
+    return sides[first[order]], number[inverse].reshape(-1, 3), counts[order]
+
+
 @dataclass
 class Mesh:
     """Conforming triangulation with an oriented closed boundary loop.
@@ -62,6 +87,9 @@ class Mesh:
         For refined meshes, the coarse vertices each fine vertex was
         derived from (i == parents[i, 0] == parents[i, 1] for carried-over
         vertices).  Used for nodal prolongation in warm starts.
+    discretization : object or None
+        Slot for the finite element record of this mesh (``fem.p1``);
+        None until first use.  Derived data only, never compared.
     """
 
     vertices: np.ndarray
@@ -76,6 +104,7 @@ class Mesh:
     boundary_normals: np.ndarray = field(init=False)
     boundary_edge_lengths: np.ndarray = field(init=False)
     boundary_weights: np.ndarray = field(init=False)
+    discretization: object = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         self.vertices = np.ascontiguousarray(self.vertices, dtype=float)
@@ -99,14 +128,17 @@ class Mesh:
         if np.any(self.triangle_areas() <= 0.0):
             bad = int(np.argmin(self.triangle_areas()))
             raise MeshError(f"triangle {bad} has non-positive signed area")
-        edges = self._undirected_edge_counts()
-        boundary_set = {tuple(sorted(e)) for e in self.boundary_edges}
-        for e, cnt in edges.items():
-            if cnt == 1 and e not in boundary_set:
-                raise MeshError(f"boundary edge {e} missing from the loop")
-            if cnt > 2:
+        edges, _, counts = _edge_table(self.triangles, self.n_vertices)
+        loop_keys = _pair_keys(self.boundary_edges, self.n_vertices)
+        in_loop = np.isin(_pair_keys(edges, self.n_vertices), loop_keys)
+        bad = ((counts == 1) & ~in_loop) | (counts > 2)
+        if np.any(bad):
+            k = int(np.argmax(bad))
+            e = (int(edges[k].min()), int(edges[k].max()))
+            if counts[k] > 2:
                 raise MeshError(f"edge {e} shared by more than two triangles")
-        if len(boundary_set) != len(self.boundary_edges):
+            raise MeshError(f"boundary edge {e} missing from the loop")
+        if np.unique(loop_keys).size != loop_keys.size:
             raise MeshError("boundary loop repeats an edge")
         if self.preset is not None:
             centroid = self.vertices.mean(axis=0)
@@ -115,14 +147,6 @@ class Mesh:
             )
             if np.any(np.einsum("ij,ij->i", mids - centroid, self.boundary_normals) <= 0.0):
                 raise MeshError("boundary normal points inward")
-
-    def _undirected_edge_counts(self) -> dict:
-        counts: dict = {}
-        for tri in self.triangles:
-            for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-                key = (int(min(a, b)), int(max(a, b)))
-                counts[key] = counts.get(key, 0) + 1
-        return counts
 
     @property
     def n_vertices(self) -> int:
@@ -202,63 +226,39 @@ def refine(mesh: Mesh) -> Mesh:
     chord midpoints.
     """
     nv = mesh.n_vertices
-    pos = mesh.boundary_positions()
+    edges, side_edge, _ = _edge_table(mesh.triangles, nv)
+    # edge k gets the new vertex nv + k at its midpoint
+    midpoints = 0.5 * (mesh.vertices[edges[:, 0]] + mesh.vertices[edges[:, 1]])
+    keys = _pair_keys(edges, nv)
+    order = np.argsort(keys)
+    loop_edge = order[np.searchsorted(keys, _pair_keys(mesh.boundary_edges, nv), sorter=order)]
+
     params = mesh.boundary_params
+    fine_params = None
+    if mesh.preset is not None:
+        # curve parameter midpoint along the shorter arc, from the smaller vertex index
+        t0, t1 = params, np.roll(params, -1)
+        swap = mesh.boundary_edges[:, 0] > mesh.boundary_edges[:, 1]
+        ta, tb = np.where(swap, t1, t0), np.where(swap, t0, t1)
+        delta = (tb - ta) % (2.0 * np.pi)
+        flip = delta > np.pi
+        ta, delta = np.where(flip, tb, ta), np.where(flip, (ta - tb) % (2.0 * np.pi), delta)
+        mid_params = (ta + 0.5 * delta) % (2.0 * np.pi)
+        midpoints[loop_edge] = _curve_point(mesh.preset, mid_params)
+        fine_params = np.stack([params, mid_params], axis=1).reshape(-1)
 
-    new_vertices = [mesh.vertices]
-    new_params: dict[int, float] = {}
-    midpoint_of: dict[tuple, int] = {}
-    parent_rows = [np.stack([np.arange(nv), np.arange(nv)], axis=1)]
-
-    boundary_pairs = {tuple(sorted(e)): k for k, e in enumerate(mesh.boundary_edges)}
-    extra = []
-
-    def midpoint(a: int, b: int) -> int:
-        key = (min(a, b), max(a, b))
-        idx = midpoint_of.get(key)
-        if idx is not None:
-            return idx
-        idx = nv + len(extra)
-        if key in boundary_pairs and mesh.preset is not None:
-            ta = params[pos[key[0]]]
-            tb = params[pos[key[1]]]
-            delta = (tb - ta) % (2.0 * np.pi)
-            if delta > np.pi:
-                ta, tb = tb, ta
-                delta = (tb - ta) % (2.0 * np.pi)
-            tm = (ta + 0.5 * delta) % (2.0 * np.pi)
-            extra.append(_curve_point(mesh.preset, np.asarray(tm)))
-            new_params[idx] = float(tm)
-        else:
-            extra.append(0.5 * (mesh.vertices[a] + mesh.vertices[b]))
-        midpoint_of[key] = idx
-        parent_rows.append(np.array([[a, b]]))
-        return idx
-
-    tris = []
-    for a, b, c in mesh.triangles:
-        mab, mbc, mca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
-        tris.extend([[a, mab, mca], [b, mbc, mab], [c, mca, mbc], [mab, mbc, mca]])
-
-    vertices = np.vstack(new_vertices + [np.array(extra)])
-    loop = []
-    loop_params = []
-    for k in range(mesh.n_boundary):
-        a = int(mesh.boundary_loop[k])
-        b = int(mesh.boundary_loop[(k + 1) % mesh.n_boundary])
-        m = midpoint_of[(min(a, b), max(a, b))]
-        loop.extend([a, m])
-        if params is not None:
-            loop_params.extend([float(params[pos[a]]), new_params[m]])
+    a, b, c = mesh.triangles.T
+    mab, mbc, mca = (nv + side_edge).T
+    tris = np.stack([a, mab, mca, b, mbc, mab, c, mca, mbc, mab, mbc, mca], axis=1)
 
     return Mesh(
-        vertices=vertices,
-        triangles=np.asarray(tris, dtype=np.int64),
-        boundary_loop=np.asarray(loop, dtype=np.int64),
+        vertices=np.vstack([mesh.vertices, midpoints]),
+        triangles=tris.reshape(-1, 3),
+        boundary_loop=np.stack([mesh.boundary_loop, nv + loop_edge], axis=1).reshape(-1),
         refinement_level=mesh.refinement_level + 1,
         preset=mesh.preset,
-        boundary_params=np.asarray(loop_params) if params is not None else None,
-        parents=np.vstack(parent_rows).astype(np.int64),
+        boundary_params=fine_params,
+        parents=np.vstack([np.stack([np.arange(nv), np.arange(nv)], axis=1), edges]),
     )
 
 
@@ -278,19 +278,9 @@ def mesh_from_arrays(vertices: np.ndarray, triangles: np.ndarray) -> Mesh:
     flip = signed < 0
     triangles[flip] = triangles[flip][:, [0, 2, 1]]
 
-    counts: dict = {}
-    directed: dict = {}
-    for tri in triangles:
-        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-            key = (int(min(a, b)), int(max(a, b)))
-            counts[key] = counts.get(key, 0) + 1
-            directed[key] = (int(a), int(b))
+    edges, _, counts = _edge_table(triangles, vertices.shape[0])
     # boundary edges appear in exactly one triangle; walk them into a loop
-    succ = {}
-    for key, cnt in counts.items():
-        if cnt == 1:
-            a, b = directed[key]
-            succ[a] = b
+    succ = dict(zip(edges[counts == 1, 0].tolist(), edges[counts == 1, 1].tolist()))
     if not succ:
         raise MeshError("mesh has no boundary")
     start = min(succ)

@@ -10,6 +10,10 @@ the linearized constraints.
 Only strictly increasing reparametrizations are supported end to end;
 the three mirrored sign cases are rejected with a diagnostic rather than
 silently producing a wrong projection.
+
+Matrices and load vectors (M, M_b, the trace matrix T, M f + T^T M_b g)
+are read from the mesh's :class:`fem.P1` record, their single owner; the
+state operator and its linearization come from ``solvers``.
 """
 
 from __future__ import annotations
@@ -22,18 +26,16 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import fem
-from .catalog import ProblemSpec, SpecError, delta_slope, delta_value, delta_inverse, invert_monotone
+from .catalog import ProblemSpec, SpecError, delta_value, delta_inverse, invert_monotone
 from .fem import FEField
 from .solvers import (
     ExponentTable,
     exponents,
+    linearized_matrix,
+    semilinear_operator,
     solve_adjoint,
     solve_linearized,
     solve_state,
-    _linearized_matrix,
-    _load_vector,
-    _nonlinear_term,
-    _operator,
 )
 
 __all__ = [
@@ -354,11 +356,11 @@ def kkt_residual(
     feas_u = max(0.0, float(np.max(G1.values)))
     feas_v = max(0.0, float(np.max(G2.values)))
 
-    op = _operator(mesh, spec)
-    state_defect = op.matvec(y.values) + _nonlinear_term(spec, y.values, mesh) - _load_vector(mesh, u, v)
+    rec = fem.p1(mesh)
+    state_defect = semilinear_operator(spec, y) - rec.load(u.values, v.values)
 
     rhs_d, rhs_b = _adjoint_rhs(spec, y, psi1, psi2)
-    adj_defect = _linearized_matrix(spec, y).matvec(phi.values) - _load_vector(mesh, rhs_d, rhs_b)
+    adj_defect = linearized_matrix(spec, y).matvec(phi.values) - rec.load(rhs_d.values, rhs_b.values)
 
     residuals = {
         "stationarity_u": float(np.max(np.abs(stat_u))),
@@ -479,18 +481,13 @@ def robinson_check(spec: ProblemSpec, z, z0) -> float:
     c2 = np.asarray(spec.g2_y(xb[:, 0], xb[:, 1], y.values[loop]), dtype=float)
     c2 = np.broadcast_to(c2, (mesh.n_boundary,)) / np.asarray(spec.zeta2.slope(_bound_v(spec, y)))
 
-    M = fem.assemble_mass(mesh).matrix
-    Mb = fem.assemble_boundary_mass(mesh).matrix
-    nb = mesh.n_boundary
-    T = sp.csr_matrix(
-        (np.ones(nb), (np.arange(nb), loop)), shape=(nb, mesh.n_vertices)
-    )
+    rec = fem.p1(mesh)
+    M, Mb, T = rec.mass.matrix, rec.boundary_mass.matrix, rec.trace_matrix
 
     # nodal reaction coupling keeps the two discrete solves exactly composable
-    A = _linearized_matrix(spec, y).matrix
+    A = linearized_matrix(spec, y).matrix
     C = M @ sp.diags(c1) + T.T @ (Mb @ sp.diags(c2)) @ T
-    rhs = M @ u0.values + T.T @ (Mb @ v0.values)
-    w = spla.splu(sp.csc_matrix(A + C)).solve(rhs)
+    w = spla.splu(sp.csc_matrix(A + C)).solve(rec.load(u0.values, v0.values))
 
     u_dir = FEField(mesh, "domain", u0.values - c1 * w)
     v_dir = FEField(mesh, "boundary", v0.values - c2 * w[loop])

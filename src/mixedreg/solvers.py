@@ -3,9 +3,13 @@
 The semilinear state equation is solved by damped Newton iterations with
 an Armijo residual test; the linearized and adjoint problems share one
 symmetric matrix, so the discrete adjoint identity holds to solver
-tolerance.  ``exponents`` evaluates the integrability thresholds that the
-distributed and boundary control exponents induce on the state and on the
-fixed-point argument, together with their conjugacy slack.
+tolerance.  The elliptic operator, mass matrices and load vectors come
+from the mesh's :class:`fem.P1` record, their single owner; this module
+adds the nonlinearity on top (``semilinear_operator``,
+``linearized_matrix``).  ``exponents`` evaluates the integrability
+thresholds that the distributed and boundary control exponents induce on
+the state and on the fixed-point argument, together with their
+conjugacy slack.
 """
 
 from __future__ import annotations
@@ -23,6 +27,8 @@ __all__ = [
     "StateSolveReport",
     "NonlinearSolveError",
     "exponents",
+    "semilinear_operator",
+    "linearized_matrix",
     "solve_state",
     "solve_linearized",
     "solve_adjoint",
@@ -97,34 +103,24 @@ class StateSolveReport:
     residual_history: list = field(default_factory=list)
 
 
-def _operator(mesh, spec: ProblemSpec) -> fem.SparseOperator:
-    """Elliptic operator for (mesh, spec), cached on the mesh."""
-    cache = mesh.__dict__.setdefault("_fem_cache", {})
-    key = "elliptic_operator"
-    hit = cache.get(key)
-    if hit is not None and hit[0] is spec:
-        return hit[1]
-    op = fem.assemble_operator(mesh, spec)
-    cache[key] = (spec, op)
-    return op
+def _at_quadrature(fn, y: FEField) -> np.ndarray:
+    """fn(x1, x2, y) at the interior quadrature points, shape (T, 3)."""
+    qpts, _ = fem.interior_quadrature(y.mesh)
+    yq = fem.interp_interior(y)
+    vals = fn(qpts[:, 0].reshape(yq.shape), qpts[:, 1].reshape(yq.shape), yq)
+    return np.broadcast_to(vals, yq.shape)
 
 
-def _nonlinear_term(spec: ProblemSpec, y: np.ndarray, mesh):
-    """Load vector of f(., y_h) tested against P1 basis functions."""
-    qpts, qw = fem.interior_quadrature(mesh)
-    yq = fem.interp_interior(FEField(mesh, "domain", y)).reshape(-1)
-    fq = spec.f(qpts[:, 0], qpts[:, 1], yq)
-    contrib = (qw * fq)[:, None] * np.tile(fem._TRI_BASIS, (mesh.triangles.shape[0], 1))
-    out = np.zeros(mesh.n_vertices)
-    np.add.at(out, np.repeat(mesh.triangles, 3, axis=0).reshape(-1), contrib.reshape(-1))
-    return out
+def semilinear_operator(spec: ProblemSpec, y: FEField) -> np.ndarray:
+    """Left-hand side of the discrete state equation: K y + (f(., y), phi_i)."""
+    op = fem.p1(y.mesh).operator(spec)
+    return op.matvec(y.values) + fem.integrate_basis(y.mesh, _at_quadrature(spec.f, y))
 
 
-def _nonlinear_jacobian(spec: ProblemSpec, y: np.ndarray, mesh) -> fem.SparseOperator:
-    qpts, _ = fem.interior_quadrature(mesh)
-    yq = fem.interp_interior(FEField(mesh, "domain", y))
-    fy = spec.f_y(qpts[:, 0].reshape(yq.shape), qpts[:, 1].reshape(yq.shape), yq)
-    return fem.assemble_weighted_mass(mesh, np.broadcast_to(fy, yq.shape))
+def linearized_matrix(spec: ProblemSpec, y: FEField) -> fem.SparseOperator:
+    """Matrix of the state equation linearized at y: K + (f_y(., y) phi_j, phi_i)."""
+    weight = _at_quadrature(spec.f_y, y)
+    return fem.p1(y.mesh).operator(spec) + fem.assemble_weighted_mass(y.mesh, weight)
 
 
 def _check_pair(spec: ProblemSpec, u: FEField, v: FEField):
@@ -133,12 +129,6 @@ def _check_pair(spec: ProblemSpec, u: FEField, v: FEField):
     if u.mesh is not v.mesh:
         raise fem.FieldError("control fields live on different meshes")
     return u.mesh
-
-
-def _load_vector(mesh, u: FEField, v: FEField) -> np.ndarray:
-    b = fem.assemble_mass(mesh).matvec(u.values)
-    b += fem.lift_boundary(mesh, fem.assemble_boundary_mass(mesh).matvec(v.values))
-    return b
 
 
 def solve_state(
@@ -158,14 +148,13 @@ def solve_state(
         raise fem.FieldError("initial state guess must be a domain field")
     if not 0.0 < newton_tol < 1.0:
         raise SpecError("newton_tol must lie in (0, 1)")
-    op = _operator(mesh, spec)
-    b = _load_vector(mesh, u, v)
+    b = fem.p1(mesh).load(u.values, v.values)
     tol = newton_tol * (1.0 + float(np.linalg.norm(b)))
 
     y = np.zeros(mesh.n_vertices) if initial is None else np.asarray(initial.values, dtype=float).copy()
 
     def residual(yv: np.ndarray) -> np.ndarray:
-        return op.matvec(yv) + _nonlinear_term(spec, yv, mesh) - b
+        return semilinear_operator(spec, FEField(mesh, "domain", yv)) - b
 
     r = residual(y)
     rnorm = float(np.linalg.norm(r))
@@ -178,7 +167,7 @@ def solve_state(
                 f"(residual {rnorm:.3e}, tolerance {tol:.3e})",
                 history,
             )
-        jac = op + _nonlinear_jacobian(spec, y, mesh)
+        jac = linearized_matrix(spec, FEField(mesh, "domain", y))
         delta = fem.solve_linear(jac, -r)
         step = 1.0
         for _ in range(NEWTON_MAX_HALVINGS + 1):
@@ -217,17 +206,13 @@ def solve_state(
     )
 
 
-def _linearized_matrix(spec: ProblemSpec, y: FEField) -> fem.SparseOperator:
-    return _operator(y.mesh, spec) + _nonlinear_jacobian(spec, y.values, y.mesh)
-
-
 def solve_linearized(spec: ProblemSpec, y: FEField, du: FEField, dv: FEField) -> FEField:
     """Directional derivative of the control-to-state map at y."""
     mesh = _check_pair(spec, du, dv)
     if y.mesh is not mesh:
         raise fem.FieldError("state and perturbations live on different meshes")
-    mat = _linearized_matrix(spec, y)
-    w = fem.solve_linear(mat, _load_vector(mesh, du, dv))
+    mat = linearized_matrix(spec, y)
+    w = fem.solve_linear(mat, fem.p1(mesh).load(du.values, dv.values))
     return FEField(mesh, "domain", w)
 
 
@@ -243,6 +228,6 @@ def solve_adjoint(
     mesh = y.mesh
     if rhs_domain.role != "domain" or rhs_boundary.role != "boundary":
         raise fem.FieldError("adjoint right-hand sides must be a (domain, boundary) pair")
-    mat = _linearized_matrix(spec, y)
-    phi = fem.solve_linear(mat, _load_vector(mesh, rhs_domain, rhs_boundary))
+    mat = linearized_matrix(spec, y)
+    phi = fem.solve_linear(mat, fem.p1(mesh).load(rhs_domain.values, rhs_boundary.values))
     return FEField(mesh, "domain", phi)

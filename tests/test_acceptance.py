@@ -121,8 +121,8 @@ def test_c4_adjoint_gradient(configs, disk, verdict):
         u = fem.FEField(m, "domain", 0.5 * rng.standard_normal(n))
         v = fem.FEField(m, "boundary", 0.5 * rng.standard_normal(nb))
         gu, gv = kkt.reduced_gradient(spec, u, v)
-        M = fem.assemble_mass(m)
-        Mb = fem.assemble_boundary_mass(m)
+        M = fem.p1(m).mass
+        Mb = fem.p1(m).boundary_mass
         worst = 0.0
         for _ in range(10):
             du = rng.standard_normal(n)
@@ -263,7 +263,7 @@ def test_c10_deterministic_artifacts(tmp_path, monkeypatch, verdict):
             dirs = []
             for rep in ("a", "b"):
                 out = tmp_path / f"{i}{rep}"
-                cli.main(["--out", str(out), "--seed", "42", "--threads", "1", *argv])
+                cli.main(["--out", str(out), "--seed", "42", *argv])
                 dirs.append(out)
             files_a = sorted(p.name for p in dirs[0].iterdir())
             files_b = sorted(p.name for p in dirs[1].iterdir())

@@ -1,15 +1,15 @@
 """P1 assembly, norms, traces, transfer, and field IO."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 import oracles
-from mixedreg import FieldError, LinearSolveError, build_disk_mesh, lp_norm, prolong, refine
+from mixedreg import FieldError, LinearSolveError, build_disk_mesh, gagliardo, lp_norm, prolong, refine
 from mixedreg import fem
 from mixedreg.fem import (
     AssemblyError,
-    assemble_boundary_mass,
-    assemble_mass,
     assemble_operator,
     boundary_field,
     domain_field,
@@ -40,22 +40,49 @@ def test_element_matrices_match_sympy():
 
 
 def test_assembled_matrices_match_dense_oracle(disk, identity_spec):
+    rng = np.random.default_rng(3)
     for level in (1, 2):
         m = disk(level)
+        rec = fem.p1(m)
         K_ref, M_ref, Mb_ref = oracles.dense_p1(m)
+        T_ref = oracles.trace_matrix(m)
         K = assemble_operator(m, identity_spec, reaction=False).matrix.toarray()
-        M = assemble_mass(m).matrix.toarray()
-        Mb = assemble_boundary_mass(m).matrix.toarray()
         assert np.max(np.abs(K - K_ref)) < 1e-14
-        assert np.max(np.abs(M - M_ref)) < 1e-14
-        assert np.max(np.abs(Mb - Mb_ref)) < 1e-14
+        assert np.max(np.abs(rec.mass.matrix.toarray() - M_ref)) < 1e-14
+        assert np.max(np.abs(rec.boundary_mass.matrix.toarray() - Mb_ref)) < 1e-14
+        assert np.array_equal(rec.trace_matrix.toarray(), T_ref)
+        f, g = rng.standard_normal(m.n_vertices), rng.standard_normal(m.n_boundary)
+        load_ref = M_ref @ f + T_ref.T @ (Mb_ref @ g)
+        assert np.max(np.abs(rec.load(f, g) - load_ref)) < 1e-14
+
+
+def test_record_is_shared_and_built_on_demand():
+    m = build_disk_mesh(3)  # fresh: nothing has touched its record yet
+    rec = fem.p1(m)
+    assert fem.p1(m) is rec
+    gagliardo(boundary_field(m, np.cos(m.boundary_params)), 0.5, 2.0)
+    assert "boundary" in vars(rec)
+    assert not {"interior", "mass", "boundary_mass", "trace_matrix"} & vars(rec).keys()
+    assert rec._operator is None
+
+
+def test_record_operator_follows_the_spec(disk, identity_spec):
+    m = disk(2)
+    rec = fem.p1(m)
+    shifted = dataclasses.replace(identity_spec, a0="3")
+    base = rec.operator(identity_spec).matrix.toarray()
+    assert rec.operator(identity_spec) is rec.operator(identity_spec)
+    # a0 enters only through the reaction term: the two operators differ by 2 M
+    diff = rec.operator(shifted).matrix.toarray() - base
+    assert np.max(np.abs(diff - 2.0 * rec.mass.matrix.toarray())) < 1e-14
+    assert np.array_equal(rec.operator(identity_spec).matrix.toarray(), base)
 
 
 def test_operator_includes_reaction(disk, identity_spec):
     m = disk(1)
     full = assemble_operator(m, identity_spec).matrix.toarray()
     stiff = assemble_operator(m, identity_spec, reaction=False).matrix.toarray()
-    mass = assemble_mass(m).matrix.toarray()
+    mass = fem.p1(m).mass.matrix.toarray()
     assert np.max(np.abs(full - stiff - mass)) < 1e-14
 
 
@@ -69,10 +96,10 @@ def test_stiffness_annihilates_constants(disk, identity_spec):
 def test_mass_totals(disk):
     m = disk(3)
     ones = np.ones(m.n_vertices)
-    M = assemble_mass(m)
+    M = fem.p1(m).mass
     assert float(ones @ M.matvec(ones)) == pytest.approx(m.area(), rel=1e-13)
     nb = m.boundary_loop.shape[0]
-    Mb = assemble_boundary_mass(m)
+    Mb = fem.p1(m).boundary_mass
     total = float(np.ones(nb) @ Mb.matvec(np.ones(nb)))
     assert total == pytest.approx(m.perimeter(), rel=1e-13)
 

@@ -1,9 +1,11 @@
 """Mesh construction, refinement, and boundary metric."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from mixedreg import FieldError, MeshError, build_disk_mesh, build_ellipse_mesh, refine
+from mixedreg import FieldError, Mesh, MeshError, build_disk_mesh, build_ellipse_mesh, refine
 from mixedreg.geometry import boundary_geodesic_gap, mesh_from_arrays
 
 OCTAGON_PERIMETER = 16.0 * np.sin(np.pi / 8.0)
@@ -143,3 +145,55 @@ def test_mesh_from_arrays_reorients_and_rejects_degenerate():
     collinear = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
     with pytest.raises(MeshError):
         mesh_from_arrays(collinear, np.array([[0, 1, 2]]))
+
+
+def _digest(m):
+    """SHA-256 over dtype, shape and bytes of every array that fixes the numbering."""
+    h = hashlib.sha256()
+    for name in ("vertices", "triangles", "boundary_loop", "boundary_params", "parents"):
+        a = getattr(m, name)
+        h.update(name.encode())
+        if a is not None:
+            a = np.ascontiguousarray(a)
+            h.update(str(a.dtype).encode() + str(a.shape).encode())
+            h.update(a.tobytes())
+    return h.hexdigest()
+
+
+def _square_fan():
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.5, 0.5]])
+    return mesh_from_arrays(verts, np.array([[0, 1, 4], [1, 2, 4], [2, 3, 4], [3, 0, 4]]))
+
+
+# Vertex numbering feeds the Hoelder subsample and stored benchmark
+# references, so mesh arrays must stay bit-identical, not merely close.
+@pytest.mark.parametrize(
+    "build, expected",
+    [
+        (lambda: build_disk_mesh(4), "ead7d6a1d5dd03404d6889b9a145a4549d9b81209c13baab27514ccd12904a38"),
+        (lambda: build_ellipse_mesh(4), "a3e5c24e4f3da37071899d07c6f2242eb0c301d4dd721cfc9c643732df5fa751"),
+        (lambda: refine(refine(_square_fan())), "377774dc08ad1bdbe166202ca59ad02fb63b6263e93b46df192b4d3b13be70a0"),
+    ],
+    ids=["disk4", "ellipse4", "square2"],
+)
+def test_mesh_arrays_golden_digest(build, expected):
+    assert _digest(build()) == expected
+
+
+def test_validate_rejects_loop_missing_an_edge():
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    with pytest.raises(MeshError, match=r"boundary edge \(2, 3\) missing from the loop"):
+        Mesh(verts, np.array([[0, 1, 2], [0, 2, 3]]), np.array([0, 1, 2]))
+
+
+def test_validate_rejects_edge_in_three_triangles():
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, 2.0], [0.5, 3.0]])
+    tris = np.array([[0, 1, 2], [0, 1, 3], [0, 1, 4]])
+    with pytest.raises(MeshError, match=r"edge \(0, 1\) shared by more than two triangles"):
+        Mesh(verts, tris, np.array([0, 1, 2]))
+
+
+def test_validate_rejects_repeated_loop_edge():
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    with pytest.raises(MeshError, match="boundary loop repeats an edge"):
+        Mesh(verts, np.array([[0, 1, 2]]), np.array([0, 1, 2, 0, 1, 2]))

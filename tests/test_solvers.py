@@ -172,8 +172,8 @@ def test_linearized_adjoint_duality(cubic_spec, linearization_setup):
     rhs_d = fem.domain_field(m, rng.standard_normal(m.n_vertices))
     rhs_b = fem.boundary_field(m, rng.standard_normal(m.boundary_loop.shape[0]))
     phi = solvers.solve_adjoint(cubic_spec, y0, rhs_d, rhs_b)
-    M = fem.assemble_mass(m)
-    Mb = fem.assemble_boundary_mass(m)
+    M = fem.p1(m).mass
+    Mb = fem.p1(m).boundary_mass
     lhs = rhs_d.values @ M.matvec(w.values) + rhs_b.values @ Mb.matvec(w.values[m.boundary_loop])
     rhs = du.values @ M.matvec(phi.values) + dv.values @ Mb.matvec(phi.values[m.boundary_loop])
     assert lhs == pytest.approx(rhs, rel=1e-11)
