@@ -8,13 +8,22 @@ deterministic for fixed inputs.
 
 The :class:`P1` record of a mesh (``p1(mesh)``) is the single owner of
 everything assembled once per mesh: both quadratures, the mass matrices
-M and M_b, the boundary trace matrix T and the elliptic operator of the
-last problem spec.  Other modules read these through it, and load
-vectors are always M f + T^T (M_b g).
+M and M_b, the boundary trace matrix T, the elliptic operator of the
+last problem spec, and the field-free weights of the Gagliardo double
+integral over the boundary (``far_field`` and ``adjacent``, per exponent
+beta).  Other modules read these through it, and load vectors are always
+M f + T^T (M_b g).
+
+The record holds only a weak reference to its mesh, so a dropped mesh
+frees its record at once.  Gagliardo weights are kept only while the
+whole ordered pair table of the boundary Gauss points fits one chunk of
+``FAR_FIELD_PAIRS`` pairs (nb <= 512, 8 MB per beta); larger meshes get
+them built again, chunk by chunk, on every pass.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -52,12 +61,41 @@ __all__ = [
 
 CG_RTOL = 1e-12
 CG_ITER_FACTOR = 20
+# ordered boundary Gauss-point pairs per far-field chunk
+FAR_FIELD_PAIRS = 1 << 20
+# graded levels of the singular boundary pair rules
+DYADIC_LEVELS = 4
 
 # P1 basis values at the three edge-midpoint quadrature nodes
 _TRI_BASIS = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
 # and at the two Gauss nodes of a boundary edge
 _GAUSS_S = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
 _EDGE_BASIS = np.stack([1.0 - _GAUSS_S, _GAUSS_S], axis=1)
+
+
+def _corner_cells(levels: int = DYADIC_LEVELS):
+    """Graded partition of the unit square toward the corner (1, 0)."""
+    cells = []
+    hot = (0.0, 0.0, 1.0)
+    for _ in range(levels):
+        s0, t0, size = hot
+        h = 0.5 * size
+        corner = (s0 + h, t0)
+        for child in ((s0, t0), (s0 + h, t0), (s0, t0 + h), (s0 + h, t0 + h)):
+            if child != corner:
+                cells.append((child[0], child[1], h))
+        hot = (corner[0], corner[1], h)
+    cells.append(hot)
+    return np.array(cells)
+
+
+# adjacent-edge pairs: 4x4 Gauss on each graded cell, as (cells, 4) node and weight tables
+_G4_X, _G4_WX = np.polynomial.legendre.leggauss(4)
+_G4_NODES, _G4_W = 0.5 * (_G4_X + 1.0), 0.5 * _G4_WX  # on (0, 1)
+_ADJ_CELLS = _corner_cells()
+_ADJ_S = _ADJ_CELLS[:, :1] + _ADJ_CELLS[:, 2:] * _G4_NODES
+_ADJ_T = _ADJ_CELLS[:, 1:2] + _ADJ_CELLS[:, 2:] * _G4_NODES
+_ADJ_W = _ADJ_CELLS[:, 2:] * _G4_W
 
 
 class FieldError(ValueError):
@@ -130,13 +168,21 @@ class P1:
 
     Each part is built on first use, so boundary-only work never touches
     the interior.  ``operator`` keeps the matrix of the last spec it was
-    asked for and reassembles when a different spec object comes.
+    asked for and reassembles when a different spec object comes.  The
+    Gagliardo weights are kept per beta while they fit one far-field
+    chunk.  The mesh is held weakly: the mesh owns the record.
     """
 
     def __init__(self, mesh: Mesh):
-        self.mesh = mesh
+        self._mesh = weakref.ref(mesh)
         self._spec = None
         self._operator = None
+        self._far_field = {}
+        self._adjacent = {}
+
+    @property
+    def mesh(self) -> Mesh:
+        return self._mesh()
 
     @cached_property
     def interior(self):
@@ -195,6 +241,79 @@ class P1:
         vertices without rounding.
         """
         return self.mass.matvec(f) + self.trace_matrix.T @ self.boundary_mass.matvec(g)
+
+    @property
+    def _keeps_pair_weights(self) -> bool:
+        """Whether the whole ordered Gauss-point pair table fits one far-field chunk."""
+        return (2 * self.mesh.n_boundary) ** 2 <= FAR_FIELD_PAIRS
+
+    def far_field(self, beta: float):
+        """Far-field weights w_i w_j / |x_i - x_j|^beta over the boundary Gauss points.
+
+        Yields (rows, table) chunks that cover the ordered pairs: ``table``
+        has shape (rows, 2 nb) and is zero on pairs from one edge or from
+        adjacent edges.  A table that fits one chunk is kept per beta,
+        read-only; larger ones are streamed in chunks of at most
+        ``FAR_FIELD_PAIRS`` pairs and nothing is kept.
+        """
+        npts = 2 * self.mesh.n_boundary
+        if self._keeps_pair_weights:
+            if beta not in self._far_field:
+                rows, table = self._far_field_chunk(beta, slice(0, npts))
+                table.flags.writeable = False
+                self._far_field[beta] = rows, table
+            yield self._far_field[beta]
+            return
+        step = max(2, FAR_FIELD_PAIRS // npts)
+        for start in range(0, npts, step):
+            yield self._far_field_chunk(beta, slice(start, min(start + step, npts)))
+
+    def _far_field_chunk(self, beta: float, rows: slice):
+        qpts, qw = boundary_quadrature(self.mesh)
+        npts = qw.shape[0]
+        table = np.subtract.outer(qpts[rows, 0], qpts[:, 0])
+        table *= table
+        dy = np.subtract.outer(qpts[rows, 1], qpts[:, 1])
+        dy *= dy
+        table += dy
+        del dy
+        with np.errstate(divide="ignore"):
+            np.power(table, -0.5 * beta, out=table)
+        table *= qw[rows, None]
+        table *= qw[None, :]
+        # touching pairs: the Gauss points of the row's edge and of its two neighbours
+        edge = np.arange(rows.start, rows.stop) // 2
+        touching = (2 * edge[:, None] + np.arange(-2, 4)) % npts
+        table[np.arange(edge.size)[:, None], touching] = 0.0
+        return rows, table
+
+    def adjacent(self, beta: float):
+        """Weights of the graded-cell rule for pairs of adjacent boundary edges.
+
+        Edge e runs from x(s) = a + s (b - a) and edge e + 1 from x'(t) =
+        b + t (c - b); the cells grade toward the shared vertex (s, t) =
+        (1, 0).  Returns (s, t, weights): the (cells, 4) node tables and
+        the (nb, cells, 4, 4) weights |e| |e+1| w_s w_t / |x - x'|^beta.
+        Kept per beta, read-only, under the same rule as ``far_field``.
+        """
+        weights = self._adjacent.get(beta)
+        if weights is None:
+            mesh = self.mesh
+            a = mesh.vertices[mesh.boundary_loop]
+            b = np.roll(a, -1, axis=0)
+            c = np.roll(a, -2, axis=0)
+            # (nb, cells, s node, t node, xy)
+            x = a[:, None, None, None, :] + _ADJ_S[None, :, :, None, None] * (b - a)[:, None, None, None, :]
+            xp = b[:, None, None, None, :] + _ADJ_T[None, :, None, :, None] * (c - b)[:, None, None, None, :]
+            d2 = np.sum((x - xp) ** 2, axis=4)
+            lens = mesh.boundary_edge_lengths
+            weights = np.power(d2, -0.5 * beta)
+            weights *= (lens * np.roll(lens, -1))[:, None, None, None]
+            weights *= _ADJ_W[None, :, :, None] * _ADJ_W[None, :, None, :]
+            if self._keeps_pair_weights:
+                weights.flags.writeable = False
+                self._adjacent[beta] = weights
+        return _ADJ_S, _ADJ_T, weights
 
 
 def p1(mesh: Mesh) -> P1:

@@ -1,12 +1,17 @@
 """Gagliardo seminorms and fractional Sobolev norms on the boundary curve.
 
 The double integral over the boundary splits into three pair classes:
-edge pairs that do not touch (tensor 2x2 Gauss, fully vectorized),
-identical edges (the gap-variable reduction of the P1 integrand, with a
-dyadic 1-D rule graded toward zero gap), and adjacent edges (graded
-tensor cells refined toward the shared-vertex corner of the parameter
-square, four dyadic levels).  All reductions run in a fixed order, so
-results are bit-reproducible for identical inputs.
+edge pairs that do not touch (tensor 2x2 Gauss), identical edges (the
+gap-variable reduction of the P1 integrand, with a dyadic 1-D rule
+graded toward zero gap), and adjacent edges (graded tensor cells refined
+toward the shared-vertex corner of the parameter square, four dyadic
+levels).  The weights of the first and last class depend on the mesh and
+on beta = 1 + tau k only; they come from the mesh's :class:`fem.P1`
+record (``far_field``, ``adjacent``), which keeps them per beta while the
+whole Gauss-point pair table fits one chunk of ``fem.FAR_FIELD_PAIRS``
+pairs and streams them otherwise.  A call here does the field work
+only.  All reductions run in a fixed order, so results are
+bit-reproducible for identical inputs.
 
 Distances are chordal, matching the polygonal boundary representation.
 """
@@ -19,7 +24,7 @@ import numpy as np
 
 from . import fem
 from .expressions import Expr, parse_expr
-from .fem import FEField
+from .fem import DYADIC_LEVELS, FEField
 
 __all__ = [
     "FracNormError",
@@ -31,7 +36,6 @@ __all__ = [
     "HOLDER_LADDER",
 ]
 
-DYADIC_LEVELS = 4
 HOLDER_LADDER = (2.0, 4.0, 8.0, 16.0)
 FRACNORM_CSV_HEADER = "tau,k,level,seminorm,norm"
 
@@ -45,27 +49,7 @@ def _unit_gauss(n: int):
     return 0.5 * (x + 1.0), 0.5 * w
 
 
-_G4_NODES, _G4_W = _unit_gauss(4)
 _G8_NODES, _G8_W = _unit_gauss(8)
-
-
-def _corner_cells(levels: int = DYADIC_LEVELS):
-    """Graded partition of the unit square toward the corner (1, 0)."""
-    cells = []
-    hot = (0.0, 0.0, 1.0)
-    for _ in range(levels):
-        s0, t0, size = hot
-        h = 0.5 * size
-        corner = (s0 + h, t0)
-        for child in ((s0, t0), (s0 + h, t0), (s0, t0 + h), (s0 + h, t0 + h)):
-            if child != corner:
-                cells.append((child[0], child[1], h))
-        hot = (corner[0], corner[1], h)
-    cells.append(hot)
-    return cells
-
-
-_ADJ_CELLS = _corner_cells()
 
 
 def _gap_integral(gamma: float) -> float:
@@ -110,52 +94,33 @@ def gagliardo(v: FEField, tau: float, k: float) -> FracNormReport:
         raise FracNormError(f"integrability exponent k must be >= 1, got {k}")
 
     mesh = v.mesh
+    rec = fem.p1(mesh)
     beta = 1.0 + tau * k
-    nb = mesh.n_boundary
-    loop_pts = mesh.vertices[mesh.boundary_loop]
     lens = mesh.boundary_edge_lengths
     vals = v.values
     succ = np.roll(vals, -1)
 
-    # ordered non-touching pairs, 2x2 Gauss, chunked to bound memory
-    qpts, qw = fem.boundary_quadrature(mesh)
+    # ordered non-touching pairs, 2x2 Gauss: |v_i - v_j|^k against the record's weights
     vq = fem.interp_boundary(v).reshape(-1)
-    eidx = np.repeat(np.arange(nb), 2)
-    npts = 2 * nb
-    rows = max(2, min(npts, (1 << 20) // max(npts, 1)))
     total = 0.0
-    for start in range(0, npts, rows):
-        sl = slice(start, min(start + rows, npts))
-        d = np.sqrt(np.sum((qpts[sl, None, :] - qpts[None, :, :]) ** 2, axis=2))
-        sep = (eidx[sl, None] - eidx[None, :]) % nb
-        apart = (sep != 0) & (sep != 1) & (sep != nb - 1)
-        num = np.where(apart, np.abs(vq[sl, None] - vq[None, :]) ** k, 0.0)
-        d = np.where(apart, d, 1.0)
-        total += float(np.sum(qw[sl, None] * qw[None, :] * num / d**beta))
+    for rows, weights in rec.far_field(beta):
+        num = np.subtract.outer(vq[rows], vq)
+        np.abs(num, out=num)
+        num **= k
+        num *= weights
+        total += float(np.sum(num))
 
     # same edge: the P1 integrand depends only on the parameter gap
     gap = _gap_integral(k - beta)
     total += float(np.sum(np.abs(succ - vals) ** k * lens ** (2.0 - beta))) * gap
 
     # adjacent edges: graded cells toward the shared-vertex corner (s,t)=(1,0)
-    a1, b1 = loop_pts, np.roll(loop_pts, -1, axis=0)
-    a2, b2 = b1, np.roll(loop_pts, -2, axis=0)
-    w1 = succ
-    w2 = np.roll(vals, -2)
-    pair_scale = lens * np.roll(lens, -1)
-    adjacent = 0.0
-    for s0, t0, h in _ADJ_CELLS:
-        sn, tn = s0 + h * _G4_NODES, t0 + h * _G4_NODES
-        ws, wt = h * _G4_W, h * _G4_W
-        x = a1[:, None, :] + sn[None, :, None] * (b1 - a1)[:, None, :]
-        xp = a2[:, None, :] + tn[None, :, None] * (b2 - a2)[:, None, :]
-        fs = vals[:, None] + sn[None, :] * (succ - vals)[:, None]
-        ft = w1[:, None] + tn[None, :] * (w2 - w1)[:, None]
-        d = np.sqrt(np.sum((x[:, :, None, :] - xp[:, None, :, :]) ** 2, axis=3))
-        num = np.abs(fs[:, :, None] - ft[:, None, :]) ** k
-        cell = pair_scale[:, None, None] * ws[None, :, None] * wt[None, None, :] * num / d**beta
-        adjacent += float(np.sum(cell))
-    total += 2.0 * adjacent
+    s, t, weights = rec.adjacent(beta)
+    after = np.roll(vals, -2)
+    fs = vals[:, None, None] + s * (succ - vals)[:, None, None]
+    ft = succ[:, None, None] + t * (after - succ)[:, None, None]
+    num = np.abs(fs[..., :, None] - ft[..., None, :]) ** k
+    total += 2.0 * float(np.sum(num * weights))
 
     if not np.isfinite(total):
         raise FracNormError("Gagliardo accumulation is not finite")

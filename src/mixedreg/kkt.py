@@ -331,12 +331,15 @@ def kkt_residual(
     state: KKTState,
     kkt_tol: float = KKT_TOL,
     active_tol: float = ACTIVE_TOL,
+    linearized: fem.SparseOperator | None = None,
 ) -> KKTReport:
     """Max-norm residuals of every first-order optimality condition.
 
     Stationarity and complementarity are evaluated nodally, feasibility as
     the positive part of the constraint maps, and the state and adjoint
-    residuals as the algebraic defects of their discrete systems.
+    residuals as the algebraic defects of their discrete systems.  The
+    adjoint defect uses ``linearized`` when given, which must be
+    ``linearized_matrix(spec, state.y)``.
     """
     y, u, v, phi, psi1, psi2 = state.y, state.u, state.v, state.phi, state.psi1, state.psi2
     mesh = _check_state_fields(y, u, v)
@@ -360,7 +363,9 @@ def kkt_residual(
     state_defect = semilinear_operator(spec, y) - rec.load(u.values, v.values)
 
     rhs_d, rhs_b = _adjoint_rhs(spec, y, psi1, psi2)
-    adj_defect = linearized_matrix(spec, y).matvec(phi.values) - rec.load(rhs_d.values, rhs_b.values)
+    if linearized is None:
+        linearized = linearized_matrix(spec, y)
+    adj_defect = linearized.matvec(phi.values) - rec.load(rhs_d.values, rhs_b.values)
 
     residuals = {
         "stationarity_u": float(np.max(np.abs(stat_u))),
@@ -416,10 +421,12 @@ def solve_kkt(
         y = solve_state(spec, u, v).state
         psi1, psi2, mask1, mask2 = multipliers_from_phi(spec, y, u, v, phi, active_tol)
         rhs_d, rhs_b = _adjoint_rhs(spec, y, psi1, psi2)
-        phi = solve_adjoint(spec, y, rhs_d, rhs_b)
+        # one linearized matrix per sweep, shared by the adjoint solve and its residual
+        linearized = linearized_matrix(spec, y)
+        phi = solve_adjoint(spec, y, rhs_d, rhs_b, linearized)
 
         snapshot = KKTState(y, phi, psi1, u, v, psi2, mask1, mask2)
-        report = kkt_residual(spec, snapshot, kkt_tol, active_tol)
+        report = kkt_residual(spec, snapshot, kkt_tol, active_tol, linearized)
         history.append(
             (
                 k,

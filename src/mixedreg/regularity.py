@@ -158,6 +158,11 @@ def _study_fields(state: kkt.KKTState) -> dict:
     }
 
 
+def _ladder(f: FEField) -> dict:
+    bnd = f if f.role == "boundary" else fem.trace(f)
+    return {kk: holder_embedding_probe(bnd, kk) for kk in HOLDER_LADDER}
+
+
 def refinement_study(
     spec: ProblemSpec,
     levels,
@@ -193,18 +198,23 @@ def refinement_study(
             spec, (u0, v0), damping=damping, max_iter=max_iter, kkt_tol=kkt_tol, active_tol=active_tol
         )
         h = mesh.mesh_size()
-        for name, f in _study_fields(state).items():
-            bnd = f if f.role == "boundary" else fem.trace(f)
-            reports[name].records.append(
-                LevelRecord(
-                    level=level,
-                    h=h,
-                    lipschitz=lipschitz_estimate(f),
-                    holder={g: holder_estimate(f, g) for g in HOLDER_GAMMAS},
-                    ladder={kk: holder_embedding_probe(bnd, kk) for kk in HOLDER_LADDER},
-                    solver_converged=rep.converged,
-                )
+        fields = _study_fields(state)
+        records = {
+            name: LevelRecord(
+                level=level,
+                h=h,
+                lipschitz=lipschitz_estimate(f),
+                holder={g: holder_estimate(f, g) for g in HOLDER_GAMMAS},
+                ladder={},
+                solver_converged=rep.converged,
             )
+            for name, f in fields.items()
+        }
+        # the ladder's Gagliardo weights stay on the mesh's record: build them
+        # after the Hoelder estimates have freed their pair arrays
+        for name, record in records.items():
+            record.ladder = _ladder(fields[name])
+            reports[name].records.append(record)
         if idx + 1 < len(levels):
             fine = geometry.refine(mesh)
             u0 = fem.prolong(state.u, fine)

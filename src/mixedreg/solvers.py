@@ -217,17 +217,22 @@ def solve_linearized(spec: ProblemSpec, y: FEField, du: FEField, dv: FEField) ->
 
 
 def solve_adjoint(
-    spec: ProblemSpec, y: FEField, rhs_domain: FEField, rhs_boundary: FEField
+    spec: ProblemSpec,
+    y: FEField,
+    rhs_domain: FEField,
+    rhs_boundary: FEField,
+    linearized: fem.SparseOperator | None = None,
 ) -> FEField:
     """Adjoint solve at y; the matrix equals the linearized-state matrix.
 
     With symmetric diffusion coefficients the discrete operator is its own
     transpose, so linearized and adjoint problems share assembly and the
-    duality pairing is exact to solver tolerance.
+    duality pairing is exact to solver tolerance.  A caller that already
+    holds ``linearized_matrix(spec, y)`` passes it as ``linearized``.
     """
     mesh = y.mesh
     if rhs_domain.role != "domain" or rhs_boundary.role != "boundary":
         raise fem.FieldError("adjoint right-hand sides must be a (domain, boundary) pair")
-    mat = linearized_matrix(spec, y)
+    mat = linearized_matrix(spec, y) if linearized is None else linearized
     phi = fem.solve_linear(mat, fem.p1(mesh).load(rhs_domain.values, rhs_boundary.values))
     return FEField(mesh, "domain", phi)

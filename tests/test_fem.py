@@ -1,6 +1,8 @@
 """P1 assembly, norms, traces, transfer, and field IO."""
 
 import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -64,6 +66,26 @@ def test_record_is_shared_and_built_on_demand():
     assert "boundary" in vars(rec)
     assert not {"interior", "mass", "boundary_mass", "trace_matrix"} & vars(rec).keys()
     assert rec._operator is None
+    # the Gagliardo weights are boundary parts too, kept for the one beta used
+    assert set(rec._far_field) == set(rec._adjacent) == {2.0}
+
+
+def test_record_dies_with_its_mesh():
+    # the record holds its mesh weakly: no cycle, so no collector is needed
+    m = build_disk_mesh(3)
+    rec = fem.p1(m)
+    rec.mass  # interior parts as well as the boundary ones
+    gagliardo(boundary_field(m, np.cos(m.boundary_params)), 0.5, 2.0)
+    assert rec.mesh is m
+    ref = weakref.ref(rec)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del m, rec
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_record_operator_follows_the_spec(disk, identity_spec):

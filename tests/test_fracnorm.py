@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import oracles
-from mixedreg import fem
+from mixedreg import fem, geometry
 from mixedreg.fracnorm import (
     FracNormError,
     chain_rule_check,
@@ -230,3 +233,137 @@ def test_probe_step_field_diverges_logarithmically(disk):
     incs = [b - a for a, b in zip(vals, vals[1:])]
     for inc in incs:
         assert inc == pytest.approx(oracles.STEP_LADDER_INCREMENT, rel=5e-3)
+
+
+# ---------------------------------------------------------------------------
+# Gagliardo weights in the P1 record
+
+
+GOLDEN_PAIRS = ((1.0 / 3.0, 2.0), (0.25, 1.0), (0.5, 2.0), (0.75, 4.0))
+# seminorm_I of fourier_probe for GOLDEN_PAIRS, computed by the earlier
+# quadrature that built every weight inside each call; the record keeps one
+# chunk up to level 6 and streams four chunks at level 7
+GOLDEN_SEMINORMS = {
+    3: (35.13348079453367, 35.444166764544626, 38.08534276692461, 90.46161453873229),
+    5: (35.42549277735052, 35.60490135326795, 38.46530078413479, 92.85627364873683),
+    6: (35.440394132923835, 35.61416971525984, 38.4848973728603, 92.98150472575001),
+    7: (35.44412425540849, 35.61663981285865, 38.4898149488199, 93.01297349806501),
+}
+
+
+def fourier_probe(mesh):
+    th = mesh.boundary_params
+    return fem.boundary_field(mesh, np.cos(th) + 0.5 * np.sin(2 * th) - 0.3 * np.cos(5 * th) + 0.2)
+
+
+@pytest.mark.parametrize("level", sorted(GOLDEN_SEMINORMS))
+def test_golden_seminorms(level, disk):
+    m = geometry.build_disk_mesh(level) if level == 7 else disk(level)
+    v = fourier_probe(m)
+    for (tau, k), expected in zip(GOLDEN_PAIRS, GOLDEN_SEMINORMS[level]):
+        assert gagliardo(v, tau, k).seminorm_I == pytest.approx(expected, rel=1e-13, abs=0.0)
+
+
+def count_far_field_builds(monkeypatch):
+    """Record the beta of every far-field chunk the record builds."""
+    built = []
+    build = fem.P1._far_field_chunk
+
+    def counted(self, beta, rows):
+        built.append(beta)
+        return build(self, beta, rows)
+
+    monkeypatch.setattr(fem.P1, "_far_field_chunk", counted)
+    return built
+
+
+def test_equal_beta_shares_one_table(monkeypatch):
+    built = count_far_field_builds(monkeypatch)
+    m = geometry.build_disk_mesh(3)
+    rec = fem.p1(m)
+    v = random_field(m, 4)
+    gagliardo(v, 0.5, 2.0)
+    gagliardo(v, 0.25, 4.0)  # beta = 1 + tau k = 2 again
+    assert built == [2.0]
+    assert set(rec._far_field) == set(rec._adjacent) == {2.0}
+
+
+def test_product_check_builds_one_table_per_beta(monkeypatch):
+    built = count_far_field_builds(monkeypatch)
+    m = geometry.build_disk_mesh(4)
+    v1, v2 = random_field(m, 1), random_field(m, 2)
+    for _ in range(3):
+        product_check(v1, v2, 0.25, 0.5, 0.5, 1.0, 2.0, 2.0)
+    assert sorted(built) == [1.25, 2.0]
+
+
+def test_streamed_mesh_keeps_no_weights(monkeypatch):
+    built = count_far_field_builds(monkeypatch)
+    m = geometry.build_disk_mesh(7)  # nb = 1024: 2048^2 pairs, four chunks
+    rec = fem.p1(m)
+    v = cos_field(m)
+    first = gagliardo(v, 0.5, 2.0).seminorm_I
+    assert gagliardo(v, 0.5, 2.0).seminorm_I == first
+    assert built == [2.0] * 8
+    assert rec._far_field == {} and rec._adjacent == {}
+
+
+# ---------------------------------------------------------------------------
+# properties over random boundary fields
+
+
+@st.composite
+def boundary_fields(draw):
+    """A disk level and a rough field on it.
+
+    The cosine keeps the field's spread of order ``amp``, so differences of
+    nodal values never cancel down to rounding error.
+    """
+    level = draw(st.integers(2, 3))
+    nb = 8 * 2**level
+    amp = draw(st.floats(0.5, 3.0))
+    shift = draw(st.floats(0.0, 2.0 * np.pi))
+    noise = draw(arrays(np.float64, nb, elements=st.floats(-0.4, 0.4)))
+    return level, lambda th: amp * (np.cos(th + shift) + noise)
+
+
+orders = st.tuples(st.floats(0.05, 0.95), st.floats(1.0, 6.0))
+PROPERTY_SETTINGS = settings(max_examples=40, deadline=None)
+
+
+@PROPERTY_SETTINGS
+@given(boundary_fields(), orders)
+def test_kept_weights_reproduce_a_fresh_mesh(field, tk):
+    level, values = field
+    tau, k = tk
+    warm = geometry.build_disk_mesh(level)
+    gagliardo(random_field(warm, 0), tau, k)  # the record now holds this beta
+    fresh = geometry.build_disk_mesh(level)
+    a = gagliardo(fem.boundary_field(warm, values(warm.boundary_params)), tau, k)
+    b = gagliardo(fem.boundary_field(fresh, values(fresh.boundary_params)), tau, k)
+    assert a.seminorm_I == b.seminorm_I and a.full_norm == b.full_norm
+
+
+@PROPERTY_SETTINGS
+@given(boundary_fields(), orders, st.floats(0.1, 10.0), st.booleans())
+def test_seminorm_scales_with_power_k(field, tk, c, flip):
+    level, values = field
+    tau, k = tk
+    c = -c if flip else c
+    m = geometry.build_disk_mesh(level)
+    vals = values(m.boundary_params)
+    base = gagliardo(fem.boundary_field(m, vals), tau, k).seminorm_I
+    scaled = gagliardo(fem.boundary_field(m, c * vals), tau, k).seminorm_I
+    assert scaled == pytest.approx(abs(c) ** k * base, rel=1e-12)
+
+
+@PROPERTY_SETTINGS
+@given(boundary_fields(), orders, st.floats(-10.0, 10.0))
+def test_seminorm_ignores_constants(field, tk, shift):
+    level, values = field
+    tau, k = tk
+    m = geometry.build_disk_mesh(level)
+    vals = values(m.boundary_params)
+    base = gagliardo(fem.boundary_field(m, vals), tau, k).seminorm_I
+    shifted = gagliardo(fem.boundary_field(m, vals + shift), tau, k).seminorm_I
+    assert shifted == pytest.approx(base, rel=1e-12)

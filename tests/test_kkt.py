@@ -7,7 +7,7 @@ import pytest
 
 import oracles
 from conftest import zero_controls
-from mixedreg import catalog, fem, kkt
+from mixedreg import catalog, fem, kkt, solvers
 from mixedreg.fem import FieldError
 
 
@@ -280,6 +280,33 @@ def test_low_damping_descends(configs, disk):
     assert len(objs) >= 10
     tail = objs[3:]
     assert all(b <= a + 1e-12 for a, b in zip(tail, tail[1:]))
+
+
+def test_one_linearized_matrix_per_sweep(configs, disk, monkeypatch):
+    # Newton assembles one matrix per step; each sweep adds one more, which
+    # the adjoint solve and the adjoint residual share
+    counts = {"newton": 0, "solvers": 0, "kkt": 0}
+
+    def counted(name, fn):
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    def solve_state(*args, **kwargs):
+        rep = solvers.solve_state(*args, **kwargs)
+        counts["newton"] += rep.newton_iterations
+        return rep
+
+    monkeypatch.setattr(solvers, "linearized_matrix", counted("solvers", solvers.linearized_matrix))
+    monkeypatch.setattr(kkt, "linearized_matrix", counted("kkt", kkt.linearized_matrix))
+    monkeypatch.setattr(kkt, "solve_state", solve_state)
+    _, report = kkt.solve_kkt(
+        configs["smooth_constrained"], zero_controls(disk(2)), damping=0.3, max_iter=5, kkt_tol=5e-3
+    )
+    assert counts["kkt"] == report.iterations
+    assert counts["solvers"] == counts["newton"]
 
 
 def test_reprojection_consistency(quadratic_solution):
