@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from . import fem
 from .catalog import ProblemSpec, SpecError, delta_value, delta_inverse, invert_monotone
@@ -492,9 +491,8 @@ def robinson_check(spec: ProblemSpec, z, z0) -> float:
     M, Mb, T = rec.mass.matrix, rec.boundary_mass.matrix, rec.trace_matrix
 
     # nodal reaction coupling keeps the two discrete solves exactly composable
-    A = linearized_matrix(spec, y).matrix
     C = M @ sp.diags(c1) + T.T @ (Mb @ sp.diags(c2)) @ T
-    w = spla.splu(sp.csc_matrix(A + C)).solve(rec.load(u0.values, v0.values))
+    w = fem.solve_linear(linearized_matrix(spec, y) + fem.SparseOperator(C), rec.load(u0.values, v0.values))
 
     u_dir = FEField(mesh, "domain", u0.values - c1 * w)
     v_dir = FEField(mesh, "boundary", v0.values - c2 * w[loop])

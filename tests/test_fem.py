@@ -6,10 +6,11 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import oracles
 from mixedreg import FieldError, LinearSolveError, build_disk_mesh, gagliardo, lp_norm, prolong, refine
-from mixedreg import fem
+from mixedreg import fem, solvers
 from mixedreg.fem import (
     AssemblyError,
     assemble_operator,
@@ -30,6 +31,12 @@ def identity_spec(quadratic_spec):
     return quadratic_spec
 
 
+@pytest.fixture(scope="module")
+def stiffness_spec(identity_spec):
+    # a0 = 0: the operator is the pure stiffness matrix
+    return dataclasses.replace(identity_spec, a0="0")
+
+
 def test_element_matrices_match_sympy():
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     m = mesh_from_arrays(verts, np.array([[0, 1, 2]]))
@@ -41,14 +48,14 @@ def test_element_matrices_match_sympy():
     assert np.max(np.abs(K - expected_K)) < 1e-15
 
 
-def test_assembled_matrices_match_dense_oracle(disk, identity_spec):
+def test_assembled_matrices_match_dense_oracle(disk, stiffness_spec):
     rng = np.random.default_rng(3)
     for level in (1, 2):
         m = disk(level)
         rec = fem.p1(m)
         K_ref, M_ref, Mb_ref = oracles.dense_p1(m)
         T_ref = oracles.trace_matrix(m)
-        K = assemble_operator(m, identity_spec, reaction=False).matrix.toarray()
+        K = assemble_operator(m, stiffness_spec).matrix.toarray()
         assert np.max(np.abs(K - K_ref)) < 1e-14
         assert np.max(np.abs(rec.mass.matrix.toarray() - M_ref)) < 1e-14
         assert np.max(np.abs(rec.boundary_mass.matrix.toarray() - Mb_ref)) < 1e-14
@@ -100,17 +107,17 @@ def test_record_operator_follows_the_spec(disk, identity_spec):
     assert np.array_equal(rec.operator(identity_spec).matrix.toarray(), base)
 
 
-def test_operator_includes_reaction(disk, identity_spec):
+def test_operator_includes_reaction(disk, identity_spec, stiffness_spec):
     m = disk(1)
     full = assemble_operator(m, identity_spec).matrix.toarray()
-    stiff = assemble_operator(m, identity_spec, reaction=False).matrix.toarray()
+    stiff = assemble_operator(m, stiffness_spec).matrix.toarray()
     mass = fem.p1(m).mass.matrix.toarray()
     assert np.max(np.abs(full - stiff - mass)) < 1e-14
 
 
-def test_stiffness_annihilates_constants(disk, identity_spec):
+def test_stiffness_annihilates_constants(disk, stiffness_spec):
     m = disk(2)
-    K = assemble_operator(m, identity_spec, reaction=False)
+    K = assemble_operator(m, stiffness_spec)
     r = K.matvec(np.ones(m.n_vertices))
     assert np.max(np.abs(r)) < 1e-13
 
@@ -183,17 +190,53 @@ def test_solve_linear_identityish(disk, identity_spec):
     op = assemble_operator(m, identity_spec)
     target = np.ones(m.n_vertices)
     rhs = op.matvec(target)
-    x = solve_linear(op, rhs, rtol=1e-13)
+    x = solve_linear(op, rhs)
     assert np.max(np.abs(x - target)) < 1e-10
     assert np.all(solve_linear(op, np.zeros(m.n_vertices)) == 0.0)
 
 
-def test_solve_linear_reports_exhaustion(disk, identity_spec):
+def test_solve_linear_rejects_singular_operator(disk, stiffness_spec):
     m = disk(1)
-    op = assemble_operator(m, identity_spec)
+    # pure Neumann stiffness: constants span the kernel, and ones is not in the range
+    neumann = assemble_operator(m, stiffness_spec)
     with pytest.raises(LinearSolveError) as err:
-        solve_linear(op, np.ones(m.n_vertices), rtol=1e-30)
+        solve_linear(neumann, np.ones(m.n_vertices))
     assert "residual" in str(err.value)
+    assert err.value.residual > fem.SOLVE_RTOL
+    # an exactly singular matrix fails in the factorisation itself
+    with pytest.raises(LinearSolveError) as err:
+        solve_linear(fem.SparseOperator(0.0 * neumann.matrix), np.ones(m.n_vertices))
+    assert "singular" in str(err.value)
+
+
+def test_solve_linear_nonsymmetric_robinson_operator(disk, identity_spec):
+    # A + C as in the surjectivity check: a nodal reaction coupling with
+    # varying coefficients makes M diag(c1) + T^T M_b diag(c2) T nonsymmetric
+    m = disk(3)
+    rec = fem.p1(m)
+    xy = m.vertices
+    c1 = 1.0 + 0.5 * np.sin(3.0 * xy[:, 0]) * xy[:, 1]
+    c2 = 2.0 + np.cos(m.boundary_params)
+    T = rec.trace_matrix
+    C = rec.mass.matrix @ sp.diags(c1) + T.T @ (rec.boundary_mass.matrix @ sp.diags(c2)) @ T
+    op = rec.operator(identity_spec) + fem.SparseOperator(C)
+    assert abs(op.matrix - op.matrix.T).max() > 1e-6
+    rng = np.random.default_rng(11)
+    rhs = rec.load(rng.standard_normal(m.n_vertices), rng.standard_normal(m.n_boundary))
+    x = solve_linear(op, rhs)
+    assert np.linalg.norm(rhs - op.matvec(x)) <= fem.SOLVE_RTOL * np.linalg.norm(rhs)
+
+
+def test_solve_state_level_seven_quadratic_tracking(configs, disk):
+    # at level 7 the linearized matrix once pushed Jacobi-PCG's true residual
+    # (1.7e-11) past the acceptance bound, and solve-state exited 3
+    spec = configs["quadratic_tracking"]
+    m = disk(7)
+    u = domain_field(m, 1.0)
+    v = boundary_field(m, m.vertices[m.boundary_loop, 0])
+    # solve_state returns only once Newton has converged
+    report = solvers.solve_state(spec, u, v)
+    assert report.newton_iterations >= 1
 
 
 def test_prolong_constant_exact(disk):
