@@ -545,6 +545,10 @@ def main(argv=None) -> int:
         if getattr(args, name, 1.0) <= 0.0:
             print(f"error: --{name.replace('_', '-')} must be positive", file=sys.stderr)
             return EXIT_CONFIG
+    for name in ("targets", "directions", "samples"):
+        if getattr(args, name, 1) < 1:
+            print(f"error: --{name} must be at least 1", file=sys.stderr)
+            return EXIT_CONFIG
     if hasattr(args, "levels") and not args.levels:
         print("error: empty level range", file=sys.stderr)
         return EXIT_CONFIG

@@ -7,6 +7,18 @@ projection form of optimal controls, a residual-based optimality report,
 a damped fixed-point solver, and a constructive surjectivity check for
 the linearized constraints.
 
+The two mixed constraints share one form, zeta_i(c) + g_i(x, y) <= 0,
+with c = u at every vertex (i = 1) and c = v on the boundary loop
+(i = 2).  ``_constraints(spec, y)`` evaluates both halves at a state y
+once: the control's nodes, zeta_i, the cost index i, g_i and its
+y-derivative at those nodes, and the bound zeta_i^{-1}(-g_i), one
+``invert_monotone`` call per half.  Every formula below (constraint
+maps, active sets and multipliers, projection, stationarity,
+complementarity and feasibility, the adjoint load, the surjectivity
+shifts) is written once and applied to both halves.  ``solve_kkt``
+evaluates the halves once per sweep and shares them across its steps;
+the public functions evaluate them themselves.
+
 Only strictly increasing reparametrizations are supported end to end;
 the three mirrored sign cases are rejected with a diagnostic rather than
 silently producing a wrong projection.
@@ -25,7 +37,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import fem
-from .catalog import ProblemSpec, SpecError, delta_value, delta_inverse, invert_monotone
+from .catalog import MonotoneScalar, ProblemSpec, SpecError
+from .catalog import delta_inverse, delta_value, invert_monotone
 from .fem import FEField
 from .solvers import (
     ExponentTable,
@@ -33,7 +46,6 @@ from .solvers import (
     linearized_matrix,
     semilinear_operator,
     solve_adjoint,
-    solve_linearized,
     solve_state,
 )
 
@@ -161,24 +173,35 @@ def _check_state_fields(y: FEField, u: FEField, v: FEField):
     return y.mesh
 
 
-def _g1_nodal(spec: ProblemSpec, y: FEField) -> np.ndarray:
-    xy = y.mesh.vertices
-    return np.asarray(spec.g1(xy[:, 0], xy[:, 1], y.values), dtype=float)
+@dataclass(frozen=True)
+class _Half:
+    """One mixed constraint zeta(c) + g(x, y) <= 0 at the nodes of its control c."""
+
+    role: str  # FEField role of c
+    nodes: slice | np.ndarray  # slice(None) (every vertex) or the boundary loop
+    zeta: MonotoneScalar
+    cost: int  # i in delta_value(i, spec, c)
+    g: np.ndarray
+    g_y: np.ndarray
+    bound: np.ndarray  # zeta^{-1}(-g); for increasing zeta the constraint is c <= bound
 
 
-def _g2_nodal(spec: ProblemSpec, y: FEField) -> np.ndarray:
-    loop = y.mesh.boundary_loop
-    xy = y.mesh.vertices[loop]
-    return np.asarray(spec.g2(xy[:, 0], xy[:, 1], y.values[loop]), dtype=float)
+def _at_nodes(fn, y: FEField, nodes) -> np.ndarray:
+    xy = y.mesh.vertices[nodes]
+    return np.asarray(fn(xy[:, 0], xy[:, 1], y.values[nodes]), dtype=float)
 
 
-def _bound_u(spec: ProblemSpec, y: FEField) -> np.ndarray:
-    """Nodal control bound induced by the interior mixed constraint."""
-    return invert_monotone(spec.zeta1, -_g1_nodal(spec, y))
-
-
-def _bound_v(spec: ProblemSpec, y: FEField) -> np.ndarray:
-    return invert_monotone(spec.zeta2, -_g2_nodal(spec, y))
+def _constraints(spec: ProblemSpec, y: FEField) -> tuple:
+    """The (interior, boundary) constraint halves evaluated at the state y."""
+    halves = []
+    for role, nodes, zeta, cost, g, g_y in (
+        ("domain", slice(None), spec.zeta1, 1, spec.g1, spec.g1_y),
+        ("boundary", y.mesh.boundary_loop, spec.zeta2, 2, spec.g2, spec.g2_y),
+    ):
+        gv = _at_nodes(g, y, nodes)
+        bound = invert_monotone(zeta, -gv)
+        halves.append(_Half(role, nodes, zeta, cost, gv, _at_nodes(g_y, y, nodes), bound))
+    return tuple(halves)
 
 
 def objective(spec: ProblemSpec, y: FEField, u: FEField, v: FEField) -> float:
@@ -211,18 +234,19 @@ def reduced_gradient(spec: ProblemSpec, u: FEField, v: FEField):
     (phi + slope of the interior control cost, trace(phi) + boundary
     analogue).
     """
-    rep = solve_state(spec, u, v)
-    y = rep.state
+    y = solve_state(spec, u, v).state
     mesh = y.mesh
-    xy = mesh.vertices
-    rhs_d = FEField(mesh, "domain", spec.L_y(xy[:, 0], xy[:, 1], y.values))
     loop = mesh.boundary_loop
-    xb = xy[loop]
-    rhs_b = FEField(mesh, "boundary", spec.ell_y(xb[:, 0], xb[:, 1], y.values[loop]))
+    rhs_d = FEField(mesh, "domain", _at_nodes(spec.L_y, y, slice(None)))
+    rhs_b = FEField(mesh, "boundary", _at_nodes(spec.ell_y, y, loop))
     phi = solve_adjoint(spec, y, rhs_d, rhs_b)
     gu = FEField(mesh, "domain", phi.values + delta_value(1, spec, u.values))
     gv = FEField(mesh, "boundary", phi.values[loop] + delta_value(2, spec, v.values))
     return gu, gv
+
+
+def _gap(h: _Half, c: FEField) -> np.ndarray:
+    return c.values - h.bound
 
 
 def constraint_values(spec: ProblemSpec, y: FEField, u: FEField, v: FEField):
@@ -232,19 +256,21 @@ def constraint_values(spec: ProblemSpec, y: FEField, u: FEField, v: FEField):
     constraints is equivalent to both returned fields being <= 0.
     """
     mesh = _check_state_fields(y, u, v)
-    G1 = FEField(mesh, "domain", u.values - _bound_u(spec, y))
-    G2 = FEField(mesh, "boundary", v.values - _bound_v(spec, y))
-    return G1, G2
+    return tuple(FEField(mesh, h.role, _gap(h, c)) for h, c in zip(_constraints(spec, y), (u, v)))
 
 
-def _active_masks(spec: ProblemSpec, y: FEField, u: FEField, v: FEField, active_tol: float):
-    g1v = _g1_nodal(spec, y)
-    g2v = _g2_nodal(spec, y)
-    res1 = np.asarray(spec.zeta1.value(u.values)) + g1v
-    res2 = np.asarray(spec.zeta2.value(v.values)) + g2v
-    tol1 = active_tol * max(1.0, float(np.max(np.abs(g1v))))
-    tol2 = active_tol * max(1.0, float(np.max(np.abs(g2v))))
-    return np.abs(res1) <= tol1, np.abs(res2) <= tol2
+def _multipliers(spec: ProblemSpec, halves, controls, phi: FEField, active_tol: float):
+    psis, masks = [], []
+    for h, c in zip(halves, controls):
+        residual = np.asarray(h.zeta.value(c.values)) + h.g
+        mask = np.abs(residual) <= active_tol * max(1.0, float(np.max(np.abs(h.g))))
+        psi = np.zeros(mask.shape)
+        if np.any(mask):
+            stat = phi.values[h.nodes][mask] + delta_value(h.cost, spec, h.bound[mask])
+            psi[mask] = -stat / np.asarray(h.zeta.slope(c.values[mask]))
+        psis.append(FEField(c.mesh, h.role, psi))
+        masks.append(mask)
+    return (*psis, *masks)
 
 
 def multipliers_from_phi(
@@ -262,28 +288,16 @@ def multipliers_from_phi(
     defect divided by the reparametrization slope, zero elsewhere.
     Returns (psi1, psi2, active_domain, active_boundary).
     """
-    mesh = _check_state_fields(y, u, v)
-    mask1, mask2 = _active_masks(spec, y, u, v, active_tol)
+    _check_state_fields(y, u, v)
+    return _multipliers(spec, _constraints(spec, y), (u, v), phi, active_tol)
 
-    psi1 = np.zeros(mesh.n_vertices)
-    if np.any(mask1):
-        b1 = _bound_u(spec, y)[mask1]
-        slope1 = np.asarray(spec.zeta1.slope(u.values[mask1]))
-        psi1[mask1] = -(phi.values[mask1] + delta_value(1, spec, b1)) / slope1
 
-    psi2 = np.zeros(mesh.n_boundary)
-    if np.any(mask2):
-        b2 = _bound_v(spec, y)[mask2]
-        slope2 = np.asarray(spec.zeta2.slope(v.values[mask2]))
-        trace_phi = phi.values[mesh.boundary_loop][mask2]
-        psi2[mask2] = -(trace_phi + delta_value(2, spec, b2)) / slope2
-
-    return (
-        FEField(mesh, "domain", psi1),
-        FEField(mesh, "boundary", psi2),
-        mask1,
-        mask2,
-    )
+def _project(spec: ProblemSpec, halves, phi: FEField):
+    controls = []
+    for h in halves:
+        w = delta_inverse(h.cost, spec, -phi.values[h.nodes])
+        controls.append(FEField(phi.mesh, h.role, np.minimum(w - h.bound, 0.0) + h.bound))
+    return tuple(controls)
 
 
 def project_controls(spec: ProblemSpec, y: FEField, phi: FEField):
@@ -294,34 +308,44 @@ def project_controls(spec: ProblemSpec, y: FEField, phi: FEField):
     nonpositive half-line enforces feasibility exactly.
     """
     _require_increasing(spec)
-    mesh = y.mesh
-    if phi.role != "domain" or phi.mesh is not mesh:
+    if phi.role != "domain" or phi.mesh is not y.mesh:
         raise fem.FieldError("adjoint must be a domain field on the state's mesh")
-
-    w1 = delta_inverse(1, spec, -phi.values)
-    b1 = _bound_u(spec, y)
-    u = np.minimum(w1 - b1, 0.0) + b1
-
-    w2 = delta_inverse(2, spec, -phi.values[mesh.boundary_loop])
-    b2 = _bound_v(spec, y)
-    v = np.minimum(w2 - b2, 0.0) + b2
-
-    return FEField(mesh, "domain", u), FEField(mesh, "boundary", v)
+    return _project(spec, _constraints(spec, y), phi)
 
 
-def _adjoint_rhs(spec: ProblemSpec, y: FEField, psi1: FEField, psi2: FEField):
-    mesh = y.mesh
-    xy = mesh.vertices
-    rhs_d = spec.L_y(xy[:, 0], xy[:, 1], y.values) + spec.g1_y(
-        xy[:, 0], xy[:, 1], y.values
-    ) * psi1.values
-    loop = mesh.boundary_loop
-    xb = xy[loop]
-    yb = y.values[loop]
-    rhs_b = spec.ell_y(xb[:, 0], xb[:, 1], yb) + spec.g2_y(xb[:, 0], xb[:, 1], yb) * psi2.values
-    return (
-        FEField(mesh, "domain", np.broadcast_to(np.asarray(rhs_d, dtype=float), (mesh.n_vertices,)).copy()),
-        FEField(mesh, "boundary", np.broadcast_to(np.asarray(rhs_b, dtype=float), (mesh.n_boundary,)).copy()),
+def _adjoint_rhs(spec: ProblemSpec, y: FEField, halves, psis):
+    """Adjoint loads: tracking derivative plus g_y * psi at each half's nodes."""
+    return tuple(
+        FEField(y.mesh, h.role, _at_nodes(tracking_y, y, h.nodes) + h.g_y * psi.values)
+        for h, tracking_y, psi in zip(halves, (spec.L_y, spec.ell_y), psis)
+    )
+
+
+def _report(spec: ProblemSpec, state: KKTState, halves, linearized, adjoint_rhs, kkt_tol):
+    """The residuals of ``kkt_residual`` from halves, matrix and load at state.y."""
+    y, phi = state.y, state.phi
+    measured = {}
+    for h, c, psi, side in zip(halves, (state.u, state.v), (state.psi1, state.psi2), "uv"):
+        slope = np.asarray(h.zeta.slope(c.values))
+        stat = delta_value(h.cost, spec, c.values) + phi.values[h.nodes] + slope * psi.values
+        comp = psi.values * (np.asarray(h.zeta.value(c.values)) + h.g)
+        measured[f"stationarity_{side}"] = float(np.max(np.abs(stat)))
+        measured[f"complementarity_{side}"] = float(np.max(np.abs(comp)))
+        measured[f"feasibility_{side}"] = max(0.0, float(np.max(_gap(h, c))))
+
+    rec = fem.p1(y.mesh)
+    state_defect = semilinear_operator(spec, y) - rec.load(state.u.values, state.v.values)
+    adj_defect = linearized.matvec(phi.values) - rec.load(*(f.values for f in adjoint_rhs))
+    measured["state_residual"] = float(np.max(np.abs(state_defect)))
+    measured["adjoint_residual"] = float(np.max(np.abs(adj_defect)))
+
+    residuals = {k: measured[k] for k in _RESIDUAL_KEYS}
+    return KKTReport(
+        objective=objective(spec, y, state.u, state.v),
+        residuals=residuals,
+        exponent_table=exponents(float(spec.N), spec.p, spec.q),
+        iterations=0,
+        converged=all(r <= kkt_tol for r in residuals.values()),
     )
 
 
@@ -330,61 +354,18 @@ def kkt_residual(
     state: KKTState,
     kkt_tol: float = KKT_TOL,
     active_tol: float = ACTIVE_TOL,
-    linearized: fem.SparseOperator | None = None,
 ) -> KKTReport:
     """Max-norm residuals of every first-order optimality condition.
 
     Stationarity and complementarity are evaluated nodally, feasibility as
     the positive part of the constraint maps, and the state and adjoint
-    residuals as the algebraic defects of their discrete systems.  The
-    adjoint defect uses ``linearized`` when given, which must be
-    ``linearized_matrix(spec, state.y)``.
+    residuals as the algebraic defects of their discrete systems.
     """
-    y, u, v, phi, psi1, psi2 = state.y, state.u, state.v, state.phi, state.psi1, state.psi2
-    mesh = _check_state_fields(y, u, v)
-    loop = mesh.boundary_loop
-
-    slope1 = np.asarray(spec.zeta1.slope(u.values))
-    slope2 = np.asarray(spec.zeta2.slope(v.values))
-    stat_u = delta_value(1, spec, u.values) + phi.values + slope1 * psi1.values
-    stat_v = delta_value(2, spec, v.values) + phi.values[loop] + slope2 * psi2.values
-
-    g1v = _g1_nodal(spec, y)
-    g2v = _g2_nodal(spec, y)
-    comp_u = psi1.values * (np.asarray(spec.zeta1.value(u.values)) + g1v)
-    comp_v = psi2.values * (np.asarray(spec.zeta2.value(v.values)) + g2v)
-
-    G1, G2 = constraint_values(spec, y, u, v)
-    feas_u = max(0.0, float(np.max(G1.values)))
-    feas_v = max(0.0, float(np.max(G2.values)))
-
-    rec = fem.p1(mesh)
-    state_defect = semilinear_operator(spec, y) - rec.load(u.values, v.values)
-
-    rhs_d, rhs_b = _adjoint_rhs(spec, y, psi1, psi2)
-    if linearized is None:
-        linearized = linearized_matrix(spec, y)
-    adj_defect = linearized.matvec(phi.values) - rec.load(rhs_d.values, rhs_b.values)
-
-    residuals = {
-        "stationarity_u": float(np.max(np.abs(stat_u))),
-        "stationarity_v": float(np.max(np.abs(stat_v))),
-        "complementarity_u": float(np.max(np.abs(comp_u))),
-        "complementarity_v": float(np.max(np.abs(comp_v))),
-        "feasibility_u": feas_u,
-        "feasibility_v": feas_v,
-        "state_residual": float(np.max(np.abs(state_defect))),
-        "adjoint_residual": float(np.max(np.abs(adj_defect))),
-    }
-    table = exponents(float(spec.N), spec.p, spec.q)
-    converged = all(residuals[k] <= kkt_tol for k in _RESIDUAL_KEYS)
-    return KKTReport(
-        objective=objective(spec, y, u, v),
-        residuals=residuals,
-        exponent_table=table,
-        iterations=0,
-        converged=converged,
-    )
+    y = state.y
+    _check_state_fields(y, state.u, state.v)
+    halves = _constraints(spec, y)
+    adjoint_rhs = _adjoint_rhs(spec, y, halves, (state.psi1, state.psi2))
+    return _report(spec, state, halves, linearized_matrix(spec, y), adjoint_rhs, kkt_tol)
 
 
 def solve_kkt(
@@ -407,43 +388,34 @@ def solve_kkt(
     _require_increasing(spec)
     if not 0.0 < damping <= 1.0:
         raise ValueError(f"damping must lie in (0, 1], got {damping}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     u, v = initial
     mesh = _check_state_fields(fem.domain_field(u.mesh, 0.0), u, v)
 
     phi = fem.domain_field(mesh, 0.0)
     history: list = []
     best = None
-    iterations = 0
 
     for k in range(1, max_iter + 1):
-        iterations = k
         y = solve_state(spec, u, v).state
-        psi1, psi2, mask1, mask2 = multipliers_from_phi(spec, y, u, v, phi, active_tol)
-        rhs_d, rhs_b = _adjoint_rhs(spec, y, psi1, psi2)
+        halves = _constraints(spec, y)
+        psi1, psi2, mask1, mask2 = _multipliers(spec, halves, (u, v), phi, active_tol)
+        adjoint_rhs = _adjoint_rhs(spec, y, halves, (psi1, psi2))
         # one linearized matrix per sweep, shared by the adjoint solve and its residual
         linearized = linearized_matrix(spec, y)
-        phi = solve_adjoint(spec, y, rhs_d, rhs_b, linearized)
+        phi = solve_adjoint(spec, y, *adjoint_rhs, linearized)
 
         snapshot = KKTState(y, phi, psi1, u, v, psi2, mask1, mask2)
-        report = kkt_residual(spec, snapshot, kkt_tol, active_tol, linearized)
-        history.append(
-            (
-                k,
-                report.objective,
-                report.residuals["stationarity_u"],
-                report.residuals["stationarity_v"],
-                report.residuals["complementarity_u"],
-                report.residuals["complementarity_v"],
-                report.residuals["feasibility_u"],
-                report.residuals["feasibility_v"],
-            )
-        )
+        report = _report(spec, snapshot, halves, linearized, adjoint_rhs, kkt_tol)
+        # the first six residuals: stationarity, complementarity, feasibility
+        history.append((k, report.objective, *(report.residuals[r] for r in _RESIDUAL_KEYS[:6])))
         if best is None or report.max_residual < best[1].max_residual:
             best = (snapshot, report)
         if report.converged:
             break
 
-        u_proj, v_proj = project_controls(spec, y, phi)
+        u_proj, v_proj = _project(spec, halves, phi)
         u_next = (1.0 - damping) * u.values + damping * u_proj.values
         v_next = (1.0 - damping) * v.values + damping * v_proj.values
         change = max(
@@ -456,7 +428,7 @@ def solve_kkt(
             break
 
     state, report = best
-    report.iterations = iterations
+    report.iterations = k
     report.history = history
     return state, report
 
@@ -478,30 +450,21 @@ def robinson_check(spec: ProblemSpec, z, z0) -> float:
         raise fem.FieldError("targets must be a (domain, boundary) pair on the same mesh")
 
     y = solve_state(spec, u, v).state
-    xy = mesh.vertices
-    loop = mesh.boundary_loop
-
-    c1 = np.asarray(spec.g1_y(xy[:, 0], xy[:, 1], y.values), dtype=float)
-    c1 = np.broadcast_to(c1, (mesh.n_vertices,)) / np.asarray(spec.zeta1.slope(_bound_u(spec, y)))
-    xb = xy[loop]
-    c2 = np.asarray(spec.g2_y(xb[:, 0], xb[:, 1], y.values[loop]), dtype=float)
-    c2 = np.broadcast_to(c2, (mesh.n_boundary,)) / np.asarray(spec.zeta2.slope(_bound_v(spec, y)))
+    halves = _constraints(spec, y)
+    shifts = [h.g_y / np.asarray(h.zeta.slope(h.bound)) for h in halves]
 
     rec = fem.p1(mesh)
     M, Mb, T = rec.mass.matrix, rec.boundary_mass.matrix, rec.trace_matrix
+    A = linearized_matrix(spec, y)
 
     # nodal reaction coupling keeps the two discrete solves exactly composable
-    C = M @ sp.diags(c1) + T.T @ (Mb @ sp.diags(c2)) @ T
-    w = fem.solve_linear(linearized_matrix(spec, y) + fem.SparseOperator(C), rec.load(u0.values, v0.values))
+    C = M @ sp.diags(shifts[0]) + T.T @ (Mb @ sp.diags(shifts[1])) @ T
+    targets = (u0.values, v0.values)
+    w = fem.solve_linear(A + fem.SparseOperator(C), rec.load(*targets))
+    directions = [t - c * w[h.nodes] for h, t, c in zip(halves, targets, shifts)]
 
-    u_dir = FEField(mesh, "domain", u0.values - c1 * w)
-    v_dir = FEField(mesh, "boundary", v0.values - c2 * w[loop])
-
-    wt = solve_linearized(spec, y, u_dir, v_dir).values
-    lin1 = u_dir.values + c1 * wt
-    lin2 = v_dir.values + c2 * wt[loop]
-
+    wt = fem.solve_linear(A, rec.load(*directions))
     return max(
-        float(np.max(np.abs(lin1 - u0.values))),
-        float(np.max(np.abs(lin2 - v0.values))),
+        float(np.max(np.abs(d + c * wt[h.nodes] - t)))
+        for h, t, c, d in zip(halves, targets, shifts, directions)
     )

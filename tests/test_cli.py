@@ -197,6 +197,31 @@ def test_nonpositive_tolerance_is_config_error(tmp_path, capsys):
     assert "must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["solve-kkt", "--config", cfg("quadratic_tracking"), "--level", "2",
+          "--max-iter", "0"], "max_iter must be at least 1"),
+        (["regularity", "--config", cfg("smooth_constrained"), "--levels", "2",
+          "--max-iter", "0"], "max_iter must be at least 1"),
+        (["robinson", "--config", cfg("quadratic_tracking"), "--targets", "0"],
+         "--targets must be at least 1"),
+        (["gradient-check", "--config", cfg("quadratic_tracking"), "--directions", "0"],
+         "--directions must be at least 1"),
+        (["chain-rule", "--samples", "0"], "--samples must be at least 1"),
+        (["product-rule", "--samples", "-1"], "--samples must be at least 1"),
+    ],
+)
+def test_empty_run_is_config_error(tmp_path, capsys, argv, message):
+    # a run over zero sweeps or samples would pass every check vacuously
+    code, _, summary = run(argv, tmp_path)
+    assert code == 2
+    assert summary is None
+    err = capsys.readouterr().err
+    assert message in err
+    assert err.count("\n") == 1
+
+
 def test_missing_config_is_config_error(tmp_path, capsys):
     code, _, summary = run(["check", "--config", "configs/nope.cfg"], tmp_path)
     assert code == 2

@@ -4,6 +4,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import oracles
 from conftest import zero_controls
@@ -19,6 +22,15 @@ def simple_spec(**overrides):
     )
     base.update(overrides)
     return catalog.ProblemSpec(**base)
+
+
+def nonlinear_spec():
+    """Curved reparametrizations, p-power costs and x-dependent caps."""
+    return simple_spec(
+        p=4.0, q=4.0, lambda2=1.0, mu2=1.0,
+        g1="y - 1 + 0.5*x1", g2="0.5*y - x2",
+        zeta1=("t + t^3", 1.0), zeta2=("3*t + t^3", 3.0),
+    )
 
 
 def mesh_area(mesh):
@@ -139,6 +151,66 @@ def test_projection_is_feasible(disk):
     assert np.max(G2.values) <= 1e-12
 
 
+LEVEL2_VERTICES = 81
+random_state = arrays(np.float64, LEVEL2_VERTICES, elements=st.floats(-2.0, 2.0))
+random_adjoint = arrays(np.float64, LEVEL2_VERTICES, elements=st.floats(-8.0, 8.0))
+PROPERTY_SETTINGS = settings(max_examples=40, deadline=None)
+
+
+def random_fields(disk, ys, phis):
+    m = disk(2)
+    assert m.n_vertices == LEVEL2_VERTICES
+    return m, fem.domain_field(m, ys), fem.domain_field(m, phis)
+
+
+def nodal_bounds(spec, mesh, y):
+    """zeta_i^{-1}(-g_i(x, y)) at the vertices and on the boundary loop."""
+    xy, loop = mesh.vertices, mesh.boundary_loop
+    g1 = spec.g1(xy[:, 0], xy[:, 1], y.values)
+    g2 = spec.g2(xy[loop, 0], xy[loop, 1], y.values[loop])
+    return catalog.invert_monotone(spec.zeta1, -g1), catalog.invert_monotone(spec.zeta2, -g2)
+
+
+@PROPERTY_SETTINGS
+@given(random_state, random_adjoint)
+def test_projection_is_exactly_feasible(disk, ys, phis):
+    spec = nonlinear_spec()
+    _, y, phi = random_fields(disk, ys, phis)
+    G1, G2 = kkt.constraint_values(spec, y, *kkt.project_controls(spec, y, phi))
+    assert np.max(G1.values) <= 0.0
+    assert np.max(G2.values) <= 0.0
+
+
+@PROPERTY_SETTINGS
+@given(random_state, random_adjoint)
+def test_projection_keeps_feasible_minimizers(disk, ys, phis):
+    spec = nonlinear_spec()
+    m, y, phi = random_fields(disk, ys, phis)
+    u, v = kkt.project_controls(spec, y, phi)
+    w1 = catalog.delta_inverse(1, spec, -phi.values)
+    w2 = catalog.delta_inverse(2, spec, -phi.values[m.boundary_loop])
+    for c, w, b in zip((u, v), (w1, w2), nodal_bounds(spec, m, y)):
+        free = w <= b
+        scale = np.abs(w[free]) + np.abs(b[free])
+        assert np.all(np.abs(c.values[free] - w[free]) <= 1e-12 * scale)
+
+
+@PROPERTY_SETTINGS
+@given(random_state, random_adjoint)
+def test_multipliers_vanish_off_their_masks(disk, ys, phis):
+    spec = nonlinear_spec()
+    m, y, phi = random_fields(disk, ys, phis)
+    u, v = kkt.project_controls(spec, y, phi)
+    psi1, psi2, mask1, mask2 = kkt.multipliers_from_phi(spec, y, u, v, phi, active_tol=1e-6)
+    assert np.all(psi1.values[~mask1] == 0.0)
+    assert np.all(psi2.values[~mask2] == 0.0)
+    # every node the projection clamps to its bound is detected as active
+    w1 = catalog.delta_inverse(1, spec, -phi.values)
+    w2 = catalog.delta_inverse(2, spec, -phi.values[m.boundary_loop])
+    b1, b2 = nodal_bounds(spec, m, y)
+    assert mask1[w1 > b1].all() and mask2[w2 > b2].all()
+
+
 def test_project_requires_domain_adjoint(disk):
     m = disk(1)
     with pytest.raises(FieldError):
@@ -229,6 +301,13 @@ def test_solve_kkt_damping_validation(disk):
             kkt.solve_kkt(simple_spec(), zero_controls(m), damping=d)
 
 
+def test_solve_kkt_max_iter_validation(disk):
+    m = disk(1)
+    for n in (0, -3):
+        with pytest.raises(ValueError, match="max_iter"):
+            kkt.solve_kkt(simple_spec(), zero_controls(m), max_iter=n)
+
+
 def test_zero_data_converges_immediately(disk):
     m = disk(2)
     state, report = kkt.solve_kkt(simple_spec(), zero_controls(m))
@@ -309,6 +388,48 @@ def test_one_linearized_matrix_per_sweep(configs, disk, monkeypatch):
     assert counts["solvers"] == counts["newton"]
 
 
+def test_two_constraint_inversions_per_sweep(configs, disk, monkeypatch):
+    # one bound per constraint half, shared by the multipliers, the
+    # residuals and the projection of the same sweep
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return catalog.invert_monotone(*args)
+
+    monkeypatch.setattr(kkt, "invert_monotone", counted)
+    _, report = kkt.solve_kkt(
+        configs["smooth_constrained"], zero_controls(disk(3)), damping=0.3, max_iter=8, kkt_tol=5e-3
+    )
+    assert report.iterations == 8
+    assert len(calls) == 2 * report.iterations
+
+
+# Computed with the per-function constraint evaluation this module replaced.
+GOLDEN_SOLVES = {
+    "smooth_constrained": (
+        dict(damping=0.3, max_iter=80, kkt_tol=5e-3, active_tol=1e-3),
+        39, 61, 26, 6.481937727031166, 0.0037994196833766036,
+    ),
+    "constant_kkt": (
+        dict(kkt_tol=1e-8, active_tol=1e-5),
+        30, 81, 32, 304.6838088466903, 7.0215699921050145e-09,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SOLVES))
+def test_golden_level_two_solve(configs, disk, name):
+    options, sweeps, active_d, active_b, obj, max_res = GOLDEN_SOLVES[name]
+    state, report = kkt.solve_kkt(configs[name], zero_controls(disk(2)), **options)
+    assert report.converged
+    assert report.iterations == sweeps
+    assert int(state.active_domain.sum()) == active_d
+    assert int(state.active_boundary.sum()) == active_b
+    assert report.objective == pytest.approx(obj, rel=1e-12)
+    assert report.max_residual == pytest.approx(max_res, rel=1e-12)
+
+
 def test_reprojection_consistency(quadratic_solution):
     spec, mesh, state, report = quadratic_solution
     u, v = kkt.project_controls(spec, state.y, state.phi)
@@ -373,6 +494,33 @@ def test_robinson_random_targets(configs, disk):
         )
         worst = max(worst, kkt.robinson_check(spec, z, z0))
     assert worst <= 1e-8
+
+
+def test_robinson_assembles_one_linearized_matrix(configs, disk, monkeypatch):
+    # A = linearized_matrix(spec, y) serves both A + C and the direction solve
+    counts = {"newton": 0, "assembled": 0}
+
+    def counted(fn):
+        def wrapped(*args, **kwargs):
+            counts["assembled"] += 1
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    def solve_state(*args, **kwargs):
+        rep = solvers.solve_state(*args, **kwargs)
+        counts["newton"] += rep.newton_iterations
+        return rep
+
+    monkeypatch.setattr(solvers, "linearized_matrix", counted(solvers.linearized_matrix))
+    monkeypatch.setattr(kkt, "linearized_matrix", counted(kkt.linearized_matrix))
+    monkeypatch.setattr(kkt, "solve_state", solve_state)
+    m = disk(3)
+    z = (fem.domain_field(m, 0.5), fem.boundary_field(m, -0.5))
+    z0 = (fem.domain_field(m, 1.0), fem.boundary_field(m, 1.0))
+    assert kkt.robinson_check(configs["quadratic_tracking"], z, z0) <= 1e-10
+    assert counts["newton"] > 0
+    assert counts["assembled"] - counts["newton"] == 1
 
 
 def test_robinson_target_validation(disk, quadratic_spec):
