@@ -93,18 +93,13 @@ def _build_mesh(preset: str, level: int):
     return build(level)
 
 
-def _nodal_domain(mesh, expr_text: str) -> FEField:
+def _nodal(mesh, role: str, expr_text: str) -> FEField:
+    """The expression in x1, x2 at the nodes of a field of ``role``, with y = 0."""
     e = parse_expr(expr_text)
-    xy = mesh.vertices
-    vals = np.asarray(e(xy[:, 0], xy[:, 1], np.zeros(mesh.n_vertices)), dtype=float)
-    return FEField(mesh, "domain", np.broadcast_to(vals, (mesh.n_vertices,)).copy())
-
-
-def _nodal_boundary(mesh, expr_text: str) -> FEField:
-    e = parse_expr(expr_text)
-    xy = mesh.vertices[mesh.boundary_loop]
-    vals = np.asarray(e(xy[:, 0], xy[:, 1], np.zeros(mesh.n_boundary)), dtype=float)
-    return FEField(mesh, "boundary", np.broadcast_to(vals, (mesh.n_boundary,)).copy())
+    zero = (fem.domain_field if role == "domain" else fem.boundary_field)(mesh, 0.0)
+    xy = zero.coords()
+    vals = np.asarray(e(xy[:, 0], xy[:, 1], zero.values), dtype=float)
+    return FEField(mesh, role, np.broadcast_to(vals, zero.values.shape).copy())
 
 
 def _fourier_coeffs(rng: np.random.Generator, modes: int = 6):
@@ -156,8 +151,8 @@ def _run_check(args, out_dir: Path, rng) -> tuple:
 def _run_solve_state(args, out_dir: Path, rng) -> tuple:
     spec = load_problem_config(args.config)
     mesh = _build_mesh(spec.preset, args.level)
-    u = _nodal_domain(mesh, args.u_expr)
-    v = _nodal_boundary(mesh, args.v_expr)
+    u = _nodal(mesh, "domain", args.u_expr)
+    v = _nodal(mesh, "boundary", args.v_expr)
     rep = solvers.solve_state(spec, u, v, newton_tol=args.newton_tol)
     fem.write_meshfield(rep.state, str(out_dir / "state.mf"))
     checks = [
@@ -218,7 +213,7 @@ def _run_gradient_check(args, out_dir: Path, rng) -> tuple:
 
 def _kkt_field_files(out_dir: Path, state: kkt.KKTState) -> list:
     names = []
-    for name in ("y", "u", "phi", "psi1", "v", "psi2"):
+    for name in regularity.STUDY_FIELDS:
         fname = f"{name}.mf"
         fem.write_meshfield(getattr(state, name), str(out_dir / fname))
         names.append(fname)
@@ -270,16 +265,16 @@ def _run_robinson(args, out_dir: Path, rng) -> tuple:
     spec = load_problem_config(args.config)
     mesh = _build_mesh(spec.preset, args.level)
     z = (fem.domain_field(mesh, 0.0), fem.boundary_field(mesh, 0.0))
-    rows = []
-    worst = 0.0
-    for i in range(args.targets):
-        z0 = (
+    targets = [
+        (
             FEField(mesh, "domain", rng.standard_normal(mesh.n_vertices)),
             FEField(mesh, "boundary", rng.standard_normal(mesh.n_boundary)),
         )
-        res = kkt.robinson_check(spec, z, z0)
-        worst = max(worst, res)
-        rows.append(f"{i},{_fmt(res)}")
+        for _ in range(args.targets)
+    ]
+    residuals = kkt.robinson_check(spec, z, targets)
+    worst = float(np.max(residuals))
+    rows = [f"{i},{_fmt(res)}" for i, res in enumerate(residuals)]
     artifacts = [_write_csv(out_dir, "robinson.csv", "target,residual", rows)]
     checks = [
         _check(
@@ -295,7 +290,7 @@ def _run_robinson(args, out_dir: Path, rng) -> tuple:
 
 def _run_frac_norm(args, out_dir: Path, rng) -> tuple:
     mesh = _build_mesh(args.preset, args.level)
-    v = _nodal_boundary(mesh, args.field)
+    v = _nodal(mesh, "boundary", args.field)
     rep = fracnorm.gagliardo(v, args.tau, args.k)
     rows = [
         f"{_fmt(rep.tau)},{_fmt(rep.k)},{rep.quadrature_level},{_fmt(rep.seminorm_I)},{_fmt(rep.full_norm)}"

@@ -20,9 +20,10 @@ whole ordered pair table of the boundary Gauss points fits one chunk of
 ``FAR_FIELD_PAIRS`` pairs (nb <= 512, 8 MB per beta); larger meshes get
 them built again, chunk by chunk, on every pass.
 
-Every linear system goes through ``solve_linear``: one sparse LU
-factorisation and solve, accepted only when the relative residual is
-within ``SOLVE_RTOL``.
+Sparse matrices are built only here.  Every linear system goes through
+``solve_linear``: one sparse LU factorisation for a vector or a block of
+columns, accepted only when every column's relative residual is within
+``SOLVE_RTOL``.
 """
 
 from __future__ import annotations
@@ -245,6 +246,12 @@ class P1:
         vertices without rounding.
         """
         return self.mass.matvec(f) + self.trace_matrix.T @ self.boundary_mass.matvec(g)
+
+    def reaction(self, c1: np.ndarray, c2: np.ndarray) -> SparseOperator:
+        """M diag(c1) + T^T M_b diag(c2) T, c1 per vertex, c2 per boundary vertex in loop order."""
+        T = self.trace_matrix
+        M, Mb = self.mass.matrix, self.boundary_mass.matrix
+        return SparseOperator(M @ sp.diags(c1) + T.T @ (Mb @ sp.diags(c2)) @ T)
 
     @property
     def _keeps_pair_weights(self) -> bool:
@@ -480,21 +487,24 @@ def integrate_basis(mesh: Mesh, values_at_quad: np.ndarray) -> np.ndarray:
 
 
 def solve_linear(op: SparseOperator, rhs: np.ndarray) -> np.ndarray:
-    """Solve op x = rhs by sparse LU factorisation.
+    """Solve op x = rhs by sparse LU factorisation, for an (n,) vector or an (n, k) block.
 
-    Raises :class:`LinearSolveError` when the factorisation finds the
-    matrix singular, or when the relative residual of the solution
-    exceeds ``SOLVE_RTOL``; the error carries the measured residual.
+    One factorisation serves every column, and zero columns come back
+    zero.  Raises :class:`LinearSolveError` when the factorisation finds
+    the matrix singular, or when the relative residual of any column
+    exceeds ``SOLVE_RTOL``; the error carries the worst column's residual.
     """
     rhs = np.asarray(rhs, dtype=float)
-    rhs_norm = float(np.linalg.norm(rhs))
-    if rhs_norm == 0.0:
+    columns = rhs.reshape(rhs.shape[0], -1)
+    rhs_norms = np.linalg.norm(columns, axis=0)
+    if not np.any(rhs_norms):
         return np.zeros_like(rhs)
     try:
         x = spla.splu(op.matrix.tocsc()).solve(rhs)
     except RuntimeError as exc:
         raise LinearSolveError(f"sparse LU failed: {exc}", float("nan")) from exc
-    residual = float(np.linalg.norm(rhs - op.matvec(x)) / rhs_norm)
+    defects = np.linalg.norm((rhs - op.matvec(x)).reshape(columns.shape), axis=0)
+    residual = float(np.max(defects[rhs_norms > 0.0] / rhs_norms[rhs_norms > 0.0]))
     if not residual <= SOLVE_RTOL:
         raise LinearSolveError(
             f"sparse LU solution misses the residual bound {SOLVE_RTOL:.0e} "

@@ -23,9 +23,11 @@ Only strictly increasing reparametrizations are supported end to end;
 the three mirrored sign cases are rejected with a diagnostic rather than
 silently producing a wrong projection.
 
-Matrices and load vectors (M, M_b, the trace matrix T, M f + T^T M_b g)
-are read from the mesh's :class:`fem.P1` record, their single owner; the
-state operator and its linearization come from ``solvers``.
+Load vectors M f + T^T M_b g and the reaction coupling of the
+surjectivity check come from the mesh's :class:`fem.P1` record, the
+owner of every sparse matrix; the state operator and its linearization
+come from ``solvers``.  ``robinson_check`` solves all targets at one
+control as one block.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import fem
 from .catalog import MonotoneScalar, ProblemSpec, SpecError
@@ -173,6 +174,11 @@ def _check_state_fields(y: FEField, u: FEField, v: FEField):
     return y.mesh
 
 
+def _check_adjoint(y: FEField, phi: FEField) -> None:
+    if phi.role != "domain" or phi.mesh is not y.mesh:
+        raise fem.FieldError("adjoint must be a domain field on the state's mesh")
+
+
 @dataclass(frozen=True)
 class _Half:
     """One mixed constraint zeta(c) + g(x, y) <= 0 at the nodes of its control c."""
@@ -289,6 +295,7 @@ def multipliers_from_phi(
     Returns (psi1, psi2, active_domain, active_boundary).
     """
     _check_state_fields(y, u, v)
+    _check_adjoint(y, phi)
     return _multipliers(spec, _constraints(spec, y), (u, v), phi, active_tol)
 
 
@@ -308,8 +315,7 @@ def project_controls(spec: ProblemSpec, y: FEField, phi: FEField):
     nonpositive half-line enforces feasibility exactly.
     """
     _require_increasing(spec)
-    if phi.role != "domain" or phi.mesh is not y.mesh:
-        raise fem.FieldError("adjoint must be a domain field on the state's mesh")
+    _check_adjoint(y, phi)
     return _project(spec, _constraints(spec, y), phi)
 
 
@@ -349,12 +355,7 @@ def _report(spec: ProblemSpec, state: KKTState, halves, linearized, adjoint_rhs,
     )
 
 
-def kkt_residual(
-    spec: ProblemSpec,
-    state: KKTState,
-    kkt_tol: float = KKT_TOL,
-    active_tol: float = ACTIVE_TOL,
-) -> KKTReport:
+def kkt_residual(spec: ProblemSpec, state: KKTState, kkt_tol: float = KKT_TOL) -> KKTReport:
     """Max-norm residuals of every first-order optimality condition.
 
     Stationarity and complementarity are evaluated nodally, feasibility as
@@ -433,38 +434,42 @@ def solve_kkt(
     return state, report
 
 
-def robinson_check(spec: ProblemSpec, z, z0) -> float:
-    """Constructive surjectivity check of the linearized constraint maps.
+def robinson_check(spec: ProblemSpec, z, targets) -> np.ndarray:
+    """Constructive surjectivity check of the linearized constraint maps at z.
 
-    For targets (u0, v0), an auxiliary reaction-shifted solve produces a
-    feasible-direction pair whose constraint linearization must reproduce
-    the targets; returns the max-norm mismatch over both components.  The
-    reaction shifts divide the constraint slopes by the reparametrization
-    slopes at the bound, so the shifted problem is well posed whenever the
-    combined sign condition holds (verified by ``check_assumptions``).
+    For each (u0, v0) in ``targets``, an auxiliary reaction-shifted solve
+    produces a feasible-direction pair whose constraint linearization must
+    reproduce the target; returns the max-norm mismatches over both
+    components, one per target.  The reaction shifts divide the constraint
+    slopes by the reparametrization slopes at the bound, so the shifted
+    problem is well posed whenever the combined sign condition holds
+    (verified by ``check_assumptions``).  One state solve and one
+    factorisation each of A + C and A serve all targets, as one block.
     """
     u, v = z
-    u0, v0 = z0
     mesh = _check_state_fields(fem.domain_field(u.mesh, 0.0), u, v)
-    if u0.role != "domain" or v0.role != "boundary" or u0.mesh is not mesh or v0.mesh is not mesh:
-        raise fem.FieldError("targets must be a (domain, boundary) pair on the same mesh")
+    targets = list(targets)
+    for u0, v0 in targets:
+        if u0.role != "domain" or v0.role != "boundary" or u0.mesh is not mesh or v0.mesh is not mesh:
+            raise fem.FieldError("targets must be (domain, boundary) pairs on the same mesh")
+    if not targets:
+        return np.zeros(0)
 
     y = solve_state(spec, u, v).state
     halves = _constraints(spec, y)
     shifts = [h.g_y / np.asarray(h.zeta.slope(h.bound)) for h in halves]
-
     rec = fem.p1(mesh)
-    M, Mb, T = rec.mass.matrix, rec.boundary_mass.matrix, rec.trace_matrix
     A = linearized_matrix(spec, y)
 
+    # one column per target: an (n, k) interior and an (nb, k) boundary block
+    blocks = [np.column_stack([pair[i].values for pair in targets]) for i in (0, 1)]
     # nodal reaction coupling keeps the two discrete solves exactly composable
-    C = M @ sp.diags(shifts[0]) + T.T @ (Mb @ sp.diags(shifts[1])) @ T
-    targets = (u0.values, v0.values)
-    w = fem.solve_linear(A + fem.SparseOperator(C), rec.load(*targets))
-    directions = [t - c * w[h.nodes] for h, t, c in zip(halves, targets, shifts)]
+    w = fem.solve_linear(A + rec.reaction(*shifts), rec.load(*blocks))
+    directions = [t - c[:, None] * w[h.nodes] for h, t, c in zip(halves, blocks, shifts)]
 
     wt = fem.solve_linear(A, rec.load(*directions))
-    return max(
-        float(np.max(np.abs(d + c * wt[h.nodes] - t)))
-        for h, t, c, d in zip(halves, targets, shifts, directions)
-    )
+    mismatch = [
+        np.max(np.abs(d + c[:, None] * wt[h.nodes] - t), axis=0)
+        for h, t, c, d in zip(halves, blocks, shifts, directions)
+    ]
+    return np.max(mismatch, axis=0)

@@ -147,17 +147,6 @@ class RegularityReport:
         return rows
 
 
-def _study_fields(state: kkt.KKTState) -> dict:
-    return {
-        "y": state.y,
-        "u": state.u,
-        "phi": state.phi,
-        "psi1": state.psi1,
-        "v": state.v,
-        "psi2": state.psi2,
-    }
-
-
 def _ladder(f: FEField) -> dict:
     bnd = f if f.role == "boundary" else fem.trace(f)
     return {kk: holder_embedding_probe(bnd, kk) for kk in HOLDER_LADDER}
@@ -198,7 +187,7 @@ def refinement_study(
             spec, (u0, v0), damping=damping, max_iter=max_iter, kkt_tol=kkt_tol, active_tol=active_tol
         )
         h = mesh.mesh_size()
-        fields = _study_fields(state)
+        fields = {name: getattr(state, name) for name in STUDY_FIELDS}
         records = {
             name: LevelRecord(
                 level=level,

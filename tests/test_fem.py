@@ -7,6 +7,8 @@ import weakref
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from mixedreg import FieldError, LinearSolveError, build_disk_mesh, gagliardo, lp_norm, prolong, refine
@@ -209,22 +211,75 @@ def test_solve_linear_rejects_singular_operator(disk, stiffness_spec):
     assert "singular" in str(err.value)
 
 
-def test_solve_linear_nonsymmetric_robinson_operator(disk, identity_spec):
-    # A + C as in the surjectivity check: a nodal reaction coupling with
-    # varying coefficients makes M diag(c1) + T^T M_b diag(c2) T nonsymmetric
+def robinson_operator(mesh, spec):
+    """A + C as in the surjectivity check: a nodal reaction coupling with
+    varying coefficients makes M diag(c1) + T^T M_b diag(c2) T nonsymmetric."""
+    rec = fem.p1(mesh)
+    xy = mesh.vertices
+    c1 = 1.0 + 0.5 * np.sin(3.0 * xy[:, 0]) * xy[:, 1]
+    c2 = 2.0 + np.cos(mesh.boundary_params)
+    return rec.operator(spec) + rec.reaction(c1, c2)
+
+
+def test_reaction_coupling_matches_its_load(disk):
     m = disk(3)
     rec = fem.p1(m)
-    xy = m.vertices
-    c1 = 1.0 + 0.5 * np.sin(3.0 * xy[:, 0]) * xy[:, 1]
-    c2 = 2.0 + np.cos(m.boundary_params)
+    rng = np.random.default_rng(3)
+    c1, c2 = rng.standard_normal(m.n_vertices), rng.standard_normal(m.n_boundary)
+    w = rng.standard_normal(m.n_vertices)
     T = rec.trace_matrix
-    C = rec.mass.matrix @ sp.diags(c1) + T.T @ (rec.boundary_mass.matrix @ sp.diags(c2)) @ T
-    op = rec.operator(identity_spec) + fem.SparseOperator(C)
+    C = rec.reaction(c1, c2)
+    coupling = rec.mass.matrix @ sp.diags(c1) + T.T @ (rec.boundary_mass.matrix @ sp.diags(c2)) @ T
+    assert abs(C.matrix - coupling).max() == 0.0
+    expected = rec.load(c1 * w, c2 * w[m.boundary_loop])
+    assert np.max(np.abs(C.matvec(w) - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+
+def test_solve_linear_nonsymmetric_robinson_operator(disk, identity_spec):
+    m = disk(3)
+    rec = fem.p1(m)
+    op = robinson_operator(m, identity_spec)
     assert abs(op.matrix - op.matrix.T).max() > 1e-6
     rng = np.random.default_rng(11)
     rhs = rec.load(rng.standard_normal(m.n_vertices), rng.standard_normal(m.n_boundary))
     x = solve_linear(op, rhs)
     assert np.linalg.norm(rhs - op.matvec(x)) <= fem.SOLVE_RTOL * np.linalg.norm(rhs)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    level=st.sampled_from([2, 3]),
+    k=st.integers(1, 6),
+    zero=st.one_of(st.none(), st.integers(0, 5)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_solve_linear_block_equals_single_solves(disk, identity_spec, level, k, zero, seed):
+    m = disk(level)
+    op = robinson_operator(m, identity_spec)
+    rhs = np.random.default_rng(seed).standard_normal((m.n_vertices, k))
+    if zero is not None and zero < k:
+        rhs[:, zero] = 0.0
+    x = solve_linear(op, rhs)
+    assert x.shape == rhs.shape
+    for j in range(k):
+        single = solve_linear(op, rhs[:, j])
+        assert np.linalg.norm(x[:, j] - single) <= 1e-12 * np.linalg.norm(single)
+    if zero is not None and zero < k:
+        assert np.all(x[:, zero] == 0.0)
+
+
+def test_solve_linear_block_reports_worst_column(disk, stiffness_spec):
+    # pure Neumann stiffness: a column in the range solves, ones does not
+    m = disk(1)
+    neumann = assemble_operator(m, stiffness_spec)
+    ones = np.ones(m.n_vertices)
+    in_range = neumann.matvec(np.random.default_rng(2).standard_normal(m.n_vertices))
+    with pytest.raises(LinearSolveError) as err:
+        solve_linear(neumann, np.column_stack([in_range, np.zeros_like(ones), ones]))
+    with pytest.raises(LinearSolveError) as single:
+        solve_linear(neumann, ones)
+    assert err.value.residual == pytest.approx(single.value.residual, rel=1e-6)
+    assert np.all(solve_linear(neumann, np.zeros((m.n_vertices, 3))) == 0.0)
 
 
 def test_solve_state_level_seven_quadratic_tracking(configs, disk):

@@ -217,6 +217,17 @@ def test_project_requires_domain_adjoint(disk):
         kkt.project_controls(simple_spec(), fem.domain_field(m, 0.0), fem.boundary_field(m, 0.0))
 
 
+def test_multipliers_require_domain_adjoint(configs, disk):
+    # a boundary-role adjoint once indexed past its end instead of being rejected
+    m = disk(1)
+    y = fem.domain_field(m, 0.0)
+    u, v = zero_controls(m)
+    with pytest.raises(FieldError):
+        kkt.multipliers_from_phi(configs["smooth_constrained"], y, u, v, fem.boundary_field(m, 0.0))
+    with pytest.raises(FieldError):
+        kkt.multipliers_from_phi(configs["smooth_constrained"], y, u, v, fem.domain_field(disk(2), 0.0))
+
+
 def test_decreasing_reparametrization_rejected(disk):
     m = disk(1)
     spec = simple_spec(zeta1=("-t", 1.0))
@@ -470,15 +481,15 @@ def test_report_to_text(quadratic_solution):
 def test_robinson_zero_targets(disk, quadratic_spec):
     m = disk(2)
     z = zero_controls(m)
-    z0 = zero_controls(m)
-    assert kkt.robinson_check(quadratic_spec, z, z0) == 0.0
+    residuals = kkt.robinson_check(quadratic_spec, z, [zero_controls(m)])
+    assert residuals.shape == (1,) and residuals[0] == 0.0
 
 
 def test_robinson_constant_targets(disk, quadratic_spec):
     m = disk(2)
     z = zero_controls(m)
     z0 = (fem.domain_field(m, 1.0), fem.boundary_field(m, 1.0))
-    assert kkt.robinson_check(quadratic_spec, z, z0) <= 1e-10
+    assert kkt.robinson_check(quadratic_spec, z, [z0])[0] <= 1e-10
 
 
 def test_robinson_random_targets(configs, disk):
@@ -486,45 +497,73 @@ def test_robinson_random_targets(configs, disk):
     m = disk(3)
     z = zero_controls(m)
     rng = np.random.default_rng(11)
-    worst = 0.0
-    for _ in range(3):
-        z0 = (
+    targets = [
+        (
             fem.domain_field(m, rng.standard_normal(m.n_vertices)),
             fem.boundary_field(m, rng.standard_normal(m.boundary_loop.shape[0])),
         )
-        worst = max(worst, kkt.robinson_check(spec, z, z0))
-    assert worst <= 1e-8
+        for _ in range(3)
+    ]
+    assert np.max(kkt.robinson_check(spec, z, targets)) <= 1e-8
+
+
+def test_robinson_block_equals_single_targets(configs, disk):
+    # one block of k targets, a zero target among them, matches k one-target calls
+    spec = configs["quadratic_tracking"]
+    m = disk(3)
+    z = (fem.domain_field(m, 0.5), fem.boundary_field(m, -0.5))
+    rng = np.random.default_rng(5)
+    targets = [
+        (
+            fem.domain_field(m, rng.standard_normal(m.n_vertices)),
+            fem.boundary_field(m, rng.standard_normal(m.n_boundary)),
+        )
+        for _ in range(4)
+    ]
+    targets.insert(2, zero_controls(m))
+    block = kkt.robinson_check(spec, z, targets)
+    single = np.array([kkt.robinson_check(spec, z, [t])[0] for t in targets])
+    assert block.shape == (len(targets),)
+    assert block[2] == 0.0
+    assert np.all(np.abs(block - single) <= 1e-14)
+    assert kkt.robinson_check(spec, z, []).shape == (0,)
 
 
 def test_robinson_assembles_one_linearized_matrix(configs, disk, monkeypatch):
-    # A = linearized_matrix(spec, y) serves both A + C and the direction solve
-    counts = {"newton": 0, "assembled": 0}
+    # the linearization belongs to z: 5 targets share one state solve, one
+    # linearized matrix A and two factorisations, of A + C and of A
+    counts = {"state": 0, "newton": 0, "linearized": 0, "solve": 0}
 
-    def counted(fn):
+    def counted(key, fn):
         def wrapped(*args, **kwargs):
-            counts["assembled"] += 1
+            counts[key] += 1
             return fn(*args, **kwargs)
 
         return wrapped
 
     def solve_state(*args, **kwargs):
         rep = solvers.solve_state(*args, **kwargs)
+        counts["state"] += 1
         counts["newton"] += rep.newton_iterations
         return rep
 
-    monkeypatch.setattr(solvers, "linearized_matrix", counted(solvers.linearized_matrix))
-    monkeypatch.setattr(kkt, "linearized_matrix", counted(kkt.linearized_matrix))
     monkeypatch.setattr(kkt, "solve_state", solve_state)
+    monkeypatch.setattr(kkt, "linearized_matrix", counted("linearized", kkt.linearized_matrix))
+    monkeypatch.setattr(fem, "solve_linear", counted("solve", fem.solve_linear))
     m = disk(3)
     z = (fem.domain_field(m, 0.5), fem.boundary_field(m, -0.5))
-    z0 = (fem.domain_field(m, 1.0), fem.boundary_field(m, 1.0))
-    assert kkt.robinson_check(configs["quadratic_tracking"], z, z0) <= 1e-10
+    targets = [(fem.domain_field(m, float(i)), fem.boundary_field(m, 1.0 - i)) for i in range(1, 6)]
+    residuals = kkt.robinson_check(configs["quadratic_tracking"], z, targets)
+    assert residuals.shape == (5,) and np.max(residuals) <= 1e-10
     assert counts["newton"] > 0
-    assert counts["assembled"] - counts["newton"] == 1
+    # each Newton step is one solve_linear of its own
+    assert (counts["state"], counts["linearized"], counts["solve"] - counts["newton"]) == (1, 1, 2)
 
 
 def test_robinson_target_validation(disk, quadratic_spec):
     m = disk(1)
     z = zero_controls(m)
     with pytest.raises(FieldError):
-        kkt.robinson_check(quadratic_spec, z, (z[1], z[0]))
+        kkt.robinson_check(quadratic_spec, z, [(z[1], z[0])])
+    with pytest.raises(FieldError):
+        kkt.robinson_check(quadratic_spec, z, [z, zero_controls(disk(2))])

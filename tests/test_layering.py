@@ -3,8 +3,8 @@
 A private name (leading underscore) belongs to the module that defines
 it: another module that needs it gets a public function instead.  No
 module reaches into an object's ``__dict__``; derived data lives in
-declared attributes.  Linear solves belong to ``fem``: no other module
-imports ``scipy.sparse.linalg``.
+declared attributes.  Sparse matrices and linear solves belong to
+``fem``: no other module imports ``scipy.sparse`` or any part of it.
 """
 
 import ast
@@ -13,20 +13,22 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "mixedreg"
-LINALG = "scipy.sparse.linalg"
+SPARSE = "scipy.sparse"
 
 
 def _private(name):
     return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
 
 
-def _imports_linalg(node):
+def _is_sparse(name):
+    return name == SPARSE or name.startswith(SPARSE + ".")
+
+
+def _imports_sparse(node):
     if isinstance(node, ast.Import):
-        return any(a.name.startswith(LINALG) for a in node.names)
+        return any(_is_sparse(a.name) for a in node.names)
     module = node.module or ""
-    return module.startswith(LINALG) or (
-        module == "scipy.sparse" and any(a.name == "linalg" for a in node.names)
-    )
+    return _is_sparse(module) or (module == "scipy" and any(a.name == "sparse" for a in node.names))
 
 
 def violations(source, module):
@@ -35,8 +37,8 @@ def violations(source, module):
     modules = set()  # local names bound to package modules
     found = []
     for node in ast.walk(tree):
-        if isinstance(node, (ast.Import, ast.ImportFrom)) and module != "fem" and _imports_linalg(node):
-            found.append(f"line {node.lineno}: imports {LINALG} outside fem")
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and module != "fem" and _imports_sparse(node):
+            found.append(f"line {node.lineno}: imports {SPARSE} outside fem")
         if isinstance(node, ast.ImportFrom) and (node.level > 0 or node.module == "mixedreg"
                                                  or (node.module or "").startswith("mixedreg.")):
             for alias in node.names:
@@ -72,11 +74,13 @@ def test_scanner_flags_each_rule():
         "from scipy.sparse import linalg\n"
         "from scipy.sparse.linalg import splu\n"
         "import scipy.sparse as sp\n"
+        "from scipy import sparse\n"
+        "import scipy.optimize\n"
     )
     assert sorted(v.split(":")[0] for v in violations(sample, "kkt")) == [
-        "line 10", "line 2", "line 4", "line 5", "line 6", "line 8", "line 9"
+        "line 10", "line 11", "line 12", "line 2", "line 4", "line 5", "line 6", "line 8", "line 9"
     ]
-    # fem owns the linear solves
+    # fem owns the sparse matrices and the linear solves
     assert sorted(v.split(":")[0] for v in violations(sample, "fem")) == [
         "line 2", "line 4", "line 5", "line 6"
     ]
