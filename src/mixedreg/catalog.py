@@ -31,6 +31,7 @@ __all__ = [
     "invert_monotone",
     "delta_value",
     "delta_inverse",
+    "exponent_violation",
     "check_assumptions",
     "load_problem_config",
     "save_problem_config",
@@ -73,15 +74,19 @@ class MonotoneScalar:
             raise SpecError("reparametrization must depend on t only")
         if not self.rho > 0.0:
             raise SpecError(f"slope floor rho must be positive, got {self.rho}")
-        d0 = float(self.expr.diff()(0.0, 0.0, 0.0))
+        d0 = float(self._derivative(0.0, 0.0, 0.0))
         s = d0 if d0 != 0.0 else float(self.expr(0.0, 0.0, 1.0))
         self.direction = "increasing" if s > 0.0 else "decreasing"
 
     def value(self, t):
         return self.expr(0.0, 0.0, t)
 
+    @cached_property
+    def _derivative(self) -> Expr:
+        return self.expr.diff()
+
     def slope(self, t):
-        return self.expr.diff()(0.0, 0.0, t)
+        return self._derivative(0.0, 0.0, t)
 
 
 def _safeguarded_invert(fun, dfun, target, slope_floor: float, what: str):
@@ -181,6 +186,18 @@ def delta_inverse(i: int, spec: "ProblemSpec", target):
     )
 
 
+def exponent_violation(N, p, q) -> str | None:
+    """The first violated bound of p > N/2, p >= 2 and q > N-1, q >= 2, or None.
+
+    The message formats N as the caller passes it.
+    """
+    if not (p > N / 2.0 and p >= 2.0):
+        return f"p={p} violates p > N/2 and p >= 2 for N={N}"
+    if not (q > N - 1.0 and q >= 2.0):
+        return f"q={q} violates q > N-1 and q >= 2 for N={N}"
+    return None
+
+
 def _as_expr(obj) -> Expr:
     return parse_expr(obj) if isinstance(obj, str) else obj
 
@@ -222,10 +239,9 @@ class ProblemSpec:
             raise SpecError("dimension must be >= 2")
         for name in ("a11", "a12", "a22", "a0", "f", "L", "ell", "g1", "g2"):
             setattr(self, name, _as_expr(getattr(self, name)))
-        if not (self.p > self.N / 2.0 and self.p >= 2.0):
-            raise SpecError(f"p={self.p} violates p > N/2 and p >= 2 for N={self.N}")
-        if not (self.q > self.N - 1.0 and self.q >= 2.0):
-            raise SpecError(f"q={self.q} violates q > N-1 and q >= 2 for N={self.N}")
+        violation = exponent_violation(self.N, self.p, self.q)
+        if violation:
+            raise SpecError(violation)
         if not (self.lambda1 > 0.0 and self.mu1 > 0.0):
             raise SpecError("quadratic cost weights lambda1, mu1 must be positive")
         if self.lambda2 < 0.0 or self.mu2 < 0.0:
@@ -346,10 +362,7 @@ def check_assumptions(
 
     # A1: exponent and weight ranges
     ok_a1 = (
-        spec.p > spec.N / 2.0
-        and spec.q > spec.N - 1.0
-        and spec.p >= 2.0
-        and spec.q >= 2.0
+        exponent_violation(spec.N, spec.p, spec.q) is None
         and min(spec.lambda1, spec.lambda2, spec.mu1, spec.mu2) > 0.0
     )
     checks.append(
@@ -520,9 +533,12 @@ def load_problem_config(path: str) -> ProblemSpec:
     try:
         zeta1 = MonotoneScalar(expr("constraints", "zeta1"), number("constraints", "rho1"))
         zeta2 = MonotoneScalar(expr("constraints", "zeta2"), number("constraints", "rho2"))
+        dimension = number("domain", "dimension", default=2.0)
+        if not dimension.is_integer():
+            raise ConfigError(f"[domain] dimension: not an integer: {dimension!r}")
         return ProblemSpec(
             preset=need("domain", "preset").strip(),
-            N=int(number("domain", "dimension", default=2.0)),
+            N=int(dimension),
             p=number("exponents", "p"),
             q=number("exponents", "q"),
             lambda1=number("cost", "lambda1"),

@@ -95,11 +95,8 @@ def _build_mesh(preset: str, level: int):
 
 def _nodal(mesh, role: str, expr_text: str) -> FEField:
     """The expression in x1, x2 at the nodes of a field of ``role``, with y = 0."""
-    e = parse_expr(expr_text)
     zero = (fem.domain_field if role == "domain" else fem.boundary_field)(mesh, 0.0)
-    xy = zero.coords()
-    vals = np.asarray(e(xy[:, 0], xy[:, 1], zero.values), dtype=float)
-    return FEField(mesh, role, np.broadcast_to(vals, zero.values.shape).copy())
+    return FEField(mesh, role, fem.nodal(parse_expr(expr_text), zero))
 
 
 def _fourier_coeffs(rng: np.random.Generator, modes: int = 6):
@@ -334,42 +331,41 @@ def _stability_checks(per_level_max: dict, rtol: float) -> list:
     return checks
 
 
-def _run_chain_rule(args, out_dir: Path, rng) -> tuple:
-    parse_expr(args.a)  # fail fast on grammar errors
-    coeff_draws = [_fourier_coeffs(rng) for _ in range(args.samples)]
+def _c8_sweep(args, out_dir: Path, draws, measure, name: str) -> tuple:
+    """Run ``measure(mesh, draw)`` -> (lhs, rhs, ratio) over every level and draw."""
     rows = []
     per_level_max = {}
     for level in args.levels:
         mesh = _build_mesh(args.preset, level)
         level_max = 0.0
-        for i, coeffs in enumerate(coeff_draws):
-            v = _fourier_field(mesh, coeffs, args.amplitude)
-            lhs, rhs, ratio = fracnorm.chain_rule_check(args.a, v, args.tau, args.k)
+        for i, draw in enumerate(draws):
+            lhs, rhs, ratio = measure(mesh, draw)
             level_max = max(level_max, ratio)
             rows.append(f"{level},{i},{_fmt(lhs)},{_fmt(rhs)},{_fmt(ratio)}")
         per_level_max[level] = level_max
-    artifacts = [_write_csv(out_dir, "chain_rule.csv", "level,sample,lhs,rhs,ratio", rows)]
+    artifacts = [_write_csv(out_dir, name, "level,sample,lhs,rhs,ratio", rows)]
     return _stability_checks(per_level_max, args.stability_rtol), artifacts, EXIT_SOLVER
+
+
+def _run_chain_rule(args, out_dir: Path, rng) -> tuple:
+    parse_expr(args.a)  # fail fast on grammar errors
+    draws = [_fourier_coeffs(rng) for _ in range(args.samples)]
+
+    def measure(mesh, coeffs):
+        v = _fourier_field(mesh, coeffs, args.amplitude)
+        return fracnorm.chain_rule_check(args.a, v, args.tau, args.k)
+
+    return _c8_sweep(args, out_dir, draws, measure, "chain_rule.csv")
 
 
 def _run_product_rule(args, out_dir: Path, rng) -> tuple:
-    coeff_draws = [(_fourier_coeffs(rng), _fourier_coeffs(rng)) for _ in range(args.samples)]
-    rows = []
-    per_level_max = {}
-    for level in args.levels:
-        mesh = _build_mesh(args.preset, level)
-        level_max = 0.0
-        for i, (c1, c2) in enumerate(coeff_draws):
-            v1 = _fourier_field(mesh, c1, args.amplitude)
-            v2 = _fourier_field(mesh, c2, args.amplitude)
-            lhs, rhs, ratio = fracnorm.product_check(
-                v1, v2, args.tau, args.tau1, args.tau2, args.k, args.k1, args.k2
-            )
-            level_max = max(level_max, ratio)
-            rows.append(f"{level},{i},{_fmt(lhs)},{_fmt(rhs)},{_fmt(ratio)}")
-        per_level_max[level] = level_max
-    artifacts = [_write_csv(out_dir, "product_rule.csv", "level,sample,lhs,rhs,ratio", rows)]
-    return _stability_checks(per_level_max, args.stability_rtol), artifacts, EXIT_SOLVER
+    draws = [(_fourier_coeffs(rng), _fourier_coeffs(rng)) for _ in range(args.samples)]
+
+    def measure(mesh, pair):
+        v1, v2 = (_fourier_field(mesh, c, args.amplitude) for c in pair)
+        return fracnorm.product_check(v1, v2, args.tau, args.tau1, args.tau2, args.k, args.k1, args.k2)
+
+    return _c8_sweep(args, out_dir, draws, measure, "product_rule.csv")
 
 
 def _run_regularity(args, out_dir: Path, rng) -> tuple:
@@ -438,6 +434,23 @@ def build_parser() -> argparse.ArgumentParser:
     def add_config(p):
         p.add_argument("--config", required=True, help="problem config file")
 
+    def add_kkt_options(p):
+        p.add_argument("--damping", type=float, default=kkt.DAMPING)
+        p.add_argument("--max-iter", type=int, default=kkt.MAX_ITER)
+        p.add_argument("--kkt-tol", type=float, default=kkt.KKT_TOL)
+        p.add_argument("--active-tol", type=float, default=kkt.ACTIVE_TOL)
+
+    def add_c8_sweep(name: str, about: str, tau: float, k: float):
+        p = sub.add_parser(name, help=about)
+        p.add_argument("--preset", choices=("disk", "ellipse"), default="disk")
+        p.add_argument("--levels", type=int, nargs="+", default=[3, 4])
+        p.add_argument("--tau", type=float, default=tau)
+        p.add_argument("--k", type=float, default=k)
+        p.add_argument("--samples", type=int, default=50)
+        p.add_argument("--amplitude", type=float, default=5.0)
+        p.add_argument("--stability-rtol", type=float, default=0.25)
+        return p
+
     p = sub.add_parser("exponents", help="integrability exponent table")
     p.add_argument("--N", type=float, default=2.0)
     p.add_argument("--p", type=float, required=True)
@@ -463,10 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve-kkt", help="run the damped optimality fixed point")
     add_config(p)
     p.add_argument("--level", type=int, default=3)
-    p.add_argument("--damping", type=float, default=0.5)
-    p.add_argument("--max-iter", type=int, default=200)
-    p.add_argument("--kkt-tol", type=float, default=kkt.KKT_TOL)
-    p.add_argument("--active-tol", type=float, default=kkt.ACTIVE_TOL)
+    add_kkt_options(p)
 
     p = sub.add_parser("robinson", help="constructive surjectivity residuals")
     add_config(p)
@@ -481,36 +491,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=float, required=True)
     p.add_argument("--field", default="x1", help="expression in x1, x2")
 
-    p = sub.add_parser("chain-rule", help="measured constants of the superposition bound")
-    p.add_argument("--preset", choices=("disk", "ellipse"), default="disk")
-    p.add_argument("--levels", type=int, nargs="+", default=[3, 4])
+    p = add_c8_sweep("chain-rule", "measured constants of the superposition bound", 1.0 / 3.0, 2.0)
     p.add_argument("--a", default="sin(t)", help="expression in x1, x2, t")
-    p.add_argument("--tau", type=float, default=1.0 / 3.0)
-    p.add_argument("--k", type=float, default=2.0)
-    p.add_argument("--samples", type=int, default=50)
-    p.add_argument("--amplitude", type=float, default=5.0)
-    p.add_argument("--stability-rtol", type=float, default=0.25)
 
-    p = sub.add_parser("product-rule", help="measured constants of the product bound")
-    p.add_argument("--preset", choices=("disk", "ellipse"), default="disk")
-    p.add_argument("--levels", type=int, nargs="+", default=[3, 4])
-    p.add_argument("--tau", type=float, default=0.25)
-    p.add_argument("--tau1", type=float, default=0.5)
-    p.add_argument("--tau2", type=float, default=0.5)
-    p.add_argument("--k", type=float, default=1.0)
-    p.add_argument("--k1", type=float, default=2.0)
-    p.add_argument("--k2", type=float, default=2.0)
-    p.add_argument("--samples", type=int, default=50)
-    p.add_argument("--amplitude", type=float, default=5.0)
-    p.add_argument("--stability-rtol", type=float, default=0.25)
+    p = add_c8_sweep("product-rule", "measured constants of the product bound", 0.25, 1.0)
+    for name, default in (("--tau1", 0.5), ("--tau2", 0.5), ("--k1", 2.0), ("--k2", 2.0)):
+        p.add_argument(name, type=float, default=default)
 
     p = sub.add_parser("regularity", help="refinement study of solution seminorms")
     add_config(p)
     p.add_argument("--levels", type=int, nargs="+", default=[3, 4, 5])
-    p.add_argument("--damping", type=float, default=0.5)
-    p.add_argument("--max-iter", type=int, default=200)
-    p.add_argument("--kkt-tol", type=float, default=kkt.KKT_TOL)
-    p.add_argument("--active-tol", type=float, default=kkt.ACTIVE_TOL)
+    add_kkt_options(p)
 
     return parser
 
@@ -536,8 +527,8 @@ def main(argv=None) -> int:
     out_dir = Path(os.environ.get("MIXEDREG_OUT") or args.out)
     rng = np.random.default_rng(args.seed)
 
-    for name in ("kkt_tol", "active_tol", "newton_tol", "tol"):
-        if getattr(args, name, 1.0) <= 0.0:
+    for name in ("kkt_tol", "active_tol", "newton_tol", "tol", "stability_rtol"):
+        if not getattr(args, name, 1.0) > 0.0:
             print(f"error: --{name.replace('_', '-')} must be positive", file=sys.stderr)
             return EXIT_CONFIG
     for name in ("targets", "directions", "samples"):

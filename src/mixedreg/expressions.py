@@ -38,11 +38,15 @@ class Expr:
         """Derivative with respect to the value variable."""
         raise NotImplementedError
 
+    def _children(self):
+        """The operand subtrees: the node's Expr-valued fields."""
+        return [v for v in vars(self).values() if isinstance(v, Expr)]
+
     def uses_value(self) -> bool:
-        return False
+        return any(c.uses_value() for c in self._children())
 
     def uses_coords(self) -> bool:
-        return False
+        return any(c.uses_coords() for c in self._children())
 
     def __call__(self, x1, x2, val):
         return self.ev(np.asarray(x1, dtype=float), np.asarray(x2, dtype=float),
@@ -138,12 +142,6 @@ class Add(Expr):
     def diff(self):
         return add(self.left.diff(), self.right.diff())
 
-    def uses_value(self):
-        return self.left.uses_value() or self.right.uses_value()
-
-    def uses_coords(self):
-        return self.left.uses_coords() or self.right.uses_coords()
-
     def __str__(self):
         return f"({self.left} + {self.right})"
 
@@ -159,12 +157,6 @@ class Sub(Expr):
     def diff(self):
         return sub(self.left.diff(), self.right.diff())
 
-    def uses_value(self):
-        return self.left.uses_value() or self.right.uses_value()
-
-    def uses_coords(self):
-        return self.left.uses_coords() or self.right.uses_coords()
-
     def __str__(self):
         return f"({self.left} - {self.right})"
 
@@ -179,12 +171,6 @@ class Mul(Expr):
 
     def diff(self):
         return add(mul(self.left.diff(), self.right), mul(self.left, self.right.diff()))
-
-    def uses_value(self):
-        return self.left.uses_value() or self.right.uses_value()
-
-    def uses_coords(self):
-        return self.left.uses_coords() or self.right.uses_coords()
 
     def __str__(self):
         return f"({self.left} * {self.right})"
@@ -205,12 +191,6 @@ class Div(Expr):
         # (u/v)' = u'/v - u v'/v^2
         u, v = self.left, self.right
         return sub(Div(u.diff(), v), Div(mul(u, v.diff()), Mul(v, v)))
-
-    def uses_value(self):
-        return self.left.uses_value() or self.right.uses_value()
-
-    def uses_coords(self):
-        return self.left.uses_coords() or self.right.uses_coords()
 
     def __str__(self):
         return f"({self.left} / {self.right})"
@@ -238,12 +218,6 @@ class Pow(Expr):
         if self.exponent == 1.0:
             return inner
         return mul(mul(Const(self.exponent), Pow(self.base, self.exponent - 1.0)), inner)
-
-    def uses_value(self):
-        return self.base.uses_value()
-
-    def uses_coords(self):
-        return self.base.uses_coords()
 
     def __str__(self):
         e = self.exponent
@@ -276,12 +250,6 @@ class Func(Expr):
             return mul(Func("exp", self.arg), inner)
         raise NotImplementedError(self.name)
 
-    def uses_value(self):
-        return self.arg.uses_value()
-
-    def uses_coords(self):
-        return self.arg.uses_coords()
-
     def __str__(self):
         return f"{self.name}({self.arg})"
 
@@ -304,12 +272,6 @@ class SPow(Expr):
     def diff(self):
         return mul(mul(Const(self.alpha - 1.0), Pow(Func("abs", self.arg), self.alpha - 2.0)),
                    self.arg.diff())
-
-    def uses_value(self):
-        return self.arg.uses_value()
-
-    def uses_coords(self):
-        return self.arg.uses_coords()
 
     def __str__(self):
         a = self.alpha

@@ -49,6 +49,7 @@ __all__ = [
     "domain_field",
     "boundary_field",
     "trace",
+    "nodal",
     "p1",
     "lp_norm",
     "integrate_basis",
@@ -166,6 +167,13 @@ def trace(field: FEField) -> FEField:
     if field.role != "domain":
         raise FieldError("trace expects a domain field")
     return FEField(field.mesh, "boundary", field.values[field.mesh.boundary_loop])
+
+
+def nodal(fn, field: FEField) -> np.ndarray:
+    """fn(x1, x2, value) at the nodes of ``field``: a new float array, one value per node."""
+    xy = field.coords()
+    vals = np.asarray(fn(xy[:, 0], xy[:, 1], field.values), dtype=float)
+    return np.broadcast_to(vals, field.values.shape).copy()
 
 
 class P1:

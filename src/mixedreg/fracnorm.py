@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fem
-from .expressions import Expr, parse_expr
+from .expressions import parse_expr
 from .fem import DYADIC_LEVELS, FEField
 
 __all__ = [
@@ -134,12 +134,6 @@ def gagliardo(v: FEField, tau: float, k: float) -> FracNormReport:
     )
 
 
-def _superpose(a: Expr, v: FEField) -> FEField:
-    coords = v.coords()
-    out = np.asarray(a(coords[:, 0], coords[:, 1], v.values), dtype=float)
-    return FEField(v.mesh, "boundary", np.broadcast_to(out, v.values.shape).copy())
-
-
 def chain_rule_check(a, v: FEField, tau: float, k: float):
     """Measured constant of the superposition bound.
 
@@ -151,10 +145,10 @@ def chain_rule_check(a, v: FEField, tau: float, k: float):
     """
     if isinstance(a, str):
         a = parse_expr(a)
-    composed = _superpose(a, v)
+    composed = FEField(v.mesh, "boundary", fem.nodal(a, v))
     lhs = gagliardo(composed, tau, k).full_norm
     zero = FEField(v.mesh, "boundary", np.zeros_like(v.values))
-    at_zero = _superpose(a, zero)
+    at_zero = FEField(v.mesh, "boundary", fem.nodal(a, zero))
     rhs = gagliardo(v, tau, k).full_norm + fem.lp_norm(at_zero, k) + 1.0
     return lhs, rhs, lhs / rhs
 
@@ -171,13 +165,15 @@ def product_check(
 ):
     """Measured constant of the pointwise-product bound.
 
-    Requires the exponent relations 1/k = 1/k1 + 1/k2 and
+    Requires k, k1, k2 >= 1, the exponent relations 1/k = 1/k1 + 1/k2 and
     0 < tau < min(tau1, tau2) exactly; returns (lhs, rhs_sans_C, ratio)
     with lhs the fractional norm of the nodal product and rhs the product
     of the factors' fractional norms.
     """
     if v1.mesh is not v2.mesh or v1.role != "boundary" or v2.role != "boundary":
         raise FracNormError("factors must be boundary fields on one mesh")
+    if not all(e >= 1.0 for e in (k, k1, k2)):
+        raise FracNormError(f"integrability exponents must be >= 1, got k={k}, k1={k1}, k2={k2}")
     if abs(1.0 / k - 1.0 / k1 - 1.0 / k2) > 1e-12:
         raise FracNormError(
             f"integrability exponents must satisfy 1/k = 1/k1 + 1/k2, got k={k}, k1={k1}, k2={k2}"

@@ -10,14 +10,15 @@ the linearized constraints.
 The two mixed constraints share one form, zeta_i(c) + g_i(x, y) <= 0,
 with c = u at every vertex (i = 1) and c = v on the boundary loop
 (i = 2).  ``_constraints(spec, y)`` evaluates both halves at a state y
-once: the control's nodes, zeta_i, the cost index i, g_i and its
-y-derivative at those nodes, and the bound zeta_i^{-1}(-g_i), one
-``invert_monotone`` call per half.  Every formula below (constraint
-maps, active sets and multipliers, projection, stationarity,
-complementarity and feasibility, the adjoint load, the surjectivity
-shifts) is written once and applied to both halves.  ``solve_kkt``
-evaluates the halves once per sweep and shares them across its steps;
-the public functions evaluate them themselves.
+once: the control's nodes and the state there (y or its trace), zeta_i,
+the cost index i, g_i and its y-derivative at those nodes (through
+``fem.nodal``), and the bound zeta_i^{-1}(-g_i), one ``invert_monotone``
+call per half.  Every formula below (constraint maps, active sets and
+multipliers, projection, stationarity, complementarity and feasibility,
+the adjoint load, the surjectivity shifts) is written once and applied
+to both halves.  ``solve_kkt`` evaluates the halves once per sweep and
+shares them across its steps; the public functions evaluate them
+themselves.
 
 Only strictly increasing reparametrizations are supported end to end;
 the three mirrored sign cases are rejected with a diagnostic rather than
@@ -66,6 +67,8 @@ __all__ = [
 
 ACTIVE_TOL = 1e-8
 KKT_TOL = 1e-7
+DAMPING = 0.5
+MAX_ITER = 200
 CONTROL_CHANGE_TOL = 1e-9
 HISTORY_HEADER = "iter,obj,stat_u,stat_v,comp_u,comp_v,feas_u,feas_v"
 
@@ -183,7 +186,7 @@ def _check_adjoint(y: FEField, phi: FEField) -> None:
 class _Half:
     """One mixed constraint zeta(c) + g(x, y) <= 0 at the nodes of its control c."""
 
-    role: str  # FEField role of c
+    y: FEField  # the state at the nodes of c: y itself or its trace
     nodes: slice | np.ndarray  # slice(None) (every vertex) or the boundary loop
     zeta: MonotoneScalar
     cost: int  # i in delta_value(i, spec, c)
@@ -192,21 +195,16 @@ class _Half:
     bound: np.ndarray  # zeta^{-1}(-g); for increasing zeta the constraint is c <= bound
 
 
-def _at_nodes(fn, y: FEField, nodes) -> np.ndarray:
-    xy = y.mesh.vertices[nodes]
-    return np.asarray(fn(xy[:, 0], xy[:, 1], y.values[nodes]), dtype=float)
-
-
 def _constraints(spec: ProblemSpec, y: FEField) -> tuple:
     """The (interior, boundary) constraint halves evaluated at the state y."""
     halves = []
-    for role, nodes, zeta, cost, g, g_y in (
-        ("domain", slice(None), spec.zeta1, 1, spec.g1, spec.g1_y),
-        ("boundary", y.mesh.boundary_loop, spec.zeta2, 2, spec.g2, spec.g2_y),
+    for at, nodes, zeta, cost, g, g_y in (
+        (y, slice(None), spec.zeta1, 1, spec.g1, spec.g1_y),
+        (fem.trace(y), y.mesh.boundary_loop, spec.zeta2, 2, spec.g2, spec.g2_y),
     ):
-        gv = _at_nodes(g, y, nodes)
+        gv = fem.nodal(g, at)
         bound = invert_monotone(zeta, -gv)
-        halves.append(_Half(role, nodes, zeta, cost, gv, _at_nodes(g_y, y, nodes), bound))
+        halves.append(_Half(at, nodes, zeta, cost, gv, fem.nodal(g_y, at), bound))
     return tuple(halves)
 
 
@@ -243,8 +241,8 @@ def reduced_gradient(spec: ProblemSpec, u: FEField, v: FEField):
     y = solve_state(spec, u, v).state
     mesh = y.mesh
     loop = mesh.boundary_loop
-    rhs_d = FEField(mesh, "domain", _at_nodes(spec.L_y, y, slice(None)))
-    rhs_b = FEField(mesh, "boundary", _at_nodes(spec.ell_y, y, loop))
+    rhs_d = FEField(mesh, "domain", fem.nodal(spec.L_y, y))
+    rhs_b = FEField(mesh, "boundary", fem.nodal(spec.ell_y, fem.trace(y)))
     phi = solve_adjoint(spec, y, rhs_d, rhs_b)
     gu = FEField(mesh, "domain", phi.values + delta_value(1, spec, u.values))
     gv = FEField(mesh, "boundary", phi.values[loop] + delta_value(2, spec, v.values))
@@ -262,7 +260,7 @@ def constraint_values(spec: ProblemSpec, y: FEField, u: FEField, v: FEField):
     constraints is equivalent to both returned fields being <= 0.
     """
     mesh = _check_state_fields(y, u, v)
-    return tuple(FEField(mesh, h.role, _gap(h, c)) for h, c in zip(_constraints(spec, y), (u, v)))
+    return tuple(FEField(mesh, h.y.role, _gap(h, c)) for h, c in zip(_constraints(spec, y), (u, v)))
 
 
 def _multipliers(spec: ProblemSpec, halves, controls, phi: FEField, active_tol: float):
@@ -274,7 +272,7 @@ def _multipliers(spec: ProblemSpec, halves, controls, phi: FEField, active_tol: 
         if np.any(mask):
             stat = phi.values[h.nodes][mask] + delta_value(h.cost, spec, h.bound[mask])
             psi[mask] = -stat / np.asarray(h.zeta.slope(c.values[mask]))
-        psis.append(FEField(c.mesh, h.role, psi))
+        psis.append(FEField(c.mesh, h.y.role, psi))
         masks.append(mask)
     return (*psis, *masks)
 
@@ -303,7 +301,7 @@ def _project(spec: ProblemSpec, halves, phi: FEField):
     controls = []
     for h in halves:
         w = delta_inverse(h.cost, spec, -phi.values[h.nodes])
-        controls.append(FEField(phi.mesh, h.role, np.minimum(w - h.bound, 0.0) + h.bound))
+        controls.append(FEField(phi.mesh, h.y.role, np.minimum(w - h.bound, 0.0) + h.bound))
     return tuple(controls)
 
 
@@ -319,10 +317,10 @@ def project_controls(spec: ProblemSpec, y: FEField, phi: FEField):
     return _project(spec, _constraints(spec, y), phi)
 
 
-def _adjoint_rhs(spec: ProblemSpec, y: FEField, halves, psis):
+def _adjoint_rhs(spec: ProblemSpec, halves, psis):
     """Adjoint loads: tracking derivative plus g_y * psi at each half's nodes."""
     return tuple(
-        FEField(y.mesh, h.role, _at_nodes(tracking_y, y, h.nodes) + h.g_y * psi.values)
+        FEField(h.y.mesh, h.y.role, fem.nodal(tracking_y, h.y) + h.g_y * psi.values)
         for h, tracking_y, psi in zip(halves, (spec.L_y, spec.ell_y), psis)
     )
 
@@ -365,15 +363,15 @@ def kkt_residual(spec: ProblemSpec, state: KKTState, kkt_tol: float = KKT_TOL) -
     y = state.y
     _check_state_fields(y, state.u, state.v)
     halves = _constraints(spec, y)
-    adjoint_rhs = _adjoint_rhs(spec, y, halves, (state.psi1, state.psi2))
+    adjoint_rhs = _adjoint_rhs(spec, halves, (state.psi1, state.psi2))
     return _report(spec, state, halves, linearized_matrix(spec, y), adjoint_rhs, kkt_tol)
 
 
 def solve_kkt(
     spec: ProblemSpec,
     initial,
-    damping: float = 0.5,
-    max_iter: int = 200,
+    damping: float = DAMPING,
+    max_iter: int = MAX_ITER,
     kkt_tol: float = KKT_TOL,
     active_tol: float = ACTIVE_TOL,
 ):
@@ -402,7 +400,7 @@ def solve_kkt(
         y = solve_state(spec, u, v).state
         halves = _constraints(spec, y)
         psi1, psi2, mask1, mask2 = _multipliers(spec, halves, (u, v), phi, active_tol)
-        adjoint_rhs = _adjoint_rhs(spec, y, halves, (psi1, psi2))
+        adjoint_rhs = _adjoint_rhs(spec, halves, (psi1, psi2))
         # one linearized matrix per sweep, shared by the adjoint solve and its residual
         linearized = linearized_matrix(spec, y)
         phi = solve_adjoint(spec, y, *adjoint_rhs, linearized)

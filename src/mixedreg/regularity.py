@@ -3,9 +3,13 @@
 The continuous regularity statements about optimal solutions cannot be
 verified at a fixed mesh; what can be tested is whether discrete
 Lipschitz proxies stabilize under refinement.  :func:`refinement_study`
-solves the optimality system on a ladder of nested meshes, warm-starting
-each level from the prolonged controls, and reports per-field seminorm
-estimates together with stabilization and divergence flags.
+solves the optimality system on consecutive nested meshes, warm-starting
+each level from the prolonged controls, and records per field and level
+the Lipschitz estimate and the Hoelder estimates at ``HOLDER_GAMMAS``,
+together with stabilization and divergence flags.  The pairwise quotient
+|v_i - v_j| / |x_i - x_j|^gamma has one owner, :func:`holder_estimate`;
+the Lipschitz estimate of a boundary field is its gamma = 1 case over
+every pair.
 """
 
 from __future__ import annotations
@@ -17,7 +21,6 @@ import numpy as np
 from . import fem, geometry, kkt
 from .catalog import ProblemSpec
 from .fem import FEField
-from .fracnorm import HOLDER_LADDER, holder_embedding_probe
 
 __all__ = [
     "LevelRecord",
@@ -42,15 +45,13 @@ def lipschitz_estimate(f: FEField) -> float:
     """Largest first-order difference quotient the mesh can resolve.
 
     Domain fields: max triangle gradient magnitude.  Boundary fields:
-    max over all boundary vertex pairs of |difference| / chordal distance.
+    max over all boundary vertex pairs of |difference| / chordal distance,
+    the gamma = 1 :func:`holder_estimate` with no pair skipped.
     """
     if f.role == "domain":
         grads = fem.gradient_per_triangle(f)
         return float(np.max(np.sqrt(np.sum(grads**2, axis=1))))
-    pts = f.coords()
-    iu, ju = np.triu_indices(pts.shape[0], k=1)
-    d = np.sqrt(np.sum((pts[iu] - pts[ju]) ** 2, axis=1))
-    return float(np.max(np.abs(f.values[iu] - f.values[ju]) / d))
+    return holder_estimate(f, 1.0, min_distance=0.0)
 
 
 def holder_estimate(
@@ -109,7 +110,6 @@ class LevelRecord:
     h: float
     lipschitz: float
     holder: dict
-    ladder: dict
     solver_converged: bool
 
 
@@ -147,16 +147,11 @@ class RegularityReport:
         return rows
 
 
-def _ladder(f: FEField) -> dict:
-    bnd = f if f.role == "boundary" else fem.trace(f)
-    return {kk: holder_embedding_probe(bnd, kk) for kk in HOLDER_LADDER}
-
-
 def refinement_study(
     spec: ProblemSpec,
     levels,
-    damping: float = 0.5,
-    max_iter: int = 200,
+    damping: float = kkt.DAMPING,
+    max_iter: int = kkt.MAX_ITER,
     kkt_tol: float = kkt.KKT_TOL,
     active_tol: float = kkt.ACTIVE_TOL,
 ) -> dict:
@@ -187,23 +182,17 @@ def refinement_study(
             spec, (u0, v0), damping=damping, max_iter=max_iter, kkt_tol=kkt_tol, active_tol=active_tol
         )
         h = mesh.mesh_size()
-        fields = {name: getattr(state, name) for name in STUDY_FIELDS}
-        records = {
-            name: LevelRecord(
-                level=level,
-                h=h,
-                lipschitz=lipschitz_estimate(f),
-                holder={g: holder_estimate(f, g) for g in HOLDER_GAMMAS},
-                ladder={},
-                solver_converged=rep.converged,
+        for name in STUDY_FIELDS:
+            f = getattr(state, name)
+            reports[name].records.append(
+                LevelRecord(
+                    level=level,
+                    h=h,
+                    lipschitz=lipschitz_estimate(f),
+                    holder={g: holder_estimate(f, g) for g in HOLDER_GAMMAS},
+                    solver_converged=rep.converged,
+                )
             )
-            for name, f in fields.items()
-        }
-        # the ladder's Gagliardo weights stay on the mesh's record: build them
-        # after the Hoelder estimates have freed their pair arrays
-        for name, record in records.items():
-            record.ladder = _ladder(fields[name])
-            reports[name].records.append(record)
         if idx + 1 < len(levels):
             fine = geometry.refine(mesh)
             u0 = fem.prolong(state.u, fine)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fem
-from .catalog import ProblemSpec, SpecError
+from .catalog import ProblemSpec, SpecError, exponent_violation
 from .fem import FEField
 
 __all__ = [
@@ -72,10 +72,9 @@ def exponents(N: float, p: float, q: float) -> ExponentTable:
     """
     if not N >= 2.0:
         raise SpecError(f"dimension must be >= 2, got {N}")
-    if not (p > N / 2.0 and p >= 2.0):
-        raise SpecError(f"p={p} violates p > N/2 and p >= 2 for N={N}")
-    if not (q > N - 1.0 and q >= 2.0):
-        raise SpecError(f"q={q} violates q > N-1 and q >= 2 for N={N}")
+    violation = exponent_violation(N, p, q)
+    if violation:
+        raise SpecError(violation)
 
     boundary_r = N * q / (N - 1.0)
     if N / 2.0 < p < N:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mixedreg import (
     ConfigError,
@@ -14,6 +16,7 @@ from mixedreg import (
     load_problem_config,
     save_problem_config,
 )
+from mixedreg import exponents
 from mixedreg.catalog import delta_inverse, delta_slope, delta_value
 
 
@@ -145,6 +148,32 @@ def test_spec_rejects_bad_exponents():
         base_spec(N=1)
 
 
+# the bounds N/2 and N-1 for N = 2..5, and 2, so that every boundary case is drawn
+_EXPONENT = st.one_of(st.sampled_from([1.0, 1.5, 2.0, 2.5, 3.0, 4.0]), st.floats(0.5, 8.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(N=st.integers(2, 5), p=_EXPONENT, q=_EXPONENT)
+def test_exponent_bounds_agree_across_callers(disk, N, p, q):
+    """exponents, ProblemSpec and check A1 apply one rule with one message."""
+    try:
+        exponents(N, p, q)
+        table_error = None
+    except SpecError as exc:
+        table_error = str(exc)
+    try:
+        base_spec(N=N, p=p, q=q)
+        spec_error = None
+    except SpecError as exc:
+        spec_error = str(exc)
+    assert table_error == spec_error
+    spec = base_spec()  # positive weights; A1 then reads the exponents alone
+    spec.N, spec.p, spec.q = N, p, q
+    a1 = check_assumptions(spec, disk(1)).checks[0]
+    assert a1.name == "A1-exponents-weights"
+    assert a1.passed == (table_error is None)
+
+
 def test_spec_rejects_bad_weights():
     with pytest.raises(SpecError):
         base_spec(lambda1=0.0)
@@ -164,6 +193,15 @@ def test_spec_rejects_bad_zeta():
         base_spec(zeta1=("t", -1.0))
     with pytest.raises(SpecError):
         base_spec(zeta1=12)
+
+
+def test_slope_keeps_the_derivative_tree(monkeypatch):
+    zeta = MonotoneScalar("t + t^3", 1.0)
+    first = zeta.slope(np.linspace(-2.0, 2.0, 5))
+    # later slopes reuse the tree built at construction
+    monkeypatch.setattr(type(zeta.expr), "diff", lambda self: pytest.fail("diff rebuilt"))
+    assert np.array_equal(zeta.slope(np.linspace(-2.0, 2.0, 5)), first)
+    assert np.array_equal(first, 1.0 + 3.0 * np.linspace(-2.0, 2.0, 5) ** 2)
 
 
 def test_spec_accepts_dict_zeta():
@@ -252,6 +290,18 @@ def test_config_bad_number(tmp_path, configs):
     p.write_text(text)
     with pytest.raises(ConfigError):
         load_problem_config(str(p))
+
+
+@pytest.mark.parametrize("dimension, ok", [("2", True), ("2.0", True), ("2.5", False)])
+def test_config_dimension_must_be_an_integer(tmp_path, configs, dimension, ok):
+    p = tmp_path / "dim.cfg"
+    save_problem_config(configs["quadratic_tracking"], str(p))
+    p.write_text(p.read_text().replace("dimension = 2", f"dimension = {dimension}", 1))
+    if ok:
+        assert load_problem_config(str(p)).N == 2
+    else:
+        with pytest.raises(ConfigError, match=r"\[domain\] dimension"):
+            load_problem_config(str(p))
 
 
 def test_config_missing_file():

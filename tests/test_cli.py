@@ -200,6 +200,30 @@ def test_nonpositive_tolerance_is_config_error(tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv, message",
     [
+        (["solve-kkt", "--config", cfg("constant_kkt"), "--level", "2", "--max-iter", "5",
+          "--kkt-tol", "nan"], "--kkt-tol must be positive"),
+        (["gradient-check", "--config", cfg("quadratic_tracking"), "--level", "2",
+          "--directions", "2", "--tol", "nan"], "--tol must be positive"),
+        (["chain-rule", "--levels", "2", "3", "--samples", "2", "--stability-rtol", "0"],
+         "--stability-rtol must be positive"),
+        (["product-rule", "--levels", "2", "3", "--samples", "2", "--stability-rtol", "-1"],
+         "--stability-rtol must be positive"),
+        (["product-rule", "--levels", "2", "--samples", "2", "--k", "0"], "must be >= 1"),
+        (["product-rule", "--levels", "2", "--samples", "2", "--k2", "0"], "must be >= 1"),
+    ],
+)
+def test_invalid_tolerance_or_exponent_is_config_error(tmp_path, capsys, argv, message):
+    code, _, summary = run(argv, tmp_path)
+    assert code == 2
+    assert summary is None
+    err = capsys.readouterr().err
+    assert message in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
         (["solve-kkt", "--config", cfg("quadratic_tracking"), "--level", "2",
           "--max-iter", "0"], "max_iter must be at least 1"),
         (["regularity", "--config", cfg("smooth_constrained"), "--levels", "2",

@@ -1,10 +1,14 @@
 """Expression parsing, evaluation, and derivative trees."""
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from mixedreg import ParseError, parse_expr
-from mixedreg.expressions import EvalError
+from mixedreg.expressions import Add, Const, Coord, Div, EvalError, Func, Mul, Pow, SPow, Sub, Value
 
 
 def test_cubic_at_one():
@@ -106,3 +110,59 @@ def test_fractional_power():
 def test_derivative_is_with_respect_to_value_variable():
     e = parse_expr("y^2 + x1")
     assert e.diff()(3.0, 0.0, 2.0) == 4.0
+
+
+# ---------------------------------------------------------------------------
+# random expression trees
+
+_LEAVES = st.one_of(st.floats(-2.0, 2.0).map(Const), st.sampled_from([Coord(1), Coord(2), Value()]))
+
+
+def _trees(smooth: bool):
+    """Trees of every node type; ``smooth`` keeps the ones differentiable everywhere."""
+
+    def extend(sub):
+        pair = st.tuples(sub, sub)
+        nodes = [
+            pair.map(lambda ab: Add(*ab)),
+            pair.map(lambda ab: Sub(*ab)),
+            pair.map(lambda ab: Mul(*ab)),
+            st.builds(Pow, sub, st.sampled_from([0.0, 1.0, 2.0, 3.0])),
+            st.builds(Func, st.sampled_from(["sin", "cos", "exp"]), sub),
+            st.builds(SPow, sub, st.sampled_from([2.0, 4.0])),
+        ]
+        if not smooth:
+            nodes += [
+                st.builds(SPow, sub, st.floats(2.0, 5.0)),
+                pair.map(lambda ab: Div(*ab)),
+                st.builds(Pow, sub, st.floats(-3.0, 3.0)),
+                st.builds(Func, st.sampled_from(["abs", "sign"]), sub),
+            ]
+        return st.one_of(nodes)
+
+    return st.recursive(_LEAVES, extend, max_leaves=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(e=_trees(smooth=False))
+def test_variable_use_matches_the_printed_tree(e):
+    text = str(e)
+    assert e.uses_value() == bool(re.search(r"\by\b", text)), text
+    assert e.uses_coords() == bool(re.search(r"\bx[12]\b", text)), text
+
+
+@settings(max_examples=200, deadline=None)
+@given(e=_trees(smooth=True), x=st.tuples(*[st.floats(-1.5, 1.5)] * 3))
+def test_derivative_of_smooth_trees_matches_central_differences(e, x):
+    x1, x2, t = x
+    h = 1e-5
+    with np.errstate(all="ignore"):
+        try:
+            f = [float(e(x1, x2, t + s)) for s in (-h, 0.0, h)]
+            exact = float(e.diff()(x1, x2, t))
+        except EvalError:
+            f, exact = [np.inf], np.inf
+    assume(np.all(np.isfinite(f)) and np.isfinite(exact))
+    assume(max(abs(v) for v in f) < 1e3 and abs(exact) < 1e3)
+    fd = (f[2] - f[0]) / (2.0 * h)
+    assert abs(fd - exact) <= 1e-5 * (1.0 + abs(exact) + abs(f[1])), str(e)

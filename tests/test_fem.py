@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import oracles
 from mixedreg import FieldError, LinearSolveError, build_disk_mesh, gagliardo, lp_norm, prolong, refine
-from mixedreg import fem, solvers
+from mixedreg import fem, parse_expr, solvers
 from mixedreg.fem import (
     AssemblyError,
     assemble_operator,
@@ -159,6 +159,17 @@ def test_trace_of_constant(disk):
     m = disk(2)
     tr = trace(domain_field(m, 4.25))
     assert np.all(tr.values == 4.25)
+
+
+@pytest.mark.parametrize("field", [domain_field, boundary_field])
+def test_nodal_constant_expression_fills_every_node(disk, field):
+    m = disk(2)
+    f = field(m, 1.5)
+    vals = fem.nodal(parse_expr("2.5"), f)
+    assert vals.shape == f.values.shape and vals.dtype == float
+    assert np.all(vals == 2.5)
+    vals[0] = 0.0  # a new, writable array
+    assert f.values[0] == 1.5
 
 
 def test_lp_norm_constant_and_zero(disk):

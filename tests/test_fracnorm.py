@@ -179,6 +179,13 @@ def test_product_validation(disk):
         product_check(fem.domain_field(m, 1.0), v, 0.25, 0.5, 0.5, 1.0, 2.0, 2.0)
 
 
+@pytest.mark.parametrize("k, k1, k2", [(0.0, 2.0, 2.0), (1.0, 0.0, 2.0), (1.0, 2.0, 0.0), (0.5, 1.0, 1.0)])
+def test_product_rejects_exponents_below_one(disk, k, k1, k2):
+    v = fem.boundary_field(disk(1), 1.0)
+    with pytest.raises(FracNormError, match="must be >= 1"):
+        product_check(v, v, 0.25, 0.5, 0.5, k, k1, k2)
+
+
 def test_product_stability_under_refinement(fourier_sweep):
     ratios = fourier_sweep["product"]
     for level, r in ratios.items():
