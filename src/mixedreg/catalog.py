@@ -30,6 +30,7 @@ __all__ = [
     "InversionError",
     "invert_monotone",
     "delta_value",
+    "delta_slope",
     "delta_inverse",
     "exponent_violation",
     "check_assumptions",
@@ -87,6 +88,13 @@ class MonotoneScalar:
 
     def slope(self, t):
         return self._derivative(0.0, 0.0, t)
+
+    @cached_property
+    def _second_derivative(self) -> Expr:
+        return self._derivative.diff()
+
+    def curvature(self, t):
+        return self._second_derivative(0.0, 0.0, t)
 
 
 def _safeguarded_invert(fun, dfun, target, slope_floor: float, what: str):
@@ -166,6 +174,7 @@ def delta_value(i: int, spec: "ProblemSpec", t):
 
 
 def delta_slope(i: int, spec: "ProblemSpec", t):
+    """Derivative of the control cost slope ``delta_value(i, spec, t)`` in t."""
     t = np.asarray(t, dtype=float)
     if i == 1:
         return spec.lambda1 + (spec.p - 1.0) * spec.lambda2 * np.abs(t) ** (spec.p - 2.0)
@@ -278,6 +287,26 @@ class ProblemSpec:
     @cached_property
     def g2_y(self) -> Expr:
         return self.g2.diff()
+
+    @cached_property
+    def f_yy(self) -> Expr:
+        return self.f_y.diff()
+
+    @cached_property
+    def L_yy(self) -> Expr:
+        return self.L_y.diff()
+
+    @cached_property
+    def ell_yy(self) -> Expr:
+        return self.ell_y.diff()
+
+    @cached_property
+    def g1_yy(self) -> Expr:
+        return self.g1_y.diff()
+
+    @cached_property
+    def g2_yy(self) -> Expr:
+        return self.g2_y.diff()
 
 
 @dataclass

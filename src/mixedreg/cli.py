@@ -54,6 +54,8 @@ _CONFIG_ERRORS = (
     ValueError,
 )
 _SOLVER_ERRORS = (NonlinearSolveError, LinearSolveError, InversionError)
+# options of the former fixed-point solver: still accepted and checked, then ignored
+_IGNORED_KKT_OPTIONS = ("damping", "active_tol")
 
 
 def _fmt(x: float) -> str:
@@ -221,14 +223,7 @@ def _run_solve_kkt(args, out_dir: Path, rng) -> tuple:
     spec = load_problem_config(args.config)
     mesh = _build_mesh(spec.preset, args.level)
     initial = (fem.domain_field(mesh, 0.0), fem.boundary_field(mesh, 0.0))
-    state, report = kkt.solve_kkt(
-        spec,
-        initial,
-        damping=args.damping,
-        max_iter=args.max_iter,
-        kkt_tol=args.kkt_tol,
-        active_tol=args.active_tol,
-    )
+    state, report = kkt.solve_kkt(spec, initial, max_iter=args.max_iter, kkt_tol=args.kkt_tol)
     artifacts = [
         _write_text(out_dir, "kkt_report.json", report.to_text()),
         _write_text(out_dir, "kkt_history.csv", report.history_csv()),
@@ -370,14 +365,7 @@ def _run_product_rule(args, out_dir: Path, rng) -> tuple:
 
 def _run_regularity(args, out_dir: Path, rng) -> tuple:
     spec = load_problem_config(args.config)
-    reports = regularity.refinement_study(
-        spec,
-        args.levels,
-        damping=args.damping,
-        max_iter=args.max_iter,
-        kkt_tol=args.kkt_tol,
-        active_tol=args.active_tol,
-    )
+    reports = regularity.refinement_study(spec, args.levels, max_iter=args.max_iter, kkt_tol=args.kkt_tol)
     rows = []
     for name in regularity.STUDY_FIELDS:
         rows.extend(reports[name].csv_rows())
@@ -435,10 +423,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="problem config file")
 
     def add_kkt_options(p):
-        p.add_argument("--damping", type=float, default=kkt.DAMPING)
-        p.add_argument("--max-iter", type=int, default=kkt.MAX_ITER)
+        p.add_argument("--max-iter", type=int, default=kkt.MAX_ITER, help="Newton step cap")
         p.add_argument("--kkt-tol", type=float, default=kkt.KKT_TOL)
-        p.add_argument("--active-tol", type=float, default=kkt.ACTIVE_TOL)
+        for name in _IGNORED_KKT_OPTIONS:
+            p.add_argument(f"--{name.replace('_', '-')}", type=float, help="accepted and ignored")
 
     def add_c8_sweep(name: str, about: str, tau: float, k: float):
         p = sub.add_parser(name, help=about)
@@ -473,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--directions", type=int, default=10)
     p.add_argument("--tol", type=float, default=1e-5)
 
-    p = sub.add_parser("solve-kkt", help="run the damped optimality fixed point")
+    p = sub.add_parser("solve-kkt", help="solve the optimality system by semismooth Newton")
     add_config(p)
     p.add_argument("--level", type=int, default=3)
     add_kkt_options(p)
@@ -528,9 +516,14 @@ def main(argv=None) -> int:
     rng = np.random.default_rng(args.seed)
 
     for name in ("kkt_tol", "active_tol", "newton_tol", "tol", "stability_rtol"):
-        if not getattr(args, name, 1.0) > 0.0:
+        value = getattr(args, name, None)
+        if value is not None and not value > 0.0:
             print(f"error: --{name.replace('_', '-')} must be positive", file=sys.stderr)
             return EXIT_CONFIG
+    damping = getattr(args, "damping", None)
+    if damping is not None and not 0.0 < damping <= 1.0:
+        print(f"error: --damping must lie in (0, 1], got {damping}", file=sys.stderr)
+        return EXIT_CONFIG
     for name in ("targets", "directions", "samples"):
         if getattr(args, name, 1) < 1:
             print(f"error: --{name} must be at least 1", file=sys.stderr)
@@ -538,6 +531,9 @@ def main(argv=None) -> int:
     if hasattr(args, "levels") and not args.levels:
         print("error: empty level range", file=sys.stderr)
         return EXIT_CONFIG
+    ignored = [f"--{n.replace('_', '-')}" for n in _IGNORED_KKT_OPTIONS if getattr(args, n, None) is not None]
+    if ignored:
+        print(f"note: {' and '.join(ignored)} ignored: semismooth Newton solves the KKT system", file=sys.stderr)
 
     try:
         out_dir.mkdir(parents=True, exist_ok=True)

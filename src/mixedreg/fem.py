@@ -56,6 +56,7 @@ __all__ = [
     "assemble_operator",
     "assemble_weighted_mass",
     "assemble_boundary_weighted_mass",
+    "block_operator",
     "solve_linear",
     "interior_quadrature",
     "boundary_quadrature",
@@ -463,6 +464,11 @@ def assemble_boundary_weighted_mass(mesh: Mesh, weight_at_quad: np.ndarray) -> S
     return SparseOperator(
         sp.coo_matrix((local.reshape(-1), (rows, cols)), shape=(nb, nb)).tocsr()
     )
+
+
+def block_operator(rows) -> SparseOperator:
+    """The block matrix of square operators given row by row, e.g. [[A, B], [C, D]]."""
+    return SparseOperator(sp.bmat([[op.matrix for op in row] for row in rows], format="csr"))
 
 
 def lp_norm(field: FEField, p: float) -> float:

@@ -4,7 +4,7 @@ This module carries the optimization core: the cost functional, the
 adjoint-based reduced gradient, the constraint maps written through the
 inverted reparametrizations, multiplier recovery on active sets, the
 projection form of optimal controls, a residual-based optimality report,
-a damped fixed-point solver, and a constructive surjectivity check for
+a semismooth Newton solver, and a constructive surjectivity check for
 the linearized constraints.
 
 The two mixed constraints share one form, zeta_i(c) + g_i(x, y) <= 0,
@@ -12,23 +12,31 @@ with c = u at every vertex (i = 1) and c = v on the boundary loop
 (i = 2).  ``_constraints(spec, y)`` evaluates both halves at a state y
 once: the control's nodes and the state there (y or its trace), zeta_i,
 the cost index i, g_i and its y-derivative at those nodes (through
-``fem.nodal``), and the bound zeta_i^{-1}(-g_i), one ``invert_monotone``
-call per half.  Every formula below (constraint maps, active sets and
-multipliers, projection, stationarity, complementarity and feasibility,
-the adjoint load, the surjectivity shifts) is written once and applied
-to both halves.  ``solve_kkt`` evaluates the halves once per sweep and
-shares them across its steps; the public functions evaluate them
-themselves.
+``fem.nodal``), and the bound b = zeta_i^{-1}(-g_i), one
+``invert_monotone`` call per half.  Every formula below (constraint
+maps, active sets and multipliers, projection, stationarity,
+complementarity and feasibility, the adjoint load, the Newton
+derivatives, the surjectivity shifts) is written once and applied to
+both halves.
+
+The projection eliminates the controls: with w = delta_i^{-1}(-phi) at
+each node, the control is min(w, b), the node is active where w > b, and
+there the multiplier is -(delta_i(b) + phi) / zeta_i'(b).  What remains
+is a nonsmooth system F(y, phi) = 0 of the state and adjoint equations,
+which ``solve_kkt`` solves by semismooth Newton: each step is one
+``fem.solve_linear`` of the 2n x 2n generalised Jacobian taken on the
+current active sets, globalised by Armijo backtracking on |F|_2.
 
 Only strictly increasing reparametrizations are supported end to end;
 the three mirrored sign cases are rejected with a diagnostic rather than
 silently producing a wrong projection.
 
-Load vectors M f + T^T M_b g and the reaction coupling of the
-surjectivity check come from the mesh's :class:`fem.P1` record, the
-owner of every sparse matrix; the state operator and its linearization
-come from ``solvers``.  ``robinson_check`` solves all targets at one
-control as one block.
+Load vectors M f + T^T M_b g and the reaction couplings of the Newton
+Jacobian and of the surjectivity check come from the mesh's
+:class:`fem.P1` record, the owner of every sparse matrix; the state
+operator, its linearization and its second variation come from
+``solvers``.  ``robinson_check`` solves all targets at one control as
+one block.
 """
 
 from __future__ import annotations
@@ -40,12 +48,16 @@ import numpy as np
 
 from . import fem
 from .catalog import MonotoneScalar, ProblemSpec, SpecError
-from .catalog import delta_inverse, delta_value, invert_monotone
-from .fem import FEField
+from .catalog import delta_inverse, delta_slope, delta_value, invert_monotone
+from .fem import FEField, LinearSolveError
 from .solvers import (
+    ARMIJO_FACTOR,
+    NEWTON_MAX_HALVINGS,
+    NEWTON_TOL,
     ExponentTable,
     exponents,
     linearized_matrix,
+    second_variation_matrix,
     semilinear_operator,
     solve_adjoint,
     solve_state,
@@ -67,9 +79,7 @@ __all__ = [
 
 ACTIVE_TOL = 1e-8
 KKT_TOL = 1e-7
-DAMPING = 0.5
 MAX_ITER = 200
-CONTROL_CHANGE_TOL = 1e-9
 HISTORY_HEADER = "iter,obj,stat_u,stat_v,comp_u,comp_v,feas_u,feas_v"
 
 _RESIDUAL_KEYS = (
@@ -122,7 +132,7 @@ class KKTReport:
     objective: float
     residuals: dict
     exponent_table: ExponentTable
-    iterations: int
+    iterations: int  # history rows: the initial point plus one per Newton step
     converged: bool
     history: list = field(default_factory=list)
 
@@ -163,7 +173,7 @@ def _require_increasing(spec: ProblemSpec) -> None:
         return
     raise SpecError(
         "only strictly increasing reparametrizations are supported by the "
-        f"projection and fixed-point solver; got zeta1 {d1}, zeta2 {d2}. "
+        f"projection and the Newton solver; got zeta1 {d1}, zeta2 {d2}. "
         "Decreasing variants flip the feasible cone and need mirrored "
         "formulas that are deliberately not implemented."
     )
@@ -230,6 +240,13 @@ def objective(spec: ProblemSpec, y: FEField, u: FEField, v: FEField) -> float:
     return float(np.sum(wq * dom) + np.sum(wb * bnd))
 
 
+def _tracking_adjoint(spec: ProblemSpec, y: FEField) -> FEField:
+    """Adjoint at y driven by the tracking derivatives alone (no multipliers)."""
+    rhs_d = FEField(y.mesh, "domain", fem.nodal(spec.L_y, y))
+    rhs_b = FEField(y.mesh, "boundary", fem.nodal(spec.ell_y, fem.trace(y)))
+    return solve_adjoint(spec, y, rhs_d, rhs_b)
+
+
 def reduced_gradient(spec: ProblemSpec, u: FEField, v: FEField):
     """L2 Riesz representatives of the unconstrained cost gradient.
 
@@ -239,13 +256,10 @@ def reduced_gradient(spec: ProblemSpec, u: FEField, v: FEField):
     analogue).
     """
     y = solve_state(spec, u, v).state
-    mesh = y.mesh
-    loop = mesh.boundary_loop
-    rhs_d = FEField(mesh, "domain", fem.nodal(spec.L_y, y))
-    rhs_b = FEField(mesh, "boundary", fem.nodal(spec.ell_y, fem.trace(y)))
-    phi = solve_adjoint(spec, y, rhs_d, rhs_b)
-    gu = FEField(mesh, "domain", phi.values + delta_value(1, spec, u.values))
-    gv = FEField(mesh, "boundary", phi.values[loop] + delta_value(2, spec, v.values))
+    phi = _tracking_adjoint(spec, y)
+    loop = y.mesh.boundary_loop
+    gu = FEField(y.mesh, "domain", phi.values + delta_value(1, spec, u.values))
+    gv = FEField(y.mesh, "boundary", phi.values[loop] + delta_value(2, spec, v.values))
     return gu, gv
 
 
@@ -297,12 +311,26 @@ def multipliers_from_phi(
     return _multipliers(spec, _constraints(spec, y), (u, v), phi, active_tol)
 
 
-def _project(spec: ProblemSpec, halves, phi: FEField):
-    controls = []
-    for h in halves:
-        w = delta_inverse(h.cost, spec, -phi.values[h.nodes])
-        controls.append(FEField(phi.mesh, h.y.role, np.minimum(w - h.bound, 0.0) + h.bound))
-    return tuple(controls)
+@dataclass(frozen=True)
+class _Minimizer:
+    """The control of one half as a function of the adjoint at its nodes."""
+
+    phi: np.ndarray  # the adjoint at the half's nodes
+    w: np.ndarray  # delta^{-1}(-phi), the unconstrained minimizer
+    active: np.ndarray  # w > bound
+    control: np.ndarray  # min(w, bound)
+    psi: np.ndarray  # -(delta(bound) + phi) / zeta'(bound) where active, 0 elsewhere
+
+
+def _minimize(spec: ProblemSpec, h: _Half, phi: FEField) -> _Minimizer:
+    at = phi.values[h.nodes]
+    w = delta_inverse(h.cost, spec, -at)
+    active = w > h.bound
+    psi = np.zeros(active.shape)
+    b = h.bound[active]
+    psi[active] = -(delta_value(h.cost, spec, b) + at[active]) / np.asarray(h.zeta.slope(b))
+    # the offset from the bound, projected on the nonpositive half-line: feasible exactly
+    return _Minimizer(at, w, active, np.minimum(w - h.bound, 0.0) + h.bound, psi)
 
 
 def project_controls(spec: ProblemSpec, y: FEField, phi: FEField):
@@ -314,7 +342,9 @@ def project_controls(spec: ProblemSpec, y: FEField, phi: FEField):
     """
     _require_increasing(spec)
     _check_adjoint(y, phi)
-    return _project(spec, _constraints(spec, y), phi)
+    return tuple(
+        FEField(y.mesh, h.y.role, _minimize(spec, h, phi).control) for h in _constraints(spec, y)
+    )
 
 
 def _adjoint_rhs(spec: ProblemSpec, halves, psis):
@@ -325,9 +355,9 @@ def _adjoint_rhs(spec: ProblemSpec, halves, psis):
     )
 
 
-def _report(spec: ProblemSpec, state: KKTState, halves, linearized, adjoint_rhs, kkt_tol):
-    """The residuals of ``kkt_residual`` from halves, matrix and load at state.y."""
-    y, phi = state.y, state.phi
+def _report(spec: ProblemSpec, state: KKTState, halves, state_defect, adjoint_defect, kkt_tol):
+    """The residuals of ``kkt_residual``, given the algebraic state and adjoint defects at state."""
+    phi = state.phi
     measured = {}
     for h, c, psi, side in zip(halves, (state.u, state.v), (state.psi1, state.psi2), "uv"):
         slope = np.asarray(h.zeta.slope(c.values))
@@ -336,16 +366,12 @@ def _report(spec: ProblemSpec, state: KKTState, halves, linearized, adjoint_rhs,
         measured[f"stationarity_{side}"] = float(np.max(np.abs(stat)))
         measured[f"complementarity_{side}"] = float(np.max(np.abs(comp)))
         measured[f"feasibility_{side}"] = max(0.0, float(np.max(_gap(h, c))))
-
-    rec = fem.p1(y.mesh)
-    state_defect = semilinear_operator(spec, y) - rec.load(state.u.values, state.v.values)
-    adj_defect = linearized.matvec(phi.values) - rec.load(*(f.values for f in adjoint_rhs))
     measured["state_residual"] = float(np.max(np.abs(state_defect)))
-    measured["adjoint_residual"] = float(np.max(np.abs(adj_defect)))
+    measured["adjoint_residual"] = float(np.max(np.abs(adjoint_defect)))
 
     residuals = {k: measured[k] for k in _RESIDUAL_KEYS}
     return KKTReport(
-        objective=objective(spec, y, state.u, state.v),
+        objective=objective(spec, state.y, state.u, state.v),
         residuals=residuals,
         exponent_table=exponents(float(spec.N), spec.p, spec.q),
         iterations=0,
@@ -363,73 +389,171 @@ def kkt_residual(spec: ProblemSpec, state: KKTState, kkt_tol: float = KKT_TOL) -
     y = state.y
     _check_state_fields(y, state.u, state.v)
     halves = _constraints(spec, y)
+    rec = fem.p1(y.mesh)
     adjoint_rhs = _adjoint_rhs(spec, halves, (state.psi1, state.psi2))
-    return _report(spec, state, halves, linearized_matrix(spec, y), adjoint_rhs, kkt_tol)
+    state_defect = semilinear_operator(spec, y) - rec.load(state.u.values, state.v.values)
+    adjoint_defect = linearized_matrix(spec, y).matvec(state.phi.values) - rec.load(
+        *(f.values for f in adjoint_rhs)
+    )
+    return _report(spec, state, halves, state_defect, adjoint_defect, kkt_tol)
+
+
+@dataclass(frozen=True)
+class _Point:
+    """The reduced system F(y, phi) at one state and adjoint."""
+
+    y: FEField
+    phi: FEField
+    halves: tuple
+    minimizers: tuple
+    linearized: fem.SparseOperator
+    state_defect: np.ndarray
+    adjoint_defect: np.ndarray
+    load_norm: float  # |(M u + T^T M_b v, adjoint load)|_2
+
+    @property
+    def residual(self) -> np.ndarray:
+        return np.concatenate([self.state_defect, self.adjoint_defect])
+
+    def state(self) -> KKTState:
+        mesh = self.y.mesh
+        u, v = (FEField(mesh, h.y.role, m.control) for h, m in zip(self.halves, self.minimizers))
+        psi1, psi2 = (FEField(mesh, h.y.role, m.psi) for h, m in zip(self.halves, self.minimizers))
+        return KKTState(self.y, self.phi, psi1, u, v, psi2, *(m.active for m in self.minimizers))
+
+
+def _point(spec: ProblemSpec, y: FEField, phi: FEField) -> _Point:
+    """F(y, phi): the state and adjoint defects with the controls and multipliers eliminated."""
+    halves = _constraints(spec, y)
+    minimizers = tuple(_minimize(spec, h, phi) for h in halves)
+    rec = fem.p1(y.mesh)
+    state_load = rec.load(*(m.control for m in minimizers))
+    psis = (FEField(y.mesh, h.y.role, m.psi) for h, m in zip(halves, minimizers))
+    adjoint_load = rec.load(*(f.values for f in _adjoint_rhs(spec, halves, psis)))
+    linearized = linearized_matrix(spec, y)
+    return _Point(
+        y,
+        phi,
+        halves,
+        minimizers,
+        linearized,
+        semilinear_operator(spec, y) - state_load,
+        linearized.matvec(phi.values) - adjoint_load,
+        float(np.linalg.norm(np.concatenate([state_load, adjoint_load]))),
+    )
+
+
+def _jacobian(spec: ProblemSpec, pt: _Point) -> fem.SparseOperator:
+    """Generalised Jacobian of F at pt, taken on pt's active sets.
+
+    Per node, with b the bound: db/dy = -g_y / zeta'(b); off the active
+    set dc/dphi = -1 / delta'(w), on it dc/dy = db/dy, dpsi/dphi =
+    -1 / zeta'(b) and dpsi/db = -delta'(b) / zeta'(b) + (delta(b) + phi)
+    zeta''(b) / zeta'(b)^2.  Block (i, j) adds minus the nodal derivative
+    of equation i's load in variable j as a reaction coupling
+    M diag(c1) + T^T M_b diag(c2) T; the adjoint load also brings L_yy,
+    ell_yy and g_yy psi, and the adjoint operator its second variation.
+    """
+    # per half: the nodal coefficients of the four blocks, in block order
+    coefficients = []
+    for h, m, tracking_yy, g_yy in zip(
+        pt.halves, pt.minimizers, (spec.L_yy, spec.ell_yy), (spec.g1_yy, spec.g2_yy)
+    ):
+        b, on = h.bound, m.active
+        zeta_slope = np.asarray(h.zeta.slope(b))
+        db_dy = -h.g_y / zeta_slope
+        dpsi_db = (
+            -delta_slope(h.cost, spec, b)
+            + (delta_value(h.cost, spec, b) + m.phi) * np.asarray(h.zeta.curvature(b)) / zeta_slope
+        ) / zeta_slope
+        second = fem.nodal(tracking_yy, h.y) + fem.nodal(g_yy, h.y) * m.psi
+        coefficients.append(
+            (
+                np.where(on, -db_dy, 0.0),
+                np.where(on, 0.0, 1.0 / delta_slope(h.cost, spec, m.w)),
+                -(second + np.where(on, h.g_y * dpsi_db * db_dy, 0.0)),
+                np.where(on, h.g_y / zeta_slope, 0.0),
+            )
+        )
+    rec = fem.p1(pt.y.mesh)
+    state_y, state_phi, adjoint_y, adjoint_phi = (rec.reaction(*pair) for pair in zip(*coefficients))
+    return fem.block_operator(
+        [
+            [pt.linearized + state_y, state_phi],
+            [second_variation_matrix(spec, pt.y, pt.phi) + adjoint_y, pt.linearized + adjoint_phi],
+        ]
+    )
+
+
+def _history_row(spec: ProblemSpec, pt: _Point, kkt_tol: float):
+    report = _report(spec, pt.state(), pt.halves, pt.state_defect, pt.adjoint_defect, kkt_tol)
+    # the first six residuals: stationarity, complementarity, feasibility
+    return report, (report.objective, *(report.residuals[r] for r in _RESIDUAL_KEYS[:6]))
 
 
 def solve_kkt(
     spec: ProblemSpec,
     initial,
-    damping: float = DAMPING,
     max_iter: int = MAX_ITER,
     kkt_tol: float = KKT_TOL,
-    active_tol: float = ACTIVE_TOL,
 ):
-    """Damped fixed-point iteration on the full optimality system.
+    """Semismooth Newton on the optimality system reduced to (y, phi).
 
-    Each sweep solves the state for the current controls, recovers
-    multipliers with the previous adjoint, solves the adjoint, projects,
-    and blends controls with the damping factor.  Stops when the control
-    update stalls below 1e-9 or every residual is within ``kkt_tol``.
-    Convergence is not guaranteed; the best iterate by maximal residual
-    is returned with an honest flag.  Returns (KKTState, KKTReport).
+    The initial point is the state of the initial controls (u0, v0) and
+    the adjoint driven by the tracking terms alone.  Each step solves the
+    generalised Jacobian system once and backtracks on |F|_2 until the
+    Armijo test holds.  Newton iterates until |F|_2 <= NEWTON_TOL
+    * (1 + the norm of both loads), however loose ``kkt_tol`` is, since
+    the max-norm defects scale with the mesh and a loose stop would accept
+    wrong active sets; the report then checks every residual against
+    ``kkt_tol``.  A stalled line search, a singular Jacobian or
+    ``max_iter`` steps end the solve at the last iterate, which has the
+    smallest |F|_2, with ``converged`` False.  Returns (KKTState,
+    KKTReport) with one history row for the initial point and one per step.
     """
     _require_increasing(spec)
-    if not 0.0 < damping <= 1.0:
-        raise ValueError(f"damping must lie in (0, 1], got {damping}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     u, v = initial
     mesh = _check_state_fields(fem.domain_field(u.mesh, 0.0), u, v)
 
-    phi = fem.domain_field(mesh, 0.0)
-    history: list = []
-    best = None
-
-    for k in range(1, max_iter + 1):
-        y = solve_state(spec, u, v).state
-        halves = _constraints(spec, y)
-        psi1, psi2, mask1, mask2 = _multipliers(spec, halves, (u, v), phi, active_tol)
-        adjoint_rhs = _adjoint_rhs(spec, halves, (psi1, psi2))
-        # one linearized matrix per sweep, shared by the adjoint solve and its residual
-        linearized = linearized_matrix(spec, y)
-        phi = solve_adjoint(spec, y, *adjoint_rhs, linearized)
-
-        snapshot = KKTState(y, phi, psi1, u, v, psi2, mask1, mask2)
-        report = _report(spec, snapshot, halves, linearized, adjoint_rhs, kkt_tol)
-        # the first six residuals: stationarity, complementarity, feasibility
-        history.append((k, report.objective, *(report.residuals[r] for r in _RESIDUAL_KEYS[:6])))
-        if best is None or report.max_residual < best[1].max_residual:
-            best = (snapshot, report)
-        if report.converged:
+    y = solve_state(spec, u, v).state
+    pt = _point(spec, y, _tracking_adjoint(spec, y))
+    report, row = _history_row(spec, pt, kkt_tol)
+    history = [(1, *row)]
+    norm = float(np.linalg.norm(pt.residual))
+    newton_converged = False
+    for step in range(max_iter + 1):
+        if norm <= NEWTON_TOL * (1.0 + pt.load_norm):
+            newton_converged = True
             break
-
-        u_proj, v_proj = _project(spec, halves, phi)
-        u_next = (1.0 - damping) * u.values + damping * u_proj.values
-        v_next = (1.0 - damping) * v.values + damping * v_proj.values
-        change = max(
-            float(np.max(np.abs(u_next - u.values))),
-            float(np.max(np.abs(v_next - v.values))),
-        )
-        u = FEField(mesh, "domain", u_next)
-        v = FEField(mesh, "boundary", v_next)
-        if change <= CONTROL_CHANGE_TOL:
+        if step == max_iter:
             break
+        try:
+            delta = fem.solve_linear(_jacobian(spec, pt), -pt.residual)
+        except LinearSolveError:
+            break
+        t = 1.0
+        for _ in range(NEWTON_MAX_HALVINGS + 1):
+            trial = _point(
+                spec,
+                FEField(mesh, "domain", pt.y.values + t * delta[: mesh.n_vertices]),
+                FEField(mesh, "domain", pt.phi.values + t * delta[mesh.n_vertices :]),
+            )
+            trial_norm = float(np.linalg.norm(trial.residual))
+            if trial_norm <= (1.0 - ARMIJO_FACTOR * t) * norm:
+                break
+            t *= 0.5
+        else:
+            break
+        pt, norm = trial, trial_norm
+        report, row = _history_row(spec, pt, kkt_tol)
+        history.append((len(history) + 1, *row))
 
-    state, report = best
-    report.iterations = k
+    report.converged = newton_converged and report.converged
+    report.iterations = len(history)
     report.history = history
-    return state, report
+    return pt.state(), report
 
 
 def robinson_check(spec: ProblemSpec, z, targets) -> np.ndarray:

@@ -6,8 +6,10 @@ Lipschitz proxies stabilize under refinement.  :func:`refinement_study`
 solves the optimality system on consecutive nested meshes, warm-starting
 each level from the prolonged controls, and records per field and level
 the Lipschitz estimate and the Hoelder estimates at ``HOLDER_GAMMAS``,
-together with stabilization and divergence flags.  The pairwise quotient
-|v_i - v_j| / |x_i - x_j|^gamma has one owner, :func:`holder_estimate`;
+together with stabilization and divergence flags; a divergence flag
+needs every level converged.  The pairwise quotient
+|v_i - v_j| / |x_i - x_j|^gamma has one owner, :class:`HolderPairs`,
+which keeps a mesh's pairs and distances for every field and exponent;
 the Lipschitz estimate of a boundary field is its gamma = 1 case over
 every pair.
 """
@@ -23,6 +25,7 @@ from .catalog import ProblemSpec
 from .fem import FEField
 
 __all__ = [
+    "HolderPairs",
     "LevelRecord",
     "RegularityReport",
     "lipschitz_estimate",
@@ -35,23 +38,89 @@ __all__ = [
 HOLDER_GAMMAS = (0.5, 0.9)
 STABILIZATION_RTOL = 0.10
 DIVERGENCE_RATIO = 1.5
+# seminorms below this are zero: round-off of a constant field, |c| eps / h, stays far below it
+SEMINORM_FLOOR = 1e-10
 HOLDER_SUBSAMPLE = 2000
 HOLDER_SEED = 7
+HOLDER_CHUNK = 1 << 18
 STUDY_FIELDS = ("y", "u", "phi", "psi1", "v", "psi2")
 REGULARITY_CSV_HEADER = "field,level,h,lip,holder05,holder09"
 
 
-def lipschitz_estimate(f: FEField) -> float:
+class HolderPairs:
+    """The node pairs of one mesh and field role, and their distances.
+
+    Domain fields on meshes with more than ``max_points`` vertices are
+    subsampled with a fixed-seed generator, so every table of a mesh
+    holds the same pairs.  The distances raised to each gamma and the
+    mask of pairs closer than each ``min_distance`` are kept, so every
+    field of a mesh shares them.  A subsample of 2000 points makes 2 M
+    pairs: indices are 32-bit and temporaries are formed
+    ``HOLDER_CHUNK`` pairs at a time.
+    """
+
+    def __init__(self, mesh, role: str, max_points: int = HOLDER_SUBSAMPLE, seed: int = HOLDER_SEED):
+        probe = fem.domain_field(mesh, 0.0) if role == "domain" else fem.boundary_field(mesh, 0.0)
+        self.mesh, self.role = mesh, role
+        pts = probe.coords()
+        self.keep = None
+        if role == "domain" and pts.shape[0] > max_points:
+            rng = np.random.default_rng(seed)
+            self.keep = np.sort(rng.choice(pts.shape[0], size=max_points, replace=False))
+            pts = pts[self.keep]
+        i, j = np.triu_indices(pts.shape[0], k=1)
+        self.i, self.j = i.astype(np.int32), j.astype(np.int32)
+        del i, j
+        x, y = np.ascontiguousarray(pts.T)
+        self.d = np.empty(self.i.size)
+        for part in self._chunks():
+            i, j = self.i[part], self.j[part]
+            d2 = x[i] - x[j]
+            d2 *= d2
+            dy = y[i] - y[j]
+            dy *= dy
+            d2 += dy
+            np.sqrt(d2, out=self.d[part])
+        self._powers = {}
+        self._near = {}
+
+    def _chunks(self):
+        return (slice(k, k + HOLDER_CHUNK) for k in range(0, self.i.size, HOLDER_CHUNK))
+
+    def quotient(self, f: FEField, gamma: float, min_distance: float) -> float:
+        """Max of |v_i - v_j| / |x_i - x_j|^gamma over the pairs at least min_distance apart."""
+        if f.mesh is not self.mesh or f.role != self.role:
+            raise fem.FieldError(f"the pair table belongs to {self.role} fields of another mesh")
+        if gamma not in self._powers:
+            self._powers[gamma] = self.d**gamma
+        if min_distance not in self._near:
+            self._near[min_distance] = self.d < min_distance
+        powers, near = self._powers[gamma], self._near[min_distance]
+        vals = f.values if self.keep is None else f.values[self.keep]
+        best = 0.0
+        for part in self._chunks():
+            q = vals[self.i[part]]
+            q -= vals[self.j[part]]
+            np.abs(q, out=q)
+            q /= powers[part]
+            # every quotient is >= 0, so zeroing the near pairs leaves the far maximum
+            q[near[part]] = 0.0
+            best = max(best, float(np.max(q)))
+        return best
+
+
+def lipschitz_estimate(f: FEField, pairs: HolderPairs | None = None) -> float:
     """Largest first-order difference quotient the mesh can resolve.
 
     Domain fields: max triangle gradient magnitude.  Boundary fields:
     max over all boundary vertex pairs of |difference| / chordal distance,
-    the gamma = 1 :func:`holder_estimate` with no pair skipped.
+    the gamma = 1 :func:`holder_estimate` with no pair skipped, over
+    ``pairs`` when given.
     """
     if f.role == "domain":
         grads = fem.gradient_per_triangle(f)
         return float(np.max(np.sqrt(np.sum(grads**2, axis=1))))
-    return holder_estimate(f, 1.0, min_distance=0.0)
+    return holder_estimate(f, 1.0, min_distance=0.0, pairs=pairs)
 
 
 def holder_estimate(
@@ -60,30 +129,25 @@ def holder_estimate(
     min_distance: float | None = None,
     max_points: int = HOLDER_SUBSAMPLE,
     seed: int = HOLDER_SEED,
+    pairs: HolderPairs | None = None,
 ) -> float:
     """Max pairwise quotient |v_i - v_j| / |x_i - x_j|^gamma.
 
     Pairs closer than ``min_distance`` (default: the mesh size) are
     skipped; quotients below that scale measure interpolation noise, not
     field regularity.  Domain fields on large meshes are subsampled with
-    a fixed-seed generator, so the estimate is deterministic.
+    a fixed-seed generator, so the estimate is deterministic.  A caller
+    that evaluates several fields of one mesh passes their shared
+    ``pairs`` table, which fixes the subsample in place of ``max_points``
+    and ``seed``.
     """
     if not 0.0 < gamma <= 1.0:
         raise ValueError(f"Hoelder exponent must lie in (0, 1], got {gamma}")
     if min_distance is None:
         min_distance = f.mesh.mesh_size()
-    pts = f.coords()
-    vals = f.values
-    if f.role == "domain" and pts.shape[0] > max_points:
-        rng = np.random.default_rng(seed)
-        keep = np.sort(rng.choice(pts.shape[0], size=max_points, replace=False))
-        pts, vals = pts[keep], vals[keep]
-    iu, ju = np.triu_indices(pts.shape[0], k=1)
-    d = np.sqrt(np.sum((pts[iu] - pts[ju]) ** 2, axis=1))
-    far = d >= min_distance
-    if not np.any(far):
-        return 0.0
-    return float(np.max(np.abs(vals[iu][far] - vals[ju][far]) / d[far] ** gamma))
+    if pairs is None:
+        pairs = HolderPairs(f.mesh, f.role, max_points, seed)
+    return pairs.quotient(f, gamma, min_distance)
 
 
 def second_difference_estimate(f: FEField) -> float:
@@ -127,15 +191,18 @@ class RegularityReport:
         if len(self.records) < 2:
             return
         prev, last = self.records[-2].lipschitz, self.records[-1].lipschitz
-        change = abs(last - prev) / max(abs(prev), 1e-14)
+        change = abs(last - prev) / max(abs(prev), SEMINORM_FLOOR)
         self.stabilization = bool(change < STABILIZATION_RTOL) and all(
             r.solver_converged for r in self.records
         )
-        if prev > 1e-14:
+        if prev > SEMINORM_FLOOR:
             self.growth_ratio = last / prev
         else:
-            self.growth_ratio = 1.0 if last <= 1e-14 else float("inf")
-        self.divergence_flag = bool(self.growth_ratio > DIVERGENCE_RATIO)
+            self.growth_ratio = 1.0 if last <= SEMINORM_FLOOR else float("inf")
+        # growth measured on unconverged iterates is no evidence of divergence
+        self.divergence_flag = bool(self.growth_ratio > DIVERGENCE_RATIO) and all(
+            r.solver_converged for r in self.records
+        )
 
     def csv_rows(self) -> list:
         rows = []
@@ -150,19 +217,18 @@ class RegularityReport:
 def refinement_study(
     spec: ProblemSpec,
     levels,
-    damping: float = kkt.DAMPING,
     max_iter: int = kkt.MAX_ITER,
     kkt_tol: float = kkt.KKT_TOL,
-    active_tol: float = kkt.ACTIVE_TOL,
 ) -> dict:
     """Solve the optimality system on nested meshes and track seminorms.
 
     ``levels`` must be consecutive integers; each level's solve is
     warm-started by prolonging the previous controls.  A level where the
-    fixed point does not converge is still recorded (marked in the
-    per-level records) and its fields are used for the warm start, so the
-    study degrades honestly instead of stopping.  Returns a dict mapping
-    field names to :class:`RegularityReport`.
+    solver does not converge is still recorded (marked in the per-level
+    records) and its fields are used for the warm start, so the study
+    degrades honestly instead of stopping.  Per level, the domain fields
+    share one :class:`HolderPairs` table and the boundary fields another.
+    Returns a dict mapping field names to :class:`RegularityReport`.
     """
     levels = [int(l) for l in levels]
     if not levels:
@@ -178,18 +244,18 @@ def refinement_study(
     reports = {name: RegularityReport(field_name=name) for name in STUDY_FIELDS}
 
     for idx, level in enumerate(levels):
-        state, rep = kkt.solve_kkt(
-            spec, (u0, v0), damping=damping, max_iter=max_iter, kkt_tol=kkt_tol, active_tol=active_tol
-        )
+        state, rep = kkt.solve_kkt(spec, (u0, v0), max_iter=max_iter, kkt_tol=kkt_tol)
         h = mesh.mesh_size()
+        tables = {role: HolderPairs(mesh, role) for role in ("domain", "boundary")}
         for name in STUDY_FIELDS:
             f = getattr(state, name)
+            pairs = tables[f.role]
             reports[name].records.append(
                 LevelRecord(
                     level=level,
                     h=h,
-                    lipschitz=lipschitz_estimate(f),
-                    holder={g: holder_estimate(f, g) for g in HOLDER_GAMMAS},
+                    lipschitz=lipschitz_estimate(f, pairs),
+                    holder={g: holder_estimate(f, g, pairs=pairs) for g in HOLDER_GAMMAS},
                     solver_converged=rep.converged,
                 )
             )

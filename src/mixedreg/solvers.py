@@ -6,7 +6,7 @@ symmetric matrix, so the discrete adjoint identity holds to solver
 tolerance.  The elliptic operator, mass matrices and load vectors come
 from the mesh's :class:`fem.P1` record, their single owner; this module
 adds the nonlinearity on top (``semilinear_operator``,
-``linearized_matrix``).  ``exponents`` evaluates the integrability
+``linearized_matrix`` and its derivative ``second_variation_matrix``).  ``exponents`` evaluates the integrability
 thresholds that the distributed and boundary control exponents induce on
 the state and on the fixed-point argument, together with their
 conjugacy slack.
@@ -29,6 +29,7 @@ __all__ = [
     "exponents",
     "semilinear_operator",
     "linearized_matrix",
+    "second_variation_matrix",
     "solve_state",
     "solve_linearized",
     "solve_adjoint",
@@ -120,6 +121,16 @@ def linearized_matrix(spec: ProblemSpec, y: FEField) -> fem.SparseOperator:
     """Matrix of the state equation linearized at y: K + (f_y(., y) phi_j, phi_i)."""
     weight = _at_quadrature(spec.f_y, y)
     return fem.p1(y.mesh).operator(spec) + fem.assemble_weighted_mass(y.mesh, weight)
+
+
+def second_variation_matrix(spec: ProblemSpec, y: FEField, phi: FEField) -> fem.SparseOperator:
+    """The y-derivative of ``linearized_matrix(spec, y) @ phi``: (f_yy(., y) phi phi_j, phi_i).
+
+    ``phi`` is a domain field; the derivative is the mass matrix weighted
+    by f_yy(., y) phi at the interior quadrature points.
+    """
+    weight = _at_quadrature(spec.f_yy, y) * fem.interp_interior(phi)
+    return fem.assemble_weighted_mass(y.mesh, weight)
 
 
 def _check_pair(spec: ProblemSpec, u: FEField, v: FEField):

@@ -71,29 +71,15 @@ def constant_solution(configs, disk):
     """Level-4 solve of the manufactured constant instance (C3/C5)."""
     spec = configs["constant_kkt"]
     mesh = disk(4)
-    state, report = kkt.solve_kkt(
-        spec, zero_controls(mesh), damping=0.5, max_iter=200, kkt_tol=1e-7, active_tol=1e-5
-    )
+    state, report = kkt.solve_kkt(spec, zero_controls(mesh), max_iter=200, kkt_tol=1e-7)
     return spec, mesh, state, report
 
 
 @pytest.fixture(scope="session")
 def quadratic_solution(quadratic_spec, disk):
-    """Level-2 solve of the linear-quadratic instance.
-
-    Damping 0.3: the boundary channel gives this instance a joint control
-    gain near 3, which puts the default damping 0.5 on a sustained
-    2-cycle.
-    """
+    """Level-2 solve of the linear-quadratic instance."""
     mesh = disk(2)
-    state, report = kkt.solve_kkt(
-        quadratic_spec,
-        zero_controls(mesh),
-        damping=0.3,
-        max_iter=400,
-        kkt_tol=1e-8,
-        active_tol=1e-8,
-    )
+    state, report = kkt.solve_kkt(quadratic_spec, zero_controls(mesh), max_iter=400, kkt_tol=1e-8)
     return quadratic_spec, mesh, state, report
 
 
@@ -102,9 +88,7 @@ def smooth_solution(configs, disk):
     """Level-3 solve of the partially active smooth instance."""
     spec = configs["smooth_constrained"]
     mesh = disk(3)
-    state, report = kkt.solve_kkt(
-        spec, zero_controls(mesh), damping=0.3, max_iter=200, kkt_tol=5e-3, active_tol=1e-3
-    )
+    state, report = kkt.solve_kkt(spec, zero_controls(mesh), max_iter=200, kkt_tol=5e-3)
     return spec, mesh, state, report
 
 
@@ -150,23 +134,11 @@ def fourier_sweep(disk):
 def smooth_study(configs):
     """Refinement study on the smooth constrained instance (C9)."""
     return regularity.refinement_study(
-        configs["smooth_constrained"],
-        [3, 4, 5, 6],
-        damping=0.3,
-        max_iter=200,
-        kkt_tol=5e-3,
-        active_tol=1e-3,
+        configs["smooth_constrained"], [3, 4, 5, 6], max_iter=200, kkt_tol=5e-3
     )
 
 
 @pytest.fixture(scope="session")
 def jump_study(configs):
     """Control experiment: interior cap jumps across x1 = 1/pi (C9)."""
-    return regularity.refinement_study(
-        configs["jump_bound"],
-        [3, 4, 5],
-        damping=0.3,
-        max_iter=150,
-        kkt_tol=5e-3,
-        active_tol=1e-3,
-    )
+    return regularity.refinement_study(configs["jump_bound"], [3, 4, 5], max_iter=150, kkt_tol=5e-3)

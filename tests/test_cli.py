@@ -109,9 +109,11 @@ def test_solve_kkt(tmp_path):
 
     history = (out / "kkt_history.csv").read_text().strip().split("\n")
     assert history[0] == "iter,obj,stat_u,stat_v,comp_u,comp_v,feas_u,feas_v"
-    assert len(history) >= 10
     report = json.loads((out / "kkt_report.json").read_text())
     assert report["converged"] is True
+    # the initial point and one row per Newton step
+    assert 2 <= report["iterations"] <= 9
+    assert len(history) == 1 + report["iterations"]
 
     for name in ("y", "u", "phi", "psi1", "v", "psi2"):
         coords, values = fem.read_meshfield(str(out / f"{name}.mf"))
@@ -244,6 +246,44 @@ def test_empty_run_is_config_error(tmp_path, capsys, argv, message):
     err = capsys.readouterr().err
     assert message in err
     assert err.count("\n") == 1
+
+
+def test_solve_kkt_damping_validation(tmp_path, capsys):
+    # options of the former fixed-point solver are still checked, then ignored
+    argv = ["solve-kkt", "--config", cfg("quadratic_tracking"), "--level", "2"]
+    for damping in ("0", "-0.2", "1.5"):
+        code, _, summary = run([*argv, "--damping", damping], tmp_path)
+        assert code == 2 and summary is None
+        err = capsys.readouterr().err
+        assert "--damping must lie in (0, 1]" in err and err.count("\n") == 1
+    code, _, _ = run([*argv, "--active-tol", "0"], tmp_path)
+    assert code == 2
+    assert "--active-tol must be positive" in capsys.readouterr().err
+
+    code, out, _ = run([*argv, "--damping", "0.3", "--active-tol", "1e-3"], tmp_path, sub="set")
+    err = capsys.readouterr().err
+    assert code == 0
+    assert err == "note: --damping and --active-tol ignored: semismooth Newton solves the KKT system\n"
+    _, plain, _ = run(argv, tmp_path, sub="unset")
+    assert capsys.readouterr().err == ""
+    for name in ("kkt_report.json", "u.mf", "psi2.mf"):
+        assert (out / name).read_bytes() == (plain / name).read_bytes()
+
+
+def test_jump_study_converges_with_benchmark_options(tmp_path, capsys):
+    # the jump half of C9 rests on converged levels: u and psi1 still diverge
+    code, out, summary = run(
+        ["regularity", "--config", cfg("jump_bound"), "--levels", "3", "4", "--damping", "0.3",
+         "--max-iter", "150", "--kkt-tol", "5e-3", "--active-tol", "1e-3"],
+        tmp_path,
+    )
+    assert code == 3
+    flags = json.loads((out / "regularity_flags.json").read_text())
+    for name, flag in flags.items():
+        assert flag["levels_converged"] == [True, True], name
+        assert flag["divergence"] == (name in ("u", "psi1")), name
+    failed = {c["name"] for c in summary["checks"] if not c["passed"]}
+    assert failed == {"lipschitz-stable-u", "lipschitz-stable-psi1"}
 
 
 def test_missing_config_is_config_error(tmp_path, capsys):
