@@ -21,15 +21,17 @@ whole ordered pair table of the boundary Gauss points fits one chunk of
 them built again, chunk by chunk, on every pass.
 
 Sparse matrices are built only here.  Every linear system goes through
-``solve_linear``: one sparse LU factorisation for a vector or a block of
+``solve_linear``: a sparse LU factorisation for a vector or a block of
 columns, accepted only when every column's relative residual is within
-``SOLVE_RTOL``.
+``SOLVE_RTOL``.  The factorisation belongs to its :class:`SparseOperator`:
+the first solve builds it, later solves with the same operator reuse it,
+and it is freed with the operator; no other cache holds it.
 """
 
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -375,9 +377,17 @@ def interp_boundary(field: FEField) -> np.ndarray:
 
 @dataclass
 class SparseOperator:
-    """Square CSR matrix in canonical form (sorted, deduplicated indices)."""
+    """Square CSR matrix in canonical form (sorted, deduplicated indices).
+
+    The operator owns the sparse LU of its matrix: ``solve_linear``
+    builds it on the first solve and reuses it on every later one, and it
+    lives exactly as long as the operator.  Treat ``matrix`` as
+    immutable; a factor left stale by an edit fails the residual check of
+    ``solve_linear`` rather than returning a wrong solution.
+    """
 
     matrix: sp.csr_matrix
+    _lu: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         m = sp.csr_matrix(self.matrix)
@@ -503,10 +513,12 @@ def integrate_basis(mesh: Mesh, values_at_quad: np.ndarray) -> np.ndarray:
 def solve_linear(op: SparseOperator, rhs: np.ndarray) -> np.ndarray:
     """Solve op x = rhs by sparse LU factorisation, for an (n,) vector or an (n, k) block.
 
-    One factorisation serves every column, and zero columns come back
-    zero.  Raises :class:`LinearSolveError` when the factorisation finds
-    the matrix singular, or when the relative residual of any column
-    exceeds ``SOLVE_RTOL``; the error carries the worst column's residual.
+    The factorisation is built on the first solve with ``op`` and kept on
+    it for later ones; one factorisation serves every column, and zero
+    columns come back zero.  Raises :class:`LinearSolveError` when the
+    factorisation finds the matrix singular, or when the relative residual
+    of any column exceeds ``SOLVE_RTOL``, which is checked on every solve;
+    the error carries the worst column's residual.
     """
     rhs = np.asarray(rhs, dtype=float)
     columns = rhs.reshape(rhs.shape[0], -1)
@@ -514,7 +526,9 @@ def solve_linear(op: SparseOperator, rhs: np.ndarray) -> np.ndarray:
     if not np.any(rhs_norms):
         return np.zeros_like(rhs)
     try:
-        x = spla.splu(op.matrix.tocsc()).solve(rhs)
+        if op._lu is None:
+            op._lu = spla.splu(op.matrix.tocsc())
+        x = op._lu.solve(rhs)
     except RuntimeError as exc:
         raise LinearSolveError(f"sparse LU failed: {exc}", float("nan")) from exc
     defects = np.linalg.norm((rhs - op.matvec(x)).reshape(columns.shape), axis=0)

@@ -55,6 +55,7 @@ from .solvers import (
     NEWTON_MAX_HALVINGS,
     NEWTON_TOL,
     ExponentTable,
+    StateSolveReport,
     exponents,
     linearized_matrix,
     second_variation_matrix,
@@ -240,23 +241,28 @@ def objective(spec: ProblemSpec, y: FEField, u: FEField, v: FEField) -> float:
     return float(np.sum(wq * dom) + np.sum(wb * bnd))
 
 
-def _tracking_adjoint(spec: ProblemSpec, y: FEField) -> FEField:
+def _tracking_adjoint(spec: ProblemSpec, y: FEField, linearized: fem.SparseOperator | None = None):
     """Adjoint at y driven by the tracking derivatives alone (no multipliers)."""
     rhs_d = FEField(y.mesh, "domain", fem.nodal(spec.L_y, y))
     rhs_b = FEField(y.mesh, "boundary", fem.nodal(spec.ell_y, fem.trace(y)))
-    return solve_adjoint(spec, y, rhs_d, rhs_b)
+    return solve_adjoint(spec, y, rhs_d, rhs_b, linearized)
 
 
-def reduced_gradient(spec: ProblemSpec, u: FEField, v: FEField):
+def reduced_gradient(spec: ProblemSpec, u: FEField, v: FEField, state: StateSolveReport | None = None):
     """L2 Riesz representatives of the unconstrained cost gradient.
 
     Solves the state equation, then the adjoint problem driven by the
     tracking derivatives, and returns nodal fields
     (phi + slope of the interior control cost, trace(phi) + boundary
-    analogue).
+    analogue).  A caller that already holds the state solve of (u, v)
+    passes it as ``state``; the adjoint then uses that report's
+    linearization, and shares its factorisation.
     """
-    y = solve_state(spec, u, v).state
-    phi = _tracking_adjoint(spec, y)
+    if state is None:
+        state = solve_state(spec, u, v)
+    y = state.state
+    state.check_solves(spec, _check_state_fields(y, u, v))
+    phi = _tracking_adjoint(spec, y, state.linearization)
     loop = y.mesh.boundary_loop
     gu = FEField(y.mesh, "domain", phi.values + delta_value(1, spec, u.values))
     gv = FEField(y.mesh, "boundary", phi.values[loop] + delta_value(2, spec, v.values))

@@ -87,25 +87,32 @@ class HolderPairs:
     def _chunks(self):
         return (slice(k, k + HOLDER_CHUNK) for k in range(0, self.i.size, HOLDER_CHUNK))
 
-    def quotient(self, f: FEField, gamma: float, min_distance: float) -> float:
-        """Max of |v_i - v_j| / |x_i - x_j|^gamma over the pairs at least min_distance apart."""
+    def quotients(self, f: FEField, gammas, min_distance: float) -> list:
+        """Max of |v_i - v_j| / |x_i - x_j|^gamma over the pairs at least min_distance apart.
+
+        One maximum per gamma in ``gammas``; each chunk's differences
+        |v_i - v_j| are formed once and divided by every power.
+        """
         if f.mesh is not self.mesh or f.role != self.role:
             raise fem.FieldError(f"the pair table belongs to {self.role} fields of another mesh")
-        if gamma not in self._powers:
-            self._powers[gamma] = self.d**gamma
+        for gamma in gammas:
+            if gamma not in self._powers:
+                self._powers[gamma] = self.d**gamma
         if min_distance not in self._near:
             self._near[min_distance] = self.d < min_distance
-        powers, near = self._powers[gamma], self._near[min_distance]
+        near = self._near[min_distance]
         vals = f.values if self.keep is None else f.values[self.keep]
-        best = 0.0
+        best = [0.0] * len(gammas)
         for part in self._chunks():
-            q = vals[self.i[part]]
-            q -= vals[self.j[part]]
-            np.abs(q, out=q)
-            q /= powers[part]
-            # every quotient is >= 0, so zeroing the near pairs leaves the far maximum
-            q[near[part]] = 0.0
-            best = max(best, float(np.max(q)))
+            diff = vals[self.i[part]]
+            diff -= vals[self.j[part]]
+            np.abs(diff, out=diff)
+            q = np.empty_like(diff)
+            for k, gamma in enumerate(gammas):
+                np.divide(diff, self._powers[gamma][part], out=q)
+                # every quotient is >= 0, so zeroing the near pairs leaves the far maximum
+                q[near[part]] = 0.0
+                best[k] = max(best[k], float(np.max(q)))
         return best
 
 
@@ -147,7 +154,7 @@ def holder_estimate(
         min_distance = f.mesh.mesh_size()
     if pairs is None:
         pairs = HolderPairs(f.mesh, f.role, max_points, seed)
-    return pairs.quotient(f, gamma, min_distance)
+    return pairs.quotients(f, (gamma,), min_distance)[0]
 
 
 def second_difference_estimate(f: FEField) -> float:
@@ -227,7 +234,8 @@ def refinement_study(
     solver does not converge is still recorded (marked in the per-level
     records) and its fields are used for the warm start, so the study
     degrades honestly instead of stopping.  Per level, the domain fields
-    share one :class:`HolderPairs` table and the boundary fields another.
+    share one :class:`HolderPairs` table and the boundary fields another,
+    and each field's Hoelder quotients at every gamma take one pass.
     Returns a dict mapping field names to :class:`RegularityReport`.
     """
     levels = [int(l) for l in levels]
@@ -255,7 +263,7 @@ def refinement_study(
                     level=level,
                     h=h,
                     lipschitz=lipschitz_estimate(f, pairs),
-                    holder={g: holder_estimate(f, g, pairs=pairs) for g in HOLDER_GAMMAS},
+                    holder=dict(zip(HOLDER_GAMMAS, pairs.quotients(f, HOLDER_GAMMAS, h))),
                     solver_converged=rep.converged,
                 )
             )

@@ -3,10 +3,13 @@
 The semilinear state equation is solved by damped Newton iterations with
 an Armijo residual test; the linearized and adjoint problems share one
 symmetric matrix, so the discrete adjoint identity holds to solver
-tolerance.  The elliptic operator, mass matrices and load vectors come
-from the mesh's :class:`fem.P1` record, their single owner; this module
-adds the nonlinearity on top (``semilinear_operator``,
-``linearized_matrix`` and its derivative ``second_variation_matrix``).  ``exponents`` evaluates the integrability
+tolerance.  A :class:`StateSolveReport` keeps the linearization at its
+state, and so that operator's sparse LU, for as long as the report
+lives; solves seeded with the report share it.  The elliptic operator,
+mass matrices and load vectors come from the mesh's :class:`fem.P1`
+record, their single owner; this module adds the nonlinearity on top
+(``semilinear_operator``, ``linearized_matrix`` and its derivative
+``second_variation_matrix``).  ``exponents`` evaluates the integrability
 thresholds that the distributed and boundary control exponents induce on
 the state and on the fixed-point argument, together with their
 conjugacy slack.
@@ -15,6 +18,7 @@ conjugacy slack.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -96,11 +100,30 @@ def exponents(N: float, p: float, q: float) -> ExponentTable:
 
 @dataclass
 class StateSolveReport:
+    """A converged state solve of ``spec``.
+
+    ``linearization`` is ``linearized_matrix(spec, state)``, assembled on
+    first use and kept, with its factorisation once solved, as long as
+    the report is.
+    """
+
     state: FEField
     newton_iterations: int
     final_residual: float
     c_infinity_ratio: float
+    spec: ProblemSpec = field(repr=False)
     residual_history: list = field(default_factory=list)
+
+    @cached_property
+    def linearization(self) -> fem.SparseOperator:
+        return linearized_matrix(self.spec, self.state)
+
+    def check_solves(self, spec: ProblemSpec, mesh) -> None:
+        """Raise unless this report is a solve of ``spec`` on ``mesh``."""
+        if self.state.mesh is not mesh:
+            raise fem.FieldError("the state report belongs to another mesh")
+        if self.spec is not spec:
+            raise SpecError("the state report solves another problem spec")
 
 
 def _at_quadrature(fn, y: FEField) -> np.ndarray:
@@ -145,23 +168,27 @@ def solve_state(
     spec: ProblemSpec,
     u: FEField,
     v: FEField,
-    initial: FEField | None = None,
+    initial: StateSolveReport | None = None,
     newton_tol: float = NEWTON_TOL,
 ) -> StateSolveReport:
     """Solve the semilinear state equation with natural boundary data.
 
     Damped Newton with an Armijo decrease test on the residual norm;
     converged when the residual drops below newton_tol * (1 + |rhs|).
+    Newton starts from zero, or from the state of ``initial``, the report
+    of an earlier solve of the same spec on the same mesh; its first step
+    then uses that report's ``linearization``, whose factorisation every
+    solve seeded with the report shares.
     """
     mesh = _check_pair(spec, u, v)
-    if initial is not None and initial.role != "domain":
-        raise fem.FieldError("initial state guess must be a domain field")
+    if initial is not None:
+        initial.check_solves(spec, mesh)
     if not 0.0 < newton_tol < 1.0:
         raise SpecError("newton_tol must lie in (0, 1)")
     b = fem.p1(mesh).load(u.values, v.values)
     tol = newton_tol * (1.0 + float(np.linalg.norm(b)))
 
-    y = np.zeros(mesh.n_vertices) if initial is None else np.asarray(initial.values, dtype=float).copy()
+    y = np.zeros(mesh.n_vertices) if initial is None else initial.state.values.copy()
 
     def residual(yv: np.ndarray) -> np.ndarray:
         return semilinear_operator(spec, FEField(mesh, "domain", yv)) - b
@@ -177,8 +204,10 @@ def solve_state(
                 f"(residual {rnorm:.3e}, tolerance {tol:.3e})",
                 history,
             )
-        jac = linearized_matrix(spec, FEField(mesh, "domain", y))
-        delta = fem.solve_linear(jac, -r)
+        if iterations == 0 and initial is not None:
+            delta = fem.solve_linear(initial.linearization, -r)
+        else:
+            delta = fem.solve_linear(linearized_matrix(spec, FEField(mesh, "domain", y)), -r)
         step = 1.0
         for _ in range(NEWTON_MAX_HALVINGS + 1):
             y_try = y + step * delta
@@ -212,6 +241,7 @@ def solve_state(
         newton_iterations=iterations,
         final_residual=rnorm,
         c_infinity_ratio=ratio,
+        spec=spec,
         residual_history=history,
     )
 

@@ -8,7 +8,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from mixedreg import cli, fem, geometry
+from mixedreg import cli, fem, fracnorm, geometry
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
@@ -95,6 +95,19 @@ def test_gradient_check(tmp_path):
     assert len(lines) == 1 + 3 * 4
 
 
+def test_gradient_check_factorises_per_base_not_per_probe(tmp_path, monkeypatch):
+    factorised = []
+    splu = fem.spla.splu
+    monkeypatch.setattr(fem.spla, "splu", lambda a: factorised.append(a) or splu(a))
+    code, _, summary = run(["gradient-check", "--config", cfg("quadratic_tracking"), "--level", "3"], tmp_path)
+    assert code == 0 and summary["all_passed"]
+    # 80 probe solves start at the base state with its factorised linearization:
+    # the base solve (3 Newton steps) and that linearization, plus a second step
+    # for each of the two solves per direction at the largest difference step.
+    # Cold probes took 244.
+    assert len(factorised) <= 4 + 2 * 10
+
+
 def test_solve_kkt(tmp_path):
     code, out, summary = run(
         ["solve-kkt", "--config", cfg("constant_kkt"), "--level", "3",
@@ -157,6 +170,16 @@ def test_chain_rule(tmp_path):
     lines = (out / "chain_rule.csv").read_text().strip().split("\n")
     assert lines[0] == "level,sample,lhs,rhs,ratio"
     assert len(lines) == 1 + 2 * 3
+
+
+def test_chain_rule_parses_its_expression_once(tmp_path, monkeypatch):
+    parsed = []
+    for module in (cli, fracnorm):
+        parse = module.parse_expr
+        monkeypatch.setattr(module, "parse_expr", lambda text, parse=parse: parsed.append(text) or parse(text))
+    code, _, _ = run(["chain-rule", "--levels", "2", "3", "--samples", "2"], tmp_path)
+    assert code == 0
+    assert parsed == ["sin(t)"]
 
 
 def test_product_rule(tmp_path):

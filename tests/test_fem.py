@@ -208,6 +208,32 @@ def test_solve_linear_identityish(disk, identity_spec):
     assert np.all(solve_linear(op, np.zeros(m.n_vertices)) == 0.0)
 
 
+def test_operator_is_factorised_once(disk, identity_spec, monkeypatch):
+    m = disk(2)
+    op = assemble_operator(m, identity_spec)
+    factorised = []
+    splu = fem.spla.splu
+    monkeypatch.setattr(fem.spla, "splu", lambda a: factorised.append(a) or splu(a))
+    rng = np.random.default_rng(3)
+    for rhs in (rng.standard_normal(m.n_vertices), rng.standard_normal((m.n_vertices, 2))):
+        x = solve_linear(op, rhs)
+        assert np.max(np.abs(op.matvec(x) - rhs)) < 1e-10
+    assert len(factorised) == 1
+    # an equal matrix in another operator has its own factorisation
+    solve_linear(fem.SparseOperator(op.matrix.copy()), np.ones(m.n_vertices))
+    assert len(factorised) == 2
+
+
+def test_stale_factorisation_fails_the_residual_check(disk, identity_spec):
+    m = disk(2)
+    op = assemble_operator(m, identity_spec)
+    solve_linear(op, np.ones(m.n_vertices))
+    op.matrix = 2.0 * op.matrix
+    with pytest.raises(LinearSolveError) as err:
+        solve_linear(op, np.ones(m.n_vertices))
+    assert err.value.residual > fem.SOLVE_RTOL
+
+
 def test_solve_linear_rejects_singular_operator(disk, stiffness_spec):
     m = disk(1)
     # pure Neumann stiffness: constants span the kernel, and ones is not in the range

@@ -68,6 +68,21 @@ def test_reduced_gradient_zero_at_zero_data(disk):
     assert np.max(np.abs(gv.values)) == 0.0
 
 
+def test_reduced_gradient_reuses_a_state_report(configs, disk):
+    spec = configs["quadratic_tracking"]
+    m = disk(3)
+    rng = np.random.default_rng(5)
+    u = fem.domain_field(m, rng.standard_normal(m.n_vertices))
+    v = fem.boundary_field(m, rng.standard_normal(m.n_boundary))
+    base = solvers.solve_state(spec, u, v)
+    for cold, shared in zip(kkt.reduced_gradient(spec, u, v), kkt.reduced_gradient(spec, u, v, base)):
+        assert np.array_equal(cold.values, shared.values)
+    with pytest.raises(catalog.SpecError):
+        kkt.reduced_gradient(simple_spec(), u, v, base)
+    with pytest.raises(FieldError):
+        kkt.reduced_gradient(spec, *zero_controls(disk(2)), base)
+
+
 # ---------------------------------------------------------------------------
 # constraints, multipliers, projection
 

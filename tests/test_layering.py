@@ -4,7 +4,9 @@ A private name (leading underscore) belongs to the module that defines
 it: another module that needs it gets a public function instead.  No
 module reaches into an object's ``__dict__``; derived data lives in
 declared attributes.  Sparse matrices and linear solves belong to
-``fem``: no other module imports ``scipy.sparse`` or any part of it.
+``fem``: no other module imports ``scipy.sparse`` or any part of it, and
+``splu`` is named at one site, the factorisation ``fem.solve_linear``
+keeps on its operator, so no second path can bypass the reuse.
 """
 
 import ast
@@ -86,6 +88,32 @@ def test_scanner_flags_each_rule():
     ]
 
 
+def splu_sites(source):
+    """Lines of ``source`` that name ``splu``: attribute reads, bare names and imports."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr == "splu":
+            lines.append(node.lineno)
+        elif isinstance(node, ast.Name) and node.id == "splu":
+            lines.append(node.lineno)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            lines += [node.lineno for a in node.names if a.name.split(".")[-1] == "splu"]
+    return sorted(lines)
+
+
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_module_respects_layering(path):
     assert violations(path.read_text(), path.stem) == []
+
+
+def test_one_factorisation_site():
+    sample = (
+        "x = spla.splu(a)\n"
+        "from scipy.sparse.linalg import splu\n"
+        "lu = splu\n"
+        "# splu in a comment\n"
+        "'splu in a string'\n"
+    )
+    assert splu_sites(sample) == [1, 2, 3]
+    sites = {path.name: splu_sites(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert [(name, len(lines)) for name, lines in sites.items() if lines] == [("fem.py", 1)]

@@ -95,9 +95,12 @@ def test_shared_pair_tables_match_per_call_estimates(disk, level, max_points, se
     tables = {role: HolderPairs(m, role, max_points=max_points) for role in ("domain", "boundary")}
     fields = [fem.domain_field(m, rng.standard_normal(m.n_vertices)) for _ in range(2)]
     fields += [fem.boundary_field(m, rng.standard_normal(m.n_boundary)) for _ in range(2)]
-    # every field and exponent reads the same two tables, bit for bit as with its own
+    # every field and exponent reads the same two tables, bit for bit as with its own,
+    # and one pass over a field's pairs gives each exponent's own quotient
+    gammas = (0.5, 0.9, 1.0)
     for f in fields:
-        for gamma in (0.5, 0.9, 1.0):
+        assert tables[f.role].quotients(f, gammas, h) == [per_call_holder(f, g, h, max_points) for g in gammas]
+        for gamma in gammas:
             shared = holder_estimate(f, gamma, pairs=tables[f.role])
             assert shared == holder_estimate(f, gamma, max_points=max_points)
             assert shared == per_call_holder(f, gamma, h, max_points)

@@ -123,9 +123,42 @@ def test_warm_start_accepted(cubic_spec, disk):
     u = fem.domain_field(m, 1.0)
     v = fem.boundary_field(m, 0.0)
     cold = solvers.solve_state(cubic_spec, u, v)
-    warm = solvers.solve_state(cubic_spec, u, v, initial=cold.state)
+    warm = solvers.solve_state(cubic_spec, u, v, initial=cold)
     assert np.max(np.abs(warm.state.values - cold.state.values)) < 1e-9
     assert warm.newton_iterations <= cold.newton_iterations
+
+
+def test_seed_report_must_match_mesh_and_spec(cubic_spec, linear_spec, disk):
+    m = disk(2)
+    u, v = fem.domain_field(m, 1.0), fem.boundary_field(m, 0.0)
+    ellipse = geometry.build_ellipse_mesh(2)
+    assert ellipse.n_vertices == m.n_vertices
+    foreign = [
+        solvers.solve_state(cubic_spec, fem.domain_field(other, 1.0), fem.boundary_field(other, 0.0))
+        for other in (ellipse, disk(3))
+    ]
+    for seed in foreign:
+        with pytest.raises(fem.FieldError, match="another mesh"):
+            solvers.solve_state(cubic_spec, u, v, initial=seed)
+    with pytest.raises(SpecError, match="another problem spec"):
+        solvers.solve_state(cubic_spec, u, v, initial=solvers.solve_state(linear_spec, u, v))
+
+
+def test_seeded_solves_share_the_seed_factorisation(cubic_spec, disk, monkeypatch):
+    m = disk(3)
+    u, v = fem.domain_field(m, 1.0), fem.boundary_field(m, 0.0)
+    base = solvers.solve_state(cubic_spec, u, v)
+    nearby = [fem.domain_field(m, 1.0 + sign * 1e-6 * m.vertices[:, 0]) for sign in (1.0, -1.0)]
+    cold = [solvers.solve_state(cubic_spec, near, v) for near in nearby]
+    factorised = []
+    splu = fem.spla.splu
+    monkeypatch.setattr(fem.spla, "splu", lambda a: factorised.append(a) or splu(a))
+    for near, ref in zip(nearby, cold):
+        warm = solvers.solve_state(cubic_spec, near, v, initial=base)
+        assert warm.newton_iterations == 1
+        assert np.max(np.abs(warm.state.values - ref.state.values)) < 1e-9
+    # one step each with the seed's linearization, factorised by the first
+    assert len(factorised) == 1
 
 
 # ---------------------------------------------------------------------------
