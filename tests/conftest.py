@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from mixedreg import catalog, fem, geometry, kkt, regularity
 from mixedreg.cli import _fourier_coeffs, _fourier_field
@@ -27,6 +28,15 @@ def disk():
         return cache[level]
 
     return get
+
+
+@pytest.fixture
+def factorisations(monkeypatch):
+    """The matrices ``splu`` factorises during the test, in call order."""
+    seen = []
+    splu = spla.splu
+    monkeypatch.setattr(spla, "splu", lambda a: seen.append(a) or splu(a))
+    return seen
 
 
 @pytest.fixture(scope="session")

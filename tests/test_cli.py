@@ -95,17 +95,14 @@ def test_gradient_check(tmp_path):
     assert len(lines) == 1 + 3 * 4
 
 
-def test_gradient_check_factorises_per_base_not_per_probe(tmp_path, monkeypatch):
-    factorised = []
-    splu = fem.spla.splu
-    monkeypatch.setattr(fem.spla, "splu", lambda a: factorised.append(a) or splu(a))
+def test_gradient_check_factorises_per_base_not_per_probe(tmp_path, factorisations):
     code, _, summary = run(["gradient-check", "--config", cfg("quadratic_tracking"), "--level", "3"], tmp_path)
     assert code == 0 and summary["all_passed"]
     # 80 probe solves start at the base state with its factorised linearization:
     # the base solve (3 Newton steps) and that linearization, plus a second step
     # for each of the two solves per direction at the largest difference step.
     # Cold probes took 244.
-    assert len(factorised) <= 4 + 2 * 10
+    assert len(factorisations) <= 4 + 2 * 10
 
 
 def test_solve_kkt(tmp_path):

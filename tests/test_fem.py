@@ -208,20 +208,17 @@ def test_solve_linear_identityish(disk, identity_spec):
     assert np.all(solve_linear(op, np.zeros(m.n_vertices)) == 0.0)
 
 
-def test_operator_is_factorised_once(disk, identity_spec, monkeypatch):
+def test_operator_is_factorised_once(disk, identity_spec, factorisations):
     m = disk(2)
     op = assemble_operator(m, identity_spec)
-    factorised = []
-    splu = fem.spla.splu
-    monkeypatch.setattr(fem.spla, "splu", lambda a: factorised.append(a) or splu(a))
     rng = np.random.default_rng(3)
     for rhs in (rng.standard_normal(m.n_vertices), rng.standard_normal((m.n_vertices, 2))):
         x = solve_linear(op, rhs)
         assert np.max(np.abs(op.matvec(x) - rhs)) < 1e-10
-    assert len(factorised) == 1
+    assert len(factorisations) == 1
     # an equal matrix in another operator has its own factorisation
     solve_linear(fem.SparseOperator(op.matrix.copy()), np.ones(m.n_vertices))
-    assert len(factorised) == 2
+    assert len(factorisations) == 2
 
 
 def test_stale_factorisation_fails_the_residual_check(disk, identity_spec):
