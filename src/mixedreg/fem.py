@@ -15,10 +15,13 @@ beta).  Other modules read these through it, and load vectors are always
 M f + T^T (M_b g).
 
 The record holds only a weak reference to its mesh, so a dropped mesh
-frees its record at once.  Gagliardo weights are kept only while the
-whole ordered pair table of the boundary Gauss points fits one chunk of
-``FAR_FIELD_PAIRS`` pairs (nb <= 512, 8 MB per beta); larger meshes get
-them built again, chunk by chunk, on every pass.
+frees its record at once.  The far-field weights cover each unordered
+pair of boundary Gauss points once, as a staircase of row blocks over
+the upper triangle of the pair table.  Gagliardo weights are kept, for
+the ``_KEPT_BETAS`` most recent betas, only while the whole ordered pair
+table fits one chunk of ``FAR_FIELD_PAIRS`` pairs (nb <= 512, about 4 MB
+per beta); larger meshes get them built again, chunk by chunk, on every
+pass.
 
 Sparse matrices are built only here.  Every linear system goes through
 ``solve_linear``: a sparse LU factorisation for a vector or a block of
@@ -72,6 +75,12 @@ __all__ = [
 SOLVE_RTOL = 1e-11
 # ordered boundary Gauss-point pairs per far-field chunk
 FAR_FIELD_PAIRS = 1 << 20
+# rows per block of the far-field staircase: the kept table holds 1/2 + _STAIR_ROWS / (4 nb)
+# of the ordered pairs, 0.53 at nb = 512
+_STAIR_ROWS = 64
+# betas whose Gagliardo weights a P1 record keeps: the C8 sweeps use three on one mesh
+# (chain-rule 5/3, product-rule alternating 1.25 and 2)
+_KEPT_BETAS = 3
 # graded levels of the singular boundary pair rules
 DYADIC_LEVELS = 4
 
@@ -185,8 +194,8 @@ class P1:
     Each part is built on first use, so boundary-only work never touches
     the interior.  ``operator`` keeps the matrix of the last spec it was
     asked for and reassembles when a different spec object comes.  The
-    Gagliardo weights are kept per beta while they fit one far-field
-    chunk.  The mesh is held weakly: the mesh owns the record.
+    Gagliardo weights of the few most recent betas are kept while they fit
+    one far-field chunk.  The mesh is held weakly: the mesh owns the record.
     """
 
     def __init__(self, mesh: Mesh):
@@ -269,45 +278,69 @@ class P1:
         """Whether the whole ordered Gauss-point pair table fits one far-field chunk."""
         return (2 * self.mesh.n_boundary) ** 2 <= FAR_FIELD_PAIRS
 
-    def far_field(self, beta: float):
-        """Far-field weights w_i w_j / |x_i - x_j|^beta over the boundary Gauss points.
+    def _keep(self, tables: dict, beta: float, build):
+        """The weights of ``beta`` in ``tables``, built on a miss.
 
-        Yields (rows, table) chunks that cover the ordered pairs: ``table``
-        has shape (rows, 2 nb) and is zero on pairs from one edge or from
-        adjacent edges.  A table that fits one chunk is kept per beta,
-        read-only; larger ones are streamed in chunks of at most
-        ``FAR_FIELD_PAIRS`` pairs and nothing is kept.
+        Insertion order is recency: a hit moves its beta last, and only the
+        ``_KEPT_BETAS`` most recent betas stay.
+        """
+        weights = tables.pop(beta, None)
+        if weights is None:
+            weights = build()
+        tables[beta] = weights
+        while len(tables) > _KEPT_BETAS:
+            del tables[next(iter(tables))]
+        return weights
+
+    def far_field(self, beta: float):
+        """Far-field weights 2 w_i w_j / |x_i - x_j|^beta over unordered boundary Gauss-point pairs.
+
+        Yields read-only (rows, table) blocks of a staircase over the upper
+        triangle i < j: the block of rows [r0, r1) has shape (r1 - r0,
+        2 nb - r0) and covers the columns [r0, 2 nb).  Each unordered pair
+        appears once, with the factor 2 of the symmetric integrand folded
+        in; entries with j <= i and pairs from one edge or from adjacent
+        edges are zero.  While the whole pair table fits one chunk of
+        ``FAR_FIELD_PAIRS`` pairs (nb <= 512, about 4 MB per beta at
+        nb = 512) the staircase is kept per beta; larger ones are streamed,
+        ``FAR_FIELD_PAIRS // (2 nb)`` rows at a time, and nothing is kept.
         """
         npts = 2 * self.mesh.n_boundary
         if self._keeps_pair_weights:
-            if beta not in self._far_field:
-                rows, table = self._far_field_chunk(beta, slice(0, npts))
-                table.flags.writeable = False
-                self._far_field[beta] = rows, table
-            yield self._far_field[beta]
+            yield from self._keep(self._far_field, beta, lambda: self._far_field_chunk(beta, slice(0, npts)))
             return
         step = max(2, FAR_FIELD_PAIRS // npts)
         for start in range(0, npts, step):
-            yield self._far_field_chunk(beta, slice(start, min(start + step, npts)))
+            yield from self._far_field_chunk(beta, slice(start, min(start + step, npts)))
 
-    def _far_field_chunk(self, beta: float, rows: slice):
+    def _far_field_chunk(self, beta: float, rows: slice) -> list:
+        """The staircase blocks of ``far_field`` for the Gauss-point rows ``rows``."""
         qpts, qw = boundary_quadrature(self.mesh)
         npts = qw.shape[0]
-        table = np.subtract.outer(qpts[rows, 0], qpts[:, 0])
-        table *= table
-        dy = np.subtract.outer(qpts[rows, 1], qpts[:, 1])
-        dy *= dy
-        table += dy
-        del dy
-        with np.errstate(divide="ignore"):
-            np.power(table, -0.5 * beta, out=table)
-        table *= qw[rows, None]
-        table *= qw[None, :]
-        # touching pairs: the Gauss points of the row's edge and of its two neighbours
-        edge = np.arange(rows.start, rows.stop) // 2
-        touching = (2 * edge[:, None] + np.arange(-2, 4)) % npts
-        table[np.arange(edge.size)[:, None], touching] = 0.0
-        return rows, table
+        blocks = []
+        for r0 in range(rows.start, rows.stop, _STAIR_ROWS):
+            block = slice(r0, min(r0 + _STAIR_ROWS, rows.stop))
+            n = block.stop - r0
+            table = np.subtract.outer(qpts[block, 0], qpts[r0:, 0])
+            table *= table
+            dy = np.subtract.outer(qpts[block, 1], qpts[r0:, 1])
+            dy *= dy
+            table += dy
+            del dy
+            with np.errstate(divide="ignore"):
+                np.power(table, -0.5 * beta, out=table)
+            table *= 2.0 * qw[block, None]
+            table *= qw[None, r0:]
+            table[np.tril_indices(n)] = 0.0
+            # touching pairs: the Gauss points of the row's edge and of its two
+            # neighbours; a column left of the block maps to its column 0 (j = r0
+            # <= i), which is zero already
+            edge = np.arange(r0, block.stop) // 2
+            touching = (2 * edge[:, None] + np.arange(-2, 4)) % npts - r0
+            table[np.arange(n)[:, None], np.maximum(touching, 0)] = 0.0
+            table.flags.writeable = False
+            blocks.append((block, table))
+        return blocks
 
     def adjacent(self, beta: float):
         """Weights of the graded-cell rule for pairs of adjacent boundary edges.
@@ -315,27 +348,30 @@ class P1:
         Edge e runs from x(s) = a + s (b - a) and edge e + 1 from x'(t) =
         b + t (c - b); the cells grade toward the shared vertex (s, t) =
         (1, 0).  Returns (s, t, weights): the (cells, 4) node tables and
-        the (nb, cells, 4, 4) weights |e| |e+1| w_s w_t / |x - x'|^beta.
-        Kept per beta, read-only, under the same rule as ``far_field``.
+        the read-only (nb, cells, 4, 4) weights |e| |e+1| w_s w_t / |x -
+        x'|^beta.  Kept per beta under the same rule as ``far_field``.
         """
-        weights = self._adjacent.get(beta)
-        if weights is None:
-            mesh = self.mesh
-            a = mesh.vertices[mesh.boundary_loop]
-            b = np.roll(a, -1, axis=0)
-            c = np.roll(a, -2, axis=0)
-            # (nb, cells, s node, t node, xy)
-            x = a[:, None, None, None, :] + _ADJ_S[None, :, :, None, None] * (b - a)[:, None, None, None, :]
-            xp = b[:, None, None, None, :] + _ADJ_T[None, :, None, :, None] * (c - b)[:, None, None, None, :]
-            d2 = np.sum((x - xp) ** 2, axis=4)
-            lens = mesh.boundary_edge_lengths
-            weights = np.power(d2, -0.5 * beta)
-            weights *= (lens * np.roll(lens, -1))[:, None, None, None]
-            weights *= _ADJ_W[None, :, :, None] * _ADJ_W[None, :, None, :]
-            if self._keeps_pair_weights:
-                weights.flags.writeable = False
-                self._adjacent[beta] = weights
+        if self._keeps_pair_weights:
+            weights = self._keep(self._adjacent, beta, lambda: self._adjacent_weights(beta))
+        else:
+            weights = self._adjacent_weights(beta)
         return _ADJ_S, _ADJ_T, weights
+
+    def _adjacent_weights(self, beta: float) -> np.ndarray:
+        mesh = self.mesh
+        a = mesh.vertices[mesh.boundary_loop]
+        b = np.roll(a, -1, axis=0)
+        c = np.roll(a, -2, axis=0)
+        # (nb, cells, s node, t node, xy)
+        x = a[:, None, None, None, :] + _ADJ_S[None, :, :, None, None] * (b - a)[:, None, None, None, :]
+        xp = b[:, None, None, None, :] + _ADJ_T[None, :, None, :, None] * (c - b)[:, None, None, None, :]
+        d2 = np.sum((x - xp) ** 2, axis=4)
+        lens = mesh.boundary_edge_lengths
+        weights = np.power(d2, -0.5 * beta)
+        weights *= (lens * np.roll(lens, -1))[:, None, None, None]
+        weights *= _ADJ_W[None, :, :, None] * _ADJ_W[None, :, None, :]
+        weights.flags.writeable = False
+        return weights
 
 
 def p1(mesh: Mesh) -> P1:

@@ -7,10 +7,12 @@ graded toward zero gap), and adjacent edges (graded tensor cells refined
 toward the shared-vertex corner of the parameter square, four dyadic
 levels).  The weights of the first and last class depend on the mesh and
 on beta = 1 + tau k only; they come from the mesh's :class:`fem.P1`
-record (``far_field``, ``adjacent``), which keeps them per beta while the
-whole Gauss-point pair table fits one chunk of ``fem.FAR_FIELD_PAIRS``
-pairs and streams them otherwise.  A call here does the field work
-only.  All reductions run in a fixed order, so results are
+record (``far_field``, ``adjacent``), which keeps them for the few most
+recent betas while the whole Gauss-point pair table fits one chunk of
+``fem.FAR_FIELD_PAIRS`` pairs and streams them otherwise.  The integrand
+is symmetric in the pair, so the far field runs over unordered pairs
+i < j, with the factor 2 in the weights.  A call here does the field
+work only.  All reductions run in a fixed order, so results are
 bit-reproducible for identical inputs.
 
 Distances are chordal, matching the polygonal boundary representation.
@@ -100,11 +102,12 @@ def gagliardo(v: FEField, tau: float, k: float) -> FracNormReport:
     vals = v.values
     succ = np.roll(vals, -1)
 
-    # ordered non-touching pairs, 2x2 Gauss: |v_i - v_j|^k against the record's weights
+    # unordered non-touching pairs i < j, 2x2 Gauss: |v_i - v_j|^k against the
+    # record's doubled weights, one staircase block of columns j >= rows.start at a time
     vq = fem.interp_boundary(v).reshape(-1)
     total = 0.0
     for rows, weights in rec.far_field(beta):
-        num = np.subtract.outer(vq[rows], vq)
+        num = np.subtract.outer(vq[rows], vq[rows.start :])
         np.abs(num, out=num)
         num **= k
         num *= weights

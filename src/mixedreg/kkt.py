@@ -428,15 +428,22 @@ class _Point:
         return KKTState(self.y, self.phi, psi1, u, v, psi2, *(m.active for m in self.minimizers))
 
 
-def _point(spec: ProblemSpec, y: FEField, phi: FEField) -> _Point:
-    """F(y, phi): the state and adjoint defects with the controls and multipliers eliminated."""
+def _point(
+    spec: ProblemSpec, y: FEField, phi: FEField, linearized: fem.SparseOperator | None = None
+) -> _Point:
+    """F(y, phi): the state and adjoint defects with the controls and multipliers eliminated.
+
+    A caller that already holds ``linearized_matrix(spec, y)`` passes it as
+    ``linearized``.
+    """
     halves = _constraints(spec, y)
     minimizers = tuple(_minimize(spec, h, phi) for h in halves)
     rec = fem.p1(y.mesh)
     state_load = rec.load(*(m.control for m in minimizers))
     psis = (FEField(y.mesh, h.y.role, m.psi) for h, m in zip(halves, minimizers))
     adjoint_load = rec.load(*(f.values for f in _adjoint_rhs(spec, halves, psis)))
-    linearized = linearized_matrix(spec, y)
+    if linearized is None:
+        linearized = linearized_matrix(spec, y)
     return _Point(
         y,
         phi,
@@ -524,7 +531,12 @@ def solve_kkt(
     mesh = _check_state_fields(fem.domain_field(u.mesh, 0.0), u, v)
 
     y = solve_state(spec, u, v).state
-    pt = _point(spec, y, _tracking_adjoint(spec, y))
+    linearized = linearized_matrix(spec, y)
+    phi = _tracking_adjoint(spec, y, linearized)
+    # the point gets the matrix without the adjoint's factorisation, which
+    # goes with ``linearized`` before the first Newton step
+    pt = _point(spec, y, phi, fem.SparseOperator(linearized.matrix))
+    del linearized
     report, row = _history_row(spec, pt, kkt_tol)
     history = [(1, *row)]
     norm = float(np.linalg.norm(pt.residual))

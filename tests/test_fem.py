@@ -11,7 +11,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from mixedreg import FieldError, LinearSolveError, build_disk_mesh, gagliardo, lp_norm, prolong, refine
+from mixedreg import (
+    FieldError,
+    LinearSolveError,
+    build_disk_mesh,
+    build_ellipse_mesh,
+    gagliardo,
+    lp_norm,
+    prolong,
+    refine,
+)
 from mixedreg import fem, parse_expr, solvers
 from mixedreg.fem import (
     AssemblyError,
@@ -347,6 +356,26 @@ def test_prolong_linear_interior_exact_boundary_second_order(disk):
     coarser = domain_field(disk(4), disk(4).vertices[:, 0])
     again = prolong(coarser, disk(5))
     assert np.abs(again.values - disk(5).vertices[:, 0]).max() < err.max() / 3.0
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from([build_disk_mesh, build_ellipse_mesh]),
+    st.integers(0, 4),
+    st.tuples(*[st.floats(-10.0, 10.0)] * 3),
+)
+def test_prolong_exact_on_affine_fields(build, level, abc):
+    # exact wherever the fine vertex is its parents' midpoint: everywhere but
+    # the new boundary vertices, which the presets put on the curve
+    a, b, c = abc
+    coarse, fine = build(level), build(level + 1)
+    affine = lambda m: a + b * m.vertices[:, 0] + c * m.vertices[:, 1]
+    p = prolong(domain_field(coarse, affine(coarse)), fine)
+    loop = fine.boundary_loop
+    new_boundary = loop[fine.parents[loop, 0] != fine.parents[loop, 1]]
+    on_chord = np.setdiff1d(np.arange(fine.n_vertices), new_boundary)
+    tol = 1e-14 * (1.0 + abs(a) + abs(b) + abs(c)) * 4.0
+    assert np.max(np.abs(p.values - affine(fine))[on_chord]) <= tol
 
 
 def test_prolong_boundary_field(disk):

@@ -304,6 +304,36 @@ def test_product_check_builds_one_table_per_beta(monkeypatch):
     assert sorted(built) == [1.25, 2.0]
 
 
+def test_kept_table_is_an_upper_staircase():
+    # each unordered pair once: row blocks [r0, r1) over the columns [r0, 2 nb),
+    # about half the ordered table at level 6
+    m = geometry.build_disk_mesh(6)
+    npts = 2 * m.n_boundary
+    blocks = list(fem.p1(m).far_field(2.0))
+    assert [rows.start for rows, _ in blocks] == [0] + [rows.stop for rows, _ in blocks[:-1]]
+    assert blocks[-1][0].stop == npts
+    for rows, table in blocks:
+        assert table.shape == (rows.stop - rows.start, npts - rows.start)
+        assert not table.flags.writeable
+        assert np.all(np.tril(table[:, : table.shape[0]]) == 0.0)
+    assert sum(table.size for _, table in blocks) <= 0.55 * npts**2
+
+
+def test_record_keeps_the_most_recent_betas():
+    m = geometry.build_disk_mesh(6)
+    rec = fem.p1(m)
+    v = random_field(m, 8)
+    taus = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6)
+    for tau in taus:
+        gagliardo(v, tau, 2.0)
+        assert len(rec._far_field) <= fem._KEPT_BETAS and len(rec._adjacent) <= fem._KEPT_BETAS
+    recent = [1.0 + 2.0 * tau for tau in taus[-fem._KEPT_BETAS :]]
+    assert list(rec._far_field) == list(rec._adjacent) == recent
+    # a hit makes its beta the most recent again
+    gagliardo(v, taus[-fem._KEPT_BETAS], 2.0)
+    assert list(rec._far_field) == recent[1:] + recent[:1]
+
+
 def test_streamed_mesh_keeps_no_weights(monkeypatch):
     built = count_far_field_builds(monkeypatch)
     m = geometry.build_disk_mesh(7)  # nb = 1024: 2048^2 pairs, four chunks
@@ -320,13 +350,13 @@ def test_streamed_mesh_keeps_no_weights(monkeypatch):
 
 
 @st.composite
-def boundary_fields(draw):
-    """A disk level and a rough field on it.
+def boundary_fields(draw, top=3):
+    """A disk level from 2 to ``top`` and a rough field on it.
 
     The cosine keeps the field's spread of order ``amp``, so differences of
     nodal values never cancel down to rounding error.
     """
-    level = draw(st.integers(2, 3))
+    level = draw(st.integers(2, top))
     nb = 8 * 2**level
     amp = draw(st.floats(0.5, 3.0))
     shift = draw(st.floats(0.0, 2.0 * np.pi))
@@ -374,3 +404,29 @@ def test_seminorm_ignores_constants(field, tk, shift):
     base = gagliardo(fem.boundary_field(m, vals), tau, k).seminorm_I
     shifted = gagliardo(fem.boundary_field(m, vals + shift), tau, k).seminorm_I
     assert shifted == pytest.approx(base, rel=1e-12)
+
+
+def ordered_far_field(v, tau, k):
+    """The far-field sum over ordered pairs of Gauss points on edges that do not touch."""
+    qpts, qw = fem.boundary_quadrature(v.mesh)
+    vq = fem.interp_boundary(v).reshape(-1)
+    nb = v.mesh.n_boundary
+    gap = np.subtract.outer(np.arange(2 * nb) // 2, np.arange(2 * nb) // 2) % nb
+    far = (gap > 1) & (gap < nb - 1)
+    dist = np.where(far, np.linalg.norm(qpts[:, None, :] - qpts[None, :, :], axis=2), 1.0)
+    terms = np.outer(qw, qw) * np.abs(np.subtract.outer(vq, vq)) ** k / dist ** (1.0 + tau * k)
+    return float(np.sum(np.where(far, terms, 0.0)))
+
+
+@PROPERTY_SETTINGS
+@given(boundary_fields(top=4), orders)
+def test_unordered_far_field_matches_the_ordered_sum(field, tk):
+    level, values = field
+    tau, k = tk
+    m = geometry.build_disk_mesh(level)
+    v = fem.boundary_field(m, values(m.boundary_params))
+    total = gagliardo(v, tau, k).seminorm_I
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fem.P1, "far_field", lambda self, beta: iter(()))
+        near = gagliardo(v, tau, k).seminorm_I
+    assert total - near == pytest.approx(ordered_far_field(v, tau, k), rel=1e-12)

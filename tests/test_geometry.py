@@ -4,6 +4,9 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from mixedreg import FieldError, Mesh, MeshError, build_disk_mesh, build_ellipse_mesh, refine
 from mixedreg.geometry import boundary_geodesic_gap, mesh_from_arrays
@@ -37,6 +40,56 @@ def test_refine_counts(disk):
     fine = refine(m)
     assert fine.boundary_loop.shape[0] == 16
     assert fine.triangles.shape[0] == 4 * m.triangles.shape[0]
+
+
+PRESETS = {"disk": build_disk_mesh, "ellipse": build_ellipse_mesh}
+
+
+def n_edges(m):
+    sides = np.sort(m.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+    return np.unique(sides, axis=0).shape[0]
+
+
+def assert_refinement_invariants(coarse, fine):
+    """A refined disk-like mesh: Euler characteristic 1, doubled boundary, V' = V + E, T' = 4 T."""
+    for m in (coarse, fine):
+        assert m.n_vertices - n_edges(m) + m.triangles.shape[0] == 1
+    assert fine.boundary_edges.shape[0] == 2 * coarse.boundary_edges.shape[0]
+    assert fine.n_vertices == coarse.n_vertices + n_edges(coarse)
+    assert fine.triangles.shape[0] == 4 * coarse.triangles.shape[0]
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(sorted(PRESETS)), st.integers(0, 4))
+def test_refined_presets_keep_their_invariants(preset, level):
+    coarse = PRESETS[preset](level)
+    fine = refine(coarse)
+    assert coarse.boundary_edges.shape[0] == 8 * 2**level
+    assert_refinement_invariants(coarse, fine)
+
+
+@st.composite
+def star_fans(draw):
+    """A fan of n >= 3 triangles around the origin over a random star-shaped polygon.
+
+    Jittered angles keep every sector below pi, so each triangle is proper.
+    """
+    n = draw(st.integers(3, 12))
+    jitter = draw(arrays(np.float64, n, elements=st.floats(0.0, 0.45)))
+    radii = draw(arrays(np.float64, n, elements=st.floats(0.2, 3.0)))
+    th = 2.0 * np.pi * (np.arange(n) + jitter) / n
+    verts = np.vstack([[0.0, 0.0], np.stack([radii * np.cos(th), radii * np.sin(th)], axis=1)])
+    tris = np.stack([np.zeros(n, dtype=int), 1 + np.arange(n), 1 + (np.arange(n) + 1) % n], axis=1)
+    return mesh_from_arrays(verts, tris)
+
+
+@settings(max_examples=30, deadline=None)
+@given(star_fans(), st.integers(1, 3))
+def test_refined_hand_built_meshes_keep_their_invariants(m, times):
+    for _ in range(times):
+        fine = refine(m)
+        assert_refinement_invariants(m, fine)
+        m = fine
 
 
 def test_perimeter_increases_to_circle(disk):
