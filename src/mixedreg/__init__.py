@@ -4,121 +4,4 @@ first-order optimality solvers, and fractional boundary-norm
 diagnostics backing the regularity experiments.
 """
 
-from .catalog import (
-    AssumptionReport,
-    ConfigError,
-    InversionError,
-    MonotoneScalar,
-    ProblemSpec,
-    SpecError,
-    check_assumptions,
-    invert_monotone,
-    load_problem_config,
-    save_problem_config,
-)
-from .expressions import ParseError, parse_expr
-from .fem import (
-    FEField,
-    FieldError,
-    LinearSolveError,
-    boundary_field,
-    domain_field,
-    lp_norm,
-    prolong,
-    read_meshfield,
-    write_meshfield,
-)
-from .fracnorm import (
-    FracNormError,
-    FracNormReport,
-    chain_rule_check,
-    gagliardo,
-    holder_embedding_probe,
-    product_check,
-)
-from .geometry import Mesh, MeshError, build_disk_mesh, build_ellipse_mesh, refine
-from .kkt import (
-    KKTReport,
-    KKTState,
-    kkt_residual,
-    multipliers_from_phi,
-    objective,
-    project_controls,
-    reduced_gradient,
-    robinson_check,
-    solve_kkt,
-)
-from .regularity import (
-    RegularityReport,
-    holder_estimate,
-    lipschitz_estimate,
-    refinement_study,
-    second_difference_estimate,
-)
-from .solvers import (
-    ExponentTable,
-    NonlinearSolveError,
-    StateSolveReport,
-    exponents,
-    solve_adjoint,
-    solve_linearized,
-    solve_state,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AssumptionReport",
-    "ConfigError",
-    "ExponentTable",
-    "FEField",
-    "FieldError",
-    "FracNormError",
-    "FracNormReport",
-    "InversionError",
-    "KKTReport",
-    "KKTState",
-    "LinearSolveError",
-    "Mesh",
-    "MeshError",
-    "MonotoneScalar",
-    "NonlinearSolveError",
-    "ParseError",
-    "ProblemSpec",
-    "RegularityReport",
-    "SpecError",
-    "StateSolveReport",
-    "boundary_field",
-    "build_disk_mesh",
-    "build_ellipse_mesh",
-    "chain_rule_check",
-    "check_assumptions",
-    "domain_field",
-    "exponents",
-    "gagliardo",
-    "holder_embedding_probe",
-    "holder_estimate",
-    "second_difference_estimate",
-    "invert_monotone",
-    "kkt_residual",
-    "lipschitz_estimate",
-    "load_problem_config",
-    "lp_norm",
-    "multipliers_from_phi",
-    "objective",
-    "parse_expr",
-    "product_check",
-    "project_controls",
-    "prolong",
-    "read_meshfield",
-    "reduced_gradient",
-    "refine",
-    "refinement_study",
-    "robinson_check",
-    "save_problem_config",
-    "solve_adjoint",
-    "solve_kkt",
-    "solve_linearized",
-    "solve_state",
-    "write_meshfield",
-]

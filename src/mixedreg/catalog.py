@@ -514,15 +514,6 @@ def check_assumptions(
     return AssumptionReport(checks)
 
 
-_CONFIG_LAYOUT = {
-    "domain": ("preset", "dimension"),
-    "exponents": ("p", "q"),
-    "cost": ("lambda1", "lambda2", "mu1", "mu2", "L", "ell"),
-    "pde": ("a11", "a12", "a22", "a0", "f"),
-    "constraints": ("g1", "zeta1", "rho1", "g2", "zeta2", "rho2"),
-}
-
-
 def load_problem_config(path: str) -> ProblemSpec:
     """Parse a sectioned key-value config file into a ProblemSpec.
 
@@ -591,7 +582,10 @@ def load_problem_config(path: str) -> ProblemSpec:
 
 
 def save_problem_config(spec: ProblemSpec, path: str) -> None:
-    """Serialize a ProblemSpec back to the sectioned config format."""
+    """Serialize a ProblemSpec back to the sectioned config format.
+
+    Kept without a package caller: it is the write half of the config round trip.
+    """
     parser = configparser.ConfigParser(interpolation=None)
     parser["domain"] = {"preset": spec.preset, "dimension": str(spec.N)}
     parser["exponents"] = {"p": repr(spec.p), "q": repr(spec.q)}

@@ -68,7 +68,6 @@ __all__ = [
     "prolong",
     "write_meshfield",
     "read_meshfield",
-    "field_from_meshfield",
 ]
 
 # relative residual a linear solve must reach to be accepted
@@ -604,15 +603,16 @@ def prolong(field: FEField, fine: Mesh) -> FEField:
 def write_meshfield(field: FEField, path: str) -> None:
     """Write the portable three-column vertex format (17 significant digits)."""
     coords = field.coords()
+    rows = "".join(f"{x:.17g} {y:.17g} {v:.17g}\n" for (x, y), v in zip(coords, field.values))
     with open(path, "w") as fh:
-        fh.write("MESHFIELD v1\n")
-        fh.write(f"{coords.shape[0]}\n")
-        for (x, y), v in zip(coords, field.values):
-            fh.write(f"{x:.17g} {y:.17g} {v:.17g}\n")
+        fh.write(f"MESHFIELD v1\n{coords.shape[0]}\n{rows}")
 
 
 def read_meshfield(path: str):
-    """Read a MESHFIELD v1 file, returning (coords (n,2), values (n,))."""
+    """Read a MESHFIELD v1 file, returning (coords (n,2), values (n,)).
+
+    Kept without a package caller: it is how the CLI's ``.mf`` artifacts are read back.
+    """
     with open(path) as fh:
         header = fh.readline().strip()
         if header != "MESHFIELD v1":
@@ -625,13 +625,3 @@ def read_meshfield(path: str):
     if rows.shape != (count, 3):
         raise FieldError(f"expected {count} rows of 'x y value', got shape {rows.shape}")
     return rows[:, :2], rows[:, 2]
-
-
-def field_from_meshfield(mesh: Mesh, role: str, path: str) -> FEField:
-    """Bind a MESHFIELD file to a mesh, verifying vertex coordinates."""
-    coords, values = read_meshfield(path)
-    probe = FEField(mesh, role, np.zeros(mesh.n_vertices if role == "domain" else mesh.n_boundary))
-    ref = probe.coords()
-    if coords.shape != ref.shape or not np.allclose(coords, ref, atol=1e-12, rtol=0.0):
-        raise FieldError("MESHFIELD vertices do not match the mesh")
-    return FEField(mesh, role, values)

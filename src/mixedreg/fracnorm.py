@@ -34,11 +34,8 @@ __all__ = [
     "gagliardo",
     "chain_rule_check",
     "product_check",
-    "holder_embedding_probe",
-    "HOLDER_LADDER",
 ]
 
-HOLDER_LADDER = (2.0, 4.0, 8.0, 16.0)
 FRACNORM_CSV_HEADER = "tau,k,level,seminorm,norm"
 
 
@@ -193,16 +190,3 @@ def product_check(
     else:
         ratio = 0.0 if lhs == 0.0 else float("inf")
     return lhs, rhs, ratio
-
-
-def holder_embedding_probe(v: FEField, k: float) -> float:
-    """Gagliardo seminorm at the Lipschitz-limit order tau = 1 - 1/k.
-
-    Evaluated over the ladder k in {2, 4, 8, 16} by callers, this probes
-    membership of the boundary field in every fractional space below the
-    Lipschitz threshold: bounded ladders under refinement indicate a
-    Lipschitz limit, growing ladders a genuinely rougher one.
-    """
-    if not k > 1.0:
-        raise FracNormError(f"the probe needs k > 1 so that tau = 1 - 1/k is admissible, got {k}")
-    return gagliardo(v, 1.0 - 1.0 / k, k).seminorm_I

@@ -19,7 +19,6 @@ __all__ = [
     "build_ellipse_mesh",
     "mesh_from_arrays",
     "refine",
-    "boundary_geodesic_gap",
 ]
 
 MAX_LEVEL = 10
@@ -174,12 +173,6 @@ class Mesh:
         e = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 1], p[:, 0] - p[:, 2]], axis=1)
         return float(np.max(np.linalg.norm(e, axis=2)))
 
-    def boundary_positions(self) -> np.ndarray:
-        """Loop position of every vertex (-1 for interior vertices)."""
-        pos = np.full(self.n_vertices, -1, dtype=np.int64)
-        pos[self.boundary_loop] = np.arange(self.n_boundary)
-        return pos
-
 
 def _fan_mesh(preset: str, level: int) -> Mesh:
     thetas = 2.0 * np.pi * np.arange(8) / 8.0
@@ -266,8 +259,8 @@ def mesh_from_arrays(vertices: np.ndarray, triangles: np.ndarray) -> Mesh:
     """Build a mesh from raw arrays, deriving the boundary loop.
 
     Triangles are reoriented counterclockwise if needed.  Intended for
-    hand-built test geometries; preset builders should be used for the
-    analytic domains.
+    hand-built test geometries, which is why the package keeps it without
+    a caller; preset builders should be used for the analytic domains.
     """
     vertices = np.asarray(vertices, dtype=float)
     triangles = np.asarray(triangles, dtype=np.int64).copy()
@@ -301,16 +294,3 @@ def mesh_from_arrays(vertices: np.ndarray, triangles: np.ndarray) -> Mesh:
         triangles=triangles,
         boundary_loop=np.asarray(loop, dtype=np.int64),
     )
-
-
-def boundary_geodesic_gap(mesh: Mesh, i: int, j: int) -> float:
-    """Chordal distance between two boundary vertices (global indices).
-
-    The chordal metric is used consistently for all boundary pair
-    separations, including the fractional-seminorm kernels.
-    """
-    pos = mesh.boundary_positions()
-    for idx in (i, j):
-        if not 0 <= idx < mesh.n_vertices or pos[idx] < 0:
-            raise MeshError(f"vertex {idx} is not a boundary vertex")
-    return float(np.linalg.norm(mesh.vertices[i] - mesh.vertices[j]))

@@ -1,11 +1,10 @@
 """Optimality system for the mixed-constrained control problem.
 
 This module carries the optimization core: the cost functional, the
-adjoint-based reduced gradient, the constraint maps written through the
-inverted reparametrizations, multiplier recovery on active sets, the
-projection form of optimal controls, a residual-based optimality report,
-a semismooth Newton solver, and a constructive surjectivity check for
-the linearized constraints.
+adjoint-based reduced gradient, the projection form of optimal controls,
+a semismooth Newton solver whose report measures every first-order
+residual, and a constructive surjectivity check for the linearized
+constraints.
 
 The two mixed constraints share one form, zeta_i(c) + g_i(x, y) <= 0,
 with c = u at every vertex (i = 1) and c = v on the boundary loop
@@ -13,8 +12,8 @@ with c = u at every vertex (i = 1) and c = v on the boundary loop
 once: the control's nodes and the state there (y or its trace), zeta_i,
 the cost index i, g_i and its y-derivative at those nodes (through
 ``fem.nodal``), and the bound b = zeta_i^{-1}(-g_i), one
-``invert_monotone`` call per half.  Every formula below (constraint
-maps, active sets and multipliers, projection, stationarity,
+``invert_monotone`` call per half.  Every formula below (the
+projection with its active sets and multipliers, stationarity,
 complementarity and feasibility, the adjoint load, the Newton
 derivatives, the surjectivity shifts) is written once and applied to
 both halves.
@@ -70,15 +69,11 @@ __all__ = [
     "HISTORY_HEADER",
     "objective",
     "reduced_gradient",
-    "constraint_values",
-    "multipliers_from_phi",
     "project_controls",
-    "kkt_residual",
     "solve_kkt",
     "robinson_check",
 ]
 
-ACTIVE_TOL = 1e-8
 KKT_TOL = 1e-7
 MAX_ITER = 200
 HISTORY_HEADER = "iter,obj,stat_u,stat_v,comp_u,comp_v,feas_u,feas_v"
@@ -269,54 +264,6 @@ def reduced_gradient(spec: ProblemSpec, u: FEField, v: FEField, state: StateSolv
     return gu, gv
 
 
-def _gap(h: _Half, c: FEField) -> np.ndarray:
-    return c.values - h.bound
-
-
-def constraint_values(spec: ProblemSpec, y: FEField, u: FEField, v: FEField):
-    """Nodal constraint maps: control minus the state-dependent bound.
-
-    For increasing reparametrizations, pointwise feasibility of the mixed
-    constraints is equivalent to both returned fields being <= 0.
-    """
-    mesh = _check_state_fields(y, u, v)
-    return tuple(FEField(mesh, h.y.role, _gap(h, c)) for h, c in zip(_constraints(spec, y), (u, v)))
-
-
-def _multipliers(spec: ProblemSpec, halves, controls, phi: FEField, active_tol: float):
-    psis, masks = [], []
-    for h, c in zip(halves, controls):
-        residual = np.asarray(h.zeta.value(c.values)) + h.g
-        mask = np.abs(residual) <= active_tol * max(1.0, float(np.max(np.abs(h.g))))
-        psi = np.zeros(mask.shape)
-        if np.any(mask):
-            stat = phi.values[h.nodes][mask] + delta_value(h.cost, spec, h.bound[mask])
-            psi[mask] = -stat / np.asarray(h.zeta.slope(c.values[mask]))
-        psis.append(FEField(c.mesh, h.y.role, psi))
-        masks.append(mask)
-    return (*psis, *masks)
-
-
-def multipliers_from_phi(
-    spec: ProblemSpec,
-    y: FEField,
-    u: FEField,
-    v: FEField,
-    phi: FEField,
-    active_tol: float = ACTIVE_TOL,
-):
-    """Recover inequality multipliers from the adjoint state.
-
-    Active sets are detected from the constraint residual with a relative
-    tolerance; on them the multiplier is minus the control-stationarity
-    defect divided by the reparametrization slope, zero elsewhere.
-    Returns (psi1, psi2, active_domain, active_boundary).
-    """
-    _check_state_fields(y, u, v)
-    _check_adjoint(y, phi)
-    return _multipliers(spec, _constraints(spec, y), (u, v), phi, active_tol)
-
-
 @dataclass(frozen=True)
 class _Minimizer:
     """The control of one half as a function of the adjoint at its nodes."""
@@ -362,7 +309,12 @@ def _adjoint_rhs(spec: ProblemSpec, halves, psis):
 
 
 def _report(spec: ProblemSpec, state: KKTState, halves, state_defect, adjoint_defect, kkt_tol):
-    """The residuals of ``kkt_residual``, given the algebraic state and adjoint defects at state."""
+    """Max-norm residuals of every first-order optimality condition at state.
+
+    Stationarity and complementarity are evaluated nodally, feasibility as
+    the positive part of control minus bound, and the state and adjoint
+    residuals are the given algebraic defects of their discrete systems.
+    """
     phi = state.phi
     measured = {}
     for h, c, psi, side in zip(halves, (state.u, state.v), (state.psi1, state.psi2), "uv"):
@@ -371,7 +323,7 @@ def _report(spec: ProblemSpec, state: KKTState, halves, state_defect, adjoint_de
         comp = psi.values * (np.asarray(h.zeta.value(c.values)) + h.g)
         measured[f"stationarity_{side}"] = float(np.max(np.abs(stat)))
         measured[f"complementarity_{side}"] = float(np.max(np.abs(comp)))
-        measured[f"feasibility_{side}"] = max(0.0, float(np.max(_gap(h, c))))
+        measured[f"feasibility_{side}"] = max(0.0, float(np.max(c.values - h.bound)))
     measured["state_residual"] = float(np.max(np.abs(state_defect)))
     measured["adjoint_residual"] = float(np.max(np.abs(adjoint_defect)))
 
@@ -383,25 +335,6 @@ def _report(spec: ProblemSpec, state: KKTState, halves, state_defect, adjoint_de
         iterations=0,
         converged=all(r <= kkt_tol for r in residuals.values()),
     )
-
-
-def kkt_residual(spec: ProblemSpec, state: KKTState, kkt_tol: float = KKT_TOL) -> KKTReport:
-    """Max-norm residuals of every first-order optimality condition.
-
-    Stationarity and complementarity are evaluated nodally, feasibility as
-    the positive part of the constraint maps, and the state and adjoint
-    residuals as the algebraic defects of their discrete systems.
-    """
-    y = state.y
-    _check_state_fields(y, state.u, state.v)
-    halves = _constraints(spec, y)
-    rec = fem.p1(y.mesh)
-    adjoint_rhs = _adjoint_rhs(spec, halves, (state.psi1, state.psi2))
-    state_defect = semilinear_operator(spec, y) - rec.load(state.u.values, state.v.values)
-    adjoint_defect = linearized_matrix(spec, y).matvec(state.phi.values) - rec.load(
-        *(f.values for f in adjoint_rhs)
-    )
-    return _report(spec, state, halves, state_defect, adjoint_defect, kkt_tol)
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,6 @@ __all__ = [
     "RegularityReport",
     "lipschitz_estimate",
     "holder_estimate",
-    "second_difference_estimate",
     "refinement_study",
     "STUDY_FIELDS",
 ]
@@ -155,24 +154,6 @@ def holder_estimate(
     if pairs is None:
         pairs = HolderPairs(f.mesh, f.role, max_points, seed)
     return pairs.quotients(f, (gamma,), min_distance)[0]
-
-
-def second_difference_estimate(f: FEField) -> float:
-    """Max centered second difference along the boundary loop, over h^2.
-
-    A C^2 trace keeps this bounded under refinement; a gradient kink
-    (the signature of a clipped control) makes it grow like 1/h, which
-    separates merely-Lipschitz fields from continuously differentiable
-    ones even while :func:`lipschitz_estimate` stabilizes for both.
-    """
-    if f.role != "boundary":
-        raise fem.FieldError("second differences are defined along the boundary loop")
-    vals = f.values
-    lens = f.mesh.boundary_edge_lengths
-    h_prev = np.roll(lens, 1)
-    diff2 = np.abs(np.roll(vals, -1) * h_prev + np.roll(vals, 1) * lens - vals * (lens + h_prev))
-    scale = 0.5 * lens * h_prev * (lens + h_prev)
-    return float(np.max(diff2 / scale))
 
 
 @dataclass

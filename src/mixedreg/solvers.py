@@ -1,8 +1,8 @@
-"""State, linearized, and adjoint solves plus integrability bookkeeping.
+"""State and adjoint solves plus integrability bookkeeping.
 
 The semilinear state equation is solved by damped Newton iterations with
-an Armijo residual test; the linearized and adjoint problems share one
-symmetric matrix, so the discrete adjoint identity holds to solver
+an Armijo residual test; the linearized state and adjoint problems share
+one symmetric matrix, so the discrete adjoint identity holds to solver
 tolerance.  A :class:`StateSolveReport` keeps the linearization at its
 state, and so that operator's sparse LU, for as long as the report
 lives; solves seeded with the report share it.  The elliptic operator,
@@ -35,7 +35,6 @@ __all__ = [
     "linearized_matrix",
     "second_variation_matrix",
     "solve_state",
-    "solve_linearized",
     "solve_adjoint",
 ]
 
@@ -244,16 +243,6 @@ def solve_state(
         spec=spec,
         residual_history=history,
     )
-
-
-def solve_linearized(spec: ProblemSpec, y: FEField, du: FEField, dv: FEField) -> FEField:
-    """Directional derivative of the control-to-state map at y."""
-    mesh = _check_pair(spec, du, dv)
-    if y.mesh is not mesh:
-        raise fem.FieldError("state and perturbations live on different meshes")
-    mat = linearized_matrix(spec, y)
-    w = fem.solve_linear(mat, fem.p1(mesh).load(du.values, dv.values))
-    return FEField(mesh, "domain", w)
 
 
 def solve_adjoint(

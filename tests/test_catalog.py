@@ -5,19 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mixedreg import (
+from mixedreg.catalog import (
     ConfigError,
-    InversionError,
     MonotoneScalar,
     ProblemSpec,
     SpecError,
     check_assumptions,
+    delta_inverse,
+    delta_slope,
+    delta_value,
     invert_monotone,
     load_problem_config,
     save_problem_config,
 )
-from mixedreg import exponents
-from mixedreg.catalog import delta_inverse, delta_slope, delta_value
+from mixedreg.solvers import exponents
 
 
 def base_spec(**overrides):
@@ -274,6 +275,50 @@ def test_config_roundtrip(tmp_path, configs):
         spec.zeta1.value(ys), again.zeta1.value(ys), rtol=0, atol=0
     )
     assert again.p == spec.p and again.lambda2 == spec.lambda2
+
+
+EXPRESSION_FIELDS = ("a11", "a12", "a22", "a0", "f", "L", "ell", "g1", "g2")
+# (x1, x2, y) over the bounding box of both presets, and t for the reparametrizations
+ROUNDTRIP_GRID = tuple(
+    a.ravel()
+    for a in np.meshgrid(np.linspace(-1.5, 1.5, 7), np.linspace(-1.0, 1.0, 5), np.linspace(-2.0, 2.0, 9))
+)
+ROUNDTRIP_T = np.linspace(-3.0, 3.0, 13)
+positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+nonnegative = st.floats(min_value=0.0, allow_infinity=False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_config_roundtrip_is_exact(tmp_path_factory, configs, data):
+    # numbers drawn, expressions mixed field by field from the shipped configs
+    def shipped(name):
+        return getattr(configs[data.draw(st.sampled_from(sorted(configs)))], name)
+
+    spec = ProblemSpec(
+        preset=data.draw(st.sampled_from(["disk", "ellipse"])),
+        p=data.draw(st.floats(min_value=2.0, max_value=1e6)),
+        q=data.draw(st.floats(min_value=2.0, max_value=1e6)),
+        lambda1=data.draw(positive),
+        lambda2=data.draw(nonnegative),
+        mu1=data.draw(positive),
+        mu2=data.draw(nonnegative),
+        zeta1=(shipped("zeta1").expr, data.draw(positive)),
+        zeta2=(shipped("zeta2").expr, data.draw(positive)),
+        **{name: shipped(name) for name in EXPRESSION_FIELDS},
+    )
+    path = tmp_path_factory.getbasetemp() / "roundtrip.cfg"
+    save_problem_config(spec, str(path))
+    again = load_problem_config(str(path))
+    for name in ("preset", "N", "p", "q", "lambda1", "lambda2", "mu1", "mu2"):
+        assert getattr(again, name) == getattr(spec, name), name
+    for name in ("zeta1", "zeta2"):
+        zeta, back = getattr(spec, name), getattr(again, name)
+        assert back.rho == zeta.rho, name
+        assert np.array_equal(back.value(ROUNDTRIP_T), zeta.value(ROUNDTRIP_T)), name
+    for name in EXPRESSION_FIELDS:
+        expr, back = getattr(spec, name), getattr(again, name)
+        assert np.array_equal(back(*ROUNDTRIP_GRID), expr(*ROUNDTRIP_GRID)), name
 
 
 def test_config_missing_section(tmp_path):

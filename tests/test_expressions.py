@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mixedreg import ParseError, parse_expr
+from mixedreg.expressions import ParseError, parse_expr
 from mixedreg.expressions import Add, Const, Coord, Div, EvalError, Func, Mul, Pow, SPow, Sub, Value
 
 

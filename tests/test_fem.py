@@ -11,29 +11,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from mixedreg import (
-    FieldError,
-    LinearSolveError,
-    build_disk_mesh,
-    build_ellipse_mesh,
-    gagliardo,
-    lp_norm,
-    prolong,
-    refine,
-)
-from mixedreg import fem, parse_expr, solvers
+from mixedreg import fem, solvers
+from mixedreg.expressions import parse_expr
 from mixedreg.fem import (
     AssemblyError,
+    FieldError,
+    LinearSolveError,
     assemble_operator,
     boundary_field,
     domain_field,
-    field_from_meshfield,
+    lp_norm,
+    prolong,
     read_meshfield,
     solve_linear,
     trace,
     write_meshfield,
 )
-from mixedreg.geometry import mesh_from_arrays
+from mixedreg.fracnorm import gagliardo
+from mixedreg.geometry import build_disk_mesh, build_ellipse_mesh, mesh_from_arrays
 
 
 @pytest.fixture(scope="module")
@@ -415,13 +410,23 @@ def test_meshfield_roundtrip(tmp_path, disk):
     coords, values = read_meshfield(str(path))
     assert np.array_equal(values, f.values)
     assert np.array_equal(coords, m.vertices)
-    again = field_from_meshfield(m, "domain", str(path))
-    assert np.array_equal(again.values, f.values)
 
-
-def test_meshfield_mesh_mismatch(tmp_path, disk):
-    f = boundary_field(disk(1), 1.0)
-    path = tmp_path / "b.mf"
-    write_meshfield(f, str(path))
-    with pytest.raises(FieldError):
-        field_from_meshfield(disk(2), "boundary", str(path))
+    # the exact text, for a domain and a boundary field of a hand-built square
+    square = mesh_from_arrays(
+        [[0, 0], [1, 0], [1, 1], [0, 1], [0.5, 0.5]], [[0, 1, 4], [1, 2, 4], [2, 3, 4], [3, 0, 4]]
+    )
+    for field, text in (
+        (
+            domain_field(square, np.arange(5) / 3.0),
+            "MESHFIELD v1\n5\n0 0 0\n1 0 0.33333333333333331\n1 1 0.66666666666666663\n"
+            "0 1 1\n0.5 0.5 1.3333333333333333\n",
+        ),
+        (
+            boundary_field(square, [0.1 + 0.2, -0.0, 1e-300, -2.5e16]),
+            "MESHFIELD v1\n4\n0 0 0.30000000000000004\n1 0 -0\n1 1 1e-300\n0 1 -25000000000000000\n",
+        ),
+    ):
+        write_meshfield(field, str(path))
+        assert path.read_text() == text
+        coords, values = read_meshfield(str(path))
+        assert np.array_equal(coords, field.coords()) and np.array_equal(values, field.values)

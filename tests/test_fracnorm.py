@@ -1,4 +1,4 @@
-"""Fractional boundary norms, composition bounds, embedding probes."""
+"""Fractional boundary norms, composition bounds, Lipschitz-limit seminorms."""
 
 import numpy as np
 import pytest
@@ -12,7 +12,6 @@ from mixedreg.fracnorm import (
     FracNormError,
     chain_rule_check,
     gagliardo,
-    holder_embedding_probe,
     product_check,
 )
 
@@ -195,19 +194,12 @@ def test_product_stability_under_refinement(fourier_sweep):
 
 
 # ---------------------------------------------------------------------------
-# Lipschitz-threshold embedding probe
+# seminorm at the Lipschitz-limit order tau = 1 - 1/k: bounded under
+# refinement for a Lipschitz trace, growing for a rougher one
 
 
 def test_probe_constant_is_zero(disk):
-    assert holder_embedding_probe(fem.boundary_field(disk(3), 2.5), 2.0) == 0.0
-
-
-def test_probe_rejects_small_exponent(disk):
-    v = fem.boundary_field(disk(1), 1.0)
-    with pytest.raises(FracNormError):
-        holder_embedding_probe(v, 1.0)
-    with pytest.raises(FracNormError):
-        holder_embedding_probe(v, 0.5)
+    assert gagliardo(fem.boundary_field(disk(3), 2.5), 0.5, 2.0).seminorm_I == 0.0
 
 
 def test_probe_ladder_smooth_field(disk):
@@ -217,14 +209,14 @@ def test_probe_ladder_smooth_field(disk):
     expected = {2.0: 19.7382, 4.0: 14.8037, 8.0: 10.7943, 16.0: 7.75241}
     roots = []
     for k, e in expected.items():
-        val = holder_embedding_probe(v, k)
+        val = gagliardo(v, 1.0 - 1.0 / k, k).seminorm_I
         assert val == pytest.approx(e, rel=1e-4)
         roots.append(val ** (1.0 / k))
     assert all(a > b for a, b in zip(roots, roots[1:]))
 
 
 def test_probe_smooth_field_stable_under_refinement(disk):
-    vals = [holder_embedding_probe(cos_field(disk(lv)), 2.0) for lv in (3, 4, 5, 6)]
+    vals = [gagliardo(cos_field(disk(lv)), 0.5, 2.0).seminorm_I for lv in (3, 4, 5, 6)]
     assert vals[0] == pytest.approx(19.72336, rel=1e-5)
     assert vals[-1] == pytest.approx(19.738961, rel=1e-5)
     assert abs(vals[-1] - vals[0]) / vals[0] < 1e-3
@@ -236,7 +228,7 @@ def test_probe_step_field_diverges_logarithmically(disk):
     for lv in (4, 5, 6):
         m = disk(lv)
         v = fem.boundary_field(m, np.sign(np.cos(m.boundary_params)))
-        vals.append(holder_embedding_probe(v, 2.0))
+        vals.append(gagliardo(v, 0.5, 2.0).seminorm_I)
     incs = [b - a for a, b in zip(vals, vals[1:])]
     for inc in incs:
         assert inc == pytest.approx(oracles.STEP_LADDER_INCREMENT, rel=5e-3)

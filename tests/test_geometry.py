@@ -8,11 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from mixedreg import FieldError, Mesh, MeshError, build_disk_mesh, build_ellipse_mesh, refine
-from mixedreg.geometry import boundary_geodesic_gap, mesh_from_arrays
+from mixedreg.geometry import Mesh, MeshError, build_disk_mesh, build_ellipse_mesh, mesh_from_arrays, refine
 
 OCTAGON_PERIMETER = 16.0 * np.sin(np.pi / 8.0)
-ADJACENT_CHORD = 2.0 * np.sin(np.pi / 8.0)
 
 
 def test_level0_octagon(disk):
@@ -144,29 +142,6 @@ def test_mesh_size_halves(disk):
     edge = [float(disk(level).boundary_edge_lengths.max()) for level in range(1, 4)]
     edge_ratios = [a / b for a, b in zip(edge, edge[1:])]
     assert all(1.9 < r <= 2.0 for r in edge_ratios)
-
-
-def test_geodesic_gap_examples(disk):
-    m = disk(0)
-    loop = m.boundary_loop
-    assert boundary_geodesic_gap(m, int(loop[0]), int(loop[0])) == 0.0
-    adj = boundary_geodesic_gap(m, int(loop[0]), int(loop[1]))
-    assert adj == pytest.approx(ADJACENT_CHORD, rel=1e-14)
-    anti = boundary_geodesic_gap(m, int(loop[0]), int(loop[4]))
-    assert anti == pytest.approx(2.0, abs=1e-14)
-    # symmetry
-    assert boundary_geodesic_gap(m, int(loop[2]), int(loop[5])) == boundary_geodesic_gap(
-        m, int(loop[5]), int(loop[2])
-    )
-
-
-def test_geodesic_gap_rejects_non_boundary(disk):
-    m = disk(0)
-    # vertex 0 is the disk center
-    with pytest.raises(MeshError):
-        boundary_geodesic_gap(m, 0, int(m.boundary_loop[0]))
-    with pytest.raises(MeshError):
-        boundary_geodesic_gap(m, int(m.boundary_loop[0]), m.n_vertices + 5)
 
 
 def test_level_bounds():

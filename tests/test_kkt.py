@@ -1,4 +1,4 @@
-"""Objective, multipliers, projection, residuals, semismooth Newton solver."""
+"""Objective, projection and multipliers, residuals, semismooth Newton solver."""
 
 import json
 
@@ -87,52 +87,35 @@ def test_reduced_gradient_reuses_a_state_report(configs, disk):
 # constraints, multipliers, projection
 
 
-def test_constraint_values_examples(disk):
-    m = disk(2)
-    spec = simple_spec()
-    y = fem.domain_field(m, 0.0)
-
-    u, v = zero_controls(m)
-    G1, G2 = kkt.constraint_values(spec, y, u, v)
-    assert np.all(G1.values == -1.0) and np.all(G2.values == -1.0)
-
-    u = fem.domain_field(m, 1.0)
-    G1, _ = kkt.constraint_values(spec, y, u, v)
-    assert np.max(np.abs(G1.values)) == 0.0
-
-    spec0 = simple_spec(g1="y")
-    u = fem.domain_field(m, 0.25)
-    G1, _ = kkt.constraint_values(spec0, y, u, v)
-    assert np.all(G1.values == 0.25)
-
-
 def test_multipliers_vanish_off_active_set(disk):
+    # y = 0, identity costs, bound 1: phi = -0.5 puts w = 0.5 below the bound
     m = disk(2)
-    spec = simple_spec()
-    y = fem.domain_field(m, 0.0)
-    u, v = zero_controls(m)
-    phi = fem.domain_field(m, -3.0)
-    psi1, psi2, mask1, mask2 = kkt.multipliers_from_phi(spec, y, u, v, phi)
-    assert not mask1.any() and not mask2.any()
-    assert np.max(np.abs(psi1.values)) == 0.0
-    assert np.max(np.abs(psi2.values)) == 0.0
+    state = kkt._point(simple_spec(), fem.domain_field(m, 0.0), fem.domain_field(m, -0.5)).state()
+    assert not state.active_domain.any() and not state.active_boundary.any()
+    assert np.max(np.abs(state.psi1.values)) == 0.0
+    assert np.max(np.abs(state.psi2.values)) == 0.0
 
 
 def test_multiplier_arithmetic_on_active_set(disk):
-    # u at the bound 1, phi = -3, identity costs: psi1 = -((-3) + 1) / 1 = 2
+    # w = 3 clamps to the bound 1, phi = -3, identity costs: psi = -((-3) + 1) / 1 = 2
     m = disk(2)
-    spec = simple_spec()
-    y = fem.domain_field(m, 0.0)
-    u = fem.domain_field(m, 1.0)
-    v = fem.boundary_field(m, 1.0)
     phi = fem.domain_field(m, -3.0)
-    psi1, psi2, mask1, mask2 = kkt.multipliers_from_phi(spec, y, u, v, phi)
-    assert mask1.all() and mask2.all()
-    assert np.max(np.abs(psi1.values - 2.0)) == 0.0
-    assert np.max(np.abs(psi2.values - 2.0)) == 0.0
-    # recovered multipliers zero the control stationarity identically
-    stat = u.values + phi.values + psi1.values
+    state = kkt._point(simple_spec(), fem.domain_field(m, 0.0), phi).state()
+    assert state.active_domain.all() and state.active_boundary.all()
+    assert np.all(state.u.values == 1.0) and np.all(state.v.values == 1.0)
+    assert np.max(np.abs(state.psi1.values - 2.0)) == 0.0
+    assert np.max(np.abs(state.psi2.values - 2.0)) == 0.0
+    # the multipliers zero the control stationarity identically
+    stat = state.u.values + phi.values + state.psi1.values
     assert np.max(np.abs(stat)) == 0.0
+
+
+def nodal_bounds(spec, mesh, y):
+    """zeta_i^{-1}(-g_i(x, y)) at the vertices and on the boundary loop."""
+    xy, loop = mesh.vertices, mesh.boundary_loop
+    g1 = spec.g1(xy[:, 0], xy[:, 1], y.values)
+    g2 = spec.g2(xy[loop, 0], xy[loop, 1], y.values[loop])
+    return catalog.invert_monotone(spec.zeta1, -g1), catalog.invert_monotone(spec.zeta2, -g2)
 
 
 def test_project_controls_cases(disk):
@@ -161,9 +144,9 @@ def test_projection_is_feasible(disk):
     y = fem.domain_field(m, rng.uniform(-1, 1, m.n_vertices))
     phi = fem.domain_field(m, 3.0 * rng.standard_normal(m.n_vertices))
     u, v = kkt.project_controls(spec, y, phi)
-    G1, G2 = kkt.constraint_values(spec, y, u, v)
-    assert np.max(G1.values) <= 1e-12
-    assert np.max(G2.values) <= 1e-12
+    b1, b2 = nodal_bounds(spec, m, y)
+    assert np.max(u.values - b1) <= 1e-12
+    assert np.max(v.values - b2) <= 1e-12
 
 
 LEVEL2_VERTICES = 81
@@ -178,22 +161,13 @@ def random_fields(disk, ys, phis):
     return m, fem.domain_field(m, ys), fem.domain_field(m, phis)
 
 
-def nodal_bounds(spec, mesh, y):
-    """zeta_i^{-1}(-g_i(x, y)) at the vertices and on the boundary loop."""
-    xy, loop = mesh.vertices, mesh.boundary_loop
-    g1 = spec.g1(xy[:, 0], xy[:, 1], y.values)
-    g2 = spec.g2(xy[loop, 0], xy[loop, 1], y.values[loop])
-    return catalog.invert_monotone(spec.zeta1, -g1), catalog.invert_monotone(spec.zeta2, -g2)
-
-
 @PROPERTY_SETTINGS
 @given(random_state, random_adjoint)
 def test_projection_is_exactly_feasible(disk, ys, phis):
     spec = nonlinear_spec()
-    _, y, phi = random_fields(disk, ys, phis)
-    G1, G2 = kkt.constraint_values(spec, y, *kkt.project_controls(spec, y, phi))
-    assert np.max(G1.values) <= 0.0
-    assert np.max(G2.values) <= 0.0
+    m, y, phi = random_fields(disk, ys, phis)
+    for c, b in zip(kkt.project_controls(spec, y, phi), nodal_bounds(spec, m, y)):
+        assert np.max(c.values - b) <= 0.0
 
 
 @PROPERTY_SETTINGS
@@ -215,32 +189,25 @@ def test_projection_keeps_feasible_minimizers(disk, ys, phis):
 def test_multipliers_vanish_off_their_masks(disk, ys, phis):
     spec = nonlinear_spec()
     m, y, phi = random_fields(disk, ys, phis)
-    u, v = kkt.project_controls(spec, y, phi)
-    psi1, psi2, mask1, mask2 = kkt.multipliers_from_phi(spec, y, u, v, phi, active_tol=1e-6)
-    assert np.all(psi1.values[~mask1] == 0.0)
-    assert np.all(psi2.values[~mask2] == 0.0)
-    # every node the projection clamps to its bound is detected as active
+    state = kkt._point(spec, y, phi).state()
+    assert np.all(state.psi1.values[~state.active_domain] == 0.0)
+    assert np.all(state.psi2.values[~state.active_boundary] == 0.0)
+    # the active nodes are exactly those the projection clamps to their bound
     w1 = catalog.delta_inverse(1, spec, -phi.values)
     w2 = catalog.delta_inverse(2, spec, -phi.values[m.boundary_loop])
     b1, b2 = nodal_bounds(spec, m, y)
-    assert mask1[w1 > b1].all() and mask2[w2 > b2].all()
+    assert np.array_equal(state.active_domain, w1 > b1)
+    assert np.array_equal(state.active_boundary, w2 > b2)
 
 
 def test_project_requires_domain_adjoint(disk):
-    m = disk(1)
-    with pytest.raises(FieldError):
-        kkt.project_controls(simple_spec(), fem.domain_field(m, 0.0), fem.boundary_field(m, 0.0))
-
-
-def test_multipliers_require_domain_adjoint(configs, disk):
     # a boundary-role adjoint once indexed past its end instead of being rejected
     m = disk(1)
     y = fem.domain_field(m, 0.0)
-    u, v = zero_controls(m)
     with pytest.raises(FieldError):
-        kkt.multipliers_from_phi(configs["smooth_constrained"], y, u, v, fem.boundary_field(m, 0.0))
+        kkt.project_controls(simple_spec(), y, fem.boundary_field(m, 0.0))
     with pytest.raises(FieldError):
-        kkt.multipliers_from_phi(configs["smooth_constrained"], y, u, v, fem.domain_field(disk(2), 0.0))
+        kkt.project_controls(simple_spec(), y, fem.domain_field(disk(2), 0.0))
 
 
 def test_decreasing_reparametrization_rejected(disk):
@@ -254,18 +221,14 @@ def test_decreasing_reparametrization_rejected(disk):
 # residual evaluation
 
 
-def exact_constant_state(spec, mesh):
+def exact_constant_point(spec, mesh):
     c = oracles.CONSTANT_KKT_EXACT
-    return kkt.KKTState(
-        y=fem.domain_field(mesh, c["y"]),
-        phi=fem.domain_field(mesh, c["phi"]),
-        psi1=fem.domain_field(mesh, c["psi1"]),
-        u=fem.domain_field(mesh, c["u"]),
-        v=fem.boundary_field(mesh, c["v"]),
-        psi2=fem.boundary_field(mesh, c["psi2"]),
-        active_domain=np.ones(mesh.n_vertices, dtype=bool),
-        active_boundary=np.ones(mesh.n_boundary, dtype=bool),
-    )
+    return kkt._point(spec, fem.domain_field(mesh, c["y"]), fem.domain_field(mesh, c["phi"]))
+
+
+def exact_report(spec, pt, state):
+    """The solver's residual report of state, with the defects of pt."""
+    return kkt._report(spec, state, pt.halves, pt.state_defect, pt.adjoint_defect, kkt.KKT_TOL)
 
 
 def test_residual_zero_at_manufactured_constants(configs, disk):
@@ -273,28 +236,33 @@ def test_residual_zero_at_manufactured_constants(configs, disk):
         oracles.CONSTANT_KKT_EXACT, abs=1e-13
     )
     spec = configs["constant_kkt"]
-    m = disk(3)
-    report = kkt.kkt_residual(spec, exact_constant_state(spec, m))
+    pt = exact_constant_point(spec, disk(3))
+    state = pt.state()
+    # both constraints are active everywhere: the projection recovers every field
+    assert state.active_domain.all() and state.active_boundary.all()
+    for name, value in oracles.CONSTANT_KKT_EXACT.items():
+        assert np.max(np.abs(getattr(state, name).values - value)) <= 1e-9, name
+    report = exact_report(spec, pt, state)
     assert report.max_residual <= 1e-9
     assert report.converged
 
 
 def test_residual_detects_control_perturbation(configs, disk):
     spec = configs["constant_kkt"]
-    m = disk(3)
-    state = exact_constant_state(spec, m)
+    pt = exact_constant_point(spec, disk(3))
+    state = pt.state()
     state.u.values += 0.1
-    report = kkt.kkt_residual(spec, state)
+    report = exact_report(spec, pt, state)
     assert report.residuals["stationarity_u"] >= 0.099
     assert not report.converged
 
 
 def test_residual_flags_spurious_multiplier(configs, disk):
     spec = configs["constant_kkt"]
-    m = disk(2)
-    state = exact_constant_state(spec, m)
+    pt = exact_constant_point(spec, disk(2))
+    state = pt.state()
     state.u.values -= 0.5
-    report = kkt.kkt_residual(spec, state)
+    report = exact_report(spec, pt, state)
     assert report.residuals["complementarity_u"] > 1e-2
 
 

@@ -6,7 +6,9 @@ module reaches into an object's ``__dict__``; derived data lives in
 declared attributes.  Sparse matrices and linear solves belong to
 ``fem``: no other module imports ``scipy.sparse`` or any part of it, and
 ``splu`` is named at one site, the factorisation ``fem.solve_linear``
-keeps on its operator, so no second path can bypass the reuse.
+keeps on its operator, so no second path can bypass the reuse.  Every
+public function has a caller in the package, or a recorded reason to be
+kept without one.
 """
 
 import ast
@@ -117,3 +119,48 @@ def test_one_factorisation_site():
     assert splu_sites(sample) == [1, 2, 3]
     sites = {path.name: splu_sites(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     assert [(name, len(lines)) for name, lines in sites.items() if lines] == [("fem.py", 1)]
+
+
+# public functions kept without a package caller, and why
+KEPT = {
+    "fem.read_meshfield": "reads back the MESHFIELD artifacts the CLI writes",
+    "geometry.mesh_from_arrays": "builds hand-made meshes from raw arrays",
+    "catalog.save_problem_config": "the write half of the config round trip",
+}
+
+
+def _names(node):
+    """Every name node reads or binds, as ast.Name ids and ast.Attribute attrs."""
+    found = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            found.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            found.add(sub.attr)
+    return found
+
+
+def uncalled_public_functions(sources):
+    """``module.name`` of each top-level public def in ``sources`` (module -> text)
+    that no code of any module names outside the def's own body."""
+    statements = [(module, stmt) for module, text in sources.items() for stmt in ast.parse(text).body]
+    named = [(stmt, _names(stmt)) for _, stmt in statements]
+    return sorted(
+        f"{module}.{stmt.name}"
+        for module, stmt in statements
+        if isinstance(stmt, ast.FunctionDef) and not _private(stmt.name)
+        and not any(stmt.name in names for other, names in named if other is not stmt)
+    )
+
+
+def test_public_functions_have_a_package_caller():
+    sample = {
+        "a": "def called():\n    pass\n\ndef recursive():\n    return recursive()\n\n"
+             "def _helper():\n    called()\n",
+        "b": "from . import a\nx = a.read\n\ndef read():\n    pass\n\nclass C:\n"
+             "    def method(self):\n        pass\n",
+    }
+    assert uncalled_public_functions(sample) == ["a.recursive"]
+    sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"}
+    uncalled = uncalled_public_functions(sources)
+    assert uncalled == sorted(KEPT), "no package caller: " + ", ".join(uncalled)

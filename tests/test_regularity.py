@@ -15,7 +15,6 @@ from mixedreg.regularity import (
     holder_estimate,
     lipschitz_estimate,
     refinement_study,
-    second_difference_estimate,
 )
 
 
@@ -114,35 +113,6 @@ def test_pair_table_rejects_foreign_fields(disk):
         holder_estimate(fem.domain_field(disk(2), 1.0), 0.5, pairs=pairs)
     with pytest.raises(FieldError):
         holder_estimate(fem.boundary_field(disk(3), 1.0), 0.5, pairs=pairs)
-
-
-def test_second_difference_smooth_trace(disk):
-    # x1^2 on the boundary has bounded curvature under refinement
-    vals = []
-    for lv in (4, 5, 6):
-        m = disk(lv)
-        f = fem.boundary_field(m, m.vertices[m.boundary_loop, 0] ** 2)
-        vals.append(second_difference_estimate(f))
-    assert vals[0] == pytest.approx(2.0, rel=0.05)
-    assert max(vals) / min(vals) < 1.1
-
-
-def test_second_difference_kink_grows(disk):
-    # |x1| has a slope jump: the scaled second difference doubles per level
-    expected = {3: 20.36, 4: 40.74, 5: 81.48}
-    vals = {}
-    for lv, e in expected.items():
-        m = disk(lv)
-        f = fem.boundary_field(m, np.abs(m.vertices[m.boundary_loop, 0]))
-        vals[lv] = second_difference_estimate(f)
-        assert vals[lv] == pytest.approx(e, rel=1e-2)
-    assert vals[4] / vals[3] == pytest.approx(2.0, rel=0.02)
-    assert vals[5] / vals[4] == pytest.approx(2.0, rel=0.02)
-
-
-def test_second_difference_requires_boundary(disk):
-    with pytest.raises(FieldError):
-        second_difference_estimate(fem.domain_field(disk(1), 1.0))
 
 
 # ---------------------------------------------------------------------------
