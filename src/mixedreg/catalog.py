@@ -40,6 +40,9 @@ __all__ = [
 
 INVERT_TOL = 1e-13
 MAX_BRACKET_DOUBLINGS = 200
+# the value grid of check_assumptions
+VALUE_BOUND = 10.0
+VALUE_COUNT = 33
 
 
 class SpecError(ValueError):
@@ -357,18 +360,13 @@ def _value_grid(m: float, count: int) -> np.ndarray:
     return np.concatenate([[0.0, -m, m, -1.0, 1.0], core])
 
 
-def check_assumptions(
-    spec: ProblemSpec,
-    mesh=None,
-    value_bound: float = 10.0,
-    value_count: int = 33,
-) -> AssumptionReport:
+def check_assumptions(spec: ProblemSpec, mesh=None) -> AssumptionReport:
     """Sample-based verification of the standing assumptions.
 
     Spatial samples are the interior quadrature points of ``mesh`` (a
     level-3 preset mesh by default) plus boundary midpoints; the value
     variable runs over a deterministic low-discrepancy grid in
-    [-value_bound, value_bound].
+    [-VALUE_BOUND, VALUE_BOUND], VALUE_COUNT points plus 0, +-1 and the ends.
     """
     from . import fem, geometry  # local import to avoid a cycle
 
@@ -376,7 +374,7 @@ def check_assumptions(
         mesh = (geometry.build_disk_mesh if spec.preset == "disk" else geometry.build_ellipse_mesh)(3)
     xq, _ = fem.interior_quadrature(mesh)
     xb, _ = fem.boundary_quadrature(mesh)
-    tgrid = _value_grid(value_bound, value_count)
+    tgrid = _value_grid(VALUE_BOUND, VALUE_COUNT)
 
     checks: list[AssumptionCheck] = []
 

@@ -102,7 +102,6 @@ class Mesh:
     boundary_edges: np.ndarray = field(init=False)
     boundary_normals: np.ndarray = field(init=False)
     boundary_edge_lengths: np.ndarray = field(init=False)
-    boundary_weights: np.ndarray = field(init=False)
     discretization: object = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -118,9 +117,6 @@ class Mesh:
         self.boundary_normals = (
             np.stack([tang[:, 1], -tang[:, 0]], axis=1) / self.boundary_edge_lengths[:, None]
         )
-        # trapezoidal arc weights: half the length of each incident edge
-        lens = self.boundary_edge_lengths
-        self.boundary_weights = 0.5 * (lens + np.roll(lens, 1))
         self._validate()
 
     def _validate(self) -> None:

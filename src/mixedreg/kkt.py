@@ -24,7 +24,8 @@ there the multiplier is -(delta_i(b) + phi) / zeta_i'(b).  What remains
 is a nonsmooth system F(y, phi) = 0 of the state and adjoint equations,
 which ``solve_kkt`` solves by semismooth Newton: each step is one
 ``fem.solve_linear`` of the 2n x 2n generalised Jacobian taken on the
-current active sets, globalised by Armijo backtracking on |F|_2.
+current active sets, globalised by the Armijo backtracking on |F|_2 of
+``solvers.newton``, the loop the state solve runs too.
 
 Only strictly increasing reparametrizations are supported end to end;
 the three mirrored sign cases are rejected with a diagnostic rather than
@@ -50,13 +51,12 @@ from .catalog import MonotoneScalar, ProblemSpec, SpecError
 from .catalog import delta_inverse, delta_slope, delta_value, invert_monotone
 from .fem import FEField, LinearSolveError
 from .solvers import (
-    ARMIJO_FACTOR,
-    NEWTON_MAX_HALVINGS,
     NEWTON_TOL,
     ExponentTable,
     StateSolveReport,
     exponents,
     linearized_matrix,
+    newton,
     second_variation_matrix,
     semilinear_operator,
     solve_adjoint,
@@ -236,7 +236,7 @@ def objective(spec: ProblemSpec, y: FEField, u: FEField, v: FEField) -> float:
     return float(np.sum(wq * dom) + np.sum(wb * bnd))
 
 
-def _tracking_adjoint(spec: ProblemSpec, y: FEField, linearized: fem.SparseOperator | None = None):
+def _tracking_adjoint(spec: ProblemSpec, y: FEField, linearized: fem.SparseOperator):
     """Adjoint at y driven by the tracking derivatives alone (no multipliers)."""
     rhs_d = FEField(y.mesh, "domain", fem.nodal(spec.L_y, y))
     rhs_b = FEField(y.mesh, "boundary", fem.nodal(spec.ell_y, fem.trace(y)))
@@ -446,9 +446,10 @@ def solve_kkt(
     """Semismooth Newton on the optimality system reduced to (y, phi).
 
     The initial point is the state of the initial controls (u0, v0) and
-    the adjoint driven by the tracking terms alone.  Each step solves the
-    generalised Jacobian system once and backtracks on |F|_2 until the
-    Armijo test holds.  Newton iterates until |F|_2 <= NEWTON_TOL
+    the adjoint driven by the tracking terms alone.  Each step of
+    ``solvers.newton`` solves the generalised Jacobian system once and
+    backtracks on |F|_2 until the Armijo test holds.  Newton iterates
+    until |F|_2 <= NEWTON_TOL
     * (1 + the norm of both loads), however loose ``kkt_tol`` is, since
     the max-norm defects scale with the mesh and a loose stop would accept
     wrong active sets; the report then checks every residual against
@@ -466,42 +467,32 @@ def solve_kkt(
     y = solve_state(spec, u, v).state
     linearized = linearized_matrix(spec, y)
     phi = _tracking_adjoint(spec, y, linearized)
-    # the point gets the matrix without the adjoint's factorisation, which
+    # the start gets the matrix without the adjoint's factorisation, which
     # goes with ``linearized`` before the first Newton step
-    pt = _point(spec, y, phi, fem.SparseOperator(linearized.matrix))
+    start = _point(spec, y, phi, fem.SparseOperator(linearized.matrix))
     del linearized
-    report, row = _history_row(spec, pt, kkt_tol)
-    history = [(1, *row)]
-    norm = float(np.linalg.norm(pt.residual))
-    newton_converged = False
-    for step in range(max_iter + 1):
-        if norm <= NEWTON_TOL * (1.0 + pt.load_norm):
-            newton_converged = True
-            break
-        if step == max_iter:
-            break
-        try:
-            delta = fem.solve_linear(_jacobian(spec, pt), -pt.residual)
-        except LinearSolveError:
-            break
-        t = 1.0
-        for _ in range(NEWTON_MAX_HALVINGS + 1):
-            trial = _point(
-                spec,
-                FEField(mesh, "domain", pt.y.values + t * delta[: mesh.n_vertices]),
-                FEField(mesh, "domain", pt.phi.values + t * delta[mesh.n_vertices :]),
-            )
-            trial_norm = float(np.linalg.norm(trial.residual))
-            if trial_norm <= (1.0 - ARMIJO_FACTOR * t) * norm:
-                break
-            t *= 0.5
-        else:
-            break
-        pt, norm = trial, trial_norm
-        report, row = _history_row(spec, pt, kkt_tol)
-        history.append((len(history) + 1, *row))
+    x0 = np.concatenate([y.values, phi.values])
+    n = mesh.n_vertices
 
-    report.converged = newton_converged and report.converged
+    def evaluate(x: np.ndarray):
+        pt = start if x is x0 else _point(
+            spec, FEField(mesh, "domain", x[:n]), FEField(mesh, "domain", x[n:])
+        )
+        return pt, pt.residual
+
+    def converged(pt: _Point, norm: float) -> bool:
+        return norm <= NEWTON_TOL * (1.0 + pt.load_norm)
+
+    history = []
+    try:
+        for pt, norm in newton(
+            x0, evaluate, lambda pt, r: fem.solve_linear(_jacobian(spec, pt), -r), converged, max_iter
+        ):
+            report, row = _history_row(spec, pt, kkt_tol)
+            history.append((len(history) + 1, *row))
+    except LinearSolveError:
+        pass
+    report.converged = converged(pt, norm) and report.converged
     report.iterations = len(history)
     report.history = history
     return pt.state(), report

@@ -1,11 +1,12 @@
 """State and adjoint solves plus integrability bookkeeping.
 
-The semilinear state equation is solved by damped Newton iterations with
-an Armijo residual test; the linearized state and adjoint problems share
-one symmetric matrix, so the discrete adjoint identity holds to solver
-tolerance.  A :class:`StateSolveReport` keeps the linearization at its
-state, and so that operator's sparse LU, for as long as the report
-lives; solves seeded with the report share it.  The elliptic operator,
+The semilinear state equation is solved by ``newton``, the damped Newton
+loop with Armijo backtracking on the residual norm that ``kkt.solve_kkt``
+shares; the linearized state and adjoint problems share one symmetric
+matrix, so the discrete adjoint identity holds to solver tolerance.  A
+:class:`StateSolveReport` keeps the linearization at its state, and so
+that operator's sparse LU, for as long as the report lives; solves
+seeded with the report share it.  The elliptic operator,
 mass matrices and load vectors come from the mesh's :class:`fem.P1`
 record, their single owner; this module adds the nonlinearity on top
 (``semilinear_operator``, ``linearized_matrix`` and its derivative
@@ -31,6 +32,7 @@ __all__ = [
     "StateSolveReport",
     "NonlinearSolveError",
     "exponents",
+    "newton",
     "semilinear_operator",
     "linearized_matrix",
     "second_variation_matrix",
@@ -109,7 +111,6 @@ class StateSolveReport:
     state: FEField
     newton_iterations: int
     final_residual: float
-    c_infinity_ratio: float
     spec: ProblemSpec = field(repr=False)
     residual_history: list = field(default_factory=list)
 
@@ -163,6 +164,36 @@ def _check_pair(spec: ProblemSpec, u: FEField, v: FEField):
     return u.mesh
 
 
+def newton(x, evaluate, direction, converged, max_iter: int):
+    """Damped Newton on F with an Armijo decrease test on |F|_2.
+
+    ``evaluate(x)`` returns (point, F(x)), ``direction(point, F)`` the
+    Newton step and ``converged(point, |F|_2)`` whether to stop.  Yields
+    (point, |F|_2) at the start and after each accepted step; ends when
+    converged, after ``max_iter`` steps, or when NEWTON_MAX_HALVINGS
+    halvings of a step give no Armijo decrease.
+    """
+    point, r = evaluate(x)
+    norm = float(np.linalg.norm(r))
+    yield point, norm
+    for _ in range(max_iter):
+        if converged(point, norm):
+            return
+        delta = direction(point, r)
+        t = 1.0
+        for _ in range(NEWTON_MAX_HALVINGS + 1):
+            x_try = x + t * delta
+            trial, r_try = evaluate(x_try)
+            norm_try = float(np.linalg.norm(r_try))
+            if norm_try <= (1.0 - ARMIJO_FACTOR * t) * norm:
+                break
+            t *= 0.5
+        else:
+            return
+        x, point, r, norm = x_try, trial, r_try, norm_try
+        yield point, norm
+
+
 def solve_state(
     spec: ProblemSpec,
     u: FEField,
@@ -172,11 +203,10 @@ def solve_state(
 ) -> StateSolveReport:
     """Solve the semilinear state equation with natural boundary data.
 
-    Damped Newton with an Armijo decrease test on the residual norm;
-    converged when the residual drops below newton_tol * (1 + |rhs|).
-    Newton starts from zero, or from the state of ``initial``, the report
-    of an earlier solve of the same spec on the same mesh; its first step
-    then uses that report's ``linearization``, whose factorisation every
+    ``newton`` from zero, or from the state of ``initial``, the report of
+    an earlier solve of the same spec on the same mesh; converged when
+    the residual drops below newton_tol * (1 + |rhs|).  A seeded first
+    step uses that report's ``linearization``, whose factorisation every
     solve seeded with the report shares.
     """
     mesh = _check_pair(spec, u, v)
@@ -186,60 +216,32 @@ def solve_state(
         raise SpecError("newton_tol must lie in (0, 1)")
     b = fem.p1(mesh).load(u.values, v.values)
     tol = newton_tol * (1.0 + float(np.linalg.norm(b)))
+    y0 = np.zeros(mesh.n_vertices) if initial is None else initial.state.values.copy()
 
-    y = np.zeros(mesh.n_vertices) if initial is None else initial.state.values.copy()
+    def evaluate(yv: np.ndarray):
+        return yv, semilinear_operator(spec, FEField(mesh, "domain", yv)) - b
 
-    def residual(yv: np.ndarray) -> np.ndarray:
-        return semilinear_operator(spec, FEField(mesh, "domain", yv)) - b
+    def direction(yv: np.ndarray, r: np.ndarray) -> np.ndarray:
+        if initial is not None and yv is y0:
+            return fem.solve_linear(initial.linearization, -r)
+        return fem.solve_linear(linearized_matrix(spec, FEField(mesh, "domain", yv)), -r)
 
-    r = residual(y)
-    rnorm = float(np.linalg.norm(r))
-    history = [rnorm]
-    iterations = 0
-    while rnorm > tol:
-        if iterations >= NEWTON_MAX_ITER:
-            raise NonlinearSolveError(
-                f"Newton did not converge in {NEWTON_MAX_ITER} iterations "
-                f"(residual {rnorm:.3e}, tolerance {tol:.3e})",
-                history,
-            )
-        if iterations == 0 and initial is not None:
-            delta = fem.solve_linear(initial.linearization, -r)
-        else:
-            delta = fem.solve_linear(linearized_matrix(spec, FEField(mesh, "domain", y)), -r)
-        step = 1.0
-        for _ in range(NEWTON_MAX_HALVINGS + 1):
-            y_try = y + step * delta
-            r_try = residual(y_try)
-            rn_try = float(np.linalg.norm(r_try))
-            if rn_try <= (1.0 - ARMIJO_FACTOR * step) * rnorm:
-                break
-            step *= 0.5
-        else:
-            raise NonlinearSolveError(
-                f"line search stalled after {NEWTON_MAX_HALVINGS} halvings "
-                f"(residual {rnorm:.3e})",
-                history,
-            )
-        y, r, rnorm = y_try, r_try, rn_try
+    history = []
+    for y, rnorm in newton(y0, evaluate, direction, lambda _, norm: norm <= tol, NEWTON_MAX_ITER):
         history.append(rnorm)
-        iterations += 1
-
-    state = FEField(mesh, "domain", y)
-    denom = fem.lp_norm(u, spec.p) + fem.lp_norm(v, spec.q)
-    if denom > 0.0:
-        grad = fem.gradient_per_triangle(state)
-        areas = mesh.triangle_areas()
-        h1 = float(np.sqrt(fem.lp_norm(state, 2.0) ** 2 + np.sum(areas * np.sum(grad**2, axis=1))))
-        ratio = (float(np.max(np.abs(y))) + h1) / denom
-    else:
-        ratio = 0.0
-
+    if rnorm > tol:
+        if len(history) > NEWTON_MAX_ITER:
+            message = (
+                f"Newton did not converge in {NEWTON_MAX_ITER} iterations "
+                f"(residual {rnorm:.3e}, tolerance {tol:.3e})"
+            )
+        else:
+            message = f"line search stalled after {NEWTON_MAX_HALVINGS} halvings (residual {rnorm:.3e})"
+        raise NonlinearSolveError(message, history)
     return StateSolveReport(
-        state=state,
-        newton_iterations=iterations,
+        state=FEField(mesh, "domain", y),
+        newton_iterations=len(history) - 1,
         final_residual=rnorm,
-        c_infinity_ratio=ratio,
         spec=spec,
         residual_history=history,
     )
@@ -250,18 +252,17 @@ def solve_adjoint(
     y: FEField,
     rhs_domain: FEField,
     rhs_boundary: FEField,
-    linearized: fem.SparseOperator | None = None,
+    linearized: fem.SparseOperator,
 ) -> FEField:
     """Adjoint solve at y; the matrix equals the linearized-state matrix.
 
     With symmetric diffusion coefficients the discrete operator is its own
     transpose, so linearized and adjoint problems share assembly and the
-    duality pairing is exact to solver tolerance.  A caller that already
-    holds ``linearized_matrix(spec, y)`` passes it as ``linearized``.
+    duality pairing is exact to solver tolerance.  ``linearized`` is
+    ``linearized_matrix(spec, y)``, which the caller already holds.
     """
     mesh = y.mesh
     if rhs_domain.role != "domain" or rhs_boundary.role != "boundary":
         raise fem.FieldError("adjoint right-hand sides must be a (domain, boundary) pair")
-    mat = linearized_matrix(spec, y) if linearized is None else linearized
-    phi = fem.solve_linear(mat, fem.p1(mesh).load(rhs_domain.values, rhs_boundary.values))
+    phi = fem.solve_linear(linearized, fem.p1(mesh).load(rhs_domain.values, rhs_boundary.values))
     return FEField(mesh, "domain", phi)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 from pathlib import Path
 
 import jsonschema
@@ -78,6 +79,16 @@ def test_solve_state(tmp_path):
     mesh = geometry.build_disk_mesh(3)
     assert coords.shape == (mesh.n_vertices, 2)
     assert np.all(np.isfinite(values))
+    # growth ratio (|y|_inf + |y|_H1) / (|u|_L2 + |v|_L2), positive for nonzero controls
+    iterations, ratio = re.fullmatch(
+        r"(\d+) iterations, growth ratio (\S+)", summary["checks"][0]["detail"]
+    ).groups()
+    assert int(iterations) >= 1 and np.isfinite(float(ratio)) and float(ratio) > 0.0
+
+    # zero controls: y = 0 solves at once and the ratio is defined as 0
+    _, _, summary = run(["solve-state", "--config", cfg("quadratic_tracking"), "--level", "3"],
+                        tmp_path, "zero")
+    assert summary["checks"][0]["detail"] == "0 iterations, growth ratio 0"
 
 
 def test_gradient_check(tmp_path):

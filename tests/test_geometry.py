@@ -127,13 +127,6 @@ def test_mesh_invariants(disk):
             assert count == expected
 
 
-def test_boundary_weights_trapezoid(disk):
-    m = disk(3)
-    lens = m.boundary_edge_lengths
-    expected = 0.5 * (lens + np.roll(lens, 1))
-    assert np.max(np.abs(m.boundary_weights - expected)) < 1e-15
-
-
 def test_mesh_size_halves(disk):
     h = [disk(level).mesh_size() for level in range(4)]
     ratios = [a / b for a, b in zip(h, h[1:])]

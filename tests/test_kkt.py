@@ -380,6 +380,24 @@ def test_singular_jacobian_is_flagged(configs, disk, monkeypatch):
     assert state.y.mesh is m
 
 
+def test_stalled_line_search_is_flagged(configs, disk, monkeypatch):
+    # an ascent direction for the Newton step alone: the line search stalls
+    # at the start, which is returned unconverged rather than raised
+    m = disk(3)
+    solve_linear = fem.solve_linear
+
+    def reversed_jacobian_step(op, rhs):
+        step = solve_linear(op, rhs)
+        return -step if op.shape[0] == 2 * m.n_vertices else step
+
+    monkeypatch.setattr(fem, "solve_linear", reversed_jacobian_step)
+    state, report = kkt.solve_kkt(configs["smooth_constrained"], zero_controls(m), kkt_tol=1.0)
+    assert not report.converged
+    assert report.iterations == 1
+    y0 = solvers.solve_state(configs["smooth_constrained"], *zero_controls(m)).state
+    assert np.array_equal(state.y.values, y0.values)
+
+
 @pytest.mark.parametrize("name", ["smooth_constrained", "jump_bound"])
 def test_newton_steps_flat_across_levels(configs, disk, name):
     for level in (3, 4, 5, 6):

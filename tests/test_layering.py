@@ -6,9 +6,11 @@ module reaches into an object's ``__dict__``; derived data lives in
 declared attributes.  Sparse matrices and linear solves belong to
 ``fem``: no other module imports ``scipy.sparse`` or any part of it, and
 ``splu`` is named at one site, the factorisation ``fem.solve_linear``
-keeps on its operator, so no second path can bypass the reuse.  Every
-public function has a caller in the package, or a recorded reason to be
-kept without one.
+keeps on its operator, so no second path can bypass the reuse.  The
+backtracking constants ``ARMIJO_FACTOR`` and ``NEWTON_MAX_HALVINGS`` are
+named only in ``solvers``, whose ``newton`` is the one damped-Newton
+loop.  Every public function has a caller in the package, or a recorded
+reason to be kept without one.
 """
 
 import ast
@@ -90,16 +92,16 @@ def test_scanner_flags_each_rule():
     ]
 
 
-def splu_sites(source):
-    """Lines of ``source`` that name ``splu``: attribute reads, bare names and imports."""
+def name_sites(source, names):
+    """Lines of ``source`` that name one of ``names``: attribute reads, bare names and imports."""
     lines = []
     for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Attribute) and node.attr == "splu":
+        if isinstance(node, ast.Attribute) and node.attr in names:
             lines.append(node.lineno)
-        elif isinstance(node, ast.Name) and node.id == "splu":
+        elif isinstance(node, ast.Name) and node.id in names:
             lines.append(node.lineno)
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
-            lines += [node.lineno for a in node.names if a.name.split(".")[-1] == "splu"]
+            lines += [node.lineno for a in node.names if a.name.split(".")[-1] in names]
     return sorted(lines)
 
 
@@ -116,9 +118,25 @@ def test_one_factorisation_site():
         "# splu in a comment\n"
         "'splu in a string'\n"
     )
-    assert splu_sites(sample) == [1, 2, 3]
-    sites = {path.name: splu_sites(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert name_sites(sample, {"splu"}) == [1, 2, 3]
+    sites = {path.name: name_sites(path.read_text(), {"splu"}) for path in sorted(SRC.glob("*.py"))}
     assert [(name, len(lines)) for name, lines in sites.items() if lines] == [("fem.py", 1)]
+
+
+BACKTRACKING = {"ARMIJO_FACTOR", "NEWTON_MAX_HALVINGS"}
+
+
+def test_one_backtracking_site():
+    sample = (
+        "from .solvers import ARMIJO_FACTOR, NEWTON_TOL\n"
+        "t = solvers.NEWTON_MAX_HALVINGS\n"
+        "ok = NEWTON_TOL\n"
+        "# ARMIJO_FACTOR in a comment\n"
+        "c = ARMIJO_FACTOR * t\n"
+    )
+    assert name_sites(sample, BACKTRACKING) == [1, 2, 5]
+    sites = {path.name: name_sites(path.read_text(), BACKTRACKING) for path in sorted(SRC.glob("*.py"))}
+    assert [name for name, lines in sites.items() if lines] == ["solvers.py"]
 
 
 # public functions kept without a package caller, and why

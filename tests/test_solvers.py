@@ -87,9 +87,29 @@ def test_state_report_fields(cubic_spec, disk):
     m = disk(3)
     rep = solvers.solve_state(cubic_spec, fem.domain_field(m, 1.0), fem.boundary_field(m, 0.0))
     assert rep.state.role == "domain"
-    assert np.isfinite(rep.c_infinity_ratio) and rep.c_infinity_ratio > 0.0
     assert len(rep.residual_history) == rep.newton_iterations + 1
     assert rep.residual_history[-1] == rep.final_residual
+
+
+def test_state_step_cap_raises_with_history(configs, disk, monkeypatch):
+    monkeypatch.setattr(solvers, "NEWTON_MAX_ITER", 1)
+    m = disk(3)
+    u, v = fem.domain_field(m, 3.0), fem.boundary_field(m, 1.0)
+    with pytest.raises(solvers.NonlinearSolveError, match="did not converge in 1 iterations") as err:
+        solvers.solve_state(configs["quadratic_tracking"], u, v)
+    history = err.value.residual_history
+    assert len(history) == 2 and history[1] < history[0]
+
+
+def test_state_line_search_stall_raises(configs, disk, monkeypatch):
+    # an ascent direction: no step length gives the Armijo decrease
+    solve = fem.solve_linear
+    monkeypatch.setattr(fem, "solve_linear", lambda a, b: -solve(a, b))
+    m = disk(3)
+    u, v = fem.domain_field(m, 3.0), fem.boundary_field(m, 1.0)
+    with pytest.raises(solvers.NonlinearSolveError, match="line search stalled after 30 halvings") as err:
+        solvers.solve_state(configs["quadratic_tracking"], u, v)
+    assert len(err.value.residual_history) == 1
 
 
 def test_manufactured_solution_orders(cubic_spec, disk):
@@ -201,7 +221,7 @@ def test_linearized_adjoint_duality(cubic_spec, linearization_setup):
     w = linearized_direction(cubic_spec, y0, du, dv)
     rhs_d = fem.domain_field(m, rng.standard_normal(m.n_vertices))
     rhs_b = fem.boundary_field(m, rng.standard_normal(m.boundary_loop.shape[0]))
-    phi = solvers.solve_adjoint(cubic_spec, y0, rhs_d, rhs_b)
+    phi = solvers.solve_adjoint(cubic_spec, y0, rhs_d, rhs_b, solvers.linearized_matrix(cubic_spec, y0))
     M = fem.p1(m).mass
     Mb = fem.p1(m).boundary_mass
     lhs = rhs_d.values @ M.matvec(w) + rhs_b.values @ Mb.matvec(w[m.boundary_loop])
@@ -217,12 +237,18 @@ def test_adjoint_constant_solution(linear_spec, disk):
     # (a0 + f') phi = 2 with a0 = f' = 1 gives phi = 1
     m = disk(3)
     y1 = fem.domain_field(m, 1.0)
-    phi = solvers.solve_adjoint(linear_spec, y1, fem.domain_field(m, 2.0), fem.boundary_field(m, 0.0))
+    phi = solvers.solve_adjoint(
+        linear_spec, y1, fem.domain_field(m, 2.0), fem.boundary_field(m, 0.0),
+        solvers.linearized_matrix(linear_spec, y1),
+    )
     assert np.max(np.abs(phi.values - 1.0)) < 1e-12
 
 
 def test_adjoint_zero_rhs(linear_spec, disk):
     m = disk(2)
     y1 = fem.domain_field(m, 1.0)
-    phi = solvers.solve_adjoint(linear_spec, y1, fem.domain_field(m, 0.0), fem.boundary_field(m, 0.0))
+    phi = solvers.solve_adjoint(
+        linear_spec, y1, fem.domain_field(m, 0.0), fem.boundary_field(m, 0.0),
+        solvers.linearized_matrix(linear_spec, y1),
+    )
     assert np.max(np.abs(phi.values)) == 0.0
