@@ -8,6 +8,8 @@ the signed power ``spow(u, alpha) = |u|^(alpha-2) * u`` for ``alpha >= 2``.
 
 Trees are immutable; ``diff`` returns the derivative tree with respect to
 the value variable, and evaluation is vectorized over numpy arrays.
+Integral exponents 1 to ``_MAX_INT_POWER`` (in ``^`` and in ``spow``) are
+computed by multiplication, within a few ulp of ``np.power`` (exact for 1, 2).
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = ["Expr", "EvalError", "ParseError", "parse_expr"]
+
+_MAX_INT_POWER = 4  # largest exponent taken by repeated squaring: 3 roundings at most
 
 
 class EvalError(ValueError):
@@ -97,6 +101,16 @@ class Value(Expr):
 
     def __str__(self):
         return "y"
+
+
+def _power(b, e: float):
+    """b^e, by square-and-multiply for the integral e in [1, _MAX_INT_POWER]."""
+    if not (1.0 <= e <= _MAX_INT_POWER and e == int(e)):
+        return np.power(b, e)
+    if e == 1.0:
+        return b
+    half = _power(b * b, e // 2)
+    return half * b if e % 2 else half
 
 
 def _is_zero(e: Expr) -> bool:
@@ -206,7 +220,7 @@ class Pow(Expr):
         e = self.exponent
         if e != int(e) and np.any(b < 0.0):
             raise EvalError(f"negative base with fractional exponent in {self}")
-        out = np.power(b, e)
+        out = _power(b, e)
         if not np.all(np.isfinite(out)):
             raise EvalError(f"non-finite power result in {self}")
         return out
@@ -267,7 +281,7 @@ class SPow(Expr):
 
     def ev(self, x1, x2, val):
         u = self.arg.ev(x1, x2, val)
-        return np.abs(u) ** (self.alpha - 2.0) * u
+        return _power(np.abs(u), self.alpha - 2.0) * u
 
     def diff(self):
         return mul(mul(Const(self.alpha - 1.0), Pow(Func("abs", self.arg), self.alpha - 2.0)),

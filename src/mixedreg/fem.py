@@ -7,12 +7,14 @@ nodal values; nothing is mass-lumped.  All assembly is vectorized and
 deterministic for fixed inputs.
 
 The :class:`P1` record of a mesh (``p1(mesh)``) is the single owner of
-everything assembled once per mesh: both quadratures, the mass matrices
-M and M_b, the boundary trace matrix T, the elliptic operator of the
-last problem spec, and the field-free weights of the Gagliardo double
-integral over the boundary (``far_field`` and ``adjacent``, per exponent
-beta).  Other modules read these through it, and load vectors are always
-M f + T^T (M_b g).
+everything assembled once per mesh: both quadratures and their maps
+(the sparse interpolation Q to the interior points, its weighted
+transpose W = Q^T diag(qw) and the boundary edges' endpoint table), the
+mass matrices M and M_b, the boundary trace matrix T, the elliptic
+operator of the last problem spec, and the field-free weights of the
+Gagliardo double integral over the boundary (``far_field`` and
+``adjacent``, per exponent beta).  Other modules read these through it,
+and load vectors are always M f + T^T (M_b g).
 
 The record holds only a weak reference to its mesh, so a dropped mesh
 frees its record at once.  The far-field weights cover each unordered
@@ -191,10 +193,12 @@ class P1:
     """P1 discretization of one mesh, shared by every solve on it.
 
     Each part is built on first use, so boundary-only work never touches
-    the interior.  ``operator`` keeps the matrix of the last spec it was
-    asked for and reassembles when a different spec object comes.  The
-    Gagliardo weights of the few most recent betas are kept while they fit
-    one far-field chunk.  The mesh is held weakly: the mesh owns the record.
+    the interior, not even its quadrature maps ``interior_interp`` and
+    ``interior_integral`` (the boundary's is ``edge_ends``).  ``operator``
+    keeps the matrix of the last spec it was asked for and reassembles
+    when a different spec object comes.  The Gagliardo weights of the few
+    most recent betas are kept while they fit one far-field chunk.  The
+    mesh is held weakly: the mesh owns the record.
     """
 
     def __init__(self, mesh: Mesh):
@@ -234,6 +238,29 @@ class P1:
         qpts = a[:, None, :] + _GAUSS_S[None, :, None] * (b - a)[:, None, :]  # (B, 2, 2)
         qw = np.repeat(mesh.boundary_edge_lengths[:, None] / 2.0, 2, axis=1)  # (B, 2)
         return qpts, qw
+
+    @cached_property
+    def interior_interp(self) -> sp.csr_matrix:
+        """Q (3T, n): nodal values to the interior quadrature point 3 t + q, two halves per row."""
+        q, i = np.nonzero(_TRI_BASIS)
+        cols = self.mesh.triangles[:, i].reshape(-1)
+        return sp.csr_matrix((np.resize(_TRI_BASIS[q, i], cols.size), cols, np.arange(0, cols.size + 1, 2)),
+                             shape=(cols.size // 2, self.mesh.n_vertices))
+
+    @cached_property
+    def interior_integral(self) -> sp.csr_matrix:
+        """W = Q^T diag(qw) (n, 3T): values g at the interior quadrature points to (g, phi_i)."""
+        # rows list their points in increasing order and the halves are exact, so W @ g
+        # adds the same products in the same order as a scatter-add over the triangles
+        weights = self.interior_interp.T.tocsr()
+        weights.data *= self.interior[2].reshape(-1)[weights.indices]
+        return weights
+
+    @cached_property
+    def edge_ends(self) -> np.ndarray:
+        """Loop positions (e, e + 1 mod nb) of the endpoints of boundary edge e, shape (nb, 2)."""
+        e = np.arange(self.mesh.n_boundary)
+        return np.stack([e, np.roll(e, -1)], axis=1)
 
     @cached_property
     def mass(self) -> SparseOperator:
@@ -396,18 +423,14 @@ def interp_interior(field: FEField) -> np.ndarray:
     """Field values at the interior quadrature points, shape (T, 3)."""
     if field.role != "domain":
         raise FieldError("interior interpolation expects a domain field")
-    return field.values[field.mesh.triangles] @ _TRI_BASIS.T
+    return (p1(field.mesh).interior_interp @ field.values).reshape(-1, 3)
 
 
 def interp_boundary(field: FEField) -> np.ndarray:
     """Boundary-field values at the edge Gauss points, shape (B, 2)."""
     if field.role != "boundary":
         raise FieldError("boundary interpolation expects a boundary field")
-    vals = field.values
-    nb = field.mesh.n_boundary
-    pair = np.stack([vals, np.roll(vals, -1)], axis=1)  # edge endpoints in loop order
-    assert pair.shape == (nb, 2)
-    return pair @ _EDGE_BASIS.T
+    return field.values[p1(field.mesh).edge_ends] @ _EDGE_BASIS.T
 
 
 @dataclass
@@ -425,9 +448,8 @@ class SparseOperator:
     _lu: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        m = sp.csr_matrix(self.matrix)
-        m.sum_duplicates()
-        m.sort_indices()
+        m = self.matrix if sp.isspmatrix_csr(self.matrix) else sp.csr_matrix(self.matrix)
+        m.sum_duplicates()  # sorts too; a no-op on a matrix flagged canonical
         if m.shape[0] != m.shape[1]:
             raise AssemblyError(f"operator must be square, got {m.shape}")
         self.matrix = m
@@ -440,7 +462,9 @@ class SparseOperator:
         return self.matrix @ x
 
     def __add__(self, other: "SparseOperator") -> "SparseOperator":
-        return SparseOperator(self.matrix + other.matrix)
+        total = self.matrix + other.matrix
+        total.has_canonical_format = True  # scipy's CSR + CSR of canonical operands is canonical
+        return SparseOperator(total)
 
 
 def _scatter(mesh: Mesh, local: np.ndarray) -> sp.csr_matrix:
@@ -500,12 +524,11 @@ def assemble_boundary_weighted_mass(mesh: Mesh, weight_at_quad: np.ndarray) -> S
 
     Indexed in boundary-loop order; tridiagonal up to the loop wraparound.
     """
-    _, qw = p1(mesh).boundary
+    rec = p1(mesh)
     nb = mesh.n_boundary
-    local = np.einsum("eq,qi,qj->eij", qw * weight_at_quad, _EDGE_BASIS, _EDGE_BASIS)
-    idx = np.stack([np.arange(nb), (np.arange(nb) + 1) % nb], axis=1)
-    rows = np.repeat(idx, 2, axis=1).reshape(-1)
-    cols = np.tile(idx, (1, 2)).reshape(-1)
+    local = np.einsum("eq,qi,qj->eij", rec.boundary[1] * weight_at_quad, _EDGE_BASIS, _EDGE_BASIS)
+    rows = np.repeat(rec.edge_ends, 2, axis=1).reshape(-1)
+    cols = np.tile(rec.edge_ends, (1, 2)).reshape(-1)
     return SparseOperator(
         sp.coo_matrix((local.reshape(-1), (rows, cols)), shape=(nb, nb)).tocsr()
     )
@@ -539,10 +562,7 @@ def gradient_per_triangle(field: FEField) -> np.ndarray:
 
 def integrate_basis(mesh: Mesh, values_at_quad: np.ndarray) -> np.ndarray:
     """Load vector (g, phi_i) of a function g given at the interior quadrature points (T, 3)."""
-    _, _, qw = p1(mesh).interior
-    contrib = (qw * values_at_quad)[:, :, None] * _TRI_BASIS  # (T, q, i)
-    rows = np.broadcast_to(mesh.triangles[:, None, :], contrib.shape)
-    return np.bincount(rows.reshape(-1), weights=contrib.reshape(-1), minlength=mesh.n_vertices)
+    return p1(mesh).interior_integral @ np.reshape(values_at_quad, -1)
 
 
 def solve_linear(op: SparseOperator, rhs: np.ndarray) -> np.ndarray:

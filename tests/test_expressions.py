@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from mixedreg import expressions
 from mixedreg.expressions import ParseError, parse_expr
 from mixedreg.expressions import Add, Const, Coord, Div, EvalError, Func, Mul, Pow, SPow, Sub, Value
 
@@ -105,6 +106,54 @@ def test_derivatives_match_finite_differences():
 def test_fractional_power():
     e = parse_expr("t^0.5")
     assert e(0.0, 0.0, 4.0) == 2.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, expressions._MAX_INT_POWER),
+    base=st.lists(
+        st.one_of(
+            st.floats(-1e30, 1e30),
+            st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-160, -1e-160]),
+            st.floats(-1e-100, 1e-100),
+        ),
+        min_size=1,
+        max_size=16,
+    ),
+)
+def test_integral_powers_match_numpy(n, base):
+    b = np.array(base)
+    e = float(n)
+    with np.errstate(under="ignore"):
+        got = [Pow(Value(), e)(0.0, 0.0, b), SPow(Value(), e + 2.0)(0.0, 0.0, b)]
+        want = [np.power(b, e), np.power(np.abs(b), e) * b]
+    for g, w in zip(got, want):
+        if n <= 2:
+            assert np.array_equal(g, w)
+        else:
+            # at most 3 roundings in the power, 1 ulp in np.power and one more rounding
+            # each in spow's product with u: below 8 ulp of the result (4 seen)
+            assert np.all(np.abs(g - w) <= 8.0 * np.spacing(np.abs(w))), (n, b, g, w)
+
+
+def test_power_checks_hold_on_every_path():
+    with np.errstate(over="ignore"), pytest.raises(EvalError, match="non-finite"):
+        parse_expr("y^3")(0.0, 0.0, 1e200)
+    with np.errstate(over="ignore"), pytest.raises(EvalError, match="non-finite"):
+        parse_expr("y^7")(0.0, 0.0, 1e200)  # above the cap: np.power
+    with pytest.raises(EvalError, match="fractional"):
+        parse_expr("y^0.5")(0.0, 0.0, -1.0)
+
+
+def test_integral_powers_do_not_call_np_power(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.power called for an integral exponent")
+
+    monkeypatch.setattr(expressions.np, "power", refuse)
+    y = np.linspace(-2.0, 2.0, 9)
+    e = parse_expr("y^3 + spow(y, 4)")
+    assert np.array_equal(e(0.0, 0.0, y), y * y * y + np.abs(y) * np.abs(y) * y)
+    e.diff()(0.0, 0.0, y)  # y^2, y^1 and |y|^2 in the derivative tree
 
 
 def test_derivative_is_with_respect_to_value_variable():

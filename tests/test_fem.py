@@ -76,11 +76,74 @@ def test_record_is_shared_and_built_on_demand():
     rec = fem.p1(m)
     assert fem.p1(m) is rec
     gagliardo(boundary_field(m, np.cos(m.boundary_params)), 0.5, 2.0)
-    assert "boundary" in vars(rec)
-    assert not {"interior", "mass", "boundary_mass", "trace_matrix"} & vars(rec).keys()
+    assert {"boundary", "edge_ends"} <= vars(rec).keys()
+    interior = {"interior", "interior_interp", "interior_integral", "mass", "boundary_mass", "trace_matrix"}
+    assert not interior & vars(rec).keys()
     assert rec._operator is None
     # the Gagliardo weights are boundary parts too, kept for the one beta used
     assert set(rec._far_field) == set(rec._adjacent) == {2.0}
+
+
+# the formulas the quadrature maps replaced, kept as oracles: a gather and matmul
+# for both interpolations, a scatter-add over the triangles for the basis integrals
+_TRI_BASIS = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
+_GAUSS_S = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
+_EDGE_BASIS = np.stack([1.0 - _GAUSS_S, _GAUSS_S], axis=1)
+
+
+def _interp_by_gather(y):
+    return y.values[y.mesh.triangles] @ _TRI_BASIS.T
+
+
+def _integrate_by_scatter(mesh, g):
+    _, _, qw = fem.p1(mesh).interior
+    contrib = (qw * g)[:, :, None] * _TRI_BASIS
+    rows = np.broadcast_to(mesh.triangles[:, None, :], contrib.shape)
+    return np.bincount(rows.reshape(-1), weights=contrib.reshape(-1), minlength=mesh.n_vertices)
+
+
+def _interp_boundary_by_roll(v):
+    return np.stack([v.values, np.roll(v.values, -1)], axis=1) @ _EDGE_BASIS.T
+
+
+@pytest.mark.parametrize("build, level", [(build_disk_mesh, 3), (build_disk_mesh, 5), (build_ellipse_mesh, 4)])
+def test_quadrature_maps_equal_the_gather_and_scatter_formulas(build, level):
+    m = build(level)
+    rng = np.random.default_rng(level)
+    tris = m.triangles.shape[0]
+    for scale in (1e-3, 1.0, 1e5):
+        y = domain_field(m, scale * rng.standard_normal(m.n_vertices))
+        v = boundary_field(m, scale * rng.standard_normal(m.n_boundary))
+        g = scale * rng.standard_normal((tris, 3))
+        assert np.array_equal(fem.interp_interior(y), _interp_by_gather(y))
+        assert np.array_equal(fem.integrate_basis(m, g), _integrate_by_scatter(m, g))
+        assert np.array_equal(fem.interp_boundary(v), _interp_boundary_by_roll(v))
+    # a broadcast constant, as a spatially constant nonlinearity gives it
+    const = np.broadcast_to(2.5, (tris, 3))
+    assert np.array_equal(fem.integrate_basis(m, const), _integrate_by_scatter(m, const))
+
+
+@pytest.mark.parametrize("build", [build_disk_mesh, build_ellipse_mesh])
+def test_basis_integrals_of_one_sum_to_the_area(build):
+    m = build(4)
+    p = m.vertices[m.triangles]
+    d1, d2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
+    area = 0.5 * np.sum(np.abs(d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]))
+    loads = fem.integrate_basis(m, np.ones((m.triangles.shape[0], 3)))
+    assert loads.shape == (m.n_vertices,) and np.all(loads > 0.0)
+    assert abs(np.sum(loads) - area) <= 1e-13 * area
+
+
+def test_operator_sum_stays_canonical(disk, identity_spec):
+    m = disk(3)
+    rec = fem.p1(m)
+    a = rec.operator(identity_spec)
+    b = rec.reaction(np.linspace(0.0, 1.0, m.n_vertices), np.ones(m.n_boundary))
+    total = (a + b).matrix
+    assert total.has_canonical_format
+    # the sum is flagged canonical without a check, so check it here: sorted, unique columns
+    assert all(np.all(np.diff(total.indices[lo:hi]) > 0) for lo, hi in zip(total.indptr[:-1], total.indptr[1:]))
+    assert np.array_equal(total.toarray(), a.matrix.toarray() + b.matrix.toarray())
 
 
 def test_record_dies_with_its_mesh():
