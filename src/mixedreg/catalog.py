@@ -372,8 +372,8 @@ def check_assumptions(spec: ProblemSpec, mesh=None) -> AssumptionReport:
 
     if mesh is None:
         mesh = (geometry.build_disk_mesh if spec.preset == "disk" else geometry.build_ellipse_mesh)(3)
-    xq, _ = fem.interior_quadrature(mesh)
-    xb, _ = fem.boundary_quadrature(mesh)
+    xq, _ = fem.p1(mesh).interior
+    xb, _ = fem.p1(mesh).boundary
     tgrid = _value_grid(VALUE_BOUND, VALUE_COUNT)
 
     checks: list[AssumptionCheck] = []

@@ -96,9 +96,12 @@ def _build_mesh(preset: str, level: int):
 
 
 def _nodal(mesh, role: str, expr_text: str) -> FEField:
-    """The expression in x1, x2 at the nodes of a field of ``role``, with y = 0."""
+    """The expression in x1, x2 at the nodes of a field of ``role``; the value variable is refused."""
+    expr = parse_expr(expr_text)
+    if expr.uses_value():
+        raise ConfigError(f"field expression {expr_text!r} depends on the value variable; use x1 and x2 only")
     zero = (fem.domain_field if role == "domain" else fem.boundary_field)(mesh, 0.0)
-    return FEField(mesh, role, fem.nodal(parse_expr(expr_text), zero))
+    return FEField(mesh, role, fem.nodal(expr, zero))
 
 
 def _fourier_coeffs(rng: np.random.Generator, modes: int = 6):
@@ -159,9 +162,9 @@ def _run_solve_state(args, out_dir: Path, rng) -> tuple:
     denom = fem.lp_norm(u, spec.p) + fem.lp_norm(v, spec.q)
     ratio = 0.0
     if denom > 0.0:
-        grad = fem.gradient_per_triangle(y)
+        gx, gy = fem.gradient_per_triangle(y)
         areas = mesh.triangle_areas()
-        h1 = float(np.sqrt(fem.lp_norm(y, 2.0) ** 2 + np.sum(areas * np.sum(grad**2, axis=1))))
+        h1 = float(np.sqrt(fem.lp_norm(y, 2.0) ** 2 + np.sum(areas * (gx**2 + gy**2))))
         ratio = (float(np.max(np.abs(y.values))) + h1) / denom
     checks = [
         _check(
@@ -525,7 +528,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     out_dir = Path(os.environ.get("MIXEDREG_OUT") or args.out)
-    rng = np.random.default_rng(args.seed)
 
     for name in ("kkt_tol", "active_tol", "newton_tol", "tol", "stability_rtol"):
         value = getattr(args, name, None)
@@ -536,9 +538,9 @@ def main(argv=None) -> int:
     if damping is not None and not 0.0 < damping <= 1.0:
         print(f"error: --damping must lie in (0, 1], got {damping}", file=sys.stderr)
         return EXIT_CONFIG
-    for name in ("targets", "directions", "samples"):
-        if getattr(args, name, 1) < 1:
-            print(f"error: --{name} must be at least 1", file=sys.stderr)
+    for name, least in (("targets", 1), ("directions", 1), ("samples", 1), ("seed", 0)):
+        if getattr(args, name, least) < least:
+            print(f"error: --{name} must be at least {least}", file=sys.stderr)
             return EXIT_CONFIG
     if hasattr(args, "levels") and not args.levels:
         print("error: empty level range", file=sys.stderr)
@@ -556,7 +558,7 @@ def main(argv=None) -> int:
     handler = _DISPATCH[args.cmd]
     fail_code = EXIT_SOLVER
     try:
-        checks, artifacts, fail_code = handler(args, out_dir, rng)
+        checks, artifacts, fail_code = handler(args, out_dir, np.random.default_rng(args.seed))
     except _SOLVER_ERRORS as exc:
         checks = [_check("solver-completed", False, detail=f"{type(exc).__name__}: {exc}")]
         artifacts = []

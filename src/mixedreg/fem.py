@@ -1,20 +1,24 @@
 """P1 finite elements on triangulated domains with natural boundary data.
 
 Interior integrals use the three-edge-midpoint rule (degree 2), boundary
-integrals two-point Gauss per edge (degree 3).  Composed nonlinear
-integrands are always evaluated at quadrature points from interpolated
-nodal values; nothing is mass-lumped.  All assembly is vectorized and
-deterministic for fixed inputs.
+integrals two-point Gauss per edge (degree 3).  Quadrature arrays are
+flat: point 3 t + q is the midpoint of edge q of triangle t, point 2 e + g
+Gauss point g of boundary edge e.  Composed nonlinear integrands are
+always evaluated at quadrature points from interpolated nodal values;
+nothing is mass-lumped.  Assembly is vectorized and deterministic.
 
 The :class:`P1` record of a mesh (``p1(mesh)``) is the single owner of
-everything assembled once per mesh: both quadratures and their maps
-(the sparse interpolation Q to the interior points, its weighted
-transpose W = Q^T diag(qw) and the boundary edges' endpoint table), the
-mass matrices M and M_b, the boundary trace matrix T, the elliptic
-operator of the last problem spec, and the field-free weights of the
-Gagliardo double integral over the boundary (``far_field`` and
-``adjacent``, per exponent beta).  Other modules read these through it,
-and load vectors are always M f + T^T (M_b g).
+everything assembled once per mesh: both quadratures, the mass matrices
+M and M_b, the boundary trace matrix T, the elliptic operator of the last
+problem spec, the Gagliardo weights over the boundary (``far_field`` and
+``adjacent``, per exponent beta), and the sparse maps that own every
+interior integral: Q (3T, n) interpolates nodal values to the interior
+points, W = Q^T diag(qw) (n, 3T) integrates values there against the
+basis, and Gx, Gy (T, n) give the gradient on each triangle.  A load is
+W g, a weighted mass W diag(w) Q, and the elliptic operator Gx^T (D11 Gx
++ D12 Gy) + Gy^T (D12 Gx + D22 Gy) plus the a0-weighted mass, so every
+Newton Jacobian uses exactly the quadrature of the residual it
+differentiates.  Load vectors are always M f + T^T (M_b g).
 
 The record holds only a weak reference to its mesh, so a dropped mesh
 frees its record at once.  The far-field weights cover each unordered
@@ -62,11 +66,8 @@ __all__ = [
     "integrate_basis",
     "assemble_operator",
     "assemble_weighted_mass",
-    "assemble_boundary_weighted_mass",
     "block_operator",
     "solve_linear",
-    "interior_quadrature",
-    "boundary_quadrature",
     "prolong",
     "write_meshfield",
     "read_meshfield",
@@ -193,8 +194,9 @@ class P1:
     """P1 discretization of one mesh, shared by every solve on it.
 
     Each part is built on first use, so boundary-only work never touches
-    the interior, not even its quadrature maps ``interior_interp`` and
-    ``interior_integral`` (the boundary's is ``edge_ends``).  ``operator``
+    the interior, not even its maps ``interior_interp`` (Q),
+    ``interior_integral`` (W) and ``gradient`` (Gx, Gy); the boundary's
+    is ``edge_ends``.  ``operator``
     keeps the matrix of the last spec it was asked for and reassembles
     when a different spec object comes.  The Gagliardo weights of the few
     most recent betas are kept while they fit one far-field chunk.  The
@@ -214,30 +216,8 @@ class P1:
 
     @cached_property
     def interior(self):
-        """Per-triangle P1 gradients and interior quadrature points and weights."""
-        p = self.mesh.vertices[self.mesh.triangles]  # (T, 3, 2)
-        d1 = p[:, 1] - p[:, 0]
-        d2 = p[:, 2] - p[:, 0]
-        area = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
-        # grad phi_i = perpendicular of the opposite edge / (2 area)
-        e0 = p[:, 2] - p[:, 1]
-        e1 = p[:, 0] - p[:, 2]
-        e2 = p[:, 1] - p[:, 0]
-        perp = np.stack([e0, e1, e2], axis=1)[:, :, ::-1] * np.array([-1.0, 1.0])
-        grads = perp / (2.0 * area[:, None, None])
-        qpts = np.einsum("qi,tic->tqc", _TRI_BASIS, p)  # (T, 3, 2)
-        qw = np.repeat(area[:, None] / 3.0, 3, axis=1)  # (T, 3)
-        return grads, qpts, qw
-
-    @cached_property
-    def boundary(self):
-        """Boundary edge Gauss points and weights."""
-        mesh = self.mesh
-        a = mesh.vertices[mesh.boundary_edges[:, 0]]
-        b = mesh.vertices[mesh.boundary_edges[:, 1]]
-        qpts = a[:, None, :] + _GAUSS_S[None, :, None] * (b - a)[:, None, :]  # (B, 2, 2)
-        qw = np.repeat(mesh.boundary_edge_lengths[:, None] / 2.0, 2, axis=1)  # (B, 2)
-        return qpts, qw
+        """Interior quadrature: the edge midpoints 3 t + q, points (3T, 2) and weights (3T,)."""
+        return self.interior_interp @ self.mesh.vertices, np.repeat(self.mesh.triangle_areas() / 3.0, 3)
 
     @cached_property
     def interior_interp(self) -> sp.csr_matrix:
@@ -253,8 +233,29 @@ class P1:
         # rows list their points in increasing order and the halves are exact, so W @ g
         # adds the same products in the same order as a scatter-add over the triangles
         weights = self.interior_interp.T.tocsr()
-        weights.data *= self.interior[2].reshape(-1)[weights.indices]
+        weights.data *= self.interior[1][weights.indices]
         return weights
+
+    @cached_property
+    def gradient(self):
+        """(Gx, Gy), two (T, n) CSR maps: nodal values to the constant gradient on each triangle."""
+        tris = self.mesh.triangles
+        p = self.mesh.vertices[tris]
+        # grad phi_i = perpendicular of the edge opposite vertex i / (2 area)
+        opposite = np.roll(p, 1, axis=1) - np.roll(p, -1, axis=1)
+        scale = 2.0 * self.mesh.triangle_areas()[:, None]
+        return tuple(sp.csr_matrix((part.reshape(-1), tris.reshape(-1), np.arange(0, tris.size + 1, 3)),
+                                   shape=(tris.shape[0], self.mesh.n_vertices))
+                     for part in (-opposite[..., 1] / scale, opposite[..., 0] / scale))
+
+    @cached_property
+    def boundary(self):
+        """Boundary quadrature: two Gauss points per edge, points (2 nb, 2) and weights (2 nb,)."""
+        mesh = self.mesh
+        a = mesh.vertices[mesh.boundary_edges[:, 0]]
+        b = mesh.vertices[mesh.boundary_edges[:, 1]]
+        qpts = a[:, None, :] + _GAUSS_S[None, :, None] * (b - a)[:, None, :]
+        return qpts.reshape(-1, 2), np.repeat(mesh.boundary_edge_lengths / 2.0, 2)
 
     @cached_property
     def edge_ends(self) -> np.ndarray:
@@ -265,12 +266,16 @@ class P1:
     @cached_property
     def mass(self) -> SparseOperator:
         """Interior mass matrix M."""
-        return assemble_weighted_mass(self.mesh, np.ones_like(self.interior[2]))
+        return assemble_weighted_mass(self.mesh, 1.0)
 
     @cached_property
     def boundary_mass(self) -> SparseOperator:
-        """Boundary mass matrix M_b in boundary-loop order."""
-        return assemble_boundary_weighted_mass(self.mesh, np.ones_like(self.boundary[1]))
+        """Boundary mass matrix M_b in boundary-loop order, tridiagonal up to the loop wraparound."""
+        nb = self.mesh.n_boundary
+        local = np.einsum("eq,qi,qj->eij", self.boundary[1].reshape(nb, 2), _EDGE_BASIS, _EDGE_BASIS)
+        rows = np.repeat(self.edge_ends, 2, axis=1).reshape(-1)
+        cols = np.tile(self.edge_ends, (1, 2)).reshape(-1)
+        return SparseOperator(sp.coo_matrix((local.reshape(-1), (rows, cols)), shape=(nb, nb)).tocsr())
 
     @cached_property
     def trace_matrix(self) -> sp.csr_matrix:
@@ -341,7 +346,7 @@ class P1:
 
     def _far_field_chunk(self, beta: float, rows: slice) -> list:
         """The staircase blocks of ``far_field`` for the Gauss-point rows ``rows``."""
-        qpts, qw = boundary_quadrature(self.mesh)
+        qpts, qw = self.boundary
         npts = qw.shape[0]
         blocks = []
         for r0 in range(rows.start, rows.stop, _STAIR_ROWS):
@@ -407,30 +412,18 @@ def p1(mesh: Mesh) -> P1:
     return mesh.discretization
 
 
-def interior_quadrature(mesh: Mesh):
-    """Flattened interior quadrature points and weights."""
-    _, qpts, qw = p1(mesh).interior
-    return qpts.reshape(-1, 2), qw.reshape(-1)
-
-
-def boundary_quadrature(mesh: Mesh):
-    """Flattened boundary quadrature points and weights."""
-    qpts, qw = p1(mesh).boundary
-    return qpts.reshape(-1, 2), qw.reshape(-1)
-
-
 def interp_interior(field: FEField) -> np.ndarray:
-    """Field values at the interior quadrature points, shape (T, 3)."""
+    """Field values at the interior quadrature points, shape (3T,)."""
     if field.role != "domain":
         raise FieldError("interior interpolation expects a domain field")
-    return (p1(field.mesh).interior_interp @ field.values).reshape(-1, 3)
+    return p1(field.mesh).interior_interp @ field.values
 
 
 def interp_boundary(field: FEField) -> np.ndarray:
-    """Boundary-field values at the edge Gauss points, shape (B, 2)."""
+    """Boundary-field values at the edge Gauss points, shape (2 nb,)."""
     if field.role != "boundary":
         raise FieldError("boundary interpolation expects a boundary field")
-    return field.values[p1(field.mesh).edge_ends] @ _EDGE_BASIS.T
+    return (field.values[p1(field.mesh).edge_ends] @ _EDGE_BASIS.T).reshape(-1)
 
 
 @dataclass
@@ -467,71 +460,42 @@ class SparseOperator:
         return SparseOperator(total)
 
 
-def _scatter(mesh: Mesh, local: np.ndarray) -> sp.csr_matrix:
-    """Accumulate (T, 3, 3) local blocks into a global sparse matrix."""
-    tris = mesh.triangles
-    rows = np.repeat(tris, 3, axis=1).reshape(-1)
-    cols = np.tile(tris, (1, 3)).reshape(-1)
-    n = mesh.n_vertices
-    return sp.coo_matrix((local.reshape(-1), (rows, cols)), shape=(n, n)).tocsr()
-
-
 def assemble_operator(mesh: Mesh, spec: ProblemSpec) -> SparseOperator:
     """Galerkin matrix of the elliptic operator with natural boundary data.
 
     Coefficients are evaluated at the interior quadrature points; the
     coefficient matrix must be uniformly elliptic there (checked, raising
-    :class:`AssemblyError` with the first offending location).
+    :class:`AssemblyError` with the first offending location).  The matrix
+    is Gx^T (D11 Gx + D12 Gy) + Gy^T (D12 Gx + D22 Gy) plus the
+    a0-weighted mass, Dij the diagonal of the per-triangle sums of qw aij.
     """
-    grads, qpts, qw = p1(mesh).interior
-    x1, x2 = qpts[..., 0], qpts[..., 1]
+    rec = p1(mesh)
+    qpts, qw = rec.interior
+    x1, x2 = qpts[:, 0], qpts[:, 1]
 
     a11 = spec.a11(x1, x2, 0.0)
     a12 = spec.a12(x1, x2, 0.0)
     a22 = spec.a22(x1, x2, 0.0)
-    eig_min = 0.5 * (a11 + a22 - np.sqrt((a11 - a22) ** 2 + 4.0 * a12**2))
+    eig_min = np.broadcast_to(0.5 * (a11 + a22 - np.sqrt((a11 - a22) ** 2 + 4.0 * a12**2)), qw.shape)
     if np.min(eig_min) <= 0.0:
-        t, q = np.unravel_index(int(np.argmin(eig_min)), eig_min.shape)
+        k = int(np.argmin(eig_min))
         raise AssemblyError(
             f"ellipticity violated at quadrature point "
-            f"({qpts[t, q, 0]:.6g}, {qpts[t, q, 1]:.6g}): "
-            f"min eigenvalue {eig_min[t, q]:.3e}"
+            f"({qpts[k, 0]:.6g}, {qpts[k, 1]:.6g}): "
+            f"min eigenvalue {eig_min[k]:.3e}"
         )
-    w11 = np.sum(qw * a11, axis=1)
-    w12 = np.sum(qw * a12, axis=1)
-    w22 = np.sum(qw * a22, axis=1)
-    gx, gy = grads[..., 0], grads[..., 1]
-    local = (
-        w11[:, None, None] * gx[:, :, None] * gx[:, None, :]
-        + w22[:, None, None] * gy[:, :, None] * gy[:, None, :]
-        + w12[:, None, None] * (gx[:, :, None] * gy[:, None, :] + gy[:, :, None] * gx[:, None, :])
-    )
-    a0 = spec.a0(x1, x2, 0.0)
-    local += np.einsum("tq,qi,qj->tij", qw * a0, _TRI_BASIS, _TRI_BASIS)
-
-    return SparseOperator(_scatter(mesh, local))
+    d11, d12, d22 = (sp.diags(np.sum((qw * a).reshape(-1, 3), axis=1)) for a in (a11, a12, a22))
+    gx, gy = rec.gradient
+    stiffness = gx.T @ (d11 @ gx + d12 @ gy) + gy.T @ (d12 @ gx + d22 @ gy)
+    return SparseOperator(stiffness) + assemble_weighted_mass(mesh, spec.a0(x1, x2, 0.0))
 
 
-def assemble_weighted_mass(mesh: Mesh, weight_at_quad: np.ndarray) -> SparseOperator:
-    """Mass matrix with a weight given at the interior quadrature points (T, 3)."""
-    _, _, qw = p1(mesh).interior
-    local = np.einsum("tq,qi,qj->tij", qw * weight_at_quad, _TRI_BASIS, _TRI_BASIS)
-    return SparseOperator(_scatter(mesh, local))
-
-
-def assemble_boundary_weighted_mass(mesh: Mesh, weight_at_quad: np.ndarray) -> SparseOperator:
-    """Boundary mass with a weight at the edge Gauss points (B, 2).
-
-    Indexed in boundary-loop order; tridiagonal up to the loop wraparound.
-    """
+def assemble_weighted_mass(mesh: Mesh, weight_at_quad) -> SparseOperator:
+    """Mass matrix (w phi_j, phi_i) of a weight w at the interior quadrature points (3T,): W diag(w) Q."""
     rec = p1(mesh)
-    nb = mesh.n_boundary
-    local = np.einsum("eq,qi,qj->eij", rec.boundary[1] * weight_at_quad, _EDGE_BASIS, _EDGE_BASIS)
-    rows = np.repeat(rec.edge_ends, 2, axis=1).reshape(-1)
-    cols = np.tile(rec.edge_ends, (1, 2)).reshape(-1)
-    return SparseOperator(
-        sp.coo_matrix((local.reshape(-1), (rows, cols)), shape=(nb, nb)).tocsr()
-    )
+    weighted = rec.interior_interp.copy()
+    weighted.data *= np.repeat(np.broadcast_to(weight_at_quad, rec.interior[1].shape), 2)
+    return SparseOperator(rec.interior_integral @ weighted)
 
 
 def block_operator(rows) -> SparseOperator:
@@ -545,23 +509,23 @@ def lp_norm(field: FEField, p: float) -> float:
         raise FieldError(f"p-norm requires p >= 1, got {p}")
     if field.role == "domain":
         vals = interp_interior(field)
-        _, _, qw = p1(field.mesh).interior
+        _, qw = p1(field.mesh).interior
     else:
         vals = interp_boundary(field)
         _, qw = p1(field.mesh).boundary
     return float(np.sum(qw * np.abs(vals) ** p) ** (1.0 / p))
 
 
-def gradient_per_triangle(field: FEField) -> np.ndarray:
-    """Constant P1 gradient on each triangle, shape (T, 2)."""
+def gradient_per_triangle(field: FEField):
+    """The constant P1 gradient on each triangle, as its components (gx, gy), each shape (T,)."""
     if field.role != "domain":
         raise FieldError("gradients are defined for domain fields")
-    grads, _, _ = p1(field.mesh).interior
-    return np.einsum("ti,tic->tc", field.values[field.mesh.triangles], grads)
+    gx, gy = p1(field.mesh).gradient
+    return gx @ field.values, gy @ field.values
 
 
 def integrate_basis(mesh: Mesh, values_at_quad: np.ndarray) -> np.ndarray:
-    """Load vector (g, phi_i) of a function g given at the interior quadrature points (T, 3)."""
+    """Load vector (g, phi_i) of a function g given at the interior quadrature points (3T,)."""
     return p1(mesh).interior_integral @ np.reshape(values_at_quad, -1)
 
 

@@ -101,7 +101,7 @@ def gagliardo(v: FEField, tau: float, k: float) -> FracNormReport:
 
     # unordered non-touching pairs i < j, 2x2 Gauss: |v_i - v_j|^k against the
     # record's doubled weights, one staircase block of columns j >= rows.start at a time
-    vq = fem.interp_boundary(v).reshape(-1)
+    vq = fem.interp_boundary(v)
     total = 0.0
     for rows, weights in rec.far_field(beta):
         num = np.subtract.outer(vq[rows], vq[rows.start :])

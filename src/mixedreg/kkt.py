@@ -217,17 +217,17 @@ def _constraints(spec: ProblemSpec, y: FEField) -> tuple:
 def objective(spec: ProblemSpec, y: FEField, u: FEField, v: FEField) -> float:
     """Cost functional: tracking plus convex control costs, by quadrature."""
     mesh = _check_state_fields(y, u, v)
-    xq, wq = fem.interior_quadrature(mesh)
-    yq = fem.interp_interior(y).reshape(-1)
-    uq = fem.interp_interior(u).reshape(-1)
+    xq, wq = fem.p1(mesh).interior
+    yq = fem.interp_interior(y)
+    uq = fem.interp_interior(u)
     dom = (
         spec.L(xq[:, 0], xq[:, 1], yq)
         + 0.5 * spec.lambda1 * uq**2
         + (spec.lambda2 / spec.p) * np.abs(uq) ** spec.p
     )
-    xb, wb = fem.boundary_quadrature(mesh)
-    yb = fem.interp_boundary(fem.trace(y)).reshape(-1)
-    vq = fem.interp_boundary(v).reshape(-1)
+    xb, wb = fem.p1(mesh).boundary
+    yb = fem.interp_boundary(fem.trace(y))
+    vq = fem.interp_boundary(v)
     bnd = (
         spec.ell(xb[:, 0], xb[:, 1], yb)
         + 0.5 * spec.mu1 * vq**2

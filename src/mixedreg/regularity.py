@@ -124,8 +124,8 @@ def lipschitz_estimate(f: FEField, pairs: HolderPairs | None = None) -> float:
     ``pairs`` when given.
     """
     if f.role == "domain":
-        grads = fem.gradient_per_triangle(f)
-        return float(np.max(np.sqrt(np.sum(grads**2, axis=1))))
+        gx, gy = fem.gradient_per_triangle(f)
+        return float(np.max(np.sqrt(gx**2 + gy**2)))
     return holder_estimate(f, 1.0, min_distance=0.0, pairs=pairs)
 
 

@@ -127,11 +127,10 @@ class StateSolveReport:
 
 
 def _at_quadrature(fn, y: FEField) -> np.ndarray:
-    """fn(x1, x2, y) at the interior quadrature points, shape (T, 3)."""
-    qpts, _ = fem.interior_quadrature(y.mesh)
+    """fn(x1, x2, y) at the interior quadrature points, shape (3T,)."""
+    qpts, _ = fem.p1(y.mesh).interior
     yq = fem.interp_interior(y)
-    vals = fn(qpts[:, 0].reshape(yq.shape), qpts[:, 1].reshape(yq.shape), yq)
-    return np.broadcast_to(vals, yq.shape)
+    return np.broadcast_to(fn(qpts[:, 0], qpts[:, 1], yq), yq.shape)
 
 
 def semilinear_operator(spec: ProblemSpec, y: FEField) -> np.ndarray:

@@ -16,6 +16,8 @@ __all__ = [
     "constant_kkt_reference",
     "CONSTANT_KKT_EXACT",
     "dense_p1",
+    "dense_midpoint_operator",
+    "dense_weighted_mass",
     "trace_matrix",
     "quadratic_reference",
     "element_stiffness_sympy",
@@ -163,6 +165,48 @@ def dense_p1(mesh):
         length = float(np.linalg.norm(mesh.vertices[loop[j]] - mesh.vertices[loop[i]]))
         Mb[np.ix_([i, j], [i, j])] += length / 6.0 * np.array([[2.0, 1.0], [1.0, 2.0]])
     return K, M, Mb
+
+
+# each triangle's edges as local vertex pairs, in the order of its quadrature points
+MIDPOINT_EDGES = ((0, 1), (1, 2), (2, 0))
+
+
+def _midpoint_rule(mesh):
+    """Per triangle and edge midpoint: (t, q, vertex indices, area, (2, 3) gradients, point, basis values)."""
+    for t, tri in enumerate(mesh.triangles):
+        pts = mesh.vertices[tri]
+        A = np.column_stack([pts, np.ones(3)])
+        area = 0.5 * abs(np.linalg.det(A))
+        grads = np.linalg.inv(A)[:2, :]
+        for q, (i, j) in enumerate(MIDPOINT_EDGES):
+            phi = np.zeros(3)
+            phi[[i, j]] = 0.5
+            yield t, q, tri, area, grads, 0.5 * (pts[i] + pts[j]), phi
+
+
+def dense_midpoint_operator(mesh, a11, a12, a22, a0):
+    """Dense Galerkin matrix of -div(A grad y) + a0 y under the edge-midpoint rule.
+
+    The coefficients are plain callables of (x1, x2), evaluated one point at
+    a time at the three edge midpoints of each triangle, each point
+    weighing a third of the triangle's area.
+    """
+    n = mesh.vertices.shape[0]
+    K = np.zeros((n, n))
+    for _, _, tri, area, grads, (x1, x2), phi in _midpoint_rule(mesh):
+        coeff = np.array([[a11(x1, x2), a12(x1, x2)], [a12(x1, x2), a22(x1, x2)]])
+        local = grads.T @ coeff @ grads + a0(x1, x2) * np.outer(phi, phi)
+        K[np.ix_(tri, tri)] += area / 3.0 * local
+    return K
+
+
+def dense_weighted_mass(mesh, weight):
+    """Dense mass matrix of a weight given at the edge midpoints: weight[3 t + q] at edge q of triangle t."""
+    n = mesh.vertices.shape[0]
+    M = np.zeros((n, n))
+    for t, q, tri, area, _, _, phi in _midpoint_rule(mesh):
+        M[np.ix_(tri, tri)] += area / 3.0 * weight[3 * t + q] * np.outer(phi, phi)
+    return M
 
 
 def trace_matrix(mesh):

@@ -267,10 +267,17 @@ def test_invalid_tolerance_or_exponent_is_config_error(tmp_path, capsys, argv, m
          "--directions must be at least 1"),
         (["chain-rule", "--samples", "0"], "--samples must be at least 1"),
         (["product-rule", "--samples", "-1"], "--samples must be at least 1"),
+        (["--seed", "-1", "exponents", "--p", "2", "--q", "2"], "--seed must be at least 0"),
+        (["frac-norm", "--tau", "0.5", "--k", "2", "--level", "2", "--field", "y"], "field expression 'y'"),
+        (["solve-state", "--config", cfg("quadratic_tracking"), "--level", "2", "--u-expr", "x1 + y"],
+         "field expression 'x1 + y'"),
+        (["solve-state", "--config", cfg("quadratic_tracking"), "--level", "2", "--v-expr", "t"],
+         "field expression 't'"),
     ],
 )
 def test_empty_run_is_config_error(tmp_path, capsys, argv, message):
-    # a run over zero sweeps or samples would pass every check vacuously
+    # a run over zero sweeps or samples would pass every check vacuously; a
+    # negative seed crashed in numpy, and a field in the value variable was read at y = 0
     code, _, summary = run(argv, tmp_path)
     assert code == 2
     assert summary is None

@@ -71,13 +71,52 @@ def test_assembled_matrices_match_dense_oracle(disk, stiffness_spec):
         assert np.max(np.abs(rec.load(f, g) - load_ref)) < 1e-14
 
 
+# variable, elliptic and anisotropic on both presets (x1 >= -1.5, so a11 >= 0.5 and |a12| <= 0.5)
+ANISOTROPIC = {"a11": "2 + x1", "a12": "0.5*x2", "a22": "1 + x2^2", "a0": "1 + x1^2"}
+
+
+@pytest.mark.parametrize("build", [build_disk_mesh, build_ellipse_mesh])
+def test_anisotropic_operator_matches_dense_oracle(build, identity_spec):
+    spec = dataclasses.replace(identity_spec, **ANISOTROPIC)
+    for level in (2, 3):
+        m = build(level)
+        K_ref = oracles.dense_midpoint_operator(
+            m, lambda x1, x2: 2.0 + x1, lambda x1, x2: 0.5 * x2, lambda x1, x2: 1.0 + x2 * x2,
+            lambda x1, x2: 1.0 + x1 * x1,
+        )
+        K = assemble_operator(m, spec).matrix.toarray()
+        assert np.max(np.abs(K - K_ref)) <= 1e-13 * np.max(np.abs(K_ref))
+
+
+@pytest.mark.parametrize("build", [build_disk_mesh, build_ellipse_mesh])
+def test_weighted_mass_matches_dense_oracle(build):
+    m = build(3)
+    weight = np.random.default_rng(7).standard_normal(3 * m.triangles.shape[0])
+    M_ref = oracles.dense_weighted_mass(m, weight)
+    M = fem.assemble_weighted_mass(m, weight).matrix.toarray()
+    assert np.max(np.abs(M - M_ref)) <= 1e-13 * np.max(np.abs(M_ref))
+
+
+@pytest.mark.parametrize("build, level", [(build_disk_mesh, 4), (build_ellipse_mesh, 3)])
+def test_gradient_of_an_affine_field_is_its_slope(build, level):
+    m = build(level)
+    rng = np.random.default_rng(level)
+    for scale in (1e-3, 1.0, 1e4):
+        a1, a2, b = scale * rng.standard_normal(3)
+        gx, gy = fem.gradient_per_triangle(domain_field(m, a1 * m.vertices[:, 0] + a2 * m.vertices[:, 1] + b))
+        assert gx.shape == gy.shape == (m.triangles.shape[0],)
+        tol = 1e-12 * (abs(a1) + abs(a2) + abs(b))
+        assert np.max(np.abs(gx - a1)) <= tol and np.max(np.abs(gy - a2)) <= tol
+
+
 def test_record_is_shared_and_built_on_demand():
     m = build_disk_mesh(3)  # fresh: nothing has touched its record yet
     rec = fem.p1(m)
     assert fem.p1(m) is rec
     gagliardo(boundary_field(m, np.cos(m.boundary_params)), 0.5, 2.0)
     assert {"boundary", "edge_ends"} <= vars(rec).keys()
-    interior = {"interior", "interior_interp", "interior_integral", "mass", "boundary_mass", "trace_matrix"}
+    interior = {"interior", "interior_interp", "interior_integral", "gradient", "mass", "boundary_mass",
+                "trace_matrix"}
     assert not interior & vars(rec).keys()
     assert rec._operator is None
     # the Gagliardo weights are boundary parts too, kept for the one beta used
@@ -92,18 +131,18 @@ _EDGE_BASIS = np.stack([1.0 - _GAUSS_S, _GAUSS_S], axis=1)
 
 
 def _interp_by_gather(y):
-    return y.values[y.mesh.triangles] @ _TRI_BASIS.T
+    return (y.values[y.mesh.triangles] @ _TRI_BASIS.T).reshape(-1)
 
 
 def _integrate_by_scatter(mesh, g):
-    _, _, qw = fem.p1(mesh).interior
-    contrib = (qw * g)[:, :, None] * _TRI_BASIS
+    _, qw = fem.p1(mesh).interior
+    contrib = (qw.reshape(-1, 3) * g)[:, :, None] * _TRI_BASIS
     rows = np.broadcast_to(mesh.triangles[:, None, :], contrib.shape)
     return np.bincount(rows.reshape(-1), weights=contrib.reshape(-1), minlength=mesh.n_vertices)
 
 
 def _interp_boundary_by_roll(v):
-    return np.stack([v.values, np.roll(v.values, -1)], axis=1) @ _EDGE_BASIS.T
+    return (np.stack([v.values, np.roll(v.values, -1)], axis=1) @ _EDGE_BASIS.T).reshape(-1)
 
 
 @pytest.mark.parametrize("build, level", [(build_disk_mesh, 3), (build_disk_mesh, 5), (build_ellipse_mesh, 4)])

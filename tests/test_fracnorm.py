@@ -400,8 +400,8 @@ def test_seminorm_ignores_constants(field, tk, shift):
 
 def ordered_far_field(v, tau, k):
     """The far-field sum over ordered pairs of Gauss points on edges that do not touch."""
-    qpts, qw = fem.boundary_quadrature(v.mesh)
-    vq = fem.interp_boundary(v).reshape(-1)
+    qpts, qw = fem.p1(v.mesh).boundary
+    vq = fem.interp_boundary(v)
     nb = v.mesh.n_boundary
     gap = np.subtract.outer(np.arange(2 * nb) // 2, np.arange(2 * nb) // 2) % nb
     far = (gap > 1) & (gap < nb - 1)

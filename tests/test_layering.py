@@ -6,7 +6,9 @@ module reaches into an object's ``__dict__``; derived data lives in
 declared attributes.  Sparse matrices and linear solves belong to
 ``fem``: no other module imports ``scipy.sparse`` or any part of it, and
 ``splu`` is named at one site, the factorisation ``fem.solve_linear``
-keeps on its operator, so no second path can bypass the reuse.  The
+keeps on its operator, so no second path can bypass the reuse.  Likewise
+``coo_matrix`` is named at one site, the boundary mass: every interior
+matrix comes from the sparse maps of the ``fem.P1`` record.  The
 backtracking constants ``ARMIJO_FACTOR`` and ``NEWTON_MAX_HALVINGS`` are
 named only in ``solvers``, whose ``newton`` is the one damped-Newton
 loop.  Every public function has a caller in the package, or a recorded
@@ -121,6 +123,17 @@ def test_one_factorisation_site():
     assert name_sites(sample, {"splu"}) == [1, 2, 3]
     sites = {path.name: name_sites(path.read_text(), {"splu"}) for path in sorted(SRC.glob("*.py"))}
     assert [(name, len(lines)) for name, lines in sites.items() if lines] == [("fem.py", 1)]
+
+
+def test_one_scatter_assembly_site():
+    # interior matrices come from the P1 record's sparse maps; only the boundary mass scatters
+    sites = {path.name: name_sites(path.read_text(), {"coo_matrix"}) for path in sorted(SRC.glob("*.py"))}
+    assert [(name, len(lines)) for name, lines in sites.items() if lines] == [("fem.py", 1)]
+    fem_source = (SRC / "fem.py").read_text()
+    (line,) = sites["fem.py"]
+    boundary_mass = next(node for node in ast.walk(ast.parse(fem_source))
+                         if isinstance(node, ast.FunctionDef) and node.name == "boundary_mass")
+    assert boundary_mass.lineno <= line <= boundary_mass.end_lineno
 
 
 BACKTRACKING = {"ARMIJO_FACTOR", "NEWTON_MAX_HALVINGS"}
