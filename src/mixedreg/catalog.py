@@ -18,6 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import fem
 from .expressions import EvalError, Expr, ParseError, parse_expr
 
 __all__ = [
@@ -360,18 +361,14 @@ def _value_grid(m: float, count: int) -> np.ndarray:
     return np.concatenate([[0.0, -m, m, -1.0, 1.0], core])
 
 
-def check_assumptions(spec: ProblemSpec, mesh=None) -> AssumptionReport:
+def check_assumptions(spec: ProblemSpec, mesh) -> AssumptionReport:
     """Sample-based verification of the standing assumptions.
 
-    Spatial samples are the interior quadrature points of ``mesh`` (a
-    level-3 preset mesh by default) plus boundary midpoints; the value
-    variable runs over a deterministic low-discrepancy grid in
-    [-VALUE_BOUND, VALUE_BOUND], VALUE_COUNT points plus 0, +-1 and the ends.
+    Spatial samples are the interior and boundary quadrature points of
+    ``mesh``; the value variable runs over a deterministic low-discrepancy
+    grid in [-VALUE_BOUND, VALUE_BOUND], VALUE_COUNT points plus 0, +-1
+    and the ends.
     """
-    from . import fem, geometry  # local import to avoid a cycle
-
-    if mesh is None:
-        mesh = (geometry.build_disk_mesh if spec.preset == "disk" else geometry.build_ellipse_mesh)(3)
     xq, _ = fem.p1(mesh).interior
     xb, _ = fem.p1(mesh).boundary
     tgrid = _value_grid(VALUE_BOUND, VALUE_COUNT)

@@ -531,8 +531,8 @@ def main(argv=None) -> int:
 
     for name in ("kkt_tol", "active_tol", "newton_tol", "tol", "stability_rtol"):
         value = getattr(args, name, None)
-        if value is not None and not value > 0.0:
-            print(f"error: --{name.replace('_', '-')} must be positive", file=sys.stderr)
+        if value is not None and not 0.0 < value < math.inf:
+            print(f"error: --{name.replace('_', '-')} must be positive and finite", file=sys.stderr)
             return EXIT_CONFIG
     damping = getattr(args, "damping", None)
     if damping is not None and not 0.0 < damping <= 1.0:
@@ -542,9 +542,6 @@ def main(argv=None) -> int:
         if getattr(args, name, least) < least:
             print(f"error: --{name} must be at least {least}", file=sys.stderr)
             return EXIT_CONFIG
-    if hasattr(args, "levels") and not args.levels:
-        print("error: empty level range", file=sys.stderr)
-        return EXIT_CONFIG
     ignored = [f"--{n.replace('_', '-')}" for n in _IGNORED_KKT_OPTIONS if getattr(args, n, None) is not None]
     if ignored:
         print(f"note: {' and '.join(ignored)} ignored: semismooth Newton solves the KKT system", file=sys.stderr)

@@ -42,13 +42,16 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .catalog import ProblemSpec
 from .geometry import Mesh
+
+if TYPE_CHECKING:
+    from .catalog import ProblemSpec
 
 __all__ = [
     "FEField",

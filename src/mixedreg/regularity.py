@@ -5,13 +5,14 @@ verified at a fixed mesh; what can be tested is whether discrete
 Lipschitz proxies stabilize under refinement.  :func:`refinement_study`
 solves the optimality system on consecutive nested meshes, warm-starting
 each level from the prolonged controls, and records per field and level
-the Lipschitz estimate and the Hoelder estimates at ``HOLDER_GAMMAS``,
-together with stabilization and divergence flags; a divergence flag
-needs every level converged.  The pairwise quotient
-|v_i - v_j| / |x_i - x_j|^gamma has one owner, :class:`HolderPairs`,
-which keeps a mesh's pairs and distances for every field and exponent;
-the Lipschitz estimate of a boundary field is its gamma = 1 case over
-every pair.
+the Lipschitz estimate and the Hoelder estimates at ``HOLDER_GAMMAS``;
+each report derives its stabilization and divergence flags from those
+records, and a divergence flag needs every level converged.  The pairwise
+quotient |v_i - v_j| / |x_i - x_j|^gamma is computed by one streamed pass
+over the node pairs of a mesh, for every field of one role and every
+exponent at once, keeping nothing between calls.  A domain field's
+Lipschitz estimate is its largest triangle gradient; a boundary field's
+is its gamma = 1 quotient over every pair.
 """
 
 from __future__ import annotations
@@ -25,11 +26,9 @@ from .catalog import ProblemSpec
 from .fem import FEField
 
 __all__ = [
-    "HolderPairs",
     "LevelRecord",
     "RegularityReport",
     "lipschitz_estimate",
-    "holder_estimate",
     "refinement_study",
     "STUDY_FIELDS",
 ]
@@ -43,117 +42,55 @@ HOLDER_SUBSAMPLE = 2000
 HOLDER_SEED = 7
 HOLDER_CHUNK = 1 << 18
 STUDY_FIELDS = ("y", "u", "phi", "psi1", "v", "psi2")
-REGULARITY_CSV_HEADER = "field,level,h,lip,holder05,holder09"
+REGULARITY_CSV_HEADER = "field,level,h,lip," + ",".join(
+    "holder" + str(gamma).replace(".", "") for gamma in HOLDER_GAMMAS
+)
 
 
-class HolderPairs:
-    """The node pairs of one mesh and field role, and their distances.
+def lipschitz_estimate(f: FEField) -> float:
+    """Largest triangle gradient magnitude of a domain field."""
+    gx, gy = fem.gradient_per_triangle(f)
+    return float(np.max(np.sqrt(gx**2 + gy**2)))
 
-    Domain fields on meshes with more than ``max_points`` vertices are
-    subsampled with a fixed-seed generator, so every table of a mesh
-    holds the same pairs.  The distances raised to each gamma and the
-    mask of pairs closer than each ``min_distance`` are kept, so every
-    field of a mesh shares them.  A subsample of 2000 points makes 2 M
-    pairs: indices are 32-bit and temporaries are formed
-    ``HOLDER_CHUNK`` pairs at a time.
+
+def _pair_quotients(fields, exponents) -> list:
+    """Max of |v_i - v_j| / |x_i - x_j|^gamma over the node pairs at least min_distance apart.
+
+    ``fields`` share one mesh and role, and ``exponents`` lists
+    (gamma, min_distance) pairs; the result holds one list per field with
+    one maximum per exponent.  Pairs closer than min_distance measure
+    interpolation noise, not field regularity.  Domain fields on meshes
+    with more than ``HOLDER_SUBSAMPLE`` vertices are subsampled with a
+    fixed-seed generator, so the estimate is deterministic.  The pairs
+    i < j are walked in row order, ``HOLDER_CHUNK`` at a time, and each
+    block's distances, powers and differences are formed once.
     """
-
-    def __init__(self, mesh, role: str, max_points: int = HOLDER_SUBSAMPLE, seed: int = HOLDER_SEED):
-        probe = fem.domain_field(mesh, 0.0) if role == "domain" else fem.boundary_field(mesh, 0.0)
-        self.mesh, self.role = mesh, role
-        pts = probe.coords()
-        self.keep = None
-        if role == "domain" and pts.shape[0] > max_points:
-            rng = np.random.default_rng(seed)
-            self.keep = np.sort(rng.choice(pts.shape[0], size=max_points, replace=False))
-            pts = pts[self.keep]
-        i, j = np.triu_indices(pts.shape[0], k=1)
-        self.i, self.j = i.astype(np.int32), j.astype(np.int32)
-        del i, j
-        x, y = np.ascontiguousarray(pts.T)
-        self.d = np.empty(self.i.size)
-        for part in self._chunks():
-            i, j = self.i[part], self.j[part]
-            d2 = x[i] - x[j]
-            d2 *= d2
-            dy = y[i] - y[j]
-            dy *= dy
-            d2 += dy
-            np.sqrt(d2, out=self.d[part])
-        self._powers = {}
-        self._near = {}
-
-    def _chunks(self):
-        return (slice(k, k + HOLDER_CHUNK) for k in range(0, self.i.size, HOLDER_CHUNK))
-
-    def quotients(self, f: FEField, gammas, min_distance: float) -> list:
-        """Max of |v_i - v_j| / |x_i - x_j|^gamma over the pairs at least min_distance apart.
-
-        One maximum per gamma in ``gammas``; each chunk's differences
-        |v_i - v_j| are formed once and divided by every power.
-        """
-        if f.mesh is not self.mesh or f.role != self.role:
-            raise fem.FieldError(f"the pair table belongs to {self.role} fields of another mesh")
-        for gamma in gammas:
-            if gamma not in self._powers:
-                self._powers[gamma] = self.d**gamma
-        if min_distance not in self._near:
-            self._near[min_distance] = self.d < min_distance
-        near = self._near[min_distance]
-        vals = f.values if self.keep is None else f.values[self.keep]
-        best = [0.0] * len(gammas)
-        for part in self._chunks():
-            diff = vals[self.i[part]]
-            diff -= vals[self.j[part]]
-            np.abs(diff, out=diff)
-            q = np.empty_like(diff)
-            for k, gamma in enumerate(gammas):
-                np.divide(diff, self._powers[gamma][part], out=q)
-                # every quotient is >= 0, so zeroing the near pairs leaves the far maximum
-                q[near[part]] = 0.0
-                best[k] = max(best[k], float(np.max(q)))
-        return best
-
-
-def lipschitz_estimate(f: FEField, pairs: HolderPairs | None = None) -> float:
-    """Largest first-order difference quotient the mesh can resolve.
-
-    Domain fields: max triangle gradient magnitude.  Boundary fields:
-    max over all boundary vertex pairs of |difference| / chordal distance,
-    the gamma = 1 :func:`holder_estimate` with no pair skipped, over
-    ``pairs`` when given.
-    """
-    if f.role == "domain":
-        gx, gy = fem.gradient_per_triangle(f)
-        return float(np.max(np.sqrt(gx**2 + gy**2)))
-    return holder_estimate(f, 1.0, min_distance=0.0, pairs=pairs)
-
-
-def holder_estimate(
-    f: FEField,
-    gamma: float,
-    min_distance: float | None = None,
-    max_points: int = HOLDER_SUBSAMPLE,
-    seed: int = HOLDER_SEED,
-    pairs: HolderPairs | None = None,
-) -> float:
-    """Max pairwise quotient |v_i - v_j| / |x_i - x_j|^gamma.
-
-    Pairs closer than ``min_distance`` (default: the mesh size) are
-    skipped; quotients below that scale measure interpolation noise, not
-    field regularity.  Domain fields on large meshes are subsampled with
-    a fixed-seed generator, so the estimate is deterministic.  A caller
-    that evaluates several fields of one mesh passes their shared
-    ``pairs`` table, which fixes the subsample in place of ``max_points``
-    and ``seed``.
-    """
-    if not 0.0 < gamma <= 1.0:
-        raise ValueError(f"Hoelder exponent must lie in (0, 1], got {gamma}")
-    if min_distance is None:
-        min_distance = f.mesh.mesh_size()
-    if pairs is None:
-        pairs = HolderPairs(f.mesh, f.role, max_points, seed)
-    return pairs.quotients(f, (gamma,), min_distance)[0]
+    pts, vals = fields[0].coords(), [f.values for f in fields]
+    if fields[0].role == "domain" and pts.shape[0] > HOLDER_SUBSAMPLE:
+        rng = np.random.default_rng(HOLDER_SEED)
+        keep = np.sort(rng.choice(pts.shape[0], size=HOLDER_SUBSAMPLE, replace=False))
+        pts, vals = pts[keep], [v[keep] for v in vals]
+    x, y = np.ascontiguousarray(pts.T)
+    n = x.size
+    rows = np.arange(n - 1)
+    first = rows * (2 * n - rows - 1) // 2  # position of pair (r, r + 1) in row order
+    total = n * (n - 1) // 2
+    best = np.zeros((len(fields), len(exponents)))
+    for start in range(0, total, HOLDER_CHUNK):
+        pair = np.arange(start, min(start + HOLDER_CHUNK, total))
+        i = np.searchsorted(first, pair, side="right") - 1
+        j = pair - first[i] + i + 1
+        d = x[i] - x[j]
+        d *= d
+        dy = y[i] - y[j]
+        dy *= dy
+        d += dy
+        np.sqrt(d, out=d)
+        # a pair nearer than min_distance gets an infinite denominator, so its quotient is 0
+        powers = np.stack([np.where(d < near, np.inf, d**gamma) for gamma, near in exponents])
+        for row, v in zip(best, vals):
+            np.maximum(row, np.max(np.abs(v[i] - v[j]) / powers, axis=1), out=row)
+    return best.tolist()
 
 
 @dataclass
@@ -161,45 +98,48 @@ class LevelRecord:
     level: int
     h: float
     lipschitz: float
-    holder: dict
+    holder: dict  # HOLDER_GAMMAS -> estimate
     solver_converged: bool
 
 
 @dataclass
 class RegularityReport:
-    """Per-level seminorm estimates of one solution field."""
+    """Per-level seminorm estimates of one solution field, and the verdicts on its last two levels."""
 
     field_name: str
     records: list = field(default_factory=list)
-    stabilization: bool = False
-    growth_ratio: float = 1.0
-    divergence_flag: bool = False
 
-    def finalize(self) -> None:
+    def _converged(self) -> bool:
+        return all(r.solver_converged for r in self.records)
+
+    @property
+    def stabilization(self) -> bool:
         if len(self.records) < 2:
-            return
+            return False
         prev, last = self.records[-2].lipschitz, self.records[-1].lipschitz
         change = abs(last - prev) / max(abs(prev), SEMINORM_FLOOR)
-        self.stabilization = bool(change < STABILIZATION_RTOL) and all(
-            r.solver_converged for r in self.records
-        )
+        return bool(change < STABILIZATION_RTOL) and self._converged()
+
+    @property
+    def growth_ratio(self) -> float:
+        if len(self.records) < 2:
+            return 1.0
+        prev, last = self.records[-2].lipschitz, self.records[-1].lipschitz
         if prev > SEMINORM_FLOOR:
-            self.growth_ratio = last / prev
-        else:
-            self.growth_ratio = 1.0 if last <= SEMINORM_FLOOR else float("inf")
+            return last / prev
+        return 1.0 if last <= SEMINORM_FLOOR else float("inf")
+
+    @property
+    def divergence_flag(self) -> bool:
         # growth measured on unconverged iterates is no evidence of divergence
-        self.divergence_flag = bool(self.growth_ratio > DIVERGENCE_RATIO) and all(
-            r.solver_converged for r in self.records
-        )
+        return bool(self.growth_ratio > DIVERGENCE_RATIO) and self._converged()
 
     def csv_rows(self) -> list:
-        rows = []
-        for r in self.records:
-            rows.append(
-                f"{self.field_name},{r.level},{r.h:.17g},{r.lipschitz:.17g},"
-                f"{r.holder[0.5]:.17g},{r.holder[0.9]:.17g}"
-            )
-        return rows
+        return [
+            f"{self.field_name},{r.level},{r.h:.17g},{r.lipschitz:.17g},"
+            + ",".join(f"{r.holder[gamma]:.17g}" for gamma in HOLDER_GAMMAS)
+            for r in self.records
+        ]
 
 
 def refinement_study(
@@ -214,9 +154,8 @@ def refinement_study(
     warm-started by prolonging the previous controls.  A level where the
     solver does not converge is still recorded (marked in the per-level
     records) and its fields are used for the warm start, so the study
-    degrades honestly instead of stopping.  Per level, the domain fields
-    share one :class:`HolderPairs` table and the boundary fields another,
-    and each field's Hoelder quotients at every gamma take one pass.
+    degrades honestly instead of stopping.  Per level, one pass over the
+    node pairs serves the domain fields and another the boundary fields.
     Returns a dict mapping field names to :class:`RegularityReport`.
     """
     levels = [int(l) for l in levels]
@@ -235,25 +174,26 @@ def refinement_study(
     for idx, level in enumerate(levels):
         state, rep = kkt.solve_kkt(spec, (u0, v0), max_iter=max_iter, kkt_tol=kkt_tol)
         h = mesh.mesh_size()
-        tables = {role: HolderPairs(mesh, role) for role in ("domain", "boundary")}
-        for name in STUDY_FIELDS:
-            f = getattr(state, name)
-            pairs = tables[f.role]
-            reports[name].records.append(
-                LevelRecord(
-                    level=level,
-                    h=h,
-                    lipschitz=lipschitz_estimate(f, pairs),
-                    holder=dict(zip(HOLDER_GAMMAS, pairs.quotients(f, HOLDER_GAMMAS, h))),
-                    solver_converged=rep.converged,
+        holder = [(gamma, h) for gamma in HOLDER_GAMMAS]
+        for role in ("domain", "boundary"):
+            names = [name for name in STUDY_FIELDS if getattr(state, name).role == role]
+            fields = [getattr(state, name) for name in names]
+            # a boundary field's Lipschitz estimate is its gamma = 1 quotient over every pair
+            lipschitz = [(1.0, 0.0)] if role == "boundary" else []
+            for name, f, q in zip(names, fields, _pair_quotients(fields, lipschitz + holder)):
+                reports[name].records.append(
+                    LevelRecord(
+                        level=level,
+                        h=h,
+                        lipschitz=q[0] if lipschitz else lipschitz_estimate(f),
+                        holder=dict(zip(HOLDER_GAMMAS, q[len(lipschitz):])),
+                        solver_converged=rep.converged,
+                    )
                 )
-            )
         if idx + 1 < len(levels):
             fine = geometry.refine(mesh)
             u0 = fem.prolong(state.u, fine)
             v0 = fem.prolong(state.v, fine)
             mesh = fine
 
-    for report in reports.values():
-        report.finalize()
     return reports

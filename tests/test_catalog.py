@@ -219,8 +219,8 @@ def test_unknown_preset_rejected():
 # assumption checks
 
 
-def test_assumptions_all_pass_on_shipping_instance(configs):
-    rep = check_assumptions(configs["quadratic_tracking"])
+def test_assumptions_all_pass_on_shipping_instance(configs, disk):
+    rep = check_assumptions(configs["quadratic_tracking"], disk(3))
     assert rep.all_passed
     assert [c.name for c in rep.checks] == [
         "A1-exponents-weights",
@@ -233,30 +233,30 @@ def test_assumptions_all_pass_on_shipping_instance(configs):
     ]
 
 
-def test_assumption_a5_direct_violation_with_witness():
-    rep = check_assumptions(base_spec(g1="y - 10"))
+def test_assumption_a5_direct_violation_with_witness(disk):
+    rep = check_assumptions(base_spec(g1="y - 10"), disk(3))
     failed = rep.failed()
     assert [c.name for c in failed] == ["A5-constraints-vanish-at-zero"]
     assert failed[0].witness is not None
     assert failed[0].witness["measured"] == pytest.approx(-10.0)
 
 
-def test_robinson_sign_condition_passes_for_exponential_cap():
-    rep = check_assumptions(base_spec(f="y^3", g1="exp(y) - 1"))
+def test_robinson_sign_condition_passes_for_exponential_cap(disk):
+    rep = check_assumptions(base_spec(f="y^3", g1="exp(y) - 1"), disk(3))
     assert rep.all_passed
 
 
-def test_slope_floor_violation_detected():
-    rep = check_assumptions(base_spec(zeta1=("t - 2*t^3", 1.0)))
+def test_slope_floor_violation_detected(disk):
+    rep = check_assumptions(base_spec(zeta1=("t - 2*t^3", 1.0)), disk(3))
     names = [c.name for c in rep.failed()]
     assert "A6-reparametrization" in names
     a6 = [c for c in rep.failed() if c.name == "A6-reparametrization"][0]
     assert a6.witness is not None
 
 
-def test_manufactured_instances_fail_only_vanishing_caps(configs):
+def test_manufactured_instances_fail_only_vanishing_caps(configs, disk):
     for name in ("constant_kkt", "smooth_constrained", "jump_bound"):
-        rep = check_assumptions(configs[name])
+        rep = check_assumptions(configs[name], disk(3))
         assert [c.name for c in rep.failed()] == ["A5-constraints-vanish-at-zero"], name
 
 

@@ -243,6 +243,15 @@ def test_nonpositive_tolerance_is_config_error(tmp_path, capsys):
          "--stability-rtol must be positive"),
         (["product-rule", "--levels", "2", "--samples", "2", "--k", "0"], "must be >= 1"),
         (["product-rule", "--levels", "2", "--samples", "2", "--k2", "0"], "must be >= 1"),
+        # an infinite tolerance would pass its check without testing anything
+        (["gradient-check", "--config", cfg("quadratic_tracking"), "--level", "2",
+          "--directions", "2", "--tol", "inf"], "--tol must be positive and finite"),
+        (["chain-rule", "--levels", "3", "4", "--samples", "2", "--stability-rtol", "inf"],
+         "--stability-rtol must be positive and finite"),
+        (["robinson", "--config", cfg("quadratic_tracking"), "--level", "2", "--tol", "inf"],
+         "--tol must be positive and finite"),
+        (["solve-kkt", "--config", cfg("constant_kkt"), "--level", "2", "--kkt-tol", "inf"],
+         "--kkt-tol must be positive and finite"),
     ],
 )
 def test_invalid_tolerance_or_exponent_is_config_error(tmp_path, capsys, argv, message):
@@ -331,10 +340,16 @@ def test_missing_config_is_config_error(tmp_path, capsys):
     assert "cannot read config file" in capsys.readouterr().err
 
 
-def test_unknown_subcommand_exits_two(tmp_path):
+def test_unknown_subcommand_exits_two(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["--out", str(tmp_path / "x"), "nonsense"])
     assert exc.value.code == 2
+    # argparse refuses an empty level list before main sees it
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--out", str(tmp_path / "y"), "regularity", "--config", cfg("smooth_constrained"),
+                  "--levels"])
+    assert exc.value.code == 2
+    assert "expected at least one argument" in capsys.readouterr().err
 
 
 def test_nonconverged_solve_reports_and_exits_three(tmp_path):

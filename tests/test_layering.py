@@ -12,7 +12,8 @@ matrix comes from the sparse maps of the ``fem.P1`` record.  The
 backtracking constants ``ARMIJO_FACTOR`` and ``NEWTON_MAX_HALVINGS`` are
 named only in ``solvers``, whose ``newton`` is the one damped-Newton
 loop.  Every public function has a caller in the package, or a recorded
-reason to be kept without one.
+reason to be kept without one.  Every import sits at module level, so the
+import graph is the one the module headers show.
 """
 
 import ast
@@ -134,6 +135,33 @@ def test_one_scatter_assembly_site():
     boundary_mass = next(node for node in ast.walk(ast.parse(fem_source))
                          if isinstance(node, ast.FunctionDef) and node.name == "boundary_mass")
     assert boundary_mass.lineno <= line <= boundary_mass.end_lineno
+
+
+def function_imports(source):
+    """Lines of ``source`` where a function body imports something."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            lines += [sub.lineno for sub in ast.walk(node) if isinstance(sub, (ast.Import, ast.ImportFrom))]
+    return sorted(set(lines))
+
+
+def test_no_function_body_imports():
+    sample = (
+        "import numpy as np\n"
+        "def f():\n"
+        "    from . import fem\n"
+        "    def g():\n"
+        "        import math\n"
+        "class C:\n"
+        "    def m(self):\n"
+        "        import json\n"
+        "if TYPE_CHECKING:\n"
+        "    from .catalog import ProblemSpec\n"
+    )
+    assert function_imports(sample) == [3, 5, 8]
+    sites = {path.name: function_imports(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert {name: lines for name, lines in sites.items() if lines} == {}
 
 
 BACKTRACKING = {"ARMIJO_FACTOR", "NEWTON_MAX_HALVINGS"}

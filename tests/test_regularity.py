@@ -11,8 +11,7 @@ from mixedreg.regularity import (
     HOLDER_SEED,
     REGULARITY_CSV_HEADER,
     STUDY_FIELDS,
-    HolderPairs,
-    holder_estimate,
+    _pair_quotients,
     lipschitz_estimate,
     refinement_study,
 )
@@ -25,7 +24,10 @@ from mixedreg.regularity import (
 def test_lipschitz_constant_field(disk):
     m = disk(3)
     assert lipschitz_estimate(fem.domain_field(m, 4.0)) <= 1e-12
-    assert lipschitz_estimate(fem.boundary_field(m, 4.0)) == 0.0
+    assert _pair_quotients([fem.boundary_field(m, 4.0)], [(1.0, 0.0)]) == [[0.0]]
+    # a boundary field's Lipschitz estimate is its gamma = 1 pair quotient
+    with pytest.raises(FieldError):
+        lipschitz_estimate(fem.boundary_field(m, 4.0))
 
 
 def test_lipschitz_linear_field(disk):
@@ -44,34 +46,28 @@ def test_lipschitz_kink_field(disk):
 
 def test_holder_linear_field(disk):
     m = disk(3)
+    h = m.mesh_size()
     f = fem.domain_field(m, m.vertices[:, 0])
     # gamma = 1 recovers a chordal Lipschitz quotient; diameter pairs
     # realize the maximum for a linear field
-    assert holder_estimate(f, 1.0) == pytest.approx(1.0, abs=1e-10)
-    assert holder_estimate(f, 0.5) == pytest.approx(2.0 ** 0.5, rel=1e-6)
-
-
-def test_holder_validation(disk):
-    f = fem.domain_field(disk(1), 1.0)
-    for g in (0.0, -0.5, 1.5):
-        with pytest.raises(ValueError):
-            holder_estimate(f, g)
+    [[lip, holder05]] = _pair_quotients([f], [(1.0, h), (0.5, h)])
+    assert lip == pytest.approx(1.0, abs=1e-10)
+    assert holder05 == pytest.approx(2.0 ** 0.5, rel=1e-6)
 
 
 def test_holder_deterministic(disk):
     m = disk(6)
+    h = m.mesh_size()
     rng = np.random.default_rng(0)
     f = fem.domain_field(m, rng.standard_normal(m.n_vertices))
     assert m.n_vertices > regularity.HOLDER_SUBSAMPLE
-    a = holder_estimate(f, 0.5)
-    b = holder_estimate(f, 0.5)
-    assert a == b
-    c = holder_estimate(f, 0.5, seed=123)
-    assert np.isfinite(c) and c > 0.0
+    a = _pair_quotients([f], [(0.5, h)])
+    assert a == _pair_quotients([f], [(0.5, h)])
+    assert np.isfinite(a[0][0]) and a[0][0] > 0.0
 
 
 def per_call_holder(f, gamma, min_distance, max_points):
-    """One pair table per quotient, as every estimate built it before tables were shared."""
+    """One quotient from a table of every pair at once, with no blocks and no shared work."""
     pts, vals = f.coords(), f.values
     if f.role == "domain" and pts.shape[0] > max_points:
         rng = np.random.default_rng(HOLDER_SEED)
@@ -86,33 +82,30 @@ def per_call_holder(f, gamma, min_distance, max_points):
 
 
 @settings(max_examples=15, deadline=None)
-@given(st.sampled_from([2, 3]), st.sampled_from([40, regularity.HOLDER_SUBSAMPLE]), st.integers(0, 2**32 - 1))
-def test_shared_pair_tables_match_per_call_estimates(disk, level, max_points, seed):
+@given(
+    st.sampled_from([2, 3]),
+    st.sampled_from([40, regularity.HOLDER_SUBSAMPLE]),
+    st.sampled_from([97, 4096, regularity.HOLDER_CHUNK]),
+    st.integers(0, 2**32 - 1),
+)
+def test_streamed_pass_matches_per_call_estimates(disk, level, subsample, chunk, seed):
     m = disk(level)
     h = m.mesh_size()
     rng = np.random.default_rng(seed)
-    tables = {role: HolderPairs(m, role, max_points=max_points) for role in ("domain", "boundary")}
-    fields = [fem.domain_field(m, rng.standard_normal(m.n_vertices)) for _ in range(2)]
-    fields += [fem.boundary_field(m, rng.standard_normal(m.n_boundary)) for _ in range(2)]
-    # every field and exponent reads the same two tables, bit for bit as with its own,
-    # and one pass over a field's pairs gives each exponent's own quotient
-    gammas = (0.5, 0.9, 1.0)
-    for f in fields:
-        assert tables[f.role].quotients(f, gammas, h) == [per_call_holder(f, g, h, max_points) for g in gammas]
-        for gamma in gammas:
-            shared = holder_estimate(f, gamma, pairs=tables[f.role])
-            assert shared == holder_estimate(f, gamma, max_points=max_points)
-            assert shared == per_call_holder(f, gamma, h, max_points)
-        if f.role == "boundary":
-            assert lipschitz_estimate(f, tables["boundary"]) == per_call_holder(f, 1.0, 0.0, max_points)
-
-
-def test_pair_table_rejects_foreign_fields(disk):
-    pairs = HolderPairs(disk(2), "boundary")
-    with pytest.raises(FieldError):
-        holder_estimate(fem.domain_field(disk(2), 1.0), 0.5, pairs=pairs)
-    with pytest.raises(FieldError):
-        holder_estimate(fem.boundary_field(disk(3), 1.0), 0.5, pairs=pairs)
+    fields = {
+        "domain": [fem.domain_field(m, rng.standard_normal(m.n_vertices)) for _ in range(2)],
+        "boundary": [fem.boundary_field(m, rng.standard_normal(m.n_boundary)) for _ in range(2)],
+    }
+    # the boundary Lipschitz quotient and the Hoelder quotients the study reports
+    exponents = [(1.0, 0.0), (0.5, h), (0.9, h), (1.0, h)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(regularity, "HOLDER_SUBSAMPLE", subsample)
+        mp.setattr(regularity, "HOLDER_CHUNK", chunk)
+        streamed = {role: _pair_quotients(fs, exponents) for role, fs in fields.items()}
+    # every field and exponent of one pass, in blocks that split rows, bit for bit as alone
+    for role, fs in fields.items():
+        expected = [[per_call_holder(f, g, near, subsample) for g, near in exponents] for f in fs]
+        assert streamed[role] == expected
 
 
 # ---------------------------------------------------------------------------
@@ -152,22 +145,31 @@ def record(level, lipschitz, converged=True):
 def test_finalize_needs_converged_levels_for_divergence():
     # growth measured on an unconverged iterate is no evidence
     report = regularity.RegularityReport("u", [record(3, 9.0), record(4, 18.0, converged=False)])
-    report.finalize()
     assert report.growth_ratio == 2.0
     assert not report.divergence_flag
     assert not report.stabilization
 
     report = regularity.RegularityReport("u", [record(3, 9.0), record(4, 18.0)])
-    report.finalize()
     assert report.divergence_flag
 
 
 def test_finalize_round_off_seminorms_are_zero():
     # a constant field's seminorms are eps-sized and grow like 1/h
     report = regularity.RegularityReport("y", [record(3, 6.4e-15), record(4, 1.9e-14)])
-    report.finalize()
     assert report.growth_ratio == 1.0
     assert report.stabilization and not report.divergence_flag
+
+
+def test_verdicts_follow_the_records():
+    # the verdicts read the records as they stand, with no step that freezes them
+    report = regularity.RegularityReport("u", [record(3, 9.0)])
+    assert report.growth_ratio == 1.0
+    assert not report.stabilization and not report.divergence_flag
+    report.records.append(record(4, 9.1))
+    assert report.stabilization
+    report.records.append(record(5, 18.0))
+    assert report.growth_ratio == pytest.approx(18.0 / 9.1)
+    assert report.divergence_flag and not report.stabilization
 
 
 def test_study_record_shape(smooth_study):
@@ -205,3 +207,52 @@ def test_study_csv_rows(smooth_study):
     assert cells[0] == "u" and cells[1] == "3"
     assert len(cells) == 6
     float(cells[3])
+
+
+# lip, holder05 and holder09 of the smooth study, levels 3-6, as computed
+# before the estimators were streamed; levels 5 and 6 read the domain
+# subsample and every level reads the all-pairs boundary quotient
+PINNED_SMOOTH_STUDY = {
+    "y": (
+        (0.4731430594563008, 0.2912228472116991, 0.37348586535473444),
+        (0.49706755120866186, 0.2915175616575722, 0.3823861114603984),
+        (0.5118239215113466, 0.291582125495991, 0.3844494698871872),
+        (0.5197612413037063, 0.29144302873730216, 0.384381044217769),
+    ),
+    "u": (
+        (0.6070136759509296, 0.6028823896148798, 0.5463472617348237),
+        (0.6123811882609932, 0.6037659006392601, 0.5464080167075654),
+        (0.6142488473572344, 0.6041612244274784, 0.5464601738490618),
+        (0.6149605370794061, 0.6041405213737439, 0.5464410616352725),
+    ),
+    "phi": (
+        (0.4383827261629887, 0.22263705396573485, 0.3312278714995701),
+        (0.46086723856093764, 0.2218449611974945, 0.3497689261452684),
+        (0.47700757953194567, 0.22155446987780392, 0.3517452767274031),
+        (0.48583586482553426, 0.22152714004164753, 0.3508319172777153),
+    ),
+    "psi1": (
+        (0.5049903792793802, 0.4226796394811269, 0.43066465575517304),
+        (0.5138674249913605, 0.42244977915048065, 0.43111874520815274),
+        (0.5186343463570672, 0.4227188341171745, 0.43074401879188506),
+        (0.5211037061042413, 0.42258070584282026, 0.430992926378917),
+    ),
+    "v": (
+        (0.3177872377094518, 0.4221435731267582, 0.33039984834049474),
+        (0.3180062815043587, 0.4220399602951625, 0.33036134923582267),
+        (0.31820026562589027, 0.42200696040314944, 0.3303562431384881),
+        (0.3182399938100097, 0.4225755461295464, 0.33034875721786117),
+    ),
+    "psi2": (
+        (0.24655891722280115, 0.30367212605717664, 0.2425584400465622),
+        (0.24764569378867102, 0.3039782446532964, 0.24244017325482656),
+        (0.24785956636409126, 0.3044801759993233, 0.24239907510775402),
+        (0.2479039037659758, 0.3044786316357613, 0.24239044524749334),
+    ),
+}
+
+
+def test_study_values_are_pinned(smooth_study):
+    for name, rows in PINNED_SMOOTH_STUDY.items():
+        got = [(r.lipschitz, r.holder[0.5], r.holder[0.9]) for r in smooth_study[name].records]
+        np.testing.assert_allclose(got, rows, rtol=1e-12, atol=0.0, err_msg=name)
