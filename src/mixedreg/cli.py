@@ -237,8 +237,8 @@ def _kkt_field_files(out_dir: Path, state: kkt.KKTState) -> list:
 def _run_solve_kkt(args, out_dir: Path, rng) -> tuple:
     spec = load_problem_config(args.config)
     mesh = _build_mesh(spec.preset, args.level)
-    initial = (fem.domain_field(mesh, 0.0), fem.boundary_field(mesh, 0.0))
-    state, report = kkt.solve_kkt(spec, initial, max_iter=args.max_iter, kkt_tol=args.kkt_tol)
+    start = kkt.cold_start(spec, fem.domain_field(mesh, 0.0), fem.boundary_field(mesh, 0.0))
+    state, report = kkt.solve_kkt(spec, start, max_iter=args.max_iter, kkt_tol=args.kkt_tol)
     artifacts = [
         _write_text(out_dir, "kkt_report.json", report.to_text()),
         _write_text(out_dir, "kkt_history.csv", report.history_csv()),
@@ -392,6 +392,7 @@ def _run_regularity(args, out_dir: Path, rng) -> tuple:
             "growth_ratio": _jsonable(reports[name].growth_ratio),
             "divergence": reports[name].divergence_flag,
             "levels_converged": [r.solver_converged for r in reports[name].records],
+            "levels_newton_steps": [r.newton_steps for r in reports[name].records],
         }
         for name in regularity.STUDY_FIELDS
     }

@@ -22,10 +22,12 @@ The projection eliminates the controls: with w = delta_i^{-1}(-phi) at
 each node, the control is min(w, b), the node is active where w > b, and
 there the multiplier is -(delta_i(b) + phi) / zeta_i'(b).  What remains
 is a nonsmooth system F(y, phi) = 0 of the state and adjoint equations,
-which ``solve_kkt`` solves by semismooth Newton: each step is one
-``fem.solve_linear`` of the 2n x 2n generalised Jacobian taken on the
-current active sets, globalised by the Armijo backtracking on |F|_2 of
-``solvers.newton``, the loop the state solve runs too.
+which ``solve_kkt`` solves by semismooth Newton from a given (y, phi):
+``cold_start`` of some controls, or the optimum of a coarser mesh
+prolonged.  Each step is one ``fem.solve_linear`` of the 2n x 2n
+generalised Jacobian taken on the current active sets, globalised by the
+Armijo backtracking on |F|_2 of ``solvers.newton``, the loop the state
+solve runs too.
 
 Only strictly increasing reparametrizations are supported end to end;
 the three mirrored sign cases are rejected with a diagnostic rather than
@@ -70,6 +72,7 @@ __all__ = [
     "objective",
     "reduced_gradient",
     "project_controls",
+    "cold_start",
     "solve_kkt",
     "robinson_check",
 ]
@@ -361,22 +364,15 @@ class _Point:
         return KKTState(self.y, self.phi, psi1, u, v, psi2, *(m.active for m in self.minimizers))
 
 
-def _point(
-    spec: ProblemSpec, y: FEField, phi: FEField, linearized: fem.SparseOperator | None = None
-) -> _Point:
-    """F(y, phi): the state and adjoint defects with the controls and multipliers eliminated.
-
-    A caller that already holds ``linearized_matrix(spec, y)`` passes it as
-    ``linearized``.
-    """
+def _point(spec: ProblemSpec, y: FEField, phi: FEField) -> _Point:
+    """F(y, phi): the state and adjoint defects with the controls and multipliers eliminated."""
     halves = _constraints(spec, y)
     minimizers = tuple(_minimize(spec, h, phi) for h in halves)
     rec = fem.p1(y.mesh)
     state_load = rec.load(*(m.control for m in minimizers))
     psis = (FEField(y.mesh, h.y.role, m.psi) for h, m in zip(halves, minimizers))
     adjoint_load = rec.load(*(f.values for f in _adjoint_rhs(spec, halves, psis)))
-    if linearized is None:
-        linearized = linearized_matrix(spec, y)
+    linearized = linearized_matrix(spec, y)
     return _Point(
         y,
         phi,
@@ -437,19 +433,28 @@ def _history_row(spec: ProblemSpec, pt: _Point, kkt_tol: float):
     return report, (report.objective, *(report.residuals[r] for r in _RESIDUAL_KEYS[:6]))
 
 
+def cold_start(spec: ProblemSpec, u: FEField, v: FEField):
+    """The (y, phi) start of a solve from controls: the state of (u, v), then the tracking adjoint.
+
+    The adjoint's factorisation is freed on return.
+    """
+    y = solve_state(spec, u, v).state
+    return y, _tracking_adjoint(spec, y, linearized_matrix(spec, y))
+
+
 def solve_kkt(
     spec: ProblemSpec,
-    initial,
+    start,
     max_iter: int = MAX_ITER,
     kkt_tol: float = KKT_TOL,
 ):
     """Semismooth Newton on the optimality system reduced to (y, phi).
 
-    The initial point is the state of the initial controls (u0, v0) and
-    the adjoint driven by the tracking terms alone.  Each step of
-    ``solvers.newton`` solves the generalised Jacobian system once and
-    backtracks on |F|_2 until the Armijo test holds.  Newton iterates
-    until |F|_2 <= NEWTON_TOL
+    ``start`` is the initial (y, phi), two domain fields on one mesh:
+    ``cold_start`` of some controls, or the prolonged optimum of a coarser
+    mesh.  Each step of ``solvers.newton`` solves the generalised Jacobian
+    system once and backtracks on |F|_2 until the Armijo test holds.
+    Newton iterates until |F|_2 <= NEWTON_TOL
     * (1 + the norm of both loads), however loose ``kkt_tol`` is, since
     the max-norm defects scale with the mesh and a loose stop would accept
     wrong active sets; the report then checks every residual against
@@ -461,23 +466,15 @@ def solve_kkt(
     _require_increasing(spec)
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
-    u, v = initial
-    mesh = _check_state_fields(fem.domain_field(u.mesh, 0.0), u, v)
-
-    y = solve_state(spec, u, v).state
-    linearized = linearized_matrix(spec, y)
-    phi = _tracking_adjoint(spec, y, linearized)
-    # the start gets the matrix without the adjoint's factorisation, which
-    # goes with ``linearized`` before the first Newton step
-    start = _point(spec, y, phi, fem.SparseOperator(linearized.matrix))
-    del linearized
-    x0 = np.concatenate([y.values, phi.values])
+    y, phi = start
+    if y.role != "domain":
+        raise fem.FieldError("the start state must be a domain field")
+    _check_adjoint(y, phi)
+    mesh = y.mesh
     n = mesh.n_vertices
 
     def evaluate(x: np.ndarray):
-        pt = start if x is x0 else _point(
-            spec, FEField(mesh, "domain", x[:n]), FEField(mesh, "domain", x[n:])
-        )
+        pt = _point(spec, FEField(mesh, "domain", x[:n]), FEField(mesh, "domain", x[n:]))
         return pt, pt.residual
 
     def converged(pt: _Point, norm: float) -> bool:
@@ -486,7 +483,11 @@ def solve_kkt(
     history = []
     try:
         for pt, norm in newton(
-            x0, evaluate, lambda pt, r: fem.solve_linear(_jacobian(spec, pt), -r), converged, max_iter
+            np.concatenate([y.values, phi.values]),
+            evaluate,
+            lambda pt, r: fem.solve_linear(_jacobian(spec, pt), -r),
+            converged,
+            max_iter,
         ):
             report, row = _history_row(spec, pt, kkt_tol)
             history.append((len(history) + 1, *row))

@@ -3,11 +3,15 @@
 The continuous regularity statements about optimal solutions cannot be
 verified at a fixed mesh; what can be tested is whether discrete
 Lipschitz proxies stabilize under refinement.  :func:`refinement_study`
-solves the optimality system on consecutive nested meshes, warm-starting
-each level from the prolonged controls, and records per field and level
-the Lipschitz estimate and the Hoelder estimates at ``HOLDER_GAMMAS``;
-each report derives its stabilization and divergence flags from those
-records, and a divergence flag needs every level converged.  The pairwise
+solves the optimality system on consecutive nested meshes by nested
+iteration: the first level's Newton starts from ``kkt.cold_start`` of
+zero controls, and every later level's from the previous optimum's state
+and adjoint prolonged onto the refined mesh, which lies within O(h) of
+the new discrete optimum, so it needs few Newton steps.  It records per
+field and level the Lipschitz estimate, the Hoelder estimates at
+``HOLDER_GAMMAS`` and the solve's Newton steps; each report derives its
+stabilization and divergence flags from those records, and a divergence
+flag needs every level converged.  The pairwise
 quotient |v_i - v_j| / |x_i - x_j|^gamma is computed by one streamed pass
 over the node pairs of a mesh, for every field of one role and every
 exponent at once, keeping nothing between calls.  A domain field's
@@ -100,6 +104,7 @@ class LevelRecord:
     lipschitz: float
     holder: dict  # HOLDER_GAMMAS -> estimate
     solver_converged: bool
+    newton_steps: int  # accepted Newton steps of the level's KKT solve
 
 
 @dataclass
@@ -150,29 +155,30 @@ def refinement_study(
 ) -> dict:
     """Solve the optimality system on nested meshes and track seminorms.
 
-    ``levels`` must be consecutive integers; each level's solve is
-    warm-started by prolonging the previous controls.  A level where the
-    solver does not converge is still recorded (marked in the per-level
-    records) and its fields are used for the warm start, so the study
-    degrades honestly instead of stopping.  Per level, one pass over the
-    node pairs serves the domain fields and another the boundary fields.
+    ``levels`` must be consecutive integers.  The first level's solve
+    starts from ``kkt.cold_start`` of zero controls, each later level's
+    from the previous level's y and phi prolonged onto the refined mesh.
+    A level where the solver does not converge is still recorded (marked
+    in the per-level records) and its iterate starts the next level, so
+    the study degrades honestly instead of stopping; no level falls back
+    to a cold start.  Per level, one pass over the node pairs serves the
+    domain fields and another the boundary fields.
     Returns a dict mapping field names to :class:`RegularityReport`.
     """
     levels = [int(l) for l in levels]
     if not levels:
         raise ValueError("level range is empty")
     if any(b - a != 1 for a, b in zip(levels[:-1], levels[1:])):
-        raise ValueError(f"levels must be consecutive for warm starting, got {levels}")
+        raise ValueError(f"levels must be consecutive for nested iteration, got {levels}")
 
     build = geometry.build_disk_mesh if spec.preset == "disk" else geometry.build_ellipse_mesh
     mesh = build(levels[0])
-    u0 = fem.domain_field(mesh, 0.0)
-    v0 = fem.boundary_field(mesh, 0.0)
+    start = kkt.cold_start(spec, fem.domain_field(mesh, 0.0), fem.boundary_field(mesh, 0.0))
 
     reports = {name: RegularityReport(field_name=name) for name in STUDY_FIELDS}
 
     for idx, level in enumerate(levels):
-        state, rep = kkt.solve_kkt(spec, (u0, v0), max_iter=max_iter, kkt_tol=kkt_tol)
+        state, rep = kkt.solve_kkt(spec, start, max_iter=max_iter, kkt_tol=kkt_tol)
         h = mesh.mesh_size()
         holder = [(gamma, h) for gamma in HOLDER_GAMMAS]
         for role in ("domain", "boundary"):
@@ -188,12 +194,11 @@ def refinement_study(
                         lipschitz=q[0] if lipschitz else lipschitz_estimate(f),
                         holder=dict(zip(HOLDER_GAMMAS, q[len(lipschitz):])),
                         solver_converged=rep.converged,
+                        newton_steps=rep.iterations - 1,
                     )
                 )
         if idx + 1 < len(levels):
-            fine = geometry.refine(mesh)
-            u0 = fem.prolong(state.u, fine)
-            v0 = fem.prolong(state.v, fine)
-            mesh = fine
+            mesh = geometry.refine(mesh)
+            start = (fem.prolong(state.y, mesh), fem.prolong(state.phi, mesh))
 
     return reports

@@ -81,7 +81,8 @@ def constant_solution(configs, disk):
     """Level-4 solve of the manufactured constant instance (C3/C5)."""
     spec = configs["constant_kkt"]
     mesh = disk(4)
-    state, report = kkt.solve_kkt(spec, zero_controls(mesh), max_iter=200, kkt_tol=1e-7)
+    start = kkt.cold_start(spec, *zero_controls(mesh))
+    state, report = kkt.solve_kkt(spec, start, max_iter=200, kkt_tol=1e-7)
     return spec, mesh, state, report
 
 
@@ -89,7 +90,8 @@ def constant_solution(configs, disk):
 def quadratic_solution(quadratic_spec, disk):
     """Level-2 solve of the linear-quadratic instance."""
     mesh = disk(2)
-    state, report = kkt.solve_kkt(quadratic_spec, zero_controls(mesh), max_iter=400, kkt_tol=1e-8)
+    start = kkt.cold_start(quadratic_spec, *zero_controls(mesh))
+    state, report = kkt.solve_kkt(quadratic_spec, start, max_iter=400, kkt_tol=1e-8)
     return quadratic_spec, mesh, state, report
 
 
@@ -98,7 +100,8 @@ def smooth_solution(configs, disk):
     """Level-3 solve of the partially active smooth instance."""
     spec = configs["smooth_constrained"]
     mesh = disk(3)
-    state, report = kkt.solve_kkt(spec, zero_controls(mesh), max_iter=200, kkt_tol=5e-3)
+    start = kkt.cold_start(spec, *zero_controls(mesh))
+    state, report = kkt.solve_kkt(spec, start, max_iter=200, kkt_tol=5e-3)
     return spec, mesh, state, report
 
 

@@ -1,5 +1,6 @@
 """End-to-end runs of every CLI subcommand, in process."""
 
+import hashlib
 import json
 import os
 import re
@@ -139,6 +140,32 @@ def test_solve_kkt(tmp_path):
     for name in ("y", "u", "phi", "psi1", "v", "psi2"):
         coords, values = fem.read_meshfield(str(out / f"{name}.mf"))
         assert np.all(np.isfinite(values))
+
+
+# SHA-256 of the artifacts of `solve-kkt --config configs/constant_kkt.cfg
+# --level 3 --kkt-tol 1e-8`, written before the cold start moved out of
+# solve_kkt into kkt.cold_start.  The objective goes through the boundary
+# quadrature, whose BLAS kernel is picked for the CPU at run time (see C10),
+# so these bytes hold on one machine.
+SOLVE_KKT_DIGESTS = {
+    "kkt_report.json": "4eba64067172ee20119cae279f1a4414a9d47e60cd693f670893e8934d02a05a",
+    "kkt_history.csv": "0c3217379fe6a34363ac9c8e3011372e0a366ce2a80855e9a97be0f0f99f4921",
+    "y.mf": "ea0ea4ceb065e9a1eb57500f1a8c89e63490f53bf4c78701ba813913c8975843",
+    "u.mf": "0a0db1efaccea752779f3df327039db9d95cabe72238cfaeb9b26af414a48ebd",
+    "phi.mf": "6b8de3f2a3fdd7eaa5a9a15b543f27a54257615974f0f2e566b781d855353e64",
+    "psi1.mf": "c2785a996d91a02a4e5538c7b0e31ee99710a9f033824be3cc510ab48c065d06",
+    "v.mf": "cf3f24d50d2f230e2420734863acc3c265641031620d1e2d17db5b1d1ab68de5",
+    "psi2.mf": "91a59d40be0fb51146d5666b772a5943f7ebdbcc12bc24f662c3eb947d5eb1a0",
+}
+
+
+def test_solve_kkt_artifacts_are_pinned(tmp_path):
+    # the cold start does the arithmetic solve_kkt did from controls, bit for bit
+    code, out, _ = run(["solve-kkt", "--config", cfg("constant_kkt"), "--level", "3", "--kkt-tol", "1e-8"],
+                       tmp_path)
+    assert code == 0
+    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in SOLVE_KKT_DIGESTS}
+    assert got == SOLVE_KKT_DIGESTS
 
 
 def test_robinson(tmp_path):
@@ -328,6 +355,9 @@ def test_jump_study_converges_with_benchmark_options(tmp_path, capsys):
     flags = json.loads((out / "regularity_flags.json").read_text())
     for name, flag in flags.items():
         assert flag["levels_converged"] == [True, True], name
+        # the cold first level, then the level started from its prolonged (y, phi)
+        assert flag["levels_newton_steps"] == flags["u"]["levels_newton_steps"], name
+        assert flag["levels_newton_steps"][1] <= 2, name
         assert flag["divergence"] == (name in ("u", "psi1")), name
     failed = {c["name"] for c in summary["checks"] if not c["passed"]}
     assert failed == {"lipschitz-stable-u", "lipschitz-stable-psi1"}

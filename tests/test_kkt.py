@@ -290,14 +290,25 @@ def test_state_validation(disk):
 
 def test_solve_kkt_max_iter_validation(disk):
     m = disk(1)
+    spec = simple_spec()
+    start = kkt.cold_start(spec, *zero_controls(m))
     for n in (0, -3):
         with pytest.raises(ValueError, match="max_iter"):
-            kkt.solve_kkt(simple_spec(), zero_controls(m), max_iter=n)
+            kkt.solve_kkt(spec, start, max_iter=n)
+
+
+def test_solve_kkt_start_validation(configs, disk):
+    spec = configs["smooth_constrained"]
+    y, phi = kkt.cold_start(spec, *zero_controls(disk(2)))
+    for start in ((fem.trace(y), phi), (y, fem.trace(phi)), (y, fem.domain_field(disk(1), 0.0))):
+        with pytest.raises(FieldError):
+            kkt.solve_kkt(spec, start)
 
 
 def test_zero_data_converges_immediately(disk):
     m = disk(2)
-    state, report = kkt.solve_kkt(simple_spec(), zero_controls(m))
+    spec = simple_spec()
+    state, report = kkt.solve_kkt(spec, kkt.cold_start(spec, *zero_controls(m)))
     assert report.converged
     assert report.iterations == 1
     assert np.max(np.abs(state.u.values)) == 0.0
@@ -340,7 +351,8 @@ def test_constant_instance_recovery(constant_solution):
 def test_quadratic_tracking_reaches_exact_kkt_point(configs, disk):
     # a0 = 1, L_y(0) = -2 and ell_y(0) = -1 make y = u = v = 0, phi = -1,
     # psi1 = psi2 = 1 an exact discrete KKT point with every node active
-    state, report = kkt.solve_kkt(configs["quadratic_tracking"], zero_controls(disk(3)), kkt_tol=1e-10)
+    spec = configs["quadratic_tracking"]
+    state, report = kkt.solve_kkt(spec, kkt.cold_start(spec, *zero_controls(disk(3))), kkt_tol=1e-10)
     assert report.converged
     for name, value in (("y", 0.0), ("u", 0.0), ("v", 0.0), ("phi", -1.0), ("psi1", 1.0), ("psi2", 1.0)):
         assert np.max(np.abs(getattr(state, name).values - value)) <= 1e-10, name
@@ -349,7 +361,8 @@ def test_quadratic_tracking_reaches_exact_kkt_point(configs, disk):
 
 def test_history_rows_follow_newton_steps(configs, disk):
     # one row for the initial point, then one per step; the last row is the returned iterate
-    _, report = kkt.solve_kkt(configs["constant_kkt"], zero_controls(disk(2)), kkt_tol=1e-10)
+    spec = configs["constant_kkt"]
+    _, report = kkt.solve_kkt(spec, kkt.cold_start(spec, *zero_controls(disk(2))), kkt_tol=1e-10)
     assert report.converged
     assert 2 <= report.iterations <= 9
     assert [int(row[0]) for row in report.history] == list(range(1, report.iterations + 1))
@@ -358,7 +371,9 @@ def test_history_rows_follow_newton_steps(configs, disk):
 
 def test_unconverged_solve_is_flagged(configs, disk):
     # one step from zero cannot reach the constant optimum: best iterate, honest flag
-    _, report = kkt.solve_kkt(configs["constant_kkt"], zero_controls(disk(2)), max_iter=1, kkt_tol=1e-3)
+    spec = configs["constant_kkt"]
+    start = kkt.cold_start(spec, *zero_controls(disk(2)))
+    _, report = kkt.solve_kkt(spec, start, max_iter=1, kkt_tol=1e-3)
     assert not report.converged
     assert report.iterations == 2
 
@@ -373,8 +388,10 @@ def test_singular_jacobian_is_flagged(configs, disk, monkeypatch):
             raise fem.LinearSolveError("sparse LU failed: singular", float("nan"))
         return solve_linear(op, rhs)
 
+    spec = configs["smooth_constrained"]
+    start = kkt.cold_start(spec, *zero_controls(m))
     monkeypatch.setattr(fem, "solve_linear", singular_jacobian)
-    state, report = kkt.solve_kkt(configs["smooth_constrained"], zero_controls(m), kkt_tol=1.0)
+    state, report = kkt.solve_kkt(spec, start, kkt_tol=1.0)
     assert not report.converged
     assert report.iterations == 1
     assert state.y.mesh is m
@@ -390,18 +407,22 @@ def test_stalled_line_search_is_flagged(configs, disk, monkeypatch):
         step = solve_linear(op, rhs)
         return -step if op.shape[0] == 2 * m.n_vertices else step
 
+    spec = configs["smooth_constrained"]
+    start = kkt.cold_start(spec, *zero_controls(m))
     monkeypatch.setattr(fem, "solve_linear", reversed_jacobian_step)
-    state, report = kkt.solve_kkt(configs["smooth_constrained"], zero_controls(m), kkt_tol=1.0)
+    state, report = kkt.solve_kkt(spec, start, kkt_tol=1.0)
     assert not report.converged
     assert report.iterations == 1
-    y0 = solvers.solve_state(configs["smooth_constrained"], *zero_controls(m)).state
+    y0 = solvers.solve_state(spec, *zero_controls(m)).state
     assert np.array_equal(state.y.values, y0.values)
+    assert np.array_equal(state.phi.values, start[1].values)
 
 
 @pytest.mark.parametrize("name", ["smooth_constrained", "jump_bound"])
 def test_newton_steps_flat_across_levels(configs, disk, name):
     for level in (3, 4, 5, 6):
-        _, report = kkt.solve_kkt(configs[name], zero_controls(disk(level)), kkt_tol=1e-8)
+        start = kkt.cold_start(configs[name], *zero_controls(disk(level)))
+        _, report = kkt.solve_kkt(configs[name], start, kkt_tol=1e-8)
         assert report.converged, level
         assert report.iterations - 1 <= 8, level
 
@@ -409,6 +430,7 @@ def test_newton_steps_flat_across_levels(configs, disk, name):
 def test_one_linearized_matrix_per_sweep(configs, disk, monkeypatch):
     # each iterate assembles one linearized matrix, shared by its adjoint
     # defect and its Newton Jacobian; each Newton step is one solve_linear
+    spec = configs["smooth_constrained"]
     counts = {"newton": 0, "solvers": 0, "kkt": 0, "solve": 0}
 
     def counted(name, fn):
@@ -427,13 +449,15 @@ def test_one_linearized_matrix_per_sweep(configs, disk, monkeypatch):
     monkeypatch.setattr(kkt, "linearized_matrix", counted("kkt", kkt.linearized_matrix))
     monkeypatch.setattr(fem, "solve_linear", counted("solve", fem.solve_linear))
     monkeypatch.setattr(kkt, "solve_state", solve_state)
-    _, report = kkt.solve_kkt(configs["smooth_constrained"], zero_controls(disk(2)), kkt_tol=5e-3)
+    # the cold start: the state solve of the controls, then one adjoint solve
+    start = kkt.cold_start(spec, *zero_controls(disk(2)))
+    assert counts == {"newton": counts["newton"], "solvers": counts["newton"], "kkt": 1,
+                      "solve": counts["newton"] + 1}
+    # from (y, phi) the solve makes no state solve
+    counts.update(dict.fromkeys(counts, 0))
+    _, report = kkt.solve_kkt(spec, start, kkt_tol=5e-3)
     assert report.converged
-    assert counts["kkt"] == report.iterations
-    # the state solve of the initial controls; the tracking adjoint shares the
-    # initial point's matrix
-    assert counts["solvers"] == counts["newton"]
-    assert counts["solve"] == counts["newton"] + 1 + (report.iterations - 1)
+    assert counts == {"newton": 0, "solvers": 0, "kkt": report.iterations, "solve": report.iterations - 1}
 
 
 def test_two_constraint_inversions_per_sweep(configs, disk, monkeypatch):
@@ -445,8 +469,10 @@ def test_two_constraint_inversions_per_sweep(configs, disk, monkeypatch):
         calls.append(args)
         return catalog.invert_monotone(*args)
 
+    spec = configs["smooth_constrained"]
+    start = kkt.cold_start(spec, *zero_controls(disk(3)))
     monkeypatch.setattr(kkt, "invert_monotone", counted)
-    _, report = kkt.solve_kkt(configs["smooth_constrained"], zero_controls(disk(3)), kkt_tol=5e-3)
+    _, report = kkt.solve_kkt(spec, start, kkt_tol=5e-3)
     assert report.converged
     assert len(calls) == 2 * report.iterations
 
@@ -462,7 +488,8 @@ GOLDEN_SOLVES = {
 @pytest.mark.parametrize("name", sorted(GOLDEN_SOLVES))
 def test_golden_level_two_solve(configs, disk, name):
     options, iterations, active_d, active_b, obj = GOLDEN_SOLVES[name]
-    state, report = kkt.solve_kkt(configs[name], zero_controls(disk(2)), **options)
+    start = kkt.cold_start(configs[name], *zero_controls(disk(2)))
+    state, report = kkt.solve_kkt(configs[name], start, **options)
     assert report.converged
     assert report.iterations == iterations
     assert int(state.active_domain.sum()) == active_d

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mixedreg import fem, regularity
+from conftest import zero_controls
+from mixedreg import fem, geometry, kkt, regularity
 from mixedreg.fem import FieldError
 from mixedreg.regularity import (
     HOLDER_SEED,
@@ -139,7 +140,7 @@ def test_study_constant_instance(configs):
 
 
 def record(level, lipschitz, converged=True):
-    return regularity.LevelRecord(level, 2.0**-level, lipschitz, {0.5: 0.0, 0.9: 0.0}, converged)
+    return regularity.LevelRecord(level, 2.0**-level, lipschitz, {0.5: 0.0, 0.9: 0.0}, converged, 2)
 
 
 def test_finalize_needs_converged_levels_for_divergence():
@@ -184,6 +185,51 @@ def test_study_record_shape(smooth_study):
         assert all(a > b for a, b in zip(hs, hs[1:]))
 
 
+@pytest.mark.parametrize("study", ["smooth_study", "jump_study"])
+def test_nested_levels_take_at_most_two_newton_steps(request, study):
+    # a start prolonged from the coarser optimum lies within O(h) of the new one
+    for name, report in request.getfixturevalue(study).items():
+        assert all(r.solver_converged for r in report.records), name
+        assert all(r.newton_steps <= 2 for r in report.records[1:]), name
+
+
+@pytest.mark.parametrize("name", ["smooth_constrained", "jump_bound"])
+def test_nested_start_reaches_the_cold_start_optimum(configs, disk, name):
+    spec = configs[name]
+    coarse, _ = kkt.solve_kkt(spec, kkt.cold_start(spec, *zero_controls(disk(3))), kkt_tol=5e-3)
+    for _ in (4, 5):
+        mesh = geometry.refine(coarse.y.mesh)
+        cold, cold_rep = kkt.solve_kkt(
+            spec, kkt.cold_start(spec, fem.prolong(coarse.u, mesh), fem.prolong(coarse.v, mesh)), kkt_tol=5e-3
+        )
+        nested, nested_rep = kkt.solve_kkt(
+            spec, (fem.prolong(coarse.y, mesh), fem.prolong(coarse.phi, mesh)), kkt_tol=5e-3
+        )
+        assert cold_rep.converged and nested_rep.converged
+        for field_name in STUDY_FIELDS:
+            a, b = getattr(cold, field_name).values, getattr(nested, field_name).values
+            assert np.max(np.abs(a - b)) <= 1e-8 * np.max(np.abs(a)), field_name
+        assert np.array_equal(cold.active_domain, nested.active_domain)
+        assert np.array_equal(cold.active_boundary, nested.active_boundary)
+        coarse = nested
+
+
+def test_unconverged_level_starts_the_next_one(configs, monkeypatch):
+    # an unconverged level is recorded as such and its iterate starts the
+    # next level; nothing falls back to a cold start
+    calls = []
+    cold_start = kkt.cold_start
+    monkeypatch.setattr(kkt, "cold_start", lambda *args: calls.append(args) or cold_start(*args))
+    study = refinement_study(configs["smooth_constrained"], [3, 4], max_iter=1, kkt_tol=5e-3)
+    assert len(calls) == 1
+    for name, report in study.items():
+        assert [r.level for r in report.records] == [3, 4], name
+        assert not report.records[0].solver_converged, name
+        assert all(r.newton_steps <= 1 for r in report.records), name
+        assert not report.divergence_flag, name
+        assert not report.stabilization, name
+
+
 def test_study_smooth_instance_stabilizes(smooth_study):
     for name, report in smooth_study.items():
         assert report.stabilization, name
@@ -209,45 +255,48 @@ def test_study_csv_rows(smooth_study):
     float(cells[3])
 
 
-# lip, holder05 and holder09 of the smooth study, levels 3-6, as computed
-# before the estimators were streamed; levels 5 and 6 read the domain
-# subsample and every level reads the all-pairs boundary quotient
+# lip, holder05 and holder09 of the smooth study, levels 3-6, with each level
+# after the first started from the prolonged (y, phi) of the level before;
+# levels 5 and 6 read the domain subsample and every level reads the
+# all-pairs boundary quotient.  Started from the prolonged controls instead,
+# they differ by at most 6.6e-10 relative: Newton stops at another iterate
+# within its residual tolerance of the same discrete optimum.
 PINNED_SMOOTH_STUDY = {
     "y": (
         (0.4731430594563008, 0.2912228472116991, 0.37348586535473444),
-        (0.49706755120866186, 0.2915175616575722, 0.3823861114603984),
-        (0.5118239215113466, 0.291582125495991, 0.3844494698871872),
-        (0.5197612413037063, 0.29144302873730216, 0.384381044217769),
+        (0.49706755120866836, 0.29151756165763, 0.3823861114604018),
+        (0.5118239216378071, 0.29158212540100925, 0.38444947003392027),
+        (0.519761241519916, 0.2914430285444144, 0.38438104438498627),
     ),
     "u": (
         (0.6070136759509296, 0.6028823896148798, 0.5463472617348237),
-        (0.6123811882609932, 0.6037659006392601, 0.5464080167075654),
-        (0.6142488473572344, 0.6041612244274784, 0.5464601738490618),
-        (0.6149605370794061, 0.6041405213737439, 0.5464410616352725),
+        (0.6123811882609866, 0.6037659006392595, 0.5464080167075607),
+        (0.6142488474250338, 0.6041612244200155, 0.5464601738648275),
+        (0.6149605371311997, 0.6041405215410491, 0.5464410616647127),
     ),
     "phi": (
         (0.4383827261629887, 0.22263705396573485, 0.3312278714995701),
-        (0.46086723856093764, 0.2218449611974945, 0.3497689261452684),
-        (0.47700757953194567, 0.22155446987780392, 0.3517452767274031),
-        (0.48583586482553426, 0.22152714004164753, 0.3508319172777153),
+        (0.4608672385609268, 0.22184496119748698, 0.3497689261452535),
+        (0.4770075795884492, 0.22155446974927956, 0.35174527673729306),
+        (0.48583586484168706, 0.221527139899499, 0.35083191727034113),
     ),
     "psi1": (
         (0.5049903792793802, 0.4226796394811269, 0.43066465575517304),
-        (0.5138674249913605, 0.42244977915048065, 0.43111874520815274),
-        (0.5186343463570672, 0.4227188341171745, 0.43074401879188506),
-        (0.5211037061042413, 0.42258070584282026, 0.430992926378917),
+        (0.5138674249913429, 0.4224497791504752, 0.4311187452081385),
+        (0.5186343464326113, 0.42271883412570255, 0.4307440187970608),
+        (0.5211037061950325, 0.4225807058435143, 0.4309929264083442),
     ),
     "v": (
         (0.3177872377094518, 0.4221435731267582, 0.33039984834049474),
-        (0.3180062815043587, 0.4220399602951625, 0.33036134923582267),
-        (0.31820026562589027, 0.42200696040314944, 0.3303562431384881),
-        (0.3182399938100097, 0.4225755461295464, 0.33034875721786117),
+        (0.3180062815043489, 0.42203996029515894, 0.33036134923581967),
+        (0.3182002656498505, 0.4220069604487073, 0.3303562431751724),
+        (0.31823999384806084, 0.4225755463957501, 0.3303487572419417),
     ),
     "psi2": (
         (0.24655891722280115, 0.30367212605717664, 0.2425584400465622),
-        (0.24764569378867102, 0.3039782446532964, 0.24244017325482656),
-        (0.24785956636409126, 0.3044801759993233, 0.24239907510775402),
-        (0.2479039037659758, 0.3044786316357613, 0.24239044524749334),
+        (0.24764569378866083, 0.30397824465329487, 0.24244017325481163),
+        (0.24785956629376898, 0.30448017591080034, 0.24239907503715002),
+        (0.24790390368460058, 0.3044786315504716, 0.24239044517018504),
     ),
 }
 
