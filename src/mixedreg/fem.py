@@ -9,25 +9,25 @@ nothing is mass-lumped.  Assembly is vectorized and deterministic.
 
 The :class:`P1` record of a mesh (``p1(mesh)``) is the single owner of
 everything assembled once per mesh: both quadratures, the mass matrices
-M and M_b, the boundary trace matrix T, the elliptic operator of the last
-problem spec, the Gagliardo weights over the boundary (``far_field`` and
-``adjacent``, per exponent beta), and the sparse maps that own every
+M and M_b (and M_b on the vertex numbering), the elliptic operator of the
+last problem spec, the Gagliardo weights over the boundary (``far_field``
+and ``adjacent``, per exponent beta), and the sparse maps that own every
 interior integral: Q (3T, n) interpolates nodal values to the interior
 points, W = Q^T diag(qw) (n, 3T) integrates values there against the
 basis, and Gx, Gy (T, n) give the gradient on each triangle.  A load is
 W g, a weighted mass W diag(w) Q, and the elliptic operator Gx^T (D11 Gx
 + D12 Gy) + Gy^T (D12 Gx + D22 Gy) plus the a0-weighted mass, so every
 Newton Jacobian uses exactly the quadrature of the residual it
-differentiates.  Load vectors are always M f + T^T (M_b g).
+differentiates.  Load vectors are always M f + T^T (M_b g), T the trace.
 
 The record holds only a weak reference to its mesh, so a dropped mesh
-frees its record at once.  The far-field weights cover each unordered
-pair of boundary Gauss points once, as a staircase of row blocks over
-the upper triangle of the pair table.  Gagliardo weights are kept, for
-the ``_KEPT_BETAS`` most recent betas, only while the whole ordered pair
-table fits one chunk of ``FAR_FIELD_PAIRS`` pairs (nb <= 512, about 4 MB
-per beta); larger meshes get them built again, chunk by chunk, on every
-pass.
+frees its record at once.  All pair work (far-field weights over Gauss
+points, ``regularity``'s quotients over nodes) walks the row blocks of
+``pair_blocks`` over the upper triangle j > i, each unordered pair once.
+Gagliardo weights are kept, for the ``_KEPT_BETAS`` most recent betas,
+only while the whole ordered pair table fits one chunk of
+``FAR_FIELD_PAIRS`` pairs (nb <= 512, about 4 MB per beta); larger meshes
+get them built again, chunk by chunk, on every pass.
 
 Sparse matrices are built only here.  Every linear system goes through
 ``solve_linear``: a sparse LU factorisation for a vector or a block of
@@ -65,6 +65,7 @@ __all__ = [
     "trace",
     "nodal",
     "p1",
+    "pair_blocks",
     "lp_norm",
     "integrate_basis",
     "assemble_operator",
@@ -80,8 +81,8 @@ __all__ = [
 SOLVE_RTOL = 1e-11
 # ordered boundary Gauss-point pairs per far-field chunk
 FAR_FIELD_PAIRS = 1 << 20
-# rows per block of the far-field staircase: the kept table holds 1/2 + _STAIR_ROWS / (4 nb)
-# of the ordered pairs, 0.53 at nb = 512
+# rows per block of the pair staircase (``pair_blocks``): the kept far-field table holds
+# 1/2 + _STAIR_ROWS / (4 nb) of the ordered pairs, 0.53 at nb = 512
 _STAIR_ROWS = 64
 # betas whose Gagliardo weights a P1 record keeps: the C8 sweeps use three on one mesh
 # (chain-rule 5/3, product-rule alternating 1.25 and 2)
@@ -199,9 +200,8 @@ class P1:
     Each part is built on first use, so boundary-only work never touches
     the interior, not even its maps ``interior_interp`` (Q),
     ``interior_integral`` (W) and ``gradient`` (Gx, Gy); the boundary's
-    is ``edge_ends``.  ``operator``
-    keeps the matrix of the last spec it was asked for and reassembles
-    when a different spec object comes.  The Gagliardo weights of the few
+    is ``edge_ends``.  ``operator`` keeps the matrix of the last spec it
+    was asked for and reassembles when a different spec object comes.  The Gagliardo weights of the few
     most recent betas are kept while they fit one far-field chunk.  The
     mesh is held weakly: the mesh owns the record.
     """
@@ -281,10 +281,10 @@ class P1:
         return SparseOperator(sp.coo_matrix((local.reshape(-1), (rows, cols)), shape=(nb, nb)).tocsr())
 
     @cached_property
-    def trace_matrix(self) -> sp.csr_matrix:
-        """Trace matrix T (nb, n): a single 1.0 per row, at the loop vertex."""
-        nb, n = self.mesh.n_boundary, self.mesh.n_vertices
-        return sp.csr_matrix((np.ones(nb), (np.arange(nb), self.mesh.boundary_loop)), shape=(nb, n))
+    def vertex_boundary_mass(self) -> sp.csr_matrix:
+        """M_b placed on the vertex numbering (n, n): entry (loop[a], loop[b]) is M_b[a, b], no other."""
+        mb, loop, n = self.boundary_mass.matrix, self.mesh.boundary_loop, self.mesh.n_vertices
+        return sp.csr_matrix((mb.data, (np.repeat(loop, np.diff(mb.indptr)), loop[mb.indices])), shape=(n, n))
 
     def operator(self, spec: ProblemSpec) -> SparseOperator:
         """Galerkin matrix of the elliptic operator of ``spec``."""
@@ -294,18 +294,21 @@ class P1:
         return self._operator
 
     def load(self, f: np.ndarray, g: np.ndarray) -> np.ndarray:
-        """M f + T^T (M_b g) for nodal densities f in the domain and g on the boundary.
-
-        T has one 1.0 per row, so the boundary part lands on the loop
-        vertices without rounding.
-        """
-        return self.mass.matvec(f) + self.trace_matrix.T @ self.boundary_mass.matvec(g)
+        """M f + T^T (M_b g) for nodal densities f in the domain and g on the boundary."""
+        out = self.mass.matvec(f)  # the loop vertices are distinct: T^T is a scatter without rounding
+        out[self.mesh.boundary_loop] += self.boundary_mass.matvec(g)
+        return out
 
     def reaction(self, c1: np.ndarray, c2: np.ndarray) -> SparseOperator:
         """M diag(c1) + T^T M_b diag(c2) T, c1 per vertex, c2 per boundary vertex in loop order."""
-        T = self.trace_matrix
-        M, Mb = self.mass.matrix, self.boundary_mass.matrix
-        return SparseOperator(M @ sp.diags(c1) + T.T @ (Mb @ sp.diags(c2)) @ T)
+        interior, boundary = self.mass.matrix.copy(), self.vertex_boundary_mass.copy()
+        on_loop = np.zeros(self.mesh.n_vertices)
+        on_loop[self.mesh.boundary_loop] = c2
+        interior.data *= c1[interior.indices]
+        boundary.data *= on_loop[boundary.indices]
+        total = interior + boundary
+        total.eliminate_zeros()  # as a sparse product would, drop the zeros of zero coefficients
+        return SparseOperator(total)
 
     @property
     def _keeps_pair_weights(self) -> bool:
@@ -329,12 +332,10 @@ class P1:
     def far_field(self, beta: float):
         """Far-field weights 2 w_i w_j / |x_i - x_j|^beta over unordered boundary Gauss-point pairs.
 
-        Yields read-only (rows, table) blocks of a staircase over the upper
-        triangle i < j: the block of rows [r0, r1) has shape (r1 - r0,
-        2 nb - r0) and covers the columns [r0, 2 nb).  Each unordered pair
-        appears once, with the factor 2 of the symmetric integrand folded
-        in; entries with j <= i and pairs from one edge or from adjacent
-        edges are zero.  While the whole pair table fits one chunk of
+        Yields read-only (rows, table) blocks of the ``pair_blocks``
+        staircase over the Gauss points.  Each unordered pair appears once,
+        with the factor 2 of the symmetric integrand folded in; entries with
+        j <= i and pairs from one edge or from adjacent edges are zero.  While the whole pair table fits one chunk of
         ``FAR_FIELD_PAIRS`` pairs (nb <= 512, about 4 MB per beta at
         nb = 512) the staircase is kept per beta; larger ones are streamed,
         ``FAR_FIELD_PAIRS // (2 nb)`` rows at a time, and nothing is kept.
@@ -350,27 +351,18 @@ class P1:
     def _far_field_chunk(self, beta: float, rows: slice) -> list:
         """The staircase blocks of ``far_field`` for the Gauss-point rows ``rows``."""
         qpts, qw = self.boundary
-        npts = qw.shape[0]
         blocks = []
-        for r0 in range(rows.start, rows.stop, _STAIR_ROWS):
-            block = slice(r0, min(r0 + _STAIR_ROWS, rows.stop))
-            n = block.stop - r0
-            table = np.subtract.outer(qpts[block, 0], qpts[r0:, 0])
-            table *= table
-            dy = np.subtract.outer(qpts[block, 1], qpts[r0:, 1])
-            dy *= dy
-            table += dy
-            del dy
+        for block, table in pair_blocks(qpts, rows):
+            r0, n = block.start, block.stop - block.start
             with np.errstate(divide="ignore"):
                 np.power(table, -0.5 * beta, out=table)
             table *= 2.0 * qw[block, None]
             table *= qw[None, r0:]
             table[np.tril_indices(n)] = 0.0
-            # touching pairs: the Gauss points of the row's edge and of its two
-            # neighbours; a column left of the block maps to its column 0 (j = r0
-            # <= i), which is zero already
+            # touching pairs: the Gauss points of the row's edge and of its two neighbours; a
+            # column left of the block maps to its column 0 (j = r0 <= i), which is zero already
             edge = np.arange(r0, block.stop) // 2
-            touching = (2 * edge[:, None] + np.arange(-2, 4)) % npts - r0
+            touching = (2 * edge[:, None] + np.arange(-2, 4)) % qw.size - r0
             table[np.arange(n)[:, None], np.maximum(touching, 0)] = 0.0
             table.flags.writeable = False
             blocks.append((block, table))
@@ -406,6 +398,22 @@ class P1:
         weights *= _ADJ_W[None, :, :, None] * _ADJ_W[None, :, None, :]
         weights.flags.writeable = False
         return weights
+
+
+def pair_blocks(points: np.ndarray, rows: slice):
+    """Yield (block, d2) per ``_STAIR_ROWS``-row block [r0, r1) of ``rows``, d2 new: |x_i - x_j|^2.
+
+    d2 pairs the block's rows i of ``points`` (n, 2) with the points j = r0 ... n - 1; its
+    entries j > i hold each pair i < j with i in ``rows`` once, and the caller masks j <= i.
+    """
+    for r0 in range(rows.start, rows.stop, _STAIR_ROWS):
+        block = slice(r0, min(r0 + _STAIR_ROWS, rows.stop))
+        d2 = np.subtract.outer(points[block, 0], points[r0:, 0])
+        d2 *= d2
+        dy = np.subtract.outer(points[block, 1], points[r0:, 1])
+        dy *= dy
+        d2 += dy
+        yield block, d2
 
 
 def p1(mesh: Mesh) -> P1:

@@ -10,10 +10,10 @@ on beta = 1 + tau k only; they come from the mesh's :class:`fem.P1`
 record (``far_field``, ``adjacent``), which keeps them for the few most
 recent betas while the whole Gauss-point pair table fits one chunk of
 ``fem.FAR_FIELD_PAIRS`` pairs and streams them otherwise.  The integrand
-is symmetric in the pair, so the far field runs over unordered pairs
-i < j, with the factor 2 in the weights.  A call here does the field
-work only.  All reductions run in a fixed order, so results are
-bit-reproducible for identical inputs.
+is symmetric, so the far field walks the unordered Gauss-point pairs i < j
+of the ``fem.pair_blocks`` staircase, with the factor 2 in its weights.  A
+call does the field work only, in place, and every reduction runs in a
+fixed order, so results are bit-reproducible for identical inputs.
 
 Distances are chordal, matching the polygonal boundary representation.
 """
@@ -99,8 +99,7 @@ def gagliardo(v: FEField, tau: float, k: float) -> FracNormReport:
     vals = v.values
     succ = np.roll(vals, -1)
 
-    # unordered non-touching pairs i < j, 2x2 Gauss: |v_i - v_j|^k against the
-    # record's doubled weights, one staircase block of columns j >= rows.start at a time
+    # non-touching pairs i < j, 2x2 Gauss: |v_i - v_j|^k against the doubled weights, block by block
     vq = fem.interp_boundary(v)
     total = 0.0
     for rows, weights in rec.far_field(beta):
@@ -119,8 +118,11 @@ def gagliardo(v: FEField, tau: float, k: float) -> FracNormReport:
     after = np.roll(vals, -2)
     fs = vals[:, None, None] + s * (succ - vals)[:, None, None]
     ft = succ[:, None, None] + t * (after - succ)[:, None, None]
-    num = np.abs(fs[..., :, None] - ft[..., None, :]) ** k
-    total += 2.0 * float(np.sum(num * weights))
+    num = np.subtract(fs[..., :, None], ft[..., None, :])
+    np.abs(num, out=num)
+    num **= k
+    num *= weights
+    total += 2.0 * float(np.sum(num))
 
     if not np.isfinite(total):
         raise FracNormError("Gagliardo accumulation is not finite")

@@ -11,12 +11,13 @@ the new discrete optimum, so it needs few Newton steps.  It records per
 field and level the Lipschitz estimate, the Hoelder estimates at
 ``HOLDER_GAMMAS`` and the solve's Newton steps; each report derives its
 stabilization and divergence flags from those records, and a divergence
-flag needs every level converged.  The pairwise
-quotient |v_i - v_j| / |x_i - x_j|^gamma is computed by one streamed pass
-over the node pairs of a mesh, for every field of one role and every
-exponent at once, keeping nothing between calls.  A domain field's
-Lipschitz estimate is its largest triangle gradient; a boundary field's
-is its gamma = 1 quotient over every pair.
+flag needs every level converged.  One streamed pass per role takes the
+quotients |v_i - v_j| / |x_i - x_j|^gamma of every field and exponent over
+the node pairs i < j, walking the ``fem.pair_blocks`` staircase and keeping
+nothing: every pair of the boundary loop; every vertex pair of a domain,
+or above ``HOLDER_SUBSAMPLE`` vertices those of a fixed-seed subsample of
+that size.  A domain field's Lipschitz estimate is its largest triangle
+gradient; a boundary field's is its gamma = 1 quotient over every pair.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ DIVERGENCE_RATIO = 1.5
 SEMINORM_FLOOR = 1e-10
 HOLDER_SUBSAMPLE = 2000
 HOLDER_SEED = 7
-HOLDER_CHUNK = 1 << 18
 STUDY_FIELDS = ("y", "u", "phi", "psi1", "v", "psi2")
 REGULARITY_CSV_HEADER = "field,level,h,lip," + ",".join(
     "holder" + str(gamma).replace(".", "") for gamma in HOLDER_GAMMAS
@@ -65,35 +65,24 @@ def _pair_quotients(fields, exponents) -> list:
     one maximum per exponent.  Pairs closer than min_distance measure
     interpolation noise, not field regularity.  Domain fields on meshes
     with more than ``HOLDER_SUBSAMPLE`` vertices are subsampled with a
-    fixed-seed generator, so the estimate is deterministic.  The pairs
-    i < j are walked in row order, ``HOLDER_CHUNK`` at a time, and each
-    block's distances, powers and differences are formed once.
+    fixed-seed generator, so the estimate is deterministic.  Each
+    ``fem.pair_blocks`` block forms one power table per exponent and one
+    difference table per field.
     """
     pts, vals = fields[0].coords(), [f.values for f in fields]
     if fields[0].role == "domain" and pts.shape[0] > HOLDER_SUBSAMPLE:
         rng = np.random.default_rng(HOLDER_SEED)
         keep = np.sort(rng.choice(pts.shape[0], size=HOLDER_SUBSAMPLE, replace=False))
         pts, vals = pts[keep], [v[keep] for v in vals]
-    x, y = np.ascontiguousarray(pts.T)
-    n = x.size
-    rows = np.arange(n - 1)
-    first = rows * (2 * n - rows - 1) // 2  # position of pair (r, r + 1) in row order
-    total = n * (n - 1) // 2
     best = np.zeros((len(fields), len(exponents)))
-    for start in range(0, total, HOLDER_CHUNK):
-        pair = np.arange(start, min(start + HOLDER_CHUNK, total))
-        i = np.searchsorted(first, pair, side="right") - 1
-        j = pair - first[i] + i + 1
-        d = x[i] - x[j]
-        d *= d
-        dy = y[i] - y[j]
-        dy *= dy
-        d += dy
+    for block, d in fem.pair_blocks(pts, slice(0, pts.shape[0])):
         np.sqrt(d, out=d)
-        # a pair nearer than min_distance gets an infinite denominator, so its quotient is 0
-        powers = np.stack([np.where(d < near, np.inf, d**gamma) for gamma, near in exponents])
+        # j <= i and pairs nearer than min_distance get an infinite denominator: quotient 0
+        d[np.tril_indices(d.shape[0])] = np.inf
+        powers = [np.where(d < near, np.inf, d**gamma) for gamma, near in exponents]
         for row, v in zip(best, vals):
-            np.maximum(row, np.max(np.abs(v[i] - v[j]) / powers, axis=1), out=row)
+            diff = np.abs(np.subtract.outer(v[block], v[block.start :]))
+            np.maximum(row, [np.max(diff / p) for p in powers], out=row)
     return best.tolist()
 
 

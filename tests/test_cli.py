@@ -168,6 +168,32 @@ def test_solve_kkt_artifacts_are_pinned(tmp_path):
     assert got == SOLVE_KKT_DIGESTS
 
 
+# SHA-256 of regularity.csv and regularity_flags.json of `regularity --config
+# <config> --levels 3 4 --max-iter 150 --kkt-tol 5e-3`, written while the
+# Hoelder quotients still walked a flat pair index.  Levels 3 and 4 take every
+# domain pair, and the quotients are maxima, so the order of the walk cannot
+# move a byte.
+REGULARITY_DIGESTS = {
+    "smooth_constrained": {
+        "regularity.csv": "e51f787ef4f58e839ffaba7cb19c958c936e4e56f15edc1f26213e504b6e297c",
+        "regularity_flags.json": "9d9f41d5e170a351917d049d188504918ac4e0658957b3a050a1323d6623d391",
+    },
+    "jump_bound": {
+        "regularity.csv": "57e6b7eab520e25b29fecb35816cbe3bbbf4f196f7255a30370fae270737fb0e",
+        "regularity_flags.json": "206d19023fee0fb57ef3e36347ca4cf565556e1cc615fdb8130d206406d8dd86",
+    },
+}
+
+
+@pytest.mark.parametrize("config", sorted(REGULARITY_DIGESTS))
+def test_regularity_artifacts_are_pinned(tmp_path, config):
+    code, out, _ = run(["regularity", "--config", cfg(config), "--levels", "3", "4", "--max-iter", "150",
+                        "--kkt-tol", "5e-3"], tmp_path)
+    assert code == (0 if config == "smooth_constrained" else 3)
+    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in REGULARITY_DIGESTS[config]}
+    assert got == REGULARITY_DIGESTS[config]
+
+
 def test_robinson(tmp_path):
     code, out, summary = run(
         ["robinson", "--config", cfg("quadratic_tracking"), "--level", "2",

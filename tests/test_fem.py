@@ -65,7 +65,7 @@ def test_assembled_matrices_match_dense_oracle(disk, stiffness_spec):
         assert np.max(np.abs(K - K_ref)) < 1e-14
         assert np.max(np.abs(rec.mass.matrix.toarray() - M_ref)) < 1e-14
         assert np.max(np.abs(rec.boundary_mass.matrix.toarray() - Mb_ref)) < 1e-14
-        assert np.array_equal(rec.trace_matrix.toarray(), T_ref)
+        assert np.max(np.abs(rec.vertex_boundary_mass.toarray() - T_ref.T @ Mb_ref @ T_ref)) < 1e-14
         f, g = rng.standard_normal(m.n_vertices), rng.standard_normal(m.n_boundary)
         load_ref = M_ref @ f + T_ref.T @ (Mb_ref @ g)
         assert np.max(np.abs(rec.load(f, g) - load_ref)) < 1e-14
@@ -116,7 +116,7 @@ def test_record_is_shared_and_built_on_demand():
     gagliardo(boundary_field(m, np.cos(m.boundary_params)), 0.5, 2.0)
     assert {"boundary", "edge_ends"} <= vars(rec).keys()
     interior = {"interior", "interior_interp", "interior_integral", "gradient", "mass", "boundary_mass",
-                "trace_matrix"}
+                "vertex_boundary_mass"}
     assert not interior & vars(rec).keys()
     assert rec._operator is None
     # the Gagliardo weights are boundary parts too, kept for the one beta used
@@ -367,12 +367,39 @@ def test_reaction_coupling_matches_its_load(disk):
     rng = np.random.default_rng(3)
     c1, c2 = rng.standard_normal(m.n_vertices), rng.standard_normal(m.n_boundary)
     w = rng.standard_normal(m.n_vertices)
-    T = rec.trace_matrix
+    T = sp.csr_matrix(oracles.trace_matrix(m))
     C = rec.reaction(c1, c2)
     coupling = rec.mass.matrix @ sp.diags(c1) + T.T @ (rec.boundary_mass.matrix @ sp.diags(c2)) @ T
     assert abs(C.matrix - coupling).max() == 0.0
     expected = rec.load(c1 * w, c2 * w[m.boundary_loop])
     assert np.max(np.abs(C.matvec(w) - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 50),
+    bounds=st.tuples(st.integers(0, 50), st.integers(0, 50)),
+    stair_rows=st.sampled_from([1, 2, 7, fem._STAIR_ROWS]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pair_blocks_cover_each_pair_of_the_rows_once(n, bounds, stair_rows, seed):
+    start, stop = sorted(min(b, n) for b in bounds)
+    points = np.random.default_rng(seed).standard_normal((n, 2))
+    pairs, next_row = [], start
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fem, "_STAIR_ROWS", stair_rows)
+        for block, d2 in fem.pair_blocks(points, slice(start, stop)):
+            # consecutive blocks of at most stair_rows rows, each against the points from its first row on
+            assert block.start == next_row and 0 < block.stop - block.start <= stair_rows
+            next_row = block.stop
+            assert d2.shape == (block.stop - block.start, n - block.start)
+            rows, cols = np.nonzero(np.triu(np.ones(d2.shape, dtype=bool), k=1))
+            i, j = rows + block.start, cols + block.start
+            pairs += zip(i.tolist(), j.tolist())
+            np.testing.assert_allclose(d2[rows, cols], np.sum((points[i] - points[j]) ** 2, axis=1), rtol=1e-15)
+    assert next_row == stop
+    # every unordered pair with its smaller index among the rows, exactly once
+    assert sorted(pairs) == [(i, j) for i in range(start, stop) for j in range(i + 1, n)]
 
 
 def test_solve_linear_nonsymmetric_robinson_operator(disk, identity_spec):

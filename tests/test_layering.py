@@ -12,11 +12,15 @@ matrix comes from the sparse maps of the ``fem.P1`` record.  The
 backtracking constants ``ARMIJO_FACTOR`` and ``NEWTON_MAX_HALVINGS`` are
 named only in ``solvers``, whose ``newton`` is the one damped-Newton
 loop.  Every public function has a caller in the package, or a recorded
-reason to be kept without one.  Every import sits at module level, so the
-import graph is the one the module headers show.
+reason to be kept without one, and every module-level UPPER_CASE
+constant is read by package code, so no knob outlives the code it tuned
+(a test that monkeypatches a constant does not read it).  Every import
+sits at module level, so the import graph is the one the module headers
+show.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -223,3 +227,34 @@ def test_public_functions_have_a_package_caller():
     sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"}
     uncalled = uncalled_public_functions(sources)
     assert uncalled == sorted(KEPT), "no package caller: " + ", ".join(uncalled)
+
+
+CONSTANT = re.compile(r"_?[A-Z][A-Z0-9_]*")
+
+
+def unread_constants(sources):
+    """``module.NAME`` of each module-level UPPER_CASE constant in ``sources`` (module -> text)
+    that no code of any module reads: a load of the bare name or of an attribute."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    read = {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
+    defined = set()
+    for module, tree in trees.items():
+        for stmt in tree.body:
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [getattr(stmt, "target", None)]
+            defined |= {(module, node.id) for target in targets if target is not None
+                        for node in ast.walk(target)
+                        if isinstance(node, ast.Name) and CONSTANT.fullmatch(node.id)}
+    return sorted(f"{module}.{name}" for module, name in defined if name not in read)
+
+
+def test_every_constant_is_read():
+    sample = {
+        "a": "KNOB = 3\nUSED, _HIDDEN = 1, 2\nLEFT: int = 4\nlower = 5\n\ndef f():\n    LOCAL = 6\n"
+             "    return USED + LOCAL\n",
+        "b": "from . import a\nfrom .a import KNOB\nx = a._HIDDEN\nSTORED = 0\nSTORED = 1\n",
+    }
+    assert unread_constants(sample) == ["a.KNOB", "a.LEFT", "b.STORED"]
+    sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert unread_constants(sources) == []

@@ -86,10 +86,10 @@ def per_call_holder(f, gamma, min_distance, max_points):
 @given(
     st.sampled_from([2, 3]),
     st.sampled_from([40, regularity.HOLDER_SUBSAMPLE]),
-    st.sampled_from([97, 4096, regularity.HOLDER_CHUNK]),
+    st.sampled_from([1, 7, fem._STAIR_ROWS]),
     st.integers(0, 2**32 - 1),
 )
-def test_streamed_pass_matches_per_call_estimates(disk, level, subsample, chunk, seed):
+def test_streamed_pass_matches_per_call_estimates(disk, level, subsample, stair_rows, seed):
     m = disk(level)
     h = m.mesh_size()
     rng = np.random.default_rng(seed)
@@ -101,9 +101,9 @@ def test_streamed_pass_matches_per_call_estimates(disk, level, subsample, chunk,
     exponents = [(1.0, 0.0), (0.5, h), (0.9, h), (1.0, h)]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(regularity, "HOLDER_SUBSAMPLE", subsample)
-        mp.setattr(regularity, "HOLDER_CHUNK", chunk)
+        mp.setattr(fem, "_STAIR_ROWS", stair_rows)
         streamed = {role: _pair_quotients(fs, exponents) for role, fs in fields.items()}
-    # every field and exponent of one pass, in blocks that split rows, bit for bit as alone
+    # every field and exponent of one pass, in staircase blocks of any height, bit for bit as alone
     for role, fs in fields.items():
         expected = [[per_call_holder(f, g, near, subsample) for g, near in exponents] for f in fs]
         assert streamed[role] == expected
