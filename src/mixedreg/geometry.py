@@ -4,6 +4,8 @@ Meshes are value objects: ``refine`` returns a new mesh and never mutates
 its input, so meshes can be shared freely across solver calls.  Supported
 analytic presets are the unit disk and an axis-aligned ellipse; boundary
 vertices of preset meshes always lie exactly on the analytic curve.
+Validation builds each mesh's edge table once and keeps it on the mesh,
+where ``refine`` reads it to number the new midpoints.
 """
 
 from __future__ import annotations
@@ -55,14 +57,28 @@ def _edge_table(triangles: np.ndarray, n: int):
     traverses it, shape (E, 2); the edge number of every side, shape
     (T, 3); and the number of sides on each edge, shape (E,).
     """
-    sides = triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
-    _, first, inverse, counts = np.unique(
-        _pair_keys(sides, n), return_index=True, return_inverse=True, return_counts=True
-    )
-    order = np.argsort(first)
-    number = np.empty_like(order)
-    number[order] = np.arange(order.size)
-    return sides[first[order]], number[inverse].reshape(-1, 3), counts[order]
+    heads = np.roll(triangles, -1, axis=1)
+    keys = np.minimum(triangles, heads).reshape(-1)
+    keys *= n
+    keys += np.maximum(triangles, heads).reshape(-1)
+    # a stable sort puts each edge's first side at the head of its run of equal keys
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    starts = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=starts[1:])
+    first = order[starts]
+    run_counts = np.diff(np.append(np.flatnonzero(starts), keys.size))
+    # edges are numbered in the reading order of the sides that head a run
+    is_first = np.zeros(keys.size, dtype=bool)
+    is_first[first] = True
+    run_edge = (np.cumsum(is_first) - 1)[first]
+    side_edges = np.empty(keys.size, dtype=np.int64)
+    side_edges[order] = np.repeat(run_edge, run_counts)
+    counts = np.empty_like(run_counts)
+    counts[run_edge] = run_counts
+    head = np.flatnonzero(is_first)
+    edges = np.stack([triangles.reshape(-1)[head], heads.reshape(-1)[head]], axis=1)
+    return edges, side_edges.reshape(-1, 3), counts
 
 
 @dataclass
@@ -86,6 +102,13 @@ class Mesh:
         For refined meshes, the coarse vertices each fine vertex was
         derived from (i == parents[i, 0] == parents[i, 1] for carried-over
         vertices).  Used for nodal prolongation in warm starts.
+    edges : (E, 2) int array
+        Undirected edges numbered by first appearance when the sides are
+        read triangle by triangle as (a, b), (b, c), (c, a); each edge is
+        stored as its first side traverses it.  Built once, by validation.
+    side_edges : (T, 3) int array
+        Edge number of each side, in the same reading order.  ``refine``
+        numbers the midpoints by these: edge k gets fine vertex n + k.
     discretization : object or None
         Slot for the finite element record of this mesh (``fem.p1``);
         None until first use.  Derived data only, never compared.
@@ -102,6 +125,8 @@ class Mesh:
     boundary_edges: np.ndarray = field(init=False)
     boundary_normals: np.ndarray = field(init=False)
     boundary_edge_lengths: np.ndarray = field(init=False)
+    edges: np.ndarray = field(init=False, compare=False, repr=False)
+    side_edges: np.ndarray = field(init=False, compare=False, repr=False)
     discretization: object = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -117,16 +142,21 @@ class Mesh:
         self.boundary_normals = (
             np.stack([tang[:, 1], -tang[:, 0]], axis=1) / self.boundary_edge_lengths[:, None]
         )
-        self._validate()
+        self.edges, self.side_edges, counts = _edge_table(self.triangles, self.n_vertices)
+        self._validate(counts)
 
-    def _validate(self) -> None:
-        if np.any(self.triangle_areas() <= 0.0):
-            bad = int(np.argmin(self.triangle_areas()))
+    def _validate(self, counts: np.ndarray) -> None:
+        """Check the mesh against its edge table; counts[k] sides lie on edge k."""
+        areas = self.triangle_areas()
+        if np.any(areas <= 0.0):
+            bad = int(np.argmin(areas))
             raise MeshError(f"triangle {bad} has non-positive signed area")
-        edges, _, counts = _edge_table(self.triangles, self.n_vertices)
+        edges = self.edges
         loop_keys = _pair_keys(self.boundary_edges, self.n_vertices)
-        in_loop = np.isin(_pair_keys(edges, self.n_vertices), loop_keys)
-        bad = ((counts == 1) & ~in_loop) | (counts > 2)
+        bad = counts > 2
+        # an edge with one side lies on the boundary, so it must be in the loop
+        single = np.flatnonzero(counts == 1)
+        bad[single[~np.isin(_pair_keys(edges[single], self.n_vertices), loop_keys)]] = True
         if np.any(bad):
             k = int(np.argmax(bad))
             e = (int(edges[k].min()), int(edges[k].max()))
@@ -152,10 +182,10 @@ class Mesh:
         return self.boundary_loop.shape[0]
 
     def triangle_areas(self) -> np.ndarray:
-        p = self.vertices[self.triangles]
-        d1 = p[:, 1] - p[:, 0]
-        d2 = p[:, 2] - p[:, 0]
-        return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+        x, y = self.vertices.T
+        a, b, c = self.triangles.T
+        xa, ya = x[a], y[a]
+        return 0.5 * ((x[b] - xa) * (y[c] - ya) - (y[b] - ya) * (x[c] - xa))
 
     def area(self) -> float:
         return float(np.sum(self.triangle_areas()))
@@ -165,9 +195,8 @@ class Mesh:
 
     def mesh_size(self) -> float:
         """Longest triangle edge."""
-        p = self.vertices[self.triangles]
-        e = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 1], p[:, 0] - p[:, 2]], axis=1)
-        return float(np.max(np.linalg.norm(e, axis=2)))
+        d = self.vertices[self.edges[:, 1]] - self.vertices[self.edges[:, 0]]
+        return float(np.max(np.linalg.norm(d, axis=1)))
 
 
 def _fan_mesh(preset: str, level: int) -> Mesh:
@@ -215,7 +244,7 @@ def refine(mesh: Mesh) -> Mesh:
     chord midpoints.
     """
     nv = mesh.n_vertices
-    edges, side_edge, _ = _edge_table(mesh.triangles, nv)
+    edges = mesh.edges
     # edge k gets the new vertex nv + k at its midpoint
     midpoints = 0.5 * (mesh.vertices[edges[:, 0]] + mesh.vertices[edges[:, 1]])
     keys = _pair_keys(edges, nv)
@@ -237,7 +266,7 @@ def refine(mesh: Mesh) -> Mesh:
         fine_params = np.stack([params, mid_params], axis=1).reshape(-1)
 
     a, b, c = mesh.triangles.T
-    mab, mbc, mca = (nv + side_edge).T
+    mab, mbc, mca = (nv + mesh.side_edges).T
     tris = np.stack([a, mab, mca, b, mbc, mab, c, mca, mbc, mab, mbc, mca], axis=1)
 
     return Mesh(

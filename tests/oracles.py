@@ -15,6 +15,7 @@ __all__ = [
     "admissible_triples",
     "constant_kkt_reference",
     "CONSTANT_KKT_EXACT",
+    "edge_numbering",
     "dense_p1",
     "dense_midpoint_operator",
     "dense_weighted_mass",
@@ -132,6 +133,33 @@ def constant_kkt_reference():
     assert abs(ubar - ubar_c) < 1e-12
     assert abs((a0 + df(ybar)) * phibar - (Ly(ybar) + 1.0 * psi1)) < 1e-12
     return {"y": ybar, "u": ubar, "v": vbar, "phi": phibar, "psi1": psi1, "psi2": psi2}
+
+
+# ---------------------------------------------------------------------------
+# mesh edge numbering
+
+
+def edge_numbering(triangles):
+    """First-appearance numbering of the undirected edges, one side at a time.
+
+    Sides are read triangle by triangle as (a, b), (b, c), (c, a); a side
+    whose vertex pair has not been seen opens a new edge, stored as that
+    side traverses it.  Returns the edges, shape (E, 2), and the edge
+    number of every side, shape (T, 3).
+    """
+    number = {}
+    edges = []
+    side_edges = []
+    for a, b, c in np.asarray(triangles).tolist():
+        row = []
+        for u, v in ((a, b), (b, c), (c, a)):
+            key = (min(u, v), max(u, v))
+            if key not in number:
+                number[key] = len(edges)
+                edges.append((u, v))
+            row.append(number[key])
+        side_edges.append(row)
+    return np.array(edges, dtype=np.int64).reshape(-1, 2), np.array(side_edges, dtype=np.int64).reshape(-1, 3)
 
 
 # ---------------------------------------------------------------------------

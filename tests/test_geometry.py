@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import oracles
+from mixedreg import geometry
 from mixedreg.geometry import Mesh, MeshError, build_disk_mesh, build_ellipse_mesh, mesh_from_arrays, refine
 
 OCTAGON_PERIMETER = 16.0 * np.sin(np.pi / 8.0)
@@ -88,6 +90,41 @@ def test_refined_hand_built_meshes_keep_their_invariants(m, times):
         fine = refine(m)
         assert_refinement_invariants(m, fine)
         m = fine
+
+
+def assert_edges_match_oracle(m):
+    edges, side_edges = oracles.edge_numbering(m.triangles)
+    np.testing.assert_array_equal(m.edges, edges)
+    np.testing.assert_array_equal(m.side_edges, side_edges)
+
+
+@settings(max_examples=30, deadline=None)
+@given(star_fans(), st.integers(0, 2))
+def test_hand_built_edge_table_matches_oracle(m, times):
+    for _ in range(times):
+        m = refine(m)
+    assert_edges_match_oracle(m)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(sorted(PRESETS)), st.integers(0, 4))
+def test_preset_edge_table_matches_oracle(preset, level):
+    assert_edges_match_oracle(PRESETS[preset](level))
+
+
+@pytest.mark.parametrize("level", range(5))
+def test_each_mesh_builds_its_edge_table_once(monkeypatch, level):
+    calls = []
+    edge_table = geometry._edge_table
+
+    def counted(*args):
+        calls.append(args)
+        return edge_table(*args)
+
+    monkeypatch.setattr(geometry, "_edge_table", counted)
+    build_disk_mesh(level)
+    # one table per mesh of the ladder 0..level, reused by refine
+    assert len(calls) == level + 1
 
 
 def test_perimeter_increases_to_circle(disk):
@@ -194,8 +231,10 @@ def _square_fan():
         (lambda: build_disk_mesh(4), "ead7d6a1d5dd03404d6889b9a145a4549d9b81209c13baab27514ccd12904a38"),
         (lambda: build_ellipse_mesh(4), "a3e5c24e4f3da37071899d07c6f2242eb0c301d4dd721cfc9c643732df5fa751"),
         (lambda: refine(refine(_square_fan())), "377774dc08ad1bdbe166202ca59ad02fb63b6263e93b46df192b4d3b13be70a0"),
+        # the level-7 parents embed the level-6 edge table, numbered by first appearance
+        (lambda: build_disk_mesh(7), "074329e64164f7b6d9651420e23658c462b695ee03ce2253e589d7b506759d09"),
     ],
-    ids=["disk4", "ellipse4", "square2"],
+    ids=["disk4", "ellipse4", "square2", "disk7"],
 )
 def test_mesh_arrays_golden_digest(build, expected):
     assert _digest(build()) == expected

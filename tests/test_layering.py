@@ -130,15 +130,31 @@ def test_one_factorisation_site():
     assert [(name, len(lines)) for name, lines in sites.items() if lines] == [("fem.py", 1)]
 
 
+def _enclosing(source, kind, name):
+    """(first line, last line) of the ``kind`` node called ``name`` in ``source``."""
+    node = next(node for node in ast.walk(ast.parse(source)) if isinstance(node, kind) and node.name == name)
+    return node.lineno, node.end_lineno
+
+
 def test_one_scatter_assembly_site():
     # interior matrices come from the P1 record's sparse maps; only the boundary mass scatters
     sites = {path.name: name_sites(path.read_text(), {"coo_matrix"}) for path in sorted(SRC.glob("*.py"))}
     assert [(name, len(lines)) for name, lines in sites.items() if lines] == [("fem.py", 1)]
-    fem_source = (SRC / "fem.py").read_text()
     (line,) = sites["fem.py"]
-    boundary_mass = next(node for node in ast.walk(ast.parse(fem_source))
-                         if isinstance(node, ast.FunctionDef) and node.name == "boundary_mass")
-    assert boundary_mass.lineno <= line <= boundary_mass.end_lineno
+    first, last = _enclosing((SRC / "fem.py").read_text(), ast.FunctionDef, "boundary_mass")
+    assert first <= line <= last
+
+
+def test_two_edge_table_sites():
+    # each mesh sorts its sides once, when it is built; refine reads the kept table
+    sites = {path.name: name_sites(path.read_text(), {"_edge_table"}) for path in sorted(SRC.glob("*.py"))}
+    assert [(name, len(lines)) for name, lines in sites.items() if lines] == [("geometry.py", 2)]
+    source = (SRC / "geometry.py").read_text()
+    construction, walk = sites["geometry.py"]
+    first, last = _enclosing(source, ast.ClassDef, "Mesh")
+    assert first <= construction <= last
+    first, last = _enclosing(source, ast.FunctionDef, "mesh_from_arrays")
+    assert first <= walk <= last
 
 
 def function_imports(source):
