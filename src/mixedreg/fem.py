@@ -121,6 +121,11 @@ _ADJ_S = _ADJ_CELLS[:, :1] + _ADJ_CELLS[:, 2:] * _G4_NODES
 _ADJ_T = _ADJ_CELLS[:, 1:2] + _ADJ_CELLS[:, 2:] * _G4_NODES
 _ADJ_W = _ADJ_CELLS[:, 2:] * _G4_W
 
+# the rule's moments ((1 - s)^2, (1 - s) t, t^2) per (cell, s node, t node), in the order of the flattened weights
+_ADJ_MOMENTS = np.stack(np.broadcast_arrays((1.0 - _ADJ_S[:, :, None]) ** 2,
+                                            (1.0 - _ADJ_S[:, :, None]) * _ADJ_T[:, None, :],
+                                            _ADJ_T[:, None, :] ** 2), axis=-1).reshape(-1, 3)
+
 
 class FieldError(ValueError):
     """Invalid finite element field construction or role mismatch."""
@@ -373,15 +378,17 @@ class P1:
 
         Edge e runs from x(s) = a + s (b - a) and edge e + 1 from x'(t) =
         b + t (c - b); the cells grade toward the shared vertex (s, t) =
-        (1, 0).  Returns (s, t, weights): the (cells, 4) node tables and
-        the read-only (nb, cells, 4, 4) weights |e| |e+1| w_s w_t / |x -
-        x'|^beta.  Kept per beta under the same rule as ``far_field``.
+        (1, 0).  Returns (s, t, moments, weights): the (cells, 4) node
+        tables, the (cells * 16, 3) table of ((1 - s)^2, (1 - s) t, t^2)
+        in the order of the flattened cells and nodes, and the read-only (nb,
+        cells, 4, 4) weights |e| |e+1| w_s w_t / |x - x'|^beta.  Kept per
+        beta under the same rule as ``far_field``.
         """
         if self._keeps_pair_weights:
             weights = self._keep(self._adjacent, beta, lambda: self._adjacent_weights(beta))
         else:
             weights = self._adjacent_weights(beta)
-        return _ADJ_S, _ADJ_T, weights
+        return _ADJ_S, _ADJ_T, _ADJ_MOMENTS, weights
 
     def _adjacent_weights(self, beta: float) -> np.ndarray:
         mesh = self.mesh

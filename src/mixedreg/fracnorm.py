@@ -12,8 +12,17 @@ recent betas while the whole Gauss-point pair table fits one chunk of
 ``fem.FAR_FIELD_PAIRS`` pairs and streams them otherwise.  The integrand
 is symmetric, so the far field walks the unordered Gauss-point pairs i < j
 of the ``fem.pair_blocks`` staircase, with the factor 2 in its weights.  A
-call does the field work only, in place, and every reduction runs in a
-fixed order, so results are bit-reproducible for identical inputs.
+call does the field work only, in place.
+
+At k = 2 no pair-difference table is formed: |v_i - v_j|^2 expands, so
+both weighted sums are quadratic forms in the field.  The far field
+centres the Gauss-point values and contracts each staircase block with
+the three columns [c, c^2, 1] in one BLAS product; the adjacent edges
+contract their weights with the three moments ((1-s)^2, (1-s) t, t^2)
+of the graded-cell nodes.  Other k take the differences, and a BLAS dot
+product reduces them against the weights.  BLAS picks its kernels for
+the CPU, so results are bit-reproducible on one machine at a fixed BLAS
+thread count, and their last bits can differ between machines.
 
 Distances are chordal, matching the polygonal boundary representation.
 """
@@ -66,6 +75,34 @@ def _gap_integral(gamma: float) -> float:
     return total
 
 
+def _far_field(rec: fem.P1, vq: np.ndarray, beta: float, k: float) -> float:
+    """Sum of the doubled far-field weights against |vq_i - vq_j|^k over the pairs i < j.
+
+    At k = 2 the sum is a quadratic form in the values, centred first:
+    with c = vq - mean(vq), row i of a staircase block U adds
+    c_i^2 sum_j U_ij + sum_j U_ij c_j^2 - 2 c_i sum_j U_ij c_j, three
+    sums that one product U [c, c^2, 1] writes into row i of a (2 nb, 3)
+    table.  Centring costs nothing for values within a factor 2 of their
+    mean (the subtraction is exact) and keeps a large offset from
+    cancelling in the expansion.
+    """
+    if k == 2.0:
+        c = vq - np.mean(vq)
+        x = np.stack([c, c * c, np.ones_like(c)], axis=1)
+        p = np.zeros_like(x)
+        for rows, weights in rec.far_field(beta):
+            np.matmul(weights, x[rows.start :], out=p[rows])
+        return float(np.sum(c * c * p[:, 2] + p[:, 1] - 2.0 * c * p[:, 0]))
+    total = 0.0
+    for rows, weights in rec.far_field(beta):
+        num = np.subtract.outer(vq[rows], vq[rows.start :])
+        np.abs(num, out=num)
+        if k != 1.0:
+            num **= k
+        total += float(np.vdot(num, weights))
+    return total
+
+
 @dataclass
 class FracNormReport:
     """Seminorm and norm of one boundary field at one smoothness order."""
@@ -99,30 +136,31 @@ def gagliardo(v: FEField, tau: float, k: float) -> FracNormReport:
     vals = v.values
     succ = np.roll(vals, -1)
 
-    # non-touching pairs i < j, 2x2 Gauss: |v_i - v_j|^k against the doubled weights, block by block
-    vq = fem.interp_boundary(v)
-    total = 0.0
-    for rows, weights in rec.far_field(beta):
-        num = np.subtract.outer(vq[rows], vq[rows.start :])
-        np.abs(num, out=num)
-        num **= k
-        num *= weights
-        total += float(np.sum(num))
+    # non-touching pairs i < j, 2x2 Gauss
+    total = _far_field(rec, fem.interp_boundary(v), beta, k)
 
     # same edge: the P1 integrand depends only on the parameter gap
     gap = _gap_integral(k - beta)
     total += float(np.sum(np.abs(succ - vals) ** k * lens ** (2.0 - beta))) * gap
 
     # adjacent edges: graded cells toward the shared-vertex corner (s,t)=(1,0)
-    s, t, weights = rec.adjacent(beta)
+    s, t, moments, weights = rec.adjacent(beta)
     after = np.roll(vals, -2)
-    fs = vals[:, None, None] + s * (succ - vals)[:, None, None]
-    ft = succ[:, None, None] + t * (after - succ)[:, None, None]
-    num = np.subtract(fs[..., :, None], ft[..., None, :])
-    np.abs(num, out=num)
-    num **= k
-    num *= weights
-    total += 2.0 * float(np.sum(num))
+    if k == 2.0:
+        # f_s - f_t = (1 - s) d1 - t d2 with d1 = v_e - v_{e+1}, d2 = v_{e+2} - v_{e+1}: the
+        # square is d1^2 (1-s)^2 - 2 d1 d2 (1-s) t + d2^2 t^2, so each edge needs its weights'
+        # three moments only
+        d1, d2 = vals - succ, after - succ
+        a, b, c = (weights.reshape(vals.size, -1) @ moments).T
+        total += 2.0 * float(np.sum(a * d1 * d1 - 2.0 * b * d1 * d2 + c * d2 * d2))
+    else:
+        fs = vals[:, None, None] + s * (succ - vals)[:, None, None]
+        ft = succ[:, None, None] + t * (after - succ)[:, None, None]
+        num = np.subtract(fs[..., :, None], ft[..., None, :])
+        np.abs(num, out=num)
+        if k != 1.0:
+            num **= k
+        total += 2.0 * float(np.vdot(num, weights))
 
     if not np.isfinite(total):
         raise FracNormError("Gagliardo accumulation is not finite")

@@ -356,7 +356,8 @@ def boundary_fields(draw, top=3):
     return level, lambda th: amp * (np.cos(th + shift) + noise)
 
 
-orders = st.tuples(st.floats(0.05, 0.95), st.floats(1.0, 6.0))
+# k = 1 and k = 2 take their own branches of the quadrature, so draw them exactly too
+orders = st.tuples(st.floats(0.05, 0.95), st.sampled_from([1.0, 2.0]) | st.floats(1.0, 6.0))
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None)
 
 
@@ -410,6 +411,10 @@ def ordered_far_field(v, tau, k):
     return float(np.sum(np.where(far, terms, 0.0)))
 
 
+def without_far_field(mp):
+    mp.setattr(fem.P1, "far_field", lambda self, beta: iter(()))
+
+
 @PROPERTY_SETTINGS
 @given(boundary_fields(top=4), orders)
 def test_unordered_far_field_matches_the_ordered_sum(field, tk):
@@ -419,6 +424,41 @@ def test_unordered_far_field_matches_the_ordered_sum(field, tk):
     v = fem.boundary_field(m, values(m.boundary_params))
     total = gagliardo(v, tau, k).seminorm_I
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fem.P1, "far_field", lambda self, beta: iter(()))
+        without_far_field(mp)
         near = gagliardo(v, tau, k).seminorm_I
     assert total - near == pytest.approx(ordered_far_field(v, tau, k), rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# k = 2: the quadratic forms against the difference forms
+
+
+@pytest.mark.parametrize("level", [6, 7])
+def test_adjacent_moments_match_the_difference_form(level, disk):
+    # level 6 keeps the weights, level 7 streams them
+    m = geometry.build_disk_mesh(level) if level == 7 else disk(level)
+    v = fourier_probe(m)
+    s, t, moments, weights = fem.p1(m).adjacent(2.0)
+    vals = v.values
+    succ, after = np.roll(vals, -1), np.roll(vals, -2)
+    fs = vals[:, None, None] + s * (succ - vals)[:, None, None]
+    ft = succ[:, None, None] + t * (after - succ)[:, None, None]
+    expected = 2.0 * float(np.sum(weights * (fs[..., :, None] - ft[..., None, :]) ** 2))
+    with pytest.MonkeyPatch.context() as mp:
+        without_far_field(mp)
+        near = gagliardo(v, 0.5, 2.0).seminorm_I
+        mp.setattr(fem.P1, "adjacent", lambda self, beta: (s, t, moments, np.zeros_like(weights)))
+        same_edge = gagliardo(v, 0.5, 2.0).seminorm_I
+    assert near - same_edge == pytest.approx(expected, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("level", [3, 5])
+def test_offset_far_field_matches_the_ordered_sum(level, disk):
+    # the offset dwarfs the field's spread: the quadratic form must not cancel it away
+    m = disk(level)
+    v = fem.boundary_field(m, 1e3 + np.cos(m.boundary_params))
+    total = gagliardo(v, 0.5, 2.0).seminorm_I
+    with pytest.MonkeyPatch.context() as mp:
+        without_far_field(mp)
+        near = gagliardo(v, 0.5, 2.0).seminorm_I
+    assert total - near == pytest.approx(ordered_far_field(v, 0.5, 2.0), rel=1e-12, abs=0.0)
