@@ -2,12 +2,18 @@
 
 A :class:`ProblemSpec` bundles everything that defines one control problem:
 elliptic coefficients, cost integrands, the state nonlinearity, constraint
-functions and the strictly monotone scalar maps entering the mixed
-constraints.  The structural exponent bounds are enforced at construction;
-all semantic assumptions (monotonicity floors, sign conditions, vanishing
-at zero) are verified by :func:`check_assumptions`, which reports witnesses
-instead of refusing to build the object, so that deliberately broken
-instances can be constructed and diagnosed.
+functions and the strictly monotone scalar maps of the projection formula
+u = min(delta_1^{-1}(-phi), zeta_1^{-1}(-g_1(x, y))) and its boundary twin
+with delta_2 and zeta_2.  All four are :class:`MonotoneScalar` maps,
+inverted by the one :func:`invert_monotone`.  The reparametrizations
+zeta_1, zeta_2 are problem data; the control cost slopes
+delta_1(t) = lambda1 t + lambda2 |t|^(p-2) t and
+delta_2(t) = mu1 t + mu2 |t|^(q-2) t are derived by the spec.  Finiteness
+of the numbers and the structural exponent bounds are enforced at
+construction; all semantic assumptions (monotonicity floors, sign
+conditions, vanishing at zero) are verified by :func:`check_assumptions`,
+which reports witnesses instead of refusing to build the object, so that
+deliberately broken instances can be constructed and diagnosed.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from . import fem
-from .expressions import EvalError, Expr, ParseError, parse_expr
+from .expressions import Add, Const, EvalError, Expr, Mul, ParseError, SPow, Value, parse_expr
 
 __all__ = [
     "MonotoneScalar",
@@ -30,9 +36,6 @@ __all__ = [
     "ConfigError",
     "InversionError",
     "invert_monotone",
-    "delta_value",
-    "delta_slope",
-    "delta_inverse",
     "exponent_violation",
     "check_assumptions",
     "load_problem_config",
@@ -60,7 +63,7 @@ class InversionError(RuntimeError):
 
 @dataclass
 class MonotoneScalar:
-    """Scalar reparametrization t -> expr(t) with slope floor ``rho``.
+    """Scalar map t -> expr(t) with slope floor ``rho``: some zeta_i or delta_i.
 
     ``direction`` is detected from the derivative at zero (falling back to
     the sign at t=1).  Nothing semantic is enforced here; violations of
@@ -77,8 +80,8 @@ class MonotoneScalar:
             self.expr = parse_expr(self.expr)
         if self.expr.uses_coords():
             raise SpecError("reparametrization must depend on t only")
-        if not self.rho > 0.0:
-            raise SpecError(f"slope floor rho must be positive, got {self.rho}")
+        if not (self.rho > 0.0 and np.isfinite(self.rho)):
+            raise SpecError(f"slope floor rho must be positive and finite, got {self.rho}")
         d0 = float(self._derivative(0.0, 0.0, 0.0))
         s = d0 if d0 != 0.0 else float(self.expr(0.0, 0.0, 1.0))
         self.direction = "increasing" if s > 0.0 else "decreasing"
@@ -101,28 +104,31 @@ class MonotoneScalar:
         return self._second_derivative(0.0, 0.0, t)
 
 
-def _safeguarded_invert(fun, dfun, target, slope_floor: float, what: str):
-    """Solve fun(t) = target by bracketed Newton with bisection fallback.
+def invert_monotone(zeta: MonotoneScalar, target):
+    """Invert a monotone scalar map: returns t with zeta(t) = target.
 
-    The bracket [-b, b] starts at the analytic bound |target|/slope_floor
-    and is doubled geometrically when the function fails to straddle the
-    target there (which signals a violated slope floor).
+    Accepts scalar or array targets; residual tolerance is
+    ``INVERT_TOL * max(1, |target|)`` componentwise.  Under the slope floor
+    the solution satisfies |t| <= |target| / rho.  Bracketed Newton with a
+    bisection fallback: the bracket [-b, b] starts at that analytic bound
+    and is doubled geometrically when zeta fails to straddle the target
+    there (which signals a violated slope floor).
     """
     target = np.asarray(target, dtype=float)
     scalar_in = target.ndim == 0
     tgt = np.atleast_1d(target).astype(float)
 
-    b = np.maximum(np.abs(tgt) / slope_floor, 1e-8) * (1.0 + 1e-12)
+    b = np.maximum(np.abs(tgt) / zeta.rho, 1e-8) * (1.0 + 1e-12)
     for _ in range(MAX_BRACKET_DOUBLINGS + 1):
-        flo = fun(-b) - tgt
-        fhi = fun(b) - tgt
+        flo = zeta.value(-b) - tgt
+        fhi = zeta.value(b) - tgt
         ok = flo * fhi <= 0.0
         if np.all(ok):
             break
         b = np.where(ok, b, 2.0 * b)
     else:
         raise InversionError(
-            f"{what}: no sign change within the grown bracket; slope floor violated"
+            "invert_monotone: no sign change within the grown bracket; slope floor violated"
         )
 
     # orient so F(lo) <= 0 <= F(hi)
@@ -136,67 +142,23 @@ def _safeguarded_invert(fun, dfun, target, slope_floor: float, what: str):
     x = 0.5 * (lo + hi)
     done = np.zeros(x.shape, dtype=bool)
     for _ in range(300):
-        fx = fun(x) - tgt
+        fx = zeta.value(x) - tgt
         done |= np.abs(fx) <= tol
         if np.all(done):
             break
         fxs = sigma * fx
         lo = np.where(~done & (fxs < 0.0), x, lo)
         hi = np.where(~done & (fxs >= 0.0), x, hi)
-        d = dfun(x)
+        d = zeta.slope(x)
         with np.errstate(divide="ignore", invalid="ignore"):
             cand = x - fx / d
         mid = 0.5 * (lo + hi)
         inside = np.isfinite(cand) & (cand != x) & ((cand - lo) * (cand - hi) < 0.0)
         x = np.where(done, x, np.where(inside, cand, mid))
     else:
-        raise InversionError(f"{what}: inversion did not reach tolerance")
+        raise InversionError("invert_monotone: inversion did not reach tolerance")
 
     return float(x[0]) if scalar_in else x.reshape(target.shape)
-
-
-def invert_monotone(zeta: MonotoneScalar, target):
-    """Invert a monotone reparametrization: returns t with zeta(t) = target.
-
-    Accepts scalar or array targets; residual tolerance is
-    ``1e-13 * max(1, |target|)`` componentwise.  Under the slope floor the
-    solution satisfies |t| <= |target| / rho.
-    """
-    return _safeguarded_invert(
-        lambda t: zeta.value(t), lambda t: zeta.slope(t), target, zeta.rho, "invert_monotone"
-    )
-
-
-def delta_value(i: int, spec: "ProblemSpec", t):
-    """Control cost slope: lambda1*t + lambda2*|t|^(p-2)*t (i=1), mu/q version (i=2)."""
-    t = np.asarray(t, dtype=float)
-    if i == 1:
-        return spec.lambda1 * t + spec.lambda2 * np.abs(t) ** (spec.p - 2.0) * t
-    if i == 2:
-        return spec.mu1 * t + spec.mu2 * np.abs(t) ** (spec.q - 2.0) * t
-    raise ValueError("i must be 1 or 2")
-
-
-def delta_slope(i: int, spec: "ProblemSpec", t):
-    """Derivative of the control cost slope ``delta_value(i, spec, t)`` in t."""
-    t = np.asarray(t, dtype=float)
-    if i == 1:
-        return spec.lambda1 + (spec.p - 1.0) * spec.lambda2 * np.abs(t) ** (spec.p - 2.0)
-    if i == 2:
-        return spec.mu1 + (spec.q - 1.0) * spec.mu2 * np.abs(t) ** (spec.q - 2.0)
-    raise ValueError("i must be 1 or 2")
-
-
-def delta_inverse(i: int, spec: "ProblemSpec", target):
-    """Invert the control cost slope; global bijection with slope >= lambda1 (mu1)."""
-    floor = spec.lambda1 if i == 1 else spec.mu1
-    return _safeguarded_invert(
-        lambda t: delta_value(i, spec, t),
-        lambda t: delta_slope(i, spec, t),
-        target,
-        floor,
-        "delta_inverse",
-    )
 
 
 def exponent_violation(N, p, q) -> str | None:
@@ -215,14 +177,25 @@ def _as_expr(obj) -> Expr:
     return parse_expr(obj) if isinstance(obj, str) else obj
 
 
+def _cost_slope(linear: float, power: float, exponent: float) -> MonotoneScalar:
+    """t -> linear t + power |t|^(exponent-2) t, with slope floor ``linear``.
+
+    The signed power keeps the derivative (exponent-1) |t|^(exponent-2)
+    finite at t = 0 for every exponent >= 2.
+    """
+    return MonotoneScalar(Add(Mul(Const(linear), Value()), Mul(Const(power), SPow(Value(), exponent))), linear)
+
+
 @dataclass
 class ProblemSpec:
     """Complete data of one mixed-constrained control problem.
 
     Expression fields take either parsed trees or expression strings.
-    Exponent bounds (p > N/2, q > N-1, p, q >= 2) and positivity of the
-    quadratic cost weights are hard construction errors; everything else
-    is diagnosable via :func:`check_assumptions`.
+    Non-finite exponents or cost weights, the exponent bounds (p > N/2,
+    q > N-1, p, q >= 2) and the signs of the cost weights are hard
+    construction errors; everything else is diagnosable via
+    :func:`check_assumptions`.  ``delta1`` and ``delta2``, the control
+    cost slopes, are derived from the exponents and weights.
     """
 
     preset: str
@@ -252,6 +225,9 @@ class ProblemSpec:
             raise SpecError("dimension must be >= 2")
         for name in ("a11", "a12", "a22", "a0", "f", "L", "ell", "g1", "g2"):
             setattr(self, name, _as_expr(getattr(self, name)))
+        for name in ("p", "q", "lambda1", "lambda2", "mu1", "mu2"):
+            if not np.isfinite(getattr(self, name)):
+                raise SpecError(f"{name} must be finite, got {getattr(self, name)}")
         violation = exponent_violation(self.N, self.p, self.q)
         if violation:
             raise SpecError(violation)
@@ -271,6 +247,16 @@ class ProblemSpec:
         for name in ("a11", "a12", "a22", "a0"):
             if getattr(self, name).uses_value():
                 raise SpecError(f"coefficient {name} must not depend on y")
+
+    @cached_property
+    def delta1(self) -> MonotoneScalar:
+        """The interior control cost slope lambda1 t + lambda2 |t|^(p-2) t."""
+        return _cost_slope(self.lambda1, self.lambda2, self.p)
+
+    @cached_property
+    def delta2(self) -> MonotoneScalar:
+        """The boundary control cost slope mu1 t + mu2 |t|^(q-2) t."""
+        return _cost_slope(self.mu1, self.mu2, self.q)
 
     @cached_property
     def f_y(self) -> Expr:

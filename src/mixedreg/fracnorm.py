@@ -52,27 +52,24 @@ class FracNormError(ValueError):
     """Invalid fractional-norm parameters or a non-integrable evaluation."""
 
 
-def _unit_gauss(n: int):
-    x, w = np.polynomial.legendre.leggauss(n)
-    return 0.5 * (x + 1.0), 0.5 * w
+def _gap_cells():
+    """8-point Gauss nodes and weights per cell of the dyadic partition of (0,1) graded toward 0."""
+    breaks = np.array([1.0] + [2.0 ** (-m) for m in range(1, DYADIC_LEVELS + 1)] + [0.0])
+    hi, lo = breaks[:-1, None], breaks[1:, None]
+    x, w = np.polynomial.legendre.leggauss(8)
+    return lo + (hi - lo) * (0.5 * (x + 1.0)), (hi - lo) * (0.5 * w)
 
 
-_G8_NODES, _G8_W = _unit_gauss(8)
+_GAP_U, _GAP_W = _gap_cells()
 
 
 def _gap_integral(gamma: float) -> float:
     """Evaluate the gap-variable factor of the same-edge contribution.
 
-    This is the integral over (0,1) of 2(1-u) u^gamma with a dyadic
-    partition graded toward u = 0 and 8-point Gauss per cell.
+    This is the integral over (0,1) of 2(1-u) u^gamma by the ``_gap_cells``
+    rule, summed per cell and then over the cells in order.
     """
-    breaks = [1.0] + [2.0 ** (-m) for m in range(1, DYADIC_LEVELS + 1)] + [0.0]
-    total = 0.0
-    for hi, lo in zip(breaks[:-1], breaks[1:]):
-        u = lo + (hi - lo) * _G8_NODES
-        w = (hi - lo) * _G8_W
-        total += float(np.sum(w * 2.0 * (1.0 - u) * u**gamma))
-    return total
+    return sum(np.sum(_GAP_W * 2.0 * (1.0 - _GAP_U) * _GAP_U**gamma, axis=1).tolist())
 
 
 def _far_field(rec: fem.P1, vq: np.ndarray, beta: float, k: float) -> float:

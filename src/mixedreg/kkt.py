@@ -8,26 +8,28 @@ constraints.
 
 The two mixed constraints share one form, zeta_i(c) + g_i(x, y) <= 0,
 with c = u at every vertex (i = 1) and c = v on the boundary loop
-(i = 2).  ``_constraints(spec, y)`` evaluates both halves at a state y
-once: the control's nodes and the state there (y or its trace), zeta_i,
-the cost index i, g_i and its y-derivative at those nodes (through
-``fem.nodal``), and the bound b = zeta_i^{-1}(-g_i), one
-``invert_monotone`` call per half.  Every formula below (the
-projection with its active sets and multipliers, stationarity,
-complementarity and feasibility, the adjoint load, the Newton
-derivatives, the surjectivity shifts) is written once and applied to
-both halves.
+(i = 2).  Four strictly increasing scalar maps enter, all
+``catalog.MonotoneScalar``: the reparametrizations zeta_1, zeta_2 and the
+control cost slopes delta_1, delta_2 (``spec.delta1``, ``spec.delta2``).
+``_constraints(spec, y)`` evaluates both halves at a state y once: the
+control's nodes and the state there (y or its trace), zeta_i, delta_i,
+g_i and its y-derivative at those nodes (through ``fem.nodal``), and the
+bound b = zeta_i^{-1}(-g_i).  Every formula below (the projection with
+its active sets and multipliers, stationarity, complementarity and
+feasibility, the adjoint load, the Newton derivatives, the surjectivity
+shifts) is written once and applied to both halves.
 
 The projection eliminates the controls: with w = delta_i^{-1}(-phi) at
 each node, the control is min(w, b), the node is active where w > b, and
-there the multiplier is -(delta_i(b) + phi) / zeta_i'(b).  What remains
-is a nonsmooth system F(y, phi) = 0 of the state and adjoint equations,
-which ``solve_kkt`` solves by semismooth Newton from a given (y, phi):
-``cold_start`` of some controls, or the optimum of a coarser mesh
-prolonged.  Each step is one ``fem.solve_linear`` of the 2n x 2n
-generalised Jacobian taken on the current active sets, globalised by the
-Armijo backtracking on |F|_2 of ``solvers.newton``, the loop the state
-solve runs too.
+there the multiplier is -(delta_i(b) + phi) / zeta_i'(b).  Each half
+thus makes two ``invert_monotone`` calls per iterate, for b and for w.
+What remains is a nonsmooth system F(y, phi) = 0 of the state and
+adjoint equations, which ``solve_kkt`` solves by semismooth Newton from
+a given (y, phi): ``cold_start`` of some controls, or the optimum of a
+coarser mesh prolonged.  Each step is one ``fem.solve_linear`` of the
+2n x 2n generalised Jacobian taken on the current active sets,
+globalised by the Armijo backtracking on |F|_2 of ``solvers.newton``,
+the loop the state solve runs too.
 
 Only strictly increasing reparametrizations are supported end to end;
 the three mirrored sign cases are rejected with a diagnostic rather than
@@ -49,8 +51,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fem
-from .catalog import MonotoneScalar, ProblemSpec, SpecError
-from .catalog import delta_inverse, delta_slope, delta_value, invert_monotone
+from .catalog import MonotoneScalar, ProblemSpec, SpecError, invert_monotone
 from .fem import FEField, LinearSolveError
 from .solvers import (
     NEWTON_TOL,
@@ -198,7 +199,7 @@ class _Half:
     y: FEField  # the state at the nodes of c: y itself or its trace
     nodes: slice | np.ndarray  # slice(None) (every vertex) or the boundary loop
     zeta: MonotoneScalar
-    cost: int  # i in delta_value(i, spec, c)
+    delta: MonotoneScalar  # the slope of the control cost of c
     g: np.ndarray
     g_y: np.ndarray
     bound: np.ndarray  # zeta^{-1}(-g); for increasing zeta the constraint is c <= bound
@@ -207,13 +208,13 @@ class _Half:
 def _constraints(spec: ProblemSpec, y: FEField) -> tuple:
     """The (interior, boundary) constraint halves evaluated at the state y."""
     halves = []
-    for at, nodes, zeta, cost, g, g_y in (
-        (y, slice(None), spec.zeta1, 1, spec.g1, spec.g1_y),
-        (fem.trace(y), y.mesh.boundary_loop, spec.zeta2, 2, spec.g2, spec.g2_y),
+    for at, nodes, zeta, delta, g, g_y in (
+        (y, slice(None), spec.zeta1, spec.delta1, spec.g1, spec.g1_y),
+        (fem.trace(y), y.mesh.boundary_loop, spec.zeta2, spec.delta2, spec.g2, spec.g2_y),
     ):
         gv = fem.nodal(g, at)
         bound = invert_monotone(zeta, -gv)
-        halves.append(_Half(at, nodes, zeta, cost, gv, fem.nodal(g_y, at), bound))
+        halves.append(_Half(at, nodes, zeta, delta, gv, fem.nodal(g_y, at), bound))
     return tuple(halves)
 
 
@@ -262,8 +263,8 @@ def reduced_gradient(spec: ProblemSpec, u: FEField, v: FEField, state: StateSolv
     state.check_solves(spec, _check_state_fields(y, u, v))
     phi = _tracking_adjoint(spec, y, state.linearization)
     loop = y.mesh.boundary_loop
-    gu = FEField(y.mesh, "domain", phi.values + delta_value(1, spec, u.values))
-    gv = FEField(y.mesh, "boundary", phi.values[loop] + delta_value(2, spec, v.values))
+    gu = FEField(y.mesh, "domain", phi.values + spec.delta1.value(u.values))
+    gv = FEField(y.mesh, "boundary", phi.values[loop] + spec.delta2.value(v.values))
     return gu, gv
 
 
@@ -278,13 +279,13 @@ class _Minimizer:
     psi: np.ndarray  # -(delta(bound) + phi) / zeta'(bound) where active, 0 elsewhere
 
 
-def _minimize(spec: ProblemSpec, h: _Half, phi: FEField) -> _Minimizer:
+def _minimize(h: _Half, phi: FEField) -> _Minimizer:
     at = phi.values[h.nodes]
-    w = delta_inverse(h.cost, spec, -at)
+    w = invert_monotone(h.delta, -at)
     active = w > h.bound
     psi = np.zeros(active.shape)
     b = h.bound[active]
-    psi[active] = -(delta_value(h.cost, spec, b) + at[active]) / np.asarray(h.zeta.slope(b))
+    psi[active] = -(h.delta.value(b) + at[active]) / np.asarray(h.zeta.slope(b))
     # the offset from the bound, projected on the nonpositive half-line: feasible exactly
     return _Minimizer(at, w, active, np.minimum(w - h.bound, 0.0) + h.bound, psi)
 
@@ -299,7 +300,7 @@ def project_controls(spec: ProblemSpec, y: FEField, phi: FEField):
     _require_increasing(spec)
     _check_adjoint(y, phi)
     return tuple(
-        FEField(y.mesh, h.y.role, _minimize(spec, h, phi).control) for h in _constraints(spec, y)
+        FEField(y.mesh, h.y.role, _minimize(h, phi).control) for h in _constraints(spec, y)
     )
 
 
@@ -322,7 +323,7 @@ def _report(spec: ProblemSpec, state: KKTState, halves, state_defect, adjoint_de
     measured = {}
     for h, c, psi, side in zip(halves, (state.u, state.v), (state.psi1, state.psi2), "uv"):
         slope = np.asarray(h.zeta.slope(c.values))
-        stat = delta_value(h.cost, spec, c.values) + phi.values[h.nodes] + slope * psi.values
+        stat = h.delta.value(c.values) + phi.values[h.nodes] + slope * psi.values
         comp = psi.values * (np.asarray(h.zeta.value(c.values)) + h.g)
         measured[f"stationarity_{side}"] = float(np.max(np.abs(stat)))
         measured[f"complementarity_{side}"] = float(np.max(np.abs(comp)))
@@ -367,7 +368,7 @@ class _Point:
 def _point(spec: ProblemSpec, y: FEField, phi: FEField) -> _Point:
     """F(y, phi): the state and adjoint defects with the controls and multipliers eliminated."""
     halves = _constraints(spec, y)
-    minimizers = tuple(_minimize(spec, h, phi) for h in halves)
+    minimizers = tuple(_minimize(h, phi) for h in halves)
     rec = fem.p1(y.mesh)
     state_load = rec.load(*(m.control for m in minimizers))
     psis = (FEField(y.mesh, h.y.role, m.psi) for h, m in zip(halves, minimizers))
@@ -405,14 +406,14 @@ def _jacobian(spec: ProblemSpec, pt: _Point) -> fem.SparseOperator:
         zeta_slope = np.asarray(h.zeta.slope(b))
         db_dy = -h.g_y / zeta_slope
         dpsi_db = (
-            -delta_slope(h.cost, spec, b)
-            + (delta_value(h.cost, spec, b) + m.phi) * np.asarray(h.zeta.curvature(b)) / zeta_slope
+            -h.delta.slope(b)
+            + (h.delta.value(b) + m.phi) * np.asarray(h.zeta.curvature(b)) / zeta_slope
         ) / zeta_slope
         second = fem.nodal(tracking_yy, h.y) + fem.nodal(g_yy, h.y) * m.psi
         coefficients.append(
             (
                 np.where(on, -db_dy, 0.0),
-                np.where(on, 0.0, 1.0 / delta_slope(h.cost, spec, m.w)),
+                np.where(on, 0.0, 1.0 / h.delta.slope(m.w)),
                 -(second + np.where(on, h.g_y * dpsi_db * db_dy, 0.0)),
                 np.where(on, h.g_y / zeta_slope, 0.0),
             )

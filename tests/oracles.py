@@ -11,6 +11,7 @@ import numpy as np
 
 __all__ = [
     "bisect",
+    "delta_reference",
     "exponents_reference",
     "admissible_triples",
     "constant_kkt_reference",
@@ -49,6 +50,12 @@ def bisect(f, lo, hi, tol=1e-15, max_iter=200):
         else:
             lo, flo = mid, fm
     return 0.5 * (lo + hi)
+
+
+def delta_reference(linear, power, exponent, t):
+    """(value, slope) of the control cost slope linear t + power |t|^(exponent-2) t at the float t."""
+    magnitude = abs(t) ** (exponent - 2.0)
+    return linear * t + power * magnitude * t, linear + (exponent - 1.0) * power * magnitude
 
 
 # ---------------------------------------------------------------------------

@@ -5,15 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from mixedreg.catalog import (
     ConfigError,
     MonotoneScalar,
     ProblemSpec,
     SpecError,
     check_assumptions,
-    delta_inverse,
-    delta_slope,
-    delta_value,
     invert_monotone,
     load_problem_config,
     save_problem_config,
@@ -96,16 +94,16 @@ def test_decreasing_reparametrization_inverts():
 
 def test_delta_examples():
     quartic = base_spec(p=4.0, q=4.0)
-    assert delta_value(1, quartic, 1.0) == pytest.approx(2.0, abs=1e-14)
-    assert delta_inverse(1, quartic, 2.0) == pytest.approx(1.0, abs=1e-13)
+    assert quartic.delta1.value(1.0) == pytest.approx(2.0, abs=1e-14)
+    assert invert_monotone(quartic.delta1, 2.0) == pytest.approx(1.0, abs=1e-13)
 
     linear = base_spec(lambda1=2.0, lambda2=0.0)
-    assert delta_inverse(1, linear, 5.0) == pytest.approx(2.5, abs=1e-13)
+    assert invert_monotone(linear.delta1, 5.0) == pytest.approx(2.5, abs=1e-13)
 
     cubic_cost = base_spec(p=3.0)
     # t + |t| t at t = 2 is 6
-    assert delta_value(1, cubic_cost, 2.0) == pytest.approx(6.0, abs=1e-14)
-    assert delta_inverse(1, cubic_cost, 6.0) == pytest.approx(2.0, abs=1e-13)
+    assert cubic_cost.delta1.value(2.0) == pytest.approx(6.0, abs=1e-14)
+    assert invert_monotone(cubic_cost.delta1, 6.0) == pytest.approx(2.0, abs=1e-13)
 
 
 def test_delta_inverse_monotone_and_bounded():
@@ -114,26 +112,50 @@ def test_delta_inverse_monotone_and_bounded():
     pairs = rng.uniform(-50.0, 50.0, (200, 2))
     lo = np.minimum(pairs[:, 0], pairs[:, 1]) - 1e-9
     hi = np.maximum(pairs[:, 0], pairs[:, 1]) + 1e-9
-    ti = delta_inverse(1, spec, lo)
-    tj = delta_inverse(1, spec, hi)
+    ti = invert_monotone(spec.delta1, lo)
+    tj = invert_monotone(spec.delta1, hi)
     assert np.all(tj >= ti)
     targets = rng.uniform(-100.0, 100.0, 200)
-    t = delta_inverse(1, spec, targets)
+    t = invert_monotone(spec.delta1, targets)
     assert np.all(np.abs(t) <= np.abs(targets) / spec.lambda1 + 1e-12)
 
 
 def test_delta_slope_positive():
     spec = base_spec(p=4.0)
     ts = np.linspace(-5.0, 5.0, 41)
-    assert np.all(np.asarray(delta_slope(1, spec, ts)) >= spec.lambda1)
+    assert np.all(np.asarray(spec.delta1.slope(ts)) >= spec.lambda1)
 
 
 def test_delta_roundtrip():
     spec = base_spec(p=3.5, q=4.0, lambda2=2.0)
     rng = np.random.default_rng(6)
     ts = rng.uniform(-8.0, 8.0, 300)
-    back = delta_inverse(1, spec, delta_value(1, spec, ts))
+    back = invert_monotone(spec.delta1, spec.delta1.value(ts))
     assert np.max(np.abs(back - ts)) < 1e-10
+
+
+_LINEAR = st.floats(1e-3, 1e3)
+_POWER = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1e3)
+_COST_EXPONENT = st.sampled_from([2.0, 3.0, 4.0, 6.0]) | st.floats(2.0, 6.0)
+_ARGUMENTS = st.lists(st.sampled_from([0.0, 1.0, -1.0]) | st.floats(-50.0, 50.0), min_size=1, max_size=20)
+
+
+@settings(max_examples=60, deadline=None)
+@given(lam=st.tuples(_LINEAR, _POWER, _COST_EXPONENT), mu=st.tuples(_LINEAR, _POWER, _COST_EXPONENT),
+       ts=_ARGUMENTS)
+def test_delta_matches_the_closed_form(lam, mu, ts):
+    spec = base_spec(lambda1=lam[0], lambda2=lam[1], p=lam[2], mu1=mu[0], mu2=mu[1], q=mu[2])
+    ts = np.array(ts)
+    for delta, (linear, power, exponent) in ((spec.delta1, lam), (spec.delta2, mu)):
+        assert delta.rho == linear
+        reference = np.array([oracles.delta_reference(linear, power, exponent, t) for t in ts])
+        value, slope = np.asarray(delta.value(ts)), np.asarray(delta.slope(ts))
+        assert value == pytest.approx(reference[:, 0], rel=1e-14, abs=0.0)
+        assert slope == pytest.approx(reference[:, 1], rel=1e-14, abs=0.0)
+        assert np.all(slope >= linear)
+        # the slope floor turns the residual tolerance of the inversion into a bound on t
+        back = invert_monotone(delta, value)
+        assert np.all(np.abs(back - ts) <= 2e-13 * np.maximum(1.0, np.abs(value)) / linear)
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +204,14 @@ def test_spec_rejects_bad_weights():
         base_spec(mu2=-1.0)
 
 
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+@pytest.mark.parametrize("name", ["p", "q", "lambda1", "lambda2", "mu1", "mu2"])
+def test_spec_rejects_non_finite_data(name, value):
+    # p = inf once passed the exponent bounds, and lambda1 = inf failed only in the solver
+    with pytest.raises(SpecError, match=f"{name} must be finite"):
+        base_spec(**{name: value})
+
+
 def test_spec_rejects_state_dependent_diffusion():
     with pytest.raises(SpecError):
         base_spec(a11="1 + y")
@@ -190,8 +220,9 @@ def test_spec_rejects_state_dependent_diffusion():
 def test_spec_rejects_bad_zeta():
     with pytest.raises(SpecError):
         base_spec(zeta1=("x1 + t", 1.0))
-    with pytest.raises(SpecError):
-        base_spec(zeta1=("t", -1.0))
+    for rho in (-1.0, np.inf, np.nan):
+        with pytest.raises(SpecError, match="slope floor"):
+            base_spec(zeta1=("t", rho))
     with pytest.raises(SpecError):
         base_spec(zeta1=12)
 

@@ -389,6 +389,18 @@ def test_jump_study_converges_with_benchmark_options(tmp_path, capsys):
     assert failed == {"lipschitz-stable-u", "lipschitz-stable-psi1"}
 
 
+def test_non_finite_config_number_is_config_error(tmp_path, capsys):
+    # lambda1 = inf once passed check and failed in the solver's inversion with exit 3
+    text = (CONFIGS / "quadratic_tracking.cfg").read_text().replace("lambda1 = 1", "lambda1 = inf")
+    path = tmp_path / "infinite.cfg"
+    path.write_text(text)
+    for argv in (["check"], ["solve-kkt", "--level", "2"]):
+        code, _, summary = run([*argv, "--config", str(path)], tmp_path)
+        assert code == 2
+        assert summary is None
+        assert "lambda1 must be finite" in capsys.readouterr().err
+
+
 def test_missing_config_is_config_error(tmp_path, capsys):
     code, _, summary = run(["check", "--config", "configs/nope.cfg"], tmp_path)
     assert code == 2

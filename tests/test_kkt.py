@@ -176,8 +176,8 @@ def test_projection_keeps_feasible_minimizers(disk, ys, phis):
     spec = nonlinear_spec()
     m, y, phi = random_fields(disk, ys, phis)
     u, v = kkt.project_controls(spec, y, phi)
-    w1 = catalog.delta_inverse(1, spec, -phi.values)
-    w2 = catalog.delta_inverse(2, spec, -phi.values[m.boundary_loop])
+    w1 = catalog.invert_monotone(spec.delta1, -phi.values)
+    w2 = catalog.invert_monotone(spec.delta2, -phi.values[m.boundary_loop])
     for c, w, b in zip((u, v), (w1, w2), nodal_bounds(spec, m, y)):
         free = w <= b
         scale = np.abs(w[free]) + np.abs(b[free])
@@ -193,8 +193,8 @@ def test_multipliers_vanish_off_their_masks(disk, ys, phis):
     assert np.all(state.psi1.values[~state.active_domain] == 0.0)
     assert np.all(state.psi2.values[~state.active_boundary] == 0.0)
     # the active nodes are exactly those the projection clamps to their bound
-    w1 = catalog.delta_inverse(1, spec, -phi.values)
-    w2 = catalog.delta_inverse(2, spec, -phi.values[m.boundary_loop])
+    w1 = catalog.invert_monotone(spec.delta1, -phi.values)
+    w2 = catalog.invert_monotone(spec.delta2, -phi.values[m.boundary_loop])
     b1, b2 = nodal_bounds(spec, m, y)
     assert np.array_equal(state.active_domain, w1 > b1)
     assert np.array_equal(state.active_boundary, w2 > b2)
@@ -462,7 +462,8 @@ def test_one_linearized_matrix_per_sweep(configs, disk, monkeypatch):
 
 def test_two_constraint_inversions_per_sweep(configs, disk, monkeypatch):
     # one bound per constraint half and iterate, shared by the controls, the
-    # multipliers, the residuals and the Jacobian at that iterate
+    # multipliers, the residuals and the Jacobian at that iterate; and one
+    # unconstrained minimizer delta^{-1}(-phi) per half and iterate
     calls = []
 
     def counted(*args):
@@ -474,7 +475,10 @@ def test_two_constraint_inversions_per_sweep(configs, disk, monkeypatch):
     monkeypatch.setattr(kkt, "invert_monotone", counted)
     _, report = kkt.solve_kkt(spec, start, kkt_tol=5e-3)
     assert report.converged
-    assert len(calls) == 2 * report.iterations
+    maps = [args[0] for args in calls]
+    assert sum(m is spec.zeta1 or m is spec.zeta2 for m in maps) == 2 * report.iterations
+    assert sum(m is spec.delta1 or m is spec.delta2 for m in maps) == 2 * report.iterations
+    assert len(maps) == 4 * report.iterations
 
 
 # Newton solutions; the parent fixed point, run until its control update

@@ -11,7 +11,10 @@ keeps on its operator, so no second path can bypass the reuse.  Likewise
 matrix comes from the sparse maps of the ``fem.P1`` record.  The
 backtracking constants ``ARMIJO_FACTOR`` and ``NEWTON_MAX_HALVINGS`` are
 named only in ``solvers``, whose ``newton`` is the one damped-Newton
-loop.  Every public function has a caller in the package, or a recorded
+loop, and the inversion constants ``INVERT_TOL`` and
+``MAX_BRACKET_DOUBLINGS`` only where ``catalog`` defines them and inside
+its ``invert_monotone``, the one bracketed inversion of every monotone
+scalar map.  Every public function has a caller in the package, or a recorded
 reason to be kept without one, and every module-level UPPER_CASE
 constant is read by package code, so no knob outlives the code it tuned
 (a test that monkeypatches a constant does not read it).  Every import
@@ -198,6 +201,21 @@ def test_one_backtracking_site():
     assert name_sites(sample, BACKTRACKING) == [1, 2, 5]
     sites = {path.name: name_sites(path.read_text(), BACKTRACKING) for path in sorted(SRC.glob("*.py"))}
     assert [name for name, lines in sites.items() if lines] == ["solvers.py"]
+
+
+INVERSION = {"INVERT_TOL", "MAX_BRACKET_DOUBLINGS"}
+
+
+def test_one_inversion_site():
+    # zeta_i and delta_i are all MonotoneScalars, inverted by one bracketed Newton
+    sites = {path.name: name_sites(path.read_text(), INVERSION) for path in sorted(SRC.glob("*.py"))}
+    assert [name for name, lines in sites.items() if lines] == ["catalog.py"]
+    source = (SRC / "catalog.py").read_text()
+    definitions = [stmt.lineno for stmt in ast.parse(source).body if isinstance(stmt, ast.Assign)
+                   and any(isinstance(t, ast.Name) and t.id in INVERSION for t in stmt.targets)]
+    assert len(definitions) == len(INVERSION)
+    first, last = _enclosing(source, ast.FunctionDef, "invert_monotone")
+    assert [line for line in sites["catalog.py"] if not first <= line <= last] == definitions
 
 
 # public functions kept without a package caller, and why
