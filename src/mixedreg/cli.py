@@ -296,7 +296,7 @@ def _run_robinson(args, out_dir: Path, rng) -> tuple:
 
 
 def _run_frac_norm(args, out_dir: Path, rng) -> tuple:
-    mesh = _build_mesh(args.preset, args.level)
+    mesh = geometry.boundary_fan(args.preset, args.level)
     v = _nodal(mesh, "boundary", args.field)
     rep = fracnorm.gagliardo(v, args.tau, args.k)
     rows = [
@@ -346,7 +346,7 @@ def _c8_sweep(args, out_dir: Path, draws, measure, name: str) -> tuple:
     rows = []
     per_level_max = {}
     for level in args.levels:
-        mesh = _build_mesh(args.preset, level)
+        mesh = geometry.boundary_fan(args.preset, level)
         level_max = 0.0
         for i, draw in enumerate(draws):
             lhs, rhs, ratio = measure(mesh, draw)

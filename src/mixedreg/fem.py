@@ -205,8 +205,10 @@ class P1:
     Each part is built on first use, so boundary-only work never touches
     the interior, not even its maps ``interior_interp`` (Q),
     ``interior_integral`` (W) and ``gradient`` (Gx, Gy); the boundary's
-    is ``edge_ends``.  ``operator`` keeps the matrix of the last spec it
-    was asked for and reassembles when a different spec object comes.  The Gagliardo weights of the few
+    is ``edge_ends``.  Nor does it build the interior mesh: the boundary
+    commands work on ``geometry.boundary_fan``.  ``operator`` keeps the
+    matrix of the last spec it was asked for and reassembles when a
+    different spec object comes.  The Gagliardo weights of the few
     most recent betas are kept while they fit one far-field chunk.  The
     mesh is held weakly: the mesh owns the record.
     """

@@ -5,7 +5,10 @@ its input, so meshes can be shared freely across solver calls.  Supported
 analytic presets are the unit disk and an axis-aligned ellipse; boundary
 vertices of preset meshes always lie exactly on the analytic curve.
 Validation builds each mesh's edge table once and keeps it on the mesh,
-where ``refine`` reads it to number the new midpoints.
+where ``refine`` reads it to number the new midpoints.  ``boundary_fan``
+meshes only a level's boundary polygon, one fan around the origin, for
+work that reads nothing but the boundary loop; its level is that of the
+loop it carries.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import numpy as np
 __all__ = [
     "Mesh",
     "MeshError",
+    "boundary_fan",
     "build_disk_mesh",
     "build_ellipse_mesh",
     "mesh_from_arrays",
@@ -93,6 +97,8 @@ class Mesh:
         Boundary vertex indices in counterclockwise loop order; edge k
         joins ``boundary_loop[k]`` to ``boundary_loop[(k+1) % nb]``.
     refinement_level : int
+        Refinements from the 8-edge preset fan; for a ``boundary_fan``, the
+        level of the boundary loop it carries.
     preset : str or None
         Analytic curve the boundary vertices lie on ("disk", "ellipse"),
         or None for hand-built meshes (refinement then uses chord midpoints).
@@ -199,19 +205,36 @@ class Mesh:
         return float(np.max(np.linalg.norm(d, axis=1)))
 
 
+def _arc_midpoints(params: np.ndarray) -> np.ndarray:
+    """Parameter midpoint of each loop edge, params[k] on to params[k + 1], for arcs shorter than pi."""
+    return (params + 0.5 * ((np.roll(params, -1) - params) % (2.0 * np.pi))) % (2.0 * np.pi)
+
+
+def boundary_fan(preset: str, level: int) -> Mesh:
+    """The boundary polygon of the level-``level`` preset mesh, meshed as one fan around the origin.
+
+    Its loop vertices, ``boundary_params``, edge lengths and normals are
+    the full mesh's bit for bit, from nb + 1 vertices and nb triangles; it
+    carries no refinement parentage.
+    """
+    if not 0 <= level <= MAX_LEVEL:
+        raise MeshError(f"level must lie in [0, {MAX_LEVEL}], got {level}")
+    params = 2.0 * np.pi * np.arange(8) / 8.0
+    ring = _curve_point(preset, params)
+    for _ in range(level):
+        mids = _arc_midpoints(params)
+        params = np.stack([params, mids], axis=1).reshape(-1)
+        ring = np.stack([ring, _curve_point(preset, mids)], axis=1).reshape(-1, 2)
+    k = np.arange(params.size)
+    tris = np.stack([np.zeros_like(k), 1 + k, 1 + (k + 1) % k.size], axis=1)
+    return Mesh(vertices=np.vstack([[0.0, 0.0], ring]), triangles=tris, boundary_loop=1 + k,
+                refinement_level=level, preset=preset, boundary_params=params)
+
+
 def _fan_mesh(preset: str, level: int) -> Mesh:
-    thetas = 2.0 * np.pi * np.arange(8) / 8.0
-    ring = _curve_point(preset, thetas)
-    vertices = np.vstack([[0.0, 0.0], ring])
-    tris = np.array([[0, 1 + k, 1 + (k + 1) % 8] for k in range(8)], dtype=np.int64)
-    mesh = Mesh(
-        vertices=vertices,
-        triangles=tris,
-        boundary_loop=np.arange(1, 9, dtype=np.int64),
-        refinement_level=0,
-        preset=preset,
-        boundary_params=thetas,
-    )
+    if not 0 <= level <= MAX_LEVEL:
+        raise MeshError(f"level must lie in [0, {MAX_LEVEL}], got {level}")
+    mesh = boundary_fan(preset, 0)
     for _ in range(level):
         mesh = refine(mesh)
     return mesh
@@ -224,15 +247,11 @@ def build_disk_mesh(level: int) -> Mesh:
     splits every triangle in four and snaps new boundary vertices onto
     the unit circle.
     """
-    if not 0 <= level <= MAX_LEVEL:
-        raise MeshError(f"level must lie in [0, {MAX_LEVEL}], got {level}")
     return _fan_mesh("disk", level)
 
 
 def build_ellipse_mesh(level: int) -> Mesh:
     """Uniform triangulation of the ellipse with semi-axes 1.5 and 1.0."""
-    if not 0 <= level <= MAX_LEVEL:
-        raise MeshError(f"level must lie in [0, {MAX_LEVEL}], got {level}")
     return _fan_mesh("ellipse", level)
 
 
@@ -254,14 +273,7 @@ def refine(mesh: Mesh) -> Mesh:
     params = mesh.boundary_params
     fine_params = None
     if mesh.preset is not None:
-        # curve parameter midpoint along the shorter arc, from the smaller vertex index
-        t0, t1 = params, np.roll(params, -1)
-        swap = mesh.boundary_edges[:, 0] > mesh.boundary_edges[:, 1]
-        ta, tb = np.where(swap, t1, t0), np.where(swap, t0, t1)
-        delta = (tb - ta) % (2.0 * np.pi)
-        flip = delta > np.pi
-        ta, delta = np.where(flip, tb, ta), np.where(flip, (ta - tb) % (2.0 * np.pi), delta)
-        mid_params = (ta + 0.5 * delta) % (2.0 * np.pi)
+        mid_params = _arc_midpoints(params)
         midpoints[loop_edge] = _curve_point(mesh.preset, mid_params)
         fine_params = np.stack([params, mid_params], axis=1).reshape(-1)
 

@@ -106,12 +106,13 @@ def smooth_solution(configs, disk):
 
 
 @pytest.fixture(scope="session")
-def fourier_sweep(disk):
+def fourier_sweep():
     """Seeded band-limited fields pushed through both composition checks.
 
     The Fourier coefficients are drawn once per field so every level
     evaluates the same function; refinement stability is meaningless for
-    fields that change with the mesh.
+    fields that change with the mesh.  Like the C8 commands, it builds
+    only the boundary polygon of each level.
     """
     levels = (3, 4, 5, 6)
 
@@ -119,7 +120,7 @@ def fourier_sweep(disk):
     chain_draws = [_fourier_coeffs(rng) for _ in range(50)]
     chain_max = {}
     for level in levels:
-        mesh = disk(level)
+        mesh = geometry.boundary_fan("disk", level)
         worst = 0.0
         for coeffs in chain_draws:
             v = _fourier_field(mesh, coeffs, 5.0)
@@ -131,7 +132,7 @@ def fourier_sweep(disk):
     prod_draws = [(_fourier_coeffs(rng), _fourier_coeffs(rng)) for _ in range(50)]
     prod_max = {}
     for level in levels:
-        mesh = disk(level)
+        mesh = geometry.boundary_fan("disk", level)
         worst = 0.0
         for c1, c2 in prod_draws:
             v1 = _fourier_field(mesh, c1, 2.0)

@@ -4,6 +4,8 @@ import hashlib
 import json
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -192,6 +194,49 @@ def test_regularity_artifacts_are_pinned(tmp_path, config):
     assert code == (0 if config == "smooth_constrained" else 3)
     got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in REGULARITY_DIGESTS[config]}
     assert got == REGULARITY_DIGESTS[config]
+
+
+# SHA-256 of the CSV each boundary command writes, taken with one BLAS thread
+# while frac-norm, chain-rule and product-rule still built the full disk or
+# ellipse triangulation.  They now build only its boundary polygon, whose loop
+# is the same bit for bit.  product_rule.csv moves with the BLAS thread count
+# (see C10), so a child process pins one thread.
+BOUNDARY_DIGESTS = {
+    ("frac-norm", "--tau", "0.5", "--k", "2", "--level", "4", "--field", "x1"):
+        ("fracnorm.csv", "5399f057c058bfb89db8393f0ff26fe7b68b92eeaa8956c94772a2dccf29212d"),
+    ("frac-norm", "--preset", "ellipse", "--tau", "0.3", "--k", "3", "--level", "3", "--field", "x1*x2"):
+        ("fracnorm.csv", "e8cf5cc866fdea4d4ef296c925a4a921f2c7ee995477028881cc2c0a4af4b11e"),
+    ("chain-rule", "--levels", "3", "4", "--samples", "3"):
+        ("chain_rule.csv", "32767724da3bdcbcfb49aa2d4cc4d641d68ba250299998b143fdc5227cfa8722"),
+    ("product-rule", "--levels", "3", "4", "--samples", "3"):
+        ("product_rule.csv", "4ee1279b24061f97b36d17a721ede1a421f38d2c81481a43931081f67204a7ab"),
+}
+
+
+def test_boundary_artifacts_are_pinned(tmp_path):
+    runs = [["--out", str(tmp_path / str(i)), *argv] for i, argv in enumerate(BOUNDARY_DIGESTS)]
+    child = "import json, sys\nfrom mixedreg import cli\nsys.exit(max(cli.main(a) for a in json.loads(sys.argv[1])))"
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-c", child, json.dumps(runs)], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    got = {argv: (name, hashlib.sha256((tmp_path / str(i) / name).read_bytes()).hexdigest())
+           for i, (argv, (name, _)) in enumerate(BOUNDARY_DIGESTS.items())}
+    assert got == BOUNDARY_DIGESTS
+
+
+@pytest.mark.parametrize("argv", [
+    ["frac-norm", "--tau", "0.5", "--k", "2", "--level", "4"],
+    ["chain-rule", "--levels", "3", "4", "--samples", "2"],
+    ["product-rule", "--preset", "ellipse", "--levels", "3", "4", "--samples", "2"],
+], ids=lambda argv: argv[0])
+def test_boundary_commands_build_no_interior(tmp_path, monkeypatch, argv):
+    def refuse(mesh):
+        raise AssertionError("a boundary command refined a triangulation")
+
+    monkeypatch.setattr(geometry, "refine", refuse)
+    code, _, _ = run(argv, tmp_path)
+    assert code == 0
 
 
 def test_robinson(tmp_path):

@@ -241,7 +241,8 @@ def test_probe_step_field_diverges_logarithmically(disk):
 GOLDEN_PAIRS = ((1.0 / 3.0, 2.0), (0.25, 1.0), (0.5, 2.0), (0.75, 4.0))
 # seminorm_I of fourier_probe for GOLDEN_PAIRS, computed by the earlier
 # quadrature that built every weight inside each call; the record keeps one
-# chunk up to level 6 and streams four chunks at level 7
+# chunk up to level 6 and streams four chunks at level 7.  Boundary-only
+# work reads nothing of the interior, so these tests build the boundary fan.
 GOLDEN_SEMINORMS = {
     3: (35.13348079453367, 35.444166764544626, 38.08534276692461, 90.46161453873229),
     5: (35.42549277735052, 35.60490135326795, 38.46530078413479, 92.85627364873683),
@@ -256,8 +257,8 @@ def fourier_probe(mesh):
 
 
 @pytest.mark.parametrize("level", sorted(GOLDEN_SEMINORMS))
-def test_golden_seminorms(level, disk):
-    m = geometry.build_disk_mesh(level) if level == 7 else disk(level)
+def test_golden_seminorms(level):
+    m = geometry.boundary_fan("disk", level)
     v = fourier_probe(m)
     for (tau, k), expected in zip(GOLDEN_PAIRS, GOLDEN_SEMINORMS[level]):
         assert gagliardo(v, tau, k).seminorm_I == pytest.approx(expected, rel=1e-13, abs=0.0)
@@ -299,7 +300,7 @@ def test_product_check_builds_one_table_per_beta(monkeypatch):
 def test_kept_table_is_an_upper_staircase():
     # each unordered pair once: row blocks [r0, r1) over the columns [r0, 2 nb),
     # about half the ordered table at level 6
-    m = geometry.build_disk_mesh(6)
+    m = geometry.boundary_fan("disk", 6)
     npts = 2 * m.n_boundary
     blocks = list(fem.p1(m).far_field(2.0))
     assert [rows.start for rows, _ in blocks] == [0] + [rows.stop for rows, _ in blocks[:-1]]
@@ -312,7 +313,7 @@ def test_kept_table_is_an_upper_staircase():
 
 
 def test_record_keeps_the_most_recent_betas():
-    m = geometry.build_disk_mesh(6)
+    m = geometry.boundary_fan("disk", 6)
     rec = fem.p1(m)
     v = random_field(m, 8)
     taus = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6)
@@ -328,7 +329,7 @@ def test_record_keeps_the_most_recent_betas():
 
 def test_streamed_mesh_keeps_no_weights(monkeypatch):
     built = count_far_field_builds(monkeypatch)
-    m = geometry.build_disk_mesh(7)  # nb = 1024: 2048^2 pairs, four chunks
+    m = geometry.boundary_fan("disk", 7)  # nb = 1024: 2048^2 pairs, four chunks
     rec = fem.p1(m)
     v = cos_field(m)
     first = gagliardo(v, 0.5, 2.0).seminorm_I
@@ -434,9 +435,9 @@ def test_unordered_far_field_matches_the_ordered_sum(field, tk):
 
 
 @pytest.mark.parametrize("level", [6, 7])
-def test_adjacent_moments_match_the_difference_form(level, disk):
+def test_adjacent_moments_match_the_difference_form(level):
     # level 6 keeps the weights, level 7 streams them
-    m = geometry.build_disk_mesh(level) if level == 7 else disk(level)
+    m = geometry.boundary_fan("disk", level)
     v = fourier_probe(m)
     s, t, moments, weights = fem.p1(m).adjacent(2.0)
     vals = v.values

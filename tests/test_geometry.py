@@ -1,6 +1,7 @@
 """Mesh construction, refinement, and boundary metric."""
 
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import oracles
-from mixedreg import geometry
+from mixedreg import fem, geometry
 from mixedreg.geometry import Mesh, MeshError, build_disk_mesh, build_ellipse_mesh, mesh_from_arrays, refine
 
 OCTAGON_PERIMETER = 16.0 * np.sin(np.pi / 8.0)
@@ -179,6 +180,41 @@ def test_level_bounds():
         build_disk_mesh(-1)
     with pytest.raises(MeshError):
         build_disk_mesh(11)
+
+
+FULL_BUILDERS = {"disk": build_disk_mesh, "ellipse": build_ellipse_mesh}
+
+
+def _loop_bytes(m):
+    """Everything boundary work reads of a mesh, as bytes."""
+    parts = (m.vertices[m.boundary_loop], m.boundary_params, m.boundary_edge_lengths, m.boundary_normals)
+    return [np.ascontiguousarray(a).tobytes() for a in parts]
+
+
+@pytest.mark.parametrize("preset", sorted(FULL_BUILDERS))
+def test_boundary_fan_carries_the_full_loop_bit_for_bit(preset, disk):
+    for level in range(8):
+        full = disk(level) if preset == "disk" else FULL_BUILDERS[preset](level)
+        fan = geometry.boundary_fan(preset, level)
+        assert _loop_bytes(fan) == _loop_bytes(full)
+        nb = full.n_boundary
+        assert (fan.n_vertices, fan.triangles.shape[0], fan.refinement_level) == (nb + 1, nb, level)
+        assert np.all(fan.triangle_areas() > 0.0)
+
+
+def test_boundary_fan_has_no_parentage():
+    coarse, fan = geometry.boundary_fan("disk", 1), geometry.boundary_fan("disk", 2)
+    assert fan.parents is None
+    with pytest.raises(fem.FieldError, match="no refinement parentage"):
+        fem.prolong(fem.boundary_field(coarse, 1.0), fan)
+
+
+@pytest.mark.parametrize("level", [-1, geometry.MAX_LEVEL + 1])
+def test_boundary_fan_rejects_levels_as_the_full_builder_does(level):
+    with pytest.raises(MeshError) as full:
+        build_disk_mesh(level)
+    with pytest.raises(MeshError, match=re.escape(str(full.value))):
+        geometry.boundary_fan("disk", level)
 
 
 def test_ellipse_preset():
