@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from . import fem
+from . import fem, geometry
 from .expressions import Add, Const, EvalError, Expr, Mul, ParseError, SPow, Value, parse_expr
 
 __all__ = [
@@ -58,7 +58,7 @@ class ConfigError(ValueError):
 
 
 class InversionError(RuntimeError):
-    """Monotone inversion failed to bracket or converge."""
+    """Monotone inversion failed to bracket or converge, or the projection met a slope that is not positive."""
 
 
 @dataclass
@@ -219,7 +219,7 @@ class ProblemSpec:
     N: int = 2
 
     def __post_init__(self) -> None:
-        if self.preset not in ("disk", "ellipse"):
+        if self.preset not in geometry.PRESETS:
             raise SpecError(f"unknown mesh preset {self.preset!r}")
         if self.N < 2:
             raise SpecError("dimension must be >= 2")

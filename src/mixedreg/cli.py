@@ -90,11 +90,6 @@ def _write_csv(out_dir: Path, name: str, header: str, rows) -> str:
     return _write_text(out_dir, name, "\n".join([header, *rows]))
 
 
-def _build_mesh(preset: str, level: int):
-    build = geometry.build_disk_mesh if preset == "disk" else geometry.build_ellipse_mesh
-    return build(level)
-
-
 def _nodal(mesh, role: str, expr_text: str) -> FEField:
     """The expression in x1, x2 at the nodes of a field of ``role``; the value variable is refused."""
     expr = parse_expr(expr_text)
@@ -141,7 +136,7 @@ def _run_exponents(args, out_dir: Path, rng) -> tuple:
 
 def _run_check(args, out_dir: Path, rng) -> tuple:
     spec = load_problem_config(args.config)
-    mesh = _build_mesh(spec.preset, args.level)
+    mesh = geometry.build_mesh(spec.preset, args.level)
     report = check_assumptions(spec, mesh)
     artifacts = [_write_text(out_dir, "assumptions.txt", str(report))]
     checks = [
@@ -152,7 +147,7 @@ def _run_check(args, out_dir: Path, rng) -> tuple:
 
 def _run_solve_state(args, out_dir: Path, rng) -> tuple:
     spec = load_problem_config(args.config)
-    mesh = _build_mesh(spec.preset, args.level)
+    mesh = geometry.build_mesh(spec.preset, args.level)
     u = _nodal(mesh, "domain", args.u_expr)
     v = _nodal(mesh, "boundary", args.v_expr)
     rep = solvers.solve_state(spec, u, v, newton_tol=args.newton_tol)
@@ -179,7 +174,7 @@ def _run_solve_state(args, out_dir: Path, rng) -> tuple:
 
 def _run_gradient_check(args, out_dir: Path, rng) -> tuple:
     spec = load_problem_config(args.config)
-    mesh = _build_mesh(spec.preset, args.level)
+    mesh = geometry.build_mesh(spec.preset, args.level)
     n, nb = mesh.n_vertices, mesh.n_boundary
     u = FEField(mesh, "domain", 0.5 * rng.standard_normal(n))
     v = FEField(mesh, "boundary", 0.5 * rng.standard_normal(nb))
@@ -236,7 +231,7 @@ def _kkt_field_files(out_dir: Path, state: kkt.KKTState) -> list:
 
 def _run_solve_kkt(args, out_dir: Path, rng) -> tuple:
     spec = load_problem_config(args.config)
-    mesh = _build_mesh(spec.preset, args.level)
+    mesh = geometry.build_mesh(spec.preset, args.level)
     start = kkt.cold_start(spec, fem.domain_field(mesh, 0.0), fem.boundary_field(mesh, 0.0))
     state, report = kkt.solve_kkt(spec, start, max_iter=args.max_iter, kkt_tol=args.kkt_tol)
     artifacts = [
@@ -270,7 +265,7 @@ def _run_solve_kkt(args, out_dir: Path, rng) -> tuple:
 
 def _run_robinson(args, out_dir: Path, rng) -> tuple:
     spec = load_problem_config(args.config)
-    mesh = _build_mesh(spec.preset, args.level)
+    mesh = geometry.build_mesh(spec.preset, args.level)
     z = (fem.domain_field(mesh, 0.0), fem.boundary_field(mesh, 0.0))
     targets = [
         (
@@ -446,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_c8_sweep(name: str, about: str, tau: float, k: float):
         p = sub.add_parser(name, help=about)
-        p.add_argument("--preset", choices=("disk", "ellipse"), default="disk")
+        p.add_argument("--preset", choices=tuple(geometry.PRESETS), default="disk")
         p.add_argument("--levels", type=int, nargs="+", default=[3, 4])
         p.add_argument("--tau", type=float, default=tau)
         p.add_argument("--k", type=float, default=k)
@@ -489,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-8)
 
     p = sub.add_parser("frac-norm", help="fractional boundary norm of a field expression")
-    p.add_argument("--preset", choices=("disk", "ellipse"), default="disk")
+    p.add_argument("--preset", choices=tuple(geometry.PRESETS), default="disk")
     p.add_argument("--level", type=int, default=4)
     p.add_argument("--tau", type=float, required=True)
     p.add_argument("--k", type=float, required=True)

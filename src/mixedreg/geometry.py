@@ -1,9 +1,11 @@
 """Triangulated planar domains with piecewise-linear boundary loops.
 
 Meshes are value objects: ``refine`` returns a new mesh and never mutates
-its input, so meshes can be shared freely across solver calls.  Supported
-analytic presets are the unit disk and an axis-aligned ellipse; boundary
-vertices of preset meshes always lie exactly on the analytic curve.
+its input, so meshes can be shared freely across solver calls.  ``PRESETS``
+is the one list of analytic domains, the unit disk and an axis-aligned
+ellipse, each by its semi-axes; ``build_mesh(preset, level)`` triangulates
+one, and boundary vertices of preset meshes always lie exactly on the
+analytic curve.
 Validation builds each mesh's edge table once and keeps it on the mesh,
 where ``refine`` reads it to number the new midpoints.  ``boundary_fan``
 meshes only a level's boundary polygon, one fan around the origin, for
@@ -20,17 +22,17 @@ import numpy as np
 __all__ = [
     "Mesh",
     "MeshError",
+    "PRESETS",
     "boundary_fan",
-    "build_disk_mesh",
-    "build_ellipse_mesh",
+    "build_mesh",
     "mesh_from_arrays",
     "refine",
 ]
 
 MAX_LEVEL = 10
 
-ELLIPSE_A = 1.5
-ELLIPSE_B = 1.0
+# semi-axes (a, b) of each preset's boundary curve (a cos t, b sin t)
+PRESETS = {"disk": (1.0, 1.0), "ellipse": (1.5, 1.0)}
 
 
 class MeshError(ValueError):
@@ -39,11 +41,10 @@ class MeshError(ValueError):
 
 def _curve_point(preset: str, theta: np.ndarray) -> np.ndarray:
     """Point on the analytic boundary curve at parameter angle theta."""
-    if preset == "disk":
-        return np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-    if preset == "ellipse":
-        return np.stack([ELLIPSE_A * np.cos(theta), ELLIPSE_B * np.sin(theta)], axis=-1)
-    raise MeshError(f"unknown boundary preset {preset!r}")
+    if preset not in PRESETS:
+        raise MeshError(f"unknown boundary preset {preset!r}")
+    a, b = PRESETS[preset]
+    return np.stack([a * np.cos(theta), b * np.sin(theta)], axis=-1)
 
 
 def _pair_keys(pairs: np.ndarray, n: int) -> np.ndarray:
@@ -100,8 +101,8 @@ class Mesh:
         Refinements from the 8-edge preset fan; for a ``boundary_fan``, the
         level of the boundary loop it carries.
     preset : str or None
-        Analytic curve the boundary vertices lie on ("disk", "ellipse"),
-        or None for hand-built meshes (refinement then uses chord midpoints).
+        Key of the ``PRESETS`` curve the boundary vertices lie on, or None
+        for hand-built meshes (refinement then uses chord midpoints).
     boundary_params : (nb,) float array or None
         Curve parameter of each boundary vertex for preset meshes.
     parents : (n, 2) int array or None
@@ -231,28 +232,19 @@ def boundary_fan(preset: str, level: int) -> Mesh:
                 refinement_level=level, preset=preset, boundary_params=params)
 
 
-def _fan_mesh(preset: str, level: int) -> Mesh:
+def build_mesh(preset: str, level: int) -> Mesh:
+    """Uniform triangulation of a ``PRESETS`` domain with 8 * 2**level boundary edges.
+
+    Level 0 is a fan of 8 triangles around the origin; each refinement
+    splits every triangle in four and snaps new boundary vertices onto
+    the preset's curve.
+    """
     if not 0 <= level <= MAX_LEVEL:
         raise MeshError(f"level must lie in [0, {MAX_LEVEL}], got {level}")
     mesh = boundary_fan(preset, 0)
     for _ in range(level):
         mesh = refine(mesh)
     return mesh
-
-
-def build_disk_mesh(level: int) -> Mesh:
-    """Uniform triangulation of the unit disk with 8 * 2**level boundary edges.
-
-    Level 0 is a fan of 8 triangles around the origin; each refinement
-    splits every triangle in four and snaps new boundary vertices onto
-    the unit circle.
-    """
-    return _fan_mesh("disk", level)
-
-
-def build_ellipse_mesh(level: int) -> Mesh:
-    """Uniform triangulation of the ellipse with semi-axes 1.5 and 1.0."""
-    return _fan_mesh("ellipse", level)
 
 
 def refine(mesh: Mesh) -> Mesh:

@@ -21,7 +21,8 @@ shifts) is written once and applied to both halves.
 
 The projection eliminates the controls: with w = delta_i^{-1}(-phi) at
 each node, the control is min(w, b), the node is active where w > b, and
-there the multiplier is -(delta_i(b) + phi) / zeta_i'(b).  Each half
+there the multiplier is -(delta_i(b) + phi) / zeta_i'(b), which raises
+``InversionError`` where that slope is not positive.  Each half
 thus makes two ``invert_monotone`` calls per iterate, for b and for w.
 What remains is a nonsmooth system F(y, phi) = 0 of the state and
 adjoint equations, which ``solve_kkt`` solves by semismooth Newton from
@@ -51,7 +52,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fem
-from .catalog import MonotoneScalar, ProblemSpec, SpecError, invert_monotone
+from .catalog import InversionError, MonotoneScalar, ProblemSpec, SpecError, invert_monotone
 from .fem import FEField, LinearSolveError
 from .solvers import (
     NEWTON_TOL,
@@ -62,7 +63,6 @@ from .solvers import (
     newton,
     second_variation_matrix,
     semilinear_operator,
-    solve_adjoint,
     solve_state,
 )
 
@@ -241,10 +241,9 @@ def objective(spec: ProblemSpec, y: FEField, u: FEField, v: FEField) -> float:
 
 
 def _tracking_adjoint(spec: ProblemSpec, y: FEField, linearized: fem.SparseOperator):
-    """Adjoint at y driven by the tracking derivatives alone (no multipliers)."""
-    rhs_d = FEField(y.mesh, "domain", fem.nodal(spec.L_y, y))
-    rhs_b = FEField(y.mesh, "boundary", fem.nodal(spec.ell_y, fem.trace(y)))
-    return solve_adjoint(spec, y, rhs_d, rhs_b, linearized)
+    """Adjoint at y driven by the tracking derivatives alone; ``linearized`` is its (symmetric) matrix."""
+    load = fem.p1(y.mesh).load(fem.nodal(spec.L_y, y), fem.nodal(spec.ell_y, fem.trace(y)))
+    return FEField(y.mesh, "domain", fem.solve_linear(linearized, load))
 
 
 def reduced_gradient(spec: ProblemSpec, u: FEField, v: FEField, state: StateSolveReport | None = None):
@@ -285,7 +284,13 @@ def _minimize(h: _Half, phi: FEField) -> _Minimizer:
     active = w > h.bound
     psi = np.zeros(active.shape)
     b = h.bound[active]
-    psi[active] = -(h.delta.value(b) + at[active]) / np.asarray(h.zeta.slope(b))
+    slope = np.broadcast_to(h.zeta.slope(b), b.shape)
+    bad = np.flatnonzero(~(slope > 0.0))
+    if bad.size:
+        raise InversionError(
+            f"zeta'(b) = {slope[bad[0]]:g} at an active bound b = {b[bad[0]]:g}: the multiplier needs it positive"
+        )
+    psi[active] = -(h.delta.value(b) + at[active]) / slope
     # the offset from the bound, projected on the nonpositive half-line: feasible exactly
     return _Minimizer(at, w, active, np.minimum(w - h.bound, 0.0) + h.bound, psi)
 

@@ -144,7 +144,9 @@ def refinement_study(
 ) -> dict:
     """Solve the optimality system on nested meshes and track seminorms.
 
-    ``levels`` must be consecutive integers.  The first level's solve
+    ``levels`` must be consecutive integers.  The first level's mesh is
+    ``geometry.build_mesh(spec.preset, levels[0])`` and each later
+    level's the refinement of the one before.  The first level's solve
     starts from ``kkt.cold_start`` of zero controls, each later level's
     from the previous level's y and phi prolonged onto the refined mesh.
     A level where the solver does not converge is still recorded (marked
@@ -160,8 +162,7 @@ def refinement_study(
     if any(b - a != 1 for a, b in zip(levels[:-1], levels[1:])):
         raise ValueError(f"levels must be consecutive for nested iteration, got {levels}")
 
-    build = geometry.build_disk_mesh if spec.preset == "disk" else geometry.build_ellipse_mesh
-    mesh = build(levels[0])
+    mesh = geometry.build_mesh(spec.preset, levels[0])
     start = kkt.cold_start(spec, fem.domain_field(mesh, 0.0), fem.boundary_field(mesh, 0.0))
 
     reports = {name: RegularityReport(field_name=name) for name in STUDY_FIELDS}

@@ -1,9 +1,10 @@
-"""State and adjoint solves plus integrability bookkeeping.
+"""State solves plus integrability bookkeeping.
 
 The semilinear state equation is solved by ``newton``, the damped Newton
 loop with Armijo backtracking on the residual norm that ``kkt.solve_kkt``
 shares; the linearized state and adjoint problems share one symmetric
-matrix, so the discrete adjoint identity holds to solver tolerance.  A
+matrix, ``linearized_matrix``, with which ``kkt`` solves the adjoint, so
+the discrete adjoint identity holds to solver tolerance.  A
 :class:`StateSolveReport` keeps the linearization at its state, and so
 that operator's sparse LU, for as long as the report lives; solves
 seeded with the report share it.  The elliptic operator,
@@ -37,7 +38,6 @@ __all__ = [
     "linearized_matrix",
     "second_variation_matrix",
     "solve_state",
-    "solve_adjoint",
 ]
 
 NEWTON_TOL = 1e-10
@@ -244,24 +244,3 @@ def solve_state(
         spec=spec,
         residual_history=history,
     )
-
-
-def solve_adjoint(
-    spec: ProblemSpec,
-    y: FEField,
-    rhs_domain: FEField,
-    rhs_boundary: FEField,
-    linearized: fem.SparseOperator,
-) -> FEField:
-    """Adjoint solve at y; the matrix equals the linearized-state matrix.
-
-    With symmetric diffusion coefficients the discrete operator is its own
-    transpose, so linearized and adjoint problems share assembly and the
-    duality pairing is exact to solver tolerance.  ``linearized`` is
-    ``linearized_matrix(spec, y)``, which the caller already holds.
-    """
-    mesh = y.mesh
-    if rhs_domain.role != "domain" or rhs_boundary.role != "boundary":
-        raise fem.FieldError("adjoint right-hand sides must be a (domain, boundary) pair")
-    phi = fem.solve_linear(linearized, fem.p1(mesh).load(rhs_domain.values, rhs_boundary.values))
-    return FEField(mesh, "domain", phi)

@@ -24,7 +24,7 @@ def disk():
 
     def get(level):
         if level not in cache:
-            cache[level] = geometry.build_disk_mesh(level)
+            cache[level] = geometry.build_mesh("disk", level)
         return cache[level]
 
     return get

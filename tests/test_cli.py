@@ -41,6 +41,17 @@ def cfg(name):
     return str(CONFIGS / f"{name}.cfg")
 
 
+def cfg_copy(tmp_path, name, **settings):
+    """A copy of config ``name`` under tmp_path with each ``key = value`` line of ``settings`` replaced."""
+    text = (CONFIGS / f"{name}.cfg").read_text()
+    for key, value in settings.items():
+        text, count = re.subn(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
+        assert count == 1, key
+    path = tmp_path / f"{name}_copy.cfg"
+    path.write_text(text)
+    return str(path)
+
+
 # ---------------------------------------------------------------------------
 # one run per subcommand
 
@@ -79,7 +90,7 @@ def test_solve_state(tmp_path):
     assert code == 0
     assert summary["artifacts"] == ["state.mf"]
     coords, values = fem.read_meshfield(str(out / "state.mf"))
-    mesh = geometry.build_disk_mesh(3)
+    mesh = geometry.build_mesh("disk", 3)
     assert coords.shape == (mesh.n_vertices, 2)
     assert np.all(np.isfinite(values))
     # growth ratio (|y|_inf + |y|_H1) / (|u|_L2 + |v|_L2), positive for nonzero controls
@@ -315,6 +326,26 @@ def test_regularity(tmp_path):
     assert flags["u"]["stabilization"] is True
 
 
+def test_config_commands_run_on_the_ellipse(tmp_path):
+    config = cfg_copy(tmp_path, "smooth_constrained", preset="ellipse")
+    code, out, _ = run(["solve-state", "--config", config, "--level", "2"], tmp_path, "state")
+    assert code == 0
+    coords, _ = fem.read_meshfield(str(out / "state.mf"))
+    boundary = coords[geometry.build_mesh("ellipse", 2).boundary_loop]
+    assert np.max(np.abs((boundary[:, 0] / 1.5) ** 2 + boundary[:, 1] ** 2 - 1.0)) < 1e-12
+    assert np.max(np.abs(coords[:, 0])) == 1.5
+
+    code, out, _ = run(["regularity", "--config", config, "--levels", "2", "3", "--kkt-tol", "5e-3"],
+                       tmp_path, "study")
+    assert code in (cli.EXIT_OK, cli.EXIT_SOLVER)
+    flags = json.loads((out / "regularity_flags.json").read_text())
+    assert all(flag["levels_converged"] == [True, True] for flag in flags.values())
+    rows = [line.split(",") for line in (out / "regularity.csv").read_text().split()[1:]]
+    assert {(int(row[1]), float(row[2])) for row in rows} == {
+        (level, geometry.build_mesh("ellipse", level).mesh_size()) for level in (2, 3)
+    }
+
+
 # ---------------------------------------------------------------------------
 # failure paths
 
@@ -463,6 +494,20 @@ def test_unknown_subcommand_exits_two(tmp_path, capsys):
                   "--levels"])
     assert exc.value.code == 2
     assert "expected at least one argument" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "argv", [["solve-kkt", "--level", "2"], ["regularity", "--levels", "2", "3"]], ids=lambda a: a[0]
+)
+def test_zero_slope_at_an_active_bound_is_a_solver_failure(tmp_path, argv):
+    # zero controls give y = 0, where g1 = -1.6 x1 vanishes at the vertices on x1 = 0: their
+    # bound is b = 0, and zeta1'(b) = 3 b^2 vanishes there
+    config = cfg_copy(tmp_path, "smooth_constrained", g1="y - 1.6*x1", zeta1="t^3", rho1="1")
+    code, _, summary = run([argv[0], "--config", config, *argv[1:]], tmp_path)
+    assert code == 3
+    assert [(c["name"], c["passed"]) for c in summary["checks"]] == [("solver-completed", False)]
+    assert summary["checks"][0]["detail"].startswith("InversionError: zeta'(b) = 0 ")
 
 
 def test_nonconverged_solve_reports_and_exits_three(tmp_path):

@@ -28,7 +28,7 @@ from mixedreg.fem import (
     write_meshfield,
 )
 from mixedreg.fracnorm import gagliardo
-from mixedreg.geometry import build_disk_mesh, build_ellipse_mesh, mesh_from_arrays
+from mixedreg.geometry import PRESETS, build_mesh, mesh_from_arrays
 
 
 @pytest.fixture(scope="module")
@@ -71,15 +71,20 @@ def test_assembled_matrices_match_dense_oracle(disk, stiffness_spec):
         assert np.max(np.abs(rec.load(f, g) - load_ref)) < 1e-14
 
 
+def builder_id(value):
+    """The builder-function name each preset's tests carry as their id, so a test keeps its name."""
+    return f"build_{value}_mesh" if isinstance(value, str) else None
+
+
 # variable, elliptic and anisotropic on both presets (x1 >= -1.5, so a11 >= 0.5 and |a12| <= 0.5)
 ANISOTROPIC = {"a11": "2 + x1", "a12": "0.5*x2", "a22": "1 + x2^2", "a0": "1 + x1^2"}
 
 
-@pytest.mark.parametrize("build", [build_disk_mesh, build_ellipse_mesh])
-def test_anisotropic_operator_matches_dense_oracle(build, identity_spec):
+@pytest.mark.parametrize("preset", sorted(PRESETS), ids=builder_id)
+def test_anisotropic_operator_matches_dense_oracle(preset, identity_spec):
     spec = dataclasses.replace(identity_spec, **ANISOTROPIC)
     for level in (2, 3):
-        m = build(level)
+        m = build_mesh(preset, level)
         K_ref = oracles.dense_midpoint_operator(
             m, lambda x1, x2: 2.0 + x1, lambda x1, x2: 0.5 * x2, lambda x1, x2: 1.0 + x2 * x2,
             lambda x1, x2: 1.0 + x1 * x1,
@@ -88,18 +93,18 @@ def test_anisotropic_operator_matches_dense_oracle(build, identity_spec):
         assert np.max(np.abs(K - K_ref)) <= 1e-13 * np.max(np.abs(K_ref))
 
 
-@pytest.mark.parametrize("build", [build_disk_mesh, build_ellipse_mesh])
-def test_weighted_mass_matches_dense_oracle(build):
-    m = build(3)
+@pytest.mark.parametrize("preset", sorted(PRESETS), ids=builder_id)
+def test_weighted_mass_matches_dense_oracle(preset):
+    m = build_mesh(preset, 3)
     weight = np.random.default_rng(7).standard_normal(3 * m.triangles.shape[0])
     M_ref = oracles.dense_weighted_mass(m, weight)
     M = fem.assemble_weighted_mass(m, weight).matrix.toarray()
     assert np.max(np.abs(M - M_ref)) <= 1e-13 * np.max(np.abs(M_ref))
 
 
-@pytest.mark.parametrize("build, level", [(build_disk_mesh, 4), (build_ellipse_mesh, 3)])
-def test_gradient_of_an_affine_field_is_its_slope(build, level):
-    m = build(level)
+@pytest.mark.parametrize("preset, level", [("disk", 4), ("ellipse", 3)], ids=builder_id)
+def test_gradient_of_an_affine_field_is_its_slope(preset, level):
+    m = build_mesh(preset, level)
     rng = np.random.default_rng(level)
     for scale in (1e-3, 1.0, 1e4):
         a1, a2, b = scale * rng.standard_normal(3)
@@ -110,7 +115,7 @@ def test_gradient_of_an_affine_field_is_its_slope(build, level):
 
 
 def test_record_is_shared_and_built_on_demand():
-    m = build_disk_mesh(3)  # fresh: nothing has touched its record yet
+    m = build_mesh("disk", 3)  # fresh: nothing has touched its record yet
     rec = fem.p1(m)
     assert fem.p1(m) is rec
     gagliardo(boundary_field(m, np.cos(m.boundary_params)), 0.5, 2.0)
@@ -145,9 +150,9 @@ def _interp_boundary_by_roll(v):
     return (np.stack([v.values, np.roll(v.values, -1)], axis=1) @ _EDGE_BASIS.T).reshape(-1)
 
 
-@pytest.mark.parametrize("build, level", [(build_disk_mesh, 3), (build_disk_mesh, 5), (build_ellipse_mesh, 4)])
-def test_quadrature_maps_equal_the_gather_and_scatter_formulas(build, level):
-    m = build(level)
+@pytest.mark.parametrize("preset, level", [("disk", 3), ("disk", 5), ("ellipse", 4)], ids=builder_id)
+def test_quadrature_maps_equal_the_gather_and_scatter_formulas(preset, level):
+    m = build_mesh(preset, level)
     rng = np.random.default_rng(level)
     tris = m.triangles.shape[0]
     for scale in (1e-3, 1.0, 1e5):
@@ -162,9 +167,9 @@ def test_quadrature_maps_equal_the_gather_and_scatter_formulas(build, level):
     assert np.array_equal(fem.integrate_basis(m, const), _integrate_by_scatter(m, const))
 
 
-@pytest.mark.parametrize("build", [build_disk_mesh, build_ellipse_mesh])
-def test_basis_integrals_of_one_sum_to_the_area(build):
-    m = build(4)
+@pytest.mark.parametrize("preset", sorted(PRESETS), ids=builder_id)
+def test_basis_integrals_of_one_sum_to_the_area(preset):
+    m = build_mesh(preset, 4)
     p = m.vertices[m.triangles]
     d1, d2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
     area = 0.5 * np.sum(np.abs(d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]))
@@ -187,7 +192,7 @@ def test_operator_sum_stays_canonical(disk, identity_spec):
 
 def test_record_dies_with_its_mesh():
     # the record holds its mesh weakly: no cycle, so no collector is needed
-    m = build_disk_mesh(3)
+    m = build_mesh("disk", 3)
     rec = fem.p1(m)
     rec.mass  # interior parts as well as the boundary ones
     gagliardo(boundary_field(m, np.cos(m.boundary_params)), 0.5, 2.0)
@@ -484,15 +489,15 @@ def test_prolong_linear_interior_exact_boundary_second_order(disk):
 
 @settings(max_examples=30, deadline=None)
 @given(
-    st.sampled_from([build_disk_mesh, build_ellipse_mesh]),
+    st.sampled_from(sorted(PRESETS)),
     st.integers(0, 4),
     st.tuples(*[st.floats(-10.0, 10.0)] * 3),
 )
-def test_prolong_exact_on_affine_fields(build, level, abc):
+def test_prolong_exact_on_affine_fields(preset, level, abc):
     # exact wherever the fine vertex is its parents' midpoint: everywhere but
     # the new boundary vertices, which the presets put on the curve
     a, b, c = abc
-    coarse, fine = build(level), build(level + 1)
+    coarse, fine = build_mesh(preset, level), build_mesh(preset, level + 1)
     affine = lambda m: a + b * m.vertices[:, 0] + c * m.vertices[:, 1]
     p = prolong(domain_field(coarse, affine(coarse)), fine)
     loop = fine.boundary_loop

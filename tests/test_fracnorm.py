@@ -88,7 +88,7 @@ def test_triangle_inequality(disk):
 def test_validation():
     import mixedreg.geometry as geometry
 
-    m = geometry.build_disk_mesh(1)
+    m = geometry.build_mesh("disk", 1)
     v = fem.boundary_field(m, 1.0)
     with pytest.raises(FracNormError):
         gagliardo(v, 0.0, 2.0)
@@ -279,7 +279,7 @@ def count_far_field_builds(monkeypatch):
 
 def test_equal_beta_shares_one_table(monkeypatch):
     built = count_far_field_builds(monkeypatch)
-    m = geometry.build_disk_mesh(3)
+    m = geometry.build_mesh("disk", 3)
     rec = fem.p1(m)
     v = random_field(m, 4)
     gagliardo(v, 0.5, 2.0)
@@ -290,7 +290,7 @@ def test_equal_beta_shares_one_table(monkeypatch):
 
 def test_product_check_builds_one_table_per_beta(monkeypatch):
     built = count_far_field_builds(monkeypatch)
-    m = geometry.build_disk_mesh(4)
+    m = geometry.build_mesh("disk", 4)
     v1, v2 = random_field(m, 1), random_field(m, 2)
     for _ in range(3):
         product_check(v1, v2, 0.25, 0.5, 0.5, 1.0, 2.0, 2.0)
@@ -367,9 +367,9 @@ PROPERTY_SETTINGS = settings(max_examples=40, deadline=None)
 def test_kept_weights_reproduce_a_fresh_mesh(field, tk):
     level, values = field
     tau, k = tk
-    warm = geometry.build_disk_mesh(level)
+    warm = geometry.build_mesh("disk", level)
     gagliardo(random_field(warm, 0), tau, k)  # the record now holds this beta
-    fresh = geometry.build_disk_mesh(level)
+    fresh = geometry.build_mesh("disk", level)
     a = gagliardo(fem.boundary_field(warm, values(warm.boundary_params)), tau, k)
     b = gagliardo(fem.boundary_field(fresh, values(fresh.boundary_params)), tau, k)
     assert a.seminorm_I == b.seminorm_I and a.full_norm == b.full_norm
@@ -381,7 +381,7 @@ def test_seminorm_scales_with_power_k(field, tk, c, flip):
     level, values = field
     tau, k = tk
     c = -c if flip else c
-    m = geometry.build_disk_mesh(level)
+    m = geometry.build_mesh("disk", level)
     vals = values(m.boundary_params)
     base = gagliardo(fem.boundary_field(m, vals), tau, k).seminorm_I
     scaled = gagliardo(fem.boundary_field(m, c * vals), tau, k).seminorm_I
@@ -393,7 +393,7 @@ def test_seminorm_scales_with_power_k(field, tk, c, flip):
 def test_seminorm_ignores_constants(field, tk, shift):
     level, values = field
     tau, k = tk
-    m = geometry.build_disk_mesh(level)
+    m = geometry.build_mesh("disk", level)
     vals = values(m.boundary_params)
     base = gagliardo(fem.boundary_field(m, vals), tau, k).seminorm_I
     shifted = gagliardo(fem.boundary_field(m, vals + shift), tau, k).seminorm_I
@@ -421,7 +421,7 @@ def without_far_field(mp):
 def test_unordered_far_field_matches_the_ordered_sum(field, tk):
     level, values = field
     tau, k = tk
-    m = geometry.build_disk_mesh(level)
+    m = geometry.build_mesh("disk", level)
     v = fem.boundary_field(m, values(m.boundary_params))
     total = gagliardo(v, tau, k).seminorm_I
     with pytest.MonkeyPatch.context() as mp:

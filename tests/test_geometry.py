@@ -11,7 +11,7 @@ from hypothesis.extra.numpy import arrays
 
 import oracles
 from mixedreg import fem, geometry
-from mixedreg.geometry import Mesh, MeshError, build_disk_mesh, build_ellipse_mesh, mesh_from_arrays, refine
+from mixedreg.geometry import PRESETS, Mesh, MeshError, build_mesh, mesh_from_arrays, refine
 
 OCTAGON_PERIMETER = 16.0 * np.sin(np.pi / 8.0)
 
@@ -43,9 +43,6 @@ def test_refine_counts(disk):
     assert fine.triangles.shape[0] == 4 * m.triangles.shape[0]
 
 
-PRESETS = {"disk": build_disk_mesh, "ellipse": build_ellipse_mesh}
-
-
 def n_edges(m):
     sides = np.sort(m.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
     return np.unique(sides, axis=0).shape[0]
@@ -63,7 +60,7 @@ def assert_refinement_invariants(coarse, fine):
 @settings(max_examples=20, deadline=None)
 @given(st.sampled_from(sorted(PRESETS)), st.integers(0, 4))
 def test_refined_presets_keep_their_invariants(preset, level):
-    coarse = PRESETS[preset](level)
+    coarse = build_mesh(preset, level)
     fine = refine(coarse)
     assert coarse.boundary_edges.shape[0] == 8 * 2**level
     assert_refinement_invariants(coarse, fine)
@@ -110,7 +107,7 @@ def test_hand_built_edge_table_matches_oracle(m, times):
 @settings(max_examples=20, deadline=None)
 @given(st.sampled_from(sorted(PRESETS)), st.integers(0, 4))
 def test_preset_edge_table_matches_oracle(preset, level):
-    assert_edges_match_oracle(PRESETS[preset](level))
+    assert_edges_match_oracle(build_mesh(preset, level))
 
 
 @pytest.mark.parametrize("level", range(5))
@@ -123,7 +120,7 @@ def test_each_mesh_builds_its_edge_table_once(monkeypatch, level):
         return edge_table(*args)
 
     monkeypatch.setattr(geometry, "_edge_table", counted)
-    build_disk_mesh(level)
+    build_mesh("disk", level)
     # one table per mesh of the ladder 0..level, reused by refine
     assert len(calls) == level + 1
 
@@ -177,12 +174,14 @@ def test_mesh_size_halves(disk):
 
 def test_level_bounds():
     with pytest.raises(MeshError):
-        build_disk_mesh(-1)
+        build_mesh("disk", -1)
     with pytest.raises(MeshError):
-        build_disk_mesh(11)
+        build_mesh("disk", 11)
 
 
-FULL_BUILDERS = {"disk": build_disk_mesh, "ellipse": build_ellipse_mesh}
+def test_unknown_preset_is_refused():
+    with pytest.raises(MeshError, match="unknown boundary preset 'square'"):
+        build_mesh("square", 2)
 
 
 def _loop_bytes(m):
@@ -191,10 +190,10 @@ def _loop_bytes(m):
     return [np.ascontiguousarray(a).tobytes() for a in parts]
 
 
-@pytest.mark.parametrize("preset", sorted(FULL_BUILDERS))
+@pytest.mark.parametrize("preset", sorted(PRESETS))
 def test_boundary_fan_carries_the_full_loop_bit_for_bit(preset, disk):
     for level in range(8):
-        full = disk(level) if preset == "disk" else FULL_BUILDERS[preset](level)
+        full = disk(level) if preset == "disk" else build_mesh(preset, level)
         fan = geometry.boundary_fan(preset, level)
         assert _loop_bytes(fan) == _loop_bytes(full)
         nb = full.n_boundary
@@ -212,13 +211,13 @@ def test_boundary_fan_has_no_parentage():
 @pytest.mark.parametrize("level", [-1, geometry.MAX_LEVEL + 1])
 def test_boundary_fan_rejects_levels_as_the_full_builder_does(level):
     with pytest.raises(MeshError) as full:
-        build_disk_mesh(level)
+        build_mesh("disk", level)
     with pytest.raises(MeshError, match=re.escape(str(full.value))):
         geometry.boundary_fan("disk", level)
 
 
 def test_ellipse_preset():
-    m = build_ellipse_mesh(4)
+    m = build_mesh("ellipse", 4)
     x = m.vertices[m.boundary_loop]
     on_curve = (x[:, 0] / 1.5) ** 2 + x[:, 1] ** 2
     assert np.max(np.abs(on_curve - 1.0)) < 1e-12
@@ -264,11 +263,11 @@ def _square_fan():
 @pytest.mark.parametrize(
     "build, expected",
     [
-        (lambda: build_disk_mesh(4), "ead7d6a1d5dd03404d6889b9a145a4549d9b81209c13baab27514ccd12904a38"),
-        (lambda: build_ellipse_mesh(4), "a3e5c24e4f3da37071899d07c6f2242eb0c301d4dd721cfc9c643732df5fa751"),
+        (lambda: build_mesh("disk", 4), "ead7d6a1d5dd03404d6889b9a145a4549d9b81209c13baab27514ccd12904a38"),
+        (lambda: build_mesh("ellipse", 4), "a3e5c24e4f3da37071899d07c6f2242eb0c301d4dd721cfc9c643732df5fa751"),
         (lambda: refine(refine(_square_fan())), "377774dc08ad1bdbe166202ca59ad02fb63b6263e93b46df192b4d3b13be70a0"),
         # the level-7 parents embed the level-6 edge table, numbered by first appearance
-        (lambda: build_disk_mesh(7), "074329e64164f7b6d9651420e23658c462b695ee03ce2253e589d7b506759d09"),
+        (lambda: build_mesh("disk", 7), "074329e64164f7b6d9651420e23658c462b695ee03ce2253e589d7b506759d09"),
     ],
     ids=["disk4", "ellipse4", "square2", "disk7"],
 )

@@ -19,7 +19,9 @@ reason to be kept without one, and every module-level UPPER_CASE
 constant is read by package code, so no knob outlives the code it tuned
 (a test that monkeypatches a constant does not read it).  Every import
 sits at module level, so the import graph is the one the module headers
-show.
+show.  Which domains exist is decided in ``geometry`` alone, by its
+``PRESETS`` table: no other module compares with a preset name or lists
+preset names in a literal, so a new domain needs no dispatch elsewhere.
 """
 
 import ast
@@ -292,3 +294,43 @@ def test_every_constant_is_read():
     assert unread_constants(sample) == ["a.KNOB", "a.LEFT", "b.STORED"]
     sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
     assert unread_constants(sources) == []
+
+
+PRESET_NAMES = {"disk", "ellipse"}
+
+
+def preset_decisions(source):
+    """Lines of ``source`` that decide on domain presets by name.
+
+    A comparison with a preset name on either side, or a tuple, list or
+    set literal that holds one; a keyword default such as
+    ``default="disk"`` names a preset without deciding among them.
+    """
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+        elif isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+            operands = node.elts
+        else:
+            continue
+        if any(isinstance(op, ast.Constant) and isinstance(op.value, str) and op.value in PRESET_NAMES
+               for op in operands):
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_one_owner_of_the_domain_presets():
+    sample = (
+        'build = disk_mesh if preset == "disk" else ellipse_mesh\n'
+        'known = spec.preset in ("disk", "ellipse")\n'
+        'p.add_argument("--preset", choices=["disk", "ellipse"], default="disk")\n'
+        'p.add_argument("--preset", choices=tuple(geometry.PRESETS), default="disk")\n'
+        'names = {"ellipse"}\n'
+        'flip = "ellipse" != preset\n'
+        'label = "disk"\n'
+        'kind = preset == "square"\n'
+    )
+    assert preset_decisions(sample) == [1, 2, 3, 5, 6]
+    sites = {path.name: preset_decisions(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert {name: lines for name, lines in sites.items() if lines and name != "geometry.py"} == {}

@@ -152,7 +152,7 @@ def test_warm_start_accepted(cubic_spec, disk):
 def test_seed_report_must_match_mesh_and_spec(cubic_spec, linear_spec, disk):
     m = disk(2)
     u, v = fem.domain_field(m, 1.0), fem.boundary_field(m, 0.0)
-    ellipse = geometry.build_ellipse_mesh(2)
+    ellipse = geometry.build_mesh("ellipse", 2)
     assert ellipse.n_vertices == m.n_vertices
     foreign = [
         solvers.solve_state(cubic_spec, fem.domain_field(other, 1.0), fem.boundary_field(other, 0.0))
@@ -186,7 +186,7 @@ def test_seeded_solves_share_the_seed_factorisation(cubic_spec, disk, factorisat
 
 @pytest.fixture(scope="module")
 def linearization_setup(cubic_spec):
-    m = geometry.build_disk_mesh(3)
+    m = geometry.build_mesh("disk", 3)
     rng = np.random.default_rng(21)
     u0 = fem.domain_field(m, rng.uniform(-1.0, 1.0, m.n_vertices))
     v0 = fem.boundary_field(m, rng.uniform(-1.0, 1.0, m.boundary_loop.shape[0]))
@@ -200,6 +200,14 @@ def linearized_direction(spec, y0, du, dv):
     """Directional derivative of the control-to-state map at y0, as nodal values."""
     load = fem.p1(y0.mesh).load(du.values, dv.values)
     return fem.solve_linear(solvers.linearized_matrix(spec, y0), load)
+
+
+def adjoint_solution(spec, y, f, g):
+    """Adjoint at y for nodal loads f in the domain and g on the boundary, as nodal values.
+
+    The discrete operator is symmetric, so the adjoint solves with the linearized matrix.
+    """
+    return fem.solve_linear(solvers.linearized_matrix(spec, y), fem.p1(y.mesh).load(f, g))
 
 
 def test_linearized_is_first_order_expansion(cubic_spec, linearization_setup):
@@ -221,11 +229,11 @@ def test_linearized_adjoint_duality(cubic_spec, linearization_setup):
     w = linearized_direction(cubic_spec, y0, du, dv)
     rhs_d = fem.domain_field(m, rng.standard_normal(m.n_vertices))
     rhs_b = fem.boundary_field(m, rng.standard_normal(m.boundary_loop.shape[0]))
-    phi = solvers.solve_adjoint(cubic_spec, y0, rhs_d, rhs_b, solvers.linearized_matrix(cubic_spec, y0))
+    phi = adjoint_solution(cubic_spec, y0, rhs_d.values, rhs_b.values)
     M = fem.p1(m).mass
     Mb = fem.p1(m).boundary_mass
     lhs = rhs_d.values @ M.matvec(w) + rhs_b.values @ Mb.matvec(w[m.boundary_loop])
-    rhs = du.values @ M.matvec(phi.values) + dv.values @ Mb.matvec(phi.values[m.boundary_loop])
+    rhs = du.values @ M.matvec(phi) + dv.values @ Mb.matvec(phi[m.boundary_loop])
     assert lhs == pytest.approx(rhs, rel=1e-11)
 
 
@@ -237,18 +245,12 @@ def test_adjoint_constant_solution(linear_spec, disk):
     # (a0 + f') phi = 2 with a0 = f' = 1 gives phi = 1
     m = disk(3)
     y1 = fem.domain_field(m, 1.0)
-    phi = solvers.solve_adjoint(
-        linear_spec, y1, fem.domain_field(m, 2.0), fem.boundary_field(m, 0.0),
-        solvers.linearized_matrix(linear_spec, y1),
-    )
-    assert np.max(np.abs(phi.values - 1.0)) < 1e-12
+    phi = adjoint_solution(linear_spec, y1, np.full(m.n_vertices, 2.0), np.zeros(m.n_boundary))
+    assert np.max(np.abs(phi - 1.0)) < 1e-12
 
 
 def test_adjoint_zero_rhs(linear_spec, disk):
     m = disk(2)
     y1 = fem.domain_field(m, 1.0)
-    phi = solvers.solve_adjoint(
-        linear_spec, y1, fem.domain_field(m, 0.0), fem.boundary_field(m, 0.0),
-        solvers.linearized_matrix(linear_spec, y1),
-    )
-    assert np.max(np.abs(phi.values)) == 0.0
+    phi = adjoint_solution(linear_spec, y1, np.zeros(m.n_vertices), np.zeros(m.n_boundary))
+    assert np.max(np.abs(phi)) == 0.0
