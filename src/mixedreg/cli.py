@@ -293,13 +293,12 @@ def _run_robinson(args, out_dir: Path, rng) -> tuple:
 def _run_frac_norm(args, out_dir: Path, rng) -> tuple:
     mesh = geometry.boundary_fan(args.preset, args.level)
     v = _nodal(mesh, "boundary", args.field)
-    rep = fracnorm.gagliardo(v, args.tau, args.k)
+    rep, doubled = fracnorm.gagliardo(v, FEField(mesh, "boundary", 2.0 * v.values), tau=args.tau, k=args.k)
     rows = [
         f"{_fmt(rep.tau)},{_fmt(rep.k)},{rep.quadrature_level},{_fmt(rep.seminorm_I)},{_fmt(rep.full_norm)}"
     ]
     artifacts = [_write_csv(out_dir, "fracnorm.csv", fracnorm.FRACNORM_CSV_HEADER, rows)]
 
-    doubled = fracnorm.gagliardo(FEField(mesh, "boundary", 2.0 * v.values), args.tau, args.k)
     target = 2.0**args.k * rep.seminorm_I
     homog = abs(doubled.seminorm_I - target) / max(abs(target), 1e-300)
     norm_gap = abs(rep.full_norm**args.k - (fem.lp_norm(v, args.k) ** args.k + rep.seminorm_I))
@@ -337,14 +336,13 @@ def _stability_checks(per_level_max: dict, rtol: float) -> list:
 
 
 def _c8_sweep(args, out_dir: Path, draws, measure, name: str) -> tuple:
-    """Run ``measure(mesh, draw)`` -> (lhs, rhs, ratio) over every level and draw."""
+    """Run ``measure(mesh, draws)`` -> one (lhs, rhs, ratio) per draw on every level."""
     rows = []
     per_level_max = {}
     for level in args.levels:
         mesh = geometry.boundary_fan(args.preset, level)
         level_max = 0.0
-        for i, draw in enumerate(draws):
-            lhs, rhs, ratio = measure(mesh, draw)
+        for i, (lhs, rhs, ratio) in enumerate(measure(mesh, draws)):
             level_max = max(level_max, ratio)
             rows.append(f"{level},{i},{_fmt(lhs)},{_fmt(rhs)},{_fmt(ratio)}")
         per_level_max[level] = level_max
@@ -356,9 +354,9 @@ def _run_chain_rule(args, out_dir: Path, rng) -> tuple:
     a = parse_expr(args.a)
     draws = [_fourier_coeffs(rng) for _ in range(args.samples)]
 
-    def measure(mesh, coeffs):
-        v = _fourier_field(mesh, coeffs, args.amplitude)
-        return fracnorm.chain_rule_check(a, v, args.tau, args.k)
+    def measure(mesh, draws):
+        fields = [_fourier_field(mesh, coeffs, args.amplitude) for coeffs in draws]
+        return fracnorm.chain_rule_check(a, fields, args.tau, args.k)
 
     return _c8_sweep(args, out_dir, draws, measure, "chain_rule.csv")
 
@@ -366,9 +364,9 @@ def _run_chain_rule(args, out_dir: Path, rng) -> tuple:
 def _run_product_rule(args, out_dir: Path, rng) -> tuple:
     draws = [(_fourier_coeffs(rng), _fourier_coeffs(rng)) for _ in range(args.samples)]
 
-    def measure(mesh, pair):
-        v1, v2 = (_fourier_field(mesh, c, args.amplitude) for c in pair)
-        return fracnorm.product_check(v1, v2, args.tau, args.tau1, args.tau2, args.k, args.k1, args.k2)
+    def measure(mesh, draws):
+        pairs = [tuple(_fourier_field(mesh, c, args.amplitude) for c in pair) for pair in draws]
+        return fracnorm.product_check(pairs, args.tau, args.tau1, args.tau2, args.k, args.k1, args.k2)
 
     return _c8_sweep(args, out_dir, draws, measure, "product_rule.csv")
 
@@ -538,6 +536,10 @@ def main(argv=None) -> int:
         if getattr(args, name, least) < least:
             print(f"error: --{name} must be at least {least}", file=sys.stderr)
             return EXIT_CONFIG
+    levels = getattr(args, "levels", [])
+    if len(set(levels)) < len(levels):
+        print(f"error: --levels must not repeat a level, got {' '.join(map(str, levels))}", file=sys.stderr)
+        return EXIT_CONFIG
     ignored = [f"--{n.replace('_', '-')}" for n in _IGNORED_KKT_OPTIONS if getattr(args, n, None) is not None]
     if ignored:
         print(f"note: {' and '.join(ignored)} ignored: semismooth Newton solves the KKT system", file=sys.stderr)

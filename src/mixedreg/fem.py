@@ -24,10 +24,9 @@ The record holds only a weak reference to its mesh, so a dropped mesh
 frees its record at once.  All pair work (far-field weights over Gauss
 points, ``regularity``'s quotients over nodes) walks the row blocks of
 ``pair_blocks`` over the upper triangle j > i, each unordered pair once.
-Gagliardo weights are kept, for the ``_KEPT_BETAS`` most recent betas,
-only while the whole ordered pair table fits one chunk of
-``FAR_FIELD_PAIRS`` pairs (nb <= 512, about 4 MB per beta); larger meshes
-get them built again, chunk by chunk, on every pass.
+Gagliardo weights are built on every pass, the far field block by block, and
+never kept: a caller with several fields at one beta hands them all to
+one pass.
 
 Sparse matrices are built only here.  Every linear system goes through
 ``solve_linear``: a sparse LU factorisation for a vector or a block of
@@ -79,14 +78,10 @@ __all__ = [
 
 # relative residual a linear solve must reach to be accepted
 SOLVE_RTOL = 1e-11
-# ordered boundary Gauss-point pairs per far-field chunk
-FAR_FIELD_PAIRS = 1 << 20
-# rows per block of the pair staircase (``pair_blocks``): the kept far-field table holds
-# 1/2 + _STAIR_ROWS / (4 nb) of the ordered pairs, 0.53 at nb = 512
+# rows per block of the pair staircase (``pair_blocks``): a far-field pass over the 2 nb
+# Gauss points holds one block of at most _STAIR_ROWS x 2 nb weights at a time (2 MB at
+# nb = 2048), and its blocks cover 1/2 + _STAIR_ROWS / (4 nb) of the ordered pairs
 _STAIR_ROWS = 64
-# betas whose Gagliardo weights a P1 record keeps: the C8 sweeps use three on one mesh
-# (chain-rule 5/3, product-rule alternating 1.25 and 2)
-_KEPT_BETAS = 3
 # graded levels of the singular boundary pair rules
 DYADIC_LEVELS = 4
 
@@ -208,17 +203,15 @@ class P1:
     is ``edge_ends``.  Nor does it build the interior mesh: the boundary
     commands work on ``geometry.boundary_fan``.  ``operator`` keeps the
     matrix of the last spec it was asked for and reassembles when a
-    different spec object comes.  The Gagliardo weights of the few
-    most recent betas are kept while they fit one far-field chunk.  The
-    mesh is held weakly: the mesh owns the record.
+    different spec object comes.  The Gagliardo weights (``far_field``,
+    ``adjacent``) are built anew on every call and not kept.  The mesh
+    is held weakly: the mesh owns the record.
     """
 
     def __init__(self, mesh: Mesh):
         self._mesh = weakref.ref(mesh)
         self._spec = None
         self._operator = None
-        self._far_field = {}
-        self._adjacent = {}
 
     @property
     def mesh(self) -> Mesh:
@@ -317,49 +310,16 @@ class P1:
         total.eliminate_zeros()  # as a sparse product would, drop the zeros of zero coefficients
         return SparseOperator(total)
 
-    @property
-    def _keeps_pair_weights(self) -> bool:
-        """Whether the whole ordered Gauss-point pair table fits one far-field chunk."""
-        return (2 * self.mesh.n_boundary) ** 2 <= FAR_FIELD_PAIRS
-
-    def _keep(self, tables: dict, beta: float, build):
-        """The weights of ``beta`` in ``tables``, built on a miss.
-
-        Insertion order is recency: a hit moves its beta last, and only the
-        ``_KEPT_BETAS`` most recent betas stay.
-        """
-        weights = tables.pop(beta, None)
-        if weights is None:
-            weights = build()
-        tables[beta] = weights
-        while len(tables) > _KEPT_BETAS:
-            del tables[next(iter(tables))]
-        return weights
-
     def far_field(self, beta: float):
         """Far-field weights 2 w_i w_j / |x_i - x_j|^beta over unordered boundary Gauss-point pairs.
 
-        Yields read-only (rows, table) blocks of the ``pair_blocks``
-        staircase over the Gauss points.  Each unordered pair appears once,
+        Yields (rows, table) per block of the ``pair_blocks`` staircase over
+        the Gauss points, each table new.  Each unordered pair appears once,
         with the factor 2 of the symmetric integrand folded in; entries with
-        j <= i and pairs from one edge or from adjacent edges are zero.  While the whole pair table fits one chunk of
-        ``FAR_FIELD_PAIRS`` pairs (nb <= 512, about 4 MB per beta at
-        nb = 512) the staircase is kept per beta; larger ones are streamed,
-        ``FAR_FIELD_PAIRS // (2 nb)`` rows at a time, and nothing is kept.
+        j <= i and pairs from one edge or from adjacent edges are zero.
         """
-        npts = 2 * self.mesh.n_boundary
-        if self._keeps_pair_weights:
-            yield from self._keep(self._far_field, beta, lambda: self._far_field_chunk(beta, slice(0, npts)))
-            return
-        step = max(2, FAR_FIELD_PAIRS // npts)
-        for start in range(0, npts, step):
-            yield from self._far_field_chunk(beta, slice(start, min(start + step, npts)))
-
-    def _far_field_chunk(self, beta: float, rows: slice) -> list:
-        """The staircase blocks of ``far_field`` for the Gauss-point rows ``rows``."""
         qpts, qw = self.boundary
-        blocks = []
-        for block, table in pair_blocks(qpts, rows):
+        for block, table in pair_blocks(qpts):
             r0, n = block.start, block.stop - block.start
             with np.errstate(divide="ignore"):
                 np.power(table, -0.5 * beta, out=table)
@@ -371,9 +331,7 @@ class P1:
             edge = np.arange(r0, block.stop) // 2
             touching = (2 * edge[:, None] + np.arange(-2, 4)) % qw.size - r0
             table[np.arange(n)[:, None], np.maximum(touching, 0)] = 0.0
-            table.flags.writeable = False
-            blocks.append((block, table))
-        return blocks
+            yield block, table
 
     def adjacent(self, beta: float):
         """Weights of the graded-cell rule for pairs of adjacent boundary edges.
@@ -382,17 +340,9 @@ class P1:
         b + t (c - b); the cells grade toward the shared vertex (s, t) =
         (1, 0).  Returns (s, t, moments, weights): the (cells, 4) node
         tables, the (cells * 16, 3) table of ((1 - s)^2, (1 - s) t, t^2)
-        in the order of the flattened cells and nodes, and the read-only (nb,
-        cells, 4, 4) weights |e| |e+1| w_s w_t / |x - x'|^beta.  Kept per
-        beta under the same rule as ``far_field``.
+        in the order of the flattened cells and nodes, and the new (nb,
+        cells, 4, 4) weights |e| |e+1| w_s w_t / |x - x'|^beta.
         """
-        if self._keeps_pair_weights:
-            weights = self._keep(self._adjacent, beta, lambda: self._adjacent_weights(beta))
-        else:
-            weights = self._adjacent_weights(beta)
-        return _ADJ_S, _ADJ_T, _ADJ_MOMENTS, weights
-
-    def _adjacent_weights(self, beta: float) -> np.ndarray:
         mesh = self.mesh
         a = mesh.vertices[mesh.boundary_loop]
         b = np.roll(a, -1, axis=0)
@@ -405,18 +355,18 @@ class P1:
         weights = np.power(d2, -0.5 * beta)
         weights *= (lens * np.roll(lens, -1))[:, None, None, None]
         weights *= _ADJ_W[None, :, :, None] * _ADJ_W[None, :, None, :]
-        weights.flags.writeable = False
-        return weights
+        return _ADJ_S, _ADJ_T, _ADJ_MOMENTS, weights
 
 
-def pair_blocks(points: np.ndarray, rows: slice):
-    """Yield (block, d2) per ``_STAIR_ROWS``-row block [r0, r1) of ``rows``, d2 new: |x_i - x_j|^2.
+def pair_blocks(points: np.ndarray):
+    """Yield (block, d2) per ``_STAIR_ROWS``-row block [r0, r1) of ``points``, d2 new: |x_i - x_j|^2.
 
     d2 pairs the block's rows i of ``points`` (n, 2) with the points j = r0 ... n - 1; its
-    entries j > i hold each pair i < j with i in ``rows`` once, and the caller masks j <= i.
+    entries j > i hold each pair i < j once, and the caller masks j <= i.
     """
-    for r0 in range(rows.start, rows.stop, _STAIR_ROWS):
-        block = slice(r0, min(r0 + _STAIR_ROWS, rows.stop))
+    n = points.shape[0]
+    for r0 in range(0, n, _STAIR_ROWS):
+        block = slice(r0, min(r0 + _STAIR_ROWS, n))
         d2 = np.subtract.outer(points[block, 0], points[r0:, 0])
         d2 *= d2
         dy = np.subtract.outer(points[block, 1], points[r0:, 1])

@@ -6,23 +6,24 @@ gap-variable reduction of the P1 integrand, with a dyadic 1-D rule
 graded toward zero gap), and adjacent edges (graded tensor cells refined
 toward the shared-vertex corner of the parameter square, four dyadic
 levels).  The weights of the first and last class depend on the mesh and
-on beta = 1 + tau k only; they come from the mesh's :class:`fem.P1`
-record (``far_field``, ``adjacent``), which keeps them for the few most
-recent betas while the whole Gauss-point pair table fits one chunk of
-``fem.FAR_FIELD_PAIRS`` pairs and streams them otherwise.  The integrand
-is symmetric, so the far field walks the unordered Gauss-point pairs i < j
-of the ``fem.pair_blocks`` staircase, with the factor 2 in its weights.  A
-call does the field work only, in place.
+on beta = 1 + tau k only; the mesh's :class:`fem.P1` record builds them
+(``far_field``, ``adjacent``) on every call and keeps none, so
+``gagliardo`` takes every field of a pass at once and builds the weights
+of its beta once for all of them.  The integrand is symmetric, so the
+far field walks the unordered Gauss-point pairs i < j of the
+``fem.pair_blocks`` staircase, with the factor 2 in its weights.
 
 At k = 2 no pair-difference table is formed: |v_i - v_j|^2 expands, so
 both weighted sums are quadratic forms in the field.  The far field
-centres the Gauss-point values and contracts each staircase block with
-the three columns [c, c^2, 1] in one BLAS product; the adjacent edges
-contract their weights with the three moments ((1-s)^2, (1-s) t, t^2)
-of the graded-cell nodes.  Other k take the differences, and a BLAS dot
-product reduces them against the weights.  BLAS picks its kernels for
-the CPU, so results are bit-reproducible on one machine at a fixed BLAS
-thread count, and their last bits can differ between machines.
+centres the Gauss-point values of every field and contracts each
+staircase block with the columns [c_1..c_F, c_1^2..c_F^2, 1] in one BLAS
+product; the adjacent edges contract their weights with the three
+moments ((1-s)^2, (1-s) t, t^2) of the graded-cell nodes.  Other k take
+the differences field by field, and a BLAS dot product reduces them
+against the weights.  BLAS picks its kernels for the CPU and the number
+of columns, so results are bit-reproducible on one machine at a fixed
+BLAS thread count and batch, and their last bits can differ between
+machines or batches.
 
 Distances are chordal, matching the polygonal boundary representation.
 """
@@ -72,32 +73,36 @@ def _gap_integral(gamma: float) -> float:
     return sum(np.sum(_GAP_W * 2.0 * (1.0 - _GAP_U) * _GAP_U**gamma, axis=1).tolist())
 
 
-def _far_field(rec: fem.P1, vq: np.ndarray, beta: float, k: float) -> float:
-    """Sum of the doubled far-field weights against |vq_i - vq_j|^k over the pairs i < j.
+def _far_field(rec: fem.P1, vq: np.ndarray, beta: float, k: float) -> np.ndarray:
+    """Per field, the sum of the doubled far-field weights against |vq_i - vq_j|^k over the pairs i < j.
 
-    At k = 2 the sum is a quadratic form in the values, centred first:
-    with c = vq - mean(vq), row i of a staircase block U adds
-    c_i^2 sum_j U_ij + sum_j U_ij c_j^2 - 2 c_i sum_j U_ij c_j, three
-    sums that one product U [c, c^2, 1] writes into row i of a (2 nb, 3)
-    table.  Centring costs nothing for values within a factor 2 of their
+    ``vq`` holds one row of Gauss-point values per field.  At k = 2 each
+    sum is a quadratic form in the values, centred first: with c = vq -
+    mean(vq), row i of a staircase block U adds c_i^2 sum_j U_ij + sum_j
+    U_ij c_j^2 - 2 c_i sum_j U_ij c_j, three sums that one product U [c,
+    c^2, 1] writes into row i of a table, and the F fields share the ones
+    column.  Centring costs nothing for values within a factor 2 of their
     mean (the subtraction is exact) and keeps a large offset from
     cancelling in the expansion.
     """
+    nf = vq.shape[0]
     if k == 2.0:
-        c = vq - np.mean(vq)
-        x = np.stack([c, c * c, np.ones_like(c)], axis=1)
+        c = vq - np.mean(vq, axis=1, keepdims=True)
+        x = np.column_stack([*c, *(c * c), np.ones(c.shape[1])])
         p = np.zeros_like(x)
         for rows, weights in rec.far_field(beta):
             np.matmul(weights, x[rows.start :], out=p[rows])
-        return float(np.sum(c * c * p[:, 2] + p[:, 1] - 2.0 * c * p[:, 0]))
-    total = 0.0
+        p = p.T
+        return np.sum(c * c * p[2 * nf] + p[nf : 2 * nf] - 2.0 * c * p[:nf], axis=1)
+    totals = np.zeros(nf)
     for rows, weights in rec.far_field(beta):
-        num = np.subtract.outer(vq[rows], vq[rows.start :])
-        np.abs(num, out=num)
-        if k != 1.0:
-            num **= k
-        total += float(np.vdot(num, weights))
-    return total
+        for f, v in enumerate(vq):
+            num = np.subtract.outer(v[rows], v[rows.start :])
+            np.abs(num, out=num)
+            if k != 1.0:
+                num **= k
+            totals[f] += np.vdot(num, weights)
+    return totals
 
 
 @dataclass
@@ -111,103 +116,117 @@ class FracNormReport:
     full_norm: float
 
 
-def gagliardo(v: FEField, tau: float, k: float) -> FracNormReport:
-    """Gagliardo seminorm and fractional norm of a boundary field.
+def gagliardo(*fields: FEField, tau: float, k: float) -> list[FracNormReport]:
+    """Gagliardo seminorms and fractional norms of boundary fields, one report per field.
 
-    Requires 0 < tau < 1 and k >= 1.  P1 fields are Lipschitz along the
-    polygon, so the double integral is finite on this whole range; a
-    non-finite accumulation (only possible for degenerate geometry)
-    raises :class:`FracNormError`.
+    Every field must be a boundary field on one mesh; the weights of
+    beta = 1 + tau k are built once for all of them.  Requires
+    0 < tau < 1 and k >= 1.  P1 fields are Lipschitz along the polygon,
+    so the double integral is finite on this whole range; a non-finite
+    accumulation (only possible for degenerate geometry) raises
+    :class:`FracNormError`.
     """
-    if v.role != "boundary":
-        raise FracNormError("Gagliardo seminorm is defined for boundary fields")
+    if not fields:
+        raise FracNormError("Gagliardo seminorm needs at least one boundary field")
+    mesh = fields[0].mesh
+    if any(v.role != "boundary" or v.mesh is not mesh for v in fields):
+        raise FracNormError("Gagliardo seminorm is defined for boundary fields on one mesh")
     if not 0.0 < tau < 1.0:
         raise FracNormError(f"smoothness order tau must lie in (0, 1), got {tau}")
     if not k >= 1.0:
         raise FracNormError(f"integrability exponent k must be >= 1, got {k}")
 
-    mesh = v.mesh
     rec = fem.p1(mesh)
     beta = 1.0 + tau * k
     lens = mesh.boundary_edge_lengths
-    vals = v.values
-    succ = np.roll(vals, -1)
+    vals = np.stack([v.values for v in fields])
+    succ = np.roll(vals, -1, axis=1)
 
     # non-touching pairs i < j, 2x2 Gauss
-    total = _far_field(rec, fem.interp_boundary(v), beta, k)
+    totals = _far_field(rec, np.stack([fem.interp_boundary(v) for v in fields]), beta, k)
 
     # same edge: the P1 integrand depends only on the parameter gap
     gap = _gap_integral(k - beta)
-    total += float(np.sum(np.abs(succ - vals) ** k * lens ** (2.0 - beta))) * gap
+    totals += np.sum(np.abs(succ - vals) ** k * lens ** (2.0 - beta), axis=1) * gap
 
     # adjacent edges: graded cells toward the shared-vertex corner (s,t)=(1,0)
     s, t, moments, weights = rec.adjacent(beta)
-    after = np.roll(vals, -2)
+    after = np.roll(vals, -2, axis=1)
     if k == 2.0:
         # f_s - f_t = (1 - s) d1 - t d2 with d1 = v_e - v_{e+1}, d2 = v_{e+2} - v_{e+1}: the
         # square is d1^2 (1-s)^2 - 2 d1 d2 (1-s) t + d2^2 t^2, so each edge needs its weights'
         # three moments only
         d1, d2 = vals - succ, after - succ
-        a, b, c = (weights.reshape(vals.size, -1) @ moments).T
-        total += 2.0 * float(np.sum(a * d1 * d1 - 2.0 * b * d1 * d2 + c * d2 * d2))
+        a, b, c = (weights.reshape(mesh.n_boundary, -1) @ moments).T
+        totals += 2.0 * np.sum(a * d1 * d1 - 2.0 * b * d1 * d2 + c * d2 * d2, axis=1)
     else:
-        fs = vals[:, None, None] + s * (succ - vals)[:, None, None]
-        ft = succ[:, None, None] + t * (after - succ)[:, None, None]
-        num = np.subtract(fs[..., :, None], ft[..., None, :])
-        np.abs(num, out=num)
-        if k != 1.0:
-            num **= k
-        total += 2.0 * float(np.vdot(num, weights))
+        for f, (v0, v1, v2) in enumerate(zip(vals, succ, after)):
+            fs = v0[:, None, None] + s * (v1 - v0)[:, None, None]
+            ft = v1[:, None, None] + t * (v2 - v1)[:, None, None]
+            num = np.subtract(fs[..., :, None], ft[..., None, :])
+            np.abs(num, out=num)
+            if k != 1.0:
+                num **= k
+            totals[f] += 2.0 * np.vdot(num, weights)
 
-    if not np.isfinite(total):
+    if not np.all(np.isfinite(totals)):
         raise FracNormError("Gagliardo accumulation is not finite")
-    lp_k = fem.lp_norm(v, k) ** k
-    return FracNormReport(
-        tau=tau,
-        k=k,
-        quadrature_level=mesh.refinement_level,
-        seminorm_I=total,
-        full_norm=(lp_k + total) ** (1.0 / k),
-    )
+    return [
+        FracNormReport(
+            tau=tau,
+            k=k,
+            quadrature_level=mesh.refinement_level,
+            seminorm_I=float(total),
+            full_norm=(fem.lp_norm(v, k) ** k + float(total)) ** (1.0 / k),
+        )
+        for v, total in zip(fields, totals)
+    ]
 
 
-def chain_rule_check(a, v: FEField, tau: float, k: float):
-    """Measured constant of the superposition bound.
+def chain_rule_check(a, fields, tau: float, k: float) -> list:
+    """Measured constants of the superposition bound, one per field.
 
-    Composes ``a`` with the field nodally and compares its fractional
+    Composes ``a`` with each field nodally and compares its fractional
     norm against the constant-free bound: the field's fractional norm
-    plus the L^k norm of a(., 0) plus one.  Returns
-    (lhs, rhs_bound_sans_C, ratio); boundedness and refinement stability
-    of the ratio are the testable content of the bound.
+    plus the L^k norm of a(., 0) plus one.  The fields share one mesh,
+    and one ``gagliardo`` call measures the fields and their compositions.
+    Returns one (lhs, rhs_bound_sans_C, ratio) per field; boundedness and
+    refinement stability of the ratio are the testable content of the
+    bound.
     """
     if isinstance(a, str):
         a = parse_expr(a)
-    composed = FEField(v.mesh, "boundary", fem.nodal(a, v))
-    lhs = gagliardo(composed, tau, k).full_norm
-    zero = FEField(v.mesh, "boundary", np.zeros_like(v.values))
-    at_zero = FEField(v.mesh, "boundary", fem.nodal(a, zero))
-    rhs = gagliardo(v, tau, k).full_norm + fem.lp_norm(at_zero, k) + 1.0
-    return lhs, rhs, lhs / rhs
+    composed = [FEField(v.mesh, "boundary", fem.nodal(a, v)) for v in fields]
+    reports = gagliardo(*composed, *fields, tau=tau, k=k)
+    mesh = fields[0].mesh
+    zero = FEField(mesh, "boundary", np.zeros(mesh.n_boundary))
+    at_zero = fem.lp_norm(FEField(mesh, "boundary", fem.nodal(a, zero)), k)
+    checks = []
+    for lhs, norm in zip(reports[: len(fields)], reports[len(fields) :]):
+        rhs = norm.full_norm + at_zero + 1.0
+        checks.append((lhs.full_norm, rhs, lhs.full_norm / rhs))
+    return checks
 
 
 def product_check(
-    v1: FEField,
-    v2: FEField,
+    pairs,
     tau: float,
     tau1: float,
     tau2: float,
     k: float,
     k1: float,
     k2: float,
-):
-    """Measured constant of the pointwise-product bound.
+) -> list:
+    """Measured constants of the pointwise-product bound, one per pair of factors.
 
     Requires k, k1, k2 >= 1, the exponent relations 1/k = 1/k1 + 1/k2 and
-    0 < tau < min(tau1, tau2) exactly; returns (lhs, rhs_sans_C, ratio)
-    with lhs the fractional norm of the nodal product and rhs the product
-    of the factors' fractional norms.
+    0 < tau < min(tau1, tau2) exactly; returns one (lhs, rhs_sans_C,
+    ratio) per pair (v1, v2), with lhs the fractional norm of the nodal
+    product and rhs the product of the factors' fractional norms.  The
+    factors are boundary fields on one mesh, and each distinct (tau, k)
+    takes one ``gagliardo`` call over every field measured at it.
     """
-    if v1.mesh is not v2.mesh or v1.role != "boundary" or v2.role != "boundary":
+    if any(v1.mesh is not v2.mesh or v1.role != "boundary" or v2.role != "boundary" for v1, v2 in pairs):
         raise FracNormError("factors must be boundary fields on one mesh")
     if not all(e >= 1.0 for e in (k, k1, k2)):
         raise FracNormError(f"integrability exponents must be >= 1, got k={k}, k1={k1}, k2={k2}")
@@ -219,11 +238,23 @@ def product_check(
         raise FracNormError(
             f"smoothness orders must satisfy 0 < tau < min(tau1, tau2), got {tau} vs ({tau1}, {tau2})"
         )
-    product = FEField(v1.mesh, "boundary", v1.values * v2.values)
-    lhs = gagliardo(product, tau, k).full_norm
-    rhs = gagliardo(v1, tau1, k1).full_norm * gagliardo(v2, tau2, k2).full_norm
-    if rhs > 0.0:
-        ratio = lhs / rhs
-    else:
-        ratio = 0.0 if lhs == 0.0 else float("inf")
-    return lhs, rhs, ratio
+    wanted = [
+        ((tau, k), [FEField(v1.mesh, "boundary", v1.values * v2.values) for v1, v2 in pairs]),
+        ((tau1, k1), [v1 for v1, _ in pairs]),
+        ((tau2, k2), [v2 for _, v2 in pairs]),
+    ]
+    batches = {}
+    for order, fs in wanted:
+        batches.setdefault(order, []).extend(fs)
+    # each batch's reports come back in the order its fields went in
+    reports = {order: iter(gagliardo(*fs, tau=order[0], k=order[1])) for order, fs in batches.items()}
+    lhs, n1, n2 = ([next(reports[order]).full_norm for _ in pairs] for order, _ in wanted)
+    checks = []
+    for left, a, b in zip(lhs, n1, n2):
+        right = a * b
+        if right > 0.0:
+            ratio = left / right
+        else:
+            ratio = 0.0 if left == 0.0 else float("inf")
+        checks.append((left, right, ratio))
+    return checks

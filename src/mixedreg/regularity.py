@@ -75,7 +75,7 @@ def _pair_quotients(fields, exponents) -> list:
         keep = np.sort(rng.choice(pts.shape[0], size=HOLDER_SUBSAMPLE, replace=False))
         pts, vals = pts[keep], [v[keep] for v in vals]
     best = np.zeros((len(fields), len(exponents)))
-    for block, d in fem.pair_blocks(pts, slice(0, pts.shape[0])):
+    for block, d in fem.pair_blocks(pts):
         np.sqrt(d, out=d)
         # j <= i and pairs nearer than min_distance get an infinite denominator: quotient 0
         d[np.tril_indices(d.shape[0])] = np.inf

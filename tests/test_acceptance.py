@@ -197,13 +197,13 @@ def test_c7_fractional_norm_quadrature(disk, verdict):
 
         m = disk(6)
         v = fem.boundary_field(m, np.cos(m.boundary_params))
-        rep = gagliardo(v, 0.5, 2.0)
+        [rep] = gagliardo(v, tau=0.5, k=2.0)
         oracle = oracles.angular_cos_oracle(panels=10**6)
         assert abs(rep.seminorm_I - oracle) / oracle <= 0.01
 
         base = rep.seminorm_I
         for c in (2.0, -3.0, 0.5):
-            scaled = gagliardo(fem.boundary_field(m, c * v.values), 0.5, 2.0)
+            [scaled] = gagliardo(fem.boundary_field(m, c * v.values), tau=0.5, k=2.0)
             assert abs(scaled.seminorm_I - c**2 * base) / (c**2 * base) <= 1e-12
 
     verdict("C7", body)

@@ -211,16 +211,20 @@ def test_regularity_artifacts_are_pinned(tmp_path, config):
 # while frac-norm, chain-rule and product-rule still built the full disk or
 # ellipse triangulation.  They now build only its boundary polygon, whose loop
 # is the same bit for bit.  product_rule.csv moves with the BLAS thread count
-# (see C10), so a child process pins one thread.
+# (see C10), so a child process pins one thread.  The k = 2 results also move
+# with the number of fields one gagliardo call contracts in its BLAS product:
+# the level-4 frac-norm, chain_rule.csv and product_rule.csv pins were retaken
+# when each command handed all of its fields to one call, which moved ten
+# values by at most 2.2e-16 relative.
 BOUNDARY_DIGESTS = {
     ("frac-norm", "--tau", "0.5", "--k", "2", "--level", "4", "--field", "x1"):
-        ("fracnorm.csv", "5399f057c058bfb89db8393f0ff26fe7b68b92eeaa8956c94772a2dccf29212d"),
+        ("fracnorm.csv", "2bb73ac0b73842600003af6711f799925f9de5a462552ec2e36944908cc663af"),
     ("frac-norm", "--preset", "ellipse", "--tau", "0.3", "--k", "3", "--level", "3", "--field", "x1*x2"):
         ("fracnorm.csv", "e8cf5cc866fdea4d4ef296c925a4a921f2c7ee995477028881cc2c0a4af4b11e"),
     ("chain-rule", "--levels", "3", "4", "--samples", "3"):
-        ("chain_rule.csv", "32767724da3bdcbcfb49aa2d4cc4d641d68ba250299998b143fdc5227cfa8722"),
+        ("chain_rule.csv", "786f56b312dcc8e1ed45be9bab528953f8d46093ca72c1f3c11eea7bee9d30e8"),
     ("product-rule", "--levels", "3", "4", "--samples", "3"):
-        ("product_rule.csv", "4ee1279b24061f97b36d17a721ede1a421f38d2c81481a43931081f67204a7ab"),
+        ("product_rule.csv", "fb3581af4bd785d07cf9b8183a5fb83b96888c793d37f8e8b1767596474c204f"),
 }
 
 
@@ -411,11 +415,14 @@ def test_invalid_tolerance_or_exponent_is_config_error(tmp_path, capsys, argv, m
          "field expression 'x1 + y'"),
         (["solve-state", "--config", cfg("quadratic_tracking"), "--level", "2", "--v-expr", "t"],
          "field expression 't'"),
+        (["chain-rule", "--levels", "5", "5", "--samples", "3"], "--levels must not repeat a level"),
+        (["product-rule", "--levels", "3", "4", "3", "--samples", "3"], "--levels must not repeat a level"),
     ],
 )
 def test_empty_run_is_config_error(tmp_path, capsys, argv, message):
     # a run over zero sweeps or samples would pass every check vacuously; a
-    # negative seed crashed in numpy, and a field in the value variable was read at y = 0
+    # negative seed crashed in numpy, and a field in the value variable was read at y = 0;
+    # a repeated level wrote its rows twice and dropped the refinement check
     code, _, summary = run(argv, tmp_path)
     assert code == 2
     assert summary is None

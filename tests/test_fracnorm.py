@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import oracles
-from mixedreg import fem, geometry
+from mixedreg import cli, fem, geometry
 from mixedreg.fracnorm import (
     FracNormError,
     chain_rule_check,
@@ -33,7 +33,7 @@ def random_field(mesh, seed):
 
 def test_constant_field(disk):
     m = disk(3)
-    rep = gagliardo(fem.boundary_field(m, 2.5), 0.5, 2.0)
+    [rep] = gagliardo(fem.boundary_field(m, 2.5), tau=0.5, k=2.0)
     assert rep.seminorm_I == 0.0
     perim = float(np.sum(m.boundary_edge_lengths))
     assert rep.full_norm == pytest.approx(2.5 * np.sqrt(perim), rel=1e-13)
@@ -41,7 +41,7 @@ def test_constant_field(disk):
 
 def test_report_fields(disk):
     m = disk(3)
-    rep = gagliardo(cos_field(m), 0.5, 2.0)
+    [rep] = gagliardo(cos_field(m), tau=0.5, k=2.0)
     assert rep.tau == 0.5 and rep.k == 2.0
     assert rep.quadrature_level == 3
     assert rep.seminorm_I > 0.0
@@ -51,9 +51,9 @@ def test_report_fields(disk):
 def test_homogeneity(disk):
     m = disk(3)
     v = random_field(m, 9)
-    base = gagliardo(v, 0.4, 3.0)
+    [base] = gagliardo(v, tau=0.4, k=3.0)
     for c in (2.0, 3.0, -1.0, 0.5):
-        scaled = gagliardo(fem.boundary_field(m, c * v.values), 0.4, 3.0)
+        [scaled] = gagliardo(fem.boundary_field(m, c * v.values), tau=0.4, k=3.0)
         assert scaled.seminorm_I == pytest.approx(abs(c) ** 3.0 * base.seminorm_I, rel=1e-12)
         assert scaled.full_norm == pytest.approx(abs(c) * base.full_norm, rel=1e-12)
 
@@ -61,7 +61,7 @@ def test_homogeneity(disk):
 def test_norm_identity(disk):
     m = disk(3)
     v = random_field(m, 12)
-    rep = gagliardo(v, 0.3, 2.0)
+    [rep] = gagliardo(v, tau=0.3, k=2.0)
     lp = fem.lp_norm(v, 2.0)
     assert rep.full_norm**2 == pytest.approx(rep.seminorm_I + lp**2, rel=1e-13)
 
@@ -70,8 +70,8 @@ def test_rotation_invariance(disk):
     # relabeling the start vertex permutes pair contributions only
     m = disk(3)
     v = random_field(m, 3)
-    base = gagliardo(v, 0.5, 2.0).seminorm_I
-    rolled = gagliardo(fem.boundary_field(m, np.roll(v.values, 7)), 0.5, 2.0).seminorm_I
+    base = gagliardo(v, tau=0.5, k=2.0)[0].seminorm_I
+    rolled = gagliardo(fem.boundary_field(m, np.roll(v.values, 7)), tau=0.5, k=2.0)[0].seminorm_I
     assert rolled == pytest.approx(base, rel=1e-12)
 
 
@@ -81,7 +81,7 @@ def test_triangle_inequality(disk):
     v1 = fem.boundary_field(m, rng.standard_normal(m.n_boundary))
     v2 = fem.boundary_field(m, rng.standard_normal(m.n_boundary))
     s = fem.boundary_field(m, v1.values + v2.values)
-    g = lambda f: gagliardo(f, 0.5, 2.0).full_norm
+    g = lambda f: gagliardo(f, tau=0.5, k=2.0)[0].full_norm
     assert g(s) <= g(v1) + g(v2) + 1e-12
 
 
@@ -91,13 +91,20 @@ def test_validation():
     m = geometry.build_mesh("disk", 1)
     v = fem.boundary_field(m, 1.0)
     with pytest.raises(FracNormError):
-        gagliardo(v, 0.0, 2.0)
+        gagliardo(v, tau=0.0, k=2.0)
     with pytest.raises(FracNormError):
-        gagliardo(v, 1.0, 2.0)
+        gagliardo(v, tau=1.0, k=2.0)
     with pytest.raises(FracNormError):
-        gagliardo(v, 0.5, 0.5)
+        gagliardo(v, tau=0.5, k=0.5)
     with pytest.raises(FracNormError):
-        gagliardo(fem.domain_field(m, 1.0), 0.5, 2.0)
+        gagliardo(fem.domain_field(m, 1.0), tau=0.5, k=2.0)
+    # one call measures one or more boundary fields of one mesh
+    with pytest.raises(FracNormError):
+        gagliardo(tau=0.5, k=2.0)
+    with pytest.raises(FracNormError):
+        gagliardo(v, fem.domain_field(m, 1.0), tau=0.5, k=2.0)
+    with pytest.raises(FracNormError):
+        gagliardo(v, fem.boundary_field(geometry.build_mesh("disk", 1), 1.0), tau=0.5, k=2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +115,7 @@ def test_cosine_approaches_continuum(disk):
     """Angular cosine at tau = 1/2, k = 2; closed-form limit 2 pi^2."""
     expected_rel = {4: 2.008e-4, 5: 5.020e-5, 6: 1.255e-5}
     for level, rel in expected_rel.items():
-        semi = gagliardo(cos_field(disk(level)), 0.5, 2.0).seminorm_I
+        semi = gagliardo(cos_field(disk(level)), tau=0.5, k=2.0)[0].seminorm_I
         measured = abs(semi - TWO_PI_SQ) / TWO_PI_SQ
         assert measured == pytest.approx(rel, rel=5e-3)
 
@@ -123,7 +130,7 @@ def test_engine_matches_brute_quadrature(disk):
     # graded-cell engine, inside the 1% design target
     m = disk(2)
     v = random_field(m, 5)
-    semi = gagliardo(v, 0.5, 2.0).seminorm_I
+    semi = gagliardo(v, tau=0.5, k=2.0)[0].seminorm_I
     brute = oracles.brute_gagliardo(v, 0.5, 2.0, panels_per_edge=128)
     assert abs(semi - brute) / brute <= 1e-2
 
@@ -135,7 +142,7 @@ def test_engine_matches_brute_quadrature(disk):
 def test_chain_rule_zero_mapping(disk):
     m = disk(2)
     v = random_field(m, 5)
-    lhs, rhs, ratio = chain_rule_check("0", v, 0.5, 2.0)
+    [(lhs, rhs, ratio)] = chain_rule_check("0", [v], 0.5, 2.0)
     assert lhs == 0.0 and ratio == 0.0
     assert rhs > 1.0
 
@@ -144,8 +151,8 @@ def test_chain_rule_linear_mapping(disk):
     # a(t) = 2t: lhs = 2 n(v), rhs = n(v) + 1, so the ratio sits below 2
     m = disk(2)
     v = random_field(m, 5)
-    lhs, rhs, ratio = chain_rule_check("2*t", v, 0.5, 2.0)
-    n = gagliardo(v, 0.5, 2.0).full_norm
+    [(lhs, rhs, ratio)] = chain_rule_check("2*t", [v], 0.5, 2.0)
+    n = gagliardo(v, tau=0.5, k=2.0)[0].full_norm
     assert lhs == pytest.approx(2.0 * n, rel=1e-12)
     assert ratio == pytest.approx(2.0 * n / (n + 1.0), rel=1e-12)
     assert ratio < 2.0
@@ -163,7 +170,7 @@ def test_product_zero_factor(disk):
     m = disk(2)
     v = random_field(m, 5)
     z = fem.boundary_field(m, 0.0)
-    lhs, rhs, ratio = product_check(z, v, 0.25, 0.5, 0.5, 1.0, 2.0, 2.0)
+    [(lhs, rhs, ratio)] = product_check([(z, v)], 0.25, 0.5, 0.5, 1.0, 2.0, 2.0)
     assert lhs == 0.0 and rhs == 0.0 and ratio == 0.0
 
 
@@ -171,18 +178,18 @@ def test_product_validation(disk):
     m = disk(1)
     v = fem.boundary_field(m, 1.0)
     with pytest.raises(FracNormError):
-        product_check(v, v, 0.25, 0.5, 0.5, 1.0, 2.0, 3.0)
+        product_check([(v, v)], 0.25, 0.5, 0.5, 1.0, 2.0, 3.0)
     with pytest.raises(FracNormError):
-        product_check(v, v, 0.6, 0.5, 0.5, 1.0, 2.0, 2.0)
+        product_check([(v, v)], 0.6, 0.5, 0.5, 1.0, 2.0, 2.0)
     with pytest.raises(FracNormError):
-        product_check(fem.domain_field(m, 1.0), v, 0.25, 0.5, 0.5, 1.0, 2.0, 2.0)
+        product_check([(fem.domain_field(m, 1.0), v)], 0.25, 0.5, 0.5, 1.0, 2.0, 2.0)
 
 
 @pytest.mark.parametrize("k, k1, k2", [(0.0, 2.0, 2.0), (1.0, 0.0, 2.0), (1.0, 2.0, 0.0), (0.5, 1.0, 1.0)])
 def test_product_rejects_exponents_below_one(disk, k, k1, k2):
     v = fem.boundary_field(disk(1), 1.0)
     with pytest.raises(FracNormError, match="must be >= 1"):
-        product_check(v, v, 0.25, 0.5, 0.5, k, k1, k2)
+        product_check([(v, v)], 0.25, 0.5, 0.5, k, k1, k2)
 
 
 def test_product_stability_under_refinement(fourier_sweep):
@@ -199,7 +206,7 @@ def test_product_stability_under_refinement(fourier_sweep):
 
 
 def test_probe_constant_is_zero(disk):
-    assert gagliardo(fem.boundary_field(disk(3), 2.5), 0.5, 2.0).seminorm_I == 0.0
+    assert gagliardo(fem.boundary_field(disk(3), 2.5), tau=0.5, k=2.0)[0].seminorm_I == 0.0
 
 
 def test_probe_ladder_smooth_field(disk):
@@ -209,14 +216,14 @@ def test_probe_ladder_smooth_field(disk):
     expected = {2.0: 19.7382, 4.0: 14.8037, 8.0: 10.7943, 16.0: 7.75241}
     roots = []
     for k, e in expected.items():
-        val = gagliardo(v, 1.0 - 1.0 / k, k).seminorm_I
+        val = gagliardo(v, tau=1.0 - 1.0 / k, k=k)[0].seminorm_I
         assert val == pytest.approx(e, rel=1e-4)
         roots.append(val ** (1.0 / k))
     assert all(a > b for a, b in zip(roots, roots[1:]))
 
 
 def test_probe_smooth_field_stable_under_refinement(disk):
-    vals = [gagliardo(cos_field(disk(lv)), 0.5, 2.0).seminorm_I for lv in (3, 4, 5, 6)]
+    vals = [gagliardo(cos_field(disk(lv)), tau=0.5, k=2.0)[0].seminorm_I for lv in (3, 4, 5, 6)]
     assert vals[0] == pytest.approx(19.72336, rel=1e-5)
     assert vals[-1] == pytest.approx(19.738961, rel=1e-5)
     assert abs(vals[-1] - vals[0]) / vals[0] < 1e-3
@@ -228,7 +235,7 @@ def test_probe_step_field_diverges_logarithmically(disk):
     for lv in (4, 5, 6):
         m = disk(lv)
         v = fem.boundary_field(m, np.sign(np.cos(m.boundary_params)))
-        vals.append(gagliardo(v, 0.5, 2.0).seminorm_I)
+        vals.append(gagliardo(v, tau=0.5, k=2.0)[0].seminorm_I)
     incs = [b - a for a, b in zip(vals, vals[1:])]
     for inc in incs:
         assert inc == pytest.approx(oracles.STEP_LADDER_INCREMENT, rel=5e-3)
@@ -239,10 +246,9 @@ def test_probe_step_field_diverges_logarithmically(disk):
 
 
 GOLDEN_PAIRS = ((1.0 / 3.0, 2.0), (0.25, 1.0), (0.5, 2.0), (0.75, 4.0))
-# seminorm_I of fourier_probe for GOLDEN_PAIRS, computed by the earlier
-# quadrature that built every weight inside each call; the record keeps one
-# chunk up to level 6 and streams four chunks at level 7.  Boundary-only
-# work reads nothing of the interior, so these tests build the boundary fan.
+# seminorm_I of fourier_probe for GOLDEN_PAIRS, computed by an earlier
+# quadrature that built every weight inside each call.  Boundary-only work
+# reads nothing of the interior, so these tests build the boundary fan.
 GOLDEN_SEMINORMS = {
     3: (35.13348079453367, 35.444166764544626, 38.08534276692461, 90.46161453873229),
     5: (35.42549277735052, 35.60490135326795, 38.46530078413479, 92.85627364873683),
@@ -261,40 +267,59 @@ def test_golden_seminorms(level):
     m = geometry.boundary_fan("disk", level)
     v = fourier_probe(m)
     for (tau, k), expected in zip(GOLDEN_PAIRS, GOLDEN_SEMINORMS[level]):
-        assert gagliardo(v, tau, k).seminorm_I == pytest.approx(expected, rel=1e-13, abs=0.0)
+        assert gagliardo(v, tau=tau, k=k)[0].seminorm_I == pytest.approx(expected, rel=1e-13, abs=0.0)
 
 
 def count_far_field_builds(monkeypatch):
-    """Record the beta of every far-field chunk the record builds."""
+    """Record the beta of every far-field pass the record builds."""
     built = []
-    build = fem.P1._far_field_chunk
+    build = fem.P1.far_field
 
-    def counted(self, beta, rows):
+    def counted(self, beta):
         built.append(beta)
-        return build(self, beta, rows)
+        return build(self, beta)
 
-    monkeypatch.setattr(fem.P1, "_far_field_chunk", counted)
+    monkeypatch.setattr(fem.P1, "far_field", counted)
     return built
+
+
+def count_pair_blocks(monkeypatch):
+    """Count the staircase blocks that ``fem.pair_blocks`` yields."""
+    walked = []
+    walk = fem.pair_blocks
+
+    def counted(*args):
+        for block in walk(*args):
+            walked.append(block[0])
+            yield block
+
+    monkeypatch.setattr(fem, "pair_blocks", counted)
+    return walked
 
 
 def test_equal_beta_shares_one_table(monkeypatch):
     built = count_far_field_builds(monkeypatch)
     m = geometry.build_mesh("disk", 3)
-    rec = fem.p1(m)
-    v = random_field(m, 4)
-    gagliardo(v, 0.5, 2.0)
-    gagliardo(v, 0.25, 4.0)  # beta = 1 + tau k = 2 again
+    fields = [random_field(m, seed) for seed in (4, 5, 6)]
+    gagliardo(*fields, tau=0.5, k=2.0)
     assert built == [2.0]
-    assert set(rec._far_field) == set(rec._adjacent) == {2.0}
 
 
 def test_product_check_builds_one_table_per_beta(monkeypatch):
     built = count_far_field_builds(monkeypatch)
     m = geometry.build_mesh("disk", 4)
-    v1, v2 = random_field(m, 1), random_field(m, 2)
-    for _ in range(3):
-        product_check(v1, v2, 0.25, 0.5, 0.5, 1.0, 2.0, 2.0)
+    pairs = [(random_field(m, 2 * i + 1), random_field(m, 2 * i + 2)) for i in range(5)]
+    product_check(pairs, 0.25, 0.5, 0.5, 1.0, 2.0, 2.0)
     assert sorted(built) == [1.25, 2.0]
+
+
+def test_frac_norm_walks_the_staircase_once(monkeypatch, tmp_path):
+    # level 8: 4096 Gauss points in 64-row blocks; the doubled field of the
+    # homogeneity check rides along in the same pass
+    walked = count_pair_blocks(monkeypatch)
+    argv = ["--out", str(tmp_path), "frac-norm", "--tau", "0.5", "--k", "2", "--level", "8"]
+    assert cli.main(argv) == 0
+    assert len(walked) == 64
 
 
 def test_kept_table_is_an_upper_staircase():
@@ -307,35 +332,21 @@ def test_kept_table_is_an_upper_staircase():
     assert blocks[-1][0].stop == npts
     for rows, table in blocks:
         assert table.shape == (rows.stop - rows.start, npts - rows.start)
-        assert not table.flags.writeable
         assert np.all(np.tril(table[:, : table.shape[0]]) == 0.0)
     assert sum(table.size for _, table in blocks) <= 0.55 * npts**2
 
 
-def test_record_keeps_the_most_recent_betas():
-    m = geometry.boundary_fan("disk", 6)
-    rec = fem.p1(m)
-    v = random_field(m, 8)
-    taus = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6)
-    for tau in taus:
-        gagliardo(v, tau, 2.0)
-        assert len(rec._far_field) <= fem._KEPT_BETAS and len(rec._adjacent) <= fem._KEPT_BETAS
-    recent = [1.0 + 2.0 * tau for tau in taus[-fem._KEPT_BETAS :]]
-    assert list(rec._far_field) == list(rec._adjacent) == recent
-    # a hit makes its beta the most recent again
-    gagliardo(v, taus[-fem._KEPT_BETAS], 2.0)
-    assert list(rec._far_field) == recent[1:] + recent[:1]
-
-
 def test_streamed_mesh_keeps_no_weights(monkeypatch):
-    built = count_far_field_builds(monkeypatch)
-    m = geometry.boundary_fan("disk", 7)  # nb = 1024: 2048^2 pairs, four chunks
+    walked = count_pair_blocks(monkeypatch)
+    m = geometry.boundary_fan("disk", 7)  # nb = 1024: 2048 Gauss points, 32 blocks
     rec = fem.p1(m)
-    v = cos_field(m)
-    first = gagliardo(v, 0.5, 2.0).seminorm_I
-    assert gagliardo(v, 0.5, 2.0).seminorm_I == first
-    assert built == [2.0] * 8
-    assert rec._far_field == {} and rec._adjacent == {}
+    fields = [cos_field(m), random_field(m, 3)]
+    together = gagliardo(*fields, tau=0.5, k=2.0)
+    assert len(walked) == 32
+    # no weights stay on the record: a second pass builds them again
+    assert vars(rec).keys() == {"_mesh", "_spec", "_operator", "boundary", "edge_ends"}
+    assert [r.seminorm_I for r in together] == [r.seminorm_I for r in gagliardo(*fields, tau=0.5, k=2.0)]
+    assert len(walked) == 64
 
 
 # ---------------------------------------------------------------------------
@@ -368,10 +379,10 @@ def test_kept_weights_reproduce_a_fresh_mesh(field, tk):
     level, values = field
     tau, k = tk
     warm = geometry.build_mesh("disk", level)
-    gagliardo(random_field(warm, 0), tau, k)  # the record now holds this beta
+    gagliardo(random_field(warm, 0), tau=tau, k=k)  # the record has served this beta
     fresh = geometry.build_mesh("disk", level)
-    a = gagliardo(fem.boundary_field(warm, values(warm.boundary_params)), tau, k)
-    b = gagliardo(fem.boundary_field(fresh, values(fresh.boundary_params)), tau, k)
+    [a] = gagliardo(fem.boundary_field(warm, values(warm.boundary_params)), tau=tau, k=k)
+    [b] = gagliardo(fem.boundary_field(fresh, values(fresh.boundary_params)), tau=tau, k=k)
     assert a.seminorm_I == b.seminorm_I and a.full_norm == b.full_norm
 
 
@@ -383,8 +394,8 @@ def test_seminorm_scales_with_power_k(field, tk, c, flip):
     c = -c if flip else c
     m = geometry.build_mesh("disk", level)
     vals = values(m.boundary_params)
-    base = gagliardo(fem.boundary_field(m, vals), tau, k).seminorm_I
-    scaled = gagliardo(fem.boundary_field(m, c * vals), tau, k).seminorm_I
+    base = gagliardo(fem.boundary_field(m, vals), tau=tau, k=k)[0].seminorm_I
+    scaled = gagliardo(fem.boundary_field(m, c * vals), tau=tau, k=k)[0].seminorm_I
     assert scaled == pytest.approx(abs(c) ** k * base, rel=1e-12)
 
 
@@ -395,9 +406,44 @@ def test_seminorm_ignores_constants(field, tk, shift):
     tau, k = tk
     m = geometry.build_mesh("disk", level)
     vals = values(m.boundary_params)
-    base = gagliardo(fem.boundary_field(m, vals), tau, k).seminorm_I
-    shifted = gagliardo(fem.boundary_field(m, vals + shift), tau, k).seminorm_I
+    base = gagliardo(fem.boundary_field(m, vals), tau=tau, k=k)[0].seminorm_I
+    shifted = gagliardo(fem.boundary_field(m, vals + shift), tau=tau, k=k)[0].seminorm_I
     assert shifted == pytest.approx(base, rel=1e-12)
+
+
+def one_call_per_field(fields, tau, k):
+    """gagliardo over every field at once, checked against one call per field."""
+    together = gagliardo(*fields, tau=tau, k=k)
+    assert len(together) == len(fields)
+    for v, rep in zip(fields, together):
+        [alone] = gagliardo(v, tau=tau, k=k)
+        assert rep.seminorm_I == pytest.approx(alone.seminorm_I, rel=1e-12, abs=0.0)
+        assert rep.full_norm == pytest.approx(alone.full_norm, rel=1e-12, abs=0.0)
+
+
+def batch(mesh, count, seed):
+    """``count`` rough fields on ``mesh`` and, among them, the offset field 1e3 + cos."""
+    th = mesh.boundary_params
+    rng = np.random.default_rng(seed)
+    fields = [
+        fem.boundary_field(mesh, rng.uniform(0.5, 3.0) * (np.cos(th + rng.uniform(0.0, 2.0 * np.pi))
+                                                         + rng.uniform(-0.4, 0.4, th.size)))
+        for _ in range(count)
+    ]
+    fields.insert(seed % (count + 1), fem.boundary_field(mesh, 1e3 + np.cos(th)))
+    return fields
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(2, 5), st.integers(1, 4), st.floats(0.05, 0.95), st.sampled_from([1.0, 2.0, 3.5]),
+       st.integers(0, 2**32 - 1))
+def test_one_call_over_many_fields_equals_one_call_per_field(level, count, tau, k, seed):
+    one_call_per_field(batch(geometry.boundary_fan("disk", level), count, seed), tau, k)
+
+
+@pytest.mark.parametrize("k", [1.0, 2.0, 3.5])
+def test_one_call_over_many_fields_at_level_seven(k):
+    one_call_per_field(batch(geometry.boundary_fan("disk", 7), 3, 7), 0.5, k)
 
 
 def ordered_far_field(v, tau, k):
@@ -423,10 +469,10 @@ def test_unordered_far_field_matches_the_ordered_sum(field, tk):
     tau, k = tk
     m = geometry.build_mesh("disk", level)
     v = fem.boundary_field(m, values(m.boundary_params))
-    total = gagliardo(v, tau, k).seminorm_I
+    total = gagliardo(v, tau=tau, k=k)[0].seminorm_I
     with pytest.MonkeyPatch.context() as mp:
         without_far_field(mp)
-        near = gagliardo(v, tau, k).seminorm_I
+        near = gagliardo(v, tau=tau, k=k)[0].seminorm_I
     assert total - near == pytest.approx(ordered_far_field(v, tau, k), rel=1e-12)
 
 
@@ -436,7 +482,7 @@ def test_unordered_far_field_matches_the_ordered_sum(field, tk):
 
 @pytest.mark.parametrize("level", [6, 7])
 def test_adjacent_moments_match_the_difference_form(level):
-    # level 6 keeps the weights, level 7 streams them
+    # 512 and 1024 edges: the moment contraction against the difference form it expands
     m = geometry.boundary_fan("disk", level)
     v = fourier_probe(m)
     s, t, moments, weights = fem.p1(m).adjacent(2.0)
@@ -447,9 +493,9 @@ def test_adjacent_moments_match_the_difference_form(level):
     expected = 2.0 * float(np.sum(weights * (fs[..., :, None] - ft[..., None, :]) ** 2))
     with pytest.MonkeyPatch.context() as mp:
         without_far_field(mp)
-        near = gagliardo(v, 0.5, 2.0).seminorm_I
+        near = gagliardo(v, tau=0.5, k=2.0)[0].seminorm_I
         mp.setattr(fem.P1, "adjacent", lambda self, beta: (s, t, moments, np.zeros_like(weights)))
-        same_edge = gagliardo(v, 0.5, 2.0).seminorm_I
+        same_edge = gagliardo(v, tau=0.5, k=2.0)[0].seminorm_I
     assert near - same_edge == pytest.approx(expected, rel=1e-13, abs=0.0)
 
 
@@ -458,8 +504,8 @@ def test_offset_far_field_matches_the_ordered_sum(level, disk):
     # the offset dwarfs the field's spread: the quadratic form must not cancel it away
     m = disk(level)
     v = fem.boundary_field(m, 1e3 + np.cos(m.boundary_params))
-    total = gagliardo(v, 0.5, 2.0).seminorm_I
+    total = gagliardo(v, tau=0.5, k=2.0)[0].seminorm_I
     with pytest.MonkeyPatch.context() as mp:
         without_far_field(mp)
-        near = gagliardo(v, 0.5, 2.0).seminorm_I
+        near = gagliardo(v, tau=0.5, k=2.0)[0].seminorm_I
     assert total - near == pytest.approx(ordered_far_field(v, 0.5, 2.0), rel=1e-12, abs=0.0)
