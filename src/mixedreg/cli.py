@@ -297,7 +297,7 @@ def _run_frac_norm(args, out_dir: Path, rng) -> tuple:
     rows = [
         f"{_fmt(rep.tau)},{_fmt(rep.k)},{rep.quadrature_level},{_fmt(rep.seminorm_I)},{_fmt(rep.full_norm)}"
     ]
-    artifacts = [_write_csv(out_dir, "fracnorm.csv", fracnorm.FRACNORM_CSV_HEADER, rows)]
+    artifacts = [_write_csv(out_dir, "fracnorm.csv", "tau,k,level,seminorm,norm", rows)]
 
     target = 2.0**args.k * rep.seminorm_I
     homog = abs(doubled.seminorm_I - target) / max(abs(target), 1e-300)
@@ -523,7 +523,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     out_dir = Path(os.environ.get("MIXEDREG_OUT") or args.out)
 
-    for name in ("kkt_tol", "active_tol", "newton_tol", "tol", "stability_rtol"):
+    for name in ("kkt_tol", "active_tol", "newton_tol", "tol", "stability_rtol", "amplitude"):
         value = getattr(args, name, None)
         if value is not None and not 0.0 < value < math.inf:
             print(f"error: --{name.replace('_', '-')} must be positive and finite", file=sys.stderr)

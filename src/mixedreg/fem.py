@@ -10,23 +10,20 @@ nothing is mass-lumped.  Assembly is vectorized and deterministic.
 The :class:`P1` record of a mesh (``p1(mesh)``) is the single owner of
 everything assembled once per mesh: both quadratures, the mass matrices
 M and M_b (and M_b on the vertex numbering), the elliptic operator of the
-last problem spec, the Gagliardo weights over the boundary (``far_field``
-and ``adjacent``, per exponent beta), and the sparse maps that own every
-interior integral: Q (3T, n) interpolates nodal values to the interior
-points, W = Q^T diag(qw) (n, 3T) integrates values there against the
-basis, and Gx, Gy (T, n) give the gradient on each triangle.  A load is
-W g, a weighted mass W diag(w) Q, and the elliptic operator Gx^T (D11 Gx
-+ D12 Gy) + Gy^T (D12 Gx + D22 Gy) plus the a0-weighted mass, so every
+last problem spec, and the sparse maps that own every interior
+integral: Q (3T, n) interpolates nodal values to the interior points,
+W = Q^T diag(qw) (n, 3T) integrates values there against the basis, and
+Gx, Gy (T, n) give the gradient on each triangle.  A load is W g, a
+weighted mass W diag(w) Q, and the elliptic operator Gx^T (D11 Gx +
+D12 Gy) + Gy^T (D12 Gx + D22 Gy) plus the a0-weighted mass, so every
 Newton Jacobian uses exactly the quadrature of the residual it
 differentiates.  Load vectors are always M f + T^T (M_b g), T the trace.
 
 The record holds only a weak reference to its mesh, so a dropped mesh
-frees its record at once.  All pair work (far-field weights over Gauss
-points, ``regularity``'s quotients over nodes) walks the row blocks of
-``pair_blocks`` over the upper triangle j > i, each unordered pair once.
-Gagliardo weights are built on every pass, the far field block by block, and
-never kept: a caller with several fields at one beta hands them all to
-one pass.
+frees its record at once.  All pair work (``fracnorm``'s far-field
+weights over Gauss points, ``regularity``'s quotients over nodes) walks
+the row blocks of ``pair_blocks`` over the upper triangle j > i, each
+unordered pair once.
 
 Sparse matrices are built only here.  Every linear system goes through
 ``solve_linear``: a sparse LU factorisation for a vector or a block of
@@ -82,44 +79,12 @@ SOLVE_RTOL = 1e-11
 # Gauss points holds one block of at most _STAIR_ROWS x 2 nb weights at a time (2 MB at
 # nb = 2048), and its blocks cover 1/2 + _STAIR_ROWS / (4 nb) of the ordered pairs
 _STAIR_ROWS = 64
-# graded levels of the singular boundary pair rules
-DYADIC_LEVELS = 4
 
 # P1 basis values at the three edge-midpoint quadrature nodes
 _TRI_BASIS = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
 # and at the two Gauss nodes of a boundary edge
 _GAUSS_S = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
 _EDGE_BASIS = np.stack([1.0 - _GAUSS_S, _GAUSS_S], axis=1)
-
-
-def _corner_cells(levels: int = DYADIC_LEVELS):
-    """Graded partition of the unit square toward the corner (1, 0)."""
-    cells = []
-    hot = (0.0, 0.0, 1.0)
-    for _ in range(levels):
-        s0, t0, size = hot
-        h = 0.5 * size
-        corner = (s0 + h, t0)
-        for child in ((s0, t0), (s0 + h, t0), (s0, t0 + h), (s0 + h, t0 + h)):
-            if child != corner:
-                cells.append((child[0], child[1], h))
-        hot = (corner[0], corner[1], h)
-    cells.append(hot)
-    return np.array(cells)
-
-
-# adjacent-edge pairs: 4x4 Gauss on each graded cell, as (cells, 4) node and weight tables
-_G4_X, _G4_WX = np.polynomial.legendre.leggauss(4)
-_G4_NODES, _G4_W = 0.5 * (_G4_X + 1.0), 0.5 * _G4_WX  # on (0, 1)
-_ADJ_CELLS = _corner_cells()
-_ADJ_S = _ADJ_CELLS[:, :1] + _ADJ_CELLS[:, 2:] * _G4_NODES
-_ADJ_T = _ADJ_CELLS[:, 1:2] + _ADJ_CELLS[:, 2:] * _G4_NODES
-_ADJ_W = _ADJ_CELLS[:, 2:] * _G4_W
-
-# the rule's moments ((1 - s)^2, (1 - s) t, t^2) per (cell, s node, t node), in the order of the flattened weights
-_ADJ_MOMENTS = np.stack(np.broadcast_arrays((1.0 - _ADJ_S[:, :, None]) ** 2,
-                                            (1.0 - _ADJ_S[:, :, None]) * _ADJ_T[:, None, :],
-                                            _ADJ_T[:, None, :] ** 2), axis=-1).reshape(-1, 3)
 
 
 class FieldError(ValueError):
@@ -203,9 +168,8 @@ class P1:
     is ``edge_ends``.  Nor does it build the interior mesh: the boundary
     commands work on ``geometry.boundary_fan``.  ``operator`` keeps the
     matrix of the last spec it was asked for and reassembles when a
-    different spec object comes.  The Gagliardo weights (``far_field``,
-    ``adjacent``) are built anew on every call and not kept.  The mesh
-    is held weakly: the mesh owns the record.
+    different spec object comes.  The mesh is held weakly: the mesh owns
+    the record.
     """
 
     def __init__(self, mesh: Mesh):
@@ -309,53 +273,6 @@ class P1:
         total = interior + boundary
         total.eliminate_zeros()  # as a sparse product would, drop the zeros of zero coefficients
         return SparseOperator(total)
-
-    def far_field(self, beta: float):
-        """Far-field weights 2 w_i w_j / |x_i - x_j|^beta over unordered boundary Gauss-point pairs.
-
-        Yields (rows, table) per block of the ``pair_blocks`` staircase over
-        the Gauss points, each table new.  Each unordered pair appears once,
-        with the factor 2 of the symmetric integrand folded in; entries with
-        j <= i and pairs from one edge or from adjacent edges are zero.
-        """
-        qpts, qw = self.boundary
-        for block, table in pair_blocks(qpts):
-            r0, n = block.start, block.stop - block.start
-            with np.errstate(divide="ignore"):
-                np.power(table, -0.5 * beta, out=table)
-            table *= 2.0 * qw[block, None]
-            table *= qw[None, r0:]
-            table[np.tril_indices(n)] = 0.0
-            # touching pairs: the Gauss points of the row's edge and of its two neighbours; a
-            # column left of the block maps to its column 0 (j = r0 <= i), which is zero already
-            edge = np.arange(r0, block.stop) // 2
-            touching = (2 * edge[:, None] + np.arange(-2, 4)) % qw.size - r0
-            table[np.arange(n)[:, None], np.maximum(touching, 0)] = 0.0
-            yield block, table
-
-    def adjacent(self, beta: float):
-        """Weights of the graded-cell rule for pairs of adjacent boundary edges.
-
-        Edge e runs from x(s) = a + s (b - a) and edge e + 1 from x'(t) =
-        b + t (c - b); the cells grade toward the shared vertex (s, t) =
-        (1, 0).  Returns (s, t, moments, weights): the (cells, 4) node
-        tables, the (cells * 16, 3) table of ((1 - s)^2, (1 - s) t, t^2)
-        in the order of the flattened cells and nodes, and the new (nb,
-        cells, 4, 4) weights |e| |e+1| w_s w_t / |x - x'|^beta.
-        """
-        mesh = self.mesh
-        a = mesh.vertices[mesh.boundary_loop]
-        b = np.roll(a, -1, axis=0)
-        c = np.roll(a, -2, axis=0)
-        # (nb, cells, s node, t node, xy)
-        x = a[:, None, None, None, :] + _ADJ_S[None, :, :, None, None] * (b - a)[:, None, None, None, :]
-        xp = b[:, None, None, None, :] + _ADJ_T[None, :, None, :, None] * (c - b)[:, None, None, None, :]
-        d2 = np.sum((x - xp) ** 2, axis=4)
-        lens = mesh.boundary_edge_lengths
-        weights = np.power(d2, -0.5 * beta)
-        weights *= (lens * np.roll(lens, -1))[:, None, None, None]
-        weights *= _ADJ_W[None, :, :, None] * _ADJ_W[None, :, None, :]
-        return _ADJ_S, _ADJ_T, _ADJ_MOMENTS, weights
 
 
 def pair_blocks(points: np.ndarray):

@@ -5,13 +5,14 @@ edge pairs that do not touch (tensor 2x2 Gauss), identical edges (the
 gap-variable reduction of the P1 integrand, with a dyadic 1-D rule
 graded toward zero gap), and adjacent edges (graded tensor cells refined
 toward the shared-vertex corner of the parameter square, four dyadic
-levels).  The weights of the first and last class depend on the mesh and
-on beta = 1 + tau k only; the mesh's :class:`fem.P1` record builds them
-(``far_field``, ``adjacent``) on every call and keeps none, so
-``gagliardo`` takes every field of a pass at once and builds the weights
-of its beta once for all of them.  The integrand is symmetric, so the
-far field walks the unordered Gauss-point pairs i < j of the
-``fem.pair_blocks`` staircase, with the factor 2 in its weights.
+levels).  This module owns every one of these pair rules: ``fem``
+supplies the boundary quadrature, the Gauss-point values and the
+``fem.pair_blocks`` staircase.  The weights of the first and last class
+depend on the mesh and on beta = 1 + tau k only; they are built on every
+call and never kept, so ``gagliardo`` takes every field of a pass at
+once and builds the weights of its beta once for all of them.  The
+integrand is symmetric, so the far field walks the unordered Gauss-point
+pairs i < j of the staircase, with the factor 2 in its weights.
 
 At k = 2 no pair-difference table is formed: |v_i - v_j|^2 expands, so
 both weighted sums are quadratic forms in the field.  The far field
@@ -36,7 +37,7 @@ import numpy as np
 
 from . import fem
 from .expressions import parse_expr
-from .fem import DYADIC_LEVELS, FEField
+from .fem import FEField
 
 __all__ = [
     "FracNormError",
@@ -46,7 +47,8 @@ __all__ = [
     "product_check",
 ]
 
-FRACNORM_CSV_HEADER = "tau,k,level,seminorm,norm"
+# graded levels of the singular boundary pair rules
+DYADIC_LEVELS = 4
 
 
 class FracNormError(ValueError):
@@ -61,7 +63,36 @@ def _gap_cells():
     return lo + (hi - lo) * (0.5 * (x + 1.0)), (hi - lo) * (0.5 * w)
 
 
+def _corner_cells():
+    """Graded partition of the unit square toward the corner (1, 0), as rows (s0, t0, size)."""
+    cells = []
+    hot = (0.0, 0.0, 1.0)
+    for _ in range(DYADIC_LEVELS):
+        s0, t0, size = hot
+        h = 0.5 * size
+        corner = (s0 + h, t0)
+        for child in ((s0, t0), (s0 + h, t0), (s0, t0 + h), (s0 + h, t0 + h)):
+            if child != corner:
+                cells.append((child[0], child[1], h))
+        hot = (corner[0], corner[1], h)
+    cells.append(hot)
+    return np.array(cells)
+
+
 _GAP_U, _GAP_W = _gap_cells()
+
+# adjacent-edge pairs: 4x4 Gauss on each graded cell, as (cells, 4) node and weight tables
+_G4_X, _G4_WX = np.polynomial.legendre.leggauss(4)
+_G4_NODES, _G4_W = 0.5 * (_G4_X + 1.0), 0.5 * _G4_WX  # on (0, 1)
+_ADJ_CELLS = _corner_cells()
+_ADJ_S = _ADJ_CELLS[:, :1] + _ADJ_CELLS[:, 2:] * _G4_NODES
+_ADJ_T = _ADJ_CELLS[:, 1:2] + _ADJ_CELLS[:, 2:] * _G4_NODES
+_ADJ_W = _ADJ_CELLS[:, 2:] * _G4_W
+
+# the rule's moments ((1 - s)^2, (1 - s) t, t^2) per (cell, s node, t node), in the order of the flattened weights
+_ADJ_MOMENTS = np.stack(np.broadcast_arrays((1.0 - _ADJ_S[:, :, None]) ** 2,
+                                            (1.0 - _ADJ_S[:, :, None]) * _ADJ_T[:, None, :],
+                                            _ADJ_T[:, None, :] ** 2), axis=-1).reshape(-1, 3)
 
 
 def _gap_integral(gamma: float) -> float:
@@ -73,36 +104,74 @@ def _gap_integral(gamma: float) -> float:
     return sum(np.sum(_GAP_W * 2.0 * (1.0 - _GAP_U) * _GAP_U**gamma, axis=1).tolist())
 
 
-def _far_field(rec: fem.P1, vq: np.ndarray, beta: float, k: float) -> np.ndarray:
+def _far_field(mesh, vq: np.ndarray, beta: float, k: float) -> np.ndarray:
     """Per field, the sum of the doubled far-field weights against |vq_i - vq_j|^k over the pairs i < j.
 
-    ``vq`` holds one row of Gauss-point values per field.  At k = 2 each
-    sum is a quadratic form in the values, centred first: with c = vq -
-    mean(vq), row i of a staircase block U adds c_i^2 sum_j U_ij + sum_j
-    U_ij c_j^2 - 2 c_i sum_j U_ij c_j, three sums that one product U [c,
-    c^2, 1] writes into row i of a table, and the F fields share the ones
-    column.  Centring costs nothing for values within a factor 2 of their
-    mean (the subtraction is exact) and keeps a large offset from
-    cancelling in the expansion.
+    ``vq`` holds one row of Gauss-point values per field.  Each block of
+    the ``fem.pair_blocks`` staircase becomes the weights 2 w_i w_j /
+    |x_i - x_j|^beta in place, zero for j <= i and for pairs from one edge
+    or from adjacent edges.  At k = 2 each sum is a quadratic form in the
+    values, centred first: with c = vq - mean(vq), row i of a block U adds
+    c_i^2 sum_j U_ij + sum_j U_ij c_j^2 - 2 c_i sum_j U_ij c_j, three sums
+    that one product U [c, c^2, 1] writes into row i of a table, and the F
+    fields share the ones column.  Centring costs nothing for values within
+    a factor 2 of their mean (the subtraction is exact) and keeps a large
+    offset from cancelling in the expansion.
     """
+    qpts, qw = fem.p1(mesh).boundary
     nf = vq.shape[0]
-    if k == 2.0:
+    quadratic = k == 2.0
+    if quadratic:
         c = vq - np.mean(vq, axis=1, keepdims=True)
         x = np.column_stack([*c, *(c * c), np.ones(c.shape[1])])
         p = np.zeros_like(x)
-        for rows, weights in rec.far_field(beta):
-            np.matmul(weights, x[rows.start :], out=p[rows])
-        p = p.T
-        return np.sum(c * c * p[2 * nf] + p[nf : 2 * nf] - 2.0 * c * p[:nf], axis=1)
     totals = np.zeros(nf)
-    for rows, weights in rec.far_field(beta):
+    for rows, weights in fem.pair_blocks(qpts):
+        r0, n = rows.start, rows.stop - rows.start
+        with np.errstate(divide="ignore"):
+            np.power(weights, -0.5 * beta, out=weights)
+        weights *= 2.0 * qw[rows, None]
+        weights *= qw[None, r0:]
+        weights[np.tril_indices(n)] = 0.0
+        # touching pairs: the Gauss points of the row's edge and of its two neighbours; a
+        # column left of the block maps to its column 0 (j = r0 <= i), which is zero already
+        edge = np.arange(r0, rows.stop) // 2
+        touching = (2 * edge[:, None] + np.arange(-2, 4)) % qw.size - r0
+        weights[np.arange(n)[:, None], np.maximum(touching, 0)] = 0.0
+        if quadratic:
+            np.matmul(weights, x[r0:], out=p[rows])
+            continue
         for f, v in enumerate(vq):
-            num = np.subtract.outer(v[rows], v[rows.start :])
+            num = np.subtract.outer(v[rows], v[r0:])
             np.abs(num, out=num)
             if k != 1.0:
                 num **= k
             totals[f] += np.vdot(num, weights)
+    if quadratic:
+        p = p.T
+        totals = np.sum(c * c * p[2 * nf] + p[nf : 2 * nf] - 2.0 * c * p[:nf], axis=1)
     return totals
+
+
+def _adjacent_weights(mesh, beta: float) -> np.ndarray:
+    """Weights |e| |e+1| w_s w_t / |x - x'|^beta of the graded-cell rule, shape (nb, cells, 4, 4).
+
+    Edge e runs from x(s) = a + s (b - a) and edge e + 1 from x'(t) = b +
+    t (c - b), at the nodes ``_ADJ_S`` and ``_ADJ_T``; the cells grade
+    toward the shared vertex (s, t) = (1, 0).
+    """
+    a = mesh.vertices[mesh.boundary_loop]
+    b = np.roll(a, -1, axis=0)
+    c = np.roll(a, -2, axis=0)
+    # (nb, cells, s node, t node, xy)
+    x = a[:, None, None, None, :] + _ADJ_S[None, :, :, None, None] * (b - a)[:, None, None, None, :]
+    xp = b[:, None, None, None, :] + _ADJ_T[None, :, None, :, None] * (c - b)[:, None, None, None, :]
+    d2 = np.sum((x - xp) ** 2, axis=4)
+    lens = mesh.boundary_edge_lengths
+    weights = np.power(d2, -0.5 * beta)
+    weights *= (lens * np.roll(lens, -1))[:, None, None, None]
+    weights *= _ADJ_W[None, :, :, None] * _ADJ_W[None, :, None, :]
+    return weights
 
 
 @dataclass
@@ -136,33 +205,32 @@ def gagliardo(*fields: FEField, tau: float, k: float) -> list[FracNormReport]:
     if not k >= 1.0:
         raise FracNormError(f"integrability exponent k must be >= 1, got {k}")
 
-    rec = fem.p1(mesh)
     beta = 1.0 + tau * k
     lens = mesh.boundary_edge_lengths
     vals = np.stack([v.values for v in fields])
     succ = np.roll(vals, -1, axis=1)
 
     # non-touching pairs i < j, 2x2 Gauss
-    totals = _far_field(rec, np.stack([fem.interp_boundary(v) for v in fields]), beta, k)
+    totals = _far_field(mesh, np.stack([fem.interp_boundary(v) for v in fields]), beta, k)
 
     # same edge: the P1 integrand depends only on the parameter gap
     gap = _gap_integral(k - beta)
     totals += np.sum(np.abs(succ - vals) ** k * lens ** (2.0 - beta), axis=1) * gap
 
     # adjacent edges: graded cells toward the shared-vertex corner (s,t)=(1,0)
-    s, t, moments, weights = rec.adjacent(beta)
+    weights = _adjacent_weights(mesh, beta)
     after = np.roll(vals, -2, axis=1)
     if k == 2.0:
         # f_s - f_t = (1 - s) d1 - t d2 with d1 = v_e - v_{e+1}, d2 = v_{e+2} - v_{e+1}: the
         # square is d1^2 (1-s)^2 - 2 d1 d2 (1-s) t + d2^2 t^2, so each edge needs its weights'
         # three moments only
         d1, d2 = vals - succ, after - succ
-        a, b, c = (weights.reshape(mesh.n_boundary, -1) @ moments).T
+        a, b, c = (weights.reshape(mesh.n_boundary, -1) @ _ADJ_MOMENTS).T
         totals += 2.0 * np.sum(a * d1 * d1 - 2.0 * b * d1 * d2 + c * d2 * d2, axis=1)
     else:
         for f, (v0, v1, v2) in enumerate(zip(vals, succ, after)):
-            fs = v0[:, None, None] + s * (v1 - v0)[:, None, None]
-            ft = v1[:, None, None] + t * (v2 - v1)[:, None, None]
+            fs = v0[:, None, None] + _ADJ_S * (v1 - v0)[:, None, None]
+            ft = v1[:, None, None] + _ADJ_T * (v2 - v1)[:, None, None]
             num = np.subtract(fs[..., :, None], ft[..., None, :])
             np.abs(num, out=num)
             if k != 1.0:

@@ -417,12 +417,15 @@ def test_invalid_tolerance_or_exponent_is_config_error(tmp_path, capsys, argv, m
          "field expression 't'"),
         (["chain-rule", "--levels", "5", "5", "--samples", "3"], "--levels must not repeat a level"),
         (["product-rule", "--levels", "3", "4", "3", "--samples", "3"], "--levels must not repeat a level"),
+        (["chain-rule", "--amplitude", "0"], "--amplitude must be positive and finite"),
+        (["product-rule", "--amplitude", "-1"], "--amplitude must be positive and finite"),
     ],
 )
 def test_empty_run_is_config_error(tmp_path, capsys, argv, message):
     # a run over zero sweeps or samples would pass every check vacuously; a
     # negative seed crashed in numpy, and a field in the value variable was read at y = 0;
-    # a repeated level wrote its rows twice and dropped the refinement check
+    # a repeated level wrote its rows twice and dropped the refinement check; a zero
+    # amplitude made every field zero, so every ratio read 0
     code, _, summary = run(argv, tmp_path)
     assert code == 2
     assert summary is None

@@ -28,7 +28,7 @@ from mixedreg.fem import (
     write_meshfield,
 )
 from mixedreg.fracnorm import gagliardo
-from mixedreg.geometry import PRESETS, build_mesh, mesh_from_arrays
+from mixedreg.geometry import PRESETS, boundary_fan, build_mesh, mesh_from_arrays
 
 
 @pytest.fixture(scope="module")
@@ -403,6 +403,16 @@ def test_pair_blocks_cover_each_pair_of_the_rows_once(n, stair_rows, seed):
     assert next_row == n
     # every unordered pair exactly once
     assert sorted(pairs) == [(i, j) for i in range(n) for j in range(i + 1, n)]
+
+
+def test_pair_blocks_over_the_gauss_points_hold_about_half_the_pairs():
+    # the Gagliardo far field walks the 2 nb boundary Gauss points: at level 6 (1024 points)
+    # the staircase's blocks hold at most 0.55 of the ordered pairs
+    m = boundary_fan("disk", 6)
+    qpts, _ = fem.p1(m).boundary
+    npts = qpts.shape[0]
+    assert npts == 1024
+    assert sum(d2.size for _, d2 in fem.pair_blocks(qpts)) <= 0.55 * npts**2
 
 
 def test_solve_linear_nonsymmetric_robinson_operator(disk, identity_spec):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import oracles
-from mixedreg import cli, fem, geometry
+from mixedreg import cli, fem, fracnorm, geometry
 from mixedreg.fracnorm import (
     FracNormError,
     chain_rule_check,
@@ -242,7 +242,7 @@ def test_probe_step_field_diverges_logarithmically(disk):
 
 
 # ---------------------------------------------------------------------------
-# Gagliardo weights in the P1 record
+# Gagliardo weights, built on every pass
 
 
 GOLDEN_PAIRS = ((1.0 / 3.0, 2.0), (0.25, 1.0), (0.5, 2.0), (0.75, 4.0))
@@ -271,15 +271,15 @@ def test_golden_seminorms(level):
 
 
 def count_far_field_builds(monkeypatch):
-    """Record the beta of every far-field pass the record builds."""
+    """Record the beta of every far-field pass ``gagliardo`` makes."""
     built = []
-    build = fem.P1.far_field
+    build = fracnorm._far_field
 
-    def counted(self, beta):
+    def counted(mesh, vq, beta, k):
         built.append(beta)
-        return build(self, beta)
+        return build(mesh, vq, beta, k)
 
-    monkeypatch.setattr(fem.P1, "far_field", counted)
+    monkeypatch.setattr(fracnorm, "_far_field", counted)
     return built
 
 
@@ -320,20 +320,6 @@ def test_frac_norm_walks_the_staircase_once(monkeypatch, tmp_path):
     argv = ["--out", str(tmp_path), "frac-norm", "--tau", "0.5", "--k", "2", "--level", "8"]
     assert cli.main(argv) == 0
     assert len(walked) == 64
-
-
-def test_kept_table_is_an_upper_staircase():
-    # each unordered pair once: row blocks [r0, r1) over the columns [r0, 2 nb),
-    # about half the ordered table at level 6
-    m = geometry.boundary_fan("disk", 6)
-    npts = 2 * m.n_boundary
-    blocks = list(fem.p1(m).far_field(2.0))
-    assert [rows.start for rows, _ in blocks] == [0] + [rows.stop for rows, _ in blocks[:-1]]
-    assert blocks[-1][0].stop == npts
-    for rows, table in blocks:
-        assert table.shape == (rows.stop - rows.start, npts - rows.start)
-        assert np.all(np.tril(table[:, : table.shape[0]]) == 0.0)
-    assert sum(table.size for _, table in blocks) <= 0.55 * npts**2
 
 
 def test_streamed_mesh_keeps_no_weights(monkeypatch):
@@ -379,7 +365,7 @@ def test_kept_weights_reproduce_a_fresh_mesh(field, tk):
     level, values = field
     tau, k = tk
     warm = geometry.build_mesh("disk", level)
-    gagliardo(random_field(warm, 0), tau=tau, k=k)  # the record has served this beta
+    gagliardo(random_field(warm, 0), tau=tau, k=k)  # the mesh has served this beta
     fresh = geometry.build_mesh("disk", level)
     [a] = gagliardo(fem.boundary_field(warm, values(warm.boundary_params)), tau=tau, k=k)
     [b] = gagliardo(fem.boundary_field(fresh, values(fresh.boundary_params)), tau=tau, k=k)
@@ -459,7 +445,7 @@ def ordered_far_field(v, tau, k):
 
 
 def without_far_field(mp):
-    mp.setattr(fem.P1, "far_field", lambda self, beta: iter(()))
+    mp.setattr(fracnorm, "_far_field", lambda mesh, vq, beta, k: np.zeros(vq.shape[0]))
 
 
 @PROPERTY_SETTINGS
@@ -485,7 +471,8 @@ def test_adjacent_moments_match_the_difference_form(level):
     # 512 and 1024 edges: the moment contraction against the difference form it expands
     m = geometry.boundary_fan("disk", level)
     v = fourier_probe(m)
-    s, t, moments, weights = fem.p1(m).adjacent(2.0)
+    s, t = fracnorm._ADJ_S, fracnorm._ADJ_T
+    weights = fracnorm._adjacent_weights(m, 2.0)
     vals = v.values
     succ, after = np.roll(vals, -1), np.roll(vals, -2)
     fs = vals[:, None, None] + s * (succ - vals)[:, None, None]
@@ -494,7 +481,7 @@ def test_adjacent_moments_match_the_difference_form(level):
     with pytest.MonkeyPatch.context() as mp:
         without_far_field(mp)
         near = gagliardo(v, tau=0.5, k=2.0)[0].seminorm_I
-        mp.setattr(fem.P1, "adjacent", lambda self, beta: (s, t, moments, np.zeros_like(weights)))
+        mp.setattr(fracnorm, "_adjacent_weights", lambda mesh, beta: np.zeros_like(weights))
         same_edge = gagliardo(v, tau=0.5, k=2.0)[0].seminorm_I
     assert near - same_edge == pytest.approx(expected, rel=1e-13, abs=0.0)
 

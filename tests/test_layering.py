@@ -22,6 +22,9 @@ sits at module level, so the import graph is the one the module headers
 show.  Which domains exist is decided in ``geometry`` alone, by its
 ``PRESETS`` table: no other module compares with a preset name or lists
 preset names in a literal, so a new domain needs no dispatch elsewhere.
+The Gagliardo quadrature belongs to ``fracnorm``: ``leggauss`` and
+``DYADIC_LEVELS`` are named in no other module, so ``fem`` supplies the
+boundary quadrature and the pair staircase but no Gagliardo pair rule.
 """
 
 import ast
@@ -334,3 +337,19 @@ def test_one_owner_of_the_domain_presets():
     assert preset_decisions(sample) == [1, 2, 3, 5, 6]
     sites = {path.name: preset_decisions(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     assert {name: lines for name, lines in sites.items() if lines and name != "geometry.py"} == {}
+
+
+GAGLIARDO_RULE = {"leggauss", "DYADIC_LEVELS"}
+
+
+def test_one_owner_of_the_gagliardo_rule():
+    sample = (
+        "_X, _W = np.polynomial.legendre.leggauss(4)\n"
+        "from numpy.polynomial.legendre import leggauss\n"
+        "from .fracnorm import DYADIC_LEVELS\n"
+        "# leggauss in a comment\n"
+        "levels = DYADIC_LEVELS\n"
+    )
+    assert name_sites(sample, GAGLIARDO_RULE) == [1, 2, 3, 5]
+    sites = {path.name: name_sites(path.read_text(), GAGLIARDO_RULE) for path in sorted(SRC.glob("*.py"))}
+    assert [name for name, lines in sites.items() if lines] == ["fracnorm.py"]
