@@ -183,7 +183,7 @@ def _cost_slope(linear: float, power: float, exponent: float) -> MonotoneScalar:
     The signed power keeps the derivative (exponent-1) |t|^(exponent-2)
     finite at t = 0 for every exponent >= 2.
     """
-    return MonotoneScalar(Add(Mul(Const(linear), Value()), Mul(Const(power), SPow(Value(), exponent))), linear)
+    return MonotoneScalar(Add(Mul(Const(linear), Value()), SPow(Value(), exponent, power)), linear)
 
 
 @dataclass

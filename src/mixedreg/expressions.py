@@ -270,10 +270,16 @@ class Func(Expr):
 
 @dataclass(frozen=True)
 class SPow(Expr):
-    """Signed power |u|^(alpha-2) * u, the shape of the cost derivative terms."""
+    """Signed power scale |u|^(alpha-2) * u, the shape of the cost derivative terms.
+
+    ``scale`` multiplies the magnitude |u|^(alpha-2) before the product with
+    u, so a tiny u underflows once, in that product; a constant applied
+    after it would scale the subnormal rounding error as well.
+    """
 
     arg: Expr
     alpha: float
+    scale: float = 1.0
 
     def __post_init__(self):
         if self.alpha < 2.0:
@@ -281,16 +287,17 @@ class SPow(Expr):
 
     def ev(self, x1, x2, val):
         u = self.arg.ev(x1, x2, val)
-        return _power(np.abs(u), self.alpha - 2.0) * u
+        return self.scale * _power(np.abs(u), self.alpha - 2.0) * u
 
     def diff(self):
-        return mul(mul(Const(self.alpha - 1.0), Pow(Func("abs", self.arg), self.alpha - 2.0)),
+        return mul(mul(Const((self.alpha - 1.0) * self.scale), Pow(Func("abs", self.arg), self.alpha - 2.0)),
                    self.arg.diff())
 
     def __str__(self):
         a = self.alpha
         atxt = repr(int(a)) if a == int(a) else repr(a)
-        return f"spow({self.arg}, {atxt})"
+        text = f"spow({self.arg}, {atxt})"
+        return text if self.scale == 1.0 else f"({Const(self.scale)} * {text})"
 
 
 _TOKEN = re.compile(

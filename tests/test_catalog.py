@@ -158,6 +158,14 @@ def test_delta_matches_the_closed_form(lam, mu, ts):
         assert np.all(np.abs(back - ts) <= 2e-13 * np.maximum(1.0, np.abs(value)) / linear)
 
 
+def test_delta_at_a_subnormal_argument_matches_the_closed_form():
+    # power |t|^(exponent-2) is applied before the product with t, which underflows once
+    t = 2.2250738585e-313
+    spec = base_spec(mu1=1.0, mu2=2.0, q=2.03125)
+    value = float(np.asarray(spec.delta2.value(np.array([t])))[0])
+    assert value == oracles.delta_reference(1.0, 2.0, 2.03125, t)[0]
+
+
 # ---------------------------------------------------------------------------
 # spec validation
 
