@@ -30,7 +30,11 @@ Sparse matrices are built only here.  Every linear system goes through
 columns, accepted only when every column's relative residual is within
 ``SOLVE_RTOL``.  The factorisation belongs to its :class:`SparseOperator`:
 the first solve builds it, later solves with the same operator reuse it,
-and it is freed with the operator; no other cache holds it.
+and it is freed with the operator; no other cache holds it.  Every
+operator the record builds carries the record's ``ordering``, a nested
+dissection of the mesh (A. George, SIAM J. Numer. Anal. 10, 1973), and is
+factorised in that order with no column reordering of SuperLU's own; an
+operator without one, such as the boundary mass, keeps SuperLU's COLAMD.
 """
 
 from __future__ import annotations
@@ -79,6 +83,8 @@ SOLVE_RTOL = 1e-11
 # Gauss points holds one block of at most _STAIR_ROWS x 2 nb weights at a time (2 MB at
 # nb = 2048), and its blocks cover 1/2 + _STAIR_ROWS / (4 nb) of the ordered pairs
 _STAIR_ROWS = 64
+# largest part of the mesh that the nested dissection (``P1.ordering``) leaves unsplit
+_DISSECTION_LEAF = 64
 
 # P1 basis values at the three edge-midpoint quadrature nodes
 _TRI_BASIS = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
@@ -164,7 +170,8 @@ class P1:
 
     Each part is built on first use, so boundary-only work never touches
     the interior, not even its maps ``interior_interp`` (Q),
-    ``interior_integral`` (W) and ``gradient`` (Gx, Gy); the boundary's
+    ``interior_integral`` (W), ``gradient`` (Gx, Gy) and its transpose,
+    nor the vertex ``ordering`` of the factorisations; the boundary's map
     is ``edge_ends``.  Nor does it build the interior mesh: the boundary
     commands work on ``geometry.boundary_fan``.  ``operator`` keeps the
     matrix of the last spec it was asked for and reassembles when a
@@ -214,6 +221,16 @@ class P1:
         return tuple(sp.csr_matrix((part.reshape(-1), tris.reshape(-1), np.arange(0, tris.size + 1, 3)),
                                    shape=(tris.shape[0], self.mesh.n_vertices))
                      for part in (-opposite[..., 1] / scale, opposite[..., 0] / scale))
+
+    @cached_property
+    def gradient_transpose(self):
+        """(Gx^T, Gy^T), two (n, T) CSR maps: per-triangle values against each basis gradient."""
+        return tuple(g.T.tocsr() for g in self.gradient)
+
+    @cached_property
+    def ordering(self) -> np.ndarray:
+        """The nested-dissection order of the vertices, in which every operator here is factorised."""
+        return _nested_dissection(self.mesh.vertices, self.mesh.edges)
 
     @cached_property
     def boundary(self):
@@ -272,7 +289,48 @@ class P1:
         boundary.data *= on_loop[boundary.indices]
         total = interior + boundary
         total.eliminate_zeros()  # as a sparse product would, drop the zeros of zero coefficients
-        return SparseOperator(total)
+        return SparseOperator(total, self.ordering)
+
+
+def _nested_dissection(points: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """A nested-dissection ordering of the graph of ``edges`` over ``points`` (n, 2).
+
+    Each part of more than ``_DISSECTION_LEAF`` vertices splits at the median
+    of one coordinate, x and y alternating by depth; the vertices of the
+    lower half with an edge into the upper half form its separator, and the
+    halves recurse.  The order lists each part's halves before its
+    separator.  All parts of one depth split at once, so the work is a few
+    sorts and edge passes per depth.  Returns p: position i holds vertex p[i].
+    """
+    n = points.shape[0]
+    part = np.ones(n, dtype=np.int64)  # heap numbering: part k splits into 2 k and 2 k + 1
+    depth = np.zeros(n, dtype=np.int64)
+    tail, head = edges.T
+    split = np.arange(n)  # the vertices of the parts still to split, all of depth ``level``
+    level = 0
+    while split.size:
+        split = split[np.lexsort((points[split, level % 2], part[split]))]
+        starts = np.flatnonzero(np.diff(part[split], prepend=0))
+        counts = np.diff(starts, append=split.size)
+        size = np.repeat(counts, counts)
+        upper = np.zeros(n, dtype=bool)
+        upper[split] = np.arange(split.size) - np.repeat(starts, counts) >= size // 2
+        deeper = np.zeros(n, dtype=bool)  # the halves of the parts that split
+        deeper[split[size > _DISSECTION_LEAF]] = True
+        cross = deeper[tail] & deeper[head] & (upper[tail] != upper[head])
+        deeper[np.where(upper[tail[cross]], head[cross], tail[cross])] = False
+        split = np.flatnonzero(deeper)
+        part[split] = 2 * part[split] + upper[split]
+        level += 1
+        depth[split] = level
+    # post-order of the part tree: a part of depth d covers the leaf slots
+    # [k - 2^d, k - 2^d + 1) * 2^(D - d) of the full tree of depth D; it sorts
+    # by the end of that range, and after the deeper parts that share the end
+    deepest = int(depth.max())
+    key = (part - (1 << depth) + 1) << (deepest - depth)
+    key *= deepest + 1
+    key += deepest - depth
+    return np.argsort(key, kind="stable")
 
 
 def pair_blocks(points: np.ndarray):
@@ -319,12 +377,17 @@ class SparseOperator:
 
     The operator owns the sparse LU of its matrix: ``solve_linear``
     builds it on the first solve and reuses it on every later one, and it
-    lives exactly as long as the operator.  Treat ``matrix`` as
-    immutable; a factor left stale by an edit fails the residual check of
-    ``solve_linear`` rather than returning a wrong solution.
+    lives exactly as long as the operator.  ``ordering`` is the order in
+    which that factorisation eliminates the unknowns: the mesh ordering
+    (``P1.ordering``) on every operator a P1 record builds, kept by ``+``,
+    or None, and then SuperLU orders the columns by COLAMD.  Treat
+    ``matrix`` as immutable; a factor left stale by an edit fails the
+    residual check of ``solve_linear`` rather than returning a wrong
+    solution.
     """
 
     matrix: sp.csr_matrix
+    ordering: np.ndarray | None = field(default=None, repr=False, compare=False)
     _lu: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -344,7 +407,7 @@ class SparseOperator:
     def __add__(self, other: "SparseOperator") -> "SparseOperator":
         total = self.matrix + other.matrix
         total.has_canonical_format = True  # scipy's CSR + CSR of canonical operands is canonical
-        return SparseOperator(total)
+        return SparseOperator(total, self.ordering)
 
 
 def assemble_operator(mesh: Mesh, spec: ProblemSpec) -> SparseOperator:
@@ -373,8 +436,9 @@ def assemble_operator(mesh: Mesh, spec: ProblemSpec) -> SparseOperator:
         )
     d11, d12, d22 = (sp.diags(np.sum((qw * a).reshape(-1, 3), axis=1)) for a in (a11, a12, a22))
     gx, gy = rec.gradient
-    stiffness = gx.T @ (d11 @ gx + d12 @ gy) + gy.T @ (d12 @ gx + d22 @ gy)
-    return SparseOperator(stiffness) + assemble_weighted_mass(mesh, spec.a0(x1, x2, 0.0))
+    gxt, gyt = rec.gradient_transpose
+    stiffness = gxt @ (d11 @ gx + d12 @ gy) + gyt @ (d12 @ gx + d22 @ gy)
+    return SparseOperator(stiffness, rec.ordering) + assemble_weighted_mass(mesh, spec.a0(x1, x2, 0.0))
 
 
 def assemble_weighted_mass(mesh: Mesh, weight_at_quad) -> SparseOperator:
@@ -382,12 +446,19 @@ def assemble_weighted_mass(mesh: Mesh, weight_at_quad) -> SparseOperator:
     rec = p1(mesh)
     weighted = rec.interior_interp.copy()
     weighted.data *= np.repeat(np.broadcast_to(weight_at_quad, rec.interior[1].shape), 2)
-    return SparseOperator(rec.interior_integral @ weighted)
+    return SparseOperator(rec.interior_integral @ weighted, rec.ordering)
 
 
 def block_operator(rows) -> SparseOperator:
-    """The block matrix of square operators given row by row, e.g. [[A, B], [C, D]]."""
-    return SparseOperator(sp.bmat([[op.matrix for op in row] for row in rows], format="csr"))
+    """The block matrix of square operators given row by row, e.g. [[A, B], [C, D]].
+
+    Its ordering takes the blocks' unknowns node by node in the first block's
+    ordering p: unknown p[0] of every block, then p[1] of every block, and
+    so on; with no first ordering, it has none.
+    """
+    p = rows[0][0].ordering
+    interleaved = None if p is None else (p[:, None] + p.size * np.arange(len(rows))).ravel()
+    return SparseOperator(sp.bmat([[op.matrix for op in row] for row in rows], format="csr"), interleaved)
 
 
 def lp_norm(field: FEField, p: float) -> float:
@@ -416,14 +487,27 @@ def integrate_basis(mesh: Mesh, values_at_quad: np.ndarray) -> np.ndarray:
     return p1(mesh).interior_integral @ np.reshape(values_at_quad, -1)
 
 
+def _permuted(matrix: sp.csr_matrix, p: np.ndarray) -> sp.csc_matrix:
+    """P A P^T in CSC: entry (i, j) is A[p[i], p[j]], from one row gather and one conversion."""
+    rows = matrix[p]
+    q = np.empty(p.size, dtype=rows.indices.dtype)
+    q[p] = np.arange(p.size)
+    rows.indices = q[rows.indices]
+    return rows.tocsc()
+
+
 def solve_linear(op: SparseOperator, rhs: np.ndarray) -> np.ndarray:
     """Solve op x = rhs by sparse LU factorisation, for an (n,) vector or an (n, k) block.
 
     The factorisation is built on the first solve with ``op`` and kept on
     it for later ones; one factorisation serves every column, and zero
-    columns come back zero.  Raises :class:`LinearSolveError` when the
-    factorisation finds the matrix singular, or when the relative residual
-    of any column exceeds ``SOLVE_RTOL``, which is checked on every solve;
+    columns come back zero.  An operator with an ``ordering`` p is
+    factorised as P A P^T with SuperLU's natural column order, so its LU
+    eliminates the unknowns in the mesh's nested-dissection order; one
+    without is factorised as it stands, its columns ordered by COLAMD.
+    Raises :class:`LinearSolveError` when the factorisation finds the
+    matrix singular, or when the relative residual of any column exceeds
+    ``SOLVE_RTOL``, which is checked on every solve against ``op.matrix``;
     the error carries the worst column's residual.
     """
     rhs = np.asarray(rhs, dtype=float)
@@ -431,10 +515,16 @@ def solve_linear(op: SparseOperator, rhs: np.ndarray) -> np.ndarray:
     rhs_norms = np.linalg.norm(columns, axis=0)
     if not np.any(rhs_norms):
         return np.zeros_like(rhs)
+    p = op.ordering
     try:
         if op._lu is None:
-            op._lu = spla.splu(op.matrix.tocsc())
-        x = op._lu.solve(rhs)
+            a, permc = (op.matrix.tocsc(), "COLAMD") if p is None else (_permuted(op.matrix, p), "NATURAL")
+            op._lu = spla.splu(a, permc_spec=permc)
+        if p is None:
+            x = op._lu.solve(rhs)
+        else:
+            x = np.empty_like(rhs)
+            x[p] = op._lu.solve(rhs[p])
     except RuntimeError as exc:
         raise LinearSolveError(f"sparse LU failed: {exc}", float("nan")) from exc
     defects = np.linalg.norm((rhs - op.matvec(x)).reshape(columns.shape), axis=0)

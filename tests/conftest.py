@@ -32,10 +32,15 @@ def disk():
 
 @pytest.fixture
 def factorisations(monkeypatch):
-    """The matrices ``splu`` factorises during the test, in call order."""
+    """(matrix, permc_spec) of each ``splu`` factorisation during the test, in call order."""
     seen = []
     splu = spla.splu
-    monkeypatch.setattr(spla, "splu", lambda a: seen.append(a) or splu(a))
+
+    def recorded(a, **options):
+        seen.append((a, options.get("permc_spec", "COLAMD")))
+        return splu(a, **options)
+
+    monkeypatch.setattr(spla, "splu", recorded)
     return seen
 
 

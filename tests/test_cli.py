@@ -128,6 +128,18 @@ def test_gradient_check_factorises_per_base_not_per_probe(tmp_path, factorisatio
     # for each of the two solves per direction at the largest difference step.
     # Cold probes took 244.
     assert len(factorisations) <= 4 + 2 * 10
+    assert {permc for _, permc in factorisations} == {"NATURAL"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["robinson", "--config", cfg("quadratic_tracking"), "--level", "2", "--targets", "3"],
+    ["solve-kkt", "--config", cfg("constant_kkt"), "--level", "3", "--kkt-tol", "1e-8"],
+    ["regularity", "--config", cfg("smooth_constrained"), "--levels", "3", "4", "--kkt-tol", "5e-3"],
+], ids=lambda argv: argv[0])
+def test_every_factorisation_uses_the_mesh_ordering(tmp_path, factorisations, argv):
+    code, _, _ = run(argv, tmp_path)
+    assert code == 0
+    assert factorisations and {permc for _, permc in factorisations} == {"NATURAL"}
 
 
 def test_solve_kkt(tmp_path):
@@ -159,16 +171,20 @@ def test_solve_kkt(tmp_path):
 # --level 3 --kkt-tol 1e-8`, written before the cold start moved out of
 # solve_kkt into kkt.cold_start.  The objective goes through the boundary
 # quadrature, whose BLAS kernel is picked for the CPU at run time (see C10),
-# so these bytes hold on one machine.
+# so these bytes hold on one machine.  Retaken with one BLAS thread when every
+# LU began to eliminate in the mesh's nested-dissection order: the new pivot
+# order moved the six fields by at most 3.6e-15 relative to their largest
+# value, the objective by 4.6e-16 relative, and the round-off-level residual
+# columns of kkt_history.csv by at most 9.3e-16 absolute.
 SOLVE_KKT_DIGESTS = {
-    "kkt_report.json": "4eba64067172ee20119cae279f1a4414a9d47e60cd693f670893e8934d02a05a",
-    "kkt_history.csv": "0c3217379fe6a34363ac9c8e3011372e0a366ce2a80855e9a97be0f0f99f4921",
-    "y.mf": "ea0ea4ceb065e9a1eb57500f1a8c89e63490f53bf4c78701ba813913c8975843",
-    "u.mf": "0a0db1efaccea752779f3df327039db9d95cabe72238cfaeb9b26af414a48ebd",
-    "phi.mf": "6b8de3f2a3fdd7eaa5a9a15b543f27a54257615974f0f2e566b781d855353e64",
-    "psi1.mf": "c2785a996d91a02a4e5538c7b0e31ee99710a9f033824be3cc510ab48c065d06",
+    "kkt_report.json": "0ff1c72b4ac63f6c9f8676c86d23ec47ad3d4a184ba1c42a912a419377019809",
+    "kkt_history.csv": "bbb27ffb6708cb7aad6df7e5c20fbac260158f979fb5356fc4750a6d9205c933",
+    "y.mf": "c4e6d6a5b955cb69f59500d11f4bf3ea4b75bcbb090cd2ebd80b0e275d3e0e01",
+    "u.mf": "f7078be1b35ee2353a5220d1d7a21d55e1bfd06bb24857e9389ecb5300ee23d5",
+    "phi.mf": "28022c5468d996aa7fd0f98b8ffa299be5d6db2a54179b93551bd9324c5d68c0",
+    "psi1.mf": "b910450e7dfc1606b17f5df7f3b7dee364e094ad370ce6cfc463e45bae75e679",
     "v.mf": "cf3f24d50d2f230e2420734863acc3c265641031620d1e2d17db5b1d1ab68de5",
-    "psi2.mf": "91a59d40be0fb51146d5666b772a5943f7ebdbcc12bc24f662c3eb947d5eb1a0",
+    "psi2.mf": "b96dca19da284bd65d1ca01052386a05ad63755da0f7e9d7a37174a5a181e408",
 }
 
 
@@ -185,15 +201,18 @@ def test_solve_kkt_artifacts_are_pinned(tmp_path):
 # <config> --levels 3 4 --max-iter 150 --kkt-tol 5e-3`, written while the
 # Hoelder quotients still walked a flat pair index.  Levels 3 and 4 take every
 # domain pair, and the quotients are maxima, so the order of the walk cannot
-# move a byte.
+# move a byte.  Retaken with one BLAS thread when every LU began to eliminate
+# in the mesh's nested-dissection order: the new pivot order moved
+# regularity.csv by at most 1.2e-14 relative and the growth ratios of
+# regularity_flags.json by at most 1.1e-14 relative; no flag changed.
 REGULARITY_DIGESTS = {
     "smooth_constrained": {
-        "regularity.csv": "e51f787ef4f58e839ffaba7cb19c958c936e4e56f15edc1f26213e504b6e297c",
-        "regularity_flags.json": "9d9f41d5e170a351917d049d188504918ac4e0658957b3a050a1323d6623d391",
+        "regularity.csv": "947dd899cefd612af6a0f2f3f712fe4431bff2d036d2f823de203bba0a8bdd47",
+        "regularity_flags.json": "a29056f23ed8e116abc871272afd62eb0369f9136386bd3b200e6f3d9509ba1b",
     },
     "jump_bound": {
-        "regularity.csv": "57e6b7eab520e25b29fecb35816cbe3bbbf4f196f7255a30370fae270737fb0e",
-        "regularity_flags.json": "206d19023fee0fb57ef3e36347ca4cf565556e1cc615fdb8130d206406d8dd86",
+        "regularity.csv": "6ece815ac0a44a32752af5f6ccd213ed25a9fcd49312013c57ea21004f29b455",
+        "regularity_flags.json": "34982c03add35f21e7e5b18cd1361b9bf442ba091d4ff0b456e5b4405653da71",
     },
 }
 
@@ -246,10 +265,14 @@ def test_boundary_artifacts_are_pinned(tmp_path):
     ["product-rule", "--preset", "ellipse", "--levels", "3", "4", "--samples", "2"],
 ], ids=lambda argv: argv[0])
 def test_boundary_commands_build_no_interior(tmp_path, monkeypatch, argv):
-    def refuse(mesh):
-        raise AssertionError("a boundary command refined a triangulation")
+    def refuse(what):
+        def refused(*args):
+            raise AssertionError(f"a boundary command {what}")
 
-    monkeypatch.setattr(geometry, "refine", refuse)
+        return refused
+
+    monkeypatch.setattr(geometry, "refine", refuse("refined a triangulation"))
+    monkeypatch.setattr(fem, "_nested_dissection", refuse("ordered a mesh for its factorisations"))
     code, _, _ = run(argv, tmp_path)
     assert code == 0
 

@@ -120,8 +120,8 @@ def test_record_is_shared_and_built_on_demand():
     assert fem.p1(m) is rec
     gagliardo(boundary_field(m, np.cos(m.boundary_params)), tau=0.5, k=2.0)
     assert {"boundary", "edge_ends"} <= vars(rec).keys()
-    interior = {"interior", "interior_interp", "interior_integral", "gradient", "mass", "boundary_mass",
-                "vertex_boundary_mass"}
+    interior = {"interior", "interior_interp", "interior_integral", "gradient", "gradient_transpose",
+                "ordering", "mass", "boundary_mass", "vertex_boundary_mass"}
     assert not interior & vars(rec).keys()
     assert rec._operator is None
     # the Gagliardo weights are built per call and not kept
@@ -460,6 +460,49 @@ def test_solve_linear_block_reports_worst_column(disk, stiffness_spec):
         solve_linear(neumann, ones)
     assert err.value.residual == pytest.approx(single.value.residual, rel=1e-6)
     assert np.all(solve_linear(neumann, np.zeros((m.n_vertices, 3))) == 0.0)
+
+
+def lu_fill(op, rhs):
+    """Nonzeros of L + U in the factorisation ``solve_linear`` keeps on op."""
+    solve_linear(op, rhs)
+    return op._lu.L.nnz + op._lu.U.nnz
+
+
+@settings(max_examples=20, deadline=None)
+@given(preset=st.sampled_from(sorted(PRESETS)), level=st.integers(0, 6), seed=st.integers(0, 2**32 - 1))
+def test_mesh_ordering_is_a_deterministic_permutation(identity_spec, preset, level, seed):
+    m = build_mesh(preset, level)
+    p = fem.p1(m).ordering
+    assert p.dtype.kind == "i" and np.array_equal(np.sort(p), np.arange(m.n_vertices))
+    # C10: a second build of the same mesh orders it the same way
+    assert np.array_equal(fem.p1(build_mesh(preset, level)).ordering, p)
+    # every operator of the record carries it, and the solve agrees with COLAMD's
+    op = robinson_operator(m, identity_spec)
+    assert op.ordering is p
+    rhs = np.random.default_rng(seed).standard_normal(m.n_vertices)
+    x, colamd = solve_linear(op, rhs), solve_linear(fem.SparseOperator(op.matrix), rhs)
+    assert np.linalg.norm(x - colamd) <= 1e-12 * np.linalg.norm(colamd)
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_mesh_ordering_fills_less_than_colamd(identity_spec, factorisations, preset):
+    m = build_mesh(preset, 4)
+    op = fem.p1(m).operator(identity_spec)
+    rhs = np.ones(m.n_vertices)
+    assert lu_fill(op, rhs) < lu_fill(fem.SparseOperator(op.matrix), rhs)
+    assert [permc for _, permc in factorisations] == ["NATURAL", "COLAMD"]
+
+
+def test_block_operator_interleaves_the_blocks_per_node(disk, identity_spec):
+    m = disk(2)
+    rec = fem.p1(m)
+    a = rec.operator(identity_spec)
+    block = fem.block_operator([[a, rec.mass], [rec.mass, a]])
+    p, n = rec.ordering, m.n_vertices
+    assert np.array_equal(block.ordering, np.stack([p, p + n], axis=1).ravel())
+    # the boundary mass has no mesh ordering, so neither has a block built on it
+    assert rec.boundary_mass.ordering is None
+    assert fem.block_operator([[rec.boundary_mass]]).ordering is None
 
 
 def test_solve_state_level_seven_quadratic_tracking(configs, disk):

@@ -10,7 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 import oracles
 from conftest import zero_controls
-from mixedreg import catalog, fem, kkt, solvers
+from mixedreg import catalog, fem, geometry, kkt, solvers
 from mixedreg.fem import FieldError
 
 
@@ -542,6 +542,20 @@ def test_jacobian_matches_central_differences(configs, disk, name):
         e[k] = step
         fd[:, k] = (_reduced_residual(spec, m, z + e) - _reduced_residual(spec, m, z - e)) / (2 * step)
     assert np.max(np.abs(jac - fd)) <= 1e-7 * np.max(np.abs(jac))
+
+
+@pytest.mark.parametrize("preset", sorted(geometry.PRESETS))
+def test_jacobian_fills_less_under_the_mesh_ordering(configs, factorisations, preset):
+    # the generalised Jacobian at the cold start of smooth_constrained, level 4
+    spec = configs["smooth_constrained"]
+    mesh = geometry.build_mesh(preset, 4)
+    jac = kkt._jacobian(spec, kkt._point(spec, *kkt.cold_start(spec, *zero_controls(mesh))))
+    colamd = fem.SparseOperator(jac.matrix)
+    rhs = np.ones(jac.shape[0])
+    for op in (jac, colamd):
+        fem.solve_linear(op, rhs)
+    assert [permc for _, permc in factorisations[-2:]] == ["NATURAL", "COLAMD"]
+    assert jac._lu.L.nnz + jac._lu.U.nnz < colamd._lu.L.nnz + colamd._lu.U.nnz
 
 
 def test_reprojection_consistency(quadratic_solution):

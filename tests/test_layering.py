@@ -25,6 +25,9 @@ preset names in a literal, so a new domain needs no dispatch elsewhere.
 The Gagliardo quadrature belongs to ``fracnorm``: ``leggauss`` and
 ``DYADIC_LEVELS`` are named in no other module, so ``fem`` supplies the
 boundary quadrature and the pair staircase but no Gagliardo pair rule.
+The elimination order of the factorisations belongs to ``fem`` too: the
+nested dissection is built at one site, ``P1.ordering``, once per mesh,
+and ``permc_spec`` is passed at one site, so no caller picks an ordering.
 """
 
 import ast
@@ -353,3 +356,27 @@ def test_one_owner_of_the_gagliardo_rule():
     assert name_sites(sample, GAGLIARDO_RULE) == [1, 2, 3, 5]
     sites = {path.name: name_sites(path.read_text(), GAGLIARDO_RULE) for path in sorted(SRC.glob("*.py"))}
     assert [name for name, lines in sites.items() if lines] == ["fracnorm.py"]
+
+
+def keyword_sites(source, names):
+    """Lines of ``source`` that pass a keyword argument named in ``names``."""
+    return sorted(node.value.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.keyword) and node.arg in names)
+
+
+def test_one_owner_of_the_ordering():
+    sample = (
+        "p = fem._nested_dissection(mesh.vertices, mesh.edges)\n"
+        "lu = spla.splu(a, permc_spec='NATURAL')\n"
+        "# _nested_dissection in a comment, permc_spec= too\n"
+        "options = dict(permc_spec='MMD_AT_PLUS_A')\n"
+    )
+    assert name_sites(sample, {"_nested_dissection"}) == [1]
+    assert keyword_sites(sample, {"permc_spec"}) == [2, 4]
+    builds = {path.name: name_sites(path.read_text(), {"_nested_dissection"}) for path in sorted(SRC.glob("*.py"))}
+    orders = {path.name: keyword_sites(path.read_text(), {"permc_spec"}) for path in sorted(SRC.glob("*.py"))}
+    assert [(name, len(lines)) for name, lines in builds.items() if lines] == [("fem.py", 1)]
+    assert [(name, len(lines)) for name, lines in orders.items() if lines] == [("fem.py", 1)]
+    (line,) = builds["fem.py"]
+    first, last = _enclosing((SRC / "fem.py").read_text(), ast.FunctionDef, "ordering")
+    assert first <= line <= last
