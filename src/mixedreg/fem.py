@@ -23,7 +23,8 @@ The record holds only a weak reference to its mesh, so a dropped mesh
 frees its record at once.  All pair work (``fracnorm``'s far-field
 weights over Gauss points, ``regularity``'s quotients over nodes) walks
 the row blocks of ``pair_blocks`` over the upper triangle j > i, each
-unordered pair once.
+unordered pair once.  A walk allocates its tables once and yields views
+of them, so a caller keeps no block past the next one.
 
 Sparse matrices are built only here.  Every linear system goes through
 ``solve_linear``: a sparse LU factorisation for a vector or a block of
@@ -79,9 +80,11 @@ __all__ = [
 
 # relative residual a linear solve must reach to be accepted
 SOLVE_RTOL = 1e-11
-# rows per block of the pair staircase (``pair_blocks``): a far-field pass over the 2 nb
-# Gauss points holds one block of at most _STAIR_ROWS x 2 nb weights at a time (2 MB at
-# nb = 2048), and its blocks cover 1/2 + _STAIR_ROWS / (4 nb) of the ordered pairs
+# rows per block of the pair staircase (``pair_blocks``): a walk over the 2 nb boundary
+# Gauss points fills every block into one _STAIR_ROWS x 2 nb table, with one scratch of
+# that size (2 MB each at nb = 2048), and its blocks cover 1/2 + _STAIR_ROWS / (4 nb) of
+# the ordered pairs.  Even, so every block of a Gauss-point walk starts on an edge, as
+# ``fracnorm``'s far-field mask requires.
 _STAIR_ROWS = 64
 # largest part of the mesh that the nested dissection (``P1.ordering``) leaves unsplit
 _DISSECTION_LEAF = 64
@@ -334,17 +337,24 @@ def _nested_dissection(points: np.ndarray, edges: np.ndarray) -> np.ndarray:
 
 
 def pair_blocks(points: np.ndarray):
-    """Yield (block, d2) per ``_STAIR_ROWS``-row block [r0, r1) of ``points``, d2 new: |x_i - x_j|^2.
+    """Yield (block, d2) per ``_STAIR_ROWS``-row block [r0, r1) of ``points``, d2: |x_i - x_j|^2.
 
     d2 pairs the block's rows i of ``points`` (n, 2) with the points j = r0 ... n - 1; its
-    entries j > i hold each pair i < j once, and the caller masks j <= i.
+    entries j > i hold each pair i < j once, and the caller masks j <= i.  Every d2 is a
+    contiguous view of one table that the walk allocates for its first block, the largest:
+    it is valid until the next block is yielded, and the caller may write into it but
+    keeps no reference to it.
     """
     n = points.shape[0]
+    table, scratch = np.empty((2, min(_STAIR_ROWS, n) * n))
     for r0 in range(0, n, _STAIR_ROWS):
         block = slice(r0, min(r0 + _STAIR_ROWS, n))
-        d2 = np.subtract.outer(points[block, 0], points[r0:, 0])
+        shape = (block.stop - r0, n - r0)
+        d2 = table[: shape[0] * shape[1]].reshape(shape)
+        dy = scratch[: d2.size].reshape(shape)
+        np.subtract.outer(points[block, 0], points[r0:, 0], out=d2)
         d2 *= d2
-        dy = np.subtract.outer(points[block, 1], points[r0:, 1])
+        np.subtract.outer(points[block, 1], points[r0:, 1], out=dy)
         dy *= dy
         d2 += dy
         yield block, d2
@@ -563,10 +573,10 @@ def prolong(field: FEField, fine: Mesh) -> FEField:
 
 def write_meshfield(field: FEField, path: str) -> None:
     """Write the portable three-column vertex format (17 significant digits)."""
-    coords = field.coords()
-    rows = "".join(f"{x:.17g} {y:.17g} {v:.17g}\n" for (x, y), v in zip(coords, field.values))
+    rows = np.column_stack([field.coords(), field.values])
+    text = ("%.17g %.17g %.17g\n" * rows.shape[0]) % tuple(rows.ravel().tolist())
     with open(path, "w") as fh:
-        fh.write(f"MESHFIELD v1\n{coords.shape[0]}\n{rows}")
+        fh.write(f"MESHFIELD v1\n{rows.shape[0]}\n{text}")
 
 
 def read_meshfield(path: str):

@@ -10,9 +10,12 @@ supplies the boundary quadrature, the Gauss-point values and the
 ``fem.pair_blocks`` staircase.  The weights of the first and last class
 depend on the mesh and on beta = 1 + tau k only; they are built on every
 call and never kept, so ``gagliardo`` takes every field of a pass at
-once and builds the weights of its beta once for all of them.  The
-integrand is symmetric, so the far field walks the unordered Gauss-point
-pairs i < j of the staircase, with the factor 2 in its weights.
+once and builds the weights of its beta once for all of them.  A call's
+tables live for one walk: the staircase blocks are views of one table,
+and the adjacent-edge rule sums |x - x'|^2 one coordinate at a time into
+one (nb, cells, 4, 4) table.  The integrand is symmetric, so the far
+field walks the unordered Gauss-point pairs i < j of the staircase, with
+the factor 2 in its weights.
 
 At k = 2 no pair-difference table is formed: |v_i - v_j|^2 expands, so
 both weighted sums are quadratic forms in the field.  The far field
@@ -110,13 +113,15 @@ def _far_field(mesh, vq: np.ndarray, beta: float, k: float) -> np.ndarray:
     ``vq`` holds one row of Gauss-point values per field.  Each block of
     the ``fem.pair_blocks`` staircase becomes the weights 2 w_i w_j /
     |x_i - x_j|^beta in place, zero for j <= i and for pairs from one edge
-    or from adjacent edges.  At k = 2 each sum is a quadratic form in the
-    values, centred first: with c = vq - mean(vq), row i of a block U adds
-    c_i^2 sum_j U_ij + sum_j U_ij c_j^2 - 2 c_i sum_j U_ij c_j, three sums
-    that one product U [c, c^2, 1] writes into row i of a table, and the F
-    fields share the ones column.  Centring costs nothing for values within
-    a factor 2 of their mean (the subtraction is exact) and keeps a large
-    offset from cancelling in the expansion.
+    or from adjacent edges; the mask of those pairs, and at k != 2 the
+    difference table, are built once per call.  At k = 2 each sum is a
+    quadratic form in the values, centred first: with c = vq - mean(vq),
+    row i of a block U adds c_i^2 sum_j U_ij + sum_j U_ij c_j^2 -
+    2 c_i sum_j U_ij c_j, three sums that one product U [c, c^2, 1] writes
+    into row i of a table, and the F fields share the ones column.
+    Centring costs nothing for values within a factor 2 of their mean (the
+    subtraction is exact) and keeps a large offset from cancelling in the
+    expansion.
     """
     qpts, qw = fem.p1(mesh).boundary
     nf = vq.shape[0]
@@ -126,23 +131,32 @@ def _far_field(mesh, vq: np.ndarray, beta: float, k: float) -> np.ndarray:
         x = np.column_stack([*c, *(c * c), np.ones(c.shape[1])])
         p = np.zeros_like(x)
     totals = np.zeros(nf)
+    near = table = None
     for rows, weights in fem.pair_blocks(qpts):
         r0, n = rows.start, rows.stop - rows.start
+        if near is None:
+            # built from the first block, which has full height.  Every block starts on an
+            # edge (the staircase height is even), so its row i drops the columns
+            # j < 2 (i // 2) + 4: j <= i and the Gauss points of the row's edge and of the
+            # next edge; those of the previous edge lie left of the diagonal or of the block
+            near = np.arange(n + 2) < 2 * (np.arange(n) // 2)[:, None] + 4
+            if not quadratic:
+                table = np.empty(weights.size)
         with np.errstate(divide="ignore"):
             np.power(weights, -0.5 * beta, out=weights)
         weights *= 2.0 * qw[rows, None]
         weights *= qw[None, r0:]
-        weights[np.tril_indices(n)] = 0.0
-        # touching pairs: the Gauss points of the row's edge and of its two neighbours; a
-        # column left of the block maps to its column 0 (j = r0 <= i), which is zero already
-        edge = np.arange(r0, rows.stop) // 2
-        touching = (2 * edge[:, None] + np.arange(-2, 4)) % qw.size - r0
-        weights[np.arange(n)[:, None], np.maximum(touching, 0)] = 0.0
+        cols = min(near.shape[1], weights.shape[1])
+        weights[:, :cols][near[:n, :cols]] = 0.0
+        if r0 == 0:
+            # the first edge touches the last one across the start of the loop
+            weights[:2, -2:] = 0.0
         if quadratic:
             np.matmul(weights, x[r0:], out=p[rows])
             continue
+        num = table[: weights.size].reshape(weights.shape)
         for f, v in enumerate(vq):
-            num = np.subtract.outer(v[rows], v[r0:])
+            np.subtract.outer(v[rows], v[r0:], out=num)
             np.abs(num, out=num)
             if k != 1.0:
                 num **= k
@@ -158,17 +172,25 @@ def _adjacent_weights(mesh, beta: float) -> np.ndarray:
 
     Edge e runs from x(s) = a + s (b - a) and edge e + 1 from x'(t) = b +
     t (c - b), at the nodes ``_ADJ_S`` and ``_ADJ_T``; the cells grade
-    toward the shared vertex (s, t) = (1, 0).
+    toward the shared vertex (s, t) = (1, 0).  |x - x'|^2 is summed one
+    coordinate at a time in one (nb, cells, s node, t node) table.
     """
     a = mesh.vertices[mesh.boundary_loop]
     b = np.roll(a, -1, axis=0)
     c = np.roll(a, -2, axis=0)
-    # (nb, cells, s node, t node, xy)
-    x = a[:, None, None, None, :] + _ADJ_S[None, :, :, None, None] * (b - a)[:, None, None, None, :]
-    xp = b[:, None, None, None, :] + _ADJ_T[None, :, None, :, None] * (c - b)[:, None, None, None, :]
-    d2 = np.sum((x - xp) ** 2, axis=4)
+    weights = np.zeros((a.shape[0], *_ADJ_S.shape, _G4_NODES.size))
+    diff = np.empty_like(weights)
+    x, xp = np.empty((2, a.shape[0], *_ADJ_S.shape))
+    for ax, bx, cx in zip(a.T, b.T, c.T):
+        np.multiply(_ADJ_S, (bx - ax)[:, None, None], out=x)
+        x += ax[:, None, None]
+        np.multiply(_ADJ_T, (cx - bx)[:, None, None], out=xp)
+        xp += bx[:, None, None]
+        np.subtract(x[..., :, None], xp[..., None, :], out=diff)
+        diff *= diff
+        weights += diff
     lens = mesh.boundary_edge_lengths
-    weights = np.power(d2, -0.5 * beta)
+    np.power(weights, -0.5 * beta, out=weights)
     weights *= (lens * np.roll(lens, -1))[:, None, None, None]
     weights *= _ADJ_W[None, :, :, None] * _ADJ_W[None, :, None, :]
     return weights
@@ -228,10 +250,11 @@ def gagliardo(*fields: FEField, tau: float, k: float) -> list[FracNormReport]:
         a, b, c = (weights.reshape(mesh.n_boundary, -1) @ _ADJ_MOMENTS).T
         totals += 2.0 * np.sum(a * d1 * d1 - 2.0 * b * d1 * d2 + c * d2 * d2, axis=1)
     else:
+        num = np.empty_like(weights)
         for f, (v0, v1, v2) in enumerate(zip(vals, succ, after)):
             fs = v0[:, None, None] + _ADJ_S * (v1 - v0)[:, None, None]
             ft = v1[:, None, None] + _ADJ_T * (v2 - v1)[:, None, None]
-            num = np.subtract(fs[..., :, None], ft[..., None, :])
+            np.subtract(fs[..., :, None], ft[..., None, :], out=num)
             np.abs(num, out=num)
             if k != 1.0:
                 num **= k

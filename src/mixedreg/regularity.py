@@ -13,10 +13,11 @@ field and level the Lipschitz estimate, the Hoelder estimates at
 stabilization and divergence flags from those records, and a divergence
 flag needs every level converged.  One streamed pass per role takes the
 quotients |v_i - v_j| / |x_i - x_j|^gamma of every field and exponent over
-the node pairs i < j, walking the ``fem.pair_blocks`` staircase and keeping
-nothing: every pair of the boundary loop; every vertex pair of a domain,
-or above ``HOLDER_SUBSAMPLE`` vertices those of a fixed-seed subsample of
-that size.  A domain field's Lipschitz estimate is its largest triangle
+the node pairs i < j, walking the ``fem.pair_blocks`` staircase into
+tables that live for one walk and keeping nothing: every pair of the
+boundary loop; every vertex pair of a domain, or above
+``HOLDER_SUBSAMPLE`` vertices those of a fixed-seed subsample of that
+size.  A domain field's Lipschitz estimate is its largest triangle
 gradient; a boundary field's is its gamma = 1 quotient over every pair.
 """
 
@@ -66,8 +67,9 @@ def _pair_quotients(fields, exponents) -> list:
     interpolation noise, not field regularity.  Domain fields on meshes
     with more than ``HOLDER_SUBSAMPLE`` vertices are subsampled with a
     fixed-seed generator, so the estimate is deterministic.  Each
-    ``fem.pair_blocks`` block forms one power table per exponent and one
-    difference table per field.
+    ``fem.pair_blocks`` block fills one power table per exponent and one
+    difference table per field, all views of tables allocated for the
+    walk's first block.
     """
     pts, vals = fields[0].coords(), [f.values for f in fields]
     if fields[0].role == "domain" and pts.shape[0] > HOLDER_SUBSAMPLE:
@@ -75,14 +77,25 @@ def _pair_quotients(fields, exponents) -> list:
         keep = np.sort(rng.choice(pts.shape[0], size=HOLDER_SUBSAMPLE, replace=False))
         pts, vals = pts[keep], [v[keep] for v in vals]
     best = np.zeros((len(fields), len(exponents)))
+    tables = None
     for block, d in fem.pair_blocks(pts):
+        if tables is None:
+            # the first block is the largest: its tables hold every later block's
+            tables = np.empty((len(exponents) + 2, d.size))
+            nearby = np.empty(d.size, dtype=bool)
+        *powers, diff, quotient = (t[: d.size].reshape(d.shape) for t in tables)
+        mask = nearby[: d.size].reshape(d.shape)
         np.sqrt(d, out=d)
         # j <= i and pairs nearer than min_distance get an infinite denominator: quotient 0
         d[np.tril_indices(d.shape[0])] = np.inf
-        powers = [np.where(d < near, np.inf, d**gamma) for gamma, near in exponents]
+        for p, (gamma, min_distance) in zip(powers, exponents):
+            np.power(d, gamma, out=p)
+            np.less(d, min_distance, out=mask)
+            p[mask] = np.inf
         for row, v in zip(best, vals):
-            diff = np.abs(np.subtract.outer(v[block], v[block.start :]))
-            np.maximum(row, [np.max(diff / p) for p in powers], out=row)
+            np.subtract.outer(v[block], v[block.start :], out=diff)
+            np.abs(diff, out=diff)
+            np.maximum(row, [np.max(np.divide(diff, p, out=quotient)) for p in powers], out=row)
     return best.tolist()
 
 

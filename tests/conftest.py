@@ -5,6 +5,7 @@ refinement studies, the seeded Fourier sweeps) are session-scoped so the
 module tests and the acceptance suite reuse one computation.
 """
 
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -53,6 +54,16 @@ def configs():
 
 def zero_controls(mesh):
     return fem.domain_field(mesh, 0.0), fem.boundary_field(mesh, 0.0)
+
+
+def traced_peak(run):
+    """Peak bytes that tracemalloc traces while ``run()`` executes; numpy reports its array data to it."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture(scope="session")

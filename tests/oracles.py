@@ -27,6 +27,7 @@ __all__ = [
     "mms_disk_instance",
     "angular_cos_oracle",
     "brute_gagliardo",
+    "adjacent_weights",
     "STEP_LADDER_INCREMENT",
 ]
 
@@ -411,6 +412,28 @@ def brute_gagliardo(field, tau, k, panels_per_edge=128):
             cell[i] = slopes[i] ** k
         total += float(np.sum(cell * wts) * wts[i])
     return total
+
+
+def adjacent_weights(loop_vertices, s, t, w, beta):
+    """Adjacent-edge weights |e| |e+1| w_s w_t / |x - x'|^beta by one (nb, cells, 4, 4, xy) broadcast.
+
+    Edge e runs from x(s) = a + s (b - a) and edge e + 1 from x'(t) = b +
+    t (c - b), for consecutive vertices a, b, c of the closed loop
+    ``loop_vertices`` (nb, 2); ``s``, ``t`` and ``w`` are the (cells, 4)
+    node and weight tables of the graded cells.  The squared distance sums
+    the trailing xy axis of the difference table.
+    """
+    a = loop_vertices
+    b = np.roll(a, -1, axis=0)
+    c = np.roll(a, -2, axis=0)
+    x = a[:, None, None, None, :] + s[None, :, :, None, None] * (b - a)[:, None, None, None, :]
+    xp = b[:, None, None, None, :] + t[None, :, None, :, None] * (c - b)[:, None, None, None, :]
+    d2 = np.sum((x - xp) ** 2, axis=4)
+    lens = np.linalg.norm(b - a, axis=1)
+    weights = np.power(d2, -0.5 * beta)
+    weights *= (lens * np.roll(lens, -1))[:, None, None, None]
+    weights *= w[None, :, :, None] * w[None, :, None, :]
+    return weights
 
 
 # per-level growth of the k=2 embedding probe for a sign(x1) trace: two

@@ -234,10 +234,13 @@ def test_regularity_artifacts_are_pinned(tmp_path, config):
 # with the number of fields one gagliardo call contracts in its BLAS product:
 # the level-4 frac-norm, chain_rule.csv and product_rule.csv pins were retaken
 # when each command handed all of its fields to one call, which moved ten
-# values by at most 2.2e-16 relative.
+# values by at most 2.2e-16 relative.  A level-4 walk is one staircase block;
+# the level-8 frac-norm pin walks 64 full-width ones.
 BOUNDARY_DIGESTS = {
     ("frac-norm", "--tau", "0.5", "--k", "2", "--level", "4", "--field", "x1"):
         ("fracnorm.csv", "2bb73ac0b73842600003af6711f799925f9de5a462552ec2e36944908cc663af"),
+    ("frac-norm", "--tau", "0.5", "--k", "2", "--level", "8", "--field", "x1"):
+        ("fracnorm.csv", "11b11862fc74d24086eb51f23163593aa9685e7b7eae0b90eeef501cdc7e81e0"),
     ("frac-norm", "--preset", "ellipse", "--tau", "0.3", "--k", "3", "--level", "3", "--field", "x1*x2"):
         ("fracnorm.csv", "e8cf5cc866fdea4d4ef296c925a4a921f2c7ee995477028881cc2c0a4af4b11e"),
     ("chain-rule", "--levels", "3", "4", "--samples", "3"):

@@ -388,7 +388,7 @@ def test_reaction_coupling_matches_its_load(disk):
 )
 def test_pair_blocks_cover_each_pair_of_the_rows_once(n, stair_rows, seed):
     points = np.random.default_rng(seed).standard_normal((n, 2))
-    pairs, next_row = [], 0
+    pairs, next_row, previous = [], 0, None
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fem, "_STAIR_ROWS", stair_rows)
         for block, d2 in fem.pair_blocks(points):
@@ -400,6 +400,10 @@ def test_pair_blocks_cover_each_pair_of_the_rows_once(n, stair_rows, seed):
             i, j = rows + block.start, cols + block.start
             pairs += zip(i.tolist(), j.tolist())
             np.testing.assert_allclose(d2[rows, cols], np.sum((points[i] - points[j]) ** 2, axis=1), rtol=1e-15)
+            # every block is a view of the walk's one table, which the caller may overwrite
+            assert previous is None or np.shares_memory(previous, d2)
+            d2[...] = np.nan
+            previous = d2
     assert next_row == n
     # every unordered pair exactly once
     assert sorted(pairs) == [(i, j) for i in range(n) for j in range(i + 1, n)]
@@ -581,6 +585,18 @@ def test_field_validation(disk):
         domain_field(m, np.full(m.n_vertices, np.nan))
     with pytest.raises(FieldError):
         trace(boundary_field(m, 0.0))
+
+
+def test_meshfield_text_matches_the_per_row_format(tmp_path, disk):
+    # one format call over the whole table writes what formatting each row on its own wrote
+    m = disk(4)
+    rng = np.random.default_rng(13)
+    values = rng.choice([-1.0, 1.0], m.n_vertices) * 10.0 ** rng.uniform(-300.0, 300.0, m.n_vertices)
+    values[:6] = [0.0, -0.0, 5e-324, -5e-324, np.pi, 1e300]
+    path = tmp_path / "field.mf"
+    write_meshfield(domain_field(m, values), str(path))
+    rows = "".join(f"{x:.17g} {y:.17g} {v:.17g}\n" for (x, y), v in zip(m.vertices, values))
+    assert path.read_text() == f"MESHFIELD v1\n{m.n_vertices}\n{rows}"
 
 
 def test_meshfield_roundtrip(tmp_path, disk):

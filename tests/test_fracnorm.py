@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import oracles
+from conftest import traced_peak
 from mixedreg import cli, fem, fracnorm, geometry
 from mixedreg.fracnorm import (
     FracNormError,
@@ -335,6 +336,17 @@ def test_streamed_mesh_keeps_no_weights(monkeypatch):
     assert len(walked) == 64
 
 
+def test_level_eight_pass_reuses_its_tables():
+    # the staircase walk reuses one 2 MiB table and one scratch, and the adjacent-edge rule
+    # sums one coordinate at a time: 8.4 MiB.  Fresh tables per block and the rule's 5-D
+    # difference table take it to 13.2 MiB.  Allocation sizes are fixed by the mesh.
+    m = geometry.boundary_fan("disk", 8)
+    v = cos_field(m)
+    doubled = fem.boundary_field(m, 2.0 * v.values)
+    fem.p1(m).boundary  # the record's quadrature is built once per mesh, outside the pass
+    assert traced_peak(lambda: gagliardo(v, doubled, tau=0.5, k=2.0)) < 10 * 2**20
+
+
 # ---------------------------------------------------------------------------
 # properties over random boundary fields
 
@@ -484,6 +496,19 @@ def test_adjacent_moments_match_the_difference_form(level):
         mp.setattr(fracnorm, "_adjacent_weights", lambda mesh, beta: np.zeros_like(weights))
         same_edge = gagliardo(v, tau=0.5, k=2.0)[0].seminorm_I
     assert near - same_edge == pytest.approx(expected, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("level", [3, 6, 8])
+@pytest.mark.parametrize("preset", ["disk", "ellipse"])
+def test_adjacent_weights_match_the_broadcast_oracle(preset, level):
+    # one coordinate at a time, bit for bit as the sum over the xy axis of one 5-D table
+    m = geometry.boundary_fan(preset, level)
+    for tau, k in GOLDEN_PAIRS:
+        beta = 1.0 + tau * k
+        expected = oracles.adjacent_weights(
+            m.vertices[m.boundary_loop], fracnorm._ADJ_S, fracnorm._ADJ_T, fracnorm._ADJ_W, beta
+        )
+        assert np.array_equal(fracnorm._adjacent_weights(m, beta), expected)
 
 
 @pytest.mark.parametrize("level", [3, 5])
