@@ -8,7 +8,9 @@ with delta_2 and zeta_2.  All four are :class:`MonotoneScalar` maps,
 inverted by the one :func:`invert_monotone`.  The reparametrizations
 zeta_1, zeta_2 are problem data; the control cost slopes
 delta_1(t) = lambda1 t + lambda2 |t|^(p-2) t and
-delta_2(t) = mu1 t + mu2 |t|^(q-2) t are derived by the spec.  Finiteness
+delta_2(t) = mu1 t + mu2 |t|^(q-2) t are derived by the :class:`Control`
+records of ``spec.controls``, one per control with its cost and its
+constraint, so that code written once serves u and v alike.  Finiteness
 of the numbers and the structural exponent bounds are enforced at
 construction; all semantic assumptions (monotonicity floors, sign
 conditions, vanishing at zero) are verified by :func:`check_assumptions`,
@@ -29,6 +31,7 @@ from .expressions import Add, Const, EvalError, Expr, Mul, ParseError, SPow, Val
 
 __all__ = [
     "MonotoneScalar",
+    "Control",
     "ProblemSpec",
     "AssumptionCheck",
     "AssumptionReport",
@@ -82,26 +85,18 @@ class MonotoneScalar:
             raise SpecError("reparametrization must depend on t only")
         if not (self.rho > 0.0 and np.isfinite(self.rho)):
             raise SpecError(f"slope floor rho must be positive and finite, got {self.rho}")
-        d0 = float(self._derivative(0.0, 0.0, 0.0))
+        d0 = float(self.slope(0.0))
         s = d0 if d0 != 0.0 else float(self.expr(0.0, 0.0, 1.0))
         self.direction = "increasing" if s > 0.0 else "decreasing"
 
     def value(self, t):
         return self.expr(0.0, 0.0, t)
 
-    @cached_property
-    def _derivative(self) -> Expr:
-        return self.expr.diff()
-
     def slope(self, t):
-        return self._derivative(0.0, 0.0, t)
-
-    @cached_property
-    def _second_derivative(self) -> Expr:
-        return self._derivative.diff()
+        return self.expr.diff()(0.0, 0.0, t)
 
     def curvature(self, t):
-        return self._second_derivative(0.0, 0.0, t)
+        return self.expr.diff().diff()(0.0, 0.0, t)
 
 
 def invert_monotone(zeta: MonotoneScalar, target):
@@ -177,13 +172,32 @@ def _as_expr(obj) -> Expr:
     return parse_expr(obj) if isinstance(obj, str) else obj
 
 
-def _cost_slope(linear: float, power: float, exponent: float) -> MonotoneScalar:
-    """t -> linear t + power |t|^(exponent-2) t, with slope floor ``linear``.
+@dataclass(frozen=True)
+class Control:
+    """The data of one control c: the distributed u or the boundary v.
 
-    The signed power keeps the derivative (exponent-1) |t|^(exponent-2)
-    finite at t = 0 for every exponent >= 2.
+    Its cost integrand is track(x, y) + linear/2 c^2 + power/exponent |c|^exponent,
+    ``track`` being L for u and ell for v, and its mixed constraint is
+    zeta(c) + g(x, y) <= 0.
     """
-    return MonotoneScalar(Add(Mul(Const(linear), Value()), SPow(Value(), exponent, power)), linear)
+
+    track: Expr
+    linear: float
+    power: float
+    exponent: float
+    g: Expr
+    zeta: MonotoneScalar
+
+    @cached_property
+    def delta(self) -> MonotoneScalar:
+        """The cost slope t -> linear t + power |t|^(exponent-2) t, with slope floor ``linear``.
+
+        The signed power keeps the derivative (exponent-1) |t|^(exponent-2)
+        finite at t = 0 for every exponent >= 2.
+        """
+        return MonotoneScalar(
+            Add(Mul(Const(self.linear), Value()), SPow(Value(), self.exponent, self.power)), self.linear
+        )
 
 
 @dataclass
@@ -194,8 +208,8 @@ class ProblemSpec:
     Non-finite exponents or cost weights, the exponent bounds (p > N/2,
     q > N-1, p, q >= 2) and the signs of the cost weights are hard
     construction errors; everything else is diagnosable via
-    :func:`check_assumptions`.  ``delta1`` and ``delta2``, the control
-    cost slopes, are derived from the exponents and weights.
+    :func:`check_assumptions`.  ``controls`` groups the fields of each
+    control into one :class:`Control` record, which derives its cost slope.
     """
 
     preset: str
@@ -249,54 +263,12 @@ class ProblemSpec:
                 raise SpecError(f"coefficient {name} must not depend on y")
 
     @cached_property
-    def delta1(self) -> MonotoneScalar:
-        """The interior control cost slope lambda1 t + lambda2 |t|^(p-2) t."""
-        return _cost_slope(self.lambda1, self.lambda2, self.p)
-
-    @cached_property
-    def delta2(self) -> MonotoneScalar:
-        """The boundary control cost slope mu1 t + mu2 |t|^(q-2) t."""
-        return _cost_slope(self.mu1, self.mu2, self.q)
-
-    @cached_property
-    def f_y(self) -> Expr:
-        return self.f.diff()
-
-    @cached_property
-    def L_y(self) -> Expr:
-        return self.L.diff()
-
-    @cached_property
-    def ell_y(self) -> Expr:
-        return self.ell.diff()
-
-    @cached_property
-    def g1_y(self) -> Expr:
-        return self.g1.diff()
-
-    @cached_property
-    def g2_y(self) -> Expr:
-        return self.g2.diff()
-
-    @cached_property
-    def f_yy(self) -> Expr:
-        return self.f_y.diff()
-
-    @cached_property
-    def L_yy(self) -> Expr:
-        return self.L_y.diff()
-
-    @cached_property
-    def ell_yy(self) -> Expr:
-        return self.ell_y.diff()
-
-    @cached_property
-    def g1_yy(self) -> Expr:
-        return self.g1_y.diff()
-
-    @cached_property
-    def g2_yy(self) -> Expr:
-        return self.g2_y.diff()
+    def controls(self) -> tuple[Control, Control]:
+        """The records of the interior control u and the boundary control v, in that order."""
+        return (
+            Control(self.L, self.lambda1, self.lambda2, self.p, self.g1, self.zeta1),
+            Control(self.ell, self.mu1, self.mu2, self.q, self.g2, self.zeta2),
+        )
 
 
 @dataclass
@@ -370,6 +342,10 @@ def check_assumptions(spec: ProblemSpec, mesh) -> AssumptionReport:
             "measured": float(values.flat[k]),
         }
 
+    def worst_at_zero(values: np.ndarray, xs: np.ndarray) -> dict:
+        k = int(np.argmax(np.abs(values)))
+        return {"x": tuple(float(c) for c in np.round(xs[k], 6)), "value": 0.0, "measured": float(values[k])}
+
     # A1: exponent and weight ranges
     ok_a1 = (
         exponent_violation(spec.N, spec.p, spec.q) is None
@@ -416,13 +392,15 @@ def check_assumptions(spec: ProblemSpec, mesh) -> AssumptionReport:
             "A3-cost-nonnegative",
             ok_L and ok_ell_int,
             f"min L = {np.min(Lv):.3e}, min ell = {np.min(ellv):.3e}",
-            None if ok_L else witness_at(Lv, xq, tgrid),
+            None if ok_L and ok_ell_int else (
+                witness_at(Lv, xq, tgrid) if np.min(Lv) <= np.min(ellv) else witness_at(ellv, xb, tgrid)
+            ),
         )
     )
 
     # A4: f(x, 0) = 0 and monotone nonlinearity
     f0 = spec.f(xq[:, 0], xq[:, 1], 0.0)
-    fy = grid_eval(spec.f_y, xq, tgrid)
+    fy = grid_eval(spec.f.diff(), xq, tgrid)
     ok_f0 = bool(np.max(np.abs(f0)) <= 1e-12)
     ok_fy = bool(np.min(fy) >= -1e-12)
     checks.append(
@@ -430,7 +408,7 @@ def check_assumptions(spec: ProblemSpec, mesh) -> AssumptionReport:
             "A4-nonlinearity",
             ok_f0 and ok_fy,
             f"max |f(x,0)| = {np.max(np.abs(f0)):.3e}, min f_y = {np.min(fy):.3e}",
-            None if ok_fy else witness_at(fy, xq, tgrid),
+            witness_at(fy, xq, tgrid) if not ok_fy else (None if ok_f0 else worst_at_zero(f0, xq)),
         )
     )
 
@@ -441,11 +419,9 @@ def check_assumptions(spec: ProblemSpec, mesh) -> AssumptionReport:
     if ok_g:
         wit_g = None
     elif np.max(np.abs(g10)) >= np.max(np.abs(g20)):
-        k = int(np.argmax(np.abs(g10)))
-        wit_g = {"x": tuple(float(c) for c in np.round(xq[k], 6)), "value": 0.0, "measured": float(g10[k])}
+        wit_g = worst_at_zero(g10, xq)
     else:
-        k = int(np.argmax(np.abs(g20)))
-        wit_g = {"x": tuple(float(c) for c in np.round(xb[k], 6)), "value": 0.0, "measured": float(g20[k])}
+        wit_g = worst_at_zero(g20, xb)
     checks.append(
         AssumptionCheck(
             "A5-constraints-vanish-at-zero",
@@ -461,7 +437,7 @@ def check_assumptions(spec: ProblemSpec, mesh) -> AssumptionReport:
     wit_a6 = None
     for name, zeta in (("zeta1", spec.zeta1), ("zeta2", spec.zeta2)):
         z0 = float(zeta.value(0.0))
-        slopes = np.asarray(zeta.slope(tgrid))
+        slopes = zeta.slope(tgrid)
         floor = float(np.min(np.abs(slopes)))
         same_sign = bool(np.all(slopes > 0.0) or np.all(slopes < 0.0))
         good = abs(z0) <= 1e-12 and floor >= zeta.rho - 1e-12 and same_sign
@@ -477,12 +453,11 @@ def check_assumptions(spec: ProblemSpec, mesh) -> AssumptionReport:
     try:
         g1v = grid_eval(spec.g1, xq, tgrid)
         h1 = invert_monotone(spec.zeta1, -g1v)
-        term1 = grid_eval(spec.f_y, xq, tgrid) + grid_eval(spec.g1_y, xq, tgrid) / np.asarray(
-            spec.zeta1.slope(h1)
-        )
+        f_y, g1_y = (grid_eval(e.diff(), xq, tgrid) for e in (spec.f, spec.g1))
+        term1 = f_y + g1_y / spec.zeta1.slope(h1)
         g2v = grid_eval(spec.g2, xb, tgrid)
         h2 = invert_monotone(spec.zeta2, -g2v)
-        term2 = grid_eval(spec.g2_y, xb, tgrid) / np.asarray(spec.zeta2.slope(h2))
+        term2 = grid_eval(spec.g2.diff(), xb, tgrid) / spec.zeta2.slope(h2)
         ok_sign = bool(np.min(term1) >= -1e-10 and np.min(term2) >= -1e-10)
         detail = f"min interior term = {np.min(term1):.3e}, min boundary term = {np.min(term2):.3e}"
         wit = None if ok_sign else (

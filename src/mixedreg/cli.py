@@ -6,10 +6,7 @@ pass/fail checks; the exit code is 0 only when every exercised check
 passes.  Exit code 2 marks configuration or argument problems, 3 solver
 failures or failed runtime checks.  All randomness flows from one seeded
 generator (default seed 42); with one thread, repeated runs produce
-byte-identical CSV files.
-
-The environment variable ``MIXEDREG_OUT`` overrides the output
-directory, taking precedence over ``--out``.
+byte-identical CSV files.  ``--out`` names the output directory.
 """
 
 from __future__ import annotations
@@ -17,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -424,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="mixedreg",
         description="Mixed control-state constrained elliptic optimal control toolkit",
     )
-    parser.add_argument("--out", default="out", help="output directory (MIXEDREG_OUT overrides)")
+    parser.add_argument("--out", default="out", help="output directory")
     parser.add_argument("--seed", type=int, default=42, help="seed for all sampling")
     sub = parser.add_subparsers(dest="cmd", required=True)
 
@@ -521,7 +517,7 @@ def _summary_doc(args, checks: list, artifacts: list) -> dict:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    out_dir = Path(os.environ.get("MIXEDREG_OUT") or args.out)
+    out_dir = Path(args.out)
 
     for name in ("kkt_tol", "active_tol", "newton_tol", "tol", "stability_rtol", "amplitude"):
         value = getattr(args, name, None)

@@ -7,7 +7,9 @@ with a numeric exponent, ``abs``, ``sin``, ``cos``, ``exp``, ``sign`` and
 the signed power ``spow(u, alpha) = |u|^(alpha-2) * u`` for ``alpha >= 2``.
 
 Trees are immutable; ``diff`` returns the derivative tree with respect to
-the value variable, and evaluation is vectorized over numpy arrays.
+the value variable, built on the first call and kept on the node.
+Evaluation is vectorized over numpy arrays: the leaves return their
+operands, and the root broadcasts the result once.
 Integral exponents 1 to ``_MAX_INT_POWER`` (in ``^`` and in ``spow``) are
 computed by multiplication, within a few ulp of ``np.power`` (exact for 1, 2).
 """
@@ -15,7 +17,7 @@ computed by multiplication, within a few ulp of ``np.power`` (exact for 1, 2).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -39,12 +41,14 @@ class Expr:
         raise NotImplementedError
 
     def diff(self) -> "Expr":
-        """Derivative with respect to the value variable."""
-        raise NotImplementedError
+        """Derivative with respect to the value variable: the node's rule ``_diff``, run once and kept."""
+        if "_derivative" not in vars(self):
+            object.__setattr__(self, "_derivative", self._diff())
+        return self._derivative
 
     def _children(self):
-        """The operand subtrees: the node's Expr-valued fields."""
-        return [v for v in vars(self).values() if isinstance(v, Expr)]
+        """The operand subtrees: the node's Expr-valued dataclass fields, never its kept derivative."""
+        return [v for v in (getattr(self, f.name) for f in fields(self)) if isinstance(v, Expr)]
 
     def uses_value(self) -> bool:
         return any(c.uses_value() for c in self._children())
@@ -53,8 +57,13 @@ class Expr:
         return any(c.uses_coords() for c in self._children())
 
     def __call__(self, x1, x2, val):
-        return self.ev(np.asarray(x1, dtype=float), np.asarray(x2, dtype=float),
-                       np.asarray(val, dtype=float))
+        """The value at (x1, x2, val), in the shape they broadcast to; never one of the operands."""
+        args = [np.asarray(a, dtype=float) for a in (x1, x2, val)]
+        out = self.ev(*args)
+        shape = np.broadcast_shapes(*(a.shape for a in args))
+        if np.shape(out) != shape or any(out is a for a in args):  # a constant, or a leaf's operand
+            out = np.broadcast_to(out, shape).copy()
+        return out
 
 
 @dataclass(frozen=True)
@@ -62,9 +71,9 @@ class Const(Expr):
     value: float
 
     def ev(self, x1, x2, val):
-        return np.broadcast_arrays(np.asarray(self.value, dtype=float), x1, val)[0]
+        return np.float64(self.value)
 
-    def diff(self):
+    def _diff(self):
         return Const(0.0)
 
     def __str__(self):
@@ -76,9 +85,9 @@ class Coord(Expr):
     axis: int  # 1 or 2
 
     def ev(self, x1, x2, val):
-        return np.broadcast_arrays(x1 if self.axis == 1 else x2, x1, val)[0]
+        return x1 if self.axis == 1 else x2
 
-    def diff(self):
+    def _diff(self):
         return Const(0.0)
 
     def uses_coords(self):
@@ -91,9 +100,9 @@ class Coord(Expr):
 @dataclass(frozen=True)
 class Value(Expr):
     def ev(self, x1, x2, val):
-        return np.broadcast_arrays(val, x1, val)[0]
+        return val
 
-    def diff(self):
+    def _diff(self):
         return Const(1.0)
 
     def uses_value(self):
@@ -153,7 +162,7 @@ class Add(Expr):
     def ev(self, x1, x2, val):
         return self.left.ev(x1, x2, val) + self.right.ev(x1, x2, val)
 
-    def diff(self):
+    def _diff(self):
         return add(self.left.diff(), self.right.diff())
 
     def __str__(self):
@@ -168,7 +177,7 @@ class Sub(Expr):
     def ev(self, x1, x2, val):
         return self.left.ev(x1, x2, val) - self.right.ev(x1, x2, val)
 
-    def diff(self):
+    def _diff(self):
         return sub(self.left.diff(), self.right.diff())
 
     def __str__(self):
@@ -183,7 +192,7 @@ class Mul(Expr):
     def ev(self, x1, x2, val):
         return self.left.ev(x1, x2, val) * self.right.ev(x1, x2, val)
 
-    def diff(self):
+    def _diff(self):
         return add(mul(self.left.diff(), self.right), mul(self.left, self.right.diff()))
 
     def __str__(self):
@@ -201,7 +210,7 @@ class Div(Expr):
             raise EvalError(f"division by zero in {self}")
         return self.left.ev(x1, x2, val) / den
 
-    def diff(self):
+    def _diff(self):
         # (u/v)' = u'/v - u v'/v^2
         u, v = self.left, self.right
         return sub(Div(u.diff(), v), Div(mul(u, v.diff()), Mul(v, v)))
@@ -225,7 +234,7 @@ class Pow(Expr):
             raise EvalError(f"non-finite power result in {self}")
         return out
 
-    def diff(self):
+    def _diff(self):
         if self.exponent == 0.0:
             return Const(0.0)
         inner = self.base.diff()
@@ -249,7 +258,7 @@ class Func(Expr):
     def ev(self, x1, x2, val):
         return self._TABLE[self.name](self.arg.ev(x1, x2, val))
 
-    def diff(self):
+    def _diff(self):
         inner = self.arg.diff()
         if self.name == "abs":
             # subgradient convention: derivative 0 at the kink
@@ -289,7 +298,7 @@ class SPow(Expr):
         u = self.arg.ev(x1, x2, val)
         return self.scale * _power(np.abs(u), self.alpha - 2.0) * u
 
-    def diff(self):
+    def _diff(self):
         return mul(mul(Const((self.alpha - 1.0) * self.scale), Pow(Func("abs", self.arg), self.alpha - 2.0)),
                    self.arg.diff())
 

@@ -162,10 +162,9 @@ def trace(field: FEField) -> FEField:
 
 
 def nodal(fn, field: FEField) -> np.ndarray:
-    """fn(x1, x2, value) at the nodes of ``field``: a new float array, one value per node."""
+    """fn(x1, x2, value) at the nodes of ``field``, one value per node."""
     xy = field.coords()
-    vals = np.asarray(fn(xy[:, 0], xy[:, 1], field.values), dtype=float)
-    return np.broadcast_to(vals, field.values.shape).copy()
+    return fn(xy[:, 0], xy[:, 1], field.values)
 
 
 class P1:
@@ -436,7 +435,7 @@ def assemble_operator(mesh: Mesh, spec: ProblemSpec) -> SparseOperator:
     a11 = spec.a11(x1, x2, 0.0)
     a12 = spec.a12(x1, x2, 0.0)
     a22 = spec.a22(x1, x2, 0.0)
-    eig_min = np.broadcast_to(0.5 * (a11 + a22 - np.sqrt((a11 - a22) ** 2 + 4.0 * a12**2)), qw.shape)
+    eig_min = 0.5 * (a11 + a22 - np.sqrt((a11 - a22) ** 2 + 4.0 * a12**2))
     if np.min(eig_min) <= 0.0:
         k = int(np.argmin(eig_min))
         raise AssemblyError(

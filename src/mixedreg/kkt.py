@@ -8,16 +8,18 @@ constraints.
 
 The two mixed constraints share one form, zeta_i(c) + g_i(x, y) <= 0,
 with c = u at every vertex (i = 1) and c = v on the boundary loop
-(i = 2).  Four strictly increasing scalar maps enter, all
-``catalog.MonotoneScalar``: the reparametrizations zeta_1, zeta_2 and the
-control cost slopes delta_1, delta_2 (``spec.delta1``, ``spec.delta2``).
-``_constraints(spec, y)`` evaluates both halves at a state y once: the
-control's nodes and the state there (y or its trace), zeta_i, delta_i,
-g_i and its y-derivative at those nodes (through ``fem.nodal``), and the
-bound b = zeta_i^{-1}(-g_i).  Every formula below (the projection with
-its active sets and multipliers, stationarity, complementarity and
-feasibility, the adjoint load, the Newton derivatives, the surjectivity
-shifts) is written once and applied to both halves.
+(i = 2).  The data of each control is one ``catalog.Control`` record of
+``spec.controls``: its tracking integrand, its cost weights and exponent,
+g_i and zeta_i.  Four strictly increasing scalar maps enter, all
+``catalog.MonotoneScalar``: the reparametrizations zeta_i and the control
+cost slopes delta_i, the records' ``delta``.  ``_constraints(spec, y)``
+evaluates both halves at a state y once: the control's record, its nodes
+and the state there (y or its trace), g_i and its y-derivative at those
+nodes (through ``fem.nodal``), and the bound b = zeta_i^{-1}(-g_i).
+Every formula below (the cost, the projection with its active sets and
+multipliers, stationarity, complementarity and feasibility, the adjoint
+load, the Newton derivatives, the surjectivity shifts) is written once
+and applied to both records or halves.
 
 The projection eliminates the controls: with w = delta_i^{-1}(-phi) at
 each node, the control is min(w, b), the node is active where w > b, and
@@ -52,7 +54,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fem
-from .catalog import InversionError, MonotoneScalar, ProblemSpec, SpecError, invert_monotone
+from .catalog import Control, InversionError, ProblemSpec, SpecError, invert_monotone
 from .fem import FEField, LinearSolveError
 from .solvers import (
     NEWTON_TOL,
@@ -168,7 +170,7 @@ class KKTReport:
 
 
 def _require_increasing(spec: ProblemSpec) -> None:
-    d1, d2 = spec.zeta1.direction, spec.zeta2.direction
+    d1, d2 = (c.zeta.direction for c in spec.controls)
     if d1 == "increasing" and d2 == "increasing":
         return
     raise SpecError(
@@ -196,10 +198,9 @@ def _check_adjoint(y: FEField, phi: FEField) -> None:
 class _Half:
     """One mixed constraint zeta(c) + g(x, y) <= 0 at the nodes of its control c."""
 
+    data: Control  # the problem data of c: its cost, with slope delta, g and zeta
     y: FEField  # the state at the nodes of c: y itself or its trace
     nodes: slice | np.ndarray  # slice(None) (every vertex) or the boundary loop
-    zeta: MonotoneScalar
-    delta: MonotoneScalar  # the slope of the control cost of c
     g: np.ndarray
     g_y: np.ndarray
     bound: np.ndarray  # zeta^{-1}(-g); for increasing zeta the constraint is c <= bound
@@ -208,41 +209,37 @@ class _Half:
 def _constraints(spec: ProblemSpec, y: FEField) -> tuple:
     """The (interior, boundary) constraint halves evaluated at the state y."""
     halves = []
-    for at, nodes, zeta, delta, g, g_y in (
-        (y, slice(None), spec.zeta1, spec.delta1, spec.g1, spec.g1_y),
-        (fem.trace(y), y.mesh.boundary_loop, spec.zeta2, spec.delta2, spec.g2, spec.g2_y),
-    ):
-        gv = fem.nodal(g, at)
-        bound = invert_monotone(zeta, -gv)
-        halves.append(_Half(at, nodes, zeta, delta, gv, fem.nodal(g_y, at), bound))
+    for data, at, nodes in zip(spec.controls, (y, fem.trace(y)), (slice(None), y.mesh.boundary_loop)):
+        gv = fem.nodal(data.g, at)
+        bound = invert_monotone(data.zeta, -gv)
+        halves.append(_Half(data, at, nodes, gv, fem.nodal(data.g.diff(), at), bound))
     return tuple(halves)
 
 
 def objective(spec: ProblemSpec, y: FEField, u: FEField, v: FEField) -> float:
     """Cost functional: tracking plus convex control costs, by quadrature."""
     mesh = _check_state_fields(y, u, v)
-    xq, wq = fem.p1(mesh).interior
-    yq = fem.interp_interior(y)
-    uq = fem.interp_interior(u)
-    dom = (
-        spec.L(xq[:, 0], xq[:, 1], yq)
-        + 0.5 * spec.lambda1 * uq**2
-        + (spec.lambda2 / spec.p) * np.abs(uq) ** spec.p
+    rec = fem.p1(mesh)
+    # one cost formula for both controls, track + linear/2 c^2 + power/exponent |c|^exponent
+    dom, bnd = (
+        np.sum(
+            w * (c.track(x[:, 0], x[:, 1], yq) + 0.5 * c.linear * cq**2
+                 + (c.power / c.exponent) * np.abs(cq) ** c.exponent)
+        )
+        for c, (x, w), yq, cq in zip(
+            spec.controls,
+            (rec.interior, rec.boundary),
+            (fem.interp_interior(y), fem.interp_boundary(fem.trace(y))),
+            (fem.interp_interior(u), fem.interp_boundary(v)),
+        )
     )
-    xb, wb = fem.p1(mesh).boundary
-    yb = fem.interp_boundary(fem.trace(y))
-    vq = fem.interp_boundary(v)
-    bnd = (
-        spec.ell(xb[:, 0], xb[:, 1], yb)
-        + 0.5 * spec.mu1 * vq**2
-        + (spec.mu2 / spec.q) * np.abs(vq) ** spec.q
-    )
-    return float(np.sum(wq * dom) + np.sum(wb * bnd))
+    return float(dom + bnd)
 
 
 def _tracking_adjoint(spec: ProblemSpec, y: FEField, linearized: fem.SparseOperator):
     """Adjoint at y driven by the tracking derivatives alone; ``linearized`` is its (symmetric) matrix."""
-    load = fem.p1(y.mesh).load(fem.nodal(spec.L_y, y), fem.nodal(spec.ell_y, fem.trace(y)))
+    at = (y, fem.trace(y))
+    load = fem.p1(y.mesh).load(*(fem.nodal(c.track.diff(), a) for c, a in zip(spec.controls, at)))
     return FEField(y.mesh, "domain", fem.solve_linear(linearized, load))
 
 
@@ -261,10 +258,10 @@ def reduced_gradient(spec: ProblemSpec, u: FEField, v: FEField, state: StateSolv
     y = state.state
     state.check_solves(spec, _check_state_fields(y, u, v))
     phi = _tracking_adjoint(spec, y, state.linearization)
-    loop = y.mesh.boundary_loop
-    gu = FEField(y.mesh, "domain", phi.values + spec.delta1.value(u.values))
-    gv = FEField(y.mesh, "boundary", phi.values[loop] + spec.delta2.value(v.values))
-    return gu, gv
+    return tuple(
+        FEField(y.mesh, c.role, phi.values[nodes] + data.delta.value(c.values))
+        for data, c, nodes in zip(spec.controls, (u, v), (slice(None), y.mesh.boundary_loop))
+    )
 
 
 @dataclass(frozen=True)
@@ -280,17 +277,17 @@ class _Minimizer:
 
 def _minimize(h: _Half, phi: FEField) -> _Minimizer:
     at = phi.values[h.nodes]
-    w = invert_monotone(h.delta, -at)
+    w = invert_monotone(h.data.delta, -at)
     active = w > h.bound
     psi = np.zeros(active.shape)
     b = h.bound[active]
-    slope = np.broadcast_to(h.zeta.slope(b), b.shape)
+    slope = h.data.zeta.slope(b)
     bad = np.flatnonzero(~(slope > 0.0))
     if bad.size:
         raise InversionError(
             f"zeta'(b) = {slope[bad[0]]:g} at an active bound b = {b[bad[0]]:g}: the multiplier needs it positive"
         )
-    psi[active] = -(h.delta.value(b) + at[active]) / slope
+    psi[active] = -(h.data.delta.value(b) + at[active]) / slope
     # the offset from the bound, projected on the nonpositive half-line: feasible exactly
     return _Minimizer(at, w, active, np.minimum(w - h.bound, 0.0) + h.bound, psi)
 
@@ -309,36 +306,29 @@ def project_controls(spec: ProblemSpec, y: FEField, phi: FEField):
     )
 
 
-def _adjoint_rhs(spec: ProblemSpec, halves, psis):
-    """Adjoint loads: tracking derivative plus g_y * psi at each half's nodes."""
-    return tuple(
-        FEField(h.y.mesh, h.y.role, fem.nodal(tracking_y, h.y) + h.g_y * psi.values)
-        for h, tracking_y, psi in zip(halves, (spec.L_y, spec.ell_y), psis)
-    )
+def _report(spec: ProblemSpec, pt: _Point, kkt_tol: float) -> KKTReport:
+    """Max-norm residuals of every first-order optimality condition at the Newton point pt.
 
-
-def _report(spec: ProblemSpec, state: KKTState, halves, state_defect, adjoint_defect, kkt_tol):
-    """Max-norm residuals of every first-order optimality condition at state.
-
-    Stationarity and complementarity are evaluated nodally, feasibility as
-    the positive part of control minus bound, and the state and adjoint
-    residuals are the given algebraic defects of their discrete systems.
+    Stationarity and complementarity are evaluated nodally at the point's
+    controls and multipliers, feasibility as the positive part of control
+    minus bound, and the state and adjoint residuals are the algebraic
+    defects of their discrete systems.
     """
-    phi = state.phi
     measured = {}
-    for h, c, psi, side in zip(halves, (state.u, state.v), (state.psi1, state.psi2), "uv"):
-        slope = np.asarray(h.zeta.slope(c.values))
-        stat = h.delta.value(c.values) + phi.values[h.nodes] + slope * psi.values
-        comp = psi.values * (np.asarray(h.zeta.value(c.values)) + h.g)
+    for h, m, side in zip(pt.halves, pt.minimizers, "uv"):
+        zeta, c = h.data.zeta, m.control
+        stat = h.data.delta.value(c) + m.phi + zeta.slope(c) * m.psi
+        comp = m.psi * (zeta.value(c) + h.g)
         measured[f"stationarity_{side}"] = float(np.max(np.abs(stat)))
         measured[f"complementarity_{side}"] = float(np.max(np.abs(comp)))
-        measured[f"feasibility_{side}"] = max(0.0, float(np.max(c.values - h.bound)))
-    measured["state_residual"] = float(np.max(np.abs(state_defect)))
-    measured["adjoint_residual"] = float(np.max(np.abs(adjoint_defect)))
+        measured[f"feasibility_{side}"] = max(0.0, float(np.max(c - h.bound)))
+    measured["state_residual"] = float(np.max(np.abs(pt.state_defect)))
+    measured["adjoint_residual"] = float(np.max(np.abs(pt.adjoint_defect)))
 
     residuals = {k: measured[k] for k in _RESIDUAL_KEYS}
+    u, v = (FEField(pt.y.mesh, h.y.role, m.control) for h, m in zip(pt.halves, pt.minimizers))
     return KKTReport(
-        objective=objective(spec, state.y, state.u, state.v),
+        objective=objective(spec, pt.y, u, v),
         residuals=residuals,
         exponent_table=exponents(float(spec.N), spec.p, spec.q),
         iterations=0,
@@ -376,8 +366,10 @@ def _point(spec: ProblemSpec, y: FEField, phi: FEField) -> _Point:
     minimizers = tuple(_minimize(h, phi) for h in halves)
     rec = fem.p1(y.mesh)
     state_load = rec.load(*(m.control for m in minimizers))
-    psis = (FEField(y.mesh, h.y.role, m.psi) for h, m in zip(halves, minimizers))
-    adjoint_load = rec.load(*(f.values for f in _adjoint_rhs(spec, halves, psis)))
+    # tracking derivative plus g_y * psi at each half's nodes
+    adjoint_load = rec.load(
+        *(fem.nodal(h.data.track.diff(), h.y) + h.g_y * m.psi for h, m in zip(halves, minimizers))
+    )
     linearized = linearized_matrix(spec, y)
     return _Point(
         y,
@@ -404,21 +396,16 @@ def _jacobian(spec: ProblemSpec, pt: _Point) -> fem.SparseOperator:
     """
     # per half: the nodal coefficients of the four blocks, in block order
     coefficients = []
-    for h, m, tracking_yy, g_yy in zip(
-        pt.halves, pt.minimizers, (spec.L_yy, spec.ell_yy), (spec.g1_yy, spec.g2_yy)
-    ):
-        b, on = h.bound, m.active
-        zeta_slope = np.asarray(h.zeta.slope(b))
+    for h, m in zip(pt.halves, pt.minimizers):
+        b, on, zeta, delta = h.bound, m.active, h.data.zeta, h.data.delta
+        zeta_slope = zeta.slope(b)
         db_dy = -h.g_y / zeta_slope
-        dpsi_db = (
-            -h.delta.slope(b)
-            + (h.delta.value(b) + m.phi) * np.asarray(h.zeta.curvature(b)) / zeta_slope
-        ) / zeta_slope
-        second = fem.nodal(tracking_yy, h.y) + fem.nodal(g_yy, h.y) * m.psi
+        dpsi_db = (-delta.slope(b) + (delta.value(b) + m.phi) * zeta.curvature(b) / zeta_slope) / zeta_slope
+        second = fem.nodal(h.data.track.diff().diff(), h.y) + fem.nodal(h.data.g.diff().diff(), h.y) * m.psi
         coefficients.append(
             (
                 np.where(on, -db_dy, 0.0),
-                np.where(on, 0.0, 1.0 / h.delta.slope(m.w)),
+                np.where(on, 0.0, 1.0 / delta.slope(m.w)),
                 -(second + np.where(on, h.g_y * dpsi_db * db_dy, 0.0)),
                 np.where(on, h.g_y / zeta_slope, 0.0),
             )
@@ -431,12 +418,6 @@ def _jacobian(spec: ProblemSpec, pt: _Point) -> fem.SparseOperator:
             [second_variation_matrix(spec, pt.y, pt.phi) + adjoint_y, pt.linearized + adjoint_phi],
         ]
     )
-
-
-def _history_row(spec: ProblemSpec, pt: _Point, kkt_tol: float):
-    report = _report(spec, pt.state(), pt.halves, pt.state_defect, pt.adjoint_defect, kkt_tol)
-    # the first six residuals: stationarity, complementarity, feasibility
-    return report, (report.objective, *(report.residuals[r] for r in _RESIDUAL_KEYS[:6]))
 
 
 def cold_start(spec: ProblemSpec, u: FEField, v: FEField):
@@ -495,8 +476,10 @@ def solve_kkt(
             converged,
             max_iter,
         ):
-            report, row = _history_row(spec, pt, kkt_tol)
-            history.append((len(history) + 1, *row))
+            report = _report(spec, pt, kkt_tol)
+            # the first six residuals: stationarity, complementarity, feasibility
+            residuals = (report.residuals[r] for r in _RESIDUAL_KEYS[:6])
+            history.append((len(history) + 1, report.objective, *residuals))
     except LinearSolveError:
         pass
     report.converged = converged(pt, norm) and report.converged
@@ -528,7 +511,7 @@ def robinson_check(spec: ProblemSpec, z, targets) -> np.ndarray:
 
     y = solve_state(spec, u, v).state
     halves = _constraints(spec, y)
-    shifts = [h.g_y / np.asarray(h.zeta.slope(h.bound)) for h in halves]
+    shifts = [h.g_y / h.data.zeta.slope(h.bound) for h in halves]
     rec = fem.p1(mesh)
     A = linearized_matrix(spec, y)
 

@@ -129,8 +129,7 @@ class StateSolveReport:
 def _at_quadrature(fn, y: FEField) -> np.ndarray:
     """fn(x1, x2, y) at the interior quadrature points, shape (3T,)."""
     qpts, _ = fem.p1(y.mesh).interior
-    yq = fem.interp_interior(y)
-    return np.broadcast_to(fn(qpts[:, 0], qpts[:, 1], yq), yq.shape)
+    return fn(qpts[:, 0], qpts[:, 1], fem.interp_interior(y))
 
 
 def semilinear_operator(spec: ProblemSpec, y: FEField) -> np.ndarray:
@@ -141,7 +140,7 @@ def semilinear_operator(spec: ProblemSpec, y: FEField) -> np.ndarray:
 
 def linearized_matrix(spec: ProblemSpec, y: FEField) -> fem.SparseOperator:
     """Matrix of the state equation linearized at y: K + (f_y(., y) phi_j, phi_i)."""
-    weight = _at_quadrature(spec.f_y, y)
+    weight = _at_quadrature(spec.f.diff(), y)
     return fem.p1(y.mesh).operator(spec) + fem.assemble_weighted_mass(y.mesh, weight)
 
 
@@ -151,7 +150,7 @@ def second_variation_matrix(spec: ProblemSpec, y: FEField, phi: FEField) -> fem.
     ``phi`` is a domain field; the derivative is the mass matrix weighted
     by f_yy(., y) phi at the interior quadrature points.
     """
-    weight = _at_quadrature(spec.f_yy, y) * fem.interp_interior(phi)
+    weight = _at_quadrature(spec.f.diff().diff(), y) * fem.interp_interior(phi)
     return fem.assemble_weighted_mass(y.mesh, weight)
 
 

@@ -238,11 +238,10 @@ def test_c9_regularity_flags(smooth_study, jump_study, verdict):
     verdict("C9", body)
 
 
-def test_c10_deterministic_artifacts(tmp_path, monkeypatch, verdict):
+def test_c10_deterministic_artifacts(tmp_path, verdict):
     """Every subcommand, run twice with one seed: byte-identical artifacts."""
 
     def body():
-        monkeypatch.delenv("MIXEDREG_OUT", raising=False)
         invocations = [
             ["exponents", "--p", "3", "--q", "3"],
             ["check", "--config", cfg("quadratic_tracking"), "--level", "2"],

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from mixedreg import fem
 from mixedreg.catalog import (
+    VALUE_BOUND,
     ConfigError,
     MonotoneScalar,
     ProblemSpec,
@@ -94,16 +96,16 @@ def test_decreasing_reparametrization_inverts():
 
 def test_delta_examples():
     quartic = base_spec(p=4.0, q=4.0)
-    assert quartic.delta1.value(1.0) == pytest.approx(2.0, abs=1e-14)
-    assert invert_monotone(quartic.delta1, 2.0) == pytest.approx(1.0, abs=1e-13)
+    assert quartic.controls[0].delta.value(1.0) == pytest.approx(2.0, abs=1e-14)
+    assert invert_monotone(quartic.controls[0].delta, 2.0) == pytest.approx(1.0, abs=1e-13)
 
     linear = base_spec(lambda1=2.0, lambda2=0.0)
-    assert invert_monotone(linear.delta1, 5.0) == pytest.approx(2.5, abs=1e-13)
+    assert invert_monotone(linear.controls[0].delta, 5.0) == pytest.approx(2.5, abs=1e-13)
 
     cubic_cost = base_spec(p=3.0)
     # t + |t| t at t = 2 is 6
-    assert cubic_cost.delta1.value(2.0) == pytest.approx(6.0, abs=1e-14)
-    assert invert_monotone(cubic_cost.delta1, 6.0) == pytest.approx(2.0, abs=1e-13)
+    assert cubic_cost.controls[0].delta.value(2.0) == pytest.approx(6.0, abs=1e-14)
+    assert invert_monotone(cubic_cost.controls[0].delta, 6.0) == pytest.approx(2.0, abs=1e-13)
 
 
 def test_delta_inverse_monotone_and_bounded():
@@ -112,25 +114,25 @@ def test_delta_inverse_monotone_and_bounded():
     pairs = rng.uniform(-50.0, 50.0, (200, 2))
     lo = np.minimum(pairs[:, 0], pairs[:, 1]) - 1e-9
     hi = np.maximum(pairs[:, 0], pairs[:, 1]) + 1e-9
-    ti = invert_monotone(spec.delta1, lo)
-    tj = invert_monotone(spec.delta1, hi)
+    ti = invert_monotone(spec.controls[0].delta, lo)
+    tj = invert_monotone(spec.controls[0].delta, hi)
     assert np.all(tj >= ti)
     targets = rng.uniform(-100.0, 100.0, 200)
-    t = invert_monotone(spec.delta1, targets)
+    t = invert_monotone(spec.controls[0].delta, targets)
     assert np.all(np.abs(t) <= np.abs(targets) / spec.lambda1 + 1e-12)
 
 
 def test_delta_slope_positive():
     spec = base_spec(p=4.0)
     ts = np.linspace(-5.0, 5.0, 41)
-    assert np.all(np.asarray(spec.delta1.slope(ts)) >= spec.lambda1)
+    assert np.all(np.asarray(spec.controls[0].delta.slope(ts)) >= spec.lambda1)
 
 
 def test_delta_roundtrip():
     spec = base_spec(p=3.5, q=4.0, lambda2=2.0)
     rng = np.random.default_rng(6)
     ts = rng.uniform(-8.0, 8.0, 300)
-    back = invert_monotone(spec.delta1, spec.delta1.value(ts))
+    back = invert_monotone(spec.controls[0].delta, spec.controls[0].delta.value(ts))
     assert np.max(np.abs(back - ts)) < 1e-10
 
 
@@ -146,7 +148,7 @@ _ARGUMENTS = st.lists(st.sampled_from([0.0, 1.0, -1.0]) | st.floats(-50.0, 50.0)
 def test_delta_matches_the_closed_form(lam, mu, ts):
     spec = base_spec(lambda1=lam[0], lambda2=lam[1], p=lam[2], mu1=mu[0], mu2=mu[1], q=mu[2])
     ts = np.array(ts)
-    for delta, (linear, power, exponent) in ((spec.delta1, lam), (spec.delta2, mu)):
+    for delta, (linear, power, exponent) in ((spec.controls[0].delta, lam), (spec.controls[1].delta, mu)):
         assert delta.rho == linear
         reference = np.array([oracles.delta_reference(linear, power, exponent, t) for t in ts])
         value, slope = np.asarray(delta.value(ts)), np.asarray(delta.slope(ts))
@@ -162,7 +164,7 @@ def test_delta_at_a_subnormal_argument_matches_the_closed_form():
     # power |t|^(exponent-2) is applied before the product with t, which underflows once
     t = 2.2250738585e-313
     spec = base_spec(mu1=1.0, mu2=2.0, q=2.03125)
-    value = float(np.asarray(spec.delta2.value(np.array([t])))[0])
+    value = float(np.asarray(spec.controls[1].delta.value(np.array([t])))[0])
     assert value == oracles.delta_reference(1.0, 2.0, 2.03125, t)[0]
 
 
@@ -239,7 +241,7 @@ def test_slope_keeps_the_derivative_tree(monkeypatch):
     zeta = MonotoneScalar("t + t^3", 1.0)
     first = zeta.slope(np.linspace(-2.0, 2.0, 5))
     # later slopes reuse the tree built at construction
-    monkeypatch.setattr(type(zeta.expr), "diff", lambda self: pytest.fail("diff rebuilt"))
+    monkeypatch.setattr(type(zeta.expr), "_diff", lambda self: pytest.fail("diff rebuilt"))
     assert np.array_equal(zeta.slope(np.linspace(-2.0, 2.0, 5)), first)
     assert np.array_equal(first, 1.0 + 3.0 * np.linspace(-2.0, 2.0, 5) ** 2)
 
@@ -278,6 +280,26 @@ def test_assumption_a5_direct_violation_with_witness(disk):
     assert [c.name for c in failed] == ["A5-constraints-vanish-at-zero"]
     assert failed[0].witness is not None
     assert failed[0].witness["measured"] == pytest.approx(-10.0)
+
+
+@pytest.mark.parametrize(
+    "override, name, where, value, measured",
+    [
+        # ell < 0 everywhere, worst at the ends of the value grid
+        ({"ell": "-1 - y^2"}, "A3-cost-nonnegative", "boundary", VALUE_BOUND, -1.0 - VALUE_BOUND**2),
+        # f_y = 3 y^2 >= 0 holds, f(x, 0) = 1 does not
+        ({"f": "y^3 + 1"}, "A4-nonlinearity", "interior", 0.0, 1.0),
+    ],
+    ids=["A3-ell", "A4-f-at-zero"],
+)
+def test_failed_check_has_a_witness(disk, override, name, where, value, measured):
+    mesh = disk(3)
+    (check,) = check_assumptions(base_spec(**override), mesh).failed()
+    assert check.name == name
+    points = {tuple(float(c) for c in np.round(x, 6)) for x in getattr(fem.p1(mesh), where)[0]}
+    assert check.witness["x"] in points
+    assert abs(check.witness["value"]) == value
+    assert check.witness["measured"] == measured
 
 
 def test_robinson_sign_condition_passes_for_exponential_cap(disk):

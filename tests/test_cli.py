@@ -19,11 +19,6 @@ CONFIGS = ROOT / "configs"
 SCHEMA = json.loads((ROOT / "docs" / "summary.schema.json").read_text())
 
 
-@pytest.fixture(autouse=True)
-def no_env_out(monkeypatch):
-    monkeypatch.delenv("MIXEDREG_OUT", raising=False)
-
-
 def run(argv, tmp_path, sub="out"):
     out = tmp_path / sub
     code = cli.main(["--out", str(out), *argv])
@@ -565,13 +560,14 @@ def test_nonconverged_solve_reports_and_exits_three(tmp_path):
 # output directory and determinism
 
 
-def test_env_var_overrides_out_flag(tmp_path, monkeypatch):
+def test_env_var_does_not_redirect_output(tmp_path, monkeypatch):
+    # the removed MIXEDREG_OUT once overrode even an explicit --out
     env_dir = tmp_path / "envout"
     monkeypatch.setenv("MIXEDREG_OUT", str(env_dir))
-    code = cli.main(["--out", str(tmp_path / "ignored"), "exponents", "--p", "3", "--q", "3"])
+    code = cli.main(["--out", str(tmp_path / "out"), "exponents", "--p", "3", "--q", "3"])
     assert code == 0
-    assert (env_dir / "summary.json").exists()
-    assert not (tmp_path / "ignored").exists()
+    assert (tmp_path / "out" / "summary.json").exists()
+    assert not env_dir.exists()
 
 
 def test_reruns_are_byte_identical(tmp_path):

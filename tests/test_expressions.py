@@ -161,6 +161,37 @@ def test_derivative_is_with_respect_to_value_variable():
     assert e.diff()(3.0, 0.0, 2.0) == 4.0
 
 
+def test_derivative_is_kept_on_the_node(monkeypatch):
+    e = parse_expr("sin(y) * y^3")
+    assert e.diff() is e.diff()
+    assert e.diff().diff() is e.diff().diff()
+    rule = Mul._diff
+    calls = []
+    monkeypatch.setattr(Mul, "_diff", lambda self: calls.append(self) or rule(self))
+    fresh = parse_expr("x1 * y")
+    assert fresh.diff() is fresh.diff()
+    assert calls == [fresh]
+
+
+def test_value_takes_the_broadcast_shape_of_all_three_arguments():
+    # a constant once took the shape of x1 and the value variable, not of x2
+    assert parse_expr("1")(0.0, np.zeros(3), 0.0).shape == (3,)
+    assert parse_expr("x1 + 1")(np.zeros((2, 1)), 0.0, np.zeros(4)).shape == (2, 4)
+    assert type(parse_expr("y + 1")(0.0, 0.0, 1.0)) is np.float64
+    # a bare leaf hands back a new array, not its operand
+    v = np.zeros(3)
+    out = parse_expr("y")(0.0, 0.0, v)
+    assert not np.shares_memory(out, v)
+    out[0] = 1.0
+    assert v[0] == 0.0
+
+
+def test_constant_zero_denominator_raises_on_empty_input():
+    # leaves are not broadcast, so a constant denominator is checked as the one value it has
+    with pytest.raises(EvalError, match="division by zero"):
+        parse_expr("1 / (2 - 2)")(0.0, 0.0, np.zeros(0))
+
+
 # ---------------------------------------------------------------------------
 # random expression trees
 

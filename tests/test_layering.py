@@ -28,6 +28,11 @@ boundary quadrature and the pair staircase but no Gagliardo pair rule.
 The elimination order of the factorisations belongs to ``fem`` too: the
 nested dissection is built at one site, ``P1.ordering``, once per mesh,
 and ``permc_spec`` is passed at one site, so no caller picks an ordering.
+The per-control fields of a ``ProblemSpec`` (``L``, ``ell``, ``g1``,
+``g2``, ``zeta1``, ``zeta2``, ``lambda1``, ``lambda2``, ``mu1``, ``mu2``)
+are read in ``catalog`` alone: every other module reads a control's data
+from its ``catalog.Control`` record in ``spec.controls``, so no formula
+is written out once for u and again for v.
 """
 
 import ast
@@ -380,3 +385,26 @@ def test_one_owner_of_the_ordering():
     (line,) = builds["fem.py"]
     first, last = _enclosing((SRC / "fem.py").read_text(), ast.FunctionDef, "ordering")
     assert first <= line <= last
+
+
+PER_CONTROL = {"L", "ell", "g1", "g2", "zeta1", "zeta2", "lambda1", "lambda2", "mu1", "mu2"}
+
+
+def attribute_reads(source, names):
+    """Lines of ``source`` that read an attribute named in ``names``."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute) and node.attr in names and isinstance(node.ctx, ast.Load))
+
+
+def test_one_owner_of_the_per_control_fields():
+    sample = (
+        "dom = spec.L(x1, x2, y)\n"
+        "spec.zeta1 = zeta\n"
+        "w = h.data.zeta\n"
+        "L = 2.0 * lambda1\n"
+        "# spec.mu1 in a comment\n"
+        "cost = 0.5 * spec.mu1 * v**2\n"
+    )
+    assert attribute_reads(sample, PER_CONTROL) == [1, 6]
+    sites = {path.name: attribute_reads(path.read_text(), PER_CONTROL) for path in sorted(SRC.glob("*.py"))}
+    assert {name: lines for name, lines in sites.items() if lines and name != "catalog.py"} == {}
