@@ -15,14 +15,20 @@ of the numbers and the structural exponent bounds are enforced at
 construction; all semantic assumptions (monotonicity floors, sign
 conditions, vanishing at zero) are verified by :func:`check_assumptions`,
 which reports witnesses instead of refusing to build the object, so that
-deliberately broken instances can be constructed and diagnosed.
+deliberately broken instances can be constructed and diagnosed.  Each
+assumption on a control is written once and run over ``spec.controls``,
+u on the interior and v on the boundary samples; a failed check's witness
+is the sample where the worse control is worst, u on an exact tie, and a
+check whose data cannot be evaluated fails as "not evaluable" while the
+others still run.  ``CONFIG_LAYOUT`` lists the sections and keys of the
+config file once, for its reader and its writer.
 """
 
 from __future__ import annotations
 
 import configparser
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -50,6 +56,22 @@ MAX_BRACKET_DOUBLINGS = 200
 # the value grid of check_assumptions
 VALUE_BOUND = 10.0
 VALUE_COUNT = 33
+# the names the assumption details give the tracking integrand, constraint
+# function and reparametrization of u and of v, in the order of ProblemSpec.controls
+CONTROL_NAMES = (("L", "g1", "zeta1"), ("ell", "g2", "zeta2"))
+# the config file: its sections in file order, each with its keys in file order.
+# A key names the ProblemSpec field of the same name, except the domain's
+# dimension N and each rho, the slope floor of its zeta.
+CONFIG_LAYOUT = (
+    ("domain", ("preset", "dimension")),
+    ("exponents", ("p", "q")),
+    ("cost", ("lambda1", "lambda2", "mu1", "mu2", "L", "ell")),
+    ("pde", ("a11", "a12", "a22", "a0", "f")),
+    ("constraints", ("g1", "zeta1", "rho1", "g2", "zeta2", "rho2")),
+)
+# the keys whose entries are real numbers; the preset is a name, the dimension
+# an integer and every other entry an expression
+CONFIG_NUMBERS = frozenset({"p", "q", "lambda1", "lambda2", "mu1", "mu2", "rho1", "rho2"})
 
 
 class SpecError(ValueError):
@@ -319,254 +341,195 @@ def _value_grid(m: float, count: int) -> np.ndarray:
     return np.concatenate([[0.0, -m, m, -1.0, 1.0], core])
 
 
+def _witness(samples, by_magnitude: bool = False) -> dict:
+    """The sample where the worst of ``samples`` is worst, as ``x``, ``value`` and ``measured``.
+
+    ``samples`` holds one (points, values, measured) triple per control,
+    ``measured`` of shape (len(points), len(values)).  The worst sample has
+    the lowest measured value, or the largest magnitude when
+    ``by_magnitude``; an exact tie goes to the first control and, within
+    it, to the first sample.
+    """
+    scores = [-np.abs(m) if by_magnitude else m for _, _, m in samples]
+    k = min(range(len(samples)), key=lambda k: np.min(scores[k]))
+    points, values, measured = samples[k]
+    i, j = np.unravel_index(int(np.argmin(scores[k])), measured.shape)
+    return {"x": tuple(float(c) for c in np.round(points[i], 6)), "value": float(values[j]),
+            "measured": float(measured[i, j])}
+
+
 def check_assumptions(spec: ProblemSpec, mesh) -> AssumptionReport:
     """Sample-based verification of the standing assumptions.
 
     Spatial samples are the interior and boundary quadrature points of
     ``mesh``; the value variable runs over a deterministic low-discrepancy
     grid in [-VALUE_BOUND, VALUE_BOUND], VALUE_COUNT points plus 0, +-1
-    and the ends.
+    and the ends.  A1 reads the weights and A3 (nonnegative tracking
+    integrand), A5 (g vanishes at y = 0), A6 and the sign condition run
+    once per record of ``spec.controls``: u at the interior quadrature
+    points, v at the boundary Gauss points, with the field names of
+    ``CONTROL_NAMES``.  A failed check's witness is its worst sample as
+    ``x``, ``value`` and ``measured`` (A2 adds ``which``: ``ellipticity``
+    or ``a0``; A6 names the ``which`` zeta and its smallest slope
+    instead); a per-control check takes it from the worse control, u on
+    an exact tie.  A check whose data cannot be evaluated on the samples
+    (an :class:`EvalError` or :class:`InversionError`) fails with a
+    "not evaluable" detail, and the other checks still run.
     """
-    xq, _ = fem.p1(mesh).interior
-    xb, _ = fem.p1(mesh).boundary
-    tgrid = _value_grid(VALUE_BOUND, VALUE_COUNT)
+    rec = fem.p1(mesh)
+    ts, zero = _value_grid(VALUE_BOUND, VALUE_COUNT), np.zeros(1)
+    xq = rec.interior[0]
+    track_names, g_names, zeta_names = zip(*CONTROL_NAMES)
 
-    checks: list[AssumptionCheck] = []
+    def on(expr: Expr, xs: np.ndarray, values: np.ndarray = ts) -> np.ndarray:
+        return expr(xs[:, None, 0], xs[:, None, 1], values[None, :])
 
-    def witness_at(values: np.ndarray, xs: np.ndarray, ts: np.ndarray) -> dict:
-        k = int(np.argmin(values))
-        i, j = np.unravel_index(k, (xs.shape[0], ts.shape[0]))
-        return {
-            "x": tuple(float(c) for c in np.round(xs[i], 6)),
-            "value": float(ts[j]),
-            "measured": float(values.flat[k]),
-        }
+    def each(measure, values: np.ndarray = ts) -> list:
+        """(points, values, measure(c, points)) of u on the interior and of v on the boundary."""
+        return [(xs, values, measure(c, xs)) for c, xs in zip(spec.controls, (xq, rec.boundary[0]))]
 
-    def worst_at_zero(values: np.ndarray, xs: np.ndarray) -> dict:
-        k = int(np.argmax(np.abs(values)))
-        return {"x": tuple(float(c) for c in np.round(xs[k], 6)), "value": 0.0, "measured": float(values[k])}
+    @cache
+    def f_y() -> np.ndarray:  # A4's grid, which the sign condition reuses
+        return on(spec.f.diff(), xq)
 
-    # A1: exponent and weight ranges
-    ok_a1 = (
-        exponent_violation(spec.N, spec.p, spec.q) is None
-        and min(spec.lambda1, spec.lambda2, spec.mu1, spec.mu2) > 0.0
-    )
-    checks.append(
-        AssumptionCheck(
-            "A1-exponents-weights",
-            bool(ok_a1),
-            f"p={spec.p}, q={spec.q}, N={spec.N}, weights "
-            f"({spec.lambda1}, {spec.lambda2}, {spec.mu1}, {spec.mu2}) all positive: {ok_a1}",
-        )
-    )
+    def a1():
+        weights = [w for c in spec.controls for w in (c.linear, c.power)]
+        ok = bool(exponent_violation(spec.N, spec.p, spec.q) is None and min(weights) > 0.0)
+        detail = (f"p={spec.p}, q={spec.q}, N={spec.N}, weights ({', '.join(map(str, weights))}) "
+                  f"all positive: {ok}")
+        return ok, detail, None
 
-    # A2: uniform ellipticity and a0 sign (a_ij symmetric by construction)
-    x1, x2 = xq[:, 0], xq[:, 1]
-    a11 = spec.a11(x1, x2, 0.0)
-    a12 = spec.a12(x1, x2, 0.0)
-    a22 = spec.a22(x1, x2, 0.0)
-    eig_min = 0.5 * (a11 + a22 - np.sqrt((a11 - a22) ** 2 + 4.0 * a12**2))
-    a0v = spec.a0(x1, x2, 0.0)
-    ok_ell = bool(np.min(eig_min) > 0.0)
-    ok_a0 = bool(np.min(a0v) >= 0.0 and np.max(a0v) > 0.0)
-    wit = None if ok_ell and ok_a0 else {"x": tuple(float(c) for c in np.round(xq[int(np.argmin(eig_min if not ok_ell else a0v))], 6))}
-    checks.append(
-        AssumptionCheck(
-            "A2-ellipticity",
-            ok_ell and ok_a0,
-            f"min eigenvalue {np.min(eig_min):.3e}, a0 in [{np.min(a0v):.3e}, {np.max(a0v):.3e}]",
-            wit,
-        )
-    )
+    def a2():
+        a11, a12, a22, a0 = (on(a, xq, zero) for a in (spec.a11, spec.a12, spec.a22, spec.a0))
+        eig = fem.min_eigenvalue(a11, a12, a22)
+        ok_ell, ok_a0 = bool(np.min(eig) > 0.0), bool(np.min(a0) >= 0.0 and np.max(a0) > 0.0)
+        detail = f"min eigenvalue {np.min(eig):.3e}, a0 in [{np.min(a0):.3e}, {np.max(a0):.3e}]"
+        if ok_ell and ok_a0:
+            return True, detail, None
+        which, measured = ("a0", a0) if ok_ell else ("ellipticity", eig)
+        return False, detail, {"which": which, **_witness([(xq, zero, measured)])}
 
-    def grid_eval(expr: Expr, xs: np.ndarray, ts: np.ndarray) -> np.ndarray:
-        return expr(xs[:, None, 0], xs[:, None, 1], ts[None, :])
+    def a3():
+        tracks = each(lambda c, xs: on(c.track, xs))
+        ok = all(np.min(m) >= -1e-12 for _, _, m in tracks)
+        detail = ", ".join(f"min {name} = {np.min(m):.3e}" for name, (_, _, m) in zip(track_names, tracks))
+        return ok, detail, None if ok else _witness(tracks)
 
-    # A3: nonnegative integrands
-    Lv = grid_eval(spec.L, xq, tgrid)
-    ellv = grid_eval(spec.ell, xb, tgrid)
-    ok_L = bool(np.min(Lv) >= -1e-12)
-    ok_ell_int = bool(np.min(ellv) >= -1e-12)
-    checks.append(
-        AssumptionCheck(
-            "A3-cost-nonnegative",
-            ok_L and ok_ell_int,
-            f"min L = {np.min(Lv):.3e}, min ell = {np.min(ellv):.3e}",
-            None if ok_L and ok_ell_int else (
-                witness_at(Lv, xq, tgrid) if np.min(Lv) <= np.min(ellv) else witness_at(ellv, xb, tgrid)
-            ),
-        )
-    )
+    def a4():
+        f0, fy = on(spec.f, xq, zero), f_y()
+        ok_f0, ok_fy = bool(np.max(np.abs(f0)) <= 1e-12), bool(np.min(fy) >= -1e-12)
+        detail = f"max |f(x,0)| = {np.max(np.abs(f0)):.3e}, min f_y = {np.min(fy):.3e}"
+        if not ok_fy:
+            return False, detail, _witness([(xq, ts, fy)])
+        return ok_f0, detail, None if ok_f0 else _witness([(xq, zero, f0)], by_magnitude=True)
 
-    # A4: f(x, 0) = 0 and monotone nonlinearity
-    f0 = spec.f(xq[:, 0], xq[:, 1], 0.0)
-    fy = grid_eval(spec.f.diff(), xq, tgrid)
-    ok_f0 = bool(np.max(np.abs(f0)) <= 1e-12)
-    ok_fy = bool(np.min(fy) >= -1e-12)
-    checks.append(
-        AssumptionCheck(
-            "A4-nonlinearity",
-            ok_f0 and ok_fy,
-            f"max |f(x,0)| = {np.max(np.abs(f0)):.3e}, min f_y = {np.min(fy):.3e}",
-            witness_at(fy, xq, tgrid) if not ok_fy else (None if ok_f0 else worst_at_zero(f0, xq)),
-        )
-    )
+    def a5():
+        at_zero = each(lambda c, xs: on(c.g, xs, zero), zero)
+        ok = all(np.max(np.abs(m)) <= 1e-12 for _, _, m in at_zero)
+        detail = ", ".join(f"max |{name}(x,0)| = {np.max(np.abs(m)):.3e}"
+                           for name, (_, _, m) in zip(g_names, at_zero))
+        return ok, detail, None if ok else _witness(at_zero, by_magnitude=True)
 
-    # A5: constraint functions vanish at y = 0
-    g10 = spec.g1(xq[:, 0], xq[:, 1], 0.0)
-    g20 = spec.g2(xb[:, 0], xb[:, 1], 0.0)
-    ok_g = bool(np.max(np.abs(g10)) <= 1e-12 and np.max(np.abs(g20)) <= 1e-12)
-    if ok_g:
-        wit_g = None
-    elif np.max(np.abs(g10)) >= np.max(np.abs(g20)):
-        wit_g = worst_at_zero(g10, xq)
-    else:
-        wit_g = worst_at_zero(g20, xb)
-    checks.append(
-        AssumptionCheck(
-            "A5-constraints-vanish-at-zero",
-            ok_g,
-            f"max |g1(x,0)| = {np.max(np.abs(g10)):.3e}, max |g2(x,0)| = {np.max(np.abs(g20)):.3e}",
-            wit_g,
-        )
-    )
+    def a6():  # zeta fixes zero and keeps its slope floor
+        details, witness = [], None
+        for c, name in zip(spec.controls, zeta_names):
+            z0 = float(c.zeta.value(0.0))
+            slopes = c.zeta.slope(ts)
+            floor = float(np.min(np.abs(slopes)))
+            same_sign = bool(np.all(slopes > 0.0) or np.all(slopes < 0.0))
+            if witness is None and not (abs(z0) <= 1e-12 and floor >= c.zeta.rho - 1e-12 and same_sign):
+                k = int(np.argmin(np.abs(slopes)))
+                witness = {"which": name, "value": float(ts[k]), "measured": float(slopes[k])}
+            details.append(f"{name}(0)={z0:.1e}, min|slope|={floor:.3e} (rho={c.zeta.rho}), "
+                           f"{c.zeta.direction}{'' if same_sign else ', sign flips'}")
+        return witness is None, "; ".join(details), witness
 
-    # A6: reparametrizations fix zero and respect the slope floor
-    a6_details = []
-    ok_a6 = True
-    wit_a6 = None
-    for name, zeta in (("zeta1", spec.zeta1), ("zeta2", spec.zeta2)):
-        z0 = float(zeta.value(0.0))
-        slopes = zeta.slope(tgrid)
-        floor = float(np.min(np.abs(slopes)))
-        same_sign = bool(np.all(slopes > 0.0) or np.all(slopes < 0.0))
-        good = abs(z0) <= 1e-12 and floor >= zeta.rho - 1e-12 and same_sign
-        if not good and wit_a6 is None:
-            k = int(np.argmin(np.abs(slopes)))
-            wit_a6 = {"which": name, "value": float(tgrid[k]), "measured": float(slopes[k])}
-        ok_a6 = ok_a6 and good
-        a6_details.append(f"{name}(0)={z0:.1e}, min|slope|={floor:.3e} (rho={zeta.rho}), "
-                          f"{zeta.direction}{'' if same_sign else ', sign flips'}")
-    checks.append(AssumptionCheck("A6-reparametrization", ok_a6, "; ".join(a6_details), wit_a6))
+    def sign_condition():  # makes the feasible-direction solve elliptic
+        terms = each(lambda c, xs: on(c.g.diff(), xs) / c.zeta.slope(invert_monotone(c.zeta, -on(c.g, xs))))
+        terms[0] = (xq, ts, f_y() + terms[0][2])  # f_y acts in the interior, on u's term
+        ok = all(np.min(m) >= -1e-10 for _, _, m in terms)
+        detail = ", ".join(f"min {place} term = {np.min(m):.3e}"
+                           for place, (_, _, m) in zip(("interior", "boundary"), terms))
+        return ok, detail, None if ok else _witness(terms)
 
-    # combined sign condition that makes the feasible-direction solve elliptic
-    try:
-        g1v = grid_eval(spec.g1, xq, tgrid)
-        h1 = invert_monotone(spec.zeta1, -g1v)
-        f_y, g1_y = (grid_eval(e.diff(), xq, tgrid) for e in (spec.f, spec.g1))
-        term1 = f_y + g1_y / spec.zeta1.slope(h1)
-        g2v = grid_eval(spec.g2, xb, tgrid)
-        h2 = invert_monotone(spec.zeta2, -g2v)
-        term2 = grid_eval(spec.g2.diff(), xb, tgrid) / spec.zeta2.slope(h2)
-        ok_sign = bool(np.min(term1) >= -1e-10 and np.min(term2) >= -1e-10)
-        detail = f"min interior term = {np.min(term1):.3e}, min boundary term = {np.min(term2):.3e}"
-        wit = None if ok_sign else (
-            witness_at(term1, xq, tgrid) if np.min(term1) < np.min(term2) else witness_at(term2, xb, tgrid)
-        )
-        checks.append(AssumptionCheck("sign-condition", ok_sign, detail, wit))
-    except (InversionError, EvalError) as exc:
-        checks.append(AssumptionCheck("sign-condition", False, f"not evaluable: {exc}"))
-
+    checks = []
+    for name, measure in (
+        ("A1-exponents-weights", a1),
+        ("A2-ellipticity", a2),
+        ("A3-cost-nonnegative", a3),
+        ("A4-nonlinearity", a4),
+        ("A5-constraints-vanish-at-zero", a5),
+        ("A6-reparametrization", a6),
+        ("sign-condition", sign_condition),
+    ):
+        try:
+            checks.append(AssumptionCheck(name, *measure()))
+        except (InversionError, EvalError) as exc:
+            checks.append(AssumptionCheck(name, False, f"not evaluable: {exc}"))
     return AssumptionReport(checks)
 
 
 def load_problem_config(path: str) -> ProblemSpec:
     """Parse a sectioned key-value config file into a ProblemSpec.
 
-    Raises :class:`ConfigError` with the offending section/key for missing
-    entries, malformed numbers, or expressions outside the grammar.
+    Reads the keys of ``CONFIG_LAYOUT``.  Raises :class:`ConfigError` with
+    the offending section/key for missing entries, malformed numbers, or
+    expressions outside the grammar.
     """
     parser = configparser.ConfigParser(interpolation=None)
-    read = parser.read(path)
-    if not read:
+    if not parser.read(path):
         raise ConfigError(f"cannot read config file {path!r}")
-
-    def need(section: str, key: str) -> str:
-        if not parser.has_option(section, key):
-            raise ConfigError(f"missing [{section}] {key}")
-        return parser.get(section, key)
-
-    def number(section: str, key: str, default=None) -> float:
-        if default is not None and not parser.has_option(section, key):
-            return default
-        raw = need(section, key)
-        try:
-            return float(raw)
-        except ValueError as exc:
-            raise ConfigError(f"[{section}] {key}: not a number: {raw!r}") from exc
-
-    def expr(section: str, key: str) -> Expr:
-        raw = need(section, key)
-        try:
-            return parse_expr(raw)
-        except ParseError as exc:
-            raise ConfigError(f"[{section}] {key}: {exc}") from exc
-
-    for section in ("domain", "exponents", "cost", "pde", "constraints"):
+    for section, _ in CONFIG_LAYOUT:
         if not parser.has_section(section):
             raise ConfigError(f"missing section [{section}]")
-
+    values = {key: _config_value(parser, section, key) for section, keys in CONFIG_LAYOUT for key in keys}
     try:
-        zeta1 = MonotoneScalar(expr("constraints", "zeta1"), number("constraints", "rho1"))
-        zeta2 = MonotoneScalar(expr("constraints", "zeta2"), number("constraints", "rho2"))
-        dimension = number("domain", "dimension", default=2.0)
-        if not dimension.is_integer():
-            raise ConfigError(f"[domain] dimension: not an integer: {dimension!r}")
         return ProblemSpec(
-            preset=need("domain", "preset").strip(),
-            N=int(dimension),
-            p=number("exponents", "p"),
-            q=number("exponents", "q"),
-            lambda1=number("cost", "lambda1"),
-            lambda2=number("cost", "lambda2"),
-            mu1=number("cost", "mu1"),
-            mu2=number("cost", "mu2"),
-            L=expr("cost", "L"),
-            ell=expr("cost", "ell"),
-            a11=expr("pde", "a11"),
-            a12=expr("pde", "a12"),
-            a22=expr("pde", "a22"),
-            a0=expr("pde", "a0"),
-            f=expr("pde", "f"),
-            g1=expr("constraints", "g1"),
-            g2=expr("constraints", "g2"),
-            zeta1=zeta1,
-            zeta2=zeta2,
+            N=values.pop("dimension"),
+            zeta1=MonotoneScalar(values.pop("zeta1"), values.pop("rho1")),
+            zeta2=MonotoneScalar(values.pop("zeta2"), values.pop("rho2")),
+            **values,
         )
     except SpecError as exc:
         raise ConfigError(str(exc)) from exc
 
 
+def _config_value(parser: configparser.ConfigParser, section: str, key: str):
+    """The entry ``key`` of ``section``: the preset's name, the integer
+    dimension (2 when absent), a number or an expression."""
+    if not parser.has_option(section, key):
+        if key == "dimension":
+            return 2
+        raise ConfigError(f"missing [{section}] {key}")
+    raw = parser.get(section, key)
+    if key == "preset":
+        return raw.strip()
+    if key != "dimension" and key not in CONFIG_NUMBERS:
+        try:
+            return parse_expr(raw)
+        except ParseError as exc:
+            raise ConfigError(f"[{section}] {key}: {exc}") from exc
+    try:
+        number = float(raw)
+    except ValueError as exc:
+        raise ConfigError(f"[{section}] {key}: not a number: {raw!r}") from exc
+    if key != "dimension":
+        return number
+    if not number.is_integer():
+        raise ConfigError(f"[{section}] {key}: not an integer: {number!r}")
+    return int(number)
+
+
 def save_problem_config(spec: ProblemSpec, path: str) -> None:
-    """Serialize a ProblemSpec back to the sectioned config format.
+    """Serialize a ProblemSpec back to the sectioned config format of ``CONFIG_LAYOUT``.
 
     Kept without a package caller: it is the write half of the config round trip.
     """
+    values = dict(vars(spec), dimension=spec.N, zeta1=spec.zeta1.expr, rho1=spec.zeta1.rho,
+                  zeta2=spec.zeta2.expr, rho2=spec.zeta2.rho)
     parser = configparser.ConfigParser(interpolation=None)
-    parser["domain"] = {"preset": spec.preset, "dimension": str(spec.N)}
-    parser["exponents"] = {"p": repr(spec.p), "q": repr(spec.q)}
-    parser["cost"] = {
-        "lambda1": repr(spec.lambda1),
-        "lambda2": repr(spec.lambda2),
-        "mu1": repr(spec.mu1),
-        "mu2": repr(spec.mu2),
-        "L": str(spec.L),
-        "ell": str(spec.ell),
-    }
-    parser["pde"] = {
-        "a11": str(spec.a11),
-        "a12": str(spec.a12),
-        "a22": str(spec.a22),
-        "a0": str(spec.a0),
-        "f": str(spec.f),
-    }
-    parser["constraints"] = {
-        "g1": str(spec.g1),
-        "zeta1": str(spec.zeta1.expr),
-        "rho1": repr(spec.zeta1.rho),
-        "g2": str(spec.g2),
-        "zeta2": str(spec.zeta2.expr),
-        "rho2": repr(spec.zeta2.rho),
-    }
+    for section, keys in CONFIG_LAYOUT:
+        parser[section] = {key: repr(values[key]) if key in CONFIG_NUMBERS else str(values[key])
+                           for key in keys}
     with open(path, "w") as fh:
         parser.write(fh)

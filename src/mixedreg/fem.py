@@ -69,6 +69,7 @@ __all__ = [
     "pair_blocks",
     "lp_norm",
     "integrate_basis",
+    "min_eigenvalue",
     "assemble_operator",
     "assemble_weighted_mass",
     "block_operator",
@@ -419,6 +420,11 @@ class SparseOperator:
         return SparseOperator(total, self.ordering)
 
 
+def min_eigenvalue(a11, a12, a22):
+    """Smallest eigenvalue of the symmetric coefficient matrix [[a11, a12], [a12, a22]], elementwise."""
+    return 0.5 * (a11 + a22 - np.sqrt((a11 - a22) ** 2 + 4.0 * a12**2))
+
+
 def assemble_operator(mesh: Mesh, spec: ProblemSpec) -> SparseOperator:
     """Galerkin matrix of the elliptic operator with natural boundary data.
 
@@ -435,7 +441,7 @@ def assemble_operator(mesh: Mesh, spec: ProblemSpec) -> SparseOperator:
     a11 = spec.a11(x1, x2, 0.0)
     a12 = spec.a12(x1, x2, 0.0)
     a22 = spec.a22(x1, x2, 0.0)
-    eig_min = 0.5 * (a11 + a22 - np.sqrt((a11 - a22) ** 2 + 4.0 * a12**2))
+    eig_min = min_eigenvalue(a11, a12, a22)
     if np.min(eig_min) <= 0.0:
         k = int(np.argmin(eig_min))
         raise AssemblyError(

@@ -1,5 +1,7 @@
 """Function catalog: inversion, cost derivative, assumptions, config IO."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -283,16 +285,22 @@ def test_assumption_a5_direct_violation_with_witness(disk):
 
 
 @pytest.mark.parametrize(
-    "override, name, where, value, measured",
+    "override, name, where, value, measured, which",
     [
+        # a0 < 0 everywhere, the coefficient matrix is the identity
+        ({"a0": "-1"}, "A2-ellipticity", "interior", 0.0, -1.0, "a0"),
+        # eigenvalues -1 and 1
+        ({"a11": "-1"}, "A2-ellipticity", "interior", 0.0, -1.0, "ellipticity"),
         # ell < 0 everywhere, worst at the ends of the value grid
-        ({"ell": "-1 - y^2"}, "A3-cost-nonnegative", "boundary", VALUE_BOUND, -1.0 - VALUE_BOUND**2),
+        ({"ell": "-1 - y^2"}, "A3-cost-nonnegative", "boundary", VALUE_BOUND, -1.0 - VALUE_BOUND**2, None),
         # f_y = 3 y^2 >= 0 holds, f(x, 0) = 1 does not
-        ({"f": "y^3 + 1"}, "A4-nonlinearity", "interior", 0.0, 1.0),
+        ({"f": "y^3 + 1"}, "A4-nonlinearity", "interior", 0.0, 1.0, None),
+        # both terms are -1 everywhere: the exact tie goes to u, in the interior
+        ({"g1": "-2*y", "g2": "-y"}, "sign-condition", "interior", 0.0, -1.0, None),
     ],
-    ids=["A3-ell", "A4-f-at-zero"],
+    ids=["A2-a0", "A2-ellipticity", "A3-ell", "A4-f-at-zero", "sign-tie"],
 )
-def test_failed_check_has_a_witness(disk, override, name, where, value, measured):
+def test_failed_check_has_a_witness(disk, override, name, where, value, measured, which):
     mesh = disk(3)
     (check,) = check_assumptions(base_spec(**override), mesh).failed()
     assert check.name == name
@@ -300,6 +308,7 @@ def test_failed_check_has_a_witness(disk, override, name, where, value, measured
     assert check.witness["x"] in points
     assert abs(check.witness["value"]) == value
     assert check.witness["measured"] == measured
+    assert check.witness.get("which") == which
 
 
 def test_robinson_sign_condition_passes_for_exponential_cap(disk):
@@ -336,6 +345,23 @@ def test_config_roundtrip(tmp_path, configs):
         spec.zeta1.value(ys), again.zeta1.value(ys), rtol=0, atol=0
     )
     assert again.p == spec.p and again.lambda2 == spec.lambda2
+
+
+# SHA-256 of what save_problem_config writes for each shipped config, taken
+# before one layout table came to drive both the config reader and the writer
+SAVED_CONFIG_DIGESTS = {
+    "quadratic_tracking": "e3485f7b2fbdf132b7ecfdb66372b58a80c17c74c542a322d784df388af421a0",
+    "constant_kkt": "8fe82f22f024e2f96d62d0537720e9497232ac5f1f08c6fe1837ff26b06556dd",
+    "smooth_constrained": "b52a4ff17e116089f53e47671e59d7c38bc5474368d7e27ecf259007ec8a0e0a",
+    "jump_bound": "05dadb71c9291af14c877283e20aeefdfad1bcb52a0817d3620bd794f20ca9f5",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SAVED_CONFIG_DIGESTS))
+def test_saved_configs_are_pinned(tmp_path, configs, name):
+    path = tmp_path / "saved.cfg"
+    save_problem_config(configs[name], str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == SAVED_CONFIG_DIGESTS[name]
 
 
 EXPRESSION_FIELDS = ("a11", "a12", "a22", "a0", "f", "L", "ell", "g1", "g2")

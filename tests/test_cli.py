@@ -76,6 +76,17 @@ def test_check_fails_on_manufactured_config(tmp_path):
     assert failed == ["A5-constraints-vanish-at-zero"]
 
 
+def test_check_reports_data_it_cannot_evaluate(tmp_path):
+    # L = 1/y divides by zero at y = 0: A3 fails, the other six checks still run
+    code, out, summary = run(["check", "--config", cfg_copy(tmp_path, "quadratic_tracking", L="1/y")], tmp_path)
+    assert code == 2
+    assert (out / "assumptions.txt").exists()
+    failed = [c for c in summary["checks"] if not c["passed"]]
+    assert [c["name"] for c in failed] == ["A3-cost-nonnegative"]
+    assert failed[0]["detail"].startswith("not evaluable: division by zero")
+    assert len(summary["checks"]) == 7
+
+
 def test_solve_state(tmp_path):
     code, out, summary = run(
         ["solve-state", "--config", cfg("quadratic_tracking"), "--level", "3",
@@ -190,6 +201,23 @@ def test_solve_kkt_artifacts_are_pinned(tmp_path):
     assert code == 0
     got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in SOLVE_KKT_DIGESTS}
     assert got == SOLVE_KKT_DIGESTS
+
+
+# SHA-256 of assumptions.txt of `check --config configs/<config>.cfg` (level 3),
+# written before check_assumptions ran its per-control assumptions over
+# spec.controls: the loop reorders no arithmetic, so no detail or witness moves.
+ASSUMPTIONS_DIGESTS = {
+    "quadratic_tracking": "0ece3541f9d18a2a6eb29a2cfd2a47a844205895d1a173cd9fe590c144688f38",
+    "constant_kkt": "2e74a4e223c076559742a42d326d54202e4676f2e988fd09e5cceb793e20e299",
+    "smooth_constrained": "47ece1f449f7d0e2a2638be90367b331d2326c5b8e06f3263ff4abb933fad413",
+    "jump_bound": "f4d0a26dd520414f50e12787c59db7502fb94c5dc1d20a74396e3732e606f86a",
+}
+
+
+@pytest.mark.parametrize("config", sorted(ASSUMPTIONS_DIGESTS))
+def test_assumption_reports_are_pinned(tmp_path, config):
+    _, out, _ = run(["check", "--config", cfg(config)], tmp_path)
+    assert hashlib.sha256((out / "assumptions.txt").read_bytes()).hexdigest() == ASSUMPTIONS_DIGESTS[config]
 
 
 # SHA-256 of regularity.csv and regularity_flags.json of `regularity --config

@@ -32,7 +32,11 @@ The per-control fields of a ``ProblemSpec`` (``L``, ``ell``, ``g1``,
 ``g2``, ``zeta1``, ``zeta2``, ``lambda1``, ``lambda2``, ``mu1``, ``mu2``)
 are read in ``catalog`` alone: every other module reads a control's data
 from its ``catalog.Control`` record in ``spec.controls``, so no formula
-is written out once for u and again for v.
+is written out once for u and again for v.  Inside ``catalog`` they are
+read only by ``ProblemSpec``, which builds the records, and by the config
+reader and writer; ``check_assumptions`` loops over the records too.  The
+smallest eigenvalue of the coefficient matrix is written once, in
+``fem.min_eigenvalue``, which both the assembly and check A2 call.
 """
 
 import ast
@@ -408,3 +412,32 @@ def test_one_owner_of_the_per_control_fields():
     assert attribute_reads(sample, PER_CONTROL) == [1, 6]
     sites = {path.name: attribute_reads(path.read_text(), PER_CONTROL) for path in sorted(SRC.glob("*.py"))}
     assert {name: lines for name, lines in sites.items() if lines and name != "catalog.py"} == {}
+    # inside catalog: the ProblemSpec that builds the records, and the config reader and writer
+    source = (SRC / "catalog.py").read_text()
+    owners = [_enclosing(source, ast.ClassDef, "ProblemSpec")] + [
+        _enclosing(source, ast.FunctionDef, name) for name in ("load_problem_config", "save_problem_config")
+    ]
+    assert sites["catalog.py"]
+    assert [line for line in sites["catalog.py"] if not any(first <= line <= last for first, last in owners)] == []
+
+
+def eigenvalue_sites(source):
+    """Lines of ``source`` that take a square root of an expression in a11, a12 and a22."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call) and "sqrt" in _names(node.func)
+                  and {"a11", "a12", "a22"} <= _names(node))
+
+
+def test_one_ellipticity_formula():
+    sample = (
+        "eig = 0.5 * (a11 + a22 - np.sqrt((a11 - a22) ** 2 + 4.0 * a12**2))\n"
+        "r = sqrt((spec.a11 - spec.a22) ** 2 + 4 * spec.a12 ** 2)\n"
+        "s = np.sqrt(a11 * a22)\n"
+        "# np.sqrt((a11 - a22) ** 2 + 4.0 * a12**2) in a comment\n"
+    )
+    assert eigenvalue_sites(sample) == [1, 2]
+    sites = {path.name: eigenvalue_sites(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert [(name, len(lines)) for name, lines in sites.items() if lines] == [("fem.py", 1)]
+    (line,) = sites["fem.py"]
+    first, last = _enclosing((SRC / "fem.py").read_text(), ast.FunctionDef, "min_eigenvalue")
+    assert first <= line <= last
