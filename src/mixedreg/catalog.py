@@ -170,7 +170,8 @@ def invert_monotone(zeta: MonotoneScalar, target):
         with np.errstate(divide="ignore", invalid="ignore"):
             cand = x - fx / d
         mid = 0.5 * (lo + hi)
-        inside = np.isfinite(cand) & (cand != x) & ((cand - lo) * (cand - hi) < 0.0)
+        # strictly between lo and hi, by comparisons: a product of the two gaps can overflow
+        inside = (cand != x) & (np.minimum(lo, hi) < cand) & (cand < np.maximum(lo, hi))
         x = np.where(done, x, np.where(inside, cand, mid))
     else:
         raise InversionError("invert_monotone: inversion did not reach tolerance")

@@ -11,7 +11,9 @@ the value variable, built on the first call and kept on the node.
 Evaluation is vectorized over numpy arrays: the leaves return their
 operands, and the root broadcasts the result once.
 Integral exponents 1 to ``_MAX_INT_POWER`` (in ``^`` and in ``spow``) are
-computed by multiplication, within a few ulp of ``np.power`` (exact for 1, 2).
+computed by multiplication, within a few ulp of ``np.power`` (exact for 1, 2);
+a base the evaluation computed itself, not an operand, is squared in place,
+so a power of a large table needs no second table.
 """
 
 from __future__ import annotations
@@ -112,14 +114,22 @@ class Value(Expr):
         return "y"
 
 
-def _power(b, e: float):
-    """b^e, by square-and-multiply for the integral e in [1, _MAX_INT_POWER]."""
+def _power(b, e: float, inplace: bool = False):
+    """b^e, by square-and-multiply for the integral e in [1, _MAX_INT_POWER].
+
+    With ``inplace`` the caller gives up b, a table of its own: the
+    squarings then write into it rather than into a second table.
+    """
     if not (1.0 <= e <= _MAX_INT_POWER and e == int(e)):
         return np.power(b, e)
     if e == 1.0:
         return b
-    half = _power(b * b, e // 2)
-    return half * b if e % 2 else half
+    if e % 2:
+        half = _power(b * b, e // 2, inplace=True)
+        half *= b
+        return half
+    own = inplace and isinstance(b, np.ndarray)
+    return _power(np.multiply(b, b, out=b if own else None), e // 2, inplace=True)
 
 
 def _is_zero(e: Expr) -> bool:
@@ -229,7 +239,8 @@ class Pow(Expr):
         e = self.exponent
         if e != int(e) and np.any(b < 0.0):
             raise EvalError(f"negative base with fractional exponent in {self}")
-        out = _power(b, e)
+        # a base computed here, not an operand, may be squared in place
+        out = _power(b, e, inplace=not any(b is a for a in (x1, x2, val)))
         if not np.all(np.isfinite(out)):
             raise EvalError(f"non-finite power result in {self}")
         return out

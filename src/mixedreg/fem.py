@@ -178,7 +178,9 @@ class P1:
     is ``edge_ends``.  Nor does it build the interior mesh: the boundary
     commands work on ``geometry.boundary_fan``.  ``operator`` keeps the
     matrix of the last spec it was asked for and reassembles when a
-    different spec object comes.  The mesh is held weakly: the mesh owns
+    different spec object comes.  ``at_interior`` and ``at_boundary``
+    take nodal values to the quadrature points, for one field or for a
+    block of fields, one per row.  The mesh is held weakly: the mesh owns
     the record.
     """
 
@@ -277,6 +279,26 @@ class P1:
             self._spec = spec
         return self._operator
 
+    def at_interior(self, values: np.ndarray) -> np.ndarray:
+        """Nodal values (n,), or one field per row (k, n), at the interior quadrature points: (3T,) or (k, 3T).
+
+        The rows of a block come back contiguous, so a sum along the last
+        axis adds each row in the order of a single field.
+        """
+        q = self.interior_interp
+        if values.ndim == 1:
+            return q @ values
+        out = np.empty((values.shape[0], q.shape[0]))
+        for row, nodal in zip(out, values):
+            row[...] = q @ nodal  # row by row: a (3T, k) product would need a transposed copy
+        return out
+
+    def at_boundary(self, values: np.ndarray) -> np.ndarray:
+        """Boundary-loop values (nb,), or one field per row (k, nb), at the edge Gauss points: (2 nb,) or (k, 2 nb)."""
+        if values.ndim == 1:
+            return (values[self.edge_ends] @ _EDGE_BASIS.T).reshape(-1)
+        return (values[:, self.edge_ends] @ _EDGE_BASIS.T).reshape(len(values), -1)
+
     def load(self, f: np.ndarray, g: np.ndarray) -> np.ndarray:
         """M f + T^T (M_b g) for nodal densities f in the domain and g on the boundary."""
         out = self.mass.matvec(f)  # the loop vertices are distinct: T^T is a scatter without rounding
@@ -290,9 +312,7 @@ class P1:
         on_loop[self.mesh.boundary_loop] = c2
         interior.data *= c1[interior.indices]
         boundary.data *= on_loop[boundary.indices]
-        total = interior + boundary
-        total.eliminate_zeros()  # as a sparse product would, drop the zeros of zero coefficients
-        return SparseOperator(total, self.ordering)
+        return SparseOperator(interior + boundary, self.ordering)
 
 
 def _nested_dissection(points: np.ndarray, edges: np.ndarray) -> np.ndarray:
@@ -371,14 +391,14 @@ def interp_interior(field: FEField) -> np.ndarray:
     """Field values at the interior quadrature points, shape (3T,)."""
     if field.role != "domain":
         raise FieldError("interior interpolation expects a domain field")
-    return p1(field.mesh).interior_interp @ field.values
+    return p1(field.mesh).at_interior(field.values)
 
 
 def interp_boundary(field: FEField) -> np.ndarray:
     """Boundary-field values at the edge Gauss points, shape (2 nb,)."""
     if field.role != "boundary":
         raise FieldError("boundary interpolation expects a boundary field")
-    return (field.values[p1(field.mesh).edge_ends] @ _EDGE_BASIS.T).reshape(-1)
+    return p1(field.mesh).at_boundary(field.values)
 
 
 @dataclass

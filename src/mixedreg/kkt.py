@@ -43,7 +43,8 @@ Jacobian and of the surjectivity check come from the mesh's
 :class:`fem.P1` record, the owner of every sparse matrix; the state
 operator, its linearization and its second variation come from
 ``solvers``.  ``robinson_check`` solves all targets at one control as
-one block.
+one block, and ``objectives`` evaluates the cost of several states in
+one pass, of which ``objective`` is the pass over one.
 """
 
 from __future__ import annotations
@@ -73,6 +74,7 @@ __all__ = [
     "KKTReport",
     "HISTORY_HEADER",
     "objective",
+    "objectives",
     "reduced_gradient",
     "project_controls",
     "cold_start",
@@ -217,23 +219,52 @@ def _constraints(spec: ProblemSpec, y: FEField) -> tuple:
 
 
 def objective(spec: ProblemSpec, y: FEField, u: FEField, v: FEField) -> float:
-    """Cost functional: tracking plus convex control costs, by quadrature."""
-    mesh = _check_state_fields(y, u, v)
+    """Cost functional: tracking plus convex control costs, by quadrature; ``objectives`` of one state."""
+    return float(objectives(spec, [y], [(u, v)])[0])
+
+
+def objectives(spec: ProblemSpec, states, controls) -> np.ndarray:
+    """The cost of each state of ``states`` with its (u, v) pair of ``controls``, shape (k,).
+
+    One pass of the cost formula over the block, one row per state: each
+    row's quadrature sum runs along a contiguous last axis, in the order
+    of a block of one, so a cost does not depend on the block it is in.
+    """
+    states, controls = list(states), list(controls)
+    if len(states) != len(controls):
+        raise fem.FieldError("expected one (u, v) pair per state")
+    mesh = _check_state_fields(states[0], *controls[0])
+    if any(_check_state_fields(y, u, v) is not mesh for y, (u, v) in zip(states, controls)):
+        raise fem.FieldError("fields live on different meshes")
     rec = fem.p1(mesh)
-    # one cost formula for both controls, track + linear/2 c^2 + power/exponent |c|^exponent
+    loop = mesh.boundary_loop
+
+    def cost(c: Control, quadrature, at, ys, cs) -> np.ndarray:
+        # one cost formula for both controls, track + linear/2 c^2 + power/exponent |c|^exponent,
+        # formed in place; c is interpolated once for each of its two terms, so that next to the
+        # sum a block holds one (k, points) table at a time
+        x, w = quadrature
+        term = c.track(x[:, 0], x[:, 1], at(np.stack(ys)))
+        part = at(np.stack(cs))
+        part **= 2
+        part *= 0.5 * c.linear
+        term += part
+        del part
+        part = at(np.stack(cs))
+        np.abs(part, out=part)
+        part **= c.exponent
+        part *= c.power / c.exponent
+        term += part
+        term *= w
+        return np.sum(term, axis=-1)
+
     dom, bnd = (
-        np.sum(
-            w * (c.track(x[:, 0], x[:, 1], yq) + 0.5 * c.linear * cq**2
-                 + (c.power / c.exponent) * np.abs(cq) ** c.exponent)
-        )
-        for c, (x, w), yq, cq in zip(
-            spec.controls,
-            (rec.interior, rec.boundary),
-            (fem.interp_interior(y), fem.interp_boundary(fem.trace(y))),
-            (fem.interp_interior(u), fem.interp_boundary(v)),
-        )
+        cost(*args)
+        for args in zip(spec.controls, (rec.interior, rec.boundary), (rec.at_interior, rec.at_boundary),
+                        ([y.values for y in states], [y.values[loop] for y in states]),
+                        ([u.values for u, _ in controls], [v.values for _, v in controls]))
     )
-    return float(dom + bnd)
+    return dom + bnd
 
 
 def _tracking_adjoint(spec: ProblemSpec, y: FEField, linearized: fem.SparseOperator):

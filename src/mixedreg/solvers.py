@@ -7,14 +7,17 @@ matrix, ``linearized_matrix``, with which ``kkt`` solves the adjoint, so
 the discrete adjoint identity holds to solver tolerance.  A
 :class:`StateSolveReport` keeps the linearization at its state, and so
 that operator's sparse LU, for as long as the report lives; solves
-seeded with the report share it.  The elliptic operator,
-mass matrices and load vectors come from the mesh's :class:`fem.P1`
-record, their single owner; this module adds the nonlinearity on top
-(``semilinear_operator``, ``linearized_matrix`` and its derivative
-``second_variation_matrix``).  ``exponents`` evaluates the integrability
-thresholds that the distributed and boundary control exponents induce on
-the state and on the fixed-point argument, together with their
-conjugacy slack.
+seeded with the report share it.  ``solve_states`` solves several
+control pairs from one start as a block: F at the start once, the first
+Newton direction of every pair from one multi-column solve, then each
+pair's own ``newton`` loop; ``solve_state`` is its block of one.  The
+elliptic operator, mass matrices and load vectors come from the mesh's
+:class:`fem.P1` record, their single owner; this module adds the
+nonlinearity on top (``semilinear_operator``, ``linearized_matrix`` and
+its derivative ``second_variation_matrix``).  ``exponents`` evaluates
+the integrability thresholds that the distributed and boundary control
+exponents induce on the state and on the fixed-point argument, together
+with their conjugacy slack.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ __all__ = [
     "linearized_matrix",
     "second_variation_matrix",
     "solve_state",
+    "solve_states",
 ]
 
 NEWTON_TOL = 1e-10
@@ -192,6 +196,49 @@ def newton(x, evaluate, direction, converged, max_iter: int):
         yield point, norm
 
 
+def solve_states(
+    spec: ProblemSpec,
+    controls,
+    initial: StateSolveReport | None = None,
+    newton_tol: float = NEWTON_TOL,
+) -> list:
+    """Solve the semilinear state equation, natural boundary data, for each (u, v) of ``controls``.
+
+    Every pair runs its own ``newton`` loop from one start: zero, or the
+    state of ``initial``, the report of an earlier solve of the same spec
+    on the same mesh.  A pair has converged when its residual drops below
+    newton_tol * (1 + |rhs|).  What the pairs share is done once for the
+    block: F at the start, and the first Newton direction of every pair
+    not converged there, from one ``fem.solve_linear`` call on the (n, k)
+    block of their residuals with the linearization at the start.  A
+    seeded block takes it from the report's ``linearization``, whose
+    factorisation every solve seeded with that report shares.  Any later
+    step assembles the linearization at its own point.  Returns one
+    report per pair, in order.
+    """
+    controls = list(controls)
+    mesh = _check_pair(spec, *controls[0])
+    if any(_check_pair(spec, u, v) is not mesh for u, v in controls):
+        raise fem.FieldError("control pairs live on different meshes")
+    if initial is not None:
+        initial.check_solves(spec, mesh)
+    if not 0.0 < newton_tol < 1.0:
+        raise SpecError("newton_tol must lie in (0, 1)")
+    loads = fem.p1(mesh).load(*(np.column_stack([pair[i].values for pair in controls]) for i in (0, 1)))
+    tols = [newton_tol * (1.0 + float(np.linalg.norm(b))) for b in loads.T]
+    y0 = np.zeros(mesh.n_vertices) if initial is None else initial.state.values.copy()
+    residuals = semilinear_operator(spec, FEField(mesh, "domain", y0))[:, None] - loads
+    moving = [j for j, tol in enumerate(tols) if not float(np.linalg.norm(residuals[:, j])) <= tol]
+    first = {}
+    if moving:
+        at_start = linearized_matrix(spec, FEField(mesh, "domain", y0)) if initial is None else initial.linearization
+        first = dict(zip(moving, fem.solve_linear(at_start, -residuals[:, moving]).T))
+    return [
+        _solve_pair(spec, mesh, y0, residuals[:, j], first.get(j), b, tol)
+        for j, (b, tol) in enumerate(zip(loads.T, tols))
+    ]
+
+
 def solve_state(
     spec: ProblemSpec,
     u: FEField,
@@ -199,29 +246,21 @@ def solve_state(
     initial: StateSolveReport | None = None,
     newton_tol: float = NEWTON_TOL,
 ) -> StateSolveReport:
-    """Solve the semilinear state equation with natural boundary data.
+    """Solve the semilinear state equation for one control pair: ``solve_states`` of a block of one."""
+    return solve_states(spec, [(u, v)], initial, newton_tol)[0]
 
-    ``newton`` from zero, or from the state of ``initial``, the report of
-    an earlier solve of the same spec on the same mesh; converged when
-    the residual drops below newton_tol * (1 + |rhs|).  A seeded first
-    step uses that report's ``linearization``, whose factorisation every
-    solve seeded with the report shares.
-    """
-    mesh = _check_pair(spec, u, v)
-    if initial is not None:
-        initial.check_solves(spec, mesh)
-    if not 0.0 < newton_tol < 1.0:
-        raise SpecError("newton_tol must lie in (0, 1)")
-    b = fem.p1(mesh).load(u.values, v.values)
-    tol = newton_tol * (1.0 + float(np.linalg.norm(b)))
-    y0 = np.zeros(mesh.n_vertices) if initial is None else initial.state.values.copy()
+
+def _solve_pair(spec: ProblemSpec, mesh, y0: np.ndarray, r0: np.ndarray, step0, b: np.ndarray, tol: float):
+    """``newton`` for the pair with load b from y0, where the block gave its residual r0 and first step step0."""
 
     def evaluate(yv: np.ndarray):
+        if yv is y0:
+            return yv, r0
         return yv, semilinear_operator(spec, FEField(mesh, "domain", yv)) - b
 
     def direction(yv: np.ndarray, r: np.ndarray) -> np.ndarray:
-        if initial is not None and yv is y0:
-            return fem.solve_linear(initial.linearization, -r)
+        if yv is y0:
+            return step0
         return fem.solve_linear(linearized_matrix(spec, FEField(mesh, "domain", yv)), -r)
 
     history = []

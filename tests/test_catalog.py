@@ -1,6 +1,7 @@
 """Function catalog: inversion, cost derivative, assumptions, config IO."""
 
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -77,6 +78,18 @@ def test_invert_monotone_lipschitz_bound():
     ha = invert_monotone(steep, a)
     hb = invert_monotone(steep, b)
     assert np.all(np.abs(ha - hb) <= np.abs(a - b) / 3.0 + 1e-12)
+
+
+def test_invert_monotone_raises_no_warning_when_newton_overshoots():
+    # slope 1e-300 at t = 0: the first Newton candidates land near 1e300, far outside
+    # the bracket, and a product of the two gaps to its ends would overflow
+    flat = MonotoneScalar("t^3 + 1e-300*t", 1.0)
+    targets = np.array([-1.0, -1e-3, 0.0, 0.5, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        t = invert_monotone(flat, targets)
+        assert invert_monotone(flat, 1.0) == pytest.approx(1.0, abs=1e-13)
+    assert np.all(np.abs(flat.value(t) - targets) <= 1e-13 * np.maximum(1.0, np.abs(targets)))
 
 
 def test_invert_monotone_vectorized():

@@ -6,12 +6,14 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
+from conftest import traced_peak
 from mixedreg import cli, fem, fracnorm, geometry
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -87,6 +89,16 @@ def test_check_reports_data_it_cannot_evaluate(tmp_path):
     assert len(summary["checks"]) == 7
 
 
+def test_check_of_a_vanishing_slope_fails_a6_without_warnings(tmp_path):
+    # zeta1 = t^3 + 1e-300 t breaks the slope floor: A6 fails, and no numpy warning reaches stderr
+    config = cfg_copy(tmp_path, "quadratic_tracking", zeta1="t^3 + 1e-300*t")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, summary = run(["check", "--config", config], tmp_path)
+    assert code == 2
+    assert [c["name"] for c in summary["checks"] if not c["passed"]] == ["A6-reparametrization"]
+
+
 def test_solve_state(tmp_path):
     code, out, summary = run(
         ["solve-state", "--config", cfg("quadratic_tracking"), "--level", "3",
@@ -135,6 +147,34 @@ def test_gradient_check_factorises_per_base_not_per_probe(tmp_path, factorisatio
     # Cold probes took 244.
     assert len(factorisations) <= 4 + 2 * 10
     assert {permc for _, permc in factorisations} == {"NATURAL"}
+
+
+def test_gradient_check_solves_each_direction_as_one_block(tmp_path, factorisations, monkeypatch):
+    shapes = []
+    solve = fem.solve_linear
+    monkeypatch.setattr(fem, "solve_linear", lambda op, rhs: shapes.append(rhs.shape) or solve(op, rhs))
+    code, _, summary = run(["gradient-check", "--config", cfg("quadratic_tracking"), "--level", "5"], tmp_path)
+    assert code == 0 and summary["all_passed"]
+    # the base solve (a block of one, then its second Newton step) and the adjoint, then one
+    # (n, 8) block per direction, whose probes all converge after the block's step: 13 calls
+    # where one solve per probe made 83
+    n = geometry.build_mesh("disk", 5).n_vertices
+    assert shapes == [(n, 1), (n,), (n,)] + [(n, 8)] * 10
+    assert len(factorisations) == 3
+
+
+# tracemalloc peaks, each in a fresh interpreter, at the commit before the probe blocks:
+# robinson --level 5 --targets 20, the call that sets probe-sweep's peak, 11,663,775 B;
+# gradient-check --level 5 7,714,822 B, of which 1,162,863 B in its probe phase
+ROBINSON_LEVEL5_PEAK = 11_663_775
+
+
+def test_gradient_check_blocks_stay_below_the_robinson_peak(tmp_path):
+    # at level 5 a direction's (8, 3T) tables take 1.57 MB each, and its cost pass holds at
+    # most two of them at a time: the probe phase takes about 3.7 MB where one probe at a
+    # time took 1.2 MB, and the call stays below the workload's peak
+    argv = ["--out", str(tmp_path), "gradient-check", "--config", cfg("quadratic_tracking"), "--level", "5"]
+    assert traced_peak(lambda: cli.main(argv)) <= ROBINSON_LEVEL5_PEAK
 
 
 @pytest.mark.parametrize("argv", [

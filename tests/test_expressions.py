@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import traced_peak
 from mixedreg import expressions
 from mixedreg.expressions import ParseError, parse_expr
 from mixedreg.expressions import Add, Const, Coord, Div, EvalError, Func, Mul, Pow, SPow, Sub, Value
@@ -134,6 +135,35 @@ def test_integral_powers_match_numpy(n, base):
             # at most 3 roundings in the power, 1 ulp in np.power and one more rounding
             # each in spow's product with u: below 8 ulp of the result (4 seen)
             assert np.all(np.abs(g - w) <= 8.0 * np.spacing(np.abs(w))), (n, b, g, w)
+
+
+@pytest.mark.parametrize("text, power_of", [
+    ("(y - 1)^2", lambda x1, y: y - 1.0),
+    ("(y - 1)^3", lambda x1, y: y - 1.0),
+    ("(2*y)^4", lambda x1, y: 2.0 * y),
+    ("(x1 + y)^2", lambda x1, y: x1 + y),
+    ("(x1 + 1)^4 * y", None),
+    ("y^2 + y^4", None),
+])
+def test_powers_of_computed_tables_leave_the_operands_alone(text, power_of):
+    rng = np.random.default_rng(7)
+    x1, y = rng.standard_normal(50), rng.standard_normal((3, 50))
+    x1_before, y_before = x1.copy(), y.copy()
+    got = parse_expr(text)(x1, 0.0, y)
+    assert np.array_equal(x1, x1_before) and np.array_equal(y, y_before)
+    if power_of is not None:
+        # squaring in place rounds as the products it replaces
+        b = power_of(x1, y)
+        e = int(text.rsplit("^", 1)[1])
+        want = {2: b * b, 3: (b * b) * b, 4: (b * b) * (b * b)}[e]
+        assert np.array_equal(got, want)
+
+
+def test_a_power_of_a_computed_table_takes_no_second_table():
+    y = np.random.default_rng(8).standard_normal((8, 20_000))
+    expr = parse_expr("(y - 2)^4")
+    # the table y - 2, squared twice in place, and the finiteness mask of the result
+    assert traced_peak(lambda: expr(0.0, 0.0, y)) < 1.5 * y.nbytes
 
 
 def test_power_checks_hold_on_every_path():

@@ -380,6 +380,24 @@ def test_reaction_coupling_matches_its_load(disk):
     assert np.max(np.abs(C.matvec(w) - expected)) <= 1e-14 * np.max(np.abs(expected))
 
 
+@pytest.mark.parametrize("level", [2, 4, 5])
+def test_reaction_with_zero_coefficients_stores_no_zeros(disk, level):
+    # CSR + CSR drops the exact zeros that zero coefficients leave in either coupling
+    m = disk(level)
+    rec = fem.p1(m)
+    rng = np.random.default_rng(level)
+    c1 = np.where(rng.random(m.n_vertices) < 0.5, 0.0, rng.standard_normal(m.n_vertices))
+    c2 = np.where(rng.random(m.n_boundary) < 0.5, 0.0, rng.standard_normal(m.n_boundary))
+    C = rec.reaction(c1, c2).matrix
+    assert C.nnz > 0 and np.all(C.data != 0.0)
+    T = sp.csr_matrix(oracles.trace_matrix(m))
+    coupling = (rec.mass.matrix @ sp.diags(c1) + T.T @ (rec.boundary_mass.matrix @ sp.diags(c2)) @ T).tocsr()
+    coupling.eliminate_zeros()
+    coupling.sort_indices()
+    assert np.array_equal(C.indptr, coupling.indptr) and np.array_equal(C.indices, coupling.indices)
+    assert rec.reaction(np.zeros(m.n_vertices), np.zeros(m.n_boundary)).matrix.nnz == 0
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     n=st.integers(1, 50),

@@ -61,6 +61,32 @@ def test_objective_pure_tracking(disk):
     assert kkt.objective(spec, y, u, v) == pytest.approx(mesh_area(m), abs=1e-13)
 
 
+@pytest.mark.parametrize("level", [2, 4])
+def test_objectives_of_a_block_equal_each_objective(disk, level):
+    # p = 4 and q = 3 powers, coordinate-dependent tracking: each row's cost is the cost of a block of one
+    m = disk(level)
+    spec = simple_spec(p=4.0, q=3.0, lambda2=1.0, mu1=2.0, mu2=0.5,
+                       L="(y - x1)^2 / 2 + 0.1*sin(3*y)", ell="(y - 1)^4 / 4")
+    rng = np.random.default_rng(level)
+    states = [fem.domain_field(m, rng.standard_normal(m.n_vertices)) for _ in range(5)]
+    controls = [(fem.domain_field(m, rng.standard_normal(m.n_vertices)),
+                 fem.boundary_field(m, rng.standard_normal(m.n_boundary))) for _ in range(5)]
+    costs = kkt.objectives(spec, states, controls)
+    assert costs.shape == (5,)
+    assert costs.tolist() == [kkt.objective(spec, y, u, v) for y, (u, v) in zip(states, controls)]
+    assert kkt.objectives(spec, states[::-1], controls[::-1]).tolist() == costs.tolist()[::-1]
+
+
+def test_objectives_reject_unmatched_fields(disk):
+    m, spec = disk(2), simple_spec()
+    y = fem.domain_field(m, 0.0)
+    u, v = zero_controls(m)
+    with pytest.raises(FieldError, match="one \\(u, v\\) pair per state"):
+        kkt.objectives(spec, [y, y], [(u, v)])
+    with pytest.raises(FieldError, match="different meshes"):
+        kkt.objectives(spec, [y, fem.domain_field(disk(3), 0.0)], [(u, v), zero_controls(disk(3))])
+
+
 def test_reduced_gradient_zero_at_zero_data(disk):
     m = disk(2)
     spec = simple_spec()

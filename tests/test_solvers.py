@@ -180,6 +180,68 @@ def test_seeded_solves_share_the_seed_factorisation(cubic_spec, disk, factorisat
     assert len(factorisations) == before + 1
 
 
+def gradient_probes(mesh, rng):
+    """Base controls and one direction's probes (u ± h du, v ± h dv) at the four steps h, drawn as gradient-check draws them."""
+    n, nb = mesh.n_vertices, mesh.n_boundary
+    u = fem.domain_field(mesh, 0.5 * rng.standard_normal(n))
+    v = fem.boundary_field(mesh, 0.5 * rng.standard_normal(nb))
+    du, dv = rng.standard_normal(n), rng.standard_normal(nb)
+    scale = max(np.max(np.abs(du)), np.max(np.abs(dv)))
+    du, dv = du / scale, dv / scale
+    probes = [
+        (fem.domain_field(mesh, u.values + h * du), fem.boundary_field(mesh, v.values + h * dv))
+        for step in (1e-3, 1e-4, 1e-5, 1e-6) for h in (step, -step)
+    ]
+    return u, v, probes
+
+
+@pytest.mark.parametrize("seeded", [True, False], ids=["seeded", "unseeded"])
+def test_block_solve_matches_pair_by_pair_solves(configs, disk, monkeypatch, seeded):
+    spec, m = configs["quadratic_tracking"], disk(3)
+    u, v, probes = gradient_probes(m, np.random.default_rng(42))
+    base = solvers.solve_state(spec, u, v) if seeded else None
+    single = [solvers.solve_state(spec, p, q, initial=base) for p, q in probes]
+    shapes = []
+    solve = fem.solve_linear
+    monkeypatch.setattr(fem, "solve_linear", lambda op, rhs: shapes.append(rhs.shape) or solve(op, rhs))
+    block = solvers.solve_states(spec, probes, initial=base)
+    steps = [r.newton_iterations for r in block]
+    assert steps == [r.newton_iterations for r in single]
+    for b, s in zip(block, single):
+        assert np.max(np.abs(b.state.values - s.state.values)) <= 1e-14 * np.max(np.abs(s.state.values))
+    # every first step comes from one (n, 8) solve; each later step solves its own linearization
+    assert shapes == [(m.n_vertices, 8)] + [(m.n_vertices,)] * sum(k - 1 for k in steps)
+    if seeded:
+        # the probes at h = 1e-3 take a second step
+        assert steps == [2, 2, 1, 1, 1, 1, 1, 1]
+
+
+def test_block_pairs_converged_at_the_start_take_no_step(configs, disk, monkeypatch):
+    spec, m = configs["quadratic_tracking"], disk(3)
+    u, v, probes = gradient_probes(m, np.random.default_rng(42))
+    base = solvers.solve_state(spec, u, v)
+    alone = solvers.solve_state(spec, *probes[2], initial=base)
+    calls = []
+    solve = fem.solve_linear
+    monkeypatch.setattr(fem, "solve_linear", lambda op, rhs: calls.append(rhs.shape) or solve(op, rhs))
+    # the seed solves its own controls: no step and no linear solve
+    assert [r.newton_iterations for r in solvers.solve_states(spec, [(u, v)] * 2, initial=base)] == [0, 0]
+    assert calls == []
+    at_base, probe = solvers.solve_states(spec, [(u, v), probes[2]], initial=base)
+    assert at_base.newton_iterations == 0
+    assert np.array_equal(at_base.state.values, base.state.values)
+    assert probe.newton_iterations == alone.newton_iterations == 1
+    assert np.max(np.abs(probe.state.values - alone.state.values)) <= 1e-14 * np.max(np.abs(alone.state.values))
+    # the block's first-step solve holds the one pair that needs a step
+    assert calls == [(m.n_vertices, 1)]
+
+
+def test_block_pairs_must_share_a_mesh(cubic_spec, disk):
+    pairs = [(fem.domain_field(m, 1.0), fem.boundary_field(m, 0.0)) for m in (disk(2), disk(3))]
+    with pytest.raises(fem.FieldError, match="different meshes"):
+        solvers.solve_states(cubic_spec, pairs)
+
+
 # ---------------------------------------------------------------------------
 # linearized solve
 
