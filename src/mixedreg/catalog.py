@@ -306,13 +306,6 @@ class AssumptionCheck:
 class AssumptionReport:
     checks: list
 
-    @property
-    def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def failed(self) -> list:
-        return [c for c in self.checks if not c.passed]
-
     def __str__(self) -> str:
         lines = []
         for c in self.checks:

@@ -27,7 +27,7 @@ from .catalog import (
     check_assumptions,
     load_problem_config,
 )
-from .expressions import ParseError, parse_expr
+from .expressions import EvalError, ParseError, parse_expr
 from .fem import FEField, LinearSolveError
 from .fracnorm import FracNormError
 from .geometry import MeshError
@@ -39,15 +39,16 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 
+# the package's own error classes: a bare ValueError is an internal fault and propagates
 _CONFIG_ERRORS = (
     ConfigError,
     SpecError,
     ParseError,
+    EvalError,
     FracNormError,
     MeshError,
     fem.FieldError,
     fem.AssemblyError,
-    ValueError,
 )
 _SOLVER_ERRORS = (NonlinearSolveError, LinearSolveError, InversionError)
 # options of the former fixed-point solver: still accepted and checked, then ignored

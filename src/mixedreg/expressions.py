@@ -2,9 +2,18 @@
 
 Expressions are closed-form formulas in the spatial coordinates ``x1``,
 ``x2`` and one value variable (written ``y`` or ``t``; the two names are
-interchangeable).  Supported operations: ``+ - * /``, powers ``base^e``
-with a numeric exponent, ``abs``, ``sin``, ``cos``, ``exp``, ``sign`` and
-the signed power ``spow(u, alpha) = |u|^(alpha-2) * u`` for ``alpha >= 2``.
+interchangeable).  The syntax is Python's expression syntax restricted to
+``+ - * /``, unary signs, decimal literals, the constant ``pi``, powers
+``base^e`` with a signed numeric-literal exponent (``^``, not ``**``),
+``abs``, ``sin``, ``cos``, ``exp``, ``sign`` and the signed power
+``spow(u, alpha) = |u|^(alpha-2) * u`` for a literal ``alpha >= 2``.
+``parse_expr`` rewrites ``^`` as ``**``, hands the text to Python's parser
+and builds the tree in one walk over the nodes it accepts; every other
+node is a :class:`ParseError`.  So surrounding whitespace is ignored, a
+parenthesised exponent such as ``y^(2)`` is accepted, an integer with
+leading zeros such as ``007`` is refused as Python refuses it, as are
+``0x1``, ``1_0`` and ``1j``, and a text nested or chained too deep to
+evaluate (about 1,000 terms) is refused at parse.
 
 Trees are immutable; ``diff`` returns the derivative tree with respect to
 the value variable, built on the first call and kept on the node.
@@ -18,7 +27,9 @@ so a power of a large table needs no second table.
 
 from __future__ import annotations
 
+import ast
 import re
+import warnings
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -320,130 +331,66 @@ class SPow(Expr):
         return text if self.scale == 1.0 else f"({Const(self.scale)} * {text})"
 
 
-_TOKEN = re.compile(
-    r"\s*(?:(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*/^(),]))"
-)
-
+_STRAY = re.compile(r"[^0-9A-Za-z_\s.+\-*/^(),]|\*\*")  # outside the token alphabet, or Python's power
+_NUMBER = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
+_BINARY = {ast.Add: Add, ast.Sub: Sub, ast.Mult: Mul, ast.Div: Div}
+_NAMES = {"x1": lambda: Coord(1), "x2": lambda: Coord(2), "y": Value, "t": Value, "pi": lambda: Const(float(np.pi))}
 _FUNCS = ("abs", "sin", "cos", "exp", "sign")
 
 
-def _tokenize(text: str) -> list[tuple[str, str]]:
-    out = []
-    i = 0
-    while i < len(text):
-        m = _TOKEN.match(text, i)
-        if m is None:
-            raise ParseError(f"unexpected character {text[i]!r} at position {i}")
-        if m.lastgroup is not None:
-            out.append((m.lastgroup, m.group(m.lastgroup)))
-        i = m.end()
-    return out
+def _text(node: ast.expr, source: str) -> str:
+    """The text of ``node`` in ``source``, with powers spelled ``^`` as written."""
+    return source[node.col_offset:node.end_col_offset].replace("**", "^")
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.pos = 0
+def _literal(node: ast.expr, source: str) -> float:
+    """The value of a numeric literal under any number of unary signs."""
+    sign = 1.0
+    while isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+        sign = -sign if isinstance(node.op, ast.USub) else sign
+        node = node.operand
+    text = _text(node, source)
+    if not (isinstance(node, ast.Constant) and _NUMBER.fullmatch(text)):
+        raise ParseError(f"expected a numeric literal, got {text!r}")
+    return sign * float(text)
 
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None)
 
-    def take(self):
-        tok = self.peek()
-        self.pos += 1
-        return tok
-
-    def expect_op(self, op: str):
-        kind, val = self.take()
-        if kind != "op" or val != op:
-            raise ParseError(f"expected {op!r} in {self.text!r}")
-
-    def parse(self) -> Expr:
-        e = self.expr()
-        if self.pos != len(self.tokens):
-            raise ParseError(f"trailing input in {self.text!r}")
-        return e
-
-    def expr(self) -> Expr:
-        node = self.term()
-        while self.peek() == ("op", "+") or self.peek() == ("op", "-"):
-            _, op = self.take()
-            rhs = self.term()
-            node = Add(node, rhs) if op == "+" else Sub(node, rhs)
-        return node
-
-    def term(self) -> Expr:
-        node = self.unary()
-        while self.peek() == ("op", "*") or self.peek() == ("op", "/"):
-            _, op = self.take()
-            rhs = self.unary()
-            node = Mul(node, rhs) if op == "*" else Div(node, rhs)
-        return node
-
-    def unary(self) -> Expr:
-        if self.peek() == ("op", "-"):
-            self.take()
-            return Sub(Const(0.0), self.unary())
-        if self.peek() == ("op", "+"):
-            self.take()
-            return self.unary()
-        return self.power()
-
-    def power(self) -> Expr:
-        base = self.atom()
-        if self.peek() == ("op", "^"):
-            self.take()
-            return Pow(base, self.number())
-        return base
-
-    def number(self) -> float:
-        sign = 1.0
-        while self.peek() in (("op", "-"), ("op", "+")):
-            _, op = self.take()
-            if op == "-":
-                sign = -sign
-        kind, val = self.take()
-        if kind != "num":
-            raise ParseError(f"expected numeric literal in {self.text!r}")
-        return sign * float(val)
-
-    def atom(self) -> Expr:
-        kind, val = self.take()
-        if kind == "num":
-            return Const(float(val))
-        if kind == "op" and val == "(":
-            node = self.expr()
-            self.expect_op(")")
-            return node
-        if kind == "name":
-            if val == "pi":
-                return Const(float(np.pi))
-            if val == "x1":
-                return Coord(1)
-            if val == "x2":
-                return Coord(2)
-            if val in ("y", "t"):
-                return Value()
-            if val in _FUNCS:
-                self.expect_op("(")
-                arg = self.expr()
-                self.expect_op(")")
-                return Func(val, arg)
-            if val == "spow":
-                self.expect_op("(")
-                arg = self.expr()
-                self.expect_op(",")
-                alpha = self.number()
-                self.expect_op(")")
-                return SPow(arg, alpha)
-            raise ParseError(f"unknown name {val!r} in {self.text!r}")
-        raise ParseError(f"unexpected token {val!r} in {self.text!r}")
+def _build(node: ast.expr, source: str) -> Expr:
+    """The tree of one node of the parsed ``source``; a node outside the language is a ParseError."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+        return Pow(_build(node.left, source), _literal(node.right, source))
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+        return _BINARY[type(node.op)](_build(node.left, source), _build(node.right, source))
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        return Sub(Const(0.0), _build(node.operand, source))
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.UAdd):
+        return _build(node.operand, source)
+    if isinstance(node, ast.Constant):
+        return Const(_literal(node, source))
+    if isinstance(node, ast.Name) and node.id in _NAMES:
+        return _NAMES[node.id]()
+    text = _text(node, source)
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and not node.keywords \
+            and not text[:-1].rstrip().endswith(","):  # Python accepts f(a,)
+        name, args = node.func.id, node.args
+        if name in _FUNCS and len(args) == 1:
+            return Func(name, _build(args[0], source))
+        if name == "spow" and len(args) == 2:
+            return SPow(_build(args[0], source), _literal(args[1], source))
+    raise ParseError(f"unsupported {text!r}")
 
 
 def parse_expr(text: str) -> Expr:
-    """Parse an expression string into an immutable tree."""
+    """Parse an expression string into an immutable tree: Python's parser, then one walk over its nodes."""
     if not isinstance(text, str) or not text.strip():
         raise ParseError("empty expression")
-    return _Parser(text).parse()
+    stray = _STRAY.search(text)
+    if stray:
+        raise ParseError(f"unexpected character {stray.group()[0]!r} at position {stray.start()}")
+    source = " ".join(text.split()).replace("^", "**")
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a SyntaxWarning becomes the SyntaxError below
+            return _build(ast.parse(source, mode="eval").body, source)
+    except (SyntaxError, RecursionError, ParseError) as exc:
+        raise ParseError(f"{getattr(exc, 'msg', exc)} in {text!r}") from None

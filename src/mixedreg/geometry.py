@@ -194,12 +194,6 @@ class Mesh:
         xa, ya = x[a], y[a]
         return 0.5 * ((x[b] - xa) * (y[c] - ya) - (y[b] - ya) * (x[c] - xa))
 
-    def area(self) -> float:
-        return float(np.sum(self.triangle_areas()))
-
-    def perimeter(self) -> float:
-        return float(np.sum(self.boundary_edge_lengths))
-
     def mesh_size(self) -> float:
         """Longest triangle edge."""
         d = self.vertices[self.edges[:, 1]] - self.vertices[self.edges[:, 0]]

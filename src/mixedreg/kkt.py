@@ -483,7 +483,7 @@ def solve_kkt(
     """
     _require_increasing(spec)
     if max_iter < 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+        raise SpecError(f"max_iter must be at least 1, got {max_iter}")
     y, phi = start
     if y.role != "domain":
         raise fem.FieldError("the start state must be a domain field")

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fem, geometry, kkt
-from .catalog import ProblemSpec
+from .catalog import ProblemSpec, SpecError
 from .fem import FEField
 
 __all__ = [
@@ -171,9 +171,9 @@ def refinement_study(
     """
     levels = [int(l) for l in levels]
     if not levels:
-        raise ValueError("level range is empty")
+        raise SpecError("level range is empty")
     if any(b - a != 1 for a, b in zip(levels[:-1], levels[1:])):
-        raise ValueError(f"levels must be consecutive for nested iteration, got {levels}")
+        raise SpecError(f"levels must be consecutive for nested iteration, got {levels}")
 
     mesh = geometry.build_mesh(spec.preset, levels[0])
     start = kkt.cold_start(spec, fem.domain_field(mesh, 0.0), fem.boundary_field(mesh, 0.0))

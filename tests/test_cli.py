@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import traced_peak
-from mixedreg import cli, fem, fracnorm, geometry
+from mixedreg import cli, fem, fracnorm, geometry, kkt
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
@@ -508,6 +508,8 @@ def test_invalid_tolerance_or_exponent_is_config_error(tmp_path, capsys, argv, m
         (["product-rule", "--levels", "3", "4", "3", "--samples", "3"], "--levels must not repeat a level"),
         (["chain-rule", "--amplitude", "0"], "--amplitude must be positive and finite"),
         (["product-rule", "--amplitude", "-1"], "--amplitude must be positive and finite"),
+        (["regularity", "--config", cfg("smooth_constrained"), "--levels", "3", "5"],
+         "levels must be consecutive"),
     ],
 )
 def test_empty_run_is_config_error(tmp_path, capsys, argv, message):
@@ -622,6 +624,23 @@ def test_nonconverged_solve_reports_and_exits_three(tmp_path):
     assert not by_name["kkt-converged"]["passed"]
     assert (out / "kkt_history.csv").exists()
     assert (out / "u.mf").exists()
+
+
+def test_internal_value_error_is_not_an_argument_error(tmp_path, monkeypatch):
+    # a numpy shape or broadcast fault inside a solve is a bug: it propagates, not exit 2
+    def fault(spec, pt):
+        raise ValueError("operands could not be broadcast together")
+
+    monkeypatch.setattr(kkt, "_jacobian", fault)
+    with pytest.raises(ValueError, match="broadcast"):
+        run(["solve-kkt", "--config", cfg("constant_kkt"), "--level", "2"], tmp_path)
+
+
+def test_field_expression_may_end_in_whitespace(tmp_path):
+    # whitespace around a field expression is not part of it
+    code, _, summary = run(["solve-state", "--config", cfg("quadratic_tracking"), "--level", "2",
+                            "--u-expr", "1 ", "--v-expr", "\tx1\n"], tmp_path)
+    assert code == 0 and summary["all_passed"]
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,9 @@
 """Expression parsing, evaluation, and derivative trees."""
 
+import configparser
 import re
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import traced_peak
 from mixedreg import expressions
+from mixedreg.catalog import CONFIG_NUMBERS
 from mixedreg.expressions import ParseError, parse_expr
 from mixedreg.expressions import Add, Const, Coord, Div, EvalError, Func, Mul, Pow, SPow, Sub, Value
 
@@ -62,6 +66,91 @@ def test_parse_errors():
         parse_expr("foo(t)")
     with pytest.raises(ParseError):
         parse_expr("")
+
+
+Y, Y3 = Value(), Pow(Value(), 3.0)
+
+ACCEPTED = {
+    # every expression entry of the shipped configs
+    "0": Const(0.0),
+    "1": Const(1.0),
+    "2": Const(2.0),
+    "t": Y,
+    "y^3": Y3,
+    "(y - 14.620870040770589)^2 / 2": Div(Pow(Sub(Y, Const(14.620870040770589)), 2.0), Const(2.0)),
+    "(y - 1.25)^2 / 2": Div(Pow(Sub(Y, Const(1.25)), 2.0), Const(2.0)),
+    "(y - 2)^2 / 2": Div(Pow(Sub(Y, Const(2.0)), 2.0), Const(2.0)),
+    "(y - 1)^2 / 2": Div(Pow(Sub(Y, Const(1.0)), 2.0), Const(2.0)),
+    "y - 3.531200408935547": Sub(Y, Const(3.531200408935547)),
+    "0.5*y - 0.375": Sub(Mul(Const(0.5), Y), Const(0.375)),
+    "t + t^3": Add(Y, Y3),
+    "3*t + t^3": Add(Mul(Const(3.0), Y), Y3),
+    "5*t + t^3": Add(Mul(Const(5.0), Y), Y3),
+    "y + 0.1*y^3": Add(Y, Mul(Const(0.1), Y3)),
+    "y + 0.05*y^3": Add(Y, Mul(Const(0.05), Y3)),
+    "y - 1.2 - 1.6*x1": Sub(Sub(Y, Const(1.2)), Mul(Const(1.6), Coord(1))),
+    "y - 1.2 - 1.2*x2": Sub(Sub(Y, Const(1.2)), Mul(Const(1.2), Coord(2))),
+    "y - 1.2 - 1.6*sign(x1 - 0.31830988618379069)":
+        Sub(Sub(Y, Const(1.2)), Mul(Const(1.6), Func("sign", Sub(Coord(1), Const(0.31830988618379069))))),
+    # the rest of the language: left-associative + - * /, unary signs, powers with a signed literal
+    "1 - 2 + x1 / x2 / 3": Add(Sub(Const(1.0), Const(2.0)), Div(Div(Coord(1), Coord(2)), Const(3.0))),
+    "-y^2": Sub(Const(0.0), Pow(Y, 2.0)),
+    "+-x2": Sub(Const(0.0), Coord(2)),
+    "2*-t": Mul(Const(2.0), Sub(Const(0.0), Y)),
+    "y^-2 + y^+-0.5": Add(Pow(Y, -2.0), Pow(Y, -0.5)),
+    "(y^2)^3": Pow(Pow(Y, 2.0), 3.0),
+    ".5 + 1. + 1e3 * 2.5E-1 + 00.5": Add(Add(Add(Const(0.5), Const(1.0)), Mul(Const(1e3), Const(0.25))), Const(0.5)),
+    "pi": Const(float(np.pi)),
+    "abs(t) * cos(x1) + exp(sin(y))": Add(Mul(Func("abs", Y), Func("cos", Coord(1))), Func("exp", Func("sin", Y))),
+    "spow(t, 4)": SPow(Y, 4.0),
+    "spow(x1 * t, 2.5)": SPow(Mul(Coord(1), Y), 2.5),
+    # surrounding whitespace and newlines, and a parenthesised literal exponent
+    " y\n": Y,
+    "y +\n\t1 ": Add(Y, Const(1.0)),
+    "y^(2)": Pow(Y, 2.0),
+}
+
+REJECTED = [
+    "y**2", "0x1", "1_0", "1j", "True", "y # c", "y[0]", "x1.real", "a if b else c", "sin(t, 1)",
+    "spow(t)", "foo(t)", "y^x1", "y^2^3",
+    "007", "sin(t,)", "spow(t, 1)", "sin", "sin(*t)", "y // 2", "not y", "(y", "1 2", "y,", "+".join(["y"] * 2000),
+]
+
+
+@pytest.mark.parametrize("text", ACCEPTED)
+def test_accepted_texts_give_their_trees(text):
+    assert parse_expr(text) == ACCEPTED[text]
+
+
+def test_every_config_expression_is_in_the_table():
+    for path in sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.cfg")):
+        parser = configparser.ConfigParser(interpolation=None)
+        parser.read(path)
+        for section in parser.sections():
+            for key, text in parser[section].items():
+                if key not in CONFIG_NUMBERS | {"preset", "dimension"}:
+                    assert text in ACCEPTED, (path.name, key)
+
+
+@pytest.mark.parametrize("text", REJECTED, ids=lambda t: t[:12])
+def test_rejected_texts_raise_parse_error(text):
+    with pytest.raises(ParseError):
+        parse_expr(text)
+
+
+def test_characters_outside_the_alphabet_are_named():
+    with pytest.raises(ParseError, match="unexpected character '#' at position 2"):
+        parse_expr("y # c")
+
+
+@pytest.mark.parametrize("text", ["1if", "1if y else t", "1or y", "0x1for"])
+def test_parsing_emits_no_warning(text):
+    # Python's tokenizer warns about a literal run into a keyword
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ParseError):
+            parse_expr(text)
+    assert caught == []
 
 
 def test_sign_values_and_derivative():
@@ -225,10 +314,11 @@ def test_constant_zero_denominator_raises_on_empty_input():
 # ---------------------------------------------------------------------------
 # random expression trees
 
-_LEAVES = st.one_of(st.floats(-2.0, 2.0).map(Const), st.sampled_from([Coord(1), Coord(2), Value()]))
+_VARIABLES = st.sampled_from([Coord(1), Coord(2), Value()])
+_LEAVES = st.one_of(st.floats(-2.0, 2.0).map(Const), _VARIABLES)
 
 
-def _trees(smooth: bool):
+def _trees(smooth: bool, leaves=_LEAVES):
     """Trees of every node type; ``smooth`` keeps the ones differentiable everywhere."""
 
     def extend(sub):
@@ -250,7 +340,14 @@ def _trees(smooth: bool):
             ]
         return st.one_of(nodes)
 
-    return st.recursive(_LEAVES, extend, max_leaves=8)
+    return st.recursive(leaves, extend, max_leaves=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(e=_trees(smooth=False, leaves=st.one_of(st.floats(0.0, 1e6).map(Const), _VARIABLES)))
+def test_printed_trees_parse_back(e):
+    # a negative constant prints as (-c), which parses back as 0 - c
+    assert parse_expr(str(e)) == e
 
 
 @settings(max_examples=200, deadline=None)

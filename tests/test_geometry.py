@@ -20,8 +20,8 @@ def test_level0_octagon(disk):
     m = disk(0)
     assert m.boundary_loop.shape[0] == 8
     assert len(m.boundary_edges) == 8
-    assert abs(m.perimeter() - OCTAGON_PERIMETER) < 1e-12
-    assert abs(m.perimeter() - 6.122934917841436) < 1e-12
+    assert abs(m.boundary_edge_lengths.sum() - OCTAGON_PERIMETER) < 1e-12
+    assert abs(m.boundary_edge_lengths.sum() - 6.122934917841436) < 1e-12
 
 
 def test_boundary_vertices_on_circle(disk):
@@ -126,7 +126,7 @@ def test_each_mesh_builds_its_edge_table_once(monkeypatch, level):
 
 
 def test_perimeter_increases_to_circle(disk):
-    perims = [disk(level).perimeter() for level in range(7)]
+    perims = [disk(level).boundary_edge_lengths.sum() for level in range(7)]
     assert all(b > a for a, b in zip(perims, perims[1:]))
     assert all(p < 2.0 * np.pi for p in perims)
     assert abs(perims[6] - 2.0 * np.pi) < 1e-3
@@ -137,9 +137,9 @@ def test_level4_area_matches_polygon_formula(disk):
     m = disk(4)
     n = 8 * 2 ** 4
     polygon = n / 2.0 * np.sin(2.0 * np.pi / n)
-    assert abs(m.area() - polygon) < 1e-12
+    assert abs(m.triangle_areas().sum() - polygon) < 1e-12
     # the inscribed 128-gon sits 1.26e-3 below pi
-    assert abs(m.area() - np.pi) < 2e-3
+    assert abs(m.triangle_areas().sum() - np.pi) < 2e-3
 
 
 def test_mesh_invariants(disk):
@@ -221,20 +221,20 @@ def test_ellipse_preset():
     x = m.vertices[m.boundary_loop]
     on_curve = (x[:, 0] / 1.5) ** 2 + x[:, 1] ** 2
     assert np.max(np.abs(on_curve - 1.0)) < 1e-12
-    assert abs(m.area() - np.pi * 1.5) < 4e-3
+    assert abs(m.triangle_areas().sum() - np.pi * 1.5) < 4e-3
 
 
 def test_mesh_from_arrays_single_triangle():
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     m = mesh_from_arrays(verts, np.array([[0, 1, 2]]))
-    assert abs(m.area() - 0.5) < 1e-15
+    assert abs(m.triangle_areas().sum() - 0.5) < 1e-15
     assert m.boundary_loop.shape[0] == 3
 
 
 def test_mesh_from_arrays_reorients_and_rejects_degenerate():
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     m = mesh_from_arrays(verts, np.array([[0, 2, 1]]))
-    assert abs(m.area() - 0.5) < 1e-15
+    assert abs(m.triangle_areas().sum() - 0.5) < 1e-15
     collinear = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
     with pytest.raises(MeshError):
         mesh_from_arrays(collinear, np.array([[0, 1, 2]]))

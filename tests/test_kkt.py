@@ -318,7 +318,7 @@ def test_solve_kkt_max_iter_validation(disk):
     spec = simple_spec()
     start = kkt.cold_start(spec, *zero_controls(m))
     for n in (0, -3):
-        with pytest.raises(ValueError, match="max_iter"):
+        with pytest.raises(catalog.SpecError, match="max_iter"):
             kkt.solve_kkt(spec, start, max_iter=n)
 
 

@@ -14,10 +14,11 @@ named only in ``solvers``, whose ``newton`` is the one damped-Newton
 loop, and the inversion constants ``INVERT_TOL`` and
 ``MAX_BRACKET_DOUBLINGS`` only where ``catalog`` defines them and inside
 its ``invert_monotone``, the one bracketed inversion of every monotone
-scalar map.  Every public function has a caller in the package, or a recorded
-reason to be kept without one, and every module-level UPPER_CASE
-constant is read by package code, so no knob outlives the code it tuned
-(a test that monkeypatches a constant does not read it).  Every import
+scalar map.  Every public function, and every public method of a public
+class, has a caller in the package, or a recorded reason to be kept
+without one, and every module-level UPPER_CASE constant is read by
+package code, so no knob outlives the code it tuned (a test that
+monkeypatches a constant does not read it).  Every import
 sits at module level, so the import graph is the one the module headers
 show.  Which domains exist is decided in ``geometry`` alone, by its
 ``PRESETS`` table: no other module compares with a preset name or lists
@@ -41,6 +42,7 @@ smallest eigenvalue of the coefficient matrix is written once, in
 
 import ast
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -254,27 +256,40 @@ def _names(node):
     return found
 
 
+def _name_counts(node):
+    """How often ``node`` reads or binds each name, as ast.Name ids and ast.Attribute attrs."""
+    return Counter(sub.id if isinstance(sub, ast.Name) else sub.attr
+                   for sub in ast.walk(node) if isinstance(sub, (ast.Name, ast.Attribute)))
+
+
+def _public_defs(tree):
+    """(qualified name, def) of each top-level public def and each public method of a top-level public class."""
+    for stmt in tree.body:
+        if isinstance(stmt, ast.FunctionDef) and not stmt.name.startswith("_"):
+            yield stmt.name, stmt
+        elif isinstance(stmt, ast.ClassDef) and not stmt.name.startswith("_"):
+            yield from ((f"{stmt.name}.{sub.name}", sub) for sub in stmt.body
+                        if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_"))
+
+
 def uncalled_public_functions(sources):
-    """``module.name`` of each top-level public def in ``sources`` (module -> text)
+    """``module.name`` of each public def of ``_public_defs`` in ``sources`` (module -> text)
     that no code of any module names outside the def's own body."""
-    statements = [(module, stmt) for module, text in sources.items() for stmt in ast.parse(text).body]
-    named = [(stmt, _names(stmt)) for _, stmt in statements]
-    return sorted(
-        f"{module}.{stmt.name}"
-        for module, stmt in statements
-        if isinstance(stmt, ast.FunctionDef) and not _private(stmt.name)
-        and not any(stmt.name in names for other, names in named if other is not stmt)
-    )
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    counts = sum((_name_counts(tree) for tree in trees.values()), Counter())
+    return sorted(f"{module}.{name}" for module, tree in trees.items() for name, node in _public_defs(tree)
+                  if counts[node.name] == _name_counts(node)[node.name])
 
 
 def test_public_functions_have_a_package_caller():
     sample = {
         "a": "def called():\n    pass\n\ndef recursive():\n    return recursive()\n\n"
-             "def _helper():\n    called()\n",
+             "def _helper():\n    called()\n    C().used\n",
         "b": "from . import a\nx = a.read\n\ndef read():\n    pass\n\nclass C:\n"
-             "    def method(self):\n        pass\n",
+             "    def method(self):\n        pass\n\n    @property\n    def used(self):\n        return 1\n\n"
+             "    def __str__(self):\n        return ''\n\nclass _D:\n    def hidden(self):\n        pass\n",
     }
-    assert uncalled_public_functions(sample) == ["a.recursive"]
+    assert uncalled_public_functions(sample) == ["a.recursive", "b.C.method"]
     sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"}
     uncalled = uncalled_public_functions(sources)
     assert uncalled == sorted(KEPT), "no package caller: " + ", ".join(uncalled)

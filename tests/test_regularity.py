@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import traced_peak, zero_controls
 from mixedreg import fem, geometry, kkt, regularity
+from mixedreg.catalog import SpecError
 from mixedreg.fem import FieldError
 from mixedreg.regularity import (
     HOLDER_SEED,
@@ -124,9 +125,9 @@ def test_streamed_pass_matches_per_call_estimates(disk, level, subsample, stair_
 
 
 def test_study_level_validation(configs):
-    with pytest.raises(ValueError):
+    with pytest.raises(SpecError, match="empty"):
         refinement_study(configs["constant_kkt"], [])
-    with pytest.raises(ValueError):
+    with pytest.raises(SpecError, match="consecutive"):
         refinement_study(configs["constant_kkt"], [3, 5])
 
 
