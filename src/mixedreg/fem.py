@@ -21,10 +21,12 @@ differentiates.  Load vectors are always M f + T^T (M_b g), T the trace.
 
 The record holds only a weak reference to its mesh, so a dropped mesh
 frees its record at once.  All pair work (``fracnorm``'s far-field
-weights over Gauss points, ``regularity``'s quotients over nodes) walks
-the row blocks of ``pair_blocks`` over the upper triangle j > i, each
-unordered pair once.  A walk allocates its tables once and yields views
-of them, so a caller keeps no block past the next one.
+weights over Gauss points, ``regularity``'s quotients over nodes) maps
+a visit over the row blocks of ``pair_blocks``, whose upper triangles
+j > i hold each unordered pair once.  The blocks are dealt to one lane
+per CPU the process may use, each lane with its own tables, and the
+visits' results come back in block order, so the lane count moves no
+bit of any result.
 
 Sparse matrices are built only here.  Every linear system goes through
 ``solve_linear``: a sparse LU factorisation for a vector or a block of
@@ -40,6 +42,9 @@ operator without one, such as the boundary mass, keeps SuperLU's COLAMD.
 
 from __future__ import annotations
 
+import contextvars
+import os
+import threading
 import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -81,12 +86,20 @@ __all__ = [
 
 # relative residual a linear solve must reach to be accepted
 SOLVE_RTOL = 1e-11
-# rows per block of the pair staircase (``pair_blocks``): a walk over the 2 nb boundary
-# Gauss points fills every block into one _STAIR_ROWS x 2 nb table, with one scratch of
-# that size (2 MB each at nb = 2048), and its blocks cover 1/2 + _STAIR_ROWS / (4 nb) of
-# the ordered pairs.  Even, so every block of a Gauss-point walk starts on an edge, as
-# ``fracnorm``'s far-field mask requires.
+# rows per block of the pair staircase (``pair_blocks``): each lane of a walk over the 2 nb
+# boundary Gauss points fills its blocks into one _STAIR_ROWS x 2 nb table (2 MB at
+# nb = 2048), and the blocks cover 1/2 + _STAIR_ROWS / (4 nb) of the ordered pairs.  Even,
+# so every block of a Gauss-point walk starts on an edge, as ``fracnorm``'s far-field mask
+# requires.
 _STAIR_ROWS = 64
+# rows of a block whose |x_i - x_j|^2 one lane's scratch holds at a time (0.5 MB at nb = 2048)
+_SCRATCH_ROWS = 16
+# a walk of at most this many blocks stays on the caller's thread.  Measured on a 2-CPU
+# machine, a second lane slowed the walks of up to 8 blocks (the k = 2 far field over 512
+# Gauss points by 40%, the quotients over 289 nodes by 35%); the k = 1 and k = 2 far fields
+# of 16 blocks ran from 7% slower to 14% faster for 15-25% more CPU time; the quotients
+# over 1,089 nodes (18 blocks) and the far fields of 32 blocks took 17-36% less wall time
+_SERIAL_BLOCKS = 16
 # largest part of the mesh that the nested dissection (``P1.ordering``) leaves unsplit
 _DISSECTION_LEAF = 64
 
@@ -356,28 +369,69 @@ def _nested_dissection(points: np.ndarray, edges: np.ndarray) -> np.ndarray:
     return np.argsort(key, kind="stable")
 
 
-def pair_blocks(points: np.ndarray):
-    """Yield (block, d2) per ``_STAIR_ROWS``-row block [r0, r1) of ``points``, d2: |x_i - x_j|^2.
+def _lane_count(blocks: int) -> int:
+    """Lanes for a walk of ``blocks`` blocks: one per CPU this process may use, one for a small walk."""
+    if blocks <= _SERIAL_BLOCKS:
+        return 1
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity is not None else os.cpu_count() or 1
 
-    d2 pairs the block's rows i of ``points`` (n, 2) with the points j = r0 ... n - 1; its
-    entries j > i hold each pair i < j once, and the caller masks j <= i.  Every d2 is a
-    contiguous view of one table that the walk allocates for its first block, the largest:
-    it is valid until the next block is yielded, and the caller may write into it but
-    keeps no reference to it.
+
+def pair_blocks(points: np.ndarray, lane) -> list:
+    """Map ``lane``'s visits over the ``_STAIR_ROWS``-row blocks [r0, r1) of ``points``; results in block order.
+
+    A block's d2 pairs its rows i of ``points`` (n, 2) with the points j = r0 ... n - 1,
+    d2 = |x_i - x_j|^2: its entries j > i hold each pair i < j once, and the visit masks
+    j <= i.  ``lane()`` is called once per lane and returns that lane's ``visit(block,
+    d2)``, block the slice of rows.  Of L lanes, lane t visits blocks t, t + L, ... in
+    order; lane 0 runs on the caller's thread, the others on threads of their own, each
+    under a copy of the caller's context, so the caller's ``np.errstate`` holds there.
+    Each lane fills its blocks into one table, sized by its first and largest block: a
+    d2 is a contiguous view of it, which the visit may overwrite but must not keep.  A
+    visit may call numpy only.  Every thread is joined before the walk returns, and the
+    first exception a lane raises is raised here, after the other lanes have stopped.
     """
     n = points.shape[0]
-    table, scratch = np.empty((2, min(_STAIR_ROWS, n) * n))
-    for r0 in range(0, n, _STAIR_ROWS):
-        block = slice(r0, min(r0 + _STAIR_ROWS, n))
-        shape = (block.stop - r0, n - r0)
-        d2 = table[: shape[0] * shape[1]].reshape(shape)
-        dy = scratch[: d2.size].reshape(shape)
-        np.subtract.outer(points[block, 0], points[r0:, 0], out=d2)
-        d2 *= d2
-        np.subtract.outer(points[block, 1], points[r0:, 1], out=dy)
-        dy *= dy
-        d2 += dy
-        yield block, d2
+    starts = range(0, n, _STAIR_ROWS)
+    lanes = max(1, min(_lane_count(len(starts)), len(starts)))
+    results = [None] * len(starts)
+    errors = []
+
+    def walk(t: int) -> None:
+        try:
+            visit, table = lane(), None
+            for b in range(t, len(starts), lanes):
+                if errors:
+                    return
+                r0 = starts[b]
+                block = slice(r0, min(r0 + _STAIR_ROWS, n))
+                shape = (block.stop - r0, n - r0)
+                if table is None:
+                    table = np.empty(shape[0] * shape[1])
+                    scratch = np.empty(min(_SCRATCH_ROWS, shape[0]) * shape[1])
+                d2 = table[: shape[0] * shape[1]].reshape(shape)
+                for s0 in range(0, shape[0], _SCRATCH_ROWS):
+                    part = d2[s0 : s0 + _SCRATCH_ROWS]
+                    dy = scratch[: part.size].reshape(part.shape)
+                    rows = slice(r0 + s0, r0 + s0 + part.shape[0])
+                    np.subtract.outer(points[rows, 0], points[r0:, 0], out=part)
+                    part *= part
+                    np.subtract.outer(points[rows, 1], points[r0:, 1], out=dy)
+                    dy *= dy
+                    part += dy
+                results[b] = visit(block, d2)
+        except BaseException as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=contextvars.copy_context().run, args=(walk, t)) for t in range(1, lanes)]
+    for thread in threads:
+        thread.start()
+    walk(0)
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
+    return results
 
 
 def p1(mesh: Mesh) -> P1:

@@ -11,11 +11,11 @@ supplies the boundary quadrature, the Gauss-point values and the
 depend on the mesh and on beta = 1 + tau k only; they are built on every
 call and never kept, so ``gagliardo`` takes every field of a pass at
 once and builds the weights of its beta once for all of them.  A call's
-tables live for one walk: the staircase blocks are views of one table,
-and the adjacent-edge rule sums |x - x'|^2 one coordinate at a time into
-one (nb, cells, 4, 4) table.  The integrand is symmetric, so the far
-field walks the unordered Gauss-point pairs i < j of the staircase, with
-the factor 2 in its weights.
+tables live for one walk: each lane of the staircase fills its blocks
+into one table of its own, and the adjacent-edge rule sums |x - x'|^2
+one coordinate at a time into one (nb, cells, 4, 4) table.  The
+integrand is symmetric, so the far field walks the unordered Gauss-point
+pairs i < j of the staircase, with the factor 2 in its weights.
 
 At k = 2 no pair-difference table is formed: |v_i - v_j|^2 expands, so
 both weighted sums are quadratic forms in the field.  The far field
@@ -113,15 +113,16 @@ def _far_field(mesh, vq: np.ndarray, beta: float, k: float) -> np.ndarray:
     ``vq`` holds one row of Gauss-point values per field.  Each block of
     the ``fem.pair_blocks`` staircase becomes the weights 2 w_i w_j /
     |x_i - x_j|^beta in place, zero for j <= i and for pairs from one edge
-    or from adjacent edges; the mask of those pairs, and at k != 2 the
-    difference table, are built once per call.  At k = 2 each sum is a
+    or from adjacent edges; each lane builds the mask of those pairs, and
+    at k != 2 the difference table, once.  At k = 2 each sum is a
     quadratic form in the values, centred first: with c = vq - mean(vq),
     row i of a block U adds c_i^2 sum_j U_ij + sum_j U_ij c_j^2 -
     2 c_i sum_j U_ij c_j, three sums that one product U [c, c^2, 1] writes
     into row i of a table, and the F fields share the ones column.
     Centring costs nothing for values within a factor 2 of their mean (the
     subtraction is exact) and keeps a large offset from cancelling in the
-    expansion.
+    expansion.  Other k add each block's dot products to the totals in
+    block order, whichever lane took the block.
     """
     qpts, qw = fem.p1(mesh).boundary
     nf = vq.shape[0]
@@ -130,40 +131,53 @@ def _far_field(mesh, vq: np.ndarray, beta: float, k: float) -> np.ndarray:
         c = vq - np.mean(vq, axis=1, keepdims=True)
         x = np.column_stack([*c, *(c * c), np.ones(c.shape[1])])
         p = np.zeros_like(x)
-    totals = np.zeros(nf)
-    near = table = None
-    for rows, weights in fem.pair_blocks(qpts):
-        r0, n = rows.start, rows.stop - rows.start
-        if near is None:
-            # built from the first block, which has full height.  Every block starts on an
-            # edge (the staircase height is even), so its row i drops the columns
-            # j < 2 (i // 2) + 4: j <= i and the Gauss points of the row's edge and of the
-            # next edge; those of the previous edge lie left of the diagonal or of the block
-            near = np.arange(n + 2) < 2 * (np.arange(n) // 2)[:, None] + 4
-            if not quadratic:
-                table = np.empty(weights.size)
-        with np.errstate(divide="ignore"):
-            np.power(weights, -0.5 * beta, out=weights)
-        weights *= 2.0 * qw[rows, None]
-        weights *= qw[None, r0:]
-        cols = min(near.shape[1], weights.shape[1])
-        weights[:, :cols][near[:n, :cols]] = 0.0
-        if r0 == 0:
-            # the first edge touches the last one across the start of the loop
-            weights[:2, -2:] = 0.0
-        if quadratic:
-            np.matmul(weights, x[r0:], out=p[rows])
-            continue
-        num = table[: weights.size].reshape(weights.shape)
-        for f, v in enumerate(vq):
-            np.subtract.outer(v[rows], v[r0:], out=num)
-            np.abs(num, out=num)
-            if k != 1.0:
-                num **= k
-            totals[f] += np.vdot(num, weights)
+
+    def lane():
+        near = table = None
+
+        def visit(rows, weights):
+            nonlocal near, table
+            r0, n = rows.start, rows.stop - rows.start
+            if near is None:
+                # built from the lane's first block, its largest.  Every block starts on an
+                # edge (the staircase height is even), so its row i drops the columns
+                # j < 2 (i // 2) + 4: j <= i and the Gauss points of the row's edge and of the
+                # next edge; those of the previous edge lie left of the diagonal or of the block
+                near = np.arange(n + 2) < 2 * (np.arange(n) // 2)[:, None] + 4
+                if not quadratic:
+                    table = np.empty(weights.size)
+            with np.errstate(divide="ignore"):
+                np.power(weights, -0.5 * beta, out=weights)
+            weights *= 2.0 * qw[rows, None]
+            weights *= qw[None, r0:]
+            cols = min(near.shape[1], weights.shape[1])
+            weights[:, :cols][near[:n, :cols]] = 0.0
+            if r0 == 0:
+                # the first edge touches the last one across the start of the loop
+                weights[:2, -2:] = 0.0
+            if quadratic:
+                # no two blocks share a row of p
+                np.matmul(weights, x[r0:], out=p[rows])
+                return None
+            num = table[: weights.size].reshape(weights.shape)
+            sums = np.empty(nf)
+            for f, v in enumerate(vq):
+                np.subtract.outer(v[rows], v[r0:], out=num)
+                np.abs(num, out=num)
+                if k != 1.0:
+                    num **= k
+                sums[f] = np.vdot(num, weights)
+            return sums
+
+        return visit
+
+    blocks = fem.pair_blocks(qpts, lane)
     if quadratic:
         p = p.T
-        totals = np.sum(c * c * p[2 * nf] + p[nf : 2 * nf] - 2.0 * c * p[:nf], axis=1)
+        return np.sum(c * c * p[2 * nf] + p[nf : 2 * nf] - 2.0 * c * p[:nf], axis=1)
+    totals = np.zeros(nf)
+    for sums in blocks:
+        totals += sums
     return totals
 
 

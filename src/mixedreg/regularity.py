@@ -14,11 +14,12 @@ stabilization and divergence flags from those records, and a divergence
 flag needs every level converged.  One streamed pass per role takes the
 quotients |v_i - v_j| / |x_i - x_j|^gamma of every field and exponent over
 the node pairs i < j, walking the ``fem.pair_blocks`` staircase into
-tables that live for one walk and keeping nothing: every pair of the
-boundary loop; every vertex pair of a domain, or above
-``HOLDER_SUBSAMPLE`` vertices those of a fixed-seed subsample of that
-size.  A domain field's Lipschitz estimate is its largest triangle
-gradient; a boundary field's is its gamma = 1 quotient over every pair.
+tables that each lane allocates for one walk and keeping nothing but
+each block's maxima: every pair of the boundary loop; every vertex pair
+of a domain, or above ``HOLDER_SUBSAMPLE`` vertices those of a
+fixed-seed subsample of that size.  A domain field's Lipschitz estimate
+is its largest triangle gradient; a boundary field's is its gamma = 1
+quotient over every pair.
 """
 
 from __future__ import annotations
@@ -67,36 +68,55 @@ def _pair_quotients(fields, exponents) -> list:
     interpolation noise, not field regularity.  Domain fields on meshes
     with more than ``HOLDER_SUBSAMPLE`` vertices are subsampled with a
     fixed-seed generator, so the estimate is deterministic.  Each
-    ``fem.pair_blocks`` block fills one power table per exponent and one
-    difference table per field, all views of tables allocated for the
-    walk's first block.
+    ``fem.pair_blocks`` block fills one power table per exponent, the
+    last over its distances, one mask per distinct min_distance and, per
+    field and exponent, one difference table that it divides in place:
+    all views of tables a lane allocates for its first block.  A block
+    gives its maxima, and a maximum is exact in any order.
     """
     pts, vals = fields[0].coords(), [f.values for f in fields]
     if fields[0].role == "domain" and pts.shape[0] > HOLDER_SUBSAMPLE:
         rng = np.random.default_rng(HOLDER_SEED)
         keep = np.sort(rng.choice(pts.shape[0], size=HOLDER_SUBSAMPLE, replace=False))
         pts, vals = pts[keep], [v[keep] for v in vals]
-    best = np.zeros((len(fields), len(exponents)))
-    tables = None
-    for block, d in fem.pair_blocks(pts):
-        if tables is None:
-            # the first block is the largest: its tables hold every later block's
-            tables = np.empty((len(exponents) + 2, d.size))
-            nearby = np.empty(d.size, dtype=bool)
-        *powers, diff, quotient = (t[: d.size].reshape(d.shape) for t in tables)
-        mask = nearby[: d.size].reshape(d.shape)
-        np.sqrt(d, out=d)
-        # j <= i and pairs nearer than min_distance get an infinite denominator: quotient 0
-        d[np.tril_indices(d.shape[0])] = np.inf
-        for p, (gamma, min_distance) in zip(powers, exponents):
-            np.power(d, gamma, out=p)
-            np.less(d, min_distance, out=mask)
-            p[mask] = np.inf
-        for row, v in zip(best, vals):
-            np.subtract.outer(v[block], v[block.start :], out=diff)
-            np.abs(diff, out=diff)
-            np.maximum(row, [np.max(np.divide(diff, p, out=quotient)) for p in powers], out=row)
-    return best.tolist()
+    cutoffs = list(dict.fromkeys(min_distance for _, min_distance in exponents))
+
+    def lane():
+        tables = below = lower = None
+
+        def visit(block, d):
+            nonlocal tables, below, lower
+            rows = d.shape[0]
+            if tables is None:
+                # the lane's first block is its largest: its tables hold every later block's
+                tables = np.empty((len(exponents), d.size))
+                below = np.empty((len(cutoffs), d.size), dtype=bool)
+                lower = np.tri(rows, dtype=bool)  # j <= i
+            *powers, diff = (t[: d.size].reshape(d.shape) for t in tables)
+            nearer = {cut: m[: d.size].reshape(d.shape) for cut, m in zip(cutoffs, below)}
+            np.sqrt(d, out=d)
+            # j <= i and pairs nearer than min_distance get an infinite denominator: quotient 0
+            np.copyto(d[:, :rows], np.inf, where=lower[:rows, :rows])
+            for cut, mask in nearer.items():
+                np.less(d, cut, out=mask)
+            # the last power overwrites the distances, which no later step reads
+            powers.append(d)
+            for p, (gamma, min_distance) in zip(powers, exponents):
+                np.power(d, gamma, out=p)
+                np.copyto(p, np.inf, where=nearer[min_distance])
+            maxima = []
+            for v in vals:
+                row = []
+                for p in powers:
+                    np.subtract.outer(v[block], v[block.start :], out=diff)
+                    np.abs(diff, out=diff)
+                    row.append(np.max(np.divide(diff, p, out=diff)))
+                maxima.append(row)
+            return maxima
+
+        return visit
+
+    return np.max(fem.pair_blocks(pts, lane), axis=0, initial=0.0).tolist()
 
 
 @dataclass

@@ -5,16 +5,16 @@ loop with Armijo backtracking on the residual norm that ``kkt.solve_kkt``
 shares; the linearized state and adjoint problems share one symmetric
 matrix, ``linearized_matrix``, with which ``kkt`` solves the adjoint, so
 the discrete adjoint identity holds to solver tolerance.  A
-:class:`StateSolveReport` keeps the linearization at its state, and so
-that operator's sparse LU, for as long as the report lives; solves
-seeded with the report share it.  ``solve_states`` solves several
-control pairs from one start as a block: F at the start once, the first
-Newton direction of every pair from one multi-column solve, then each
-pair's own ``newton`` loop; ``solve_state`` is its block of one.  The
-elliptic operator, mass matrices and load vectors come from the mesh's
-:class:`fem.P1` record, their single owner; this module adds the
-nonlinearity on top (``semilinear_operator``, ``linearized_matrix`` and
-its derivative ``second_variation_matrix``).  ``exponents`` evaluates
+:class:`StateSolveReport` keeps F at its state, and the linearization
+there with that operator's sparse LU, for as long as the report lives;
+solves seeded with the report share them.  ``solve_states`` solves
+several control pairs from one start as a block: F at the start once,
+the first Newton direction of every pair from one multi-column solve,
+then each pair's own ``newton`` loop; ``solve_state`` is its block of
+one.  The elliptic operator, mass matrices and load vectors come from
+the mesh's :class:`fem.P1` record, their single owner; this module adds
+the nonlinearity on top (``semilinear_operator``, ``linearized_matrix``
+and its derivative ``second_variation_matrix``).  ``exponents`` evaluates
 the integrability thresholds that the distributed and boundary control
 exponents induce on the state and on the fixed-point argument, together
 with their conjugacy slack.
@@ -109,7 +109,8 @@ class StateSolveReport:
 
     ``linearization`` is ``linearized_matrix(spec, state)``, assembled on
     first use and kept, with its factorisation once solved, as long as
-    the report is.
+    the report is; ``semilinear_operator`` is ``semilinear_operator(spec,
+    state)``, F at the state before the loads, kept the same way.
     """
 
     state: FEField
@@ -121,6 +122,10 @@ class StateSolveReport:
     @cached_property
     def linearization(self) -> fem.SparseOperator:
         return linearized_matrix(self.spec, self.state)
+
+    @cached_property
+    def semilinear_operator(self) -> np.ndarray:
+        return semilinear_operator(self.spec, self.state)
 
     def check_solves(self, spec: ProblemSpec, mesh) -> None:
         """Raise unless this report is a solve of ``spec`` on ``mesh``."""
@@ -211,10 +216,11 @@ def solve_states(
     block: F at the start, and the first Newton direction of every pair
     not converged there, from one ``fem.solve_linear`` call on the (n, k)
     block of their residuals with the linearization at the start.  A
-    seeded block takes it from the report's ``linearization``, whose
-    factorisation every solve seeded with that report shares.  Any later
-    step assembles the linearization at its own point.  Returns one
-    report per pair, in order.
+    seeded block takes both from the report, F from its
+    ``semilinear_operator`` and the linearization from its
+    ``linearization``, whose factorisation every solve seeded with that
+    report shares.  Any later step assembles the linearization at its
+    own point.  Returns one report per pair, in order.
     """
     controls = list(controls)
     mesh = _check_pair(spec, *controls[0])
@@ -226,8 +232,12 @@ def solve_states(
         raise SpecError("newton_tol must lie in (0, 1)")
     loads = fem.p1(mesh).load(*(np.column_stack([pair[i].values for pair in controls]) for i in (0, 1)))
     tols = [newton_tol * (1.0 + float(np.linalg.norm(b))) for b in loads.T]
-    y0 = np.zeros(mesh.n_vertices) if initial is None else initial.state.values.copy()
-    residuals = semilinear_operator(spec, FEField(mesh, "domain", y0))[:, None] - loads
+    if initial is None:
+        y0 = np.zeros(mesh.n_vertices)
+        at_y0 = semilinear_operator(spec, FEField(mesh, "domain", y0))
+    else:
+        y0, at_y0 = initial.state.values.copy(), initial.semilinear_operator
+    residuals = at_y0[:, None] - loads
     moving = [j for j, tol in enumerate(tols) if not float(np.linalg.norm(residuals[:, j])) <= tol]
     first = {}
     if moving:

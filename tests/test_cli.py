@@ -325,6 +325,33 @@ def test_boundary_artifacts_are_pinned(tmp_path):
     assert got == BOUNDARY_DIGESTS
 
 
+REGULARITY_ARGV = ("regularity", "--config", cfg("smooth_constrained"), "--levels", "3", "4", "--max-iter", "150",
+                   "--kkt-tol", "5e-3")
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity")
+def test_pinned_artifacts_do_not_depend_on_the_cpu_count(tmp_path):
+    # C10 across CPU counts: the pair walks of a child confined to one CPU run on one lane,
+    # and every boundary pin and the smooth study's pins hold there as on every CPU
+    runs = [["--out", str(tmp_path / str(i)), *argv] for i, argv in enumerate([*BOUNDARY_DIGESTS, REGULARITY_ARGV])]
+    child = (
+        "import json, os, sys\n"
+        "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+        "from mixedreg import cli, fem\n"
+        "assert fem._lane_count(10**6) == 1\n"
+        "sys.exit(max(cli.main(a) for a in json.loads(sys.argv[1])))"
+    )
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-c", child, json.dumps(runs)], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    got = {argv: (name, hashlib.sha256((tmp_path / str(i) / name).read_bytes()).hexdigest())
+           for i, (argv, (name, _)) in enumerate(BOUNDARY_DIGESTS.items())}
+    assert got == BOUNDARY_DIGESTS
+    study, pins = tmp_path / str(len(BOUNDARY_DIGESTS)), REGULARITY_DIGESTS["smooth_constrained"]
+    assert {name: hashlib.sha256((study / name).read_bytes()).hexdigest() for name in pins} == pins
+
+
 @pytest.mark.parametrize("argv", [
     ["frac-norm", "--tau", "0.5", "--k", "2", "--level", "4"],
     ["chain-rule", "--levels", "3", "4", "--samples", "2"],

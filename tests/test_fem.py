@@ -2,6 +2,8 @@
 
 import dataclasses
 import gc
+import sys
+import threading
 import weakref
 
 import numpy as np
@@ -29,6 +31,7 @@ from mixedreg.fem import (
 )
 from mixedreg.fracnorm import gagliardo
 from mixedreg.geometry import PRESETS, boundary_fan, build_mesh, mesh_from_arrays
+from mixedreg.regularity import _pair_quotients
 
 
 @pytest.fixture(scope="module")
@@ -402,29 +405,153 @@ def test_reaction_with_zero_coefficients_stores_no_zeros(disk, level):
 @given(
     n=st.integers(1, 50),
     stair_rows=st.sampled_from([1, 2, 7, fem._STAIR_ROWS]),
+    lanes=st.sampled_from([1, 2, 3, 5]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_pair_blocks_cover_each_pair_of_the_rows_once(n, stair_rows, seed):
+def test_pair_blocks_cover_each_pair_of_the_rows_once(n, stair_rows, lanes, seed):
     points = np.random.default_rng(seed).standard_normal((n, 2))
-    pairs, next_row, previous = [], 0, None
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fem, "_STAIR_ROWS", stair_rows)
-        for block, d2 in fem.pair_blocks(points):
-            # consecutive blocks of at most stair_rows rows, each against the points from its first row on
-            assert block.start == next_row and 0 < block.stop - block.start <= stair_rows
-            next_row = block.stop
+    visited, opened = [], []
+
+    def lane():
+        opened.append(None)
+        previous = None
+
+        def visit(block, d2):
+            nonlocal previous
+            visited.append(block.start)
             assert d2.shape == (block.stop - block.start, n - block.start)
             rows, cols = np.nonzero(np.triu(np.ones(d2.shape, dtype=bool), k=1))
             i, j = rows + block.start, cols + block.start
-            pairs += zip(i.tolist(), j.tolist())
             np.testing.assert_allclose(d2[rows, cols], np.sum((points[i] - points[j]) ** 2, axis=1), rtol=1e-15)
-            # every block is a view of the walk's one table, which the caller may overwrite
+            # every block of a lane is a view of the lane's one table, which the visit may overwrite
             assert previous is None or np.shares_memory(previous, d2)
             d2[...] = np.nan
             previous = d2
-    assert next_row == n
+            return block, list(zip(i.tolist(), j.tolist()))
+
+        return visit
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fem, "_STAIR_ROWS", stair_rows)
+        mp.setattr(fem, "_lane_count", lambda blocks: lanes)
+        results = fem.pair_blocks(points, lane)
+    starts = list(range(0, n, stair_rows))
+    # one lane() call per lane, each block visited once, the results in block order: consecutive
+    # blocks of at most stair_rows rows, each against the points from its first row on
+    assert len(opened) == min(lanes, len(starts))
+    assert sorted(visited) == starts
+    assert [block.start for block, _ in results] == starts
+    assert [block.stop for block, _ in results] == starts[1:] + [n]
+    assert all(0 < block.stop - block.start <= stair_rows for block, _ in results)
     # every unordered pair exactly once
+    pairs = [pair for _, block_pairs in results for pair in block_pairs]
     assert sorted(pairs) == [(i, j) for i in range(n) for j in range(i + 1, n)]
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    stair_rows=st.sampled_from([1, 2, 7, fem._STAIR_ROWS]),
+    lanes=st.sampled_from([1, 2, 3, 5]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pair_work_does_not_depend_on_the_lane_count(stair_rows, lanes, seed):
+    m = build_mesh("disk", 3)
+    rng = np.random.default_rng(seed)
+    h = m.mesh_size()
+    exponents = [(1.0, 0.0), (0.5, h), (0.9, h)]
+    quotients = {
+        "domain": [domain_field(m, rng.standard_normal(m.n_vertices)) for _ in range(2)],
+        "boundary": [boundary_field(m, rng.standard_normal(m.n_boundary)) for _ in range(2)],
+    }
+    seminorms = [boundary_field(m, rng.standard_normal(m.n_boundary)) for _ in range(2)]
+
+    def pair_work(count):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fem, "_lane_count", lambda blocks: count)
+            mp.setattr(fem, "_STAIR_ROWS", stair_rows)
+            out = [_pair_quotients(fs, exponents) for fs in quotients.values()]
+            # a Gauss-point walk needs an even height, so that each block starts on an edge
+            mp.setattr(fem, "_STAIR_ROWS", stair_rows + stair_rows % 2)
+            out += [[r.seminorm_I for r in gagliardo(*seminorms, tau=0.5, k=k)] for k in (1.0, 2.0, 3.0)]
+        return out
+
+    # maxima and block-ordered sums, bit for bit as on one lane
+    assert pair_work(lanes) == pair_work(1)
+
+
+class LaneFault(Exception):
+    pass
+
+
+def test_a_fault_on_another_lane_reaches_the_caller(monkeypatch):
+    monkeypatch.setattr(fem, "_STAIR_ROWS", 1)
+    monkeypatch.setattr(fem, "_lane_count", lambda blocks: 3)
+    raisers = []
+
+    def lane():
+        def visit(block, d2):
+            if block.start == 2:  # the first block of the third lane
+                raisers.append(threading.get_ident())
+                raise LaneFault(block.start)
+            return block.start
+
+        return visit
+
+    before = threading.active_count()
+    with pytest.raises(LaneFault):
+        fem.pair_blocks(np.zeros((12, 2)), lane)
+    assert raisers and raisers[0] != threading.get_ident()
+    assert threading.active_count() == before
+
+
+def test_no_lane_outlives_its_walk(monkeypatch):
+    monkeypatch.setattr(fem, "_lane_count", lambda blocks: 3)
+    before = threading.active_count()
+    points = np.random.default_rng(1).standard_normal((10 * fem._STAIR_ROWS, 2))
+    sums = fem.pair_blocks(points, lambda: lambda block, d2: float(d2.sum()))
+    assert len(sums) == 10
+    assert threading.active_count() == before
+
+
+def test_more_lanes_than_cores_under_a_short_switch_interval(monkeypatch):
+    # every block's result lands in its own slot, however often the lanes are interrupted
+    monkeypatch.setattr(fem, "_STAIR_ROWS", 2)
+    points = np.random.default_rng(3).standard_normal((300, 2))
+
+    def visit(block, d2):
+        return block.start, float(d2[:, block.stop - block.start :].sum())
+
+    def walk(lanes):
+        monkeypatch.setattr(fem, "_lane_count", lambda blocks: lanes)
+        return fem.pair_blocks(points, lambda: visit)
+
+    alone = walk(1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        crowded = walk(8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert crowded == alone
+    assert [start for start, _ in alone] == list(range(0, 300, 2))
+
+
+@pytest.mark.parametrize("target", [0, 1, 2])
+def test_the_callers_errstate_holds_on_every_lane(monkeypatch, target):
+    monkeypatch.setattr(fem, "_STAIR_ROWS", 1)
+    monkeypatch.setattr(fem, "_lane_count", lambda blocks: 3)
+
+    def lane():
+        def visit(block, d2):
+            if block.start == target:  # the first block of lane ``target``
+                np.divide(1.0, np.zeros(1))
+
+        return visit
+
+    with np.errstate(divide="raise"), pytest.raises(FloatingPointError):
+        fem.pair_blocks(np.zeros((9, 2)), lane)
+    with np.errstate(divide="ignore"):
+        assert fem.pair_blocks(np.zeros((9, 2)), lane) == [None] * 9
 
 
 def test_pair_blocks_over_the_gauss_points_hold_about_half_the_pairs():
@@ -434,7 +561,7 @@ def test_pair_blocks_over_the_gauss_points_hold_about_half_the_pairs():
     qpts, _ = fem.p1(m).boundary
     npts = qpts.shape[0]
     assert npts == 1024
-    assert sum(d2.size for _, d2 in fem.pair_blocks(qpts)) <= 0.55 * npts**2
+    assert sum(fem.pair_blocks(qpts, lambda: lambda block, d2: d2.size)) <= 0.55 * npts**2
 
 
 def test_solve_linear_nonsymmetric_robinson_operator(disk, identity_spec):

@@ -285,14 +285,21 @@ def count_far_field_builds(monkeypatch):
 
 
 def count_pair_blocks(monkeypatch):
-    """Count the staircase blocks that ``fem.pair_blocks`` yields."""
+    """Count the staircase blocks that ``fem.pair_blocks`` visits, on whichever lane."""
     walked = []
     walk = fem.pair_blocks
 
-    def counted(*args):
-        for block in walk(*args):
-            walked.append(block[0])
-            yield block
+    def counted(points, lane):
+        def counting_lane():
+            visit = lane()
+
+            def counted_visit(block, d2):
+                walked.append(block)
+                return visit(block, d2)
+
+            return counted_visit
+
+        return walk(points, counting_lane)
 
     monkeypatch.setattr(fem, "pair_blocks", counted)
     return walked
@@ -336,10 +343,12 @@ def test_streamed_mesh_keeps_no_weights(monkeypatch):
     assert len(walked) == 64
 
 
-def test_level_eight_pass_reuses_its_tables():
-    # the staircase walk reuses one 2 MiB table and one scratch, and the adjacent-edge rule
-    # sums one coordinate at a time: 8.4 MiB.  Fresh tables per block and the rule's 5-D
-    # difference table take it to 13.2 MiB.  Allocation sizes are fixed by the mesh.
+def test_level_eight_pass_reuses_its_tables(monkeypatch):
+    # each of the staircase walk's two lanes reuses one 2 MiB table and one 0.5 MiB scratch,
+    # and the adjacent-edge rule sums one coordinate at a time: 8.4 MiB.  Fresh tables per
+    # block and the rule's 5-D difference table take it to 13.2 MiB.  Allocation sizes are
+    # fixed by the mesh and the lane count.
+    monkeypatch.setattr(fem, "_lane_count", lambda blocks: 2)
     m = geometry.boundary_fan("disk", 8)
     v = cos_field(m)
     doubled = fem.boundary_field(m, 2.0 * v.values)

@@ -68,9 +68,11 @@ def test_holder_deterministic(disk):
     assert np.isfinite(a[0][0]) and a[0][0] > 0.0
 
 
-def test_pair_quotients_reuse_their_tables(disk):
-    # four subsampled domain fields at the study's exponents: every block fills views of
-    # tables allocated once, 6.2 MiB; tables of its own for each block take it to 7.9 MiB
+def test_pair_quotients_reuse_their_tables(disk, monkeypatch):
+    # four subsampled domain fields at the study's exponents: every block of each of the
+    # walk's two lanes fills views of tables the lane allocated once, 6.9 MiB; tables of
+    # its own for each block take it to 8.6 MiB
+    monkeypatch.setattr(fem, "_lane_count", lambda blocks: 2)
     m = disk(5)
     h = m.mesh_size()
     rng = np.random.default_rng(5)

@@ -236,6 +236,27 @@ def test_block_pairs_converged_at_the_start_take_no_step(configs, disk, monkeypa
     assert calls == [(m.n_vertices, 1)]
 
 
+def test_seeded_blocks_share_f_at_the_seed(configs, disk, monkeypatch):
+    spec, m = configs["quadratic_tracking"], disk(3)
+    u, v, probes = gradient_probes(m, np.random.default_rng(42))
+    base, fresh = solvers.solve_state(spec, u, v), solvers.solve_state(spec, u, v)
+    at_seed = []
+    evaluate = solvers.semilinear_operator
+
+    def counted(spec, y):
+        at_seed.append(np.array_equal(y.values, base.state.values))
+        return evaluate(spec, y)
+
+    monkeypatch.setattr(solvers, "semilinear_operator", counted)
+    blocks = [solvers.solve_states(spec, probes[i : i + 2], initial=base) for i in range(0, len(probes), 2)]
+    # four seeded blocks evaluate F at the seed once, on the report, and solve as a report with nothing kept
+    assert at_seed.count(True) == 1
+    for i, block in zip(range(0, len(probes), 2), blocks):
+        alone = solvers.solve_states(spec, probes[i : i + 2], initial=fresh)
+        fresh.__dict__.pop("semilinear_operator")
+        assert all(np.array_equal(a.state.values, b.state.values) for a, b in zip(block, alone))
+
+
 def test_block_pairs_must_share_a_mesh(cubic_spec, disk):
     pairs = [(fem.domain_field(m, 1.0), fem.boundary_field(m, 0.0)) for m in (disk(2), disk(3))]
     with pytest.raises(fem.FieldError, match="different meshes"):
