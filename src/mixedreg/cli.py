@@ -96,21 +96,33 @@ def _nodal(mesh, role: str, expr_text: str) -> FEField:
     return FEField(mesh, role, fem.nodal(expr, zero))
 
 
-def _fourier_coeffs(rng: np.random.Generator, modes: int = 6):
-    return rng.standard_normal(modes), rng.standard_normal(modes)
+# Fourier modes m = 1 ... _FOURIER_MODES of the C8 fields
+_FOURIER_MODES = 6
 
 
-def _fourier_field(mesh, coeffs, amplitude: float) -> FEField:
-    """Band-limited field from one coefficient draw, comparable across levels."""
-    a, b = coeffs
+def _fourier_coeffs(rng: np.random.Generator):
+    return rng.standard_normal(_FOURIER_MODES), rng.standard_normal(_FOURIER_MODES)
+
+
+def _fourier_fields(mesh, draws, amplitude: float) -> list:
+    """Band-limited fields, one per coefficient draw, comparable across levels.
+
+    cos(m t) and sin(m t) are tabulated once for all draws; each draw adds
+    its modes in order, so a field does not depend on the other draws.
+    """
     t = mesh.boundary_params
-    vals = np.zeros_like(t)
-    for m in range(1, len(a) + 1):
-        vals += (a[m - 1] * np.cos(m * t) + b[m - 1] * np.sin(m * t)) / m
-    peak = float(np.max(np.abs(vals)))
-    if peak > 0.0:
-        vals = vals * (amplitude / peak)
-    return FEField(mesh, "boundary", vals)
+    modes = np.arange(1, _FOURIER_MODES + 1)[:, None]
+    cos, sin = np.cos(modes * t), np.sin(modes * t)
+    fields = []
+    for a, b in draws:
+        vals = np.zeros_like(t)
+        for m in range(_FOURIER_MODES):
+            vals += (a[m] * cos[m] + b[m] * sin[m]) / (m + 1)
+        peak = float(np.max(np.abs(vals)))
+        if peak > 0.0:
+            vals = vals * (amplitude / peak)
+        fields.append(FEField(mesh, "boundary", vals))
+    return fields
 
 
 # ---------------------------------------------------------------- handlers
@@ -352,8 +364,7 @@ def _run_chain_rule(args, out_dir: Path, rng) -> tuple:
     draws = [_fourier_coeffs(rng) for _ in range(args.samples)]
 
     def measure(mesh, draws):
-        fields = [_fourier_field(mesh, coeffs, args.amplitude) for coeffs in draws]
-        return fracnorm.chain_rule_check(a, fields, args.tau, args.k)
+        return fracnorm.chain_rule_check(a, _fourier_fields(mesh, draws, args.amplitude), args.tau, args.k)
 
     return _c8_sweep(args, out_dir, draws, measure, "chain_rule.csv")
 
@@ -362,7 +373,8 @@ def _run_product_rule(args, out_dir: Path, rng) -> tuple:
     draws = [(_fourier_coeffs(rng), _fourier_coeffs(rng)) for _ in range(args.samples)]
 
     def measure(mesh, draws):
-        pairs = [tuple(_fourier_field(mesh, c, args.amplitude) for c in pair) for pair in draws]
+        fields = _fourier_fields(mesh, [c for pair in draws for c in pair], args.amplitude)
+        pairs = list(zip(fields[::2], fields[1::2]))
         return fracnorm.product_check(pairs, args.tau, args.tau1, args.tau2, args.k, args.k1, args.k2)
 
     return _c8_sweep(args, out_dir, draws, measure, "product_rule.csv")

@@ -92,8 +92,14 @@ SOLVE_RTOL = 1e-11
 # so every block of a Gauss-point walk starts on an edge, as ``fracnorm``'s far-field mask
 # requires.
 _STAIR_ROWS = 64
-# rows of a block whose |x_i - x_j|^2 one lane's scratch holds at a time (0.5 MB at nb = 2048)
+# rows of a block whose |x_i - x_j|^2 one lane's scratch holds at a time (0.5 MB at nb = 2048), or
+# more where they hold fewer than _SCRATCH_ENTRIES entries, so that a narrow block of a small walk
+# takes its distances in few calls.  At 1,024 or more columns the scratch is 16 rows.  Twice as
+# many entries (256 KiB) raised the peak RSS of a level 3-5 regularity study by 1.8 MB: glibc
+# raises its mmap threshold to the largest block freed, so the study's later arrays of that size
+# stayed on the heap
 _SCRATCH_ROWS = 16
+_SCRATCH_ENTRIES = 2**14
 # a walk of at most this many blocks stays on the caller's thread.  Measured on a 2-CPU
 # machine, a second lane slowed the walks of up to 8 blocks (the k = 2 far field over 512
 # Gauss points by 40%, the quotients over 289 nodes by 35%); the k = 1 and k = 2 far fields
@@ -408,10 +414,11 @@ def pair_blocks(points: np.ndarray, lane) -> list:
                 shape = (block.stop - r0, n - r0)
                 if table is None:
                     table = np.empty(shape[0] * shape[1])
-                    scratch = np.empty(min(_SCRATCH_ROWS, shape[0]) * shape[1])
+                    chunk = min(max(_SCRATCH_ROWS, _SCRATCH_ENTRIES // shape[1]), shape[0])
+                    scratch = np.empty(chunk * shape[1])
                 d2 = table[: shape[0] * shape[1]].reshape(shape)
-                for s0 in range(0, shape[0], _SCRATCH_ROWS):
-                    part = d2[s0 : s0 + _SCRATCH_ROWS]
+                for s0 in range(0, shape[0], chunk):
+                    part = d2[s0 : s0 + chunk]
                     dy = scratch[: part.size].reshape(part.shape)
                     rows = slice(r0 + s0, r0 + s0 + part.shape[0])
                     np.subtract.outer(points[rows, 0], points[r0:, 0], out=part)

@@ -12,22 +12,34 @@ depend on the mesh and on beta = 1 + tau k only; they are built on every
 call and never kept, so ``gagliardo`` takes every field of a pass at
 once and builds the weights of its beta once for all of them.  A call's
 tables live for one walk: each lane of the staircase fills its blocks
-into one table of its own, and the adjacent-edge rule sums |x - x'|^2
-one coordinate at a time into one (nb, cells, 4, 4) table.  The
-integrand is symmetric, so the far field walks the unordered Gauss-point
-pairs i < j of the staircase, with the factor 2 in its weights.
+into one table of its own.  The integrand is symmetric, so the far field
+walks the unordered Gauss-point pairs i < j of the staircase, with the
+factor 2 in its weights.
+
+The adjacent-edge rule subtracts no two nearby points.  On the edges
+a -> b and b -> c, x(s) - x'(t) = (1 - s) e1 - t e2 with the edge
+vectors e1 = a - b and e2 = c - b, so |x - x'|^2 is each vertex's Gram
+row (|e1|^2, -2 e1.e2, |e2|^2) against the rule's three moments
+((1-s)^2, (1-s) t, t^2): one (nb, 3) x (3, 208) product over the 208
+nodes of its 13 cells.  Against the difference form evaluated in
+extended precision these weights are within 1.4e-14 relative on a
+2,048-edge loop; the difference form in float64 cancels near the shared
+vertex and is off by up to 2e-11 there.  A field's differences follow
+alike: f(s) - f(t) = (1 - s) d1 - t d2 with d1 = v_a - v_b and
+d2 = v_c - v_b, so an offset field does not cancel either.
 
 At k = 2 no pair-difference table is formed: |v_i - v_j|^2 expands, so
 both weighted sums are quadratic forms in the field.  The far field
 centres the Gauss-point values of every field and contracts each
-staircase block with the columns [c_1..c_F, c_1^2..c_F^2, 1] in one BLAS
-product; the adjacent edges contract their weights with the three
-moments ((1-s)^2, (1-s) t, t^2) of the graded-cell nodes.  Other k take
-the differences field by field, and a BLAS dot product reduces them
-against the weights.  BLAS picks its kernels for the CPU and the number
-of columns, so results are bit-reproducible on one machine at a fixed
-BLAS thread count and batch, and their last bits can differ between
-machines or batches.
+staircase block with the columns w_j [c_1..c_F, c_1^2..c_F^2, 1] in one
+BLAS product, the Gauss weights of the rows applied once after the walk;
+the adjacent edges contract their weights with the three moments.  Other
+k take the differences field by field: a BLAS dot product reduces each
+far-field block against its weights, and the adjacent edges write each
+field's differences by one (nb, 2) x (2, 208) product into one reused
+table.  BLAS picks its kernels for the CPU and the number of columns, so
+results are bit-reproducible on one machine at a fixed BLAS thread count
+and batch, and their last bits can differ between machines or batches.
 
 Distances are chordal, matching the polygonal boundary representation.
 """
@@ -92,10 +104,11 @@ _ADJ_S = _ADJ_CELLS[:, :1] + _ADJ_CELLS[:, 2:] * _G4_NODES
 _ADJ_T = _ADJ_CELLS[:, 1:2] + _ADJ_CELLS[:, 2:] * _G4_NODES
 _ADJ_W = _ADJ_CELLS[:, 2:] * _G4_W
 
-# the rule's moments ((1 - s)^2, (1 - s) t, t^2) per (cell, s node, t node), in the order of the flattened weights
-_ADJ_MOMENTS = np.stack(np.broadcast_arrays((1.0 - _ADJ_S[:, :, None]) ** 2,
-                                            (1.0 - _ADJ_S[:, :, None]) * _ADJ_T[:, None, :],
-                                            _ADJ_T[:, None, :] ** 2), axis=-1).reshape(-1, 3)
+# the rule's linear factors (1 - s, -t) and moments ((1 - s)^2, (1 - s) t, t^2) per (cell, s node,
+# t node), as rows in the order of the flattened weights, and the product w_s w_t of the node weights
+_ADJ_LINEAR = np.stack(np.broadcast_arrays(1.0 - _ADJ_S[:, :, None], -_ADJ_T[:, None, :])).reshape(2, -1)
+_ADJ_MOMENTS = np.stack([_ADJ_LINEAR[0] ** 2, -_ADJ_LINEAR[0] * _ADJ_LINEAR[1], _ADJ_LINEAR[1] ** 2])
+_ADJ_WW = (_ADJ_W[:, :, None] * _ADJ_W[:, None, :]).reshape(-1)
 
 
 def _gap_integral(gamma: float) -> float:
@@ -111,14 +124,15 @@ def _far_field(mesh, vq: np.ndarray, beta: float, k: float) -> np.ndarray:
     """Per field, the sum of the doubled far-field weights against |vq_i - vq_j|^k over the pairs i < j.
 
     ``vq`` holds one row of Gauss-point values per field.  Each block of
-    the ``fem.pair_blocks`` staircase becomes the weights 2 w_i w_j /
-    |x_i - x_j|^beta in place, zero for j <= i and for pairs from one edge
-    or from adjacent edges; each lane builds the mask of those pairs, and
-    at k != 2 the difference table, once.  At k = 2 each sum is a
-    quadratic form in the values, centred first: with c = vq - mean(vq),
+    the ``fem.pair_blocks`` staircase becomes the weights 1 / |x_i - x_j|^beta
+    in place, times 2 w_i w_j at k != 2, zero for j <= i and for pairs from
+    one edge or from adjacent edges; each lane builds the mask of those
+    pairs, and at k != 2 the difference table, once.  At k = 2 each sum is
+    a quadratic form in the values, centred first: with c = vq - mean(vq),
     row i of a block U adds c_i^2 sum_j U_ij + sum_j U_ij c_j^2 -
-    2 c_i sum_j U_ij c_j, three sums that one product U [c, c^2, 1] writes
-    into row i of a table, and the F fields share the ones column.
+    2 c_i sum_j U_ij c_j, three sums that one product U w [c, c^2, 1] writes
+    into row i of a table, which the walk's end scales by 2 w_i; the F
+    fields share the ones column.
     Centring costs nothing for values within a factor 2 of their mean (the
     subtraction is exact) and keeps a large offset from cancelling in the
     expansion.  Other k add each block's dot products to the totals in
@@ -130,6 +144,7 @@ def _far_field(mesh, vq: np.ndarray, beta: float, k: float) -> np.ndarray:
     if quadratic:
         c = vq - np.mean(vq, axis=1, keepdims=True)
         x = np.column_stack([*c, *(c * c), np.ones(c.shape[1])])
+        x *= qw[:, None]
         p = np.zeros_like(x)
 
     def lane():
@@ -148,8 +163,9 @@ def _far_field(mesh, vq: np.ndarray, beta: float, k: float) -> np.ndarray:
                     table = np.empty(weights.size)
             with np.errstate(divide="ignore"):
                 np.power(weights, -0.5 * beta, out=weights)
-            weights *= 2.0 * qw[rows, None]
-            weights *= qw[None, r0:]
+            if not quadratic:
+                weights *= 2.0 * qw[rows, None]
+                weights *= qw[None, r0:]
             cols = min(near.shape[1], weights.shape[1])
             weights[:, :cols][near[:n, :cols]] = 0.0
             if r0 == 0:
@@ -173,6 +189,7 @@ def _far_field(mesh, vq: np.ndarray, beta: float, k: float) -> np.ndarray:
 
     blocks = fem.pair_blocks(qpts, lane)
     if quadratic:
+        p *= 2.0 * qw[:, None]
         p = p.T
         return np.sum(c * c * p[2 * nf] + p[nf : 2 * nf] - 2.0 * c * p[:nf], axis=1)
     totals = np.zeros(nf)
@@ -186,28 +203,49 @@ def _adjacent_weights(mesh, beta: float) -> np.ndarray:
 
     Edge e runs from x(s) = a + s (b - a) and edge e + 1 from x'(t) = b +
     t (c - b), at the nodes ``_ADJ_S`` and ``_ADJ_T``; the cells grade
-    toward the shared vertex (s, t) = (1, 0).  |x - x'|^2 is summed one
-    coordinate at a time in one (nb, cells, s node, t node) table.
+    toward the shared vertex (s, t) = (1, 0).  With the edge vectors
+    e1 = a - b and e2 = c - b, x - x' = (1 - s) e1 - t e2, so |x - x'|^2 is
+    the Gram row (|e1|^2, -2 e1.e2, |e2|^2) of each vertex against the
+    rule's three moments: one (nb, 3) x (3, 208) product, which never
+    subtracts two nearby points.
     """
     a = mesh.vertices[mesh.boundary_loop]
     b = np.roll(a, -1, axis=0)
-    c = np.roll(a, -2, axis=0)
-    weights = np.zeros((a.shape[0], *_ADJ_S.shape, _G4_NODES.size))
-    diff = np.empty_like(weights)
-    x, xp = np.empty((2, a.shape[0], *_ADJ_S.shape))
-    for ax, bx, cx in zip(a.T, b.T, c.T):
-        np.multiply(_ADJ_S, (bx - ax)[:, None, None], out=x)
-        x += ax[:, None, None]
-        np.multiply(_ADJ_T, (cx - bx)[:, None, None], out=xp)
-        xp += bx[:, None, None]
-        np.subtract(x[..., :, None], xp[..., None, :], out=diff)
-        diff *= diff
-        weights += diff
+    e1, e2 = a - b, np.roll(a, -2, axis=0) - b
+    gram = np.stack([np.sum(e1 * e1, axis=1), -2.0 * np.sum(e1 * e2, axis=1), np.sum(e2 * e2, axis=1)], axis=1)
+    weights = gram @ _ADJ_MOMENTS
     lens = mesh.boundary_edge_lengths
     np.power(weights, -0.5 * beta, out=weights)
-    weights *= (lens * np.roll(lens, -1))[:, None, None, None]
-    weights *= _ADJ_W[None, :, :, None] * _ADJ_W[None, :, None, :]
-    return weights
+    weights *= (lens * np.roll(lens, -1))[:, None]
+    weights *= _ADJ_WW
+    return weights.reshape(a.shape[0], *_ADJ_S.shape, _G4_NODES.size)
+
+
+def _adjacent(mesh, vals: np.ndarray, beta: float, k: float) -> np.ndarray:
+    """Per field (row of ``vals``), the doubled sum of the graded-cell rule against |f_s - f_t|^k.
+
+    On the adjacent edges e, e + 1, f_s - f_t = (1 - s) d1 - t d2 with
+    d1 = v_e - v_{e+1} and d2 = v_{e+2} - v_{e+1}.  At k = 2 the square is
+    d1^2 (1-s)^2 - 2 d1 d2 (1-s) t + d2^2 t^2, so each edge needs its
+    weights' three moments only.  Other k write each field's differences
+    into one reused (nb, 208) table by one (nb, 2) x (2, 208) product,
+    and a BLAS dot product reduces it against the weights.
+    """
+    weights = _adjacent_weights(mesh, beta).reshape(mesh.n_boundary, -1)
+    succ = np.roll(vals, -1, axis=1)
+    d1, d2 = vals - succ, np.roll(vals, -2, axis=1) - succ
+    if k == 2.0:
+        a, b, c = (weights @ _ADJ_MOMENTS.T).T
+        return 2.0 * np.sum(a * d1 * d1 - 2.0 * b * d1 * d2 + c * d2 * d2, axis=1)
+    num = np.empty_like(weights)
+    sums = np.empty(vals.shape[0])
+    for f, d in enumerate(np.stack([d1, d2], axis=2)):
+        np.matmul(d, _ADJ_LINEAR, out=num)
+        np.abs(num, out=num)
+        if k != 1.0:
+            num **= k
+        sums[f] = 2.0 * np.vdot(num, weights)
+    return sums
 
 
 @dataclass
@@ -244,47 +282,32 @@ def gagliardo(*fields: FEField, tau: float, k: float) -> list[FracNormReport]:
     beta = 1.0 + tau * k
     lens = mesh.boundary_edge_lengths
     vals = np.stack([v.values for v in fields])
-    succ = np.roll(vals, -1, axis=1)
+    rec = fem.p1(mesh)
+    vq = rec.at_boundary(vals)
 
     # non-touching pairs i < j, 2x2 Gauss
-    totals = _far_field(mesh, np.stack([fem.interp_boundary(v) for v in fields]), beta, k)
+    totals = _far_field(mesh, vq, beta, k)
 
     # same edge: the P1 integrand depends only on the parameter gap
     gap = _gap_integral(k - beta)
-    totals += np.sum(np.abs(succ - vals) ** k * lens ** (2.0 - beta), axis=1) * gap
+    totals += np.sum(np.abs(np.roll(vals, -1, axis=1) - vals) ** k * lens ** (2.0 - beta), axis=1) * gap
 
     # adjacent edges: graded cells toward the shared-vertex corner (s,t)=(1,0)
-    weights = _adjacent_weights(mesh, beta)
-    after = np.roll(vals, -2, axis=1)
-    if k == 2.0:
-        # f_s - f_t = (1 - s) d1 - t d2 with d1 = v_e - v_{e+1}, d2 = v_{e+2} - v_{e+1}: the
-        # square is d1^2 (1-s)^2 - 2 d1 d2 (1-s) t + d2^2 t^2, so each edge needs its weights'
-        # three moments only
-        d1, d2 = vals - succ, after - succ
-        a, b, c = (weights.reshape(mesh.n_boundary, -1) @ _ADJ_MOMENTS).T
-        totals += 2.0 * np.sum(a * d1 * d1 - 2.0 * b * d1 * d2 + c * d2 * d2, axis=1)
-    else:
-        num = np.empty_like(weights)
-        for f, (v0, v1, v2) in enumerate(zip(vals, succ, after)):
-            fs = v0[:, None, None] + _ADJ_S * (v1 - v0)[:, None, None]
-            ft = v1[:, None, None] + _ADJ_T * (v2 - v1)[:, None, None]
-            np.subtract(fs[..., :, None], ft[..., None, :], out=num)
-            np.abs(num, out=num)
-            if k != 1.0:
-                num **= k
-            totals[f] += 2.0 * np.vdot(num, weights)
+    totals += _adjacent(mesh, vals, beta, k)
 
     if not np.all(np.isfinite(totals)):
         raise FracNormError("Gagliardo accumulation is not finite")
+    # the L^k part of each norm from the same Gauss-point values
+    lk = np.sum(rec.boundary[1] * np.abs(vq) ** k, axis=1)
     return [
         FracNormReport(
             tau=tau,
             k=k,
             quadrature_level=mesh.refinement_level,
             seminorm_I=float(total),
-            full_norm=(fem.lp_norm(v, k) ** k + float(total)) ** (1.0 / k),
+            full_norm=(float(part) + float(total)) ** (1.0 / k),
         )
-        for v, total in zip(fields, totals)
+        for part, total in zip(lk, totals)
     ]
 
 

@@ -13,7 +13,7 @@ import pytest
 import scipy.sparse.linalg as spla
 
 from mixedreg import catalog, fem, geometry, kkt, regularity
-from mixedreg.cli import _fourier_coeffs, _fourier_field
+from mixedreg.cli import _fourier_coeffs, _fourier_fields
 from mixedreg.fracnorm import chain_rule_check, product_check
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -138,7 +138,7 @@ def fourier_sweep():
     chain_max = {}
     for level in levels:
         mesh = geometry.boundary_fan("disk", level)
-        fields = [_fourier_field(mesh, coeffs, 5.0) for coeffs in chain_draws]
+        fields = _fourier_fields(mesh, chain_draws, 5.0)
         chain_max[level] = max(ratio for _, _, ratio in chain_rule_check("sin(t)", fields, 1.0 / 3.0, 2.0))
 
     rng = np.random.default_rng(43)
@@ -146,7 +146,8 @@ def fourier_sweep():
     prod_max = {}
     for level in levels:
         mesh = geometry.boundary_fan("disk", level)
-        pairs = [(_fourier_field(mesh, c1, 2.0), _fourier_field(mesh, c2, 2.0)) for c1, c2 in prod_draws]
+        fields = _fourier_fields(mesh, [c for pair in prod_draws for c in pair], 2.0)
+        pairs = list(zip(fields[::2], fields[1::2]))
         prod_max[level] = max(ratio for _, _, ratio in product_check(pairs, 0.25, 0.5, 0.5, 1.0, 2.0, 2.0))
 
     return {"chain": chain_max, "product": prod_max}

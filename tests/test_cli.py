@@ -297,19 +297,23 @@ def test_regularity_artifacts_are_pinned(tmp_path, config):
 # with the number of fields one gagliardo call contracts in its BLAS product:
 # the level-4 frac-norm, chain_rule.csv and product_rule.csv pins were retaken
 # when each command handed all of its fields to one call, which moved ten
-# values by at most 2.2e-16 relative.  A level-4 walk is one staircase block;
-# the level-8 frac-norm pin walks 64 full-width ones.
+# values by at most 2.2e-16 relative.  The four k = 2 pins were retaken again
+# when the adjacent-edge weights came from the edge vectors and the far field's
+# Gauss weights moved into its BLAS product: the level-8 frac-norm moved by
+# 1.2e-13 relative, the others by at most 4.3e-16; the k = 3 pin held.  A
+# level-4 walk is one staircase block; the level-8 frac-norm pin walks 64
+# full-width ones.
 BOUNDARY_DIGESTS = {
     ("frac-norm", "--tau", "0.5", "--k", "2", "--level", "4", "--field", "x1"):
-        ("fracnorm.csv", "2bb73ac0b73842600003af6711f799925f9de5a462552ec2e36944908cc663af"),
+        ("fracnorm.csv", "5399f057c058bfb89db8393f0ff26fe7b68b92eeaa8956c94772a2dccf29212d"),
     ("frac-norm", "--tau", "0.5", "--k", "2", "--level", "8", "--field", "x1"):
-        ("fracnorm.csv", "11b11862fc74d24086eb51f23163593aa9685e7b7eae0b90eeef501cdc7e81e0"),
+        ("fracnorm.csv", "e1bffa6f722ab7d0432a6f81c5ae0d545e4f78b4e41b5468fc75005c2ee52cb1"),
     ("frac-norm", "--preset", "ellipse", "--tau", "0.3", "--k", "3", "--level", "3", "--field", "x1*x2"):
         ("fracnorm.csv", "e8cf5cc866fdea4d4ef296c925a4a921f2c7ee995477028881cc2c0a4af4b11e"),
     ("chain-rule", "--levels", "3", "4", "--samples", "3"):
-        ("chain_rule.csv", "786f56b312dcc8e1ed45be9bab528953f8d46093ca72c1f3c11eea7bee9d30e8"),
+        ("chain_rule.csv", "2311e3099aab2abe86e3adb871df7a6200c895e6581eebb0a05e503bc08f32af"),
     ("product-rule", "--levels", "3", "4", "--samples", "3"):
-        ("product_rule.csv", "fb3581af4bd785d07cf9b8183a5fb83b96888c793d37f8e8b1767596474c204f"),
+        ("product_rule.csv", "1a98356a5c1c00efa5dd3c1bd4b24abb22d98b9cf8e60cc895b8f78f2fc9d01b"),
 }
 
 
@@ -350,6 +354,22 @@ def test_pinned_artifacts_do_not_depend_on_the_cpu_count(tmp_path):
     assert got == BOUNDARY_DIGESTS
     study, pins = tmp_path / str(len(BOUNDARY_DIGESTS)), REGULARITY_DIGESTS["smooth_constrained"]
     assert {name: hashlib.sha256((study / name).read_bytes()).hexdigest() for name in pins} == pins
+
+
+def test_fourier_fields_match_one_draw_at_a_time():
+    # the modes tabulated once per mesh give each draw's field bit for bit as its own
+    # per-mode sum, so the C8 pins cannot move through the tables
+    mesh = geometry.boundary_fan("ellipse", 4)
+    rng = np.random.default_rng(5)
+    draws = [cli._fourier_coeffs(rng) for _ in range(4)]
+    fields = cli._fourier_fields(mesh, draws, 3.0)
+    t = mesh.boundary_params
+    for (a, b), field in zip(draws, fields):
+        vals = np.zeros_like(t)
+        for m in range(1, len(a) + 1):
+            vals += (a[m - 1] * np.cos(m * t) + b[m - 1] * np.sin(m * t)) / m
+        assert np.array_equal(field.values, vals * (3.0 / float(np.max(np.abs(vals)))))
+        assert np.array_equal(cli._fourier_fields(mesh, [(a, b)], 3.0)[0].values, field.values)
 
 
 @pytest.mark.parametrize("argv", [

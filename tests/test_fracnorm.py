@@ -345,15 +345,44 @@ def test_streamed_mesh_keeps_no_weights(monkeypatch):
 
 def test_level_eight_pass_reuses_its_tables(monkeypatch):
     # each of the staircase walk's two lanes reuses one 2 MiB table and one 0.5 MiB scratch,
-    # and the adjacent-edge rule sums one coordinate at a time: 8.4 MiB.  Fresh tables per
-    # block and the rule's 5-D difference table take it to 13.2 MiB.  Allocation sizes are
-    # fixed by the mesh and the lane count.
+    # and the adjacent-edge rule builds its weights by one product into their own table:
+    # 5.7 MiB.  Fresh tables per block and the rule's 5-D difference table take it to
+    # 13.2 MiB.  Allocation sizes are fixed by the mesh and the lane count.
     monkeypatch.setattr(fem, "_lane_count", lambda blocks: 2)
     m = geometry.boundary_fan("disk", 8)
     v = cos_field(m)
     doubled = fem.boundary_field(m, 2.0 * v.values)
     fem.p1(m).boundary  # the record's quadrature is built once per mesh, outside the pass
     assert traced_peak(lambda: gagliardo(v, doubled, tau=0.5, k=2.0)) < 10 * 2**20
+
+
+def test_many_field_pass_reuses_its_adjacent_table():
+    # 20 fields at k = 1 on 512 edges: the adjacent rule writes every field's differences
+    # into one table the size of its weights (0.85 MB), 2.25 MiB in all.  The bound is the
+    # 2,872,352 bytes that the same call peaked at when each field took its own f(s) and
+    # f(t) tables and the weights summed one coordinate at a time
+    m = geometry.boundary_fan("disk", 6)
+    fields = [random_field(m, seed) for seed in range(20)]
+    fem.p1(m).boundary
+    assert traced_peak(lambda: gagliardo(*fields, tau=0.5, k=1.0)) < 2_872_352
+
+
+@pytest.mark.parametrize("count", [1, 5])
+def test_one_interpolation_per_call(monkeypatch, count):
+    # the far field and every L^k part read the Gauss-point values of one at_boundary call
+    calls = []
+    at_boundary = fem.P1.at_boundary
+
+    def counted(rec, values):
+        calls.append(values.shape)
+        return at_boundary(rec, values)
+
+    monkeypatch.setattr(fem.P1, "at_boundary", counted)
+    m = geometry.boundary_fan("disk", 4)
+    fields = [random_field(m, seed) for seed in range(count)]
+    for k in (1.0, 2.0, 3.5):
+        gagliardo(*fields, tau=0.5, k=k)
+    assert calls == [(count, m.n_boundary)] * 3
 
 
 # ---------------------------------------------------------------------------
@@ -507,17 +536,65 @@ def test_adjacent_moments_match_the_difference_form(level):
     assert near - same_edge == pytest.approx(expected, rel=1e-13, abs=0.0)
 
 
+EXTENDED = pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="np.longdouble is not extended precision")
+ADJ_TABLES = (fracnorm._ADJ_S, fracnorm._ADJ_T, fracnorm._ADJ_W)
+
+
+@EXTENDED
 @pytest.mark.parametrize("level", [3, 6, 8])
 @pytest.mark.parametrize("preset", ["disk", "ellipse"])
 def test_adjacent_weights_match_the_broadcast_oracle(preset, level):
-    # one coordinate at a time, bit for bit as the sum over the xy axis of one 5-D table
+    # against the difference form x(s) - x'(t) in extended precision.  In float64 that form
+    # cancels near the shared vertex and misses the bound at level 8 (by 90-400x), which
+    # is why the package takes |x - x'|^2 from the edge vectors
     m = geometry.boundary_fan(preset, level)
+    loop = m.vertices[m.boundary_loop]
     for tau, k in GOLDEN_PAIRS:
         beta = 1.0 + tau * k
-        expected = oracles.adjacent_weights(
-            m.vertices[m.boundary_loop], fracnorm._ADJ_S, fracnorm._ADJ_T, fracnorm._ADJ_W, beta
-        )
-        assert np.array_equal(fracnorm._adjacent_weights(m, beta), expected)
+        expected = oracles.adjacent_weights(loop, *ADJ_TABLES, beta)
+        got = fracnorm._adjacent_weights(m, beta)
+        assert got.shape == expected.shape
+        assert np.max(np.abs(got - expected) / expected) < 5e-14
+        if level == 8:
+            difference_form = oracles.adjacent_weights(loop, *ADJ_TABLES, beta, dtype=np.float64)
+            assert np.max(np.abs(difference_form - expected) / expected) > 5e-14
+
+
+@st.composite
+def reflex_loops(draw):
+    """A fan mesh around a star-shaped loop whose every other vertex sits at about half the radius.
+
+    Each inner vertex lies inside the chord of its neighbours, so the loop
+    has a reflex corner at every other vertex; the loop is scaled and moved
+    away from the origin, and the fan's centre is the loop's mean.
+    """
+    nb = draw(st.integers(8, 40))
+    steps = draw(arrays(np.float64, nb, elements=st.floats(0.5, 1.5)))
+    radii = draw(arrays(np.float64, nb, elements=st.floats(0.9, 1.1))) * np.where(np.arange(nb) % 2, 0.55, 1.0)
+    scale = draw(st.floats(0.2, 5.0))
+    shift = draw(arrays(np.float64, 2, elements=st.floats(-5.0, 5.0)))
+    th = 2.0 * np.pi * np.cumsum(steps) / np.sum(steps)
+    ring = scale * np.stack([radii * np.cos(th), radii * np.sin(th)], axis=1) + shift
+    k = np.arange(nb)
+    tris = np.stack([np.zeros_like(k), 1 + k, 1 + (k + 1) % nb], axis=1)
+    return geometry.Mesh(vertices=np.vstack([ring.mean(axis=0), ring]), triangles=tris, boundary_loop=1 + k)
+
+
+@EXTENDED
+@PROPERTY_SETTINGS
+@given(reflex_loops(), st.floats(0.05, 0.95), st.sampled_from([1.0, 3.0]) | st.floats(1.0, 6.0).filter(lambda k: k != 2.0),
+       st.integers(0, 2**32 - 1))
+def test_adjacent_rule_on_loops_with_reflex_corners(mesh, tau, k, seed):
+    # the weights, and the k != 2 sum over fields that include two offset by 1e3: a form that
+    # subtracted f(s) and f(t), or x(s) and x'(t), in float64 would miss these bounds
+    beta = 1.0 + tau * k
+    loop = mesh.vertices[mesh.boundary_loop]
+    expected = oracles.adjacent_weights(loop, *ADJ_TABLES, beta)
+    assert np.max(np.abs(fracnorm._adjacent_weights(mesh, beta) - expected) / expected) < 5e-14
+    noise = np.random.default_rng(seed).standard_normal((3, mesh.n_boundary))
+    vals = np.stack([noise[0], 1e3 + noise[1], 1e3 + 0.01 * noise[2]])
+    want = oracles.adjacent_sum(loop, vals, *ADJ_TABLES, beta, k)
+    assert np.max(np.abs(fracnorm._adjacent(mesh, vals, beta, k) - want) / want) < 2e-14
 
 
 @pytest.mark.parametrize("level", [3, 5])
