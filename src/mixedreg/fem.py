@@ -20,12 +20,14 @@ Newton Jacobian uses exactly the quadrature of the residual it
 differentiates.  Load vectors are always M f + T^T (M_b g), T the trace.
 
 The record holds only a weak reference to its mesh, so a dropped mesh
-frees its record at once.  All pair work (``fracnorm``'s far-field
-weights over Gauss points, ``regularity``'s quotients over nodes) maps
-a visit over the row blocks of ``pair_blocks``, whose upper triangles
-j > i hold each unordered pair once.  The blocks are dealt to one lane
-per CPU the process may use, each lane with its own tables, and the
-visits' results come back in block order, so the lane count moves no
+frees its record at once, though a refined mesh keeps its ``coarser``
+meshes and their records alive.  ``prolong`` interpolates a field up
+that chain, over one or more levels.  All pair work (``fracnorm``'s
+far-field weights over Gauss points, ``regularity``'s quotients over
+nodes) maps a visit over the row blocks of ``pair_blocks``, whose upper
+triangles j > i hold each unordered pair once.  The blocks are dealt to
+one lane per CPU the process may use, each lane with its own tables, and
+the visits' results come back in block order, so the lane count moves no
 bit of any result.
 
 Sparse matrices are built only here.  Every linear system goes through
@@ -635,26 +637,22 @@ def solve_linear(op: SparseOperator, rhs: np.ndarray) -> np.ndarray:
 
 
 def prolong(field: FEField, fine: Mesh) -> FEField:
-    """Nodal interpolation of a field onto the uniform refinement of its mesh."""
-    if fine.parents is None:
-        raise FieldError("target mesh carries no refinement parentage")
-    if fine.parents.shape[0] != fine.n_vertices:
-        raise FieldError("parentage table does not match the fine mesh")
-    if int(np.max(fine.parents)) >= field.mesh.n_vertices:
-        raise FieldError("target mesh is not the immediate refinement of the field's mesh")
-    if field.role == "domain":
-        vals = field.values
-        return FEField(fine, "domain", 0.5 * (vals[fine.parents[:, 0]] + vals[fine.parents[:, 1]]))
-    # boundary fields: spread over coarse global indices, then average parents
-    coarse = field.mesh
-    full = np.full(coarse.n_vertices, np.nan)
-    full[coarse.boundary_loop] = field.values
-    loop = fine.boundary_loop
-    p = fine.parents[loop]
-    vals = 0.5 * (full[p[:, 0]] + full[p[:, 1]])
-    if np.any(~np.isfinite(vals)):
-        raise FieldError("fine boundary vertex with non-boundary parents")
-    return FEField(fine, "boundary", vals)
+    """Nodal interpolation of a field onto a mesh whose ``coarser`` chain reaches the field's mesh.
+
+    Each level keeps the values and gives every new midpoint the mean of its edge's ends.
+    """
+    chain = [fine]
+    while chain[-1] is not field.mesh:
+        if chain[-1].coarser is None:
+            raise FieldError("target mesh carries no refinement parentage from the field's mesh")
+        chain.append(chain[-1].coarser)
+    vals = field.values
+    for mesh in reversed(chain[1:]):
+        if field.role == "domain":
+            vals = np.concatenate([vals, 0.5 * (vals[mesh.edges[:, 0]] + vals[mesh.edges[:, 1]])])
+        else:
+            vals = np.stack([vals, 0.5 * (vals + np.roll(vals, -1))], axis=1).reshape(-1)
+    return FEField(fine, field.role, vals)
 
 
 def write_meshfield(field: FEField, path: str) -> None:

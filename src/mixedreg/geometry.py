@@ -1,11 +1,12 @@
 """Triangulated planar domains with piecewise-linear boundary loops.
 
-Meshes are value objects: ``refine`` returns a new mesh and never mutates
-its input, so meshes can be shared freely across solver calls.  ``PRESETS``
-is the one list of analytic domains, the unit disk and an axis-aligned
-ellipse, each by its semi-axes; ``build_mesh(preset, level)`` triangulates
-one, and boundary vertices of preset meshes always lie exactly on the
-analytic curve.
+Meshes are value objects: ``refine`` returns a new mesh that keeps its
+input as ``Mesh.coarser`` and never mutates it, so meshes can be shared
+freely across solver calls and a ``build_mesh`` mesh carries its
+refinement chain down to level 0.  ``PRESETS`` is the one list of
+analytic domains, the unit disk and an axis-aligned ellipse, each by its
+semi-axes; ``build_mesh(preset, level)`` triangulates one, and boundary
+vertices of preset meshes always lie exactly on the analytic curve.
 Validation builds each mesh's edge table once and keeps it on the mesh,
 where ``refine`` reads it to number the new midpoints.  ``boundary_fan``
 meshes only a level's boundary polygon, one fan around the origin, for
@@ -105,10 +106,9 @@ class Mesh:
         for hand-built meshes (refinement then uses chord midpoints).
     boundary_params : (nb,) float array or None
         Curve parameter of each boundary vertex for preset meshes.
-    parents : (n, 2) int array or None
-        For refined meshes, the coarse vertices each fine vertex was
-        derived from (i == parents[i, 0] == parents[i, 1] for carried-over
-        vertices).  Used for nodal prolongation in warm starts.
+    coarser : Mesh or None
+        The mesh ``refine`` split into this one, whose vertices keep their
+        numbers here; None for meshes not made by ``refine``.
     edges : (E, 2) int array
         Undirected edges numbered by first appearance when the sides are
         read triangle by triangle as (a, b), (b, c), (c, a); each edge is
@@ -127,7 +127,7 @@ class Mesh:
     refinement_level: int = 0
     preset: str | None = None
     boundary_params: np.ndarray | None = None
-    parents: np.ndarray | None = None
+    coarser: Mesh | None = field(default=None, compare=False, repr=False)
 
     boundary_edges: np.ndarray = field(init=False)
     boundary_normals: np.ndarray = field(init=False)
@@ -210,7 +210,7 @@ def boundary_fan(preset: str, level: int) -> Mesh:
 
     Its loop vertices, ``boundary_params``, edge lengths and normals are
     the full mesh's bit for bit, from nb + 1 vertices and nb triangles; it
-    carries no refinement parentage.
+    has no coarser mesh.
     """
     if not 0 <= level <= MAX_LEVEL:
         raise MeshError(f"level must lie in [0, {MAX_LEVEL}], got {level}")
@@ -231,7 +231,7 @@ def build_mesh(preset: str, level: int) -> Mesh:
 
     Level 0 is a fan of 8 triangles around the origin; each refinement
     splits every triangle in four and snaps new boundary vertices onto
-    the preset's curve.
+    the preset's curve; the levels below are reached through ``coarser``.
     """
     if not 0 <= level <= MAX_LEVEL:
         raise MeshError(f"level must lie in [0, {MAX_LEVEL}], got {level}")
@@ -246,7 +246,7 @@ def refine(mesh: Mesh) -> Mesh:
 
     New boundary vertices of preset meshes are placed on the analytic
     curve at the parameter midpoint of their edge; hand-built meshes use
-    chord midpoints.
+    chord midpoints.  The new mesh keeps ``mesh`` as its ``coarser``.
     """
     nv = mesh.n_vertices
     edges = mesh.edges
@@ -274,7 +274,7 @@ def refine(mesh: Mesh) -> Mesh:
         refinement_level=mesh.refinement_level + 1,
         preset=mesh.preset,
         boundary_params=fine_params,
-        parents=np.vstack([np.stack([np.arange(nv), np.arange(nv)], axis=1), edges]),
+        coarser=mesh,
     )
 
 

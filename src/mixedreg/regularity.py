@@ -3,23 +3,24 @@
 The continuous regularity statements about optimal solutions cannot be
 verified at a fixed mesh; what can be tested is whether discrete
 Lipschitz proxies stabilize under refinement.  :func:`refinement_study`
-solves the optimality system on consecutive nested meshes by nested
-iteration: the first level's Newton starts from ``kkt.cold_start`` of
-zero controls, and every later level's from the previous optimum's state
-and adjoint prolonged onto the refined mesh, which lies within O(h) of
-the new discrete optimum, so it needs few Newton steps.  It records per
-field and level the Lipschitz estimate, the Hoelder estimates at
-``HOLDER_GAMMAS`` and the solve's Newton steps; each report derives its
-stabilization and divergence flags from those records, and a divergence
-flag needs every level converged.  One streamed pass per role takes the
-quotients |v_i - v_j| / |x_i - x_j|^gamma of every field and exponent over
-the node pairs i < j, walking the ``fem.pair_blocks`` staircase into
-tables that each lane allocates for one walk and keeping nothing but
-each block's maxima: every pair of the boundary loop; every vertex pair
-of a domain, or above ``HOLDER_SUBSAMPLE`` vertices those of a
-fixed-seed subsample of that size.  A domain field's Lipschitz estimate
-is its largest triangle gradient; a boundary field's is its gamma = 1
-quotient over every pair.
+builds the finest mesh and solves the optimality system on its
+refinement chain (``Mesh.coarser``) by nested iteration: the first
+level's Newton starts from ``kkt.cold_start`` of zero controls, and
+every later level's from the previous optimum's state and adjoint
+prolonged onto the next mesh, which lies within O(h) of the new discrete
+optimum, so it needs few Newton steps.  It records per field and level
+the Lipschitz estimate, the Hoelder estimates at ``HOLDER_GAMMAS`` and
+the solve's Newton steps; each report derives its stabilization and
+divergence flags from those records, and a divergence flag needs every
+level converged.  One streamed pass per role takes the quotients
+|v_i - v_j| / |x_i - x_j|^gamma of every field and exponent over the
+node pairs i < j, walking the ``fem.pair_blocks`` staircase into tables
+that each lane allocates for one walk and keeping nothing but each
+block's maxima: every pair of the boundary loop; every vertex pair of a
+domain, or above ``HOLDER_SUBSAMPLE`` vertices those of a fixed-seed
+subsample of that size.  A domain field's Lipschitz estimate is its
+largest triangle gradient; a boundary field's is its gamma = 1 quotient
+over every pair.
 """
 
 from __future__ import annotations
@@ -177,11 +178,11 @@ def refinement_study(
 ) -> dict:
     """Solve the optimality system on nested meshes and track seminorms.
 
-    ``levels`` must be consecutive integers.  The first level's mesh is
-    ``geometry.build_mesh(spec.preset, levels[0])`` and each later
-    level's the refinement of the one before.  The first level's solve
+    ``levels`` must be consecutive non-negative integers.  The last level's
+    mesh is ``geometry.build_mesh(spec.preset, levels[-1])``, each earlier
+    level's the ``coarser`` of the one after.  The first level's solve
     starts from ``kkt.cold_start`` of zero controls, each later level's
-    from the previous level's y and phi prolonged onto the refined mesh.
+    from the previous level's y and phi prolonged onto its mesh.
     A level where the solver does not converge is still recorded (marked
     in the per-level records) and its iterate starts the next level, so
     the study degrades honestly instead of stopping; no level falls back
@@ -192,15 +193,19 @@ def refinement_study(
     levels = [int(l) for l in levels]
     if not levels:
         raise SpecError("level range is empty")
-    if any(b - a != 1 for a, b in zip(levels[:-1], levels[1:])):
-        raise SpecError(f"levels must be consecutive for nested iteration, got {levels}")
+    if levels[0] < 0 or any(b - a != 1 for a, b in zip(levels[:-1], levels[1:])):
+        raise SpecError(f"levels must be consecutive and non-negative for nested iteration, got {levels}")
 
-    mesh = geometry.build_mesh(spec.preset, levels[0])
-    start = kkt.cold_start(spec, fem.domain_field(mesh, 0.0), fem.boundary_field(mesh, 0.0))
+    meshes = [geometry.build_mesh(spec.preset, levels[-1])]
+    for _ in levels[1:]:
+        meshes.insert(0, meshes[0].coarser)
+    start = kkt.cold_start(spec, fem.domain_field(meshes[0], 0.0), fem.boundary_field(meshes[0], 0.0))
 
     reports = {name: RegularityReport(field_name=name) for name in STUDY_FIELDS}
 
-    for idx, level in enumerate(levels):
+    for level, mesh in zip(levels, meshes):
+        if mesh is not meshes[0]:
+            start = (fem.prolong(state.y, mesh), fem.prolong(state.phi, mesh))
         state, rep = kkt.solve_kkt(spec, start, max_iter=max_iter, kkt_tol=kkt_tol)
         h = mesh.mesh_size()
         holder = [(gamma, h) for gamma in HOLDER_GAMMAS]
@@ -220,8 +225,5 @@ def refinement_study(
                         newton_steps=rep.iterations - 1,
                     )
                 )
-        if idx + 1 < len(levels):
-            mesh = geometry.refine(mesh)
-            start = (fem.prolong(state.y, mesh), fem.prolong(state.phi, mesh))
 
     return reports

@@ -557,6 +557,8 @@ def test_invalid_tolerance_or_exponent_is_config_error(tmp_path, capsys, argv, m
         (["product-rule", "--amplitude", "-1"], "--amplitude must be positive and finite"),
         (["regularity", "--config", cfg("smooth_constrained"), "--levels", "3", "5"],
          "levels must be consecutive"),
+        (["regularity", "--config", cfg("smooth_constrained"), "--levels", "-1", "0"],
+         "levels must be consecutive and non-negative"),
     ],
 )
 def test_empty_run_is_config_error(tmp_path, capsys, argv, message):
@@ -570,6 +572,17 @@ def test_empty_run_is_config_error(tmp_path, capsys, argv, message):
     err = capsys.readouterr().err
     assert message in err
     assert err.count("\n") == 1
+
+
+def test_study_checks_its_last_level_before_solving(tmp_path, monkeypatch, capsys):
+    # the finest mesh is built first, so a level past the cap stops the run before any solve
+    monkeypatch.setattr(geometry, "MAX_LEVEL", 3)
+    code, out, summary = run(
+        ["regularity", "--config", cfg("smooth_constrained"), "--levels", "3", "4", "--kkt-tol", "5e-3"], tmp_path
+    )
+    assert code == 2
+    assert summary is None and not (out / "regularity.csv").exists()
+    assert "level must lie in [0, 3], got 4" in capsys.readouterr().err
 
 
 def test_solve_kkt_damping_validation(tmp_path, capsys):

@@ -30,7 +30,7 @@ from mixedreg.fem import (
     write_meshfield,
 )
 from mixedreg.fracnorm import gagliardo
-from mixedreg.geometry import PRESETS, boundary_fan, build_mesh, mesh_from_arrays
+from mixedreg.geometry import PRESETS, boundary_fan, build_mesh, mesh_from_arrays, refine
 from mixedreg.regularity import _pair_quotients
 
 
@@ -667,13 +667,14 @@ def test_solve_state_level_seven_quadratic_tracking(configs, disk):
 
 
 def test_prolong_constant_exact(disk):
-    m, fine = disk(2), disk(3)
-    p = prolong(domain_field(m, 7.5), fine)
+    fine = disk(3)
+    p = prolong(domain_field(fine.coarser, 7.5), fine)
     assert np.all(p.values == 7.5)
 
 
 def test_prolong_linear_interior_exact_boundary_second_order(disk):
-    coarse, fine = disk(3), disk(4)
+    fine = disk(4)
+    coarse = fine.coarser
     lin = domain_field(coarse, coarse.vertices[:, 0] + 2.0 * coarse.vertices[:, 1])
     p = prolong(lin, fine)
     exact = fine.vertices[:, 0] + 2.0 * fine.vertices[:, 1]
@@ -682,9 +683,9 @@ def test_prolong_linear_interior_exact_boundary_second_order(disk):
     assert err[interior].max() < 1e-14
     # new boundary vertices sit on the arc, the parent average on the chord
     assert err.max() < 4e-3
-    coarser = domain_field(disk(4), disk(4).vertices[:, 0])
-    again = prolong(coarser, disk(5))
-    assert np.abs(again.values - disk(5).vertices[:, 0]).max() < err.max() / 3.0
+    finer = disk(5)
+    again = prolong(domain_field(finer.coarser, finer.coarser.vertices[:, 0]), finer)
+    assert np.abs(again.values - finer.vertices[:, 0]).max() < err.max() / 3.0
 
 
 @settings(max_examples=30, deadline=None)
@@ -697,18 +698,20 @@ def test_prolong_exact_on_affine_fields(preset, level, abc):
     # exact wherever the fine vertex is its parents' midpoint: everywhere but
     # the new boundary vertices, which the presets put on the curve
     a, b, c = abc
-    coarse, fine = build_mesh(preset, level), build_mesh(preset, level + 1)
+    fine = build_mesh(preset, level + 1)
+    coarse = fine.coarser
     affine = lambda m: a + b * m.vertices[:, 0] + c * m.vertices[:, 1]
     p = prolong(domain_field(coarse, affine(coarse)), fine)
     loop = fine.boundary_loop
-    new_boundary = loop[fine.parents[loop, 0] != fine.parents[loop, 1]]
+    new_boundary = loop[loop >= coarse.n_vertices]
     on_chord = np.setdiff1d(np.arange(fine.n_vertices), new_boundary)
     tol = 1e-14 * (1.0 + abs(a) + abs(b) + abs(c)) * 4.0
     assert np.max(np.abs(p.values - affine(fine))[on_chord]) <= tol
 
 
 def test_prolong_boundary_field(disk):
-    coarse, fine = disk(2), disk(3)
+    fine = disk(3)
+    coarse = fine.coarser
     v = boundary_field(coarse, np.sin(coarse.boundary_params))
     p = prolong(v, fine)
     assert p.role == "boundary"
@@ -717,9 +720,43 @@ def test_prolong_boundary_field(disk):
     assert np.max(np.abs(p.values[::2] - v.values)) < 1e-15
 
 
+def _parent_means(f, fine):
+    """One level of prolongation as a parent table: each fine vertex the mean of its two parents, a kept one of itself twice."""
+    coarse = f.mesh
+    kept = np.arange(coarse.n_vertices)
+    parents = np.vstack([np.stack([kept, kept], axis=1), coarse.edges])
+    full = f.values
+    if f.role == "boundary":
+        full = np.full(coarse.n_vertices, np.nan)
+        full[coarse.boundary_loop] = f.values
+        parents = parents[fine.boundary_loop]
+    return 0.5 * (full[parents[:, 0]] + full[parents[:, 1]])
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_prolong_over_levels_is_the_one_level_prolongs_in_turn(preset):
+    fine = build_mesh(preset, 5)
+    middle, coarse = fine.coarser, fine.coarser.coarser
+    rng = np.random.default_rng(3)
+    for f in (domain_field(coarse, rng.standard_normal(coarse.n_vertices)),
+              boundary_field(coarse, rng.standard_normal(coarse.n_boundary))):
+        direct = prolong(f, fine)
+        assert direct.mesh is fine and direct.role == f.role
+        assert np.array_equal(prolong(f, middle).values, _parent_means(f, middle))
+        assert np.array_equal(direct.values, prolong(prolong(f, middle), fine).values)
+        # a field already on the target comes back unchanged
+        assert np.array_equal(prolong(direct, fine).values, direct.values)
+
+
 def test_prolong_rejects_wrong_mesh(disk):
     with pytest.raises(FieldError):
         prolong(domain_field(disk(2), 1.0), disk(4))
+    # fields on meshes the target was not refined from, of its coarser mesh's vertex count or more
+    target = refine(build_mesh("disk", 4))
+    for source in (build_mesh("ellipse", 4), build_mesh("disk", 5)):
+        for f in (domain_field(source, 1.0), boundary_field(source, 1.0)):
+            with pytest.raises(FieldError, match="no refinement parentage from the field's mesh"):
+                prolong(f, target)
 
 
 def test_field_validation(disk):

@@ -203,9 +203,21 @@ def test_boundary_fan_carries_the_full_loop_bit_for_bit(preset, disk):
 
 def test_boundary_fan_has_no_parentage():
     coarse, fan = geometry.boundary_fan("disk", 1), geometry.boundary_fan("disk", 2)
-    assert fan.parents is None
+    assert fan.coarser is None
     with pytest.raises(fem.FieldError, match="no refinement parentage"):
         fem.prolong(fem.boundary_field(coarse, 1.0), fan)
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_build_mesh_carries_its_refinement_chain(preset):
+    # each mesh of the chain is the one build_mesh makes at its level, down to the level-0 fan
+    mesh = build_mesh(preset, 5)
+    for level in range(5, -1, -1):
+        assert mesh.refinement_level == level
+        assert _digest(mesh) == _digest(build_mesh(preset, level))
+        mesh = mesh.coarser
+    assert mesh is None
+    assert refine(_square_fan()).coarser.coarser is None
 
 
 @pytest.mark.parametrize("level", [-1, geometry.MAX_LEVEL + 1])
@@ -240,11 +252,19 @@ def test_mesh_from_arrays_reorients_and_rejects_degenerate():
         mesh_from_arrays(collinear, np.array([[0, 1, 2]]))
 
 
+def _parents(m):
+    """The (n, 2) parent vertices of each vertex: identity rows for the kept ones, then the coarser edges."""
+    if m.coarser is None:
+        return None
+    kept = np.arange(m.coarser.n_vertices)
+    return np.vstack([np.stack([kept, kept], axis=1), m.coarser.edges])
+
+
 def _digest(m):
     """SHA-256 over dtype, shape and bytes of every array that fixes the numbering."""
     h = hashlib.sha256()
     for name in ("vertices", "triangles", "boundary_loop", "boundary_params", "parents"):
-        a = getattr(m, name)
+        a = _parents(m) if name == "parents" else getattr(m, name)
         h.update(name.encode())
         if a is not None:
             a = np.ascontiguousarray(a)

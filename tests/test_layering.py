@@ -179,6 +179,16 @@ def test_two_edge_table_sites():
     assert first <= walk <= last
 
 
+def test_one_refinement_site():
+    # the nested meshes come from one refinement chain: build_mesh refines, every other module
+    # walks ``Mesh.coarser``, and no parentage table is kept beside it
+    sites = {path.name: name_sites(path.read_text(), {"refine"}) for path in sorted(SRC.glob("*.py"))}
+    assert [(name, len(lines)) for name, lines in sites.items() if lines] == [("geometry.py", 1)]
+    first, last = _enclosing((SRC / "geometry.py").read_text(), ast.FunctionDef, "build_mesh")
+    assert first <= sites["geometry.py"][0] <= last
+    assert [path.name for path in sorted(SRC.glob("*.py")) if name_sites(path.read_text(), {"parents"})] == []
+
+
 def function_imports(source):
     """Lines of ``source`` where a function body imports something."""
     lines = []

@@ -131,6 +131,20 @@ def test_study_level_validation(configs):
         refinement_study(configs["constant_kkt"], [])
     with pytest.raises(SpecError, match="consecutive"):
         refinement_study(configs["constant_kkt"], [3, 5])
+    with pytest.raises(SpecError, match="non-negative"):
+        refinement_study(configs["constant_kkt"], [-1, 0])
+
+
+def test_study_solves_on_the_chain_of_its_finest_mesh(configs, monkeypatch):
+    # one mesh build, at the last level; every level's solve runs on a mesh of its coarser chain
+    built, solved = [], []
+    build, solve = geometry.build_mesh, kkt.solve_kkt
+    monkeypatch.setattr(geometry, "build_mesh", lambda *args: built.append(build(*args)) or built[-1])
+    monkeypatch.setattr(kkt, "solve_kkt", lambda spec, start, **kw: solved.append(start[0].mesh) or solve(spec, start, **kw))
+    refinement_study(configs["smooth_constrained"], [2, 3, 4], max_iter=1, kkt_tol=5e-3)
+    (finest,) = built
+    assert finest.refinement_level == 4
+    assert [id(m) for m in solved] == [id(finest.coarser.coarser), id(finest.coarser), id(finest)]
 
 
 def test_study_constant_instance(configs):
