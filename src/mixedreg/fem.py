@@ -28,7 +28,11 @@ nodes) maps a visit over the row blocks of ``pair_blocks``, whose upper
 triangles j > i hold each unordered pair once.  The blocks are dealt to
 one lane per CPU the process may use, each lane with its own tables, and
 the visits' results come back in block order, so the lane count moves no
-bit of any result.
+bit of any result.  Every pair table takes its differences v_i - v_j from
+the factors [v, 1] and [1, -v] of ``difference_factors``, one BLAS product
+whose two terms are products by one, so its sum rounds once and the table
+holds exactly the differences; and its powers from ``power``, which takes
+the reciprocal or the square root where those give ``np.power``'s bits.
 
 Sparse matrices are built only here.  Every linear system goes through
 ``solve_linear``: a sparse LU factorisation for a vector or a block of
@@ -74,6 +78,8 @@ __all__ = [
     "nodal",
     "p1",
     "pair_blocks",
+    "difference_factors",
+    "power",
     "lp_norm",
     "integrate_basis",
     "min_eigenvalue",
@@ -389,7 +395,8 @@ def pair_blocks(points: np.ndarray, lane) -> list:
     """Map ``lane``'s visits over the ``_STAIR_ROWS``-row blocks [r0, r1) of ``points``; results in block order.
 
     A block's d2 pairs its rows i of ``points`` (n, 2) with the points j = r0 ... n - 1,
-    d2 = |x_i - x_j|^2: its entries j > i hold each pair i < j once, and the visit masks
+    d2 = |x_i - x_j|^2, the coordinate differences written from the walk's
+    ``difference_factors``: its entries j > i hold each pair i < j once, and the visit masks
     j <= i.  ``lane()`` is called once per lane and returns that lane's ``visit(block,
     d2)``, block the slice of rows.  Of L lanes, lane t visits blocks t, t + L, ... in
     order; lane 0 runs on the caller's thread, the others on threads of their own, each
@@ -400,6 +407,7 @@ def pair_blocks(points: np.ndarray, lane) -> list:
     first exception a lane raises is raised here, after the other lanes have stopped.
     """
     n = points.shape[0]
+    left, right = difference_factors(points.T)
     starts = range(0, n, _STAIR_ROWS)
     lanes = max(1, min(_lane_count(len(starts)), len(starts)))
     results = [None] * len(starts)
@@ -423,9 +431,9 @@ def pair_blocks(points: np.ndarray, lane) -> list:
                     part = d2[s0 : s0 + chunk]
                     dy = scratch[: part.size].reshape(part.shape)
                     rows = slice(r0 + s0, r0 + s0 + part.shape[0])
-                    np.subtract.outer(points[rows, 0], points[r0:, 0], out=part)
+                    np.matmul(left[0, rows], right[0, :, r0:], out=part)
                     part *= part
-                    np.subtract.outer(points[rows, 1], points[r0:, 1], out=dy)
+                    np.matmul(left[1, rows], right[1, :, r0:], out=dy)
                     dy *= dy
                     part += dy
                 results[b] = visit(block, d2)
@@ -441,6 +449,33 @@ def pair_blocks(points: np.ndarray, lane) -> list:
     if errors:
         raise errors[0]
     return results
+
+
+def difference_factors(values: np.ndarray):
+    """Factors (left, right) = ([v, 1], [1, -v]) of the pair differences of ``values``.
+
+    ``values`` is one coordinate (n,) or a block of fields (F, n); left has
+    shape (..., n, 2) and right (..., 2, n), so that
+    ``np.matmul(left[rows], right[:, j0:], out=table)`` writes v_i - v_j for
+    the rows i and the columns j >= j0.  Both products are by one, so the
+    BLAS sum rounds once and gives the difference bit for bit, whatever
+    kernel or FMA it uses; only the sign of a zero difference can differ,
+    which every caller squares or takes the absolute value of.
+    """
+    ones = np.ones_like(values)
+    return np.stack([values, ones], axis=-1), np.stack([ones, -values], axis=-2)
+
+
+def power(base: np.ndarray, exponent: float, out: np.ndarray) -> np.ndarray:
+    """``np.power(base, exponent, out=out)``, by ``np.reciprocal`` at -1 and ``np.sqrt`` at 0.5.
+
+    Those two give the same bits as ``np.power`` in about half its time.
+    """
+    if exponent == -1.0:
+        return np.reciprocal(base, out=out)
+    if exponent == 0.5:
+        return np.sqrt(base, out=out)
+    return np.power(base, exponent, out=out)
 
 
 def p1(mesh: Mesh) -> P1:

@@ -34,12 +34,17 @@ centres the Gauss-point values of every field and contracts each
 staircase block with the columns w_j [c_1..c_F, c_1^2..c_F^2, 1] in one
 BLAS product, the Gauss weights of the rows applied once after the walk;
 the adjacent edges contract their weights with the three moments.  Other
-k take the differences field by field: a BLAS dot product reduces each
-far-field block against its weights, and the adjacent edges write each
-field's differences by one (nb, 2) x (2, 208) product into one reused
-table.  BLAS picks its kernels for the CPU and the number of columns, so
-results are bit-reproducible on one machine at a fixed BLAS thread count
-and batch, and their last bits can differ between machines or batches.
+k take the differences field by field: each far-field block's come from
+the field's ``fem.difference_factors`` by one (rows, 2) x (2, cols)
+product, exact as a subtraction, and a BLAS dot product reduces them
+against the block's weights; the adjacent edges write each field's
+differences by one (nb, 2) x (2, 208) product into one reused table.
+Both weight tables raise their squared distances to -beta/2 through
+``fem.power``, a reciprocal at beta = 2.  BLAS picks its kernels for the
+CPU and the number of columns, so results are bit-reproducible on one
+machine at a fixed BLAS thread count and batch, and their last bits can
+differ between machines or batches; the far field's difference products are
+exact on every kernel.
 
 Distances are chordal, matching the polygonal boundary representation.
 """
@@ -127,7 +132,8 @@ def _far_field(mesh, vq: np.ndarray, beta: float, k: float) -> np.ndarray:
     the ``fem.pair_blocks`` staircase becomes the weights 1 / |x_i - x_j|^beta
     in place, times 2 w_i w_j at k != 2, zero for j <= i and for pairs from
     one edge or from adjacent edges; each lane builds the mask of those
-    pairs, and at k != 2 the difference table, once.  At k = 2 each sum is
+    pairs, and at k != 2 the difference table, once, which each field's
+    ``fem.difference_factors`` fill block by block.  At k = 2 each sum is
     a quadratic form in the values, centred first: with c = vq - mean(vq),
     row i of a block U adds c_i^2 sum_j U_ij + sum_j U_ij c_j^2 -
     2 c_i sum_j U_ij c_j, three sums that one product U w [c, c^2, 1] writes
@@ -146,6 +152,8 @@ def _far_field(mesh, vq: np.ndarray, beta: float, k: float) -> np.ndarray:
         x = np.column_stack([*c, *(c * c), np.ones(c.shape[1])])
         x *= qw[:, None]
         p = np.zeros_like(x)
+    else:
+        left, right = fem.difference_factors(vq)
 
     def lane():
         near = table = None
@@ -162,7 +170,7 @@ def _far_field(mesh, vq: np.ndarray, beta: float, k: float) -> np.ndarray:
                 if not quadratic:
                     table = np.empty(weights.size)
             with np.errstate(divide="ignore"):
-                np.power(weights, -0.5 * beta, out=weights)
+                fem.power(weights, -0.5 * beta, out=weights)
             if not quadratic:
                 weights *= 2.0 * qw[rows, None]
                 weights *= qw[None, r0:]
@@ -177,8 +185,8 @@ def _far_field(mesh, vq: np.ndarray, beta: float, k: float) -> np.ndarray:
                 return None
             num = table[: weights.size].reshape(weights.shape)
             sums = np.empty(nf)
-            for f, v in enumerate(vq):
-                np.subtract.outer(v[rows], v[r0:], out=num)
+            for f in range(nf):
+                np.matmul(left[f, rows], right[f, :, r0:], out=num)
                 np.abs(num, out=num)
                 if k != 1.0:
                     num **= k
@@ -215,7 +223,7 @@ def _adjacent_weights(mesh, beta: float) -> np.ndarray:
     gram = np.stack([np.sum(e1 * e1, axis=1), -2.0 * np.sum(e1 * e2, axis=1), np.sum(e2 * e2, axis=1)], axis=1)
     weights = gram @ _ADJ_MOMENTS
     lens = mesh.boundary_edge_lengths
-    np.power(weights, -0.5 * beta, out=weights)
+    fem.power(weights, -0.5 * beta, out=weights)
     weights *= (lens * np.roll(lens, -1))[:, None]
     weights *= _ADJ_WW
     return weights.reshape(a.shape[0], *_ADJ_S.shape, _G4_NODES.size)
@@ -285,15 +293,18 @@ def gagliardo(*fields: FEField, tau: float, k: float) -> list[FracNormReport]:
     rec = fem.p1(mesh)
     vq = rec.at_boundary(vals)
 
-    # non-touching pairs i < j, 2x2 Gauss
-    totals = _far_field(mesh, vq, beta, k)
+    # an overflow shows as a non-finite total, which raises below; the lanes of the far field
+    # run under a copy of this context
+    with np.errstate(over="ignore", invalid="ignore"):
+        # non-touching pairs i < j, 2x2 Gauss
+        totals = _far_field(mesh, vq, beta, k)
 
-    # same edge: the P1 integrand depends only on the parameter gap
-    gap = _gap_integral(k - beta)
-    totals += np.sum(np.abs(np.roll(vals, -1, axis=1) - vals) ** k * lens ** (2.0 - beta), axis=1) * gap
+        # same edge: the P1 integrand depends only on the parameter gap
+        gap = _gap_integral(k - beta)
+        totals += np.sum(np.abs(np.roll(vals, -1, axis=1) - vals) ** k * lens ** (2.0 - beta), axis=1) * gap
 
-    # adjacent edges: graded cells toward the shared-vertex corner (s,t)=(1,0)
-    totals += _adjacent(mesh, vals, beta, k)
+        # adjacent edges: graded cells toward the shared-vertex corner (s,t)=(1,0)
+        totals += _adjacent(mesh, vals, beta, k)
 
     if not np.all(np.isfinite(totals)):
         raise FracNormError("Gagliardo accumulation is not finite")

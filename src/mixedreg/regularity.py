@@ -16,7 +16,10 @@ level converged.  One streamed pass per role takes the quotients
 |v_i - v_j| / |x_i - x_j|^gamma of every field and exponent over the
 node pairs i < j, walking the ``fem.pair_blocks`` staircase into tables
 that each lane allocates for one walk and keeping nothing but each
-block's maxima: every pair of the boundary loop; every vertex pair of a
+block's maxima.  The differences come from each field's
+``fem.difference_factors`` and the powers d^gamma from ``fem.power``, so
+they equal a subtraction's values and ``np.power``'s bits.  The
+pairs are every pair of the boundary loop; every vertex pair of a
 domain, or above ``HOLDER_SUBSAMPLE`` vertices those of a fixed-seed
 subsample of that size.  A domain field's Lipschitz estimate is its
 largest triangle gradient; a boundary field's is its gamma = 1 quotient
@@ -69,9 +72,10 @@ def _pair_quotients(fields, exponents) -> list:
     interpolation noise, not field regularity.  Domain fields on meshes
     with more than ``HOLDER_SUBSAMPLE`` vertices are subsampled with a
     fixed-seed generator, so the estimate is deterministic.  Each
-    ``fem.pair_blocks`` block fills one power table per exponent, the
-    last over its distances, one mask per distinct min_distance and, per
-    field and exponent, one difference table that it divides in place:
+    ``fem.pair_blocks`` block fills one power table per exponent (by
+    ``fem.power``), the last over its distances, one mask per distinct
+    min_distance and, per field and exponent, one difference table that
+    the field's ``fem.difference_factors`` write and that it divides in place:
     all views of tables a lane allocates for its first block.  A block
     gives its maxima, and a maximum is exact in any order.
     """
@@ -81,6 +85,7 @@ def _pair_quotients(fields, exponents) -> list:
         keep = np.sort(rng.choice(pts.shape[0], size=HOLDER_SUBSAMPLE, replace=False))
         pts, vals = pts[keep], [v[keep] for v in vals]
     cutoffs = list(dict.fromkeys(min_distance for _, min_distance in exponents))
+    left, right = fem.difference_factors(np.stack(vals))
 
     def lane():
         tables = below = lower = None
@@ -103,13 +108,13 @@ def _pair_quotients(fields, exponents) -> list:
             # the last power overwrites the distances, which no later step reads
             powers.append(d)
             for p, (gamma, min_distance) in zip(powers, exponents):
-                np.power(d, gamma, out=p)
+                fem.power(d, gamma, out=p)
                 np.copyto(p, np.inf, where=nearer[min_distance])
             maxima = []
-            for v in vals:
+            for lf, rf in zip(left, right):
                 row = []
                 for p in powers:
-                    np.subtract.outer(v[block], v[block.start :], out=diff)
+                    np.matmul(lf[block], rf[:, block.start :], out=diff)
                     np.abs(diff, out=diff)
                     row.append(np.max(np.divide(diff, p, out=diff)))
                 maxima.append(row)

@@ -554,6 +554,52 @@ def test_the_callers_errstate_holds_on_every_lane(monkeypatch, target):
         assert fem.pair_blocks(np.zeros((9, 2)), lane) == [None] * 9
 
 
+# finite values from 1e-300 to 1e300 in magnitude, with subnormals and both zeros, and both infinities
+WIDE_FLOATS = st.one_of(
+    st.floats(-1e300, 1e300),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, 1e-300, -1e300, np.inf, -np.inf]),
+)
+# one table for every example, as a lane reuses its table for every block
+DIFFERENCE_TABLE = np.empty(8 * 40)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), fields=st.integers(0, 3), n=st.integers(1, 40))
+def test_difference_factors_write_the_pair_differences(data, fields, n):
+    # fields = 0 is one coordinate (n,), otherwise a block of fields (F, n)
+    shape = (fields, n) if fields else (n,)
+    values = np.array(data.draw(st.lists(WIDE_FLOATS, min_size=n * max(fields, 1), max_size=n * max(fields, 1))))
+    values = values.reshape(shape)
+    r0 = data.draw(st.integers(0, n - 1))
+    rows = slice(r0, data.draw(st.integers(r0 + 1, min(n, r0 + 8))))
+    left, right = fem.difference_factors(values)
+    table = DIFFERENCE_TABLE[: (rows.stop - r0) * (n - r0)].reshape(rows.stop - r0, n - r0)
+    for f, v in enumerate(values.reshape(-1, n)):
+        factors = (left[f], right[f]) if fields else (left, right)
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.matmul(factors[0][rows], factors[1][:, r0:], out=table)
+            want = np.subtract.outer(v[rows], v[r0:])
+        # equal by value (a zero difference may change its sign), NaN where inf - inf is
+        assert np.array_equal(table, want, equal_nan=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    base=st.lists(
+        st.one_of(st.floats(0.0, allow_infinity=True), st.sampled_from([0.0, 5e-324, 1e-310, np.inf])), min_size=1,
+        max_size=50,
+    ),
+    exponent=st.sampled_from([-1.0, 0.5, -0.75]),
+    in_place=st.booleans(),
+)
+def test_power_is_np_power_bit_for_bit(base, exponent, in_place):
+    base = np.array(base)
+    with np.errstate(divide="ignore", over="ignore"):
+        want = np.power(base, exponent)
+        got = fem.power(base, exponent, out=base if in_place else np.empty_like(base))
+    assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+
 def test_pair_blocks_over_the_gauss_points_hold_about_half_the_pairs():
     # the Gagliardo far field walks the 2 nb boundary Gauss points: at level 6 (1024 points)
     # the staircase's blocks hold at most 0.55 of the ordered pairs

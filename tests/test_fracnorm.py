@@ -1,5 +1,7 @@
 """Fractional boundary norms, composition bounds, Lipschitz-limit seminorms."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -106,6 +108,20 @@ def test_validation():
         gagliardo(v, fem.domain_field(m, 1.0), tau=0.5, k=2.0)
     with pytest.raises(FracNormError):
         gagliardo(v, fem.boundary_field(geometry.build_mesh("disk", 1), 1.0), tau=0.5, k=2.0)
+
+
+@pytest.mark.parametrize("lanes", [1, 3])
+@pytest.mark.parametrize("k, amplitude", [(2.0, 1e200), (3.0, 1e150)])
+def test_overflow_raises_without_warnings(monkeypatch, lanes, k, amplitude):
+    # the quadratic form and the powers overflow on every lane; the error is the only signal
+    monkeypatch.setattr(fem, "_STAIR_ROWS", 2)
+    monkeypatch.setattr(fem, "_lane_count", lambda blocks: lanes)
+    m = geometry.boundary_fan("disk", 3)
+    v = fem.boundary_field(m, amplitude * m.vertices[m.boundary_loop, 0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FracNormError, match="not finite"):
+            gagliardo(v, tau=0.5, k=k)
 
 
 # ---------------------------------------------------------------------------

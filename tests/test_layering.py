@@ -466,3 +466,37 @@ def test_one_ellipticity_formula():
     (line,) = sites["fem.py"]
     first, last = _enclosing((SRC / "fem.py").read_text(), ast.FunctionDef, "min_eigenvalue")
     assert first <= line <= last
+
+
+def pair_difference_sites(source):
+    """Lines of ``source`` that name ``subtract.outer``, and lines that call ``np.power``."""
+    outer, power = [], []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Attribute) and node.attr == "outer" and isinstance(node.value, ast.Attribute)
+                and node.value.attr == "subtract"):
+            outer.append(node.lineno)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "power"
+              and isinstance(node.func.value, ast.Name) and node.func.value.id in ("np", "numpy")):
+            power.append(node.lineno)
+    return sorted(outer), sorted(power)
+
+
+def test_one_pair_difference_rule():
+    # pair tables take their differences from fem.difference_factors, and their powers through
+    # fem.power, whose shortcuts give np.power's bits; expressions keeps its own np.power
+    sample = (
+        "np.subtract.outer(v[rows], v[r0:], out=num)\n"
+        "d = numpy.subtract.outer(a, b)\n"
+        "np.power(weights, -0.5 * beta, out=weights)\n"
+        "fem.power(weights, -0.5 * beta, out=weights)\n"
+        "# np.subtract.outer and np.power( in a comment\n"
+        "w = numpy.power(d, gamma)\n"
+    )
+    assert pair_difference_sites(sample) == ([1, 2], [3, 6])
+    sites = {name: pair_difference_sites((SRC / f"{name}.py").read_text()) for name in ("fem", "fracnorm", "regularity")}
+    assert [path.name for path in sorted(SRC.glob("*.py")) if pair_difference_sites(path.read_text())[0]] == []
+    first, last = _enclosing((SRC / "fem.py").read_text(), ast.FunctionDef, "power")
+    assert {name: [line for line in power if not first <= line <= last] for name, (_, power) in sites.items()} == {
+        "fem": [], "fracnorm": [], "regularity": []
+    }
+    assert sites["fem"][1]
