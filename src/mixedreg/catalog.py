@@ -53,6 +53,8 @@ __all__ = [
 
 INVERT_TOL = 1e-13
 MAX_BRACKET_DOUBLINGS = 200
+# the space dimension N of every problem: the meshes are planar
+DIMENSION = 2
 # the value grid of check_assumptions
 VALUE_BOUND = 10.0
 VALUE_COUNT = 33
@@ -61,7 +63,7 @@ VALUE_COUNT = 33
 CONTROL_NAMES = (("L", "g1", "zeta1"), ("ell", "g2", "zeta2"))
 # the config file: its sections in file order, each with its keys in file order.
 # A key names the ProblemSpec field of the same name, except the domain's
-# dimension N and each rho, the slope floor of its zeta.
+# dimension, which may only state DIMENSION, and each rho, the slope floor of its zeta.
 CONFIG_LAYOUT = (
     ("domain", ("preset", "dimension")),
     ("exponents", ("p", "q")),
@@ -70,7 +72,7 @@ CONFIG_LAYOUT = (
     ("constraints", ("g1", "zeta1", "rho1", "g2", "zeta2", "rho2")),
 )
 # the keys whose entries are real numbers; the preset is a name, the dimension
-# an integer and every other entry an expression
+# the number DIMENSION and every other entry an expression
 CONFIG_NUMBERS = frozenset({"p", "q", "lambda1", "lambda2", "mu1", "mu2", "rho1", "rho2"})
 
 
@@ -229,8 +231,8 @@ class ProblemSpec:
 
     Expression fields take either parsed trees or expression strings.
     Non-finite exponents or cost weights, the exponent bounds (p > N/2,
-    q > N-1, p, q >= 2) and the signs of the cost weights are hard
-    construction errors; everything else is diagnosable via
+    q > N-1, p, q >= 2, N = ``DIMENSION``) and the signs of the cost
+    weights are hard construction errors; everything else is diagnosable via
     :func:`check_assumptions`.  ``controls`` groups the fields of each
     control into one :class:`Control` record, which derives its cost slope.
     """
@@ -253,19 +255,16 @@ class ProblemSpec:
     g2: Expr
     zeta1: MonotoneScalar
     zeta2: MonotoneScalar
-    N: int = 2
 
     def __post_init__(self) -> None:
         if self.preset not in geometry.PRESETS:
             raise SpecError(f"unknown mesh preset {self.preset!r}")
-        if self.N < 2:
-            raise SpecError("dimension must be >= 2")
         for name in ("a11", "a12", "a22", "a0", "f", "L", "ell", "g1", "g2"):
             setattr(self, name, _as_expr(getattr(self, name)))
         for name in ("p", "q", "lambda1", "lambda2", "mu1", "mu2"):
             if not np.isfinite(getattr(self, name)):
                 raise SpecError(f"{name} must be finite, got {getattr(self, name)}")
-        violation = exponent_violation(self.N, self.p, self.q)
+        violation = exponent_violation(DIMENSION, self.p, self.q)
         if violation:
             raise SpecError(violation)
         if not (self.lambda1 > 0.0 and self.mu1 > 0.0):
@@ -388,8 +387,8 @@ def check_assumptions(spec: ProblemSpec, mesh) -> AssumptionReport:
 
     def a1():
         weights = [w for c in spec.controls for w in (c.linear, c.power)]
-        ok = bool(exponent_violation(spec.N, spec.p, spec.q) is None and min(weights) > 0.0)
-        detail = (f"p={spec.p}, q={spec.q}, N={spec.N}, weights ({', '.join(map(str, weights))}) "
+        ok = bool(exponent_violation(DIMENSION, spec.p, spec.q) is None and min(weights) > 0.0)
+        detail = (f"p={spec.p}, q={spec.q}, N={DIMENSION}, weights ({', '.join(map(str, weights))}) "
                   f"all positive: {ok}")
         return ok, detail, None
 
@@ -478,8 +477,8 @@ def load_problem_config(path: str) -> ProblemSpec:
             raise ConfigError(f"missing section [{section}]")
     values = {key: _config_value(parser, section, key) for section, keys in CONFIG_LAYOUT for key in keys}
     try:
+        del values["dimension"]
         return ProblemSpec(
-            N=values.pop("dimension"),
             zeta1=MonotoneScalar(values.pop("zeta1"), values.pop("rho1")),
             zeta2=MonotoneScalar(values.pop("zeta2"), values.pop("rho2")),
             **values,
@@ -489,11 +488,11 @@ def load_problem_config(path: str) -> ProblemSpec:
 
 
 def _config_value(parser: configparser.ConfigParser, section: str, key: str):
-    """The entry ``key`` of ``section``: the preset's name, the integer
-    dimension (2 when absent), a number or an expression."""
+    """The entry ``key`` of ``section``: the preset's name, the dimension
+    (``DIMENSION`` when absent, and no other), a number or an expression."""
     if not parser.has_option(section, key):
         if key == "dimension":
-            return 2
+            return DIMENSION
         raise ConfigError(f"missing [{section}] {key}")
     raw = parser.get(section, key)
     if key == "preset":
@@ -507,11 +506,9 @@ def _config_value(parser: configparser.ConfigParser, section: str, key: str):
         number = float(raw)
     except ValueError as exc:
         raise ConfigError(f"[{section}] {key}: not a number: {raw!r}") from exc
-    if key != "dimension":
-        return number
-    if not number.is_integer():
-        raise ConfigError(f"[{section}] {key}: not an integer: {number!r}")
-    return int(number)
+    if key == "dimension" and number != DIMENSION:
+        raise ConfigError(f"[{section}] {key}: the meshes are {DIMENSION}-D, got {raw.strip()!r}")
+    return number
 
 
 def save_problem_config(spec: ProblemSpec, path: str) -> None:
@@ -519,7 +516,7 @@ def save_problem_config(spec: ProblemSpec, path: str) -> None:
 
     Kept without a package caller: it is the write half of the config round trip.
     """
-    values = dict(vars(spec), dimension=spec.N, zeta1=spec.zeta1.expr, rho1=spec.zeta1.rho,
+    values = dict(vars(spec), dimension=DIMENSION, zeta1=spec.zeta1.expr, rho1=spec.zeta1.rho,
                   zeta2=spec.zeta2.expr, rho2=spec.zeta2.rho)
     parser = configparser.ConfigParser(interpolation=None)
     for section, keys in CONFIG_LAYOUT:

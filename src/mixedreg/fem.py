@@ -25,10 +25,12 @@ meshes and their records alive.  ``prolong`` interpolates a field up
 that chain, over one or more levels.  All pair work (``fracnorm``'s
 far-field weights over Gauss points, ``regularity``'s quotients over
 nodes) maps a visit over the row blocks of ``pair_blocks``, whose upper
-triangles j > i hold each unordered pair once.  The blocks are dealt to
-one lane per CPU the process may use, each lane with its own tables, and
-the visits' results come back in block order, so the lane count moves no
-bit of any result.  Every pair table takes its differences v_i - v_j from
+triangles j > i hold each unordered pair once.  The walk owns its memory
+and layout: the blocks are dealt to one lane per CPU the process may
+use, each lane allocates the squared distances' table and the tables the
+visit asks for once, and the visits' results come back in block order,
+so the lane count moves no bit of any result and no visit depends on the
+block height.  Every pair table takes its differences v_i - v_j from
 the factors [v, 1] and [1, -v] of ``difference_factors``, one BLAS product
 whose two terms are products by one, so its sum rounds once and the table
 holds exactly the differences; and its powers from ``power``, which takes
@@ -96,9 +98,7 @@ __all__ = [
 SOLVE_RTOL = 1e-11
 # rows per block of the pair staircase (``pair_blocks``): each lane of a walk over the 2 nb
 # boundary Gauss points fills its blocks into one _STAIR_ROWS x 2 nb table (2 MB at
-# nb = 2048), and the blocks cover 1/2 + _STAIR_ROWS / (4 nb) of the ordered pairs.  Even,
-# so every block of a Gauss-point walk starts on an edge, as ``fracnorm``'s far-field mask
-# requires.
+# nb = 2048), and the blocks cover 1/2 + _STAIR_ROWS / (4 nb) of the ordered pairs
 _STAIR_ROWS = 64
 # rows of a block whose |x_i - x_j|^2 one lane's scratch holds at a time (0.5 MB at nb = 2048), or
 # more where they hold fewer than _SCRATCH_ENTRIES entries, so that a narrow block of a small walk
@@ -391,19 +391,20 @@ def _lane_count(blocks: int) -> int:
     return len(affinity(0)) if affinity is not None else os.cpu_count() or 1
 
 
-def pair_blocks(points: np.ndarray, lane) -> list:
-    """Map ``lane``'s visits over the ``_STAIR_ROWS``-row blocks [r0, r1) of ``points``; results in block order.
+def pair_blocks(points: np.ndarray, visit, work=()) -> list:
+    """Map ``visit`` over the ``_STAIR_ROWS``-row blocks [r0, r1) of ``points``; results in block order.
 
     A block's d2 pairs its rows i of ``points`` (n, 2) with the points j = r0 ... n - 1,
     d2 = |x_i - x_j|^2, the coordinate differences written from the walk's
-    ``difference_factors``: its entries j > i hold each pair i < j once, and the visit masks
-    j <= i.  ``lane()`` is called once per lane and returns that lane's ``visit(block,
-    d2)``, block the slice of rows.  Of L lanes, lane t visits blocks t, t + L, ... in
-    order; lane 0 runs on the caller's thread, the others on threads of their own, each
-    under a copy of the caller's context, so the caller's ``np.errstate`` holds there.
-    Each lane fills its blocks into one table, sized by its first and largest block: a
-    d2 is a contiguous view of it, which the visit may overwrite but must not keep.  A
-    visit may call numpy only.  Every thread is joined before the walk returns, and the
+    ``difference_factors``: its entries j > i hold each pair i < j once, its entries j < i
+    repeat pairs of the block's own rows bit for bit, and the visit masks what it must of
+    j <= i.  ``visit(block, d2, tables)`` takes the slice of rows, d2 and one table of d2's
+    shape per dtype of ``work``.  Of L lanes, lane t visits blocks t, t + L, ... in order;
+    lane 0 runs on the caller's thread, the others on threads of their own, each under a
+    copy of the caller's context, so the caller's ``np.errstate`` holds there.  Each lane
+    allocates d2's table and those of ``work`` once, sized by its first and largest block,
+    and passes contiguous views of them, which the visit may overwrite but must not keep.
+    A visit may call numpy only.  Every thread is joined before the walk returns, and the
     first exception a lane raises is raised here, after the other lanes have stopped.
     """
     n = points.shape[0]
@@ -415,18 +416,18 @@ def pair_blocks(points: np.ndarray, lane) -> list:
 
     def walk(t: int) -> None:
         try:
-            visit, table = lane(), None
+            tables = None
             for b in range(t, len(starts), lanes):
                 if errors:
                     return
                 r0 = starts[b]
                 block = slice(r0, min(r0 + _STAIR_ROWS, n))
                 shape = (block.stop - r0, n - r0)
-                if table is None:
-                    table = np.empty(shape[0] * shape[1])
+                if tables is None:
+                    tables = [np.empty(shape[0] * shape[1], dtype) for dtype in (float, *work)]
                     chunk = min(max(_SCRATCH_ROWS, _SCRATCH_ENTRIES // shape[1]), shape[0])
                     scratch = np.empty(chunk * shape[1])
-                d2 = table[: shape[0] * shape[1]].reshape(shape)
+                d2, *views = (table[: shape[0] * shape[1]].reshape(shape) for table in tables)
                 for s0 in range(0, shape[0], chunk):
                     part = d2[s0 : s0 + chunk]
                     dy = scratch[: part.size].reshape(part.shape)
@@ -436,7 +437,7 @@ def pair_blocks(points: np.ndarray, lane) -> list:
                     np.matmul(left[1, rows], right[1, :, r0:], out=dy)
                     dy *= dy
                     part += dy
-                results[b] = visit(block, d2)
+                results[b] = visit(block, d2, views)
         except BaseException as exc:
             errors.append(exc)
 
@@ -604,7 +605,9 @@ def lp_norm(field: FEField, p: float) -> float:
     else:
         vals = interp_boundary(field)
         _, qw = p1(field.mesh).boundary
-    return float(np.sum(qw * np.abs(vals) ** p) ** (1.0 / p))
+    # a power that overflows gives the norm inf, which the caller sees
+    with np.errstate(over="ignore"):
+        return float(np.sum(qw * np.abs(vals) ** p) ** (1.0 / p))
 
 
 def gradient_per_triangle(field: FEField):

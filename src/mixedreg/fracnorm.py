@@ -10,11 +10,12 @@ supplies the boundary quadrature, the Gauss-point values and the
 ``fem.pair_blocks`` staircase.  The weights of the first and last class
 depend on the mesh and on beta = 1 + tau k only; they are built on every
 call and never kept, so ``gagliardo`` takes every field of a pass at
-once and builds the weights of its beta once for all of them.  A call's
-tables live for one walk: each lane of the staircase fills its blocks
-into one table of its own.  The integrand is symmetric, so the far field
-walks the unordered Gauss-point pairs i < j of the staircase, with the
-factor 2 in its weights.
+once and builds the weights of its beta once for all of them.  The far
+field's visit is a plain function of a block: the walk allocates its
+tables, and the visit masks the near pairs from the block's own rows, so
+it knows neither the lanes nor the block height.  The integrand is
+symmetric, so the far field walks the unordered Gauss-point pairs i < j
+of the staircase, with the factor 2 in its weights.
 
 The adjacent-edge rule subtracts no two nearby points.  On the edges
 a -> b and b -> c, x(s) - x'(t) = (1 - s) e1 - t e2 with the edge
@@ -131,11 +132,12 @@ def _far_field(mesh, vq: np.ndarray, beta: float, k: float) -> np.ndarray:
     ``vq`` holds one row of Gauss-point values per field.  Each block of
     the ``fem.pair_blocks`` staircase becomes the weights 1 / |x_i - x_j|^beta
     in place, times 2 w_i w_j at k != 2, zero for j <= i and for pairs from
-    one edge or from adjacent edges; each lane builds the mask of those
-    pairs, and at k != 2 the difference table, once, which each field's
-    ``fem.difference_factors`` fill block by block.  At k = 2 each sum is
-    a quadratic form in the values, centred first: with c = vq - mean(vq),
-    row i of a block U adds c_i^2 sum_j U_ij + sum_j U_ij c_j^2 -
+    one edge or from adjacent edges.  Each block builds the mask of those
+    pairs from its rows' Gauss-point indices, so every block height gives
+    the same sums; at k != 2 the walk adds a difference table of the
+    block's shape, which each field's ``fem.difference_factors`` fill.  At
+    k = 2 each sum is a quadratic form in the values, centred first: with
+    c = vq - mean(vq), row i of a block U adds c_i^2 sum_j U_ij + sum_j U_ij c_j^2 -
     2 c_i sum_j U_ij c_j, three sums that one product U w [c, c^2, 1] writes
     into row i of a table, which the walk's end scales by 2 w_i; the F
     fields share the ones column.
@@ -155,47 +157,34 @@ def _far_field(mesh, vq: np.ndarray, beta: float, k: float) -> np.ndarray:
     else:
         left, right = fem.difference_factors(vq)
 
-    def lane():
-        near = table = None
+    def visit(rows, weights, tables):
+        r0, n = rows.start, rows.stop - rows.start
+        with np.errstate(divide="ignore"):
+            fem.power(weights, -0.5 * beta, out=weights)
+        if not quadratic:
+            weights *= 2.0 * qw[rows, None]
+            weights *= qw[None, r0:]
+        # row i drops the columns j < 2 (i // 2) + 4: j <= i and the Gauss points of the row's
+        # edge and of the next edge; those of the previous edge lie left of the diagonal
+        cols = min(n + 3, weights.shape[1])
+        weights[:, :cols][np.arange(r0, r0 + cols) < 2 * (np.arange(r0, rows.stop) // 2)[:, None] + 4] = 0.0
+        # the first edge touches the last one across the start of the loop
+        weights[: max(0, 2 - r0), -2:] = 0.0
+        if quadratic:
+            # no two blocks share a row of p
+            np.matmul(weights, x[r0:], out=p[rows])
+            return None
+        (num,) = tables
+        sums = np.empty(nf)
+        for f in range(nf):
+            np.matmul(left[f, rows], right[f, :, r0:], out=num)
+            np.abs(num, out=num)
+            if k != 1.0:
+                num **= k
+            sums[f] = np.vdot(num, weights)
+        return sums
 
-        def visit(rows, weights):
-            nonlocal near, table
-            r0, n = rows.start, rows.stop - rows.start
-            if near is None:
-                # built from the lane's first block, its largest.  Every block starts on an
-                # edge (the staircase height is even), so its row i drops the columns
-                # j < 2 (i // 2) + 4: j <= i and the Gauss points of the row's edge and of the
-                # next edge; those of the previous edge lie left of the diagonal or of the block
-                near = np.arange(n + 2) < 2 * (np.arange(n) // 2)[:, None] + 4
-                if not quadratic:
-                    table = np.empty(weights.size)
-            with np.errstate(divide="ignore"):
-                fem.power(weights, -0.5 * beta, out=weights)
-            if not quadratic:
-                weights *= 2.0 * qw[rows, None]
-                weights *= qw[None, r0:]
-            cols = min(near.shape[1], weights.shape[1])
-            weights[:, :cols][near[:n, :cols]] = 0.0
-            if r0 == 0:
-                # the first edge touches the last one across the start of the loop
-                weights[:2, -2:] = 0.0
-            if quadratic:
-                # no two blocks share a row of p
-                np.matmul(weights, x[r0:], out=p[rows])
-                return None
-            num = table[: weights.size].reshape(weights.shape)
-            sums = np.empty(nf)
-            for f in range(nf):
-                np.matmul(left[f, rows], right[f, :, r0:], out=num)
-                np.abs(num, out=num)
-                if k != 1.0:
-                    num **= k
-                sums[f] = np.vdot(num, weights)
-            return sums
-
-        return visit
-
-    blocks = fem.pair_blocks(qpts, lane)
+    blocks = fem.pair_blocks(qpts, visit, () if quadratic else (float,))
     if quadratic:
         p *= 2.0 * qw[:, None]
         p = p.T
@@ -274,8 +263,8 @@ def gagliardo(*fields: FEField, tau: float, k: float) -> list[FracNormReport]:
     beta = 1 + tau k are built once for all of them.  Requires
     0 < tau < 1 and k >= 1.  P1 fields are Lipschitz along the polygon,
     so the double integral is finite on this whole range; a non-finite
-    accumulation (only possible for degenerate geometry) raises
-    :class:`FracNormError`.
+    accumulation or L^k part (degenerate geometry, or values whose k-th
+    powers overflow) raises :class:`FracNormError`.
     """
     if not fields:
         raise FracNormError("Gagliardo seminorm needs at least one boundary field")
@@ -293,8 +282,8 @@ def gagliardo(*fields: FEField, tau: float, k: float) -> list[FracNormReport]:
     rec = fem.p1(mesh)
     vq = rec.at_boundary(vals)
 
-    # an overflow shows as a non-finite total, which raises below; the lanes of the far field
-    # run under a copy of this context
+    # an overflow shows as a non-finite total or L^k part, which raises below; the lanes of the
+    # far field run under a copy of this context
     with np.errstate(over="ignore", invalid="ignore"):
         # non-touching pairs i < j, 2x2 Gauss
         totals = _far_field(mesh, vq, beta, k)
@@ -306,10 +295,11 @@ def gagliardo(*fields: FEField, tau: float, k: float) -> list[FracNormReport]:
         # adjacent edges: graded cells toward the shared-vertex corner (s,t)=(1,0)
         totals += _adjacent(mesh, vals, beta, k)
 
-    if not np.all(np.isfinite(totals)):
+        # the L^k part of each norm from the same Gauss-point values
+        lk = np.sum(rec.boundary[1] * np.abs(vq) ** k, axis=1)
+
+    if not (np.all(np.isfinite(totals)) and np.all(np.isfinite(lk))):
         raise FracNormError("Gagliardo accumulation is not finite")
-    # the L^k part of each norm from the same Gauss-point values
-    lk = np.sum(rec.boundary[1] * np.abs(vq) ** k, axis=1)
     return [
         FracNormReport(
             tau=tau,

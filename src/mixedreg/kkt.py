@@ -55,15 +55,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fem
-from .catalog import Control, InversionError, ProblemSpec, SpecError, invert_monotone
+from .catalog import DIMENSION, Control, InversionError, ProblemSpec, SpecError, invert_monotone
 from .fem import FEField, LinearSolveError
 from .solvers import (
-    NEWTON_TOL,
     ExponentTable,
     StateSolveReport,
     exponents,
     linearized_matrix,
     newton,
+    newton_tolerance,
     second_variation_matrix,
     semilinear_operator,
     solve_state,
@@ -361,7 +361,7 @@ def _report(spec: ProblemSpec, pt: _Point, kkt_tol: float) -> KKTReport:
     return KKTReport(
         objective=objective(spec, pt.y, u, v),
         residuals=residuals,
-        exponent_table=exponents(float(spec.N), spec.p, spec.q),
+        exponent_table=exponents(float(DIMENSION), spec.p, spec.q),
         iterations=0,
         converged=all(r <= kkt_tol for r in residuals.values()),
     )
@@ -472,13 +472,14 @@ def solve_kkt(
     ``cold_start`` of some controls, or the prolonged optimum of a coarser
     mesh.  Each step of ``solvers.newton`` solves the generalised Jacobian
     system once and backtracks on |F|_2 until the Armijo test holds.
-    Newton iterates until |F|_2 <= NEWTON_TOL
-    * (1 + the norm of both loads), however loose ``kkt_tol`` is, since
+    Newton iterates until |F|_2 <= ``solvers.newton_tolerance`` of the
+    norm of both loads, however loose ``kkt_tol`` is, since
     the max-norm defects scale with the mesh and a loose stop would accept
     wrong active sets; the report then checks every residual against
     ``kkt_tol``.  A stalled line search, a singular Jacobian or
     ``max_iter`` steps end the solve at the last iterate, which has the
-    smallest |F|_2, with ``converged`` False.  Returns (KKTState,
+    smallest |F|_2, with ``converged`` False; a load norm that overflows
+    raises ``solvers.NonlinearSolveError``.  Returns (KKTState,
     KKTReport) with one history row for the initial point and one per step.
     """
     _require_increasing(spec)
@@ -496,7 +497,7 @@ def solve_kkt(
         return pt, pt.residual
 
     def converged(pt: _Point, norm: float) -> bool:
-        return norm <= NEWTON_TOL * (1.0 + pt.load_norm)
+        return norm <= newton_tolerance(pt.load_norm)
 
     history = []
     try:

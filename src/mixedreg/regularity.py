@@ -14,9 +14,9 @@ the solve's Newton steps; each report derives its stabilization and
 divergence flags from those records, and a divergence flag needs every
 level converged.  One streamed pass per role takes the quotients
 |v_i - v_j| / |x_i - x_j|^gamma of every field and exponent over the
-node pairs i < j, walking the ``fem.pair_blocks`` staircase into tables
-that each lane allocates for one walk and keeping nothing but each
-block's maxima.  The differences come from each field's
+node pairs i < j, walking the ``fem.pair_blocks`` staircase with a
+plain visit into tables that the walk allocates, and keeping nothing but
+each block's maxima.  The differences come from each field's
 ``fem.difference_factors`` and the powers d^gamma from ``fem.power``, so
 they equal a subtraction's values and ``np.power``'s bits.  The
 pairs are every pair of the boundary loop; every vertex pair of a
@@ -76,8 +76,9 @@ def _pair_quotients(fields, exponents) -> list:
     ``fem.power``), the last over its distances, one mask per distinct
     min_distance and, per field and exponent, one difference table that
     the field's ``fem.difference_factors`` write and that it divides in place:
-    all views of tables a lane allocates for its first block.  A block
-    gives its maxima, and a maximum is exact in any order.
+    all tables the walk hands the visit, one per dtype of its ``work``.
+    A block gives its maxima, and a maximum is exact in any order, and
+    over any repeats of a pair.
     """
     pts, vals = fields[0].coords(), [f.values for f in fields]
     if fields[0].role == "domain" and pts.shape[0] > HOLDER_SUBSAMPLE:
@@ -87,42 +88,33 @@ def _pair_quotients(fields, exponents) -> list:
     cutoffs = list(dict.fromkeys(min_distance for _, min_distance in exponents))
     left, right = fem.difference_factors(np.stack(vals))
 
-    def lane():
-        tables = below = lower = None
+    def visit(block, d, tables):
+        *powers, diff = tables[: len(exponents)]
+        nearer = dict(zip(cutoffs, tables[len(exponents) :]))
+        np.sqrt(d, out=d)
+        # pairs j < i of the block's own rows repeat pairs i < j bit for bit, which leaves
+        # the maxima as they are; j = i and pairs nearer than min_distance get an infinite
+        # denominator: quotient 0
+        np.fill_diagonal(d, np.inf)
+        for cut, mask in nearer.items():
+            np.less(d, cut, out=mask)
+        # the last power overwrites the distances, which no later step reads
+        powers.append(d)
+        for p, (gamma, min_distance) in zip(powers, exponents):
+            fem.power(d, gamma, out=p)
+            np.copyto(p, np.inf, where=nearer[min_distance])
+        maxima = []
+        for lf, rf in zip(left, right):
+            row = []
+            for p in powers:
+                np.matmul(lf[block], rf[:, block.start :], out=diff)
+                np.abs(diff, out=diff)
+                row.append(np.max(np.divide(diff, p, out=diff)))
+            maxima.append(row)
+        return maxima
 
-        def visit(block, d):
-            nonlocal tables, below, lower
-            rows = d.shape[0]
-            if tables is None:
-                # the lane's first block is its largest: its tables hold every later block's
-                tables = np.empty((len(exponents), d.size))
-                below = np.empty((len(cutoffs), d.size), dtype=bool)
-                lower = np.tri(rows, dtype=bool)  # j <= i
-            *powers, diff = (t[: d.size].reshape(d.shape) for t in tables)
-            nearer = {cut: m[: d.size].reshape(d.shape) for cut, m in zip(cutoffs, below)}
-            np.sqrt(d, out=d)
-            # j <= i and pairs nearer than min_distance get an infinite denominator: quotient 0
-            np.copyto(d[:, :rows], np.inf, where=lower[:rows, :rows])
-            for cut, mask in nearer.items():
-                np.less(d, cut, out=mask)
-            # the last power overwrites the distances, which no later step reads
-            powers.append(d)
-            for p, (gamma, min_distance) in zip(powers, exponents):
-                fem.power(d, gamma, out=p)
-                np.copyto(p, np.inf, where=nearer[min_distance])
-            maxima = []
-            for lf, rf in zip(left, right):
-                row = []
-                for p in powers:
-                    np.matmul(lf[block], rf[:, block.start :], out=diff)
-                    np.abs(diff, out=diff)
-                    row.append(np.max(np.divide(diff, p, out=diff)))
-                maxima.append(row)
-            return maxima
-
-        return visit
-
-    return np.max(fem.pair_blocks(pts, lane), axis=0, initial=0.0).tolist()
+    work = (float,) * len(exponents) + (bool,) * len(cutoffs)
+    return np.max(fem.pair_blocks(pts, visit, work), axis=0, initial=0.0).tolist()
 
 
 @dataclass

@@ -37,6 +37,7 @@ __all__ = [
     "NonlinearSolveError",
     "exponents",
     "newton",
+    "newton_tolerance",
     "semilinear_operator",
     "linearized_matrix",
     "second_variation_matrix",
@@ -201,6 +202,18 @@ def newton(x, evaluate, direction, converged, max_iter: int):
         yield point, norm
 
 
+def newton_tolerance(load_norm: float, newton_tol: float = NEWTON_TOL) -> float:
+    """The residual bound newton_tol * (1 + load_norm) at which a Newton solve stops.
+
+    An overflowing load norm would make every residual pass, so a
+    non-finite bound raises :class:`NonlinearSolveError`.
+    """
+    tol = newton_tol * (1.0 + load_norm)
+    if not np.isfinite(tol):
+        raise NonlinearSolveError(f"the load norm is not finite (tolerance {tol:.3e})", [])
+    return tol
+
+
 def solve_states(
     spec: ProblemSpec,
     controls,
@@ -212,7 +225,7 @@ def solve_states(
     Every pair runs its own ``newton`` loop from one start: zero, or the
     state of ``initial``, the report of an earlier solve of the same spec
     on the same mesh.  A pair has converged when its residual drops below
-    newton_tol * (1 + |rhs|).  What the pairs share is done once for the
+    ``newton_tolerance`` of its load.  What the pairs share is done once for the
     block: F at the start, and the first Newton direction of every pair
     not converged there, from one ``fem.solve_linear`` call on the (n, k)
     block of their residuals with the linearization at the start.  A
@@ -231,7 +244,8 @@ def solve_states(
     if not 0.0 < newton_tol < 1.0:
         raise SpecError("newton_tol must lie in (0, 1)")
     loads = fem.p1(mesh).load(*(np.column_stack([pair[i].values for pair in controls]) for i in (0, 1)))
-    tols = [newton_tol * (1.0 + float(np.linalg.norm(b))) for b in loads.T]
+    with np.errstate(over="ignore"):
+        tols = [newton_tolerance(float(np.linalg.norm(b)), newton_tol) for b in loads.T]
     if initial is None:
         y0 = np.zeros(mesh.n_vertices)
         at_y0 = semilinear_operator(spec, FEField(mesh, "domain", y0))
@@ -276,7 +290,7 @@ def _solve_pair(spec: ProblemSpec, mesh, y0: np.ndarray, r0: np.ndarray, step0, 
     history = []
     for y, rnorm in newton(y0, evaluate, direction, lambda _, norm: norm <= tol, NEWTON_MAX_ITER):
         history.append(rnorm)
-    if rnorm > tol:
+    if not rnorm <= tol:
         if len(history) > NEWTON_MAX_ITER:
             message = (
                 f"Newton did not converge in {NEWTON_MAX_ITER} iterations "

@@ -88,7 +88,6 @@ def quadratic_spec():
         g2="y - 100",
         zeta1=("t", 1.0),
         zeta2=("t", 1.0),
-        N=2,
     )
 
 

@@ -67,7 +67,7 @@ def test_c2_manufactured_state_convergence(disk, verdict):
         spec = catalog.ProblemSpec(
             preset="disk", p=2.0, q=2.0, lambda1=1.0, lambda2=1.0, mu1=1.0, mu2=1.0,
             a11="1", a12="0", a22="1", a0="1", f="y^3", L="y^2", ell="y^2",
-            g1="y", g2="y", zeta1=("t", 1.0), zeta2=("t", 1.0), N=2,
+            g1="y", g2="y", zeta1=("t", 1.0), zeta2=("t", 1.0),
         )
         y_fn, u_fn, v_fn = oracles.mms_disk_instance()
         l2, mx = [], []

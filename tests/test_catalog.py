@@ -17,6 +17,7 @@ from mixedreg.catalog import (
     ProblemSpec,
     SpecError,
     check_assumptions,
+    exponent_violation,
     invert_monotone,
     load_problem_config,
     save_problem_config,
@@ -44,7 +45,6 @@ def base_spec(**overrides):
         g2="y",
         zeta1=("t", 1.0),
         zeta2=("t", 1.0),
-        N=2,
     )
     kw.update(overrides)
     return ProblemSpec(**kw)
@@ -191,9 +191,7 @@ def test_spec_rejects_bad_exponents():
     with pytest.raises(SpecError):
         base_spec(p=1.5)
     with pytest.raises(SpecError):
-        base_spec(q=0.9, N=2)
-    with pytest.raises(SpecError):
-        base_spec(N=1)
+        base_spec(q=0.9)
 
 
 # the bounds N/2 and N-1 for N = 2..5, and 2, so that every boundary case is drawn
@@ -203,23 +201,24 @@ _EXPONENT = st.one_of(st.sampled_from([1.0, 1.5, 2.0, 2.5, 3.0, 4.0]), st.floats
 @settings(max_examples=60, deadline=None)
 @given(N=st.integers(2, 5), p=_EXPONENT, q=_EXPONENT)
 def test_exponent_bounds_agree_across_callers(disk, N, p, q):
-    """exponents, ProblemSpec and check A1 apply one rule with one message."""
+    """exponents applies exponent_violation's rule and message at every N; ProblemSpec and check A1 at N = 2."""
     try:
         exponents(N, p, q)
         table_error = None
     except SpecError as exc:
         table_error = str(exc)
+    assert table_error == exponent_violation(N, p, q)
     try:
-        base_spec(N=N, p=p, q=q)
+        base_spec(p=p, q=q)
         spec_error = None
     except SpecError as exc:
         spec_error = str(exc)
-    assert table_error == spec_error
+    assert spec_error == exponent_violation(2, p, q)
     spec = base_spec()  # positive weights; A1 then reads the exponents alone
-    spec.N, spec.p, spec.q = N, p, q
+    spec.p, spec.q = p, q
     a1 = check_assumptions(spec, disk(1)).checks[0]
     assert a1.name == "A1-exponents-weights"
-    assert a1.passed == (table_error is None)
+    assert a1.passed == (spec_error is None)
 
 
 def test_spec_rejects_bad_weights():
@@ -410,7 +409,7 @@ def test_config_roundtrip_is_exact(tmp_path_factory, configs, data):
     path = tmp_path_factory.getbasetemp() / "roundtrip.cfg"
     save_problem_config(spec, str(path))
     again = load_problem_config(str(path))
-    for name in ("preset", "N", "p", "q", "lambda1", "lambda2", "mu1", "mu2"):
+    for name in ("preset", "p", "q", "lambda1", "lambda2", "mu1", "mu2"):
         assert getattr(again, name) == getattr(spec, name), name
     for name in ("zeta1", "zeta2"):
         zeta, back = getattr(spec, name), getattr(again, name)
@@ -437,13 +436,14 @@ def test_config_bad_number(tmp_path, configs):
         load_problem_config(str(p))
 
 
-@pytest.mark.parametrize("dimension, ok", [("2", True), ("2.0", True), ("2.5", False)])
+@pytest.mark.parametrize("dimension, ok", [("2", True), ("2.0", True), ("2.5", False), ("3", False)])
 def test_config_dimension_must_be_an_integer(tmp_path, configs, dimension, ok):
+    # the meshes are planar: the one integer the key may state is 2
     p = tmp_path / "dim.cfg"
     save_problem_config(configs["quadratic_tracking"], str(p))
     p.write_text(p.read_text().replace("dimension = 2", f"dimension = {dimension}", 1))
     if ok:
-        assert load_problem_config(str(p)).N == 2
+        assert load_problem_config(str(p)).p == configs["quadratic_tracking"].p
     else:
         with pytest.raises(ConfigError, match=r"\[domain\] dimension"):
             load_problem_config(str(p))

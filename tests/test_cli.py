@@ -579,10 +579,11 @@ def test_empty_run_is_config_error(tmp_path, capsys, argv, message):
     [
         ["frac-norm", "--tau", "0.5", "--k", "2", "--level", "3", "--field", "1e200*x1"],
         ["frac-norm", "--tau", "0.5", "--k", "3", "--level", "3", "--field", "1e150*x1"],
+        ["frac-norm", "--tau", "0.5", "--k", "2", "--level", "3", "--field", "1e160"],
     ],
 )
 def test_overflowing_field_fails_with_one_line(tmp_path, argv):
-    # the Gagliardo sums overflow: the error line is all the user sees, no numpy warning
+    # the Gagliardo sums or the L^k part overflow: the error line is all the user sees, no numpy warning
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "mixedreg", "--out", str(tmp_path), *argv],
                           env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True)

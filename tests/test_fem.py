@@ -255,7 +255,7 @@ def test_ellipticity_guard(disk):
     bad = catalog.ProblemSpec(
         preset="disk", p=2.0, q=2.0, lambda1=1.0, lambda2=1.0, mu1=1.0, mu2=1.0,
         a11="-1", a12="0", a22="1", a0="1", f="y", L="y^2", ell="y^2",
-        g1="y", g2="y", zeta1=("t", 1.0), zeta2=("t", 1.0), N=2,
+        g1="y", g2="y", zeta1=("t", 1.0), zeta2=("t", 1.0),
     )
     with pytest.raises(AssemblyError) as err:
         assemble_operator(disk(1), bad)
@@ -410,33 +410,32 @@ def test_reaction_with_zero_coefficients_stores_no_zeros(disk, level):
 )
 def test_pair_blocks_cover_each_pair_of_the_rows_once(n, stair_rows, lanes, seed):
     points = np.random.default_rng(seed).standard_normal((n, 2))
-    visited, opened = [], []
+    visited, opened, lane = [], [], threading.local()
 
-    def lane():
-        opened.append(None)
-        previous = None
-
-        def visit(block, d2):
-            nonlocal previous
-            visited.append(block.start)
-            assert d2.shape == (block.stop - block.start, n - block.start)
-            rows, cols = np.nonzero(np.triu(np.ones(d2.shape, dtype=bool), k=1))
-            i, j = rows + block.start, cols + block.start
-            np.testing.assert_allclose(d2[rows, cols], np.sum((points[i] - points[j]) ** 2, axis=1), rtol=1e-15)
-            # every block of a lane is a view of the lane's one table, which the visit may overwrite
-            assert previous is None or np.shares_memory(previous, d2)
-            d2[...] = np.nan
-            previous = d2
-            return block, list(zip(i.tolist(), j.tolist()))
-
-        return visit
+    def visit(block, d2, tables):
+        visited.append(block.start)
+        assert d2.shape == (block.stop - block.start, n - block.start)
+        rows, cols = np.nonzero(np.triu(np.ones(d2.shape, dtype=bool), k=1))
+        i, j = rows + block.start, cols + block.start
+        np.testing.assert_allclose(d2[rows, cols], np.sum((points[i] - points[j]) ** 2, axis=1), rtol=1e-15)
+        # one contiguous table of d2's shape per dtype of the work
+        assert [(t.dtype, t.shape, t.flags.c_contiguous) for t in tables] == [
+            (np.dtype(float), d2.shape, True), (np.dtype(bool), d2.shape, True)
+        ]
+        # every block of a lane is a view of the lane's tables, which the visit may overwrite
+        if not hasattr(lane, "tables"):
+            lane.tables = [d2, *tables]
+            opened.append(None)
+        assert all(np.shares_memory(first, now) for first, now in zip(lane.tables, [d2, *tables]))
+        d2[...] = np.nan
+        return block, list(zip(i.tolist(), j.tolist()))
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fem, "_STAIR_ROWS", stair_rows)
         mp.setattr(fem, "_lane_count", lambda blocks: lanes)
-        results = fem.pair_blocks(points, lane)
+        results = fem.pair_blocks(points, visit, (float, bool))
     starts = list(range(0, n, stair_rows))
-    # one lane() call per lane, each block visited once, the results in block order: consecutive
+    # one set of tables per lane, each block visited once, the results in block order: consecutive
     # blocks of at most stair_rows rows, each against the points from its first row on
     assert len(opened) == min(lanes, len(starts))
     assert sorted(visited) == starts
@@ -470,13 +469,17 @@ def test_pair_work_does_not_depend_on_the_lane_count(stair_rows, lanes, seed):
             mp.setattr(fem, "_lane_count", lambda blocks: count)
             mp.setattr(fem, "_STAIR_ROWS", stair_rows)
             out = [_pair_quotients(fs, exponents) for fs in quotients.values()]
-            # a Gauss-point walk needs an even height, so that each block starts on an edge
-            mp.setattr(fem, "_STAIR_ROWS", stair_rows + stair_rows % 2)
             out += [[r.seminorm_I for r in gagliardo(*seminorms, tau=0.5, k=k)] for k in (1.0, 2.0, 3.0)]
         return out
 
+    alone = pair_work(1)
     # maxima and block-ordered sums, bit for bit as on one lane
-    assert pair_work(lanes) == pair_work(1)
+    assert pair_work(lanes) == alone
+    # and at any block height the maxima of the default height, and its sums to round-off
+    default = [_pair_quotients(fs, exponents) for fs in quotients.values()]
+    assert alone[:2] == default
+    seminorms_at_default = [[r.seminorm_I for r in gagliardo(*seminorms, tau=0.5, k=k)] for k in (1.0, 2.0, 3.0)]
+    np.testing.assert_allclose(alone[2:], seminorms_at_default, rtol=1e-13)
 
 
 class LaneFault(Exception):
@@ -488,18 +491,15 @@ def test_a_fault_on_another_lane_reaches_the_caller(monkeypatch):
     monkeypatch.setattr(fem, "_lane_count", lambda blocks: 3)
     raisers = []
 
-    def lane():
-        def visit(block, d2):
-            if block.start == 2:  # the first block of the third lane
-                raisers.append(threading.get_ident())
-                raise LaneFault(block.start)
-            return block.start
-
-        return visit
+    def visit(block, d2, tables):
+        if block.start == 2:  # the first block of the third lane
+            raisers.append(threading.get_ident())
+            raise LaneFault(block.start)
+        return block.start
 
     before = threading.active_count()
     with pytest.raises(LaneFault):
-        fem.pair_blocks(np.zeros((12, 2)), lane)
+        fem.pair_blocks(np.zeros((12, 2)), visit)
     assert raisers and raisers[0] != threading.get_ident()
     assert threading.active_count() == before
 
@@ -508,7 +508,7 @@ def test_no_lane_outlives_its_walk(monkeypatch):
     monkeypatch.setattr(fem, "_lane_count", lambda blocks: 3)
     before = threading.active_count()
     points = np.random.default_rng(1).standard_normal((10 * fem._STAIR_ROWS, 2))
-    sums = fem.pair_blocks(points, lambda: lambda block, d2: float(d2.sum()))
+    sums = fem.pair_blocks(points, lambda block, d2, tables: float(d2.sum()))
     assert len(sums) == 10
     assert threading.active_count() == before
 
@@ -518,12 +518,12 @@ def test_more_lanes_than_cores_under_a_short_switch_interval(monkeypatch):
     monkeypatch.setattr(fem, "_STAIR_ROWS", 2)
     points = np.random.default_rng(3).standard_normal((300, 2))
 
-    def visit(block, d2):
+    def visit(block, d2, tables):
         return block.start, float(d2[:, block.stop - block.start :].sum())
 
     def walk(lanes):
         monkeypatch.setattr(fem, "_lane_count", lambda blocks: lanes)
-        return fem.pair_blocks(points, lambda: visit)
+        return fem.pair_blocks(points, visit)
 
     alone = walk(1)
     interval = sys.getswitchinterval()
@@ -541,17 +541,14 @@ def test_the_callers_errstate_holds_on_every_lane(monkeypatch, target):
     monkeypatch.setattr(fem, "_STAIR_ROWS", 1)
     monkeypatch.setattr(fem, "_lane_count", lambda blocks: 3)
 
-    def lane():
-        def visit(block, d2):
-            if block.start == target:  # the first block of lane ``target``
-                np.divide(1.0, np.zeros(1))
-
-        return visit
+    def visit(block, d2, tables):
+        if block.start == target:  # the first block of lane ``target``
+            np.divide(1.0, np.zeros(1))
 
     with np.errstate(divide="raise"), pytest.raises(FloatingPointError):
-        fem.pair_blocks(np.zeros((9, 2)), lane)
+        fem.pair_blocks(np.zeros((9, 2)), visit)
     with np.errstate(divide="ignore"):
-        assert fem.pair_blocks(np.zeros((9, 2)), lane) == [None] * 9
+        assert fem.pair_blocks(np.zeros((9, 2)), visit) == [None] * 9
 
 
 # finite values from 1e-300 to 1e300 in magnitude, with subnormals and both zeros, and both infinities
@@ -607,7 +604,7 @@ def test_pair_blocks_over_the_gauss_points_hold_about_half_the_pairs():
     qpts, _ = fem.p1(m).boundary
     npts = qpts.shape[0]
     assert npts == 1024
-    assert sum(fem.pair_blocks(qpts, lambda: lambda block, d2: d2.size)) <= 0.55 * npts**2
+    assert sum(fem.pair_blocks(qpts, lambda block, d2, tables: d2.size)) <= 0.55 * npts**2
 
 
 def test_solve_linear_nonsymmetric_robinson_operator(disk, identity_spec):

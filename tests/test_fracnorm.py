@@ -305,17 +305,12 @@ def count_pair_blocks(monkeypatch):
     walked = []
     walk = fem.pair_blocks
 
-    def counted(points, lane):
-        def counting_lane():
-            visit = lane()
+    def counted(points, visit, work=()):
+        def counted_visit(block, d2, tables):
+            walked.append(block)
+            return visit(block, d2, tables)
 
-            def counted_visit(block, d2):
-                walked.append(block)
-                return visit(block, d2)
-
-            return counted_visit
-
-        return walk(points, counting_lane)
+        return walk(points, counted_visit, work)
 
     monkeypatch.setattr(fem, "pair_blocks", counted)
     return walked

@@ -19,7 +19,7 @@ def simple_spec(**overrides):
     base = dict(
         preset="disk", p=2.0, q=2.0, lambda1=1.0, lambda2=0.0, mu1=1.0, mu2=0.0,
         a11="1", a12="0", a22="1", a0="1", f="y", L="0", ell="0",
-        g1="y - 1", g2="y - 1", zeta1=("t", 1.0), zeta2=("t", 1.0), N=2,
+        g1="y - 1", g2="y - 1", zeta1=("t", 1.0), zeta2=("t", 1.0),
     )
     base.update(overrides)
     return catalog.ProblemSpec(**base)
@@ -441,6 +441,15 @@ def test_stalled_line_search_is_flagged(configs, disk, monkeypatch):
     y0 = solvers.solve_state(spec, *zero_controls(m)).state
     assert np.array_equal(state.y.values, y0.values)
     assert np.array_equal(state.phi.values, start[1].values)
+
+
+def test_overflowing_load_norm_fails_the_solve(configs, disk):
+    # the tracking load's 2-norm overflows to inf, and |F|_2 <= tol * (1 + inf) would accept the start
+    spec = dataclasses.replace(configs["quadratic_tracking"], L="1e158*(y - 2)^2 / 2")
+    with np.errstate(over="ignore"):
+        start = kkt.cold_start(spec, *zero_controls(disk(2)))
+        with pytest.raises(solvers.NonlinearSolveError, match="load norm is not finite"):
+            kkt.solve_kkt(spec, start)
 
 
 @pytest.mark.parametrize("name", ["smooth_constrained", "jump_bound"])

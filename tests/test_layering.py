@@ -26,6 +26,10 @@ preset names in a literal, so a new domain needs no dispatch elsewhere.
 The Gagliardo quadrature belongs to ``fracnorm``: ``leggauss`` and
 ``DYADIC_LEVELS`` are named in no other module, so ``fem`` supplies the
 boundary quadrature and the pair staircase but no Gagliardo pair rule.
+The pair walk's layout belongs to ``fem`` as well: ``_STAIR_ROWS`` and
+``_lane_count`` are named, and ``nonlocal`` written, in no other module,
+so each visit of ``fem.pair_blocks`` is a plain function of one block
+and no caller keeps tables per lane or knows the block height.
 The elimination order of the factorisations belongs to ``fem`` too: the
 nested dissection is built at one site, ``P1.ordering``, once per mesh,
 and ``permc_spec`` is passed at one site, so no caller picks an ordering.
@@ -390,6 +394,29 @@ def test_one_owner_of_the_gagliardo_rule():
     assert name_sites(sample, GAGLIARDO_RULE) == [1, 2, 3, 5]
     sites = {path.name: name_sites(path.read_text(), GAGLIARDO_RULE) for path in sorted(SRC.glob("*.py"))}
     assert [name for name, lines in sites.items() if lines] == ["fracnorm.py"]
+
+
+WALK_LAYOUT = {"_STAIR_ROWS", "_lane_count"}
+
+
+def walk_layout_sites(source):
+    """Lines of ``source`` that name one of ``WALK_LAYOUT`` or hold a ``nonlocal`` statement."""
+    nonlocals = [node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Nonlocal)]
+    return sorted(name_sites(source, WALK_LAYOUT) + nonlocals)
+
+
+def test_one_owner_of_the_pair_walk_layout():
+    sample = (
+        "rows = fem._STAIR_ROWS\n"
+        "def lane():\n"
+        "    def visit(block, d2):\n"
+        "        nonlocal table\n"
+        "# nonlocal and _lane_count in a comment\n"
+        "lanes = _lane_count(blocks)\n"
+    )
+    assert walk_layout_sites(sample) == [1, 4, 6]
+    sites = {path.name: walk_layout_sites(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert [name for name, lines in sites.items() if lines] == ["fem.py"]
 
 
 def keyword_sites(source, names):

@@ -1,5 +1,7 @@
 """Exponent arithmetic, state solver, linearization, adjoint."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ def cubic_spec():
     return catalog.ProblemSpec(
         preset="disk", p=2.0, q=2.0, lambda1=1.0, lambda2=1.0, mu1=1.0, mu2=1.0,
         a11="1", a12="0", a22="1", a0="1", f="y^3", L="y^2", ell="y^2",
-        g1="y", g2="y", zeta1=("t", 1.0), zeta2=("t", 1.0), N=2,
+        g1="y", g2="y", zeta1=("t", 1.0), zeta2=("t", 1.0),
     )
 
 
@@ -23,7 +25,7 @@ def linear_spec():
     return catalog.ProblemSpec(
         preset="disk", p=2.0, q=2.0, lambda1=1.0, lambda2=1.0, mu1=1.0, mu2=1.0,
         a11="1", a12="0", a22="1", a0="1", f="y", L="y^2", ell="y^2",
-        g1="y", g2="y", zeta1=("t", 1.0), zeta2=("t", 1.0), N=2,
+        g1="y", g2="y", zeta1=("t", 1.0), zeta2=("t", 1.0),
     )
 
 
@@ -110,6 +112,16 @@ def test_state_line_search_stall_raises(configs, disk, monkeypatch):
     with pytest.raises(solvers.NonlinearSolveError, match="line search stalled after 30 halvings") as err:
         solvers.solve_state(configs["quadratic_tracking"], u, v)
     assert len(err.value.residual_history) == 1
+
+
+def test_overflowing_load_norm_fails_the_solve(configs, disk):
+    # |load|_2 overflows to inf and inf <= inf would accept the zero start with no step
+    m = disk(2)
+    u, v = fem.domain_field(m, 1e160), fem.boundary_field(m, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(solvers.NonlinearSolveError, match="load norm is not finite"):
+            solvers.solve_state(configs["quadratic_tracking"], u, v)
 
 
 def test_manufactured_solution_orders(cubic_spec, disk):
