@@ -141,7 +141,7 @@ def invert_monotone(zeta: MonotoneScalar, target):
     for _ in range(MAX_BRACKET_DOUBLINGS + 1):
         flo = zeta.value(-b) - tgt
         fhi = zeta.value(b) - tgt
-        ok = flo * fhi <= 0.0
+        ok = np.sign(flo) * np.sign(fhi) <= 0.0  # a straddle by signs: flo * fhi can overflow
         if np.all(ok):
             break
         b = np.where(ok, b, 2.0 * b)
@@ -465,12 +465,16 @@ def check_assumptions(spec: ProblemSpec, mesh) -> AssumptionReport:
 def load_problem_config(path: str) -> ProblemSpec:
     """Parse a sectioned key-value config file into a ProblemSpec.
 
-    Reads the keys of ``CONFIG_LAYOUT``.  Raises :class:`ConfigError` with
-    the offending section/key for missing entries, malformed numbers, or
-    expressions outside the grammar.
+    Reads the keys of ``CONFIG_LAYOUT``.  Raises :class:`ConfigError` naming
+    the file it cannot read or parse, or the offending section/key for
+    missing entries, malformed numbers, or expressions outside the grammar.
     """
     parser = configparser.ConfigParser(interpolation=None)
-    if not parser.read(path):
+    try:
+        found = parser.read(path)
+    except configparser.Error as exc:  # a repeated key or section, or a line before any section
+        raise ConfigError(f"malformed config file {path!r}: {' '.join(str(exc).split())}") from exc
+    if not found:
         raise ConfigError(f"cannot read config file {path!r}")
     for section, _ in CONFIG_LAYOUT:
         if not parser.has_section(section):

@@ -26,11 +26,10 @@ that chain, over one or more levels.  All pair work (``fracnorm``'s
 far-field weights over Gauss points, ``regularity``'s quotients over
 nodes) maps a visit over the row blocks of ``pair_blocks``, whose upper
 triangles j > i hold each unordered pair once.  The walk owns its memory
-and layout: the blocks are dealt to one lane per CPU the process may
-use, each lane allocates the squared distances' table and the tables the
-visit asks for once, and the visits' results come back in block order,
-so the lane count moves no bit of any result and no visit depends on the
-block height.  Every pair table takes its differences v_i - v_j from
+and layout: it runs on the caller's thread, allocates the squared
+distances' table and the tables the visit asks for once, and returns the
+visits' results in block order, so no visit depends on the block
+height.  Every pair table takes its differences v_i - v_j from
 the factors [v, 1] and [1, -v] of ``difference_factors``, one BLAS product
 whose two terms are products by one, so its sum rounds once and the table
 holds exactly the differences; and its powers from ``power``, which takes
@@ -50,9 +49,6 @@ operator without one, such as the boundary mass, keeps SuperLU's COLAMD.
 
 from __future__ import annotations
 
-import contextvars
-import os
-import threading
 import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -96,11 +92,11 @@ __all__ = [
 
 # relative residual a linear solve must reach to be accepted
 SOLVE_RTOL = 1e-11
-# rows per block of the pair staircase (``pair_blocks``): each lane of a walk over the 2 nb
+# rows per block of the pair staircase (``pair_blocks``): a walk over the 2 nb
 # boundary Gauss points fills its blocks into one _STAIR_ROWS x 2 nb table (2 MB at
 # nb = 2048), and the blocks cover 1/2 + _STAIR_ROWS / (4 nb) of the ordered pairs
 _STAIR_ROWS = 64
-# rows of a block whose |x_i - x_j|^2 one lane's scratch holds at a time (0.5 MB at nb = 2048), or
+# rows of a block whose |x_i - x_j|^2 the walk's scratch holds at a time (0.5 MB at nb = 2048), or
 # more where they hold fewer than _SCRATCH_ENTRIES entries, so that a narrow block of a small walk
 # takes its distances in few calls.  At 1,024 or more columns the scratch is 16 rows.  Twice as
 # many entries (256 KiB) raised the peak RSS of a level 3-5 regularity study by 1.8 MB: glibc
@@ -108,12 +104,6 @@ _STAIR_ROWS = 64
 # stayed on the heap
 _SCRATCH_ROWS = 16
 _SCRATCH_ENTRIES = 2**14
-# a walk of at most this many blocks stays on the caller's thread.  Measured on a 2-CPU
-# machine, a second lane slowed the walks of up to 8 blocks (the k = 2 far field over 512
-# Gauss points by 40%, the quotients over 289 nodes by 35%); the k = 1 and k = 2 far fields
-# of 16 blocks ran from 7% slower to 14% faster for 15-25% more CPU time; the quotients
-# over 1,089 nodes (18 blocks) and the far fields of 32 blocks took 17-36% less wall time
-_SERIAL_BLOCKS = 16
 # largest part of the mesh that the nested dissection (``P1.ordering``) leaves unsplit
 _DISSECTION_LEAF = 64
 
@@ -383,14 +373,6 @@ def _nested_dissection(points: np.ndarray, edges: np.ndarray) -> np.ndarray:
     return np.argsort(key, kind="stable")
 
 
-def _lane_count(blocks: int) -> int:
-    """Lanes for a walk of ``blocks`` blocks: one per CPU this process may use, one for a small walk."""
-    if blocks <= _SERIAL_BLOCKS:
-        return 1
-    affinity = getattr(os, "sched_getaffinity", None)
-    return len(affinity(0)) if affinity is not None else os.cpu_count() or 1
-
-
 def pair_blocks(points: np.ndarray, visit, work=()) -> list:
     """Map ``visit`` over the ``_STAIR_ROWS``-row blocks [r0, r1) of ``points``; results in block order.
 
@@ -399,56 +381,31 @@ def pair_blocks(points: np.ndarray, visit, work=()) -> list:
     ``difference_factors``: its entries j > i hold each pair i < j once, its entries j < i
     repeat pairs of the block's own rows bit for bit, and the visit masks what it must of
     j <= i.  ``visit(block, d2, tables)`` takes the slice of rows, d2 and one table of d2's
-    shape per dtype of ``work``.  Of L lanes, lane t visits blocks t, t + L, ... in order;
-    lane 0 runs on the caller's thread, the others on threads of their own, each under a
-    copy of the caller's context, so the caller's ``np.errstate`` holds there.  Each lane
-    allocates d2's table and those of ``work`` once, sized by its first and largest block,
-    and passes contiguous views of them, which the visit may overwrite but must not keep.
-    A visit may call numpy only.  Every thread is joined before the walk returns, and the
-    first exception a lane raises is raised here, after the other lanes have stopped.
+    shape per dtype of ``work``.  The walk allocates d2's table and those of ``work`` once,
+    sized by the first and largest block, and passes every block contiguous views of them,
+    which the visit may overwrite but must not keep.
     """
     n = points.shape[0]
     left, right = difference_factors(points.T)
-    starts = range(0, n, _STAIR_ROWS)
-    lanes = max(1, min(_lane_count(len(starts)), len(starts)))
-    results = [None] * len(starts)
-    errors = []
-
-    def walk(t: int) -> None:
-        try:
-            tables = None
-            for b in range(t, len(starts), lanes):
-                if errors:
-                    return
-                r0 = starts[b]
-                block = slice(r0, min(r0 + _STAIR_ROWS, n))
-                shape = (block.stop - r0, n - r0)
-                if tables is None:
-                    tables = [np.empty(shape[0] * shape[1], dtype) for dtype in (float, *work)]
-                    chunk = min(max(_SCRATCH_ROWS, _SCRATCH_ENTRIES // shape[1]), shape[0])
-                    scratch = np.empty(chunk * shape[1])
-                d2, *views = (table[: shape[0] * shape[1]].reshape(shape) for table in tables)
-                for s0 in range(0, shape[0], chunk):
-                    part = d2[s0 : s0 + chunk]
-                    dy = scratch[: part.size].reshape(part.shape)
-                    rows = slice(r0 + s0, r0 + s0 + part.shape[0])
-                    np.matmul(left[0, rows], right[0, :, r0:], out=part)
-                    part *= part
-                    np.matmul(left[1, rows], right[1, :, r0:], out=dy)
-                    dy *= dy
-                    part += dy
-                results[b] = visit(block, d2, views)
-        except BaseException as exc:
-            errors.append(exc)
-
-    threads = [threading.Thread(target=contextvars.copy_context().run, args=(walk, t)) for t in range(1, lanes)]
-    for thread in threads:
-        thread.start()
-    walk(0)
-    for thread in threads:
-        thread.join()
-    if errors:
-        raise errors[0]
+    height = min(_STAIR_ROWS, n)
+    tables = [np.empty(height * n, dtype) for dtype in (float, *work)]
+    chunk = min(max(_SCRATCH_ROWS, _SCRATCH_ENTRIES // max(n, 1)), height)
+    scratch = np.empty(chunk * n)
+    results = []
+    for r0 in range(0, n, _STAIR_ROWS):
+        block = slice(r0, min(r0 + _STAIR_ROWS, n))
+        shape = (block.stop - r0, n - r0)
+        d2, *views = (table[: shape[0] * shape[1]].reshape(shape) for table in tables)
+        for s0 in range(0, shape[0], chunk):
+            part = d2[s0 : s0 + chunk]
+            dy = scratch[: part.size].reshape(part.shape)
+            rows = slice(r0 + s0, r0 + s0 + part.shape[0])
+            np.matmul(left[0, rows], right[0, :, r0:], out=part)
+            part *= part
+            np.matmul(left[1, rows], right[1, :, r0:], out=dy)
+            dy *= dy
+            part += dy
+        results.append(visit(block, d2, views))
     return results
 
 
@@ -648,7 +605,9 @@ def solve_linear(op: SparseOperator, rhs: np.ndarray) -> np.ndarray:
     """
     rhs = np.asarray(rhs, dtype=float)
     columns = rhs.reshape(rhs.shape[0], -1)
-    rhs_norms = np.linalg.norm(columns, axis=0)
+    # an overflowing load reaches the user as the Newton tolerance's error, not as a numpy warning
+    with np.errstate(over="ignore"):
+        rhs_norms = np.linalg.norm(columns, axis=0)
     if not np.any(rhs_norms):
         return np.zeros_like(rhs)
     p = op.ordering

@@ -13,7 +13,7 @@ call and never kept, so ``gagliardo`` takes every field of a pass at
 once and builds the weights of its beta once for all of them.  The far
 field's visit is a plain function of a block: the walk allocates its
 tables, and the visit masks the near pairs from the block's own rows, so
-it knows neither the lanes nor the block height.  The integrand is
+it does not know the block height.  The integrand is
 symmetric, so the far field walks the unordered Gauss-point pairs i < j
 of the staircase, with the factor 2 in its weights.
 
@@ -144,7 +144,7 @@ def _far_field(mesh, vq: np.ndarray, beta: float, k: float) -> np.ndarray:
     Centring costs nothing for values within a factor 2 of their mean (the
     subtraction is exact) and keeps a large offset from cancelling in the
     expansion.  Other k add each block's dot products to the totals in
-    block order, whichever lane took the block.
+    block order.
     """
     qpts, qw = fem.p1(mesh).boundary
     nf = vq.shape[0]
@@ -282,8 +282,7 @@ def gagliardo(*fields: FEField, tau: float, k: float) -> list[FracNormReport]:
     rec = fem.p1(mesh)
     vq = rec.at_boundary(vals)
 
-    # an overflow shows as a non-finite total or L^k part, which raises below; the lanes of the
-    # far field run under a copy of this context
+    # an overflow shows as a non-finite total or L^k part, which raises below
     with np.errstate(over="ignore", invalid="ignore"):
         # non-touching pairs i < j, 2x2 Gauss
         totals = _far_field(mesh, vq, beta, k)

@@ -60,6 +60,7 @@ from .fem import FEField, LinearSolveError
 from .solvers import (
     ExponentTable,
     StateSolveReport,
+    euclidean_norm,
     exponents,
     linearized_matrix,
     newton,
@@ -410,7 +411,7 @@ def _point(spec: ProblemSpec, y: FEField, phi: FEField) -> _Point:
         linearized,
         semilinear_operator(spec, y) - state_load,
         linearized.matvec(phi.values) - adjoint_load,
-        float(np.linalg.norm(np.concatenate([state_load, adjoint_load]))),
+        euclidean_norm(np.concatenate([state_load, adjoint_load])),
     )
 
 

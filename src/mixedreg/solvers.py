@@ -36,6 +36,7 @@ __all__ = [
     "StateSolveReport",
     "NonlinearSolveError",
     "exponents",
+    "euclidean_norm",
     "newton",
     "newton_tolerance",
     "semilinear_operator",
@@ -172,6 +173,12 @@ def _check_pair(spec: ProblemSpec, u: FEField, v: FEField):
     return u.mesh
 
 
+def euclidean_norm(r: np.ndarray) -> float:
+    """|r|_2, or inf without a numpy warning where its squares overflow: no tolerance test passes it."""
+    with np.errstate(over="ignore"):
+        return float(np.linalg.norm(r))
+
+
 def newton(x, evaluate, direction, converged, max_iter: int):
     """Damped Newton on F with an Armijo decrease test on |F|_2.
 
@@ -182,7 +189,7 @@ def newton(x, evaluate, direction, converged, max_iter: int):
     halvings of a step give no Armijo decrease.
     """
     point, r = evaluate(x)
-    norm = float(np.linalg.norm(r))
+    norm = euclidean_norm(r)
     yield point, norm
     for _ in range(max_iter):
         if converged(point, norm):
@@ -192,7 +199,7 @@ def newton(x, evaluate, direction, converged, max_iter: int):
         for _ in range(NEWTON_MAX_HALVINGS + 1):
             x_try = x + t * delta
             trial, r_try = evaluate(x_try)
-            norm_try = float(np.linalg.norm(r_try))
+            norm_try = euclidean_norm(r_try)
             if norm_try <= (1.0 - ARMIJO_FACTOR * t) * norm:
                 break
             t *= 0.5
@@ -244,8 +251,7 @@ def solve_states(
     if not 0.0 < newton_tol < 1.0:
         raise SpecError("newton_tol must lie in (0, 1)")
     loads = fem.p1(mesh).load(*(np.column_stack([pair[i].values for pair in controls]) for i in (0, 1)))
-    with np.errstate(over="ignore"):
-        tols = [newton_tolerance(float(np.linalg.norm(b)), newton_tol) for b in loads.T]
+    tols = [newton_tolerance(euclidean_norm(b), newton_tol) for b in loads.T]
     if initial is None:
         y0 = np.zeros(mesh.n_vertices)
         at_y0 = semilinear_operator(spec, FEField(mesh, "domain", y0))

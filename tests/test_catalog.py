@@ -92,6 +92,15 @@ def test_invert_monotone_raises_no_warning_when_newton_overshoots():
     assert np.all(np.abs(flat.value(t) - targets) <= 1e-13 * np.maximum(1.0, np.abs(targets)))
 
 
+def test_invert_monotone_brackets_a_huge_target_without_warnings():
+    # zeta(+-b) - target near 1e160 at both ends of the first bracket: their product overflows
+    steep = MonotoneScalar("2*t", 1.0)
+    targets = np.array([1e160, -1e160, 3.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert invert_monotone(steep, targets).tolist() == [5e159, -5e159, 1.5]
+
+
 def test_invert_monotone_vectorized():
     cubic = MonotoneScalar("t + t^3", 1.0)
     targets = np.array([2.0, 10.0, 0.0, -2.0])
@@ -424,6 +433,17 @@ def test_config_missing_section(tmp_path):
     p = tmp_path / "broken.cfg"
     p.write_text("[domain]\npreset = disk\ndimension = 2\n")
     with pytest.raises(ConfigError):
+        load_problem_config(str(p))
+
+
+@pytest.mark.parametrize("text, reason", [
+    ("[domain]\npreset = disk\npreset = ellipse\n", "option 'preset' in section 'domain' already exists"),
+    ("preset = disk\n", "no section headers"),
+], ids=["duplicate-key", "no-section"])
+def test_config_that_configparser_refuses(tmp_path, text, reason):
+    p = tmp_path / "broken.cfg"
+    p.write_text(text)
+    with pytest.raises(ConfigError, match=f"malformed config file '{p}': .*{reason}"):
         load_problem_config(str(p))
 
 

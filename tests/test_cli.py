@@ -49,6 +49,13 @@ def cfg_copy(tmp_path, name, **settings):
     return str(path)
 
 
+def run_child(argv, tmp_path):
+    """``python -m mixedreg`` with ``argv`` in a fresh interpreter, writing under tmp_path."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "mixedreg", "--out", str(tmp_path / "out"), *argv],
+                          env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True)
+
+
 # ---------------------------------------------------------------------------
 # one run per subcommand
 
@@ -335,14 +342,13 @@ REGULARITY_ARGV = ("regularity", "--config", cfg("smooth_constrained"), "--level
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity")
 def test_pinned_artifacts_do_not_depend_on_the_cpu_count(tmp_path):
-    # C10 across CPU counts: the pair walks of a child confined to one CPU run on one lane,
-    # and every boundary pin and the smooth study's pins hold there as on every CPU
+    # C10 across CPU counts: every boundary pin and the smooth study's pins hold in a child
+    # confined to one CPU as on every CPU
     runs = [["--out", str(tmp_path / str(i)), *argv] for i, argv in enumerate([*BOUNDARY_DIGESTS, REGULARITY_ARGV])]
     child = (
         "import json, os, sys\n"
         "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
-        "from mixedreg import cli, fem\n"
-        "assert fem._lane_count(10**6) == 1\n"
+        "from mixedreg import cli\n"
         "sys.exit(max(cli.main(a) for a in json.loads(sys.argv[1])))"
     )
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
@@ -584,11 +590,18 @@ def test_empty_run_is_config_error(tmp_path, capsys, argv, message):
 )
 def test_overflowing_field_fails_with_one_line(tmp_path, argv):
     # the Gagliardo sums or the L^k part overflow: the error line is all the user sees, no numpy warning
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-m", "mixedreg", "--out", str(tmp_path), *argv],
-                          env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True)
+    proc = run_child(argv, tmp_path)
     assert proc.returncode == 2
     assert proc.stderr == "error: Gagliardo accumulation is not finite\n"
+
+
+def test_overflowing_tracking_cost_fails_with_one_line(tmp_path):
+    # the adjoint load's norm, the bracket of the control inversion and the Newton residual's
+    # norm all overflow on the way to the solver's refusal, which is all the user sees
+    config = cfg_copy(tmp_path, "quadratic_tracking", L="1e158*(y - 2)^2 / 2")
+    proc = run_child(["solve-kkt", "--config", config, "--level", "2"], tmp_path)
+    assert proc.returncode == 3
+    assert proc.stderr == "solver failure: the load norm is not finite (tolerance inf)\n"
 
 
 def test_study_checks_its_last_level_before_solving(tmp_path, monkeypatch, capsys):
@@ -660,6 +673,19 @@ def test_missing_config_is_config_error(tmp_path, capsys):
     assert code == 2
     assert summary is None
     assert "cannot read config file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["[domain]\npreset = disk\npreset = ellipse\n", "preset = disk\n"],
+                         ids=["duplicate-key", "no-section"])
+def test_malformed_config_is_one_config_error_line(tmp_path, capsys, text):
+    path = tmp_path / "malformed.cfg"
+    path.write_text(text)
+    code, _, summary = run(["check", "--config", str(path)], tmp_path)
+    assert code == 2
+    assert summary is None
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: malformed config file {str(path)!r}: ")
+    assert err.count("\n") == 1
 
 
 def test_unknown_subcommand_exits_two(tmp_path, capsys):

@@ -2,8 +2,6 @@
 
 import dataclasses
 import gc
-import sys
-import threading
 import weakref
 
 import numpy as np
@@ -405,12 +403,11 @@ def test_reaction_with_zero_coefficients_stores_no_zeros(disk, level):
 @given(
     n=st.integers(1, 50),
     stair_rows=st.sampled_from([1, 2, 7, fem._STAIR_ROWS]),
-    lanes=st.sampled_from([1, 2, 3, 5]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_pair_blocks_cover_each_pair_of_the_rows_once(n, stair_rows, lanes, seed):
+def test_pair_blocks_cover_each_pair_of_the_rows_once(n, stair_rows, seed):
     points = np.random.default_rng(seed).standard_normal((n, 2))
-    visited, opened, lane = [], [], threading.local()
+    visited, first = [], []
 
     def visit(block, d2, tables):
         visited.append(block.start)
@@ -422,23 +419,20 @@ def test_pair_blocks_cover_each_pair_of_the_rows_once(n, stair_rows, lanes, seed
         assert [(t.dtype, t.shape, t.flags.c_contiguous) for t in tables] == [
             (np.dtype(float), d2.shape, True), (np.dtype(bool), d2.shape, True)
         ]
-        # every block of a lane is a view of the lane's tables, which the visit may overwrite
-        if not hasattr(lane, "tables"):
-            lane.tables = [d2, *tables]
-            opened.append(None)
-        assert all(np.shares_memory(first, now) for first, now in zip(lane.tables, [d2, *tables]))
+        # every block is a view of the walk's tables, which the visit may overwrite
+        if not first:
+            first.extend([d2, *tables])
+        assert all(np.shares_memory(table, now) for table, now in zip(first, [d2, *tables]))
         d2[...] = np.nan
         return block, list(zip(i.tolist(), j.tolist()))
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fem, "_STAIR_ROWS", stair_rows)
-        mp.setattr(fem, "_lane_count", lambda blocks: lanes)
         results = fem.pair_blocks(points, visit, (float, bool))
     starts = list(range(0, n, stair_rows))
-    # one set of tables per lane, each block visited once, the results in block order: consecutive
-    # blocks of at most stair_rows rows, each against the points from its first row on
-    assert len(opened) == min(lanes, len(starts))
-    assert sorted(visited) == starts
+    # each block visited once, in order, the results in block order: consecutive blocks of at
+    # most stair_rows rows, each against the points from its first row on
+    assert visited == starts
     assert [block.start for block, _ in results] == starts
     assert [block.stop for block, _ in results] == starts[1:] + [n]
     assert all(0 < block.stop - block.start <= stair_rows for block, _ in results)
@@ -450,10 +444,9 @@ def test_pair_blocks_cover_each_pair_of_the_rows_once(n, stair_rows, lanes, seed
 @settings(max_examples=12, deadline=None)
 @given(
     stair_rows=st.sampled_from([1, 2, 7, fem._STAIR_ROWS]),
-    lanes=st.sampled_from([1, 2, 3, 5]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_pair_work_does_not_depend_on_the_lane_count(stair_rows, lanes, seed):
+def test_pair_work_does_not_depend_on_the_block_height(stair_rows, seed):
     m = build_mesh("disk", 3)
     rng = np.random.default_rng(seed)
     h = m.mesh_size()
@@ -464,91 +457,17 @@ def test_pair_work_does_not_depend_on_the_lane_count(stair_rows, lanes, seed):
     }
     seminorms = [boundary_field(m, rng.standard_normal(m.n_boundary)) for _ in range(2)]
 
-    def pair_work(count):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(fem, "_lane_count", lambda blocks: count)
-            mp.setattr(fem, "_STAIR_ROWS", stair_rows)
-            out = [_pair_quotients(fs, exponents) for fs in quotients.values()]
-            out += [[r.seminorm_I for r in gagliardo(*seminorms, tau=0.5, k=k)] for k in (1.0, 2.0, 3.0)]
-        return out
+    def pair_work():
+        out = [_pair_quotients(fs, exponents) for fs in quotients.values()]
+        return out + [[r.seminorm_I for r in gagliardo(*seminorms, tau=0.5, k=k)] for k in (1.0, 2.0, 3.0)]
 
-    alone = pair_work(1)
-    # maxima and block-ordered sums, bit for bit as on one lane
-    assert pair_work(lanes) == alone
-    # and at any block height the maxima of the default height, and its sums to round-off
-    default = [_pair_quotients(fs, exponents) for fs in quotients.values()]
-    assert alone[:2] == default
-    seminorms_at_default = [[r.seminorm_I for r in gagliardo(*seminorms, tau=0.5, k=k)] for k in (1.0, 2.0, 3.0)]
-    np.testing.assert_allclose(alone[2:], seminorms_at_default, rtol=1e-13)
-
-
-class LaneFault(Exception):
-    pass
-
-
-def test_a_fault_on_another_lane_reaches_the_caller(monkeypatch):
-    monkeypatch.setattr(fem, "_STAIR_ROWS", 1)
-    monkeypatch.setattr(fem, "_lane_count", lambda blocks: 3)
-    raisers = []
-
-    def visit(block, d2, tables):
-        if block.start == 2:  # the first block of the third lane
-            raisers.append(threading.get_ident())
-            raise LaneFault(block.start)
-        return block.start
-
-    before = threading.active_count()
-    with pytest.raises(LaneFault):
-        fem.pair_blocks(np.zeros((12, 2)), visit)
-    assert raisers and raisers[0] != threading.get_ident()
-    assert threading.active_count() == before
-
-
-def test_no_lane_outlives_its_walk(monkeypatch):
-    monkeypatch.setattr(fem, "_lane_count", lambda blocks: 3)
-    before = threading.active_count()
-    points = np.random.default_rng(1).standard_normal((10 * fem._STAIR_ROWS, 2))
-    sums = fem.pair_blocks(points, lambda block, d2, tables: float(d2.sum()))
-    assert len(sums) == 10
-    assert threading.active_count() == before
-
-
-def test_more_lanes_than_cores_under_a_short_switch_interval(monkeypatch):
-    # every block's result lands in its own slot, however often the lanes are interrupted
-    monkeypatch.setattr(fem, "_STAIR_ROWS", 2)
-    points = np.random.default_rng(3).standard_normal((300, 2))
-
-    def visit(block, d2, tables):
-        return block.start, float(d2[:, block.stop - block.start :].sum())
-
-    def walk(lanes):
-        monkeypatch.setattr(fem, "_lane_count", lambda blocks: lanes)
-        return fem.pair_blocks(points, visit)
-
-    alone = walk(1)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        crowded = walk(8)
-    finally:
-        sys.setswitchinterval(interval)
-    assert crowded == alone
-    assert [start for start, _ in alone] == list(range(0, 300, 2))
-
-
-@pytest.mark.parametrize("target", [0, 1, 2])
-def test_the_callers_errstate_holds_on_every_lane(monkeypatch, target):
-    monkeypatch.setattr(fem, "_STAIR_ROWS", 1)
-    monkeypatch.setattr(fem, "_lane_count", lambda blocks: 3)
-
-    def visit(block, d2, tables):
-        if block.start == target:  # the first block of lane ``target``
-            np.divide(1.0, np.zeros(1))
-
-    with np.errstate(divide="raise"), pytest.raises(FloatingPointError):
-        fem.pair_blocks(np.zeros((9, 2)), visit)
-    with np.errstate(divide="ignore"):
-        assert fem.pair_blocks(np.zeros((9, 2)), visit) == [None] * 9
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fem, "_STAIR_ROWS", stair_rows)
+        walked = pair_work()
+    # at any block height the maxima of the default height, bit for bit, and its sums to round-off
+    default = pair_work()
+    assert walked[:2] == default[:2]
+    np.testing.assert_allclose(walked[2:], default[2:], rtol=1e-13)
 
 
 # finite values from 1e-300 to 1e300 in magnitude, with subnormals and both zeros, and both infinities
@@ -556,7 +475,7 @@ WIDE_FLOATS = st.one_of(
     st.floats(-1e300, 1e300),
     st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, 1e-300, -1e300, np.inf, -np.inf]),
 )
-# one table for every example, as a lane reuses its table for every block
+# one table for every example, as the walk reuses its tables for every block
 DIFFERENCE_TABLE = np.empty(8 * 40)
 
 

@@ -26,10 +26,12 @@ preset names in a literal, so a new domain needs no dispatch elsewhere.
 The Gagliardo quadrature belongs to ``fracnorm``: ``leggauss`` and
 ``DYADIC_LEVELS`` are named in no other module, so ``fem`` supplies the
 boundary quadrature and the pair staircase but no Gagliardo pair rule.
-The pair walk's layout belongs to ``fem`` as well: ``_STAIR_ROWS`` and
-``_lane_count`` are named, and ``nonlocal`` written, in no other module,
-so each visit of ``fem.pair_blocks`` is a plain function of one block
-and no caller keeps tables per lane or knows the block height.
+The pair walk's layout belongs to ``fem`` as well: ``_STAIR_ROWS`` is
+named, and ``nonlocal`` written, in no other module, so each visit of
+``fem.pair_blocks`` is a plain function of one block and no caller
+knows the block height.  The package runs on its caller's thread: no
+module imports ``threading``, ``contextvars``, ``concurrent`` or
+``multiprocessing``, and none names the walk's former ``_lane_count``.
 The elimination order of the factorisations belongs to ``fem`` too: the
 nested dissection is built at one site, ``P1.ordering``, once per mesh,
 and ``permc_spec`` is passed at one site, so no caller picks an ordering.
@@ -53,6 +55,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "mixedreg"
 SPARSE = "scipy.sparse"
+CONCURRENCY = {"threading", "contextvars", "concurrent", "multiprocessing"}
 
 
 def _private(name):
@@ -70,6 +73,12 @@ def _imports_sparse(node):
     return _is_sparse(module) or (module == "scipy" and any(a.name == "sparse" for a in node.names))
 
 
+def _imports_concurrency(node):
+    if isinstance(node, ast.Import):
+        return any(a.name.split(".")[0] in CONCURRENCY for a in node.names)
+    return node.level == 0 and (node.module or "").split(".")[0] in CONCURRENCY
+
+
 def violations(source, module):
     """Layering breaches in the source of package module ``module``, one line of text each."""
     tree = ast.parse(source)
@@ -78,6 +87,8 @@ def violations(source, module):
     for node in ast.walk(tree):
         if isinstance(node, (ast.Import, ast.ImportFrom)) and module != "fem" and _imports_sparse(node):
             found.append(f"line {node.lineno}: imports {SPARSE} outside fem")
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and _imports_concurrency(node):
+            found.append(f"line {node.lineno}: imports a concurrency module")
         if isinstance(node, ast.ImportFrom) and (node.level > 0 or node.module == "mixedreg"
                                                  or (node.module or "").startswith("mixedreg.")):
             for alias in node.names:
@@ -97,6 +108,7 @@ def violations(source, module):
                 found.append(f"line {node.lineno}: uses __dict__")
         elif isinstance(node, ast.Name) and node.id == "__dict__":
             found.append(f"line {node.lineno}: uses __dict__")
+    found += [f"line {line}: names _lane_count" for line in name_sites(source, {"_lane_count"})]
     return found
 
 
@@ -115,13 +127,20 @@ def test_scanner_flags_each_rule():
         "import scipy.sparse as sp\n"
         "from scipy import sparse\n"
         "import scipy.optimize\n"
+        "import threading\n"
+        "from concurrent.futures import ThreadPoolExecutor\n"
+        "import multiprocessing.pool, os\n"
+        "from contextvars import copy_context\n"
+        "lanes = fem._lane_count(blocks)\n"
+        "# threading and _lane_count in a comment\n"
+        "from .threading_notes import plan\n"
     )
-    assert sorted(v.split(":")[0] for v in violations(sample, "kkt")) == [
-        "line 10", "line 11", "line 12", "line 2", "line 4", "line 5", "line 6", "line 8", "line 9"
+    assert sorted(int(v.split(":")[0][5:]) for v in violations(sample, "kkt")) == [
+        2, 4, 5, 6, 8, 9, 10, 11, 12, 14, 15, 16, 17, 18, 18
     ]
-    # fem owns the sparse matrices and the linear solves
-    assert sorted(v.split(":")[0] for v in violations(sample, "fem")) == [
-        "line 2", "line 4", "line 5", "line 6"
+    # fem owns the sparse matrices and the linear solves, but no thread either
+    assert sorted(int(v.split(":")[0][5:]) for v in violations(sample, "fem")) == [
+        2, 4, 5, 6, 14, 15, 16, 17, 18, 18
     ]
 
 
@@ -396,7 +415,7 @@ def test_one_owner_of_the_gagliardo_rule():
     assert [name for name, lines in sites.items() if lines] == ["fracnorm.py"]
 
 
-WALK_LAYOUT = {"_STAIR_ROWS", "_lane_count"}
+WALK_LAYOUT = {"_STAIR_ROWS"}
 
 
 def walk_layout_sites(source):
@@ -408,11 +427,11 @@ def walk_layout_sites(source):
 def test_one_owner_of_the_pair_walk_layout():
     sample = (
         "rows = fem._STAIR_ROWS\n"
-        "def lane():\n"
+        "def walk():\n"
         "    def visit(block, d2):\n"
         "        nonlocal table\n"
-        "# nonlocal and _lane_count in a comment\n"
-        "lanes = _lane_count(blocks)\n"
+        "# nonlocal and _STAIR_ROWS in a comment\n"
+        "height = min(_STAIR_ROWS, n)\n"
     )
     assert walk_layout_sites(sample) == [1, 4, 6]
     sites = {path.name: walk_layout_sites(path.read_text()) for path in sorted(SRC.glob("*.py"))}

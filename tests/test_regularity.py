@@ -68,16 +68,15 @@ def test_holder_deterministic(disk):
     assert np.isfinite(a[0][0]) and a[0][0] > 0.0
 
 
-def test_pair_quotients_reuse_their_tables(disk, monkeypatch):
-    # four subsampled domain fields at the study's exponents: every block of each of the
-    # walk's two lanes fills views of tables the lane allocated once, 6.9 MiB; tables of
-    # its own for each block take it to 8.6 MiB
-    monkeypatch.setattr(fem, "_lane_count", lambda blocks: 2)
+def test_pair_quotients_reuse_their_tables(disk):
+    # four subsampled domain fields at the study's exponents: every block of the walk fills
+    # views of tables it allocated once, 3.79 MiB; tables of its own for each block take it
+    # to 6.97 MiB
     m = disk(5)
     h = m.mesh_size()
     rng = np.random.default_rng(5)
     fields = [fem.domain_field(m, rng.standard_normal(m.n_vertices)) for _ in range(4)]
-    assert traced_peak(lambda: _pair_quotients(fields, [(gamma, h) for gamma in regularity.HOLDER_GAMMAS])) < 7 * 2**20
+    assert traced_peak(lambda: _pair_quotients(fields, [(gamma, h) for gamma in regularity.HOLDER_GAMMAS])) < 5 * 2**20
 
 
 def per_call_holder(f, gamma, min_distance, max_points):
