@@ -182,10 +182,13 @@ def invert_monotone(zeta: MonotoneScalar, target):
 
 
 def exponent_violation(N, p, q) -> str | None:
-    """The first violated bound of p > N/2, p >= 2 and q > N-1, q >= 2, or None.
+    """The first violated bound of finite p and q, p > N/2, p >= 2 and q > N-1, q >= 2, or None.
 
     The message formats N as the caller passes it.
     """
+    for name, value in (("p", p), ("q", q)):
+        if not np.isfinite(value):
+            return f"{name}={value} is not finite"
     if not (p > N / 2.0 and p >= 2.0):
         return f"p={p} violates p > N/2 and p >= 2 for N={N}"
     if not (q > N - 1.0 and q >= 2.0):

@@ -93,7 +93,8 @@ def _nodal(mesh, role: str, expr_text: str) -> FEField:
     if expr.uses_value():
         raise ConfigError(f"field expression {expr_text!r} depends on the value variable; use x1 and x2 only")
     zero = (fem.domain_field if role == "domain" else fem.boundary_field)(mesh, 0.0)
-    return FEField(mesh, role, fem.nodal(expr, zero))
+    with np.errstate(over="ignore"):  # FEField refuses the values an overflow leaves
+        return FEField(mesh, role, fem.nodal(expr, zero))
 
 
 # Fourier modes m = 1 ... _FOURIER_MODES of the C8 fields
@@ -166,7 +167,7 @@ def _run_solve_state(args, out_dir: Path, rng) -> tuple:
     denom = fem.lp_norm(u, spec.p) + fem.lp_norm(v, spec.q)
     ratio = 0.0
     if denom > 0.0:
-        gx, gy = fem.gradient_per_triangle(y)
+        gx, gy = (g @ y.values for g in fem.p1(mesh).gradient)
         areas = mesh.triangle_areas()
         h1 = float(np.sqrt(fem.lp_norm(y, 2.0) ** 2 + np.sum(areas * (gx**2 + gy**2))))
         ratio = (float(np.max(np.abs(y.values))) + h1) / denom
@@ -414,20 +415,6 @@ def _run_regularity(args, out_dir: Path, rng) -> tuple:
     return checks, artifacts, EXIT_SOLVER
 
 
-_DISPATCH = {
-    "exponents": _run_exponents,
-    "check": _run_check,
-    "solve-state": _run_solve_state,
-    "gradient-check": _run_gradient_check,
-    "solve-kkt": _run_solve_kkt,
-    "robinson": _run_robinson,
-    "frac-norm": _run_frac_norm,
-    "chain-rule": _run_chain_rule,
-    "product-rule": _run_product_rule,
-    "regularity": _run_regularity,
-}
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mixedreg",
@@ -446,8 +433,13 @@ def build_parser() -> argparse.ArgumentParser:
         for name in _IGNORED_KKT_OPTIONS:
             p.add_argument(f"--{name.replace('_', '-')}", type=float, help="accepted and ignored")
 
-    def add_c8_sweep(name: str, about: str, tau: float, k: float):
+    def command(name: str, run, about: str):
         p = sub.add_parser(name, help=about)
+        p.set_defaults(run=run)
+        return p
+
+    def add_c8_sweep(name: str, run, about: str, tau: float, k: float):
+        p = command(name, run, about)
         p.add_argument("--preset", choices=tuple(geometry.PRESETS), default="disk")
         p.add_argument("--levels", type=int, nargs="+", default=[3, 4])
         p.add_argument("--tau", type=float, default=tau)
@@ -457,54 +449,54 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--stability-rtol", type=float, default=0.25)
         return p
 
-    p = sub.add_parser("exponents", help="integrability exponent table")
+    p = command("exponents", _run_exponents, "integrability exponent table")
     p.add_argument("--N", type=float, default=2.0)
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--q", type=float, required=True)
 
-    p = sub.add_parser("check", help="verify the standing assumptions of a config")
+    p = command("check", _run_check, "verify the standing assumptions of a config")
     add_config(p)
     p.add_argument("--level", type=int, default=3)
 
-    p = sub.add_parser("solve-state", help="solve the state equation for given controls")
+    p = command("solve-state", _run_solve_state, "solve the state equation for given controls")
     add_config(p)
     p.add_argument("--level", type=int, default=3)
     p.add_argument("--u-expr", default="0", help="interior control as an expression in x1, x2")
     p.add_argument("--v-expr", default="0", help="boundary control as an expression in x1, x2")
     p.add_argument("--newton-tol", type=float, default=solvers.NEWTON_TOL)
 
-    p = sub.add_parser("gradient-check", help="compare the adjoint gradient with differences")
+    p = command("gradient-check", _run_gradient_check, "compare the adjoint gradient with differences")
     add_config(p)
     p.add_argument("--level", type=int, default=3)
     p.add_argument("--directions", type=int, default=10)
     p.add_argument("--tol", type=float, default=1e-5)
 
-    p = sub.add_parser("solve-kkt", help="solve the optimality system by semismooth Newton")
+    p = command("solve-kkt", _run_solve_kkt, "solve the optimality system by semismooth Newton")
     add_config(p)
     p.add_argument("--level", type=int, default=3)
     add_kkt_options(p)
 
-    p = sub.add_parser("robinson", help="constructive surjectivity residuals")
+    p = command("robinson", _run_robinson, "constructive surjectivity residuals")
     add_config(p)
     p.add_argument("--level", type=int, default=3)
     p.add_argument("--targets", type=int, default=20)
     p.add_argument("--tol", type=float, default=1e-8)
 
-    p = sub.add_parser("frac-norm", help="fractional boundary norm of a field expression")
+    p = command("frac-norm", _run_frac_norm, "fractional boundary norm of a field expression")
     p.add_argument("--preset", choices=tuple(geometry.PRESETS), default="disk")
     p.add_argument("--level", type=int, default=4)
     p.add_argument("--tau", type=float, required=True)
     p.add_argument("--k", type=float, required=True)
     p.add_argument("--field", default="x1", help="expression in x1, x2")
 
-    p = add_c8_sweep("chain-rule", "measured constants of the superposition bound", 1.0 / 3.0, 2.0)
+    p = add_c8_sweep("chain-rule", _run_chain_rule, "measured constants of the superposition bound", 1.0 / 3.0, 2.0)
     p.add_argument("--a", default="sin(t)", help="expression in x1, x2, t")
 
-    p = add_c8_sweep("product-rule", "measured constants of the product bound", 0.25, 1.0)
+    p = add_c8_sweep("product-rule", _run_product_rule, "measured constants of the product bound", 0.25, 1.0)
     for name, default in (("--tau1", 0.5), ("--tau2", 0.5), ("--k1", 2.0), ("--k2", 2.0)):
         p.add_argument(name, type=float, default=default)
 
-    p = sub.add_parser("regularity", help="refinement study of solution seminorms")
+    p = command("regularity", _run_regularity, "refinement study of solution seminorms")
     add_config(p)
     p.add_argument("--levels", type=int, nargs="+", default=[3, 4, 5])
     add_kkt_options(p)
@@ -559,10 +551,8 @@ def main(argv=None) -> int:
         print(f"error: cannot create output directory {out_dir}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    handler = _DISPATCH[args.cmd]
-    fail_code = EXIT_SOLVER
     try:
-        checks, artifacts, fail_code = handler(args, out_dir, np.random.default_rng(args.seed))
+        checks, artifacts, fail_code = args.run(args, out_dir, np.random.default_rng(args.seed))
     except _SOLVER_ERRORS as exc:
         checks = [_check("solver-completed", False, detail=f"{type(exc).__name__}: {exc}")]
         artifacts = []

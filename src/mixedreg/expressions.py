@@ -250,8 +250,9 @@ class Pow(Expr):
         e = self.exponent
         if e != int(e) and np.any(b < 0.0):
             raise EvalError(f"negative base with fractional exponent in {self}")
-        # a base computed here, not an operand, may be squared in place
-        out = _power(b, e, inplace=not any(b is a for a in (x1, x2, val)))
+        # a base computed here, not an operand, may be squared in place; an overflow is refused below
+        with np.errstate(over="ignore"):
+            out = _power(b, e, inplace=not any(b is a for a in (x1, x2, val)))
         if not np.all(np.isfinite(out)):
             raise EvalError(f"non-finite power result in {self}")
         return out

@@ -79,7 +79,6 @@ __all__ = [
     "difference_factors",
     "power",
     "lp_norm",
-    "integrate_basis",
     "min_eigenvalue",
     "assemble_operator",
     "assemble_weighted_mass",
@@ -443,20 +442,6 @@ def p1(mesh: Mesh) -> P1:
     return mesh.discretization
 
 
-def interp_interior(field: FEField) -> np.ndarray:
-    """Field values at the interior quadrature points, shape (3T,)."""
-    if field.role != "domain":
-        raise FieldError("interior interpolation expects a domain field")
-    return p1(field.mesh).at_interior(field.values)
-
-
-def interp_boundary(field: FEField) -> np.ndarray:
-    """Boundary-field values at the edge Gauss points, shape (2 nb,)."""
-    if field.role != "boundary":
-        raise FieldError("boundary interpolation expects a boundary field")
-    return p1(field.mesh).at_boundary(field.values)
-
-
 @dataclass
 class SparseOperator:
     """Square CSR matrix in canonical form (sorted, deduplicated indices).
@@ -556,28 +541,12 @@ def lp_norm(field: FEField, p: float) -> float:
     """Integral p-norm of a P1 field, |.|^p interpolated at quadrature points."""
     if p < 1.0:
         raise FieldError(f"p-norm requires p >= 1, got {p}")
-    if field.role == "domain":
-        vals = interp_interior(field)
-        _, qw = p1(field.mesh).interior
-    else:
-        vals = interp_boundary(field)
-        _, qw = p1(field.mesh).boundary
+    rec = p1(field.mesh)
+    at_points, (_, qw) = (rec.at_interior, rec.interior) if field.role == "domain" else (rec.at_boundary, rec.boundary)
+    vals = at_points(field.values)
     # a power that overflows gives the norm inf, which the caller sees
     with np.errstate(over="ignore"):
         return float(np.sum(qw * np.abs(vals) ** p) ** (1.0 / p))
-
-
-def gradient_per_triangle(field: FEField):
-    """The constant P1 gradient on each triangle, as its components (gx, gy), each shape (T,)."""
-    if field.role != "domain":
-        raise FieldError("gradients are defined for domain fields")
-    gx, gy = p1(field.mesh).gradient
-    return gx @ field.values, gy @ field.values
-
-
-def integrate_basis(mesh: Mesh, values_at_quad: np.ndarray) -> np.ndarray:
-    """Load vector (g, phi_i) of a function g given at the interior quadrature points (3T,)."""
-    return p1(mesh).interior_integral @ np.reshape(values_at_quad, -1)
 
 
 def _permuted(matrix: sp.csr_matrix, p: np.ndarray) -> sp.csc_matrix:
@@ -605,10 +574,8 @@ def solve_linear(op: SparseOperator, rhs: np.ndarray) -> np.ndarray:
     """
     rhs = np.asarray(rhs, dtype=float)
     columns = rhs.reshape(rhs.shape[0], -1)
-    # an overflowing load reaches the user as the Newton tolerance's error, not as a numpy warning
-    with np.errstate(over="ignore"):
-        rhs_norms = np.linalg.norm(columns, axis=0)
-    if not np.any(rhs_norms):
+    scales = np.max(np.abs(columns), axis=0, initial=0.0)
+    if not np.any(scales):
         return np.zeros_like(rhs)
     p = op.ordering
     try:
@@ -622,8 +589,11 @@ def solve_linear(op: SparseOperator, rhs: np.ndarray) -> np.ndarray:
             x[p] = op._lu.solve(rhs[p])
     except RuntimeError as exc:
         raise LinearSolveError(f"sparse LU failed: {exc}", float("nan")) from exc
-    defects = np.linalg.norm((rhs - op.matvec(x)).reshape(columns.shape), axis=0)
-    residual = float(np.max(defects[rhs_norms > 0.0] / rhs_norms[rhs_norms > 0.0]))
+    defects = (rhs - op.matvec(x)).reshape(columns.shape)
+    # each column against its largest entry s: |d / s| / |b / s| is the relative residual, and
+    # its norms neither overflow for a finite b nor underflow to zero for a nonzero one
+    residual = float(np.max([np.linalg.norm(defects[:, j] / s) / np.linalg.norm(columns[:, j] / s)
+                             for j, s in enumerate(scales) if s != 0.0]))
     if not residual <= SOLVE_RTOL:
         raise LinearSolveError(
             f"sparse LU solution misses the residual bound {SOLVE_RTOL:.0e} "

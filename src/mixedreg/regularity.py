@@ -59,7 +59,9 @@ REGULARITY_CSV_HEADER = "field,level,h,lip," + ",".join(
 
 def lipschitz_estimate(f: FEField) -> float:
     """Largest triangle gradient magnitude of a domain field."""
-    gx, gy = fem.gradient_per_triangle(f)
+    if f.role != "domain":
+        raise fem.FieldError("gradients are defined for domain fields")
+    gx, gy = (g @ f.values for g in fem.p1(f.mesh).gradient)
     return float(np.max(np.sqrt(gx**2 + gy**2)))
 
 

@@ -139,14 +139,15 @@ class StateSolveReport:
 
 def _at_quadrature(fn, y: FEField) -> np.ndarray:
     """fn(x1, x2, y) at the interior quadrature points, shape (3T,)."""
-    qpts, _ = fem.p1(y.mesh).interior
-    return fn(qpts[:, 0], qpts[:, 1], fem.interp_interior(y))
+    rec = fem.p1(y.mesh)
+    qpts, _ = rec.interior
+    return fn(qpts[:, 0], qpts[:, 1], rec.at_interior(y.values))
 
 
 def semilinear_operator(spec: ProblemSpec, y: FEField) -> np.ndarray:
     """Left-hand side of the discrete state equation: K y + (f(., y), phi_i)."""
-    op = fem.p1(y.mesh).operator(spec)
-    return op.matvec(y.values) + fem.integrate_basis(y.mesh, _at_quadrature(spec.f, y))
+    rec = fem.p1(y.mesh)
+    return rec.operator(spec).matvec(y.values) + rec.interior_integral @ _at_quadrature(spec.f, y)
 
 
 def linearized_matrix(spec: ProblemSpec, y: FEField) -> fem.SparseOperator:
@@ -161,7 +162,7 @@ def second_variation_matrix(spec: ProblemSpec, y: FEField, phi: FEField) -> fem.
     ``phi`` is a domain field; the derivative is the mass matrix weighted
     by f_yy(., y) phi at the interior quadrature points.
     """
-    weight = _at_quadrature(spec.f.diff().diff(), y) * fem.interp_interior(phi)
+    weight = _at_quadrature(spec.f.diff().diff(), y) * fem.p1(y.mesh).at_interior(phi.values)
     return fem.assemble_weighted_mass(y.mesh, weight)
 
 

@@ -230,6 +230,13 @@ def test_exponent_bounds_agree_across_callers(disk, N, p, q):
     assert a1.passed == (spec_error is None)
 
 
+def test_exponent_violation_refuses_non_finite_exponents():
+    assert exponent_violation(2, np.inf, 3.0) == "p=inf is not finite"
+    assert exponent_violation(2, 3.0, np.inf) == "q=inf is not finite"
+    assert exponent_violation(2, np.nan, np.nan) == "p=nan is not finite"
+    assert exponent_violation(2, 3.0, 3.0) is None
+
+
 def test_spec_rejects_bad_weights():
     with pytest.raises(SpecError):
         base_spec(lambda1=0.0)

@@ -68,6 +68,14 @@ def test_exponents(tmp_path, capsys):
     assert "r=6, s=3, slack=0.5" in stdout
 
 
+@pytest.mark.parametrize("p, q, message", [("inf", "2", "p=inf"), ("3", "inf", "q=inf"), ("nan", "3", "p=nan")])
+def test_exponents_refuse_non_finite_values(tmp_path, capsys, p, q, message):
+    code, _, summary = run(["exponents", "--p", p, "--q", q], tmp_path)
+    assert code == 2
+    assert summary is None
+    assert capsys.readouterr().err == f"error: {message} is not finite\n"
+
+
 def test_check_passes_on_compliant_config(tmp_path):
     code, out, summary = run(["check", "--config", cfg("quadratic_tracking")], tmp_path)
     assert code == 0
@@ -593,6 +601,32 @@ def test_overflowing_field_fails_with_one_line(tmp_path, argv):
     proc = run_child(argv, tmp_path)
     assert proc.returncode == 2
     assert proc.stderr == "error: Gagliardo accumulation is not finite\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        *(
+            (["frac-norm", "--tau", "0.5", "--k", "2", "--level", "2", "--field", field], message)
+            for field, message in (
+                ("1e200*x1*1e200", "field values must be finite"),
+                ("exp(1000*x1)", "field values must be finite"),
+                ("(1e200*x1)^2", "non-finite power result in ((1e+200 * x1)^2)"),
+                ("spow(1e200*x1,3)", "field values must be finite"),
+            )
+        ),
+        (["chain-rule", "--levels", "2", "--samples", "1", "--a", "exp(1000*t)"], "field values must be finite"),
+        (
+            ["solve-state", "--config", cfg("smooth_constrained"), "--level", "2", "--u-expr", "1e120"],
+            "non-finite power result in (y^3)",
+        ),
+    ],
+)
+def test_overflowing_expression_fails_with_one_line(tmp_path, argv, message):
+    # an expression value that overflows is refused by the finiteness check that follows it
+    proc = run_child(argv, tmp_path)
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: {message}\n"
 
 
 def test_overflowing_tracking_cost_fails_with_one_line(tmp_path):

@@ -109,7 +109,7 @@ def test_gradient_of_an_affine_field_is_its_slope(preset, level):
     rng = np.random.default_rng(level)
     for scale in (1e-3, 1.0, 1e4):
         a1, a2, b = scale * rng.standard_normal(3)
-        gx, gy = fem.gradient_per_triangle(domain_field(m, a1 * m.vertices[:, 0] + a2 * m.vertices[:, 1] + b))
+        gx, gy = (g @ (a1 * m.vertices[:, 0] + a2 * m.vertices[:, 1] + b) for g in fem.p1(m).gradient)
         assert gx.shape == gy.shape == (m.triangles.shape[0],)
         tol = 1e-12 * (abs(a1) + abs(a2) + abs(b))
         assert np.max(np.abs(gx - a1)) <= tol and np.max(np.abs(gy - a2)) <= tol
@@ -147,25 +147,26 @@ def _integrate_by_scatter(mesh, g):
     return np.bincount(rows.reshape(-1), weights=contrib.reshape(-1), minlength=mesh.n_vertices)
 
 
-def _interp_boundary_by_roll(v):
+def _at_boundary_by_roll(v):
     return (np.stack([v.values, np.roll(v.values, -1)], axis=1) @ _EDGE_BASIS.T).reshape(-1)
 
 
 @pytest.mark.parametrize("preset, level", [("disk", 3), ("disk", 5), ("ellipse", 4)], ids=builder_id)
 def test_quadrature_maps_equal_the_gather_and_scatter_formulas(preset, level):
     m = build_mesh(preset, level)
+    rec = fem.p1(m)
     rng = np.random.default_rng(level)
     tris = m.triangles.shape[0]
     for scale in (1e-3, 1.0, 1e5):
         y = domain_field(m, scale * rng.standard_normal(m.n_vertices))
         v = boundary_field(m, scale * rng.standard_normal(m.n_boundary))
         g = scale * rng.standard_normal((tris, 3))
-        assert np.array_equal(fem.interp_interior(y), _interp_by_gather(y))
-        assert np.array_equal(fem.integrate_basis(m, g), _integrate_by_scatter(m, g))
-        assert np.array_equal(fem.interp_boundary(v), _interp_boundary_by_roll(v))
+        assert np.array_equal(rec.at_interior(y.values), _interp_by_gather(y))
+        assert np.array_equal(rec.interior_integral @ g.reshape(-1), _integrate_by_scatter(m, g))
+        assert np.array_equal(rec.at_boundary(v.values), _at_boundary_by_roll(v))
     # a broadcast constant, as a spatially constant nonlinearity gives it
     const = np.broadcast_to(2.5, (tris, 3))
-    assert np.array_equal(fem.integrate_basis(m, const), _integrate_by_scatter(m, const))
+    assert np.array_equal(rec.interior_integral @ const.reshape(-1), _integrate_by_scatter(m, const))
 
 
 @pytest.mark.parametrize("preset", sorted(PRESETS), ids=builder_id)
@@ -174,7 +175,7 @@ def test_basis_integrals_of_one_sum_to_the_area(preset):
     p = m.vertices[m.triangles]
     d1, d2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
     area = 0.5 * np.sum(np.abs(d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]))
-    loads = fem.integrate_basis(m, np.ones((m.triangles.shape[0], 3)))
+    loads = fem.p1(m).interior_integral @ np.ones(3 * m.triangles.shape[0])
     assert loads.shape == (m.n_vertices,) and np.all(loads > 0.0)
     assert abs(np.sum(loads) - area) <= 1e-13 * area
 
@@ -341,6 +342,39 @@ def test_stale_factorisation_fails_the_residual_check(disk, identity_spec):
     with pytest.raises(LinearSolveError) as err:
         solve_linear(op, np.ones(m.n_vertices))
     assert err.value.residual > fem.SOLVE_RTOL
+
+
+def test_residual_check_holds_at_any_scale_of_the_load():
+    # each column is measured against its largest entry, so a load whose 2-norm overflows is
+    # held to the same relative residual as the load itself, and one whose 2-norm underflows
+    # is solved, not taken for a zero column
+    m = build_mesh("disk", 3)
+    rec = fem.p1(m)
+    op = fem.SparseOperator(rec.mass.matrix.copy(), rec.ordering)
+    rhs = rec.mass.matvec(np.ones(m.n_vertices))
+    assert np.linalg.norm(1e-170 * rhs) == 0.0
+    assert np.max(np.abs(1e170 * solve_linear(op, 1e-170 * rhs) - 1.0)) < 1e-12
+    op.matrix.data *= 1.0 + 1e-8
+    with np.errstate(over="ignore"):
+        assert np.isinf(np.linalg.norm(1e160 * rhs))
+    residuals = []
+    for load in (rhs, 1e160 * rhs, np.column_stack([1e160 * rhs, rhs])):
+        with pytest.raises(LinearSolveError) as err:
+            solve_linear(op, load)
+        residuals.append(err.value.residual)
+    assert residuals == pytest.approx([1e-8] * 3, rel=1e-3)
+
+
+def test_residual_check_refuses_a_nan_load(disk):
+    # a column holding a NaN has a NaN largest entry: it is checked, and its NaN residual fails
+    m = disk(2)
+    op = fem.p1(m).mass
+    rhs = np.ones(m.n_vertices)
+    rhs[5] = np.nan
+    for load in (rhs, np.column_stack([np.ones(m.n_vertices), rhs])):
+        with pytest.raises(LinearSolveError) as err:
+            solve_linear(op, load)
+        assert np.isnan(err.value.residual)
 
 
 def test_solve_linear_rejects_singular_operator(disk, stiffness_spec):

@@ -493,7 +493,7 @@ def test_one_call_over_many_fields_at_level_seven(k):
 def ordered_far_field(v, tau, k):
     """The far-field sum over ordered pairs of Gauss points on edges that do not touch."""
     qpts, qw = fem.p1(v.mesh).boundary
-    vq = fem.interp_boundary(v)
+    vq = fem.p1(v.mesh).at_boundary(v.values)
     nb = v.mesh.n_boundary
     gap = np.subtract.outer(np.arange(2 * nb) // 2, np.arange(2 * nb) // 2) % nb
     far = (gap > 1) & (gap < nb - 1)
