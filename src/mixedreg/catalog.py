@@ -396,14 +396,16 @@ def check_assumptions(spec: ProblemSpec, mesh) -> AssumptionReport:
         return ok, detail, None
 
     def a2():
-        a11, a12, a22, a0 = (on(a, xq, zero) for a in (spec.a11, spec.a12, spec.a22, spec.a0))
-        eig = fem.min_eigenvalue(a11, a12, a22)
-        ok_ell, ok_a0 = bool(np.min(eig) > 0.0), bool(np.min(a0) >= 0.0 and np.max(a0) > 0.0)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow or NaN fails the check below
+            a11, a12, a22, a0 = (on(a, xq, zero) for a in (spec.a11, spec.a12, spec.a22, spec.a0))
+            eig = fem.min_eigenvalue(a11, a12, a22)
+        finite = bool(np.all(np.isfinite(a0)))
+        ok_ell, ok_a0 = bool(np.min(eig) > 0.0), finite and bool(np.min(a0) >= 0.0 and np.max(a0) > 0.0)
         detail = f"min eigenvalue {np.min(eig):.3e}, a0 in [{np.min(a0):.3e}, {np.max(a0):.3e}]"
         if ok_ell and ok_a0:
             return True, detail, None
         which, measured = ("a0", a0) if ok_ell else ("ellipticity", eig)
-        return False, detail, {"which": which, **_witness([(xq, zero, measured)])}
+        return False, detail, {"which": which, **_witness([(xq, zero, measured)], by_magnitude=ok_ell and not finite)}
 
     def a3():
         tracks = each(lambda c, xs: on(c.track, xs))

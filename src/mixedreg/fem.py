@@ -35,16 +35,17 @@ whose two terms are products by one, so its sum rounds once and the table
 holds exactly the differences; and its powers from ``power``, which takes
 the reciprocal or the square root where those give ``np.power``'s bits.
 
-Sparse matrices are built only here.  Every linear system goes through
-``solve_linear``: a sparse LU factorisation for a vector or a block of
-columns, accepted only when every column's relative residual is within
-``SOLVE_RTOL``.  The factorisation belongs to its :class:`SparseOperator`:
-the first solve builds it, later solves with the same operator reuse it,
-and it is freed with the operator; no other cache holds it.  Every
-operator the record builds carries the record's ``ordering``, a nested
-dissection of the mesh (A. George, SIAM J. Numer. Anal. 10, 1973), and is
-factorised in that order with no column reordering of SuperLU's own; an
-operator without one, such as the boundary mass, keeps SuperLU's COLAMD.
+Sparse matrices are built only here, each in one form: canonical CSR.
+Every linear system goes through ``solve_linear``: a sparse LU
+factorisation for a vector or a block of columns, accepted only when
+every column's relative residual is within ``SOLVE_RTOL``.  What is
+solved is a :class:`SparseOperator`, which owns its factorisation: the
+first solve builds it, later solves with the same operator reuse it, and
+it is freed with the operator; no other cache holds it.  Every operator
+carries the record's ``ordering``, a nested dissection of the mesh
+(A. George, SIAM J. Numer. Anal. 10, 1973), and is factorised in that
+order with no column reordering of SuperLU's own.  A matrix that is only
+multiplied, such as the boundary mass, stays a plain CSR matrix.
 """
 
 from __future__ import annotations
@@ -189,9 +190,9 @@ class P1:
 
     Each part is built on first use, so boundary-only work never touches
     the interior, not even its maps ``interior_interp`` (Q),
-    ``interior_integral`` (W), ``gradient`` (Gx, Gy) and its transpose,
-    nor the vertex ``ordering`` of the factorisations; the boundary's map
-    is ``edge_ends``.  Nor does it build the interior mesh: the boundary
+    ``interior_integral`` (W) and ``gradient`` (Gx, Gy), nor the vertex
+    ``ordering`` of the factorisations; the boundary's map is
+    ``edge_ends``.  Nor does it build the interior mesh: the boundary
     commands work on ``geometry.boundary_fan``.  ``operator`` keeps the
     matrix of the last spec it was asked for and reassembles when a
     different spec object comes.  ``at_interior`` and ``at_boundary``
@@ -244,11 +245,6 @@ class P1:
                      for part in (-opposite[..., 1] / scale, opposite[..., 0] / scale))
 
     @cached_property
-    def gradient_transpose(self):
-        """(Gx^T, Gy^T), two (n, T) CSR maps: per-triangle values against each basis gradient."""
-        return tuple(g.T.tocsr() for g in self.gradient)
-
-    @cached_property
     def ordering(self) -> np.ndarray:
         """The nested-dissection order of the vertices, in which every operator here is factorised."""
         return _nested_dissection(self.mesh.vertices, self.mesh.edges)
@@ -274,18 +270,18 @@ class P1:
         return assemble_weighted_mass(self.mesh, 1.0)
 
     @cached_property
-    def boundary_mass(self) -> SparseOperator:
-        """Boundary mass matrix M_b in boundary-loop order, tridiagonal up to the loop wraparound."""
+    def boundary_mass(self) -> sp.csr_matrix:
+        """Boundary mass matrix M_b (canonical CSR) in boundary-loop order, tridiagonal up to the loop wraparound."""
         nb = self.mesh.n_boundary
         local = np.einsum("eq,qi,qj->eij", self.boundary[1].reshape(nb, 2), _EDGE_BASIS, _EDGE_BASIS)
         rows = np.repeat(self.edge_ends, 2, axis=1).reshape(-1)
         cols = np.tile(self.edge_ends, (1, 2)).reshape(-1)
-        return SparseOperator(sp.coo_matrix((local.reshape(-1), (rows, cols)), shape=(nb, nb)).tocsr())
+        return sp.coo_matrix((local.reshape(-1), (rows, cols)), shape=(nb, nb)).tocsr()  # sums duplicates
 
     @cached_property
     def vertex_boundary_mass(self) -> sp.csr_matrix:
         """M_b placed on the vertex numbering (n, n): entry (loop[a], loop[b]) is M_b[a, b], no other."""
-        mb, loop, n = self.boundary_mass.matrix, self.mesh.boundary_loop, self.mesh.n_vertices
+        mb, loop, n = self.boundary_mass, self.mesh.boundary_loop, self.mesh.n_vertices
         return sp.csr_matrix((mb.data, (np.repeat(loop, np.diff(mb.indptr)), loop[mb.indices])), shape=(n, n))
 
     def operator(self, spec: ProblemSpec) -> SparseOperator:
@@ -311,14 +307,12 @@ class P1:
 
     def at_boundary(self, values: np.ndarray) -> np.ndarray:
         """Boundary-loop values (nb,), or one field per row (k, nb), at the edge Gauss points: (2 nb,) or (k, 2 nb)."""
-        if values.ndim == 1:
-            return (values[self.edge_ends] @ _EDGE_BASIS.T).reshape(-1)
-        return (values[:, self.edge_ends] @ _EDGE_BASIS.T).reshape(len(values), -1)
+        return (np.take(values, self.edge_ends, axis=-1) @ _EDGE_BASIS.T).reshape(*values.shape[:-1], -1)
 
     def load(self, f: np.ndarray, g: np.ndarray) -> np.ndarray:
         """M f + T^T (M_b g) for nodal densities f in the domain and g on the boundary."""
         out = self.mass.matvec(f)  # the loop vertices are distinct: T^T is a scatter without rounding
-        out[self.mesh.boundary_loop] += self.boundary_mass.matvec(g)
+        out[self.mesh.boundary_loop] += self.boundary_mass @ g
         return out
 
     def reaction(self, c1: np.ndarray, c2: np.ndarray) -> SparseOperator:
@@ -449,16 +443,15 @@ class SparseOperator:
     The operator owns the sparse LU of its matrix: ``solve_linear``
     builds it on the first solve and reuses it on every later one, and it
     lives exactly as long as the operator.  ``ordering`` is the order in
-    which that factorisation eliminates the unknowns: the mesh ordering
-    (``P1.ordering``) on every operator a P1 record builds, kept by ``+``,
-    or None, and then SuperLU orders the columns by COLAMD.  Treat
-    ``matrix`` as immutable; a factor left stale by an edit fails the
-    residual check of ``solve_linear`` rather than returning a wrong
-    solution.
+    which that factorisation eliminates the unknowns, always given: the
+    mesh ordering (``P1.ordering``), kept by ``+``, or its interleaving
+    over the blocks of a ``block_operator``.  Treat ``matrix`` as
+    immutable; a factor left stale by an edit fails the residual check of
+    ``solve_linear`` rather than returning a wrong solution.
     """
 
     matrix: sp.csr_matrix
-    ordering: np.ndarray | None = field(default=None, repr=False, compare=False)
+    ordering: np.ndarray = field(repr=False, compare=False)
     _lu: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -467,10 +460,6 @@ class SparseOperator:
         if m.shape[0] != m.shape[1]:
             raise AssemblyError(f"operator must be square, got {m.shape}")
         self.matrix = m
-
-    @property
-    def shape(self):
-        return self.matrix.shape
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         return self.matrix @ x
@@ -490,31 +479,33 @@ def assemble_operator(mesh: Mesh, spec: ProblemSpec) -> SparseOperator:
     """Galerkin matrix of the elliptic operator with natural boundary data.
 
     Coefficients are evaluated at the interior quadrature points; the
-    coefficient matrix must be uniformly elliptic there (checked, raising
-    :class:`AssemblyError` with the first offending location).  The matrix
-    is Gx^T (D11 Gx + D12 Gy) + Gy^T (D12 Gx + D22 Gy) plus the
+    coefficient matrix must be uniformly elliptic there and a0 finite
+    (checked, raising :class:`AssemblyError` with the first offending
+    location; an overflow or a NaN fails, without numpy warnings).  The
+    matrix is Gx^T (D11 Gx + D12 Gy) + Gy^T (D12 Gx + D22 Gy) plus the
     a0-weighted mass, Dij the diagonal of the per-triangle sums of qw aij.
     """
     rec = p1(mesh)
     qpts, qw = rec.interior
     x1, x2 = qpts[:, 0], qpts[:, 1]
 
-    a11 = spec.a11(x1, x2, 0.0)
-    a12 = spec.a12(x1, x2, 0.0)
-    a22 = spec.a22(x1, x2, 0.0)
-    eig_min = min_eigenvalue(a11, a12, a22)
-    if np.min(eig_min) <= 0.0:
+    with np.errstate(over="ignore", invalid="ignore"):
+        a11, a12, a22, a0 = (a(x1, x2, 0.0) for a in (spec.a11, spec.a12, spec.a22, spec.a0))
+        eig_min = min_eigenvalue(a11, a12, a22)
+    if not np.all(eig_min > 0.0):  # a NaN eigenvalue fails too, and argmin finds the first NaN
         k = int(np.argmin(eig_min))
         raise AssemblyError(
             f"ellipticity violated at quadrature point "
             f"({qpts[k, 0]:.6g}, {qpts[k, 1]:.6g}): "
             f"min eigenvalue {eig_min[k]:.3e}"
         )
+    if not np.all(np.isfinite(a0)):
+        k = int(np.argmin(np.isfinite(a0)))
+        raise AssemblyError(f"a0 is not finite at quadrature point ({qpts[k, 0]:.6g}, {qpts[k, 1]:.6g}): {a0[k]}")
     d11, d12, d22 = (sp.diags(np.sum((qw * a).reshape(-1, 3), axis=1)) for a in (a11, a12, a22))
     gx, gy = rec.gradient
-    gxt, gyt = rec.gradient_transpose
-    stiffness = gxt @ (d11 @ gx + d12 @ gy) + gyt @ (d12 @ gx + d22 @ gy)
-    return SparseOperator(stiffness, rec.ordering) + assemble_weighted_mass(mesh, spec.a0(x1, x2, 0.0))
+    stiffness = gx.T @ (d11 @ gx + d12 @ gy) + gy.T @ (d12 @ gx + d22 @ gy)
+    return SparseOperator(stiffness, rec.ordering) + assemble_weighted_mass(mesh, a0)
 
 
 def assemble_weighted_mass(mesh: Mesh, weight_at_quad) -> SparseOperator:
@@ -530,10 +521,10 @@ def block_operator(rows) -> SparseOperator:
 
     Its ordering takes the blocks' unknowns node by node in the first block's
     ordering p: unknown p[0] of every block, then p[1] of every block, and
-    so on; with no first ordering, it has none.
+    so on.
     """
     p = rows[0][0].ordering
-    interleaved = None if p is None else (p[:, None] + p.size * np.arange(len(rows))).ravel()
+    interleaved = (p[:, None] + p.size * np.arange(len(rows))).ravel()
     return SparseOperator(sp.bmat([[op.matrix for op in row] for row in rows], format="csr"), interleaved)
 
 
@@ -563,14 +554,13 @@ def solve_linear(op: SparseOperator, rhs: np.ndarray) -> np.ndarray:
 
     The factorisation is built on the first solve with ``op`` and kept on
     it for later ones; one factorisation serves every column, and zero
-    columns come back zero.  An operator with an ``ordering`` p is
-    factorised as P A P^T with SuperLU's natural column order, so its LU
-    eliminates the unknowns in the mesh's nested-dissection order; one
-    without is factorised as it stands, its columns ordered by COLAMD.
-    Raises :class:`LinearSolveError` when the factorisation finds the
-    matrix singular, or when the relative residual of any column exceeds
-    ``SOLVE_RTOL``, which is checked on every solve against ``op.matrix``;
-    the error carries the worst column's residual.
+    columns come back zero.  The factorisation is of P A P^T, p the
+    operator's ``ordering``, with SuperLU's natural column order, so the
+    LU eliminates the unknowns in the mesh's nested-dissection order; the
+    solution is un-permuted.  Raises :class:`LinearSolveError` when the
+    factorisation finds the matrix singular, or when the relative residual
+    of any column exceeds ``SOLVE_RTOL``, which is checked on every solve
+    against ``op.matrix``; the error carries the worst column's residual.
     """
     rhs = np.asarray(rhs, dtype=float)
     columns = rhs.reshape(rhs.shape[0], -1)
@@ -578,15 +568,11 @@ def solve_linear(op: SparseOperator, rhs: np.ndarray) -> np.ndarray:
     if not np.any(scales):
         return np.zeros_like(rhs)
     p = op.ordering
+    x = np.empty_like(rhs)
     try:
         if op._lu is None:
-            a, permc = (op.matrix.tocsc(), "COLAMD") if p is None else (_permuted(op.matrix, p), "NATURAL")
-            op._lu = spla.splu(a, permc_spec=permc)
-        if p is None:
-            x = op._lu.solve(rhs)
-        else:
-            x = np.empty_like(rhs)
-            x[p] = op._lu.solve(rhs[p])
+            op._lu = spla.splu(_permuted(op.matrix, p), permc_spec="NATURAL")
+        x[p] = op._lu.solve(rhs[p])
     except RuntimeError as exc:
         raise LinearSolveError(f"sparse LU failed: {exc}", float("nan")) from exc
     defects = (rhs - op.matvec(x)).reshape(columns.shape)

@@ -163,7 +163,8 @@ class Mesh:
         bad = counts > 2
         # an edge with one side lies on the boundary, so it must be in the loop
         single = np.flatnonzero(counts == 1)
-        bad[single[~np.isin(_pair_keys(edges[single], self.n_vertices), loop_keys)]] = True
+        single_keys = _pair_keys(edges[single], self.n_vertices)
+        bad[single[~np.isin(single_keys, loop_keys)]] = True
         if np.any(bad):
             k = int(np.argmax(bad))
             e = (int(edges[k].min()), int(edges[k].max()))
@@ -172,6 +173,11 @@ class Mesh:
             raise MeshError(f"boundary edge {e} missing from the loop")
         if np.unique(loop_keys).size != loop_keys.size:
             raise MeshError("boundary loop repeats an edge")
+        # the loop holds every one-sided edge once, so it holds no other edge when the counts agree
+        if loop_keys.size != single.size:
+            k = int(np.argmin(np.isin(loop_keys, single_keys)))
+            e = tuple(int(v) for v in np.sort(self.boundary_edges[k]))
+            raise MeshError(f"loop edge {e} is not a one-sided mesh edge")
         if self.preset is not None:
             centroid = self.vertices.mean(axis=0)
             mids = 0.5 * (

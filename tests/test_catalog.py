@@ -317,6 +317,8 @@ def test_assumption_a5_direct_violation_with_witness(disk):
     [
         # a0 < 0 everywhere, the coefficient matrix is the identity
         ({"a0": "-1"}, "A2-ellipticity", "interior", 0.0, -1.0, "a0"),
+        # a0 overflows to inf on the right of the disk: the witness is its first inf
+        ({"a0": "1 + exp(1000*x1)"}, "A2-ellipticity", "interior", 0.0, np.inf, "a0"),
         # eigenvalues -1 and 1
         ({"a11": "-1"}, "A2-ellipticity", "interior", 0.0, -1.0, "ellipticity"),
         # ell < 0 everywhere, worst at the ends of the value grid
@@ -326,7 +328,7 @@ def test_assumption_a5_direct_violation_with_witness(disk):
         # both terms are -1 everywhere: the exact tie goes to u, in the interior
         ({"g1": "-2*y", "g2": "-y"}, "sign-condition", "interior", 0.0, -1.0, None),
     ],
-    ids=["A2-a0", "A2-ellipticity", "A3-ell", "A4-f-at-zero", "sign-tie"],
+    ids=["A2-a0", "A2-a0-overflow", "A2-ellipticity", "A3-ell", "A4-f-at-zero", "sign-tie"],
 )
 def test_failed_check_has_a_witness(disk, override, name, where, value, measured, which):
     mesh = disk(3)

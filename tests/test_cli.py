@@ -629,6 +629,22 @@ def test_overflowing_expression_fails_with_one_line(tmp_path, argv, message):
     assert proc.stderr == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("key, message", [
+    ("a11", "ellipticity violated at quadrature point (0.990393, 0.0975452): min eigenvalue nan"),
+    ("a0", "a0 is not finite at quadrature point (0.990393, 0.0975452): inf"),
+], ids=["a11", "a0"])
+def test_non_finite_coefficients_are_a_config_error(tmp_path, key, message):
+    # an overflowing coefficient is refused where the operator is assembled, and `check`
+    # fails A2 on it (the config passes every other check), both without numpy warnings
+    config = cfg_copy(tmp_path, "quadratic_tracking", **{key: "1 + exp(1000*x1)"})
+    proc = run_child(["solve-state", "--config", config, "--level", "2"], tmp_path)
+    assert (proc.returncode, proc.stderr) == (2, f"error: {message}\n")
+    proc = run_child(["check", "--config", config, "--level", "2"], tmp_path)
+    assert (proc.returncode, proc.stderr) == (2, "")
+    assert [line.split(":")[0] for line in proc.stdout.splitlines() if line.startswith("[FAIL]")] == [
+        "[FAIL] A2-ellipticity"]
+
+
 def test_overflowing_tracking_cost_fails_with_one_line(tmp_path):
     # the adjoint load's norm, the bracket of the control inversion and the Newton residual's
     # norm all overflow on the way to the solver's refusal, which is all the user sees

@@ -7,6 +7,7 @@ import weakref
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -65,7 +66,7 @@ def test_assembled_matrices_match_dense_oracle(disk, stiffness_spec):
         K = assemble_operator(m, stiffness_spec).matrix.toarray()
         assert np.max(np.abs(K - K_ref)) < 1e-14
         assert np.max(np.abs(rec.mass.matrix.toarray() - M_ref)) < 1e-14
-        assert np.max(np.abs(rec.boundary_mass.matrix.toarray() - Mb_ref)) < 1e-14
+        assert np.max(np.abs(rec.boundary_mass.toarray() - Mb_ref)) < 1e-14
         assert np.max(np.abs(rec.vertex_boundary_mass.toarray() - T_ref.T @ Mb_ref @ T_ref)) < 1e-14
         f, g = rng.standard_normal(m.n_vertices), rng.standard_normal(m.n_boundary)
         load_ref = M_ref @ f + T_ref.T @ (Mb_ref @ g)
@@ -121,8 +122,8 @@ def test_record_is_shared_and_built_on_demand():
     assert fem.p1(m) is rec
     gagliardo(boundary_field(m, np.cos(m.boundary_params)), tau=0.5, k=2.0)
     assert {"boundary", "edge_ends"} <= vars(rec).keys()
-    interior = {"interior", "interior_interp", "interior_integral", "gradient", "gradient_transpose",
-                "ordering", "mass", "boundary_mass", "vertex_boundary_mass"}
+    interior = {"interior", "interior_interp", "interior_integral", "gradient", "ordering", "mass",
+                "boundary_mass", "vertex_boundary_mass"}
     assert not interior & vars(rec).keys()
     assert rec._operator is None
     # the Gagliardo weights are built per call and not kept
@@ -244,7 +245,7 @@ def test_mass_totals(disk):
     assert float(ones @ M.matvec(ones)) == pytest.approx(m.triangle_areas().sum(), rel=1e-13)
     nb = m.boundary_loop.shape[0]
     Mb = fem.p1(m).boundary_mass
-    total = float(np.ones(nb) @ Mb.matvec(np.ones(nb)))
+    total = float(np.ones(nb) @ (Mb @ np.ones(nb)))
     assert total == pytest.approx(m.boundary_edge_lengths.sum(), rel=1e-13)
 
 
@@ -330,7 +331,7 @@ def test_operator_is_factorised_once(disk, identity_spec, factorisations):
         assert np.max(np.abs(op.matvec(x) - rhs)) < 1e-10
     assert len(factorisations) == 1
     # an equal matrix in another operator has its own factorisation
-    solve_linear(fem.SparseOperator(op.matrix.copy()), np.ones(m.n_vertices))
+    solve_linear(fem.SparseOperator(op.matrix.copy(), op.ordering), np.ones(m.n_vertices))
     assert len(factorisations) == 2
 
 
@@ -387,7 +388,7 @@ def test_solve_linear_rejects_singular_operator(disk, stiffness_spec):
     assert err.value.residual > fem.SOLVE_RTOL
     # an exactly singular matrix fails in the factorisation itself
     with pytest.raises(LinearSolveError) as err:
-        solve_linear(fem.SparseOperator(0.0 * neumann.matrix), np.ones(m.n_vertices))
+        solve_linear(fem.SparseOperator(0.0 * neumann.matrix, neumann.ordering), np.ones(m.n_vertices))
     assert "singular" in str(err.value)
 
 
@@ -409,7 +410,7 @@ def test_reaction_coupling_matches_its_load(disk):
     w = rng.standard_normal(m.n_vertices)
     T = sp.csr_matrix(oracles.trace_matrix(m))
     C = rec.reaction(c1, c2)
-    coupling = rec.mass.matrix @ sp.diags(c1) + T.T @ (rec.boundary_mass.matrix @ sp.diags(c2)) @ T
+    coupling = rec.mass.matrix @ sp.diags(c1) + T.T @ (rec.boundary_mass @ sp.diags(c2)) @ T
     assert abs(C.matrix - coupling).max() == 0.0
     expected = rec.load(c1 * w, c2 * w[m.boundary_loop])
     assert np.max(np.abs(C.matvec(w) - expected)) <= 1e-14 * np.max(np.abs(expected))
@@ -426,7 +427,7 @@ def test_reaction_with_zero_coefficients_stores_no_zeros(disk, level):
     C = rec.reaction(c1, c2).matrix
     assert C.nnz > 0 and np.all(C.data != 0.0)
     T = sp.csr_matrix(oracles.trace_matrix(m))
-    coupling = (rec.mass.matrix @ sp.diags(c1) + T.T @ (rec.boundary_mass.matrix @ sp.diags(c2)) @ T).tocsr()
+    coupling = (rec.mass.matrix @ sp.diags(c1) + T.T @ (rec.boundary_mass @ sp.diags(c2)) @ T).tocsr()
     coupling.eliminate_zeros()
     coupling.sort_indices()
     assert np.array_equal(C.indptr, coupling.indptr) and np.array_equal(C.indices, coupling.indices)
@@ -621,11 +622,11 @@ def test_mesh_ordering_is_a_deterministic_permutation(identity_spec, preset, lev
     assert p.dtype.kind == "i" and np.array_equal(np.sort(p), np.arange(m.n_vertices))
     # C10: a second build of the same mesh orders it the same way
     assert np.array_equal(fem.p1(build_mesh(preset, level)).ordering, p)
-    # every operator of the record carries it, and the solve agrees with COLAMD's
+    # every operator of the record carries it, and the solve agrees with SuperLU's COLAMD order
     op = robinson_operator(m, identity_spec)
     assert op.ordering is p
     rhs = np.random.default_rng(seed).standard_normal(m.n_vertices)
-    x, colamd = solve_linear(op, rhs), solve_linear(fem.SparseOperator(op.matrix), rhs)
+    x, colamd = solve_linear(op, rhs), spla.splu(op.matrix.tocsc()).solve(rhs)
     assert np.linalg.norm(x - colamd) <= 1e-12 * np.linalg.norm(colamd)
 
 
@@ -634,7 +635,9 @@ def test_mesh_ordering_fills_less_than_colamd(identity_spec, factorisations, pre
     m = build_mesh(preset, 4)
     op = fem.p1(m).operator(identity_spec)
     rhs = np.ones(m.n_vertices)
-    assert lu_fill(op, rhs) < lu_fill(fem.SparseOperator(op.matrix), rhs)
+    fill = lu_fill(op, rhs)
+    colamd = spla.splu(op.matrix.tocsc())  # SuperLU's own COLAMD column order, the reference
+    assert fill < colamd.L.nnz + colamd.U.nnz
     assert [permc for _, permc in factorisations] == ["NATURAL", "COLAMD"]
 
 
@@ -645,9 +648,15 @@ def test_block_operator_interleaves_the_blocks_per_node(disk, identity_spec):
     block = fem.block_operator([[a, rec.mass], [rec.mass, a]])
     p, n = rec.ordering, m.n_vertices
     assert np.array_equal(block.ordering, np.stack([p, p + n], axis=1).ravel())
-    # the boundary mass has no mesh ordering, so neither has a block built on it
-    assert rec.boundary_mass.ordering is None
-    assert fem.block_operator([[rec.boundary_mass]]).ordering is None
+
+
+def test_every_operator_carries_an_ordering(disk):
+    # an operator has no factorisation without an elimination order, so it cannot be built
+    # without one; the boundary mass is only ever multiplied and stays a plain CSR matrix
+    rec = fem.p1(disk(2))
+    with pytest.raises(TypeError):
+        fem.SparseOperator(rec.mass.matrix)
+    assert sp.isspmatrix_csr(rec.boundary_mass) and rec.boundary_mass.has_canonical_format
 
 
 def test_solve_state_level_seven_quadratic_tracking(configs, disk):

@@ -301,6 +301,17 @@ def test_validate_rejects_loop_missing_an_edge():
         Mesh(verts, np.array([[0, 1, 2], [0, 2, 3]]), np.array([0, 1, 2]))
 
 
+def test_validate_rejects_loop_through_interior_edges():
+    # a hexagon fan whose loop crosses the centre: every rim edge is in the loop and none
+    # repeats, but (0, 6) and (6, 3) have two sides and (3, 0) is no mesh edge at all
+    angles = np.arange(6) * np.pi / 3.0
+    verts = np.vstack([np.column_stack([np.cos(angles), np.sin(angles)]), [0.0, 0.0]])
+    tris = np.array([[k, (k + 1) % 6, 6] for k in range(6)])
+    assert Mesh(verts, tris, np.arange(6)).n_boundary == 6
+    with pytest.raises(MeshError, match=r"loop edge \(0, 6\) is not a one-sided mesh edge"):
+        Mesh(verts, tris, np.array([0, 1, 2, 3, 4, 5, 0, 6, 3]))
+
+
 def test_validate_rejects_edge_in_three_triangles():
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, 2.0], [0.5, 3.0]])
     tris = np.array([[0, 1, 2], [0, 1, 3], [0, 1, 4]])

@@ -34,7 +34,9 @@ module imports ``threading``, ``contextvars``, ``concurrent`` or
 ``multiprocessing``, and none names the walk's former ``_lane_count``.
 The elimination order of the factorisations belongs to ``fem`` too: the
 nested dissection is built at one site, ``P1.ordering``, once per mesh,
-and ``permc_spec`` is passed at one site, so no caller picks an ordering.
+and ``splu`` is called at one site, which passes ``permc_spec="NATURAL"``
+as a literal, so no caller picks an ordering and no operator falls back
+on SuperLU's own.
 The per-control fields of a ``ProblemSpec`` (``L``, ``ell``, ``g1``,
 ``g2``, ``zeta1``, ``zeta2``, ``lambda1``, ``lambda2``, ``mu1``, ``mu2``)
 are read in ``catalog`` alone: every other module reads a control's data
@@ -444,6 +446,12 @@ def keyword_sites(source, names):
                   if isinstance(node, ast.keyword) and node.arg in names)
 
 
+def keyword_literals(source, name):
+    """The values passed as keyword ``name`` in ``source``, in walk order; None for a non-literal."""
+    return [node.value.value if isinstance(node.value, ast.Constant) else None
+            for node in ast.walk(ast.parse(source)) if isinstance(node, ast.keyword) and node.arg == name]
+
+
 def test_one_owner_of_the_ordering():
     sample = (
         "p = fem._nested_dissection(mesh.vertices, mesh.edges)\n"
@@ -453,6 +461,8 @@ def test_one_owner_of_the_ordering():
     )
     assert name_sites(sample, {"_nested_dissection"}) == [1]
     assert keyword_sites(sample, {"permc_spec"}) == [2, 4]
+    assert keyword_literals(sample, "permc_spec") == ["NATURAL", "MMD_AT_PLUS_A"]
+    assert keyword_literals("spla.splu(a, permc_spec=permc)\n", "permc_spec") == [None]
     builds = {path.name: name_sites(path.read_text(), {"_nested_dissection"}) for path in sorted(SRC.glob("*.py"))}
     orders = {path.name: keyword_sites(path.read_text(), {"permc_spec"}) for path in sorted(SRC.glob("*.py"))}
     assert [(name, len(lines)) for name, lines in builds.items() if lines] == [("fem.py", 1)]
@@ -460,6 +470,10 @@ def test_one_owner_of_the_ordering():
     (line,) = builds["fem.py"]
     first, last = _enclosing((SRC / "fem.py").read_text(), ast.FunctionDef, "ordering")
     assert first <= line <= last
+    # the one factorisation: one splu call, on the line that passes NATURAL
+    factorisations = {path.name: name_sites(path.read_text(), {"splu"}) for path in sorted(SRC.glob("*.py"))}
+    assert [(name, lines) for name, lines in factorisations.items() if lines] == [("fem.py", orders["fem.py"])]
+    assert keyword_literals((SRC / "fem.py").read_text(), "permc_spec") == ["NATURAL"]
 
 
 PER_CONTROL = {"L", "ell", "g1", "g2", "zeta1", "zeta2", "lambda1", "lambda2", "mu1", "mu2"}
