@@ -35,17 +35,18 @@ whose two terms are products by one, so its sum rounds once and the table
 holds exactly the differences; and its powers from ``power``, which takes
 the reciprocal or the square root where those give ``np.power``'s bits.
 
-Sparse matrices are built only here, each in one form: canonical CSR.
-Every linear system goes through ``solve_linear``: a sparse LU
-factorisation for a vector or a block of columns, accepted only when
-every column's relative residual is within ``SOLVE_RTOL``.  What is
-solved is a :class:`SparseOperator`, which owns its factorisation: the
-first solve builds it, later solves with the same operator reuse it, and
-it is freed with the operator; no other cache holds it.  Every operator
-carries the record's ``ordering``, a nested dissection of the mesh
-(A. George, SIAM J. Numer. Anal. 10, 1973), and is factorised in that
-order with no column reordering of SuperLU's own.  A matrix that is only
-multiplied, such as the boundary mass, stays a plain CSR matrix.
+Sparse matrices are built only here, each in one form: canonical CSR,
+which callers multiply and add with ``@`` and ``+``.  Every linear
+system goes through ``solve_linear``: a sparse LU factorisation for a
+vector or a block of columns, accepted only when every column's relative
+residual is within ``SOLVE_RTOL``.  Only a matrix that is solved becomes
+a :class:`SparseOperator`, which carries the elimination order and owns
+the factorisation: the first solve builds it, later solves with the same
+operator reuse it, and it is freed with the operator; no other cache
+holds it.  The order is the record's ``ordering``, a nested dissection
+of the mesh (A. George, SIAM J. Numer. Anal. 10, 1973), or its
+interleaving over the blocks of a ``block_operator``, with no column
+reordering of SuperLU's own.
 """
 
 from __future__ import annotations
@@ -246,7 +247,7 @@ class P1:
 
     @cached_property
     def ordering(self) -> np.ndarray:
-        """The nested-dissection order of the vertices, in which every operator here is factorised."""
+        """The nested-dissection order of the vertices, in which every factorisation eliminates them."""
         return _nested_dissection(self.mesh.vertices, self.mesh.edges)
 
     @cached_property
@@ -265,8 +266,8 @@ class P1:
         return np.stack([e, np.roll(e, -1)], axis=1)
 
     @cached_property
-    def mass(self) -> SparseOperator:
-        """Interior mass matrix M."""
+    def mass(self) -> sp.csr_matrix:
+        """Interior mass matrix M (canonical CSR)."""
         return assemble_weighted_mass(self.mesh, 1.0)
 
     @cached_property
@@ -284,8 +285,8 @@ class P1:
         mb, loop, n = self.boundary_mass, self.mesh.boundary_loop, self.mesh.n_vertices
         return sp.csr_matrix((mb.data, (np.repeat(loop, np.diff(mb.indptr)), loop[mb.indices])), shape=(n, n))
 
-    def operator(self, spec: ProblemSpec) -> SparseOperator:
-        """Galerkin matrix of the elliptic operator of ``spec``."""
+    def operator(self, spec: ProblemSpec) -> sp.csr_matrix:
+        """Galerkin matrix of the elliptic operator of ``spec`` (canonical CSR)."""
         if self._spec is not spec:
             self._operator = assemble_operator(self.mesh, spec)
             self._spec = spec
@@ -311,18 +312,18 @@ class P1:
 
     def load(self, f: np.ndarray, g: np.ndarray) -> np.ndarray:
         """M f + T^T (M_b g) for nodal densities f in the domain and g on the boundary."""
-        out = self.mass.matvec(f)  # the loop vertices are distinct: T^T is a scatter without rounding
+        out = self.mass @ f  # the loop vertices are distinct: T^T is a scatter without rounding
         out[self.mesh.boundary_loop] += self.boundary_mass @ g
         return out
 
-    def reaction(self, c1: np.ndarray, c2: np.ndarray) -> SparseOperator:
-        """M diag(c1) + T^T M_b diag(c2) T, c1 per vertex, c2 per boundary vertex in loop order."""
-        interior, boundary = self.mass.matrix.copy(), self.vertex_boundary_mass.copy()
+    def reaction(self, c1: np.ndarray, c2: np.ndarray) -> sp.csr_matrix:
+        """M diag(c1) + T^T M_b diag(c2) T (canonical CSR), c1 per vertex, c2 per boundary vertex in loop order."""
+        interior, boundary = self.mass.copy(), self.vertex_boundary_mass.copy()
         on_loop = np.zeros(self.mesh.n_vertices)
         on_loop[self.mesh.boundary_loop] = c2
         interior.data *= c1[interior.indices]
         boundary.data *= on_loop[boundary.indices]
-        return SparseOperator(interior + boundary, self.ordering)
+        return interior + boundary  # scipy's CSR + CSR of canonical operands is canonical
 
 
 def _nested_dissection(points: np.ndarray, edges: np.ndarray) -> np.ndarray:
@@ -438,16 +439,16 @@ def p1(mesh: Mesh) -> P1:
 
 @dataclass
 class SparseOperator:
-    """Square CSR matrix in canonical form (sorted, deduplicated indices).
+    """A square CSR matrix, made canonical (sorted, deduplicated indices), that ``solve_linear`` factorises.
 
     The operator owns the sparse LU of its matrix: ``solve_linear``
     builds it on the first solve and reuses it on every later one, and it
     lives exactly as long as the operator.  ``ordering`` is the order in
     which that factorisation eliminates the unknowns, always given: the
-    mesh ordering (``P1.ordering``), kept by ``+``, or its interleaving
-    over the blocks of a ``block_operator``.  Treat ``matrix`` as
-    immutable; a factor left stale by an edit fails the residual check of
-    ``solve_linear`` rather than returning a wrong solution.
+    mesh ordering (``P1.ordering``), or its interleaving over the blocks
+    of a ``block_operator``.  Treat ``matrix`` as immutable; a factor
+    left stale by an edit fails the residual check of ``solve_linear``
+    rather than returning a wrong solution.
     """
 
     matrix: sp.csr_matrix
@@ -455,19 +456,10 @@ class SparseOperator:
     _lu: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        m = self.matrix if sp.isspmatrix_csr(self.matrix) else sp.csr_matrix(self.matrix)
-        m.sum_duplicates()  # sorts too; a no-op on a matrix flagged canonical
-        if m.shape[0] != m.shape[1]:
-            raise AssemblyError(f"operator must be square, got {m.shape}")
-        self.matrix = m
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        return self.matrix @ x
-
-    def __add__(self, other: "SparseOperator") -> "SparseOperator":
-        total = self.matrix + other.matrix
-        total.has_canonical_format = True  # scipy's CSR + CSR of canonical operands is canonical
-        return SparseOperator(total, self.ordering)
+        m = self.matrix
+        if not sp.isspmatrix_csr(m) or m.shape[0] != m.shape[1]:
+            raise AssemblyError(f"operator must be a square CSR matrix, got {m.format} {m.shape}")
+        m.sum_duplicates()  # sorts too; a no-op on a canonical matrix
 
 
 def min_eigenvalue(a11, a12, a22):
@@ -475,8 +467,8 @@ def min_eigenvalue(a11, a12, a22):
     return 0.5 * (a11 + a22 - np.sqrt((a11 - a22) ** 2 + 4.0 * a12**2))
 
 
-def assemble_operator(mesh: Mesh, spec: ProblemSpec) -> SparseOperator:
-    """Galerkin matrix of the elliptic operator with natural boundary data.
+def assemble_operator(mesh: Mesh, spec: ProblemSpec) -> sp.csr_matrix:
+    """Galerkin matrix (canonical CSR) of the elliptic operator with natural boundary data.
 
     Coefficients are evaluated at the interior quadrature points; the
     coefficient matrix must be uniformly elliptic there and a0 finite
@@ -504,28 +496,30 @@ def assemble_operator(mesh: Mesh, spec: ProblemSpec) -> SparseOperator:
         raise AssemblyError(f"a0 is not finite at quadrature point ({qpts[k, 0]:.6g}, {qpts[k, 1]:.6g}): {a0[k]}")
     d11, d12, d22 = (sp.diags(np.sum((qw * a).reshape(-1, 3), axis=1)) for a in (a11, a12, a22))
     gx, gy = rec.gradient
-    stiffness = gx.T @ (d11 @ gx + d12 @ gy) + gy.T @ (d12 @ gx + d22 @ gy)
-    return SparseOperator(stiffness, rec.ordering) + assemble_weighted_mass(mesh, a0)
+    stiffness = (gx.T @ (d11 @ gx + d12 @ gy) + gy.T @ (d12 @ gx + d22 @ gy)).tocsr()
+    stiffness.sum_duplicates()
+    return stiffness + assemble_weighted_mass(mesh, a0)  # canonical, as both terms are
 
 
-def assemble_weighted_mass(mesh: Mesh, weight_at_quad) -> SparseOperator:
-    """Mass matrix (w phi_j, phi_i) of a weight w at the interior quadrature points (3T,): W diag(w) Q."""
+def assemble_weighted_mass(mesh: Mesh, weight_at_quad) -> sp.csr_matrix:
+    """Mass matrix (w phi_j, phi_i) (canonical CSR) of a weight w at the interior quadrature points (3T,): W diag(w) Q."""
     rec = p1(mesh)
     weighted = rec.interior_interp.copy()
     weighted.data *= np.repeat(np.broadcast_to(weight_at_quad, rec.interior[1].shape), 2)
-    return SparseOperator(rec.interior_integral @ weighted, rec.ordering)
+    mass = rec.interior_integral @ weighted
+    mass.sum_duplicates()  # sorts the product's columns
+    return mass
 
 
-def block_operator(rows) -> SparseOperator:
-    """The block matrix of square operators given row by row, e.g. [[A, B], [C, D]].
+def block_operator(rows, ordering: np.ndarray) -> SparseOperator:
+    """The operator of the block matrix of square CSR blocks given row by row, e.g. [[A, B], [C, D]].
 
-    Its ordering takes the blocks' unknowns node by node in the first block's
-    ordering p: unknown p[0] of every block, then p[1] of every block, and
-    so on.
+    ``ordering`` is the node order p of every block's unknowns, the mesh's
+    ``P1.ordering``; the operator takes the blocks' unknowns node by node
+    in it: unknown p[0] of every block, then p[1] of every block, and so on.
     """
-    p = rows[0][0].ordering
-    interleaved = (p[:, None] + p.size * np.arange(len(rows))).ravel()
-    return SparseOperator(sp.bmat([[op.matrix for op in row] for row in rows], format="csr"), interleaved)
+    interleaved = (ordering[:, None] + ordering.size * np.arange(len(rows))).ravel()
+    return SparseOperator(sp.bmat(rows, format="csr"), interleaved)
 
 
 def lp_norm(field: FEField, p: float) -> float:
@@ -575,7 +569,7 @@ def solve_linear(op: SparseOperator, rhs: np.ndarray) -> np.ndarray:
         x[p] = op._lu.solve(rhs[p])
     except RuntimeError as exc:
         raise LinearSolveError(f"sparse LU failed: {exc}", float("nan")) from exc
-    defects = (rhs - op.matvec(x)).reshape(columns.shape)
+    defects = (rhs - op.matrix @ x).reshape(columns.shape)
     # each column against its largest entry s: |d / s| / |b / s| is the relative residual, and
     # its norms neither overflow for a finite b nor underflow to zero for a nonzero one
     residual = float(np.max([np.linalg.norm(defects[:, j] / s) / np.linalg.norm(columns[:, j] / s)

@@ -410,7 +410,7 @@ def _point(spec: ProblemSpec, y: FEField, phi: FEField) -> _Point:
         minimizers,
         linearized,
         semilinear_operator(spec, y) - state_load,
-        linearized.matvec(phi.values) - adjoint_load,
+        linearized.matrix @ phi.values - adjoint_load,
         euclidean_norm(np.concatenate([state_load, adjoint_load])),
     )
 
@@ -446,9 +446,10 @@ def _jacobian(spec: ProblemSpec, pt: _Point) -> fem.SparseOperator:
     state_y, state_phi, adjoint_y, adjoint_phi = (rec.reaction(*pair) for pair in zip(*coefficients))
     return fem.block_operator(
         [
-            [pt.linearized + state_y, state_phi],
-            [second_variation_matrix(spec, pt.y, pt.phi) + adjoint_y, pt.linearized + adjoint_phi],
-        ]
+            [pt.linearized.matrix + state_y, state_phi],
+            [second_variation_matrix(spec, pt.y, pt.phi) + adjoint_y, pt.linearized.matrix + adjoint_phi],
+        ],
+        rec.ordering,
     )
 
 
@@ -551,7 +552,7 @@ def robinson_check(spec: ProblemSpec, z, targets) -> np.ndarray:
     # one column per target: an (n, k) interior and an (nb, k) boundary block
     blocks = [np.column_stack([pair[i].values for pair in targets]) for i in (0, 1)]
     # nodal reaction coupling keeps the two discrete solves exactly composable
-    w = fem.solve_linear(A + rec.reaction(*shifts), rec.load(*blocks))
+    w = fem.solve_linear(fem.SparseOperator(A.matrix + rec.reaction(*shifts), rec.ordering), rec.load(*blocks))
     directions = [t - c[:, None] * w[h.nodes] for h, t, c in zip(halves, blocks, shifts)]
 
     wt = fem.solve_linear(A, rec.load(*directions))

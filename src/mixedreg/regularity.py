@@ -177,11 +177,12 @@ def refinement_study(
 ) -> dict:
     """Solve the optimality system on nested meshes and track seminorms.
 
-    ``levels`` must be consecutive non-negative integers.  The last level's
-    mesh is ``geometry.build_mesh(spec.preset, levels[-1])``, each earlier
-    level's the ``coarser`` of the one after.  The first level's solve
-    starts from ``kkt.cold_start`` of zero controls, each later level's
-    from the previous level's y and phi prolonged onto its mesh.
+    ``levels`` must be two or more consecutive non-negative integers.  The
+    last level's mesh is ``geometry.build_mesh(spec.preset, levels[-1])``,
+    each earlier level's the ``coarser`` of the one after.  The first
+    level's solve starts from ``kkt.cold_start`` of zero controls, each
+    later level's from the previous level's y and phi prolonged onto its
+    mesh.
     A level where the solver does not converge is still recorded (marked
     in the per-level records) and its iterate starts the next level, so
     the study degrades honestly instead of stopping; no level falls back
@@ -192,6 +193,8 @@ def refinement_study(
     levels = [int(l) for l in levels]
     if not levels:
         raise SpecError("level range is empty")
+    if len(levels) < 2:
+        raise SpecError(f"a refinement study needs at least two levels, got {levels}")
     if levels[0] < 0 or any(b - a != 1 for a, b in zip(levels[:-1], levels[1:])):
         raise SpecError(f"levels must be consecutive and non-negative for nested iteration, got {levels}")
 

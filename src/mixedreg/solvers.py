@@ -147,20 +147,21 @@ def _at_quadrature(fn, y: FEField) -> np.ndarray:
 def semilinear_operator(spec: ProblemSpec, y: FEField) -> np.ndarray:
     """Left-hand side of the discrete state equation: K y + (f(., y), phi_i)."""
     rec = fem.p1(y.mesh)
-    return rec.operator(spec).matvec(y.values) + rec.interior_integral @ _at_quadrature(spec.f, y)
+    return rec.operator(spec) @ y.values + rec.interior_integral @ _at_quadrature(spec.f, y)
 
 
 def linearized_matrix(spec: ProblemSpec, y: FEField) -> fem.SparseOperator:
-    """Matrix of the state equation linearized at y: K + (f_y(., y) phi_j, phi_i)."""
+    """Operator of the state equation linearized at y, K + (f_y(., y) phi_j, phi_i), in the mesh ordering."""
+    rec = fem.p1(y.mesh)
     weight = _at_quadrature(spec.f.diff(), y)
-    return fem.p1(y.mesh).operator(spec) + fem.assemble_weighted_mass(y.mesh, weight)
+    return fem.SparseOperator(rec.operator(spec) + fem.assemble_weighted_mass(y.mesh, weight), rec.ordering)
 
 
-def second_variation_matrix(spec: ProblemSpec, y: FEField, phi: FEField) -> fem.SparseOperator:
-    """The y-derivative of ``linearized_matrix(spec, y) @ phi``: (f_yy(., y) phi phi_j, phi_i).
+def second_variation_matrix(spec: ProblemSpec, y: FEField, phi: FEField):
+    """The y-derivative of ``linearized_matrix(spec, y).matrix @ phi``: (f_yy(., y) phi phi_j, phi_i).
 
     ``phi`` is a domain field; the derivative is the mass matrix weighted
-    by f_yy(., y) phi at the interior quadrature points.
+    by f_yy(., y) phi at the interior quadrature points, a canonical CSR matrix.
     """
     weight = _at_quadrature(spec.f.diff().diff(), y) * fem.p1(y.mesh).at_interior(phi.values)
     return fem.assemble_weighted_mass(y.mesh, weight)

@@ -551,7 +551,7 @@ def test_invalid_tolerance_or_exponent_is_config_error(tmp_path, capsys, argv, m
     [
         (["solve-kkt", "--config", cfg("quadratic_tracking"), "--level", "2",
           "--max-iter", "0"], "max_iter must be at least 1"),
-        (["regularity", "--config", cfg("smooth_constrained"), "--levels", "2",
+        (["regularity", "--config", cfg("smooth_constrained"), "--levels", "2", "3",
           "--max-iter", "0"], "max_iter must be at least 1"),
         (["robinson", "--config", cfg("quadratic_tracking"), "--targets", "0"],
          "--targets must be at least 1"),
@@ -585,6 +585,19 @@ def test_empty_run_is_config_error(tmp_path, capsys, argv, message):
     assert summary is None
     err = capsys.readouterr().err
     assert message in err
+    assert err.count("\n") == 1
+
+
+def test_one_level_study_is_config_error(tmp_path, capsys, monkeypatch):
+    # one level has no refinement to compare, so the study refuses it before it builds a mesh,
+    # rather than failing six stability checks against a growth ratio of 1.0
+    monkeypatch.setattr(geometry, "build_mesh", lambda *args: pytest.fail("a one-level study built a mesh"))
+    code, out, summary = run(["regularity", "--config", cfg("smooth_constrained"), "--levels", "2",
+                              "--kkt-tol", "5e-3"], tmp_path)
+    assert code == 2
+    assert summary is None and list(out.iterdir()) == []
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "at least two levels" in err
     assert err.count("\n") == 1
 
 

@@ -63,9 +63,9 @@ def test_assembled_matrices_match_dense_oracle(disk, stiffness_spec):
         rec = fem.p1(m)
         K_ref, M_ref, Mb_ref = oracles.dense_p1(m)
         T_ref = oracles.trace_matrix(m)
-        K = assemble_operator(m, stiffness_spec).matrix.toarray()
+        K = assemble_operator(m, stiffness_spec).toarray()
         assert np.max(np.abs(K - K_ref)) < 1e-14
-        assert np.max(np.abs(rec.mass.matrix.toarray() - M_ref)) < 1e-14
+        assert np.max(np.abs(rec.mass.toarray() - M_ref)) < 1e-14
         assert np.max(np.abs(rec.boundary_mass.toarray() - Mb_ref)) < 1e-14
         assert np.max(np.abs(rec.vertex_boundary_mass.toarray() - T_ref.T @ Mb_ref @ T_ref)) < 1e-14
         f, g = rng.standard_normal(m.n_vertices), rng.standard_normal(m.n_boundary)
@@ -91,7 +91,7 @@ def test_anisotropic_operator_matches_dense_oracle(preset, identity_spec):
             m, lambda x1, x2: 2.0 + x1, lambda x1, x2: 0.5 * x2, lambda x1, x2: 1.0 + x2 * x2,
             lambda x1, x2: 1.0 + x1 * x1,
         )
-        K = assemble_operator(m, spec).matrix.toarray()
+        K = assemble_operator(m, spec).toarray()
         assert np.max(np.abs(K - K_ref)) <= 1e-13 * np.max(np.abs(K_ref))
 
 
@@ -100,7 +100,7 @@ def test_weighted_mass_matches_dense_oracle(preset):
     m = build_mesh(preset, 3)
     weight = np.random.default_rng(7).standard_normal(3 * m.triangles.shape[0])
     M_ref = oracles.dense_weighted_mass(m, weight)
-    M = fem.assemble_weighted_mass(m, weight).matrix.toarray()
+    M = fem.assemble_weighted_mass(m, weight).toarray()
     assert np.max(np.abs(M - M_ref)) <= 1e-13 * np.max(np.abs(M_ref))
 
 
@@ -186,11 +186,11 @@ def test_operator_sum_stays_canonical(disk, identity_spec):
     rec = fem.p1(m)
     a = rec.operator(identity_spec)
     b = rec.reaction(np.linspace(0.0, 1.0, m.n_vertices), np.ones(m.n_boundary))
-    total = (a + b).matrix
+    total = a + b
     assert total.has_canonical_format
-    # the sum is flagged canonical without a check, so check it here: sorted, unique columns
+    # and checked here by hand: sorted, unique columns in every row
     assert all(np.all(np.diff(total.indices[lo:hi]) > 0) for lo, hi in zip(total.indptr[:-1], total.indptr[1:]))
-    assert np.array_equal(total.toarray(), a.matrix.toarray() + b.matrix.toarray())
+    assert np.array_equal(total.toarray(), a.toarray() + b.toarray())
 
 
 def test_record_dies_with_its_mesh():
@@ -215,26 +215,26 @@ def test_record_operator_follows_the_spec(disk, identity_spec):
     m = disk(2)
     rec = fem.p1(m)
     shifted = dataclasses.replace(identity_spec, a0="3")
-    base = rec.operator(identity_spec).matrix.toarray()
+    base = rec.operator(identity_spec).toarray()
     assert rec.operator(identity_spec) is rec.operator(identity_spec)
     # a0 enters only through the reaction term: the two operators differ by 2 M
-    diff = rec.operator(shifted).matrix.toarray() - base
-    assert np.max(np.abs(diff - 2.0 * rec.mass.matrix.toarray())) < 1e-14
-    assert np.array_equal(rec.operator(identity_spec).matrix.toarray(), base)
+    diff = rec.operator(shifted).toarray() - base
+    assert np.max(np.abs(diff - 2.0 * rec.mass.toarray())) < 1e-14
+    assert np.array_equal(rec.operator(identity_spec).toarray(), base)
 
 
 def test_operator_includes_reaction(disk, identity_spec, stiffness_spec):
     m = disk(1)
-    full = assemble_operator(m, identity_spec).matrix.toarray()
-    stiff = assemble_operator(m, stiffness_spec).matrix.toarray()
-    mass = fem.p1(m).mass.matrix.toarray()
+    full = assemble_operator(m, identity_spec).toarray()
+    stiff = assemble_operator(m, stiffness_spec).toarray()
+    mass = fem.p1(m).mass.toarray()
     assert np.max(np.abs(full - stiff - mass)) < 1e-14
 
 
 def test_stiffness_annihilates_constants(disk, stiffness_spec):
     m = disk(2)
     K = assemble_operator(m, stiffness_spec)
-    r = K.matvec(np.ones(m.n_vertices))
+    r = K @ np.ones(m.n_vertices)
     assert np.max(np.abs(r)) < 1e-13
 
 
@@ -242,7 +242,7 @@ def test_mass_totals(disk):
     m = disk(3)
     ones = np.ones(m.n_vertices)
     M = fem.p1(m).mass
-    assert float(ones @ M.matvec(ones)) == pytest.approx(m.triangle_areas().sum(), rel=1e-13)
+    assert float(ones @ (M @ ones)) == pytest.approx(m.triangle_areas().sum(), rel=1e-13)
     nb = m.boundary_loop.shape[0]
     Mb = fem.p1(m).boundary_mass
     total = float(np.ones(nb) @ (Mb @ np.ones(nb)))
@@ -312,11 +312,16 @@ def test_lp_norm_requires_p_at_least_one(disk):
         lp_norm(domain_field(disk(1), 1.0), 0.5)
 
 
+def factorable(mesh, matrix):
+    """``matrix`` as the operator ``solve_linear`` factorises, in the mesh ordering."""
+    return fem.SparseOperator(matrix, fem.p1(mesh).ordering)
+
+
 def test_solve_linear_identityish(disk, identity_spec):
     m = disk(2)
-    op = assemble_operator(m, identity_spec)
+    op = factorable(m, assemble_operator(m, identity_spec))
     target = np.ones(m.n_vertices)
-    rhs = op.matvec(target)
+    rhs = op.matrix @ target
     x = solve_linear(op, rhs)
     assert np.max(np.abs(x - target)) < 1e-10
     assert np.all(solve_linear(op, np.zeros(m.n_vertices)) == 0.0)
@@ -324,11 +329,11 @@ def test_solve_linear_identityish(disk, identity_spec):
 
 def test_operator_is_factorised_once(disk, identity_spec, factorisations):
     m = disk(2)
-    op = assemble_operator(m, identity_spec)
+    op = factorable(m, assemble_operator(m, identity_spec))
     rng = np.random.default_rng(3)
     for rhs in (rng.standard_normal(m.n_vertices), rng.standard_normal((m.n_vertices, 2))):
         x = solve_linear(op, rhs)
-        assert np.max(np.abs(op.matvec(x) - rhs)) < 1e-10
+        assert np.max(np.abs(op.matrix @ x - rhs)) < 1e-10
     assert len(factorisations) == 1
     # an equal matrix in another operator has its own factorisation
     solve_linear(fem.SparseOperator(op.matrix.copy(), op.ordering), np.ones(m.n_vertices))
@@ -337,7 +342,7 @@ def test_operator_is_factorised_once(disk, identity_spec, factorisations):
 
 def test_stale_factorisation_fails_the_residual_check(disk, identity_spec):
     m = disk(2)
-    op = assemble_operator(m, identity_spec)
+    op = factorable(m, assemble_operator(m, identity_spec))
     solve_linear(op, np.ones(m.n_vertices))
     op.matrix = 2.0 * op.matrix
     with pytest.raises(LinearSolveError) as err:
@@ -351,8 +356,8 @@ def test_residual_check_holds_at_any_scale_of_the_load():
     # is solved, not taken for a zero column
     m = build_mesh("disk", 3)
     rec = fem.p1(m)
-    op = fem.SparseOperator(rec.mass.matrix.copy(), rec.ordering)
-    rhs = rec.mass.matvec(np.ones(m.n_vertices))
+    op = fem.SparseOperator(rec.mass.copy(), rec.ordering)
+    rhs = rec.mass @ np.ones(m.n_vertices)
     assert np.linalg.norm(1e-170 * rhs) == 0.0
     assert np.max(np.abs(1e170 * solve_linear(op, 1e-170 * rhs) - 1.0)) < 1e-12
     op.matrix.data *= 1.0 + 1e-8
@@ -369,7 +374,7 @@ def test_residual_check_holds_at_any_scale_of_the_load():
 def test_residual_check_refuses_a_nan_load(disk):
     # a column holding a NaN has a NaN largest entry: it is checked, and its NaN residual fails
     m = disk(2)
-    op = fem.p1(m).mass
+    op = factorable(m, fem.p1(m).mass)
     rhs = np.ones(m.n_vertices)
     rhs[5] = np.nan
     for load in (rhs, np.column_stack([np.ones(m.n_vertices), rhs])):
@@ -381,7 +386,7 @@ def test_residual_check_refuses_a_nan_load(disk):
 def test_solve_linear_rejects_singular_operator(disk, stiffness_spec):
     m = disk(1)
     # pure Neumann stiffness: constants span the kernel, and ones is not in the range
-    neumann = assemble_operator(m, stiffness_spec)
+    neumann = factorable(m, assemble_operator(m, stiffness_spec))
     with pytest.raises(LinearSolveError) as err:
         solve_linear(neumann, np.ones(m.n_vertices))
     assert "residual" in str(err.value)
@@ -399,7 +404,7 @@ def robinson_operator(mesh, spec):
     xy = mesh.vertices
     c1 = 1.0 + 0.5 * np.sin(3.0 * xy[:, 0]) * xy[:, 1]
     c2 = 2.0 + np.cos(mesh.boundary_params)
-    return rec.operator(spec) + rec.reaction(c1, c2)
+    return factorable(mesh, rec.operator(spec) + rec.reaction(c1, c2))
 
 
 def test_reaction_coupling_matches_its_load(disk):
@@ -410,10 +415,10 @@ def test_reaction_coupling_matches_its_load(disk):
     w = rng.standard_normal(m.n_vertices)
     T = sp.csr_matrix(oracles.trace_matrix(m))
     C = rec.reaction(c1, c2)
-    coupling = rec.mass.matrix @ sp.diags(c1) + T.T @ (rec.boundary_mass @ sp.diags(c2)) @ T
-    assert abs(C.matrix - coupling).max() == 0.0
+    coupling = rec.mass @ sp.diags(c1) + T.T @ (rec.boundary_mass @ sp.diags(c2)) @ T
+    assert abs(C - coupling).max() == 0.0
     expected = rec.load(c1 * w, c2 * w[m.boundary_loop])
-    assert np.max(np.abs(C.matvec(w) - expected)) <= 1e-14 * np.max(np.abs(expected))
+    assert np.max(np.abs(C @ w - expected)) <= 1e-14 * np.max(np.abs(expected))
 
 
 @pytest.mark.parametrize("level", [2, 4, 5])
@@ -424,14 +429,14 @@ def test_reaction_with_zero_coefficients_stores_no_zeros(disk, level):
     rng = np.random.default_rng(level)
     c1 = np.where(rng.random(m.n_vertices) < 0.5, 0.0, rng.standard_normal(m.n_vertices))
     c2 = np.where(rng.random(m.n_boundary) < 0.5, 0.0, rng.standard_normal(m.n_boundary))
-    C = rec.reaction(c1, c2).matrix
+    C = rec.reaction(c1, c2)
     assert C.nnz > 0 and np.all(C.data != 0.0)
     T = sp.csr_matrix(oracles.trace_matrix(m))
-    coupling = (rec.mass.matrix @ sp.diags(c1) + T.T @ (rec.boundary_mass @ sp.diags(c2)) @ T).tocsr()
+    coupling = (rec.mass @ sp.diags(c1) + T.T @ (rec.boundary_mass @ sp.diags(c2)) @ T).tocsr()
     coupling.eliminate_zeros()
     coupling.sort_indices()
     assert np.array_equal(C.indptr, coupling.indptr) and np.array_equal(C.indices, coupling.indices)
-    assert rec.reaction(np.zeros(m.n_vertices), np.zeros(m.n_boundary)).matrix.nnz == 0
+    assert rec.reaction(np.zeros(m.n_vertices), np.zeros(m.n_boundary)).nnz == 0
 
 
 @settings(max_examples=40, deadline=None)
@@ -569,7 +574,7 @@ def test_solve_linear_nonsymmetric_robinson_operator(disk, identity_spec):
     rng = np.random.default_rng(11)
     rhs = rec.load(rng.standard_normal(m.n_vertices), rng.standard_normal(m.n_boundary))
     x = solve_linear(op, rhs)
-    assert np.linalg.norm(rhs - op.matvec(x)) <= fem.SOLVE_RTOL * np.linalg.norm(rhs)
+    assert np.linalg.norm(rhs - op.matrix @ x) <= fem.SOLVE_RTOL * np.linalg.norm(rhs)
 
 
 @settings(max_examples=25, deadline=None)
@@ -597,9 +602,9 @@ def test_solve_linear_block_equals_single_solves(disk, identity_spec, level, k, 
 def test_solve_linear_block_reports_worst_column(disk, stiffness_spec):
     # pure Neumann stiffness: a column in the range solves, ones does not
     m = disk(1)
-    neumann = assemble_operator(m, stiffness_spec)
+    neumann = factorable(m, assemble_operator(m, stiffness_spec))
     ones = np.ones(m.n_vertices)
-    in_range = neumann.matvec(np.random.default_rng(2).standard_normal(m.n_vertices))
+    in_range = neumann.matrix @ np.random.default_rng(2).standard_normal(m.n_vertices)
     with pytest.raises(LinearSolveError) as err:
         solve_linear(neumann, np.column_stack([in_range, np.zeros_like(ones), ones]))
     with pytest.raises(LinearSolveError) as single:
@@ -622,7 +627,7 @@ def test_mesh_ordering_is_a_deterministic_permutation(identity_spec, preset, lev
     assert p.dtype.kind == "i" and np.array_equal(np.sort(p), np.arange(m.n_vertices))
     # C10: a second build of the same mesh orders it the same way
     assert np.array_equal(fem.p1(build_mesh(preset, level)).ordering, p)
-    # every operator of the record carries it, and the solve agrees with SuperLU's COLAMD order
+    # an operator built on the record carries it, and the solve agrees with SuperLU's COLAMD order
     op = robinson_operator(m, identity_spec)
     assert op.ordering is p
     rhs = np.random.default_rng(seed).standard_normal(m.n_vertices)
@@ -633,7 +638,7 @@ def test_mesh_ordering_is_a_deterministic_permutation(identity_spec, preset, lev
 @pytest.mark.parametrize("preset", sorted(PRESETS))
 def test_mesh_ordering_fills_less_than_colamd(identity_spec, factorisations, preset):
     m = build_mesh(preset, 4)
-    op = fem.p1(m).operator(identity_spec)
+    op = factorable(m, fem.p1(m).operator(identity_spec))
     rhs = np.ones(m.n_vertices)
     fill = lu_fill(op, rhs)
     colamd = spla.splu(op.matrix.tocsc())  # SuperLU's own COLAMD column order, the reference
@@ -645,17 +650,20 @@ def test_block_operator_interleaves_the_blocks_per_node(disk, identity_spec):
     m = disk(2)
     rec = fem.p1(m)
     a = rec.operator(identity_spec)
-    block = fem.block_operator([[a, rec.mass], [rec.mass, a]])
+    block = fem.block_operator([[a, rec.mass], [rec.mass, a]], rec.ordering)
     p, n = rec.ordering, m.n_vertices
     assert np.array_equal(block.ordering, np.stack([p, p + n], axis=1).ravel())
 
 
 def test_every_operator_carries_an_ordering(disk):
     # an operator has no factorisation without an elimination order, so it cannot be built
-    # without one; the boundary mass is only ever multiplied and stays a plain CSR matrix
+    # without one, nor from anything but a square CSR matrix; a matrix that is only ever
+    # multiplied, such as the boundary mass, stays a plain CSR matrix
     rec = fem.p1(disk(2))
     with pytest.raises(TypeError):
-        fem.SparseOperator(rec.mass.matrix)
+        fem.SparseOperator(rec.mass)
+    with pytest.raises(AssemblyError, match="square CSR"):
+        fem.SparseOperator(rec.mass.tocsc(), rec.ordering)
     assert sp.isspmatrix_csr(rec.boundary_mass) and rec.boundary_mass.has_canonical_format
 
 

@@ -36,7 +36,11 @@ The elimination order of the factorisations belongs to ``fem`` too: the
 nested dissection is built at one site, ``P1.ordering``, once per mesh,
 and ``splu`` is called at one site, which passes ``permc_spec="NATURAL"``
 as a literal, so no caller picks an ordering and no operator falls back
-on SuperLU's own.
+on SuperLU's own.  A ``fem.SparseOperator``, the pairing of a matrix with
+that order, is built only where ``solve_linear`` factorises the matrix:
+in ``fem.block_operator``, ``solvers.linearized_matrix`` and
+``kkt.robinson_check``; every other assembly returns a plain canonical
+CSR matrix.
 The per-control fields of a ``ProblemSpec`` (``L``, ``ell``, ``g1``,
 ``g2``, ``zeta1``, ``zeta2``, ``lambda1``, ``lambda2``, ``mu1``, ``mu2``)
 are read in ``catalog`` alone: every other module reads a control's data
@@ -53,7 +57,11 @@ import re
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
+import scipy.sparse as sp
+
+from mixedreg import fem, geometry, solvers
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "mixedreg"
 SPARSE = "scipy.sparse"
@@ -474,6 +482,49 @@ def test_one_owner_of_the_ordering():
     factorisations = {path.name: name_sites(path.read_text(), {"splu"}) for path in sorted(SRC.glob("*.py"))}
     assert [(name, lines) for name, lines in factorisations.items() if lines] == [("fem.py", orders["fem.py"])]
     assert keyword_literals((SRC / "fem.py").read_text(), "permc_spec") == ["NATURAL"]
+
+
+FACTORISATION_SITES = [("fem", "block_operator"), ("kkt", "robinson_check"), ("solvers", "linearized_matrix")]
+
+
+def operator_sites(source):
+    """(top-level statement's name, line) of each call of ``SparseOperator`` in ``source``."""
+    return [(getattr(stmt, "name", None), node.lineno) for stmt in ast.parse(source).body for node in ast.walk(stmt)
+            if isinstance(node, ast.Call) and "SparseOperator" in (getattr(node.func, "id", None),
+                                                                   getattr(node.func, "attr", None))]
+
+
+def test_operators_are_built_only_where_factorised():
+    sample = (
+        "op = fem.SparseOperator(a, p)\n"
+        "def f() -> fem.SparseOperator:\n"
+        "    return SparseOperator(m, p)\n"
+        "class C:\n"
+        "    def g(self, x: SparseOperator):\n"
+        "        return fem.SparseOperator(x.matrix, p)\n"
+        "# SparseOperator(m, p) in a comment\n"
+    )
+    assert operator_sites(sample) == [(None, 1), ("f", 3), ("C", 6)]
+    sites = sorted((path.stem, name) for path in SRC.glob("*.py") for name, _ in operator_sites(path.read_text()))
+    assert sites == FACTORISATION_SITES
+
+
+def test_assemblies_return_canonical_csr(configs):
+    # a matrix that is only multiplied or summed is plain CSR, sorted and deduplicated
+    spec = configs["smooth_constrained"]
+    mesh = geometry.build_mesh(spec.preset, 2)
+    rec = fem.p1(mesh)
+    y = fem.domain_field(mesh, np.cos(3.0 * mesh.vertices[:, 0]))
+    matrices = {
+        "mass": rec.mass,
+        "operator": rec.operator(spec),
+        "reaction": rec.reaction(np.linspace(-1.0, 1.0, mesh.n_vertices), np.linspace(0.0, 1.0, mesh.n_boundary)),
+        "weighted mass": fem.assemble_weighted_mass(mesh, np.linspace(0.0, 1.0, rec.interior[1].size)),
+        "second variation": solvers.second_variation_matrix(spec, y, y),
+    }
+    assert {name: (sp.isspmatrix_csr(m), m.has_canonical_format) for name, m in matrices.items()} == {
+        name: (True, True) for name in matrices
+    }
 
 
 PER_CONTROL = {"L", "ell", "g1", "g2", "zeta1", "zeta2", "lambda1", "lambda2", "mu1", "mu2"}

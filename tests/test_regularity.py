@@ -128,6 +128,8 @@ def test_streamed_pass_matches_per_call_estimates(disk, level, subsample, stair_
 def test_study_level_validation(configs):
     with pytest.raises(SpecError, match="empty"):
         refinement_study(configs["constant_kkt"], [])
+    with pytest.raises(SpecError, match="at least two levels"):
+        refinement_study(configs["constant_kkt"], [3])
     with pytest.raises(SpecError, match="consecutive"):
         refinement_study(configs["constant_kkt"], [3, 5])
     with pytest.raises(SpecError, match="non-negative"):

@@ -327,8 +327,8 @@ def test_linearized_adjoint_duality(cubic_spec, linearization_setup):
     phi = adjoint_solution(cubic_spec, y0, rhs_d.values, rhs_b.values)
     M = fem.p1(m).mass
     Mb = fem.p1(m).boundary_mass
-    lhs = rhs_d.values @ M.matvec(w) + rhs_b.values @ (Mb @ w[m.boundary_loop])
-    rhs = du.values @ M.matvec(phi) + dv.values @ (Mb @ phi[m.boundary_loop])
+    lhs = rhs_d.values @ (M @ w) + rhs_b.values @ (Mb @ w[m.boundary_loop])
+    rhs = du.values @ (M @ phi) + dv.values @ (Mb @ phi[m.boundary_loop])
     assert lhs == pytest.approx(rhs, rel=1e-11)
 
 
