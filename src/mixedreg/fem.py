@@ -1,23 +1,27 @@
 """P1 finite elements on triangulated domains with natural boundary data.
 
-Interior integrals use the three-edge-midpoint rule (degree 2), boundary
-integrals two-point Gauss per edge (degree 3).  Quadrature arrays are
-flat: point 3 t + q is the midpoint of edge q of triangle t, point 2 e + g
-Gauss point g of boundary edge e.  Composed nonlinear integrands are
-always evaluated at quadrature points from interpolated nodal values;
-nothing is mass-lumped.  Assembly is vectorized and deterministic.
+The state equation is Galerkin: its interior integrals use the
+three-edge-midpoint rule (degree 2), and composed nonlinear integrands
+are evaluated there from interpolated nodal values.  Boundary integrals
+of fields use two-point Gauss per edge (degree 3).  Quadrature arrays
+are flat: point 3 t + q is the midpoint of edge q of triangle t, point
+2 e + g Gauss point g of boundary edge e.  Every control and tracking
+integral is taken by the vertex rule instead, with the lumped weights
+m (the row sums of the mass matrix, area / 3 per triangle corner) and
+m_b (half the two boundary edges at a loop vertex), so a load is
+m f + T^T (m_b g), T the trace, and the controls, their constraints and
+the cost all live on the nodes.  Assembly is vectorized and deterministic.
 
 The :class:`P1` record of a mesh (``p1(mesh)``) is the single owner of
-everything assembled once per mesh: both quadratures, the mass matrices
-M and M_b (and M_b on the vertex numbering), the elliptic operator of the
-last problem spec, and the sparse maps that own every interior
-integral: Q (3T, n) interpolates nodal values to the interior points,
-W = Q^T diag(qw) (n, 3T) integrates values there against the basis, and
-Gx, Gy (T, n) give the gradient on each triangle.  A load is W g, a
-weighted mass W diag(w) Q, and the elliptic operator Gx^T (D11 Gx +
-D12 Gy) + Gy^T (D12 Gx + D22 Gy) plus the a0-weighted mass, so every
-Newton Jacobian uses exactly the quadrature of the residual it
-differentiates.  Load vectors are always M f + T^T (M_b g), T the trace.
+everything assembled once per mesh: both quadratures, the lumped
+``weights`` (m, m_b), the elliptic operator of the last problem spec,
+and the sparse maps that own every interior integral: Q (3T, n)
+interpolates nodal values to the interior points, W = Q^T diag(qw)
+(n, 3T) integrates values there against the basis, and Gx, Gy (T, n)
+give the gradient on each triangle.  A weighted mass is W diag(w) Q, and
+the elliptic operator Gx^T (D11 Gx + D12 Gy) + Gy^T (D12 Gx + D22 Gy)
+plus the a0-weighted mass, so every Newton Jacobian uses exactly the
+quadrature of the residual it differentiates.
 
 The record holds only a weak reference to its mesh, so a dropped mesh
 frees its record at once, though a refined mesh keeps its ``coarser``
@@ -192,14 +196,16 @@ class P1:
     Each part is built on first use, so boundary-only work never touches
     the interior, not even its maps ``interior_interp`` (Q),
     ``interior_integral`` (W) and ``gradient`` (Gx, Gy), nor the vertex
-    ``ordering`` of the factorisations; the boundary's map is
-    ``edge_ends``.  Nor does it build the interior mesh: the boundary
-    commands work on ``geometry.boundary_fan``.  ``operator`` keeps the
-    matrix of the last spec it was asked for and reassembles when a
-    different spec object comes.  ``at_interior`` and ``at_boundary``
-    take nodal values to the quadrature points, for one field or for a
-    block of fields, one per row.  The mesh is held weakly: the mesh owns
-    the record.
+    ``ordering`` of the factorisations, nor the lumped ``weights``; the
+    boundary's map is ``edge_ends``.  Nor does it build the interior mesh:
+    the boundary commands work on ``geometry.boundary_fan``.  The
+    controls enter through the weights alone: ``load`` integrates nodal
+    densities by the vertex rule, and ``reaction`` is the diagonal
+    matrix of the same rule.  ``operator`` keeps the matrix of the last
+    spec it was asked for and reassembles when a different spec object
+    comes.  ``at_interior`` and ``at_boundary`` take nodal values to the
+    quadrature points, for one field or for a block of fields, one per
+    row.  The mesh is held weakly: the mesh owns the record.
     """
 
     def __init__(self, mesh: Mesh):
@@ -266,24 +272,12 @@ class P1:
         return np.stack([e, np.roll(e, -1)], axis=1)
 
     @cached_property
-    def mass(self) -> sp.csr_matrix:
-        """Interior mass matrix M (canonical CSR)."""
-        return assemble_weighted_mass(self.mesh, 1.0)
-
-    @cached_property
-    def boundary_mass(self) -> sp.csr_matrix:
-        """Boundary mass matrix M_b (canonical CSR) in boundary-loop order, tridiagonal up to the loop wraparound."""
-        nb = self.mesh.n_boundary
-        local = np.einsum("eq,qi,qj->eij", self.boundary[1].reshape(nb, 2), _EDGE_BASIS, _EDGE_BASIS)
-        rows = np.repeat(self.edge_ends, 2, axis=1).reshape(-1)
-        cols = np.tile(self.edge_ends, (1, 2)).reshape(-1)
-        return sp.coo_matrix((local.reshape(-1), (rows, cols)), shape=(nb, nb)).tocsr()  # sums duplicates
-
-    @cached_property
-    def vertex_boundary_mass(self) -> sp.csr_matrix:
-        """M_b placed on the vertex numbering (n, n): entry (loop[a], loop[b]) is M_b[a, b], no other."""
-        mb, loop, n = self.boundary_mass, self.mesh.boundary_loop, self.mesh.n_vertices
-        return sp.csr_matrix((mb.data, (np.repeat(loop, np.diff(mb.indptr)), loop[mb.indices])), shape=(n, n))
+    def weights(self):
+        """Lumped weights (m, m_b): m (n,) the row sums of the mass matrix, m_b (nb,) per loop vertex."""
+        mesh = self.mesh
+        m = np.bincount(mesh.triangles.reshape(-1), np.repeat(mesh.triangle_areas() / 3.0, 3), mesh.n_vertices)
+        half = mesh.boundary_edge_lengths / 2.0  # loop vertex e ends the edges e - 1 and e
+        return m, half + np.roll(half, 1)
 
     def operator(self, spec: ProblemSpec) -> sp.csr_matrix:
         """Galerkin matrix of the elliptic operator of ``spec`` (canonical CSR)."""
@@ -311,19 +305,16 @@ class P1:
         return (np.take(values, self.edge_ends, axis=-1) @ _EDGE_BASIS.T).reshape(*values.shape[:-1], -1)
 
     def load(self, f: np.ndarray, g: np.ndarray) -> np.ndarray:
-        """M f + T^T (M_b g) for nodal densities f in the domain and g on the boundary."""
-        out = self.mass @ f  # the loop vertices are distinct: T^T is a scatter without rounding
-        out[self.mesh.boundary_loop] += self.boundary_mass @ g
+        """m f + T^T (m_b g) for nodal densities f (n,) and g (nb,) in loop order, or (n, k) and (nb, k) blocks."""
+        m, mb = self.weights
+        shape = (-1,) + (1,) * (f.ndim - 1)
+        out = m.reshape(shape) * f
+        out[self.mesh.boundary_loop] += mb.reshape(shape) * g  # the loop vertices are distinct
         return out
 
     def reaction(self, c1: np.ndarray, c2: np.ndarray) -> sp.csr_matrix:
-        """M diag(c1) + T^T M_b diag(c2) T (canonical CSR), c1 per vertex, c2 per boundary vertex in loop order."""
-        interior, boundary = self.mass.copy(), self.vertex_boundary_mass.copy()
-        on_loop = np.zeros(self.mesh.n_vertices)
-        on_loop[self.mesh.boundary_loop] = c2
-        interior.data *= c1[interior.indices]
-        boundary.data *= on_loop[boundary.indices]
-        return interior + boundary  # scipy's CSR + CSR of canonical operands is canonical
+        """diag(``load(c1, c2)``) in canonical CSR without stored zeros: the reaction coupling of c1 and c2."""
+        return sp.diags(self.load(c1, c2), format="csr")
 
 
 def _nested_dissection(points: np.ndarray, edges: np.ndarray) -> np.ndarray:

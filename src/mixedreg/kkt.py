@@ -38,13 +38,19 @@ Only strictly increasing reparametrizations are supported end to end;
 the three mirrored sign cases are rejected with a diagnostic rather than
 silently producing a wrong projection.
 
-Load vectors M f + T^T M_b g and the reaction couplings of the Newton
-Jacobian and of the surjectivity check come from the mesh's
-:class:`fem.P1` record, the owner of every sparse matrix; the state
-operator, its linearization and its second variation come from
-``solvers``.  ``robinson_check`` solves all targets at one control as
-one block, and ``objectives`` evaluates the cost of several states in
-one pass, of which ``objective`` is the pass over one.
+The discrete problem is one problem: the state equation is Galerkin,
+while the controls, the constraints, the multipliers and the cost are
+nodal, and every control and tracking integral is the vertex rule with
+the lumped weights (m, m_b) of the mesh's :class:`fem.P1` record.  So the
+Newton point is the KKT point of the cost that ``objective`` reports, and
+``reduced_gradient`` is its Riesz representative in the lumped inner
+product.  Load vectors m f + T^T (m_b g) and the diagonal reaction
+couplings of the Newton Jacobian and of the surjectivity check come from
+that record, the owner of every sparse matrix; the state operator, its
+linearization and its second variation come from ``solvers``.
+``robinson_check`` solves all targets at one control as one block, and
+``objectives`` evaluates the cost of several states in one pass, of
+which ``objective`` is the pass over one.
 """
 
 from __future__ import annotations
@@ -220,15 +226,17 @@ def _constraints(spec: ProblemSpec, y: FEField) -> tuple:
 
 
 def objective(spec: ProblemSpec, y: FEField, u: FEField, v: FEField) -> float:
-    """Cost functional: tracking plus convex control costs, by quadrature; ``objectives`` of one state."""
+    """Cost functional: tracking plus convex control costs, by the vertex rule; ``objectives`` of one state."""
     return float(objectives(spec, [y], [(u, v)])[0])
 
 
 def objectives(spec: ProblemSpec, states, controls) -> np.ndarray:
     """The cost of each state of ``states`` with its (u, v) pair of ``controls``, shape (k,).
 
-    One pass of the cost formula over the block, one row per state: each
-    row's quadrature sum runs along a contiguous last axis, in the order
+    The cost is sum_i m_i (L(x_i, y_i) + lambda1/2 u_i^2 + lambda2/p |u_i|^p)
+    over the vertices plus the same form over the loop vertices with m_b,
+    ell, v and the weights mu1, mu2 and q.  One pass of the formula over the block, one row per
+    state: each row's sum runs along a contiguous last axis, in the order
     of a block of one, so a cost does not depend on the block it is in.
     """
     states, controls = list(states), list(controls)
@@ -237,35 +245,16 @@ def objectives(spec: ProblemSpec, states, controls) -> np.ndarray:
     mesh = _check_state_fields(states[0], *controls[0])
     if any(_check_state_fields(y, u, v) is not mesh for y, (u, v) in zip(states, controls)):
         raise fem.FieldError("fields live on different meshes")
-    rec = fem.p1(mesh)
     loop = mesh.boundary_loop
-
-    def cost(c: Control, quadrature, at, ys, cs) -> np.ndarray:
-        # one cost formula for both controls, track + linear/2 c^2 + power/exponent |c|^exponent,
-        # formed in place; c is interpolated once for each of its two terms, so that next to the
-        # sum a block holds one (k, points) table at a time
-        x, w = quadrature
-        term = c.track(x[:, 0], x[:, 1], at(np.stack(ys)))
-        part = at(np.stack(cs))
-        part **= 2
-        part *= 0.5 * c.linear
-        term += part
-        del part
-        part = at(np.stack(cs))
-        np.abs(part, out=part)
-        part **= c.exponent
-        part *= c.power / c.exponent
-        term += part
-        term *= w
-        return np.sum(term, axis=-1)
-
-    dom, bnd = (
-        cost(*args)
-        for args in zip(spec.controls, (rec.interior, rec.boundary), (rec.at_interior, rec.at_boundary),
-                        ([y.values for y in states], [y.values[loop] for y in states]),
-                        ([u.values for u, _ in controls], [v.values for _, v in controls]))
-    )
-    return dom + bnd
+    total = np.zeros(len(states))
+    for c, nodes, weights, cs in zip(spec.controls, (slice(None), loop), fem.p1(mesh).weights,
+                                     ([u.values for u, _ in controls], [v.values for _, v in controls])):
+        x, cs = mesh.vertices[nodes], np.stack(cs)
+        term = c.track(x[:, 0], x[:, 1], np.stack([y.values[nodes] for y in states]))
+        term += 0.5 * c.linear * cs**2 + c.power / c.exponent * np.abs(cs) ** c.exponent
+        term *= weights
+        total += np.sum(term, axis=-1)
+    return total
 
 
 def _tracking_adjoint(spec: ProblemSpec, y: FEField, linearized: fem.SparseOperator):
@@ -276,14 +265,16 @@ def _tracking_adjoint(spec: ProblemSpec, y: FEField, linearized: fem.SparseOpera
 
 
 def reduced_gradient(spec: ProblemSpec, u: FEField, v: FEField, state: StateSolveReport | None = None):
-    """L2 Riesz representatives of the unconstrained cost gradient.
+    """Riesz representatives of the unconstrained cost gradient in the lumped inner products.
 
-    Solves the state equation, then the adjoint problem driven by the
-    tracking derivatives, and returns nodal fields
-    (phi + slope of the interior control cost, trace(phi) + boundary
-    analogue).  A caller that already holds the state solve of (u, v)
-    passes it as ``state``; the adjoint then uses that report's
-    linearization, and shares its factorisation.
+    A direction (du, dv) changes the cost by gu . (m du) + gv . (m_b dv)
+    to first order, (m, m_b) the weights of ``fem.P1``.  Solves the
+    state equation, then the adjoint problem driven by the tracking
+    derivatives, and returns nodal fields (phi + slope of the interior
+    control cost, trace(phi) + boundary analogue).  A caller that
+    already holds the state solve of (u, v) passes it as ``state``; the
+    adjoint then uses that report's linearization, and shares its
+    factorisation.
     """
     if state is None:
         state = solve_state(spec, u, v)
@@ -379,7 +370,7 @@ class _Point:
     linearized: fem.SparseOperator
     state_defect: np.ndarray
     adjoint_defect: np.ndarray
-    load_norm: float  # |(M u + T^T M_b v, adjoint load)|_2
+    load_norm: float  # |(m u + T^T (m_b v), adjoint load)|_2
 
     @property
     def residual(self) -> np.ndarray:
@@ -422,8 +413,8 @@ def _jacobian(spec: ProblemSpec, pt: _Point) -> fem.SparseOperator:
     set dc/dphi = -1 / delta'(w), on it dc/dy = db/dy, dpsi/dphi =
     -1 / zeta'(b) and dpsi/db = -delta'(b) / zeta'(b) + (delta(b) + phi)
     zeta''(b) / zeta'(b)^2.  Block (i, j) adds minus the nodal derivative
-    of equation i's load in variable j as a reaction coupling
-    M diag(c1) + T^T M_b diag(c2) T; the adjoint load also brings L_yy,
+    of equation i's load in variable j as the diagonal reaction coupling
+    diag(m c1 + T^T (m_b c2)); the adjoint load also brings L_yy,
     ell_yy and g_yy psi, and the adjoint operator its second variation.
     """
     # per half: the nodal coefficients of the four blocks, in block order

@@ -11,13 +11,13 @@ solves seeded with the report share them.  ``solve_states`` solves
 several control pairs from one start as a block: F at the start once,
 the first Newton direction of every pair from one multi-column solve,
 then each pair's own ``newton`` loop; ``solve_state`` is its block of
-one.  The elliptic operator, mass matrices and load vectors come from
-the mesh's :class:`fem.P1` record, their single owner; this module adds
-the nonlinearity on top (``semilinear_operator``, ``linearized_matrix``
-and its derivative ``second_variation_matrix``).  ``exponents`` evaluates
-the integrability thresholds that the distributed and boundary control
-exponents induce on the state and on the fixed-point argument, together
-with their conjugacy slack.
+one.  The elliptic operator, the lumped weights and the load vectors
+come from the mesh's :class:`fem.P1` record, their single owner; this
+module adds the nonlinearity on top (``semilinear_operator``,
+``linearized_matrix`` and its derivative ``second_variation_matrix``).
+``exponents`` evaluates the integrability thresholds that the
+distributed and boundary control exponents induce on the state and on
+the fixed-point argument, together with their conjugacy slack.
 """
 
 from __future__ import annotations

@@ -1,11 +1,14 @@
 """Independent reference computations backing the test suite.
 
 Everything in this module is deliberately primitive: scalar bisection,
-dense numpy linear algebra, sympy integrals, and brute-force quadrature.
+dense numpy linear algebra, sympy integrals, brute-force quadrature, and
+scipy's general-purpose SLSQP on a densely assembled discrete problem.
 None of it calls back into the package's assembly, inversion, or solver
 code, so agreement between the two sides is evidence rather than
 tautology.
 """
+
+import configparser
 
 import numpy as np
 
@@ -20,8 +23,10 @@ __all__ = [
     "dense_p1",
     "dense_midpoint_operator",
     "dense_weighted_mass",
+    "lumped_weights",
     "trace_matrix",
     "quadratic_reference",
+    "discrete_problem_reference",
     "element_stiffness_sympy",
     "element_mass_sympy",
     "mms_disk_instance",
@@ -246,6 +251,12 @@ def dense_weighted_mass(mesh, weight):
     return M
 
 
+def lumped_weights(mesh):
+    """The vertex-rule weights (m, m_b): the row sums of the dense mass and boundary mass of ``dense_p1``."""
+    _, M, Mb = dense_p1(mesh)
+    return M.sum(axis=1), Mb.sum(axis=1)
+
+
 def trace_matrix(mesh):
     loop = np.asarray(mesh.boundary_loop)
     T = np.zeros((loop.shape[0], mesh.vertices.shape[0]))
@@ -258,21 +269,24 @@ def quadratic_reference(mesh, a0=1.0, y_target=1.0):
 
     Instance: linear state equation (f = 0), quadratic control costs with
     unit weights, domain tracking of ``y_target`` and no boundary cost,
-    caps far out of reach.  The first-order system is then linear and the
-    dense block solve is exact up to dense-LU roundoff:
+    caps far out of reach.  The controls and the tracking enter through the
+    lumped weights D = diag(m), Db = diag(m_b) of ``lumped_weights``.  The
+    first-order system is then linear and the dense block solve is exact up
+    to dense-LU roundoff:
 
-        [A , M + T' Mb T] [y  ]   [0           ]
-        [-M, A          ] [phi] = [-target * M 1]
+        [A , D + T' Db T] [y  ]   [0         ]
+        [-D, A          ] [phi] = [-target * m]
 
     with A = K + a0 M and the controls read off as u = -phi, v = -phi|G.
     """
-    K, M, Mb = dense_p1(mesh)
+    K, M, _ = dense_p1(mesh)
+    m, mb = lumped_weights(mesh)
     T = trace_matrix(mesh)
     A = K + a0 * M
-    B = M + T.T @ Mb @ T
+    B = np.diag(m) + T.T @ np.diag(mb) @ T
     n = M.shape[0]
-    Z = np.block([[A, B], [-M, A]])
-    rhs = np.concatenate([np.zeros(n), -y_target * (M @ np.ones(n))])
+    Z = np.block([[A, B], [-np.diag(m), A]])
+    rhs = np.concatenate([np.zeros(n), -y_target * m])
     sol = np.linalg.solve(Z, rhs)
     y, phi = sol[:n], sol[n:]
     return {"y": y, "phi": phi, "u": -phi, "v": -(T @ phi)}
@@ -465,3 +479,144 @@ def adjacent_sum(loop_vertices, values, s, t, w, beta, k):
 # jumps of height 2, and each refinement halves the closest panel
 # distance to the jump, adding n_jumps * |jump|^k * 2 ln 2.
 STEP_LADDER_INCREMENT = 2 * 2.0 ** 2 * 2.0 * np.log(2.0)
+
+
+# ---------------------------------------------------------------------------
+# the discrete mixed-constrained problem, by a general-purpose NLP solver
+
+
+def _config_functions(path):
+    """The problem data of a config file as numpy callables, read with configparser and sympy.
+
+    Returns a dict: the diffusion coefficients and a0 as functions of (x1, x2), f and f_y of
+    (x1, x2, y), and per control (interior, boundary) its tracking integrand and its
+    y-derivative, g and g_y of (x1, x2, y), zeta and zeta' of t, and its cost weights
+    (linear, power, exponent).
+    """
+    import sympy
+
+    parser = configparser.ConfigParser()
+    parser.read(path)
+    data = {key: value for section in parser.sections() for key, value in parser.items(section)}
+    x1, x2, y, t = sympy.symbols("x1 x2 y t")
+    variables = (x1, x2, y)
+
+    def expr(key):
+        return sympy.sympify(data[key].replace("^", "**"), locals={"pi": sympy.pi, "sign": sympy.sign})
+
+    def fn(e, args=variables):
+        lam = sympy.lambdify(args, e, "numpy")
+        return lambda *a: np.broadcast_to(np.asarray(lam(*a), dtype=float), np.broadcast(*a).shape) * 1.0
+
+    out = {key: fn(expr(key), (x1, x2)) for key in ("a11", "a12", "a22", "a0")}
+    out["f"], out["f_y"] = fn(expr("f")), fn(sympy.diff(expr("f"), y))
+    p = float(data["p"])
+    q = float(data["q"])
+    out["controls"] = []
+    # configparser lowercases its keys, so the tracking integrand L reads as l
+    for track, g, zeta, linear, power, exponent in (("l", "g1", "zeta1", "lambda1", "lambda2", p),
+                                                     ("ell", "g2", "zeta2", "mu1", "mu2", q)):
+        out["controls"].append({
+            "track": fn(expr(track)), "track_y": fn(sympy.diff(expr(track), y)),
+            "g": fn(expr(g)), "g_y": fn(sympy.diff(expr(g), y)),
+            "zeta": fn(expr(zeta), (t,)), "zeta_t": fn(sympy.diff(expr(zeta), t), (t,)),
+            "linear": float(data[linear]), "power": float(data[power]), "exponent": exponent,
+        })
+    return out
+
+
+def _midpoint_interpolation(mesh):
+    """Dense (3T, n) map of nodal values to the edge midpoints, and the points' weights area / 3."""
+    rows, weights = [], []
+    n = mesh.vertices.shape[0]
+    for _, _, tri, area, _, _, phi in _midpoint_rule(mesh):
+        row = np.zeros(n)
+        row[tri] = phi
+        rows.append(row)
+        weights.append(area / 3.0)
+    return np.array(rows), np.array(weights)
+
+
+def discrete_problem_reference(mesh, config_path, ftol=1e-13):
+    """The minimizer of the discrete problem of a config on ``mesh``, by SLSQP with analytic gradients.
+
+    The unknowns are z = (y, u, v), y and u per vertex and v per loop
+    vertex.  The cost is the vertex rule with the weights of
+    ``lumped_weights``: sum m (L(x, y) + linear/2 u^2 + power/p |u|^p) plus
+    the boundary analogue with m_b; the state equation
+    A y + Q^T (w f(x, Q y)) = m u + T^T (m_b v) is an equality constraint,
+    A the dense midpoint Galerkin operator with a0 and Q, w the midpoint
+    interpolation and weights; and zeta_i(c) + g_i(x, y) <= 0 at the nodes
+    of each control are inequality constraints.  SLSQP starts from
+    y = u = v = 1, which is no shipped config's optimum, and stops when an
+    iteration lowers the cost by less than ``ftol``.  Returns dict(y, u, v,
+    objective, result) with the optimizer's result.
+    """
+    from scipy.optimize import minimize
+
+    data = _config_functions(config_path)
+    n = mesh.vertices.shape[0]
+    loop = np.asarray(mesh.boundary_loop)
+    nb = loop.size
+    m, mb = lumped_weights(mesh)
+    T = trace_matrix(mesh)
+    A = dense_midpoint_operator(mesh, data["a11"], data["a12"], data["a22"], data["a0"])
+    Q, w = _midpoint_interpolation(mesh)
+    xq = Q @ mesh.vertices
+    nodes = (np.arange(n), loop)
+    xs = [mesh.vertices[k] for k in nodes]
+    weights = (m, mb)
+
+    def split(z):
+        return z[:n], z[n:2 * n], z[2 * n:]
+
+    def cost(z):
+        y, u, v = split(z)
+        total = 0.0
+        for c, x, wt, yc, cc in zip(data["controls"], xs, weights, (y, y[loop]), (u, v)):
+            total += wt @ (c["track"](x[:, 0], x[:, 1], yc) + 0.5 * c["linear"] * cc ** 2
+                           + c["power"] / c["exponent"] * np.abs(cc) ** c["exponent"])
+        return total
+
+    def cost_gradient(z):
+        y, u, v = split(z)
+        grad = np.zeros_like(z)
+        for k, (c, x, wt, yc, cc) in enumerate(zip(data["controls"], xs, weights, (y, y[loop]), (u, v))):
+            grad[nodes[k]] += wt * c["track_y"](x[:, 0], x[:, 1], yc)
+            slope = c["linear"] * cc + c["power"] * np.abs(cc) ** (c["exponent"] - 2.0) * cc
+            grad[(slice(n, 2 * n), slice(2 * n, None))[k]] = wt * slope
+        return grad
+
+    def state(z):
+        y, u, v = split(z)
+        yq = Q @ y
+        return A @ y + Q.T @ (w * data["f"](xq[:, 0], xq[:, 1], yq)) - m * u - T.T @ (mb * v)
+
+    def state_jacobian(z):
+        yq = Q @ split(z)[0]
+        dy = A + Q.T @ ((w * data["f_y"](xq[:, 0], xq[:, 1], yq))[:, None] * Q)
+        return np.hstack([dy, -np.diag(m), -T.T @ np.diag(mb)])
+
+    def caps(z):
+        y, u, v = split(z)
+        return -np.concatenate([c["zeta"](cc) + c["g"](x[:, 0], x[:, 1], yc)
+                                for c, x, yc, cc in zip(data["controls"], xs, (y, y[loop]), (u, v))])
+
+    def caps_jacobian(z):
+        y, u, v = split(z)
+        jac = np.zeros((n + nb, 2 * n + nb))
+        (c1, c2), (x1, x2) = data["controls"], xs
+        jac[np.arange(n), np.arange(n)] = -c1["g_y"](x1[:, 0], x1[:, 1], y)
+        jac[np.arange(n), n + np.arange(n)] = -c1["zeta_t"](u)
+        jac[n + np.arange(nb), loop] = -c2["g_y"](x2[:, 0], x2[:, 1], y[loop])
+        jac[n + np.arange(nb), 2 * n + np.arange(nb)] = -c2["zeta_t"](v)
+        return jac
+
+    result = minimize(
+        cost, np.ones(2 * n + nb), jac=cost_gradient, method="SLSQP",
+        constraints=[{"type": "eq", "fun": state, "jac": state_jacobian},
+                     {"type": "ineq", "fun": caps, "jac": caps_jacobian}],
+        options={"ftol": ftol, "maxiter": 500},
+    )
+    y, u, v = split(result.x)
+    return {"y": y, "u": u, "v": v, "objective": result.fun, "result": result}

@@ -121,15 +121,15 @@ def test_c4_adjoint_gradient(configs, disk, verdict):
         u = fem.FEField(m, "domain", 0.5 * rng.standard_normal(n))
         v = fem.FEField(m, "boundary", 0.5 * rng.standard_normal(nb))
         gu, gv = kkt.reduced_gradient(spec, u, v)
-        M = fem.p1(m).mass
-        Mb = fem.p1(m).boundary_mass
+        # the gradient is the Riesz representative in the lumped inner products
+        mw, mb = fem.p1(m).weights
         worst = 0.0
         for _ in range(10):
             du = rng.standard_normal(n)
             dv = rng.standard_normal(nb)
             scale = max(np.max(np.abs(du)), np.max(np.abs(dv)))
             du, dv = du / scale, dv / scale
-            analytic = float(gu.values @ (M @ du) + gv.values @ (Mb @ dv))
+            analytic = float(gu.values @ (mw * du) + gv.values @ (mb * dv))
             best = np.inf
             for step in (1e-3, 1e-4, 1e-5, 1e-6):
                 up = fem.FEField(m, "domain", u.values + step * du)

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from mixedreg import fem, solvers
+from mixedreg import fem, kkt, solvers
 from mixedreg.expressions import parse_expr
 from mixedreg.fem import (
     AssemblyError,
@@ -57,20 +57,25 @@ def test_element_matrices_match_sympy():
 
 
 def test_assembled_matrices_match_dense_oracle(disk, stiffness_spec):
+    # the stiffness and the consistent mass are Galerkin; a load integrates by the vertex
+    # rule, with the row sums of the dense mass and boundary mass as its weights
     rng = np.random.default_rng(3)
     for level in (1, 2):
         m = disk(level)
         rec = fem.p1(m)
-        K_ref, M_ref, Mb_ref = oracles.dense_p1(m)
+        K_ref, M_ref, _ = oracles.dense_p1(m)
+        m_ref, mb_ref = oracles.lumped_weights(m)
         T_ref = oracles.trace_matrix(m)
         K = assemble_operator(m, stiffness_spec).toarray()
         assert np.max(np.abs(K - K_ref)) < 1e-14
-        assert np.max(np.abs(rec.mass.toarray() - M_ref)) < 1e-14
-        assert np.max(np.abs(rec.boundary_mass.toarray() - Mb_ref)) < 1e-14
-        assert np.max(np.abs(rec.vertex_boundary_mass.toarray() - T_ref.T @ Mb_ref @ T_ref)) < 1e-14
+        assert np.max(np.abs(fem.assemble_weighted_mass(m, 1.0).toarray() - M_ref)) < 1e-14
+        assert np.max(np.abs(rec.weights[0] - m_ref)) < 1e-14
+        assert np.max(np.abs(rec.weights[1] - mb_ref)) < 1e-14
         f, g = rng.standard_normal(m.n_vertices), rng.standard_normal(m.n_boundary)
-        load_ref = M_ref @ f + T_ref.T @ (Mb_ref @ g)
+        load_ref = m_ref * f + T_ref.T @ (mb_ref * g)
         assert np.max(np.abs(rec.load(f, g) - load_ref)) < 1e-14
+        block = rec.load(np.column_stack([f, 2.0 * f]), np.column_stack([g, 2.0 * g]))
+        assert np.array_equal(block, np.column_stack([rec.load(f, g), rec.load(2.0 * f, 2.0 * g)]))
 
 
 def builder_id(value):
@@ -122,8 +127,7 @@ def test_record_is_shared_and_built_on_demand():
     assert fem.p1(m) is rec
     gagliardo(boundary_field(m, np.cos(m.boundary_params)), tau=0.5, k=2.0)
     assert {"boundary", "edge_ends"} <= vars(rec).keys()
-    interior = {"interior", "interior_interp", "interior_integral", "gradient", "ordering", "mass",
-                "boundary_mass", "vertex_boundary_mass"}
+    interior = {"interior", "interior_interp", "interior_integral", "gradient", "ordering", "weights"}
     assert not interior & vars(rec).keys()
     assert rec._operator is None
     # the Gagliardo weights are built per call and not kept
@@ -197,7 +201,7 @@ def test_record_dies_with_its_mesh():
     # the record holds its mesh weakly: no cycle, so no collector is needed
     m = build_mesh("disk", 3)
     rec = fem.p1(m)
-    rec.mass  # interior parts as well as the boundary ones
+    rec.weights, rec.interior_integral  # interior parts as well as the boundary ones
     gagliardo(boundary_field(m, np.cos(m.boundary_params)), tau=0.5, k=2.0)
     assert rec.mesh is m
     ref = weakref.ref(rec)
@@ -219,7 +223,7 @@ def test_record_operator_follows_the_spec(disk, identity_spec):
     assert rec.operator(identity_spec) is rec.operator(identity_spec)
     # a0 enters only through the reaction term: the two operators differ by 2 M
     diff = rec.operator(shifted).toarray() - base
-    assert np.max(np.abs(diff - 2.0 * rec.mass.toarray())) < 1e-14
+    assert np.max(np.abs(diff - 2.0 * oracles.dense_p1(m)[1])) < 1e-14
     assert np.array_equal(rec.operator(identity_spec).toarray(), base)
 
 
@@ -227,7 +231,7 @@ def test_operator_includes_reaction(disk, identity_spec, stiffness_spec):
     m = disk(1)
     full = assemble_operator(m, identity_spec).toarray()
     stiff = assemble_operator(m, stiffness_spec).toarray()
-    mass = fem.p1(m).mass.toarray()
+    mass = oracles.dense_p1(m)[1]
     assert np.max(np.abs(full - stiff - mass)) < 1e-14
 
 
@@ -241,12 +245,12 @@ def test_stiffness_annihilates_constants(disk, stiffness_spec):
 def test_mass_totals(disk):
     m = disk(3)
     ones = np.ones(m.n_vertices)
-    M = fem.p1(m).mass
+    M = fem.assemble_weighted_mass(m, 1.0)
     assert float(ones @ (M @ ones)) == pytest.approx(m.triangle_areas().sum(), rel=1e-13)
-    nb = m.boundary_loop.shape[0]
-    Mb = fem.p1(m).boundary_mass
-    total = float(np.ones(nb) @ (Mb @ np.ones(nb)))
-    assert total == pytest.approx(m.boundary_edge_lengths.sum(), rel=1e-13)
+    weights, boundary_weights = fem.p1(m).weights
+    assert np.all(weights > 0.0) and np.all(boundary_weights > 0.0)
+    assert float(np.sum(weights)) == pytest.approx(m.triangle_areas().sum(), rel=1e-13)
+    assert float(np.sum(boundary_weights)) == pytest.approx(m.boundary_edge_lengths.sum(), rel=1e-13)
 
 
 def test_ellipticity_guard(disk):
@@ -356,8 +360,8 @@ def test_residual_check_holds_at_any_scale_of_the_load():
     # is solved, not taken for a zero column
     m = build_mesh("disk", 3)
     rec = fem.p1(m)
-    op = fem.SparseOperator(rec.mass.copy(), rec.ordering)
-    rhs = rec.mass @ np.ones(m.n_vertices)
+    op = fem.SparseOperator(fem.assemble_weighted_mass(m, 1.0), rec.ordering)
+    rhs = op.matrix @ np.ones(m.n_vertices)
     assert np.linalg.norm(1e-170 * rhs) == 0.0
     assert np.max(np.abs(1e170 * solve_linear(op, 1e-170 * rhs) - 1.0)) < 1e-12
     op.matrix.data *= 1.0 + 1e-8
@@ -374,7 +378,7 @@ def test_residual_check_holds_at_any_scale_of_the_load():
 def test_residual_check_refuses_a_nan_load(disk):
     # a column holding a NaN has a NaN largest entry: it is checked, and its NaN residual fails
     m = disk(2)
-    op = factorable(m, fem.p1(m).mass)
+    op = factorable(m, fem.assemble_weighted_mass(m, 1.0))
     rhs = np.ones(m.n_vertices)
     rhs[5] = np.nan
     for load in (rhs, np.column_stack([np.ones(m.n_vertices), rhs])):
@@ -398,8 +402,8 @@ def test_solve_linear_rejects_singular_operator(disk, stiffness_spec):
 
 
 def robinson_operator(mesh, spec):
-    """A + C as in the surjectivity check: a nodal reaction coupling with
-    varying coefficients makes M diag(c1) + T^T M_b diag(c2) T nonsymmetric."""
+    """A + C as in the surjectivity check, with a nodal reaction coupling of varying
+    coefficients: C = diag(m c1 + T^T (m_b c2)), so A + C is symmetric."""
     rec = fem.p1(mesh)
     xy = mesh.vertices
     c1 = 1.0 + 0.5 * np.sin(3.0 * xy[:, 0]) * xy[:, 1]
@@ -413,17 +417,19 @@ def test_reaction_coupling_matches_its_load(disk):
     rng = np.random.default_rng(3)
     c1, c2 = rng.standard_normal(m.n_vertices), rng.standard_normal(m.n_boundary)
     w = rng.standard_normal(m.n_vertices)
-    T = sp.csr_matrix(oracles.trace_matrix(m))
+    T = oracles.trace_matrix(m)
+    weights, boundary_weights = oracles.lumped_weights(m)
     C = rec.reaction(c1, c2)
-    coupling = rec.mass @ sp.diags(c1) + T.T @ (rec.boundary_mass @ sp.diags(c2)) @ T
-    assert abs(C - coupling).max() == 0.0
+    coupling = np.diag(weights * c1) + T.T @ np.diag(boundary_weights * c2) @ T
+    assert np.max(np.abs(C.toarray() - coupling)) <= 1e-14 * np.max(np.abs(coupling))
+    assert np.array_equal(C.diagonal(), rec.load(c1, c2))
     expected = rec.load(c1 * w, c2 * w[m.boundary_loop])
     assert np.max(np.abs(C @ w - expected)) <= 1e-14 * np.max(np.abs(expected))
 
 
 @pytest.mark.parametrize("level", [2, 4, 5])
 def test_reaction_with_zero_coefficients_stores_no_zeros(disk, level):
-    # CSR + CSR drops the exact zeros that zero coefficients leave in either coupling
+    # the diagonal stores an entry only where the coefficients leave a nonzero
     m = disk(level)
     rec = fem.p1(m)
     rng = np.random.default_rng(level)
@@ -431,11 +437,7 @@ def test_reaction_with_zero_coefficients_stores_no_zeros(disk, level):
     c2 = np.where(rng.random(m.n_boundary) < 0.5, 0.0, rng.standard_normal(m.n_boundary))
     C = rec.reaction(c1, c2)
     assert C.nnz > 0 and np.all(C.data != 0.0)
-    T = sp.csr_matrix(oracles.trace_matrix(m))
-    coupling = (rec.mass @ sp.diags(c1) + T.T @ (rec.boundary_mass @ sp.diags(c2)) @ T).tocsr()
-    coupling.eliminate_zeros()
-    coupling.sort_indices()
-    assert np.array_equal(C.indptr, coupling.indptr) and np.array_equal(C.indices, coupling.indices)
+    assert np.array_equal(C.indices, np.flatnonzero(rec.load(c1, c2)))
     assert rec.reaction(np.zeros(m.n_vertices), np.zeros(m.n_boundary)).nnz == 0
 
 
@@ -566,13 +568,18 @@ def test_pair_blocks_over_the_gauss_points_hold_about_half_the_pairs():
     assert sum(fem.pair_blocks(qpts, lambda block, d2, tables: d2.size)) <= 0.55 * npts**2
 
 
-def test_solve_linear_nonsymmetric_robinson_operator(disk, identity_spec):
+def test_solve_linear_nonsymmetric_newton_jacobian(disk, configs):
+    # the generalised Jacobian of the optimality system at a cold start of a partially active
+    # instance: its off-diagonal blocks differ, so the 2n x 2n matrix is nonsymmetric
     m = disk(3)
     rec = fem.p1(m)
-    op = robinson_operator(m, identity_spec)
+    spec = configs["smooth_constrained"]
+    y, phi = kkt.cold_start(spec, domain_field(m, 0.0), boundary_field(m, 0.0))
+    op = kkt._jacobian(spec, kkt._point(spec, y, phi))
     assert abs(op.matrix - op.matrix.T).max() > 1e-6
     rng = np.random.default_rng(11)
-    rhs = rec.load(rng.standard_normal(m.n_vertices), rng.standard_normal(m.n_boundary))
+    load = rec.load(rng.standard_normal((m.n_vertices, 2)), rng.standard_normal((m.n_boundary, 2)))
+    rhs = load.T.reshape(-1)
     x = solve_linear(op, rhs)
     assert np.linalg.norm(rhs - op.matrix @ x) <= fem.SOLVE_RTOL * np.linalg.norm(rhs)
 
@@ -650,7 +657,8 @@ def test_block_operator_interleaves_the_blocks_per_node(disk, identity_spec):
     m = disk(2)
     rec = fem.p1(m)
     a = rec.operator(identity_spec)
-    block = fem.block_operator([[a, rec.mass], [rec.mass, a]], rec.ordering)
+    mass = fem.assemble_weighted_mass(m, 1.0)
+    block = fem.block_operator([[a, mass], [mass, a]], rec.ordering)
     p, n = rec.ordering, m.n_vertices
     assert np.array_equal(block.ordering, np.stack([p, p + n], axis=1).ravel())
 
@@ -658,13 +666,15 @@ def test_block_operator_interleaves_the_blocks_per_node(disk, identity_spec):
 def test_every_operator_carries_an_ordering(disk):
     # an operator has no factorisation without an elimination order, so it cannot be built
     # without one, nor from anything but a square CSR matrix; a matrix that is only ever
-    # multiplied, such as the boundary mass, stays a plain CSR matrix
-    rec = fem.p1(disk(2))
+    # multiplied or added, such as a reaction coupling, stays a plain CSR matrix
+    m = disk(2)
+    rec, mass = fem.p1(m), fem.assemble_weighted_mass(m, 1.0)
     with pytest.raises(TypeError):
-        fem.SparseOperator(rec.mass)
+        fem.SparseOperator(mass)
     with pytest.raises(AssemblyError, match="square CSR"):
-        fem.SparseOperator(rec.mass.tocsc(), rec.ordering)
-    assert sp.isspmatrix_csr(rec.boundary_mass) and rec.boundary_mass.has_canonical_format
+        fem.SparseOperator(mass.tocsc(), rec.ordering)
+    coupling = rec.reaction(np.ones(m.n_vertices), np.ones(m.n_boundary))
+    assert sp.isspmatrix_csr(coupling) and coupling.has_canonical_format
 
 
 def test_solve_state_level_seven_quadratic_tracking(configs, disk):

@@ -5,13 +5,14 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import oracles
-from conftest import zero_controls
+from conftest import CONFIG_DIR, zero_controls
 from mixedreg import catalog, fem, geometry, kkt, solvers
 from mixedreg.fem import FieldError
 
@@ -517,9 +518,12 @@ def test_two_constraint_inversions_per_sweep(configs, disk, monkeypatch):
 
 
 # Newton solutions; the parent fixed point, run until its control update
-# stalled near kkt_tol 1e-10, agreed to 3.2e-9 in every field.
+# stalled near kkt_tol 1e-10, agreed to 3.2e-9 in every field.  The
+# smooth_constrained entry was retaken when the controls and the cost moved
+# to the lumped weights: 27 -> 26 active boundary vertices and objective
+# 6.481703511894995 -> 6.49122738778085, in the same 6 history rows.
 GOLDEN_SOLVES = {
-    "smooth_constrained": (dict(max_iter=80, kkt_tol=5e-3), 6, 62, 27, 6.481703511894995),
+    "smooth_constrained": (dict(max_iter=80, kkt_tol=5e-3), 6, 62, 26, 6.49122738778085),
     "constant_kkt": (dict(kkt_tol=1e-8), 7, 81, 32, 304.68380885306175),
 }
 
@@ -577,6 +581,100 @@ def test_jacobian_matches_central_differences(configs, disk, name):
         e[k] = step
         fd[:, k] = (_reduced_residual(spec, m, z + e) - _reduced_residual(spec, m, z - e)) / (2 * step)
     assert np.max(np.abs(jac - fd)) <= 1e-7 * np.max(np.abs(jac))
+
+
+SHIPPED = ("constant_kkt", "quadratic_tracking", "smooth_constrained", "jump_bound")
+
+
+def _relative_asymmetry(matrix):
+    return abs(matrix - matrix.T).max() / abs(matrix).max()
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_swapped_jacobian_is_symmetric(configs, disk, name):
+    # the Newton step solves the KKT system of one discrete problem: with its block rows
+    # swapped, [[H + C3, A + C4], [A + C1, C2]] is that problem's (symmetric) Hessian of the
+    # Lagrangian, so the reaction couplings C1 = C4 and C2, C3 are diagonal
+    spec, m = configs[name], disk(3)
+    state, report = kkt.solve_kkt(spec, kkt.cold_start(spec, *zero_controls(m)), kkt_tol=5e-3)
+    assert report.converged
+    # the two fully active points exercise only one branch of the projection
+    partial = all(mask.any() and not mask.all() for mask in (state.active_domain, state.active_boundary))
+    assert partial == (name in ("smooth_constrained", "jump_bound"))
+    n = m.n_vertices
+    pt = kkt._point(spec, state.y, state.phi)
+    jac = kkt._jacobian(spec, pt).matrix
+    swapped = sp.vstack([jac[n:], jac[:n]]).tocsr()
+    assert _relative_asymmetry(swapped) <= 1e-14
+    assert (jac[:n, :n] != jac[n:, n:]).nnz == 0
+    # and the shifted operator of the surjectivity check at that state
+    shifts = [h.g_y / h.data.zeta.slope(h.bound) for h in pt.halves]
+    shifted = pt.linearized.matrix + fem.p1(m).reaction(*shifts)
+    assert _relative_asymmetry(shifted) <= 1e-14
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_newton_point_is_the_discrete_minimizer(configs, disk, name):
+    # an SLSQP solve of the discrete problem, assembled densely in the oracle from the mesh
+    # arrays and the config file, finds the point solve_kkt reports.  SLSQP stops once an
+    # iteration lowers the cost by less than ftol; the cost's curvature in u is at least the
+    # smallest lumped weight (lambda1 = 1), so within ftol of the optimum u lies within
+    # sqrt(2 ftol / min m) of it, taken ten-fold.  Newton's own error is round-off by comparison
+    spec, m = configs[name], disk(2)
+    state, report = kkt.solve_kkt(spec, kkt.cold_start(spec, *zero_controls(m)))
+    assert report.converged
+    ftol = 1e-13
+    ref = oracles.discrete_problem_reference(m, str(CONFIG_DIR / f"{name}.cfg"), ftol=ftol)
+    assert ref["result"].success, ref["result"].message
+    tol = 10.0 * np.sqrt(2.0 * ftol / np.min(oracles.lumped_weights(m)[0]))
+    for field in ("y", "u", "v"):
+        assert np.max(np.abs(getattr(state, field).values - ref[field])) <= tol, field
+    assert report.objective == pytest.approx(ref["objective"], rel=1e-9)
+
+
+def _smooth_pair(mesh, coefficients):
+    """Smooth fields from ten coefficients c: u = c0 + c1 x1 + c2 x2 + c3 x1 x2 + c4 sin(pi x1) at the
+    vertices, v = c5 + c6 cos t + c7 sin t + c8 cos 2t + c9 sin 2t at the loop vertices."""
+    x1, x2 = mesh.vertices.T
+    t = mesh.boundary_params
+    u = np.stack([np.ones_like(x1), x1, x2, x1 * x2, np.sin(np.pi * x1)]).T @ coefficients[:5]
+    v = np.stack([np.ones_like(t), np.cos(t), np.sin(t), np.cos(2 * t), np.sin(2 * t)]).T @ coefficients[5:]
+    return u, v
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    p=st.floats(2.0, 6.0),
+    q=st.floats(2.0, 6.0),
+    level=st.sampled_from([2, 3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_reduced_gradient_matches_central_differences(disk, p, q, level, seed):
+    # D(h) = g + c h^2 + O(h^4), so the truncation error of D(h2) is (D(h1) - D(h2)) / 3 to
+    # leading order; the bound takes three times that, plus a floor for the error of the cost
+    # itself: its state solves stop at 1e-13 (1 + |load|), about 1e-10 (1 + |J|) in the cost,
+    # which the quotient divides by 2 h2 = 1e-3, taken ten-fold
+    spec = simple_spec(p=p, q=q, lambda2=1.0, mu2=1.0, f="y^3 + y", L="(y - 1)^2 / 2", ell="(y - 0.5)^2 / 2")
+    m = disk(level)
+    rng = np.random.default_rng(seed)
+    u, v = (0.5 * a for a in _smooth_pair(m, rng.standard_normal(10)))
+    du, dv = _smooth_pair(m, rng.standard_normal(10))
+    scale = max(np.max(np.abs(du)), np.max(np.abs(dv)))
+    du, dv = du / scale, dv / scale
+    weights, boundary_weights = fem.p1(m).weights
+    gu, gv = kkt.reduced_gradient(spec, fem.domain_field(m, u), fem.boundary_field(m, v))
+    g = float(gu.values @ (weights * du) + gv.values @ (boundary_weights * dv))
+
+    def cost(h):
+        uh, vh = fem.domain_field(m, u + h * du), fem.boundary_field(m, v + h * dv)
+        return kkt.objective(spec, solvers.solve_state(spec, uh, vh, newton_tol=1e-13).state, uh, vh)
+
+    def quotient(h):
+        return (cost(h) - cost(-h)) / (2.0 * h)
+
+    h1, h2 = 1e-3, 5e-4
+    d1, d2 = quotient(h1), quotient(h2)
+    assert abs(d2 - g) <= abs(d1 - d2) + 1e-6 * (1.0 + abs(cost(0.0)))
 
 
 @pytest.mark.parametrize("preset", sorted(geometry.PRESETS))

@@ -6,9 +6,12 @@ module reaches into an object's ``__dict__``; derived data lives in
 declared attributes.  Sparse matrices and linear solves belong to
 ``fem``: no other module imports ``scipy.sparse`` or any part of it, and
 ``splu`` is named at one site, the factorisation ``fem.solve_linear``
-keeps on its operator, so no second path can bypass the reuse.  Likewise
-``coo_matrix`` is named at one site, the boundary mass: every interior
-matrix comes from the sparse maps of the ``fem.P1`` record.  The
+keeps on its operator, so no second path can bypass the reuse.  No
+module names ``coo_matrix``: every matrix comes from the sparse maps of the
+``fem.P1`` record, or from its lumped weights, which are all the controls
+see.  No module names a consistent control mass matrix on the record
+(``mass``, ``boundary_mass``, ``vertex_boundary_mass``), and
+``P1.reaction`` is the diagonal matrix of the vertex rule.  The
 backtracking constants ``ARMIJO_FACTOR`` and ``NEWTON_MAX_HALVINGS`` are
 named only in ``solvers``, whose ``newton`` is the one damped-Newton
 loop, and the inversion constants ``INVERT_TOL`` and
@@ -191,13 +194,32 @@ def _enclosing(source, kind, name):
     return node.lineno, node.end_lineno
 
 
-def test_one_scatter_assembly_site():
-    # interior matrices come from the P1 record's sparse maps; only the boundary mass scatters
+def test_no_scatter_assembly_site():
+    # every matrix comes from the P1 record's sparse maps or its weights: nothing scatters
     sites = {path.name: name_sites(path.read_text(), {"coo_matrix"}) for path in sorted(SRC.glob("*.py"))}
-    assert [(name, len(lines)) for name, lines in sites.items() if lines] == [("fem.py", 1)]
-    (line,) = sites["fem.py"]
-    first, last = _enclosing((SRC / "fem.py").read_text(), ast.FunctionDef, "boundary_mass")
-    assert first <= line <= last
+    assert [(name, len(lines)) for name, lines in sites.items() if lines] == []
+
+
+CONTROL_MASSES = {"mass", "boundary_mass", "vertex_boundary_mass"}
+
+
+def test_no_control_mass_matrices():
+    # the controls enter through the lumped weights (m, m_b) alone: the record keeps no
+    # consistent control mass, and no module asks one of a record
+    assert not CONTROL_MASSES & set(dir(fem.P1))
+    sites = {path.name: attribute_reads(path.read_text(), CONTROL_MASSES) for path in sorted(SRC.glob("*.py"))}
+    assert {name: lines for name, lines in sites.items() if lines} == {}
+
+
+def test_reaction_is_a_diagonal_canonical_csr_matrix():
+    mesh = geometry.build_mesh("disk", 3)
+    rec = fem.p1(mesh)
+    c1, c2 = np.linspace(-1.0, 1.0, mesh.n_vertices), np.linspace(0.5, 1.0, mesh.n_boundary)
+    coupling = rec.reaction(c1, c2)
+    assert sp.isspmatrix_csr(coupling) and coupling.has_canonical_format
+    rows = np.repeat(np.arange(mesh.n_vertices), np.diff(coupling.indptr))
+    assert np.array_equal(coupling.indices, rows)
+    assert np.array_equal(coupling.diagonal(), rec.load(c1, c2))
 
 
 def test_two_edge_table_sites():
@@ -516,7 +538,6 @@ def test_assemblies_return_canonical_csr(configs):
     rec = fem.p1(mesh)
     y = fem.domain_field(mesh, np.cos(3.0 * mesh.vertices[:, 0]))
     matrices = {
-        "mass": rec.mass,
         "operator": rec.operator(spec),
         "reaction": rec.reaction(np.linspace(-1.0, 1.0, mesh.n_vertices), np.linspace(0.0, 1.0, mesh.n_boundary)),
         "weighted mass": fem.assemble_weighted_mass(mesh, np.linspace(0.0, 1.0, rec.interior[1].size)),
