@@ -41,16 +41,19 @@ the reciprocal or the square root where those give ``np.power``'s bits.
 
 Sparse matrices are built only here, each in one form: canonical CSR,
 which callers multiply and add with ``@`` and ``+``.  Every linear
-system goes through ``solve_linear``: a sparse LU factorisation for a
-vector or a block of columns, accepted only when every column's relative
-residual is within ``SOLVE_RTOL``.  Only a matrix that is solved becomes
-a :class:`SparseOperator`, which carries the elimination order and owns
-the factorisation: the first solve builds it, later solves with the same
+system goes through ``solve_linear``, for a vector or a block of
+columns, accepted only when every column's relative residual is within
+``SOLVE_RTOL``.  Only a matrix that is solved becomes a
+:class:`SparseOperator`, which carries the elimination order and owns
+its sparse LU: the first solve builds it, later solves with the same
 operator reuse it, and it is freed with the operator; no other cache
 holds it.  The order is the record's ``ordering``, a nested dissection
-of the mesh (A. George, SIAM J. Numer. Anal. 10, 1973), or its
-interleaving over the blocks of a ``block_operator``, with no column
-reordering of SuperLU's own.
+of the mesh (A. George, SIAM J. Numer. Anal. 10, 1973), with no column
+reordering of SuperLU's own.  A Newton Jacobian [[K, B], [C, K]] is a
+:class:`BlockOperator` (``block_operator``): it keeps its blocks, and
+``solve_linear`` solves it by GMRES, preconditioned by the block lower
+triangle [[K, 0], [C, K]] through the one n x n LU of K (M. Benzi,
+G. Golub & J. Liesen, Acta Numerica 14, 2005).
 """
 
 from __future__ import annotations
@@ -73,6 +76,7 @@ __all__ = [
     "FEField",
     "P1",
     "SparseOperator",
+    "BlockOperator",
     "FieldError",
     "AssemblyError",
     "LinearSolveError",
@@ -97,6 +101,10 @@ __all__ = [
 
 # relative residual a linear solve must reach to be accepted
 SOLVE_RTOL = 1e-11
+# most GMRES iterations a column of a ``BlockOperator`` solve may take, in one restart cycle
+# unless an inner convergence misses the true residual; the Newton Jacobians of the shipped
+# configs take at most 7, from a cold start at levels 3-7
+_KRYLOV_ITERATIONS = 50
 # rows per block of the pair staircase (``pair_blocks``): a walk over the 2 nb
 # boundary Gauss points fills its blocks into one _STAIR_ROWS x 2 nb table (2 MB at
 # nb = 2048), and the blocks cover 1/2 + _STAIR_ROWS / (4 nb) of the ordered pairs
@@ -436,10 +444,9 @@ class SparseOperator:
     builds it on the first solve and reuses it on every later one, and it
     lives exactly as long as the operator.  ``ordering`` is the order in
     which that factorisation eliminates the unknowns, always given: the
-    mesh ordering (``P1.ordering``), or its interleaving over the blocks
-    of a ``block_operator``.  Treat ``matrix`` as immutable; a factor
-    left stale by an edit fails the residual check of ``solve_linear``
-    rather than returning a wrong solution.
+    mesh ordering (``P1.ordering``).  Treat ``matrix`` as immutable; a
+    factor left stale by an edit fails the residual check of
+    ``solve_linear`` rather than returning a wrong solution.
     """
 
     matrix: sp.csr_matrix
@@ -451,6 +458,29 @@ class SparseOperator:
         if not sp.isspmatrix_csr(m) or m.shape[0] != m.shape[1]:
             raise AssemblyError(f"operator must be a square CSR matrix, got {m.format} {m.shape}")
         m.sum_duplicates()  # sorts too; a no-op on a canonical matrix
+
+
+@dataclass
+class BlockOperator:
+    """The block matrix [[K, B], [C, K]] of square CSR blocks, whose two diagonal blocks are one matrix K.
+
+    ``diagonal`` is the operator of K, and its LU, in the mesh ordering,
+    is the only factorisation a solve builds: ``solve_linear`` runs GMRES
+    on the assembled ``matrix``, preconditioned by the block lower
+    triangle [[K, 0], [C, K]], two solves with that LU and one product
+    with C.  The blocks are kept, and ``matrix`` assembles them on each
+    access; treat them as immutable, like a ``SparseOperator``'s matrix.
+    """
+
+    diagonal: SparseOperator
+    upper: sp.csr_matrix
+    lower: sp.csr_matrix
+
+    @property
+    def matrix(self) -> sp.csr_matrix:
+        """The assembled 2n x 2n matrix [[K, B], [C, K]] (CSR)."""
+        k = self.diagonal.matrix
+        return sp.bmat([[k, self.upper], [self.lower, k]], format="csr")
 
 
 def min_eigenvalue(a11, a12, a22):
@@ -502,15 +532,10 @@ def assemble_weighted_mass(mesh: Mesh, weight_at_quad) -> sp.csr_matrix:
     return mass
 
 
-def block_operator(rows, ordering: np.ndarray) -> SparseOperator:
-    """The operator of the block matrix of square CSR blocks given row by row, e.g. [[A, B], [C, D]].
-
-    ``ordering`` is the node order p of every block's unknowns, the mesh's
-    ``P1.ordering``; the operator takes the blocks' unknowns node by node
-    in it: unknown p[0] of every block, then p[1] of every block, and so on.
-    """
-    interleaved = (ordering[:, None] + ordering.size * np.arange(len(rows))).ravel()
-    return SparseOperator(sp.bmat(rows, format="csr"), interleaved)
+def block_operator(diagonal: sp.csr_matrix, upper: sp.csr_matrix, lower: sp.csr_matrix,
+                   ordering: np.ndarray) -> BlockOperator:
+    """The operator of [[K, B], [C, K]]: K = ``diagonal`` in ``ordering`` (``P1.ordering``), B ``upper``, C ``lower``."""
+    return BlockOperator(SparseOperator(diagonal, ordering), upper, lower)
 
 
 def lp_norm(field: FEField, p: float) -> float:
@@ -534,40 +559,93 @@ def _permuted(matrix: sp.csr_matrix, p: np.ndarray) -> sp.csc_matrix:
     return rows.tocsc()
 
 
-def solve_linear(op: SparseOperator, rhs: np.ndarray) -> np.ndarray:
-    """Solve op x = rhs by sparse LU factorisation, for an (n,) vector or an (n, k) block.
+def _lu_solve(op: SparseOperator, rhs: np.ndarray) -> np.ndarray:
+    """op^-1 rhs by the LU ``op`` keeps, built on first use from P A P^T, p the operator's ``ordering``.
 
-    The factorisation is built on the first solve with ``op`` and kept on
-    it for later ones; one factorisation serves every column, and zero
-    columns come back zero.  The factorisation is of P A P^T, p the
-    operator's ``ordering``, with SuperLU's natural column order, so the
-    LU eliminates the unknowns in the mesh's nested-dissection order; the
-    solution is un-permuted.  Raises :class:`LinearSolveError` when the
-    factorisation finds the matrix singular, or when the relative residual
-    of any column exceeds ``SOLVE_RTOL``, which is checked on every solve
-    against ``op.matrix``; the error carries the worst column's residual.
+    SuperLU keeps its natural column order, so the LU eliminates the
+    unknowns in the mesh's nested-dissection order; the solution is
+    un-permuted.  A singular matrix raises SuperLU's ``RuntimeError``.
+    """
+    p = op.ordering
+    x = np.empty_like(rhs)
+    if op._lu is None:
+        op._lu = spla.splu(_permuted(op.matrix, p), permc_spec="NATURAL")
+    x[p] = op._lu.solve(rhs[p])
+    return x
+
+
+def _block_solve(op: BlockOperator, matrix: sp.csr_matrix, columns: np.ndarray, scales: np.ndarray):
+    """GMRES on ``matrix``, the assembled ``op``, for each nonzero column: (x, iterations per column).
+
+    Each column is scaled by its largest entry and stops at ``SOLVE_RTOL``
+    relative or after ``_KRYLOV_ITERATIONS`` iterations; ``solve_linear``'s
+    residual check, not GMRES's exit code, decides.
+    The preconditioner solves [[K, 0], [C, K]] z = r by block forward
+    substitution with the LU of K.
+    """
+    n = op.diagonal.matrix.shape[0]
+
+    def forward(r):
+        z = np.empty_like(r)
+        z[:n] = _lu_solve(op.diagonal, r[:n])
+        z[n:] = _lu_solve(op.diagonal, r[n:] - op.lower @ z[:n])
+        return z
+
+    preconditioner = spla.LinearOperator(matrix.shape, matvec=forward, dtype=float)
+    x = np.zeros_like(columns)
+    iterations = np.zeros(columns.shape[1], dtype=int)
+    for j in np.flatnonzero(scales):
+        steps = []  # one residual norm per inner iteration
+        # the "legacy" callback makes maxiter count inner iterations, over every restart cycle
+        x[:, j], _ = spla.gmres(matrix, columns[:, j] / scales[j], rtol=SOLVE_RTOL, atol=0.0,
+                                restart=_KRYLOV_ITERATIONS, maxiter=_KRYLOV_ITERATIONS, M=preconditioner,
+                                callback=steps.append, callback_type="legacy")
+        x[:, j] *= scales[j]
+        iterations[j] = len(steps)
+    return x, iterations
+
+
+def solve_linear(op: SparseOperator | BlockOperator, rhs: np.ndarray) -> np.ndarray:
+    """Solve op x = rhs, for an (n,) vector or an (n, k) block; zero columns come back zero.
+
+    A ``SparseOperator`` is solved by its sparse LU (``_lu_solve``), built
+    on the first solve with ``op`` and kept on it for later ones; one
+    factorisation serves every column.  A ``BlockOperator`` is solved
+    column by column by preconditioned GMRES (``_block_solve``), whose
+    only factorisation is the n x n LU of its diagonal block, kept on
+    ``op.diagonal``.  Raises :class:`LinearSolveError` when an LU finds
+    its matrix singular, or when the relative residual of any column
+    exceeds ``SOLVE_RTOL``, which is checked on every solve against
+    ``op.matrix``; the error carries the worst column's residual, and for
+    a block solve its message names that column's GMRES iterations.
     """
     rhs = np.asarray(rhs, dtype=float)
     columns = rhs.reshape(rhs.shape[0], -1)
     scales = np.max(np.abs(columns), axis=0, initial=0.0)
     if not np.any(scales):
         return np.zeros_like(rhs)
-    p = op.ordering
-    x = np.empty_like(rhs)
+    matrix = op.matrix
+    iterations = None
     try:
-        if op._lu is None:
-            op._lu = spla.splu(_permuted(op.matrix, p), permc_spec="NATURAL")
-        x[p] = op._lu.solve(rhs[p])
+        if isinstance(op, BlockOperator):
+            x, iterations = _block_solve(op, matrix, columns, scales)
+            x = x.reshape(rhs.shape)
+        else:
+            x = _lu_solve(op, rhs)
     except RuntimeError as exc:
         raise LinearSolveError(f"sparse LU failed: {exc}", float("nan")) from exc
-    defects = (rhs - op.matrix @ x).reshape(columns.shape)
+    defects = (rhs - matrix @ x).reshape(columns.shape)
     # each column against its largest entry s: |d / s| / |b / s| is the relative residual, and
     # its norms neither overflow for a finite b nor underflow to zero for a nonzero one
-    residual = float(np.max([np.linalg.norm(defects[:, j] / s) / np.linalg.norm(columns[:, j] / s)
-                             for j, s in enumerate(scales) if s != 0.0]))
+    residuals = np.full(scales.shape, -np.inf)
+    for j in np.flatnonzero(scales):
+        residuals[j] = np.linalg.norm(defects[:, j] / scales[j]) / np.linalg.norm(columns[:, j] / scales[j])
+    worst = int(np.argmax(residuals))  # a NaN residual is the worst
+    residual = float(residuals[worst])
     if not residual <= SOLVE_RTOL:
+        method = "sparse LU" if iterations is None else f"GMRES, after {iterations[worst]} iterations,"
         raise LinearSolveError(
-            f"sparse LU solution misses the residual bound {SOLVE_RTOL:.0e} "
+            f"{method} solution misses the residual bound {SOLVE_RTOL:.0e} "
             f"(relative residual {residual:.3e})",
             residual,
         )

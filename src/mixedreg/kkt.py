@@ -30,7 +30,8 @@ What remains is a nonsmooth system F(y, phi) = 0 of the state and
 adjoint equations, which ``solve_kkt`` solves by semismooth Newton from
 a given (y, phi): ``cold_start`` of some controls, or the optimum of a
 coarser mesh prolonged.  Each step is one ``fem.solve_linear`` of the
-2n x 2n generalised Jacobian taken on the current active sets,
+2n x 2n generalised Jacobian taken on the current active sets, a
+``fem.BlockOperator`` whose two diagonal blocks are one n x n matrix,
 globalised by the Armijo backtracking on |F|_2 of ``solvers.newton``,
 the loop the state solve runs too.
 
@@ -406,8 +407,8 @@ def _point(spec: ProblemSpec, y: FEField, phi: FEField) -> _Point:
     )
 
 
-def _jacobian(spec: ProblemSpec, pt: _Point) -> fem.SparseOperator:
-    """Generalised Jacobian of F at pt, taken on pt's active sets.
+def _jacobian(spec: ProblemSpec, pt: _Point) -> fem.BlockOperator:
+    """Generalised Jacobian [[K, R], [S + C, K]] of F at pt, taken on pt's active sets.
 
     Per node, with b the bound: db/dy = -g_y / zeta'(b); off the active
     set dc/dphi = -1 / delta'(w), on it dc/dy = db/dy, dpsi/dphi =
@@ -415,9 +416,13 @@ def _jacobian(spec: ProblemSpec, pt: _Point) -> fem.SparseOperator:
     zeta''(b) / zeta'(b)^2.  Block (i, j) adds minus the nodal derivative
     of equation i's load in variable j as the diagonal reaction coupling
     diag(m c1 + T^T (m_b c2)); the adjoint load also brings L_yy,
-    ell_yy and g_yy psi, and the adjoint operator its second variation.
+    ell_yy and g_yy psi (in C), and the adjoint operator its second
+    variation S.  The state equation's coupling in y and the adjoint's in
+    phi have the same nodal coefficients, g_y / zeta'(b) on the active
+    set, so both diagonal blocks are one matrix K, the linearization plus
+    that coupling, assembled once.
     """
-    # per half: the nodal coefficients of the four blocks, in block order
+    # per half: the nodal coefficients of the couplings of K, R and C
     coefficients = []
     for h, m in zip(pt.halves, pt.minimizers):
         b, on, zeta, delta = h.bound, m.active, h.data.zeta, h.data.delta
@@ -427,19 +432,17 @@ def _jacobian(spec: ProblemSpec, pt: _Point) -> fem.SparseOperator:
         second = fem.nodal(h.data.track.diff().diff(), h.y) + fem.nodal(h.data.g.diff().diff(), h.y) * m.psi
         coefficients.append(
             (
-                np.where(on, -db_dy, 0.0),
+                np.where(on, h.g_y / zeta_slope, 0.0),
                 np.where(on, 0.0, 1.0 / delta.slope(m.w)),
                 -(second + np.where(on, h.g_y * dpsi_db * db_dy, 0.0)),
-                np.where(on, h.g_y / zeta_slope, 0.0),
             )
         )
     rec = fem.p1(pt.y.mesh)
-    state_y, state_phi, adjoint_y, adjoint_phi = (rec.reaction(*pair) for pair in zip(*coefficients))
+    diagonal, upper, lower = (rec.reaction(*pair) for pair in zip(*coefficients))
     return fem.block_operator(
-        [
-            [pt.linearized.matrix + state_y, state_phi],
-            [second_variation_matrix(spec, pt.y, pt.phi) + adjoint_y, pt.linearized.matrix + adjoint_phi],
-        ],
+        pt.linearized.matrix + diagonal,
+        upper,
+        second_variation_matrix(spec, pt.y, pt.phi) + lower,
         rec.ordering,
     )
 

@@ -251,15 +251,19 @@ def test_solve_kkt(tmp_path):
 # so the fields moved by at most 7.6e-15 relative (v not at all), the final
 # objective not at all, the intermediate objectives of kkt_history.csv by at
 # most 7.4e-8 relative and its residual columns by at most 1.9e-16 absolute.
+# Retaken again when each Newton step became GMRES preconditioned by the LU of
+# the Jacobian's diagonal block: the fields moved by at most 4.9e-15 relative
+# to their largest value (v not at all), the objectives by at most 2.3e-15
+# relative and the residual columns and entries by at most 1.3e-15 absolute.
 SOLVE_KKT_DIGESTS = {
-    "kkt_report.json": "6a609560cead9327f901fb1897822bae8668473a0154711b829ad08be217b8ef",
-    "kkt_history.csv": "41e349e3ca41e447aeb16f77385bda2488d11469a43b035db32249eb78759d9c",
-    "y.mf": "bf20945fa613708fa04c431a8d01d9c92aacf77f41f1965d84d9fc79068a04e8",
-    "u.mf": "7035c755a73fe9ba3418fd16431708766f146e365e71d4900e9d8cf32333c4b1",
-    "phi.mf": "883b1d7051d8cad0c4e40f3e852b2a33b2a6e6522f76a7dacf6cb3a8bd44ffe7",
-    "psi1.mf": "00ef69a89e25fb4a4a8a507da4365ee901363108b9d3180ca1a3db6a51f72db0",
+    "kkt_report.json": "717e8c4302ee26f6bb19b4af10cf40d9e7a8ade298ac88b1d0d8b287738e8c36",
+    "kkt_history.csv": "8e0a701d9077f8fff28a0e7cab18feda996c1245e56c507cc82ee38d53b54246",
+    "y.mf": "94479961951fbadf841a282a77a5adce6b0fbe68bd72a2aa828fe655ead89d0b",
+    "u.mf": "9a583f23635b81c7a3f72c2227cf13b5fc62dc0377b8c28af5fc46fd17225930",
+    "phi.mf": "99d1a7a7a6c307de700e269bfe8554090ed4dcc7fd566b35a0fb153005b788b6",
+    "psi1.mf": "6b48f3861e8a5941b121daa94d8d9db5f989bf2cda5cfb906c24bb6d0369d7a3",
     "v.mf": "cf3f24d50d2f230e2420734863acc3c265641031620d1e2d17db5b1d1ab68de5",
-    "psi2.mf": "0a0af8ce192c2f19547e9c12b5a6e8fcdf331039745cbfed9fe4012f2843612d",
+    "psi2.mf": "b5acf51de029e792187c9b3176ff0ec89d138e100dfdc7cda347e5720f5c880a",
 }
 
 
@@ -301,15 +305,19 @@ def test_assumption_reports_are_pinned(tmp_path, config):
 # weights, a change of the discrete problem: regularity.csv moved by at most
 # 2.2e-3 (smooth) and 1.4e-2 (jump) relative, the growth ratios by at most
 # 1.6e-3 (smooth) and 6.3e-3 (jump) relative; no flag, Newton step count or
-# convergence changed.
+# convergence changed.  Retaken again when each Newton step became GMRES
+# preconditioned by the LU of the Jacobian's diagonal block: regularity.csv
+# moved by at most 1.2e-14 (smooth) and 9.1e-15 (jump) relative, the growth
+# ratios by at most 1.5e-14 and 1.6e-14 relative; no flag, Newton step count
+# or convergence changed, and the bytes are the same at one and two BLAS threads.
 REGULARITY_DIGESTS = {
     "smooth_constrained": {
-        "regularity.csv": "d21bf08c8884a81cd99599cd059a55d656254e5665f438933e200051a034d1e7",
-        "regularity_flags.json": "343126e6d84be2688dfbb775d89c7e0108278ed76bcdad8b23b4de9a8a4cee00",
+        "regularity.csv": "11c6e23a6f152f39031fad5c80b74d05a39752fcfa4d4881861e7209392eccbc",
+        "regularity_flags.json": "a4874b245583d5790c0e94b789863649fcec07f002de59a83ba2456b8bd0313c",
     },
     "jump_bound": {
-        "regularity.csv": "54781f79cb5d42687bd0a0a5e1e2d95f522edaa1dab30b8d254ab498030fcf83",
-        "regularity_flags.json": "79b2ba4f516472233bd8fc90d17b615e469341f8184033a0e56924970d998b4e",
+        "regularity.csv": "c1fabf82fee25a4af4dac729ca90d19042985e365155529b7634d98e16ed5532",
+        "regularity_flags.json": "7574ea7c6af040fadb21ffc161d8b9dd9de168dc9e601b1ca6ae0dc4d74fc1f1",
     },
 }
 

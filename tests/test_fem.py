@@ -653,14 +653,23 @@ def test_mesh_ordering_fills_less_than_colamd(identity_spec, factorisations, pre
     assert [permc for _, permc in factorisations] == ["NATURAL", "COLAMD"]
 
 
-def test_block_operator_interleaves_the_blocks_per_node(disk, identity_spec):
+def test_block_operator_factorises_only_its_diagonal_block(disk, identity_spec, factorisations):
+    # [[K, B], [C, K]] keeps its blocks; its solves factorise K alone, once, n x n in the mesh ordering
     m = disk(2)
     rec = fem.p1(m)
-    a = rec.operator(identity_spec)
+    k = rec.operator(identity_spec)
     mass = fem.assemble_weighted_mass(m, 1.0)
-    block = fem.block_operator([[a, mass], [mass, a]], rec.ordering)
-    p, n = rec.ordering, m.n_vertices
-    assert np.array_equal(block.ordering, np.stack([p, p + n], axis=1).ravel())
+    block = fem.block_operator(k, 0.5 * mass, -mass, rec.ordering)
+    assert block.diagonal.matrix is k and block.diagonal.ordering is rec.ordering
+    n, p = m.n_vertices, rec.ordering
+    rng = np.random.default_rng(5)
+    for rhs in (rng.standard_normal(2 * n), rng.standard_normal((2 * n, 3))):
+        x = solve_linear(block, rhs)
+        assert x.shape == rhs.shape
+        assert np.max(np.abs(block.matrix @ x - rhs)) <= 1e-10 * np.max(np.abs(rhs))
+    ((factored, permc),) = factorisations
+    assert permc == "NATURAL" and factored.shape == (n, n)
+    assert abs(factored - k[p][:, p]).max() == 0.0
 
 
 def test_every_operator_carries_an_ordering(disk):

@@ -574,7 +574,10 @@ def reflex_loops(draw):
 
     Each inner vertex lies inside the chord of its neighbours, so the loop
     has a reflex corner at every other vertex; the loop is scaled and moved
-    away from the origin, and the fan's centre is the loop's mean.
+    away from the origin, and the fan's centre is the star's centre
+    ``shift``.  Every angular step is below pi, so that centre sees each
+    edge counterclockwise; the loop's mean can lie outside the star's
+    kernel and give a fan triangle of negative area.
     """
     nb = draw(st.integers(8, 40))
     steps = draw(arrays(np.float64, nb, elements=st.floats(0.5, 1.5)))
@@ -585,7 +588,7 @@ def reflex_loops(draw):
     ring = scale * np.stack([radii * np.cos(th), radii * np.sin(th)], axis=1) + shift
     k = np.arange(nb)
     tris = np.stack([np.zeros_like(k), 1 + k, 1 + (k + 1) % nb], axis=1)
-    return geometry.Mesh(vertices=np.vstack([ring.mean(axis=0), ring]), triangles=tris, boundary_loop=1 + k)
+    return geometry.Mesh(vertices=np.vstack([shift, ring]), triangles=tris, boundary_loop=1 + k)
 
 
 @EXTENDED

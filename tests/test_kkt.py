@@ -613,6 +613,130 @@ def test_swapped_jacobian_is_symmetric(configs, disk, name):
     assert _relative_asymmetry(shifted) <= 1e-14
 
 
+def _newton_systems(spec, mesh):
+    """(Jacobian, Newton right-hand side) at the cold start of ``spec`` on ``mesh`` and at its converged point."""
+    start = kkt.cold_start(spec, *zero_controls(mesh))
+    state, report = kkt.solve_kkt(spec, start, kkt_tol=5e-3)
+    assert report.converged
+    points = (kkt._point(spec, *start), kkt._point(spec, state.y, state.phi))
+    return [(kkt._jacobian(spec, pt), -pt.residual) for pt in points]
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_block_solve_agrees_with_a_direct_lu(configs, disk, name):
+    # GMRES with the block-triangular preconditioner against a direct LU of the assembled 2n x 2n
+    # Jacobian, at the converged level-3 point and at the cold-start level-4 Jacobian; the factor
+    # the solve keeps is K's, n x n
+    spec = configs[name]
+    cases = [_newton_systems(spec, disk(3))[1], _newton_systems(spec, disk(4))[0]]
+    for jac, rhs in cases:
+        n = jac.diagonal.matrix.shape[0]
+        x = fem.solve_linear(jac, rhs)
+        direct = spla.splu(jac.matrix.tocsc()).solve(rhs)
+        assert np.linalg.norm(x - direct) <= 1e-10 * np.linalg.norm(direct)
+        assert jac.matrix.shape == (2 * n, 2 * n) and jac.diagonal._lu.shape == (n, n)
+
+
+def test_block_solve_refuses_what_its_factor_cannot_solve(smooth_solution):
+    # the residual check decides, not GMRES: an edit of K after factorising that the kept LU
+    # absorbs is solved, one it cannot absorb within the iteration cap raises, and so do a J21
+    # that makes the Jacobian singular and a K that is singular when factorised
+    spec, mesh, state, _ = smooth_solution
+    pt = kkt._point(spec, state.y, state.phi)
+    n = mesh.n_vertices
+    rhs = np.random.default_rng(0).standard_normal(2 * n)
+
+    def solved(edit):
+        jac = kkt._jacobian(spec, pt)
+        fem.solve_linear(jac, rhs)  # factorises K
+        edit(jac)
+        x = fem.solve_linear(jac, rhs)
+        assert np.linalg.norm(jac.matrix @ x - rhs) <= fem.SOLVE_RTOL * np.linalg.norm(rhs)
+
+    def refused(edit):
+        jac = kkt._jacobian(spec, pt)
+        fem.solve_linear(jac, rhs)
+        edit(jac)
+        with pytest.raises(fem.LinearSolveError) as err:
+            fem.solve_linear(jac, rhs)
+        return err.value
+
+    def scale_k(factor):
+        def edit(jac):
+            jac.diagonal.matrix = factor * jac.diagonal.matrix
+        return edit
+
+    def perturb_k(jac):
+        k = jac.diagonal.matrix
+        jac.diagonal.matrix = k + 1e3 * sp.diags(np.random.default_rng(1).uniform(0.0, 1.0, n) * k.diagonal(),
+                                                 format="csr")
+
+    def singular_lower(jac):
+        # C = K R^+ K turns the Schur complement K - C K^-1 R into K restricted to the active nodes
+        r = jac.upper.diagonal()
+        pseudo = np.divide(1.0, r, out=np.zeros(n), where=r != 0.0)
+        jac.lower = (jac.diagonal.matrix @ sp.diags(pseudo) @ jac.diagonal.matrix).tocsr()
+
+    # R is nonzero on the free nodes alone, and both sets are nonempty
+    assert 0 < np.count_nonzero(kkt._jacobian(spec, pt).upper.diagonal()) < n
+    solved(scale_k(2.0))
+    stale = refused(perturb_k)
+    assert np.isfinite(stale.residual) and stale.residual > fem.SOLVE_RTOL
+    assert refused(singular_lower).residual > fem.SOLVE_RTOL
+    singular = kkt._jacobian(spec, pt)
+    scale_k(0.0)(singular)
+    with pytest.raises(fem.LinearSolveError, match="singular"):
+        fem.solve_linear(singular, rhs)
+    # a failed block solve names its GMRES iterations and its final relative residual
+    message = str(stale)
+    assert f"GMRES, after {fem._KRYLOV_ITERATIONS} iterations" in message
+    assert f"relative residual {stale.residual:.3e}" in message
+
+
+@pytest.fixture
+def krylov_iterations(monkeypatch):
+    """GMRES iterations of each ``spla.gmres`` call during the test, in call order."""
+    seen = []
+    gmres = spla.gmres
+
+    def recorded(*args, callback, **options):
+        seen.append(0)
+
+        def step(residual):
+            seen[-1] += 1
+            callback(residual)
+
+        return gmres(*args, callback=step, **options)
+
+    monkeypatch.setattr(spla, "gmres", recorded)
+    return seen
+
+
+# most GMRES iterations a Newton system of a shipped config takes at levels 3-6 (7 measured)
+KRYLOV_BOUND = 10
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_block_solves_take_few_krylov_iterations(configs, krylov_iterations, name):
+    # nested solves as in a refinement study: a cold start at level 3, then each level from the
+    # previous level's optimum prolonged
+    spec = configs[name]
+    meshes = [geometry.build_mesh(spec.preset, 6)]
+    while len(meshes) < 4:
+        meshes.insert(0, meshes[0].coarser)
+    start = kkt.cold_start(spec, *zero_controls(meshes[0]))
+    counts = []
+    for mesh in meshes:
+        if mesh is not meshes[0]:
+            start = (fem.prolong(state.y, mesh), fem.prolong(state.phi, mesh))
+        krylov_iterations.clear()
+        state, report = kkt.solve_kkt(spec, start, kkt_tol=5e-3)
+        assert report.converged
+        assert len(krylov_iterations) == report.iterations - 1
+        counts += krylov_iterations
+    assert 0 < max(counts) <= KRYLOV_BOUND
+
+
 @pytest.mark.parametrize("name", SHIPPED)
 def test_newton_point_is_the_discrete_minimizer(configs, disk, name):
     # an SLSQP solve of the discrete problem, assembled densely in the oracle from the mesh
@@ -684,9 +808,11 @@ def test_jacobian_fills_less_under_the_mesh_ordering(configs, factorisations, pr
     mesh = geometry.build_mesh(preset, 4)
     jac = kkt._jacobian(spec, kkt._point(spec, *kkt.cold_start(spec, *zero_controls(mesh))))
     fem.solve_linear(jac, np.ones(jac.matrix.shape[0]))
-    colamd = spla.splu(jac.matrix.tocsc())  # SuperLU's own COLAMD column order, the reference
+    # the one factorisation of a Jacobian solve is K's, its diagonal block
+    colamd = spla.splu(jac.diagonal.matrix.tocsc())  # SuperLU's own COLAMD column order, the reference
     assert [permc for _, permc in factorisations[-2:]] == ["NATURAL", "COLAMD"]
-    assert jac._lu.L.nnz + jac._lu.U.nnz < colamd.L.nnz + colamd.U.nnz
+    lu = jac.diagonal._lu
+    assert lu.L.nnz + lu.U.nnz < colamd.L.nnz + colamd.U.nnz
 
 
 def test_reprojection_consistency(quadratic_solution):
